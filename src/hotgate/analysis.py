@@ -16,15 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels, fock_core, gate_protocol
-from .errors import NonConvergenceError
+from . import fock_core, gate_protocol
 from .trap_model import (
     AnharmonicExpansion,
     ModeBasis,
     TrapSpec,
     anharmonic_expansion,
     build_mode_basis,
-    mode_energies,
     motional_energies_flat,
     motional_hamiltonian,
     relative_occupation,
@@ -228,25 +226,17 @@ def average_purity(channel: QuantumChannel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _simpson(n_intervals: int, length: float):
-    """Nodes and weights of composite Simpson over [0, length]."""
-    if n_intervals < 2 or n_intervals % 2:
-        raise ValueError("Simpson needs an even, positive interval count")
-    taus = np.linspace(0.0, length, n_intervals + 1)
-    w = np.ones(n_intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return taus, w * (length / n_intervals / 3.0)
+def interaction_integral(v: np.ndarray, energies: np.ndarray, length: float) -> np.ndarray:
+    """integral_0^length of e^{i H0 tau} V e^{-i H0 tau} d tau for diagonal H0.
 
-
-def interaction_integral(
-    v: np.ndarray, energies: np.ndarray, length: float, n_intervals: int
-) -> np.ndarray:
-    """integral_0^length of e^{i H0 tau} V e^{-i H0 tau} d tau for diagonal H0."""
-    taus, weights = _simpson(n_intervals, length)
-    return _kernels.phased_quadrature(
-        np.asarray(v, dtype=complex), np.asarray(energies, dtype=float),
-        taus, weights.astype(float))
+    Element (j, k) picks up integral_0^T e^{i D tau} d tau with D = E_j - E_k,
+    which is T e^{i D T/2} sinc(D T / 2 pi) in numpy's normalized sinc; D = 0
+    gives exactly T.  In the commensurate trap every D is a whole multiple of
+    nu_c, so over one gate time only the resonant part of V survives.
+    """
+    energies = np.asarray(energies, dtype=float)
+    half = 0.5 * length * (energies[:, None] - energies[None, :])
+    return length * np.exp(1j * half) * np.sinc(half / np.pi) * np.asarray(v, dtype=complex)
 
 
 def _branch_displacement_factors(basis: ModeBasis):
@@ -287,18 +277,20 @@ class AnharmonicReport:
     f_cor: float
     variance: float
     mean_phase: float
-    points: int
-    converged: bool
     dims: tuple[int, int]
     state_mode: str
     order: int
+
+    @property
+    def converged(self) -> bool:
+        """Always True: the interaction integral is exact, nothing iterates."""
+        return True
 
     def to_dict(self) -> dict:
         return {
             "f_cor": self.f_cor,
             "phase_variance": self.variance,
             "mean_phase": self.mean_phase,
-            "quadrature_intervals": self.points,
             "converged": self.converged,
             "dims": list(self.dims),
             "state_mode": self.state_mode,
@@ -310,53 +302,29 @@ def anharmonic_fidelity(
     basis: ModeBasis,
     expansion: AnharmonicExpansion,
     n_bar_c: float = 0.0,
-    points: int = 256,
     state_mode: str = "pre_kick",
-    qtol: float = 1e-8,
-    max_doublings: int = 3,
 ) -> AnharmonicReport:
     """Fidelity reduction from the anharmonic correction, to leading order.
 
     Integrates the correction in the interaction picture over one gate time
-    and reports F_cor = 1 - Var(phase) over the thermal ensemble, where the
-    variance is <W^2> - <W>^2 of the integrated phase operator W.  state_mode
-    'pre_kick' (default) evaluates over the undisplaced thermal state;
-    'post_kick' conjugates W with the opening-kick displacement first, which
-    probes the branch geometry but needs kick-sized truncations.
-
-    The Simpson interval count doubles until two successive values of the
-    variance agree to qtol; `converged` reports whether that happened within
-    max_doublings rounds (0 rounds means no check was performed).
+    (in closed form, see interaction_integral) and reports
+    F_cor = 1 - Var(phase) over the thermal ensemble, where the variance is
+    <W^2> - <W>^2 of the integrated phase operator W.  state_mode 'pre_kick'
+    (default) evaluates over the undisplaced thermal state; 'post_kick'
+    conjugates W with the opening-kick displacement first, which probes the
+    branch geometry but needs kick-sized truncations.
     """
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
     energies = motional_energies_flat(basis)
     v = v_cor_operator(expansion, basis)
-    probs = _thermal_grid_probs(basis, n_bar_c)
+    tilde = interaction_integral(v, energies, basis.gate_time)
     if state_mode == "post_kick":
-        d_c, d_r = _branch_displacement_factors(basis)
-
-    def variance_at(n_intervals):
-        tilde = interaction_integral(v, energies, basis.gate_time, n_intervals)
-        if state_mode == "post_kick":
-            tilde = _conjugate_factored(tilde, d_c, d_r)
-        return _phase_variance(tilde, probs)
-
-    var, mean = variance_at(points)
-    converged = False
-    n = points
-    for _ in range(max_doublings):
-        n *= 2
-        var2, mean2 = variance_at(n)
-        if abs(var2 - var) <= qtol * max(1.0, abs(var2)):
-            var, mean = var2, mean2
-            converged = True
-            break
-        var, mean = var2, mean2
+        tilde = _conjugate_factored(tilde, *_branch_displacement_factors(basis))
+    var, mean = _phase_variance(tilde, _thermal_grid_probs(basis, n_bar_c))
     return AnharmonicReport(
-        f_cor=1.0 - var, variance=var, mean_phase=mean, points=n,
-        converged=converged, dims=basis.dims, state_mode=state_mode,
-        order=expansion.order,
+        f_cor=1.0 - var, variance=var, mean_phase=mean, dims=basis.dims,
+        state_mode=state_mode, order=expansion.order,
     )
 
 
@@ -429,14 +397,14 @@ class GateReport:
         return out
 
 
-def _anharmonic_point(spec, n_bar_c, order, points=256):
+def _anharmonic_point(spec, n_bar_c, order):
     """F_cor at thermal-sized truncation (the correction needs no kick room)."""
     n_bar_r = relative_occupation(n_bar_c)
     dims = (fock_core.default_fock_dim(n_bar_c, 0.0),
             fock_core.default_fock_dim(n_bar_r, 0.0))
     small = build_mode_basis(spec, eta=spec.lamb_dicke, n_bar_c=n_bar_c, dims=dims)
     expansion = anharmonic_expansion(spec, order=order)
-    return anharmonic_fidelity(small, expansion, n_bar_c=n_bar_c, points=points)
+    return anharmonic_fidelity(small, expansion, n_bar_c=n_bar_c)
 
 
 def gate_report(

@@ -70,8 +70,6 @@ _DEFAULTS = {
     "anharmonic": {
         "order": 3,
         "scale": 1.0,
-        "points": 256,
-        "max_doublings": 3,
         "n_bar_c": 1.0,
         "state_mode": "pre_kick",
         "dims": None,
@@ -101,7 +99,6 @@ _COERCE = {
     ("scan", "etas"): str, ("scan", "n_bars"): str,
     ("scan", "jobs"): int, ("scan", "anharmonic_order"): int,
     ("anharmonic", "order"): int, ("anharmonic", "scale"): float,
-    ("anharmonic", "points"): int, ("anharmonic", "max_doublings"): int,
     ("anharmonic", "n_bar_c"): float, ("anharmonic", "state_mode"): str,
     ("anharmonic", "dims"): str,
     ("separation", "points"): int, ("separation", "check_tol"): float,
@@ -429,7 +426,11 @@ def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def _read_existing_rows(path: str) -> dict:
-    """Map (eta, n_bar_c) formatted strings to finished CSV rows."""
+    """Map (eta, n_bar_c) formatted strings to finished CSV rows.
+
+    A failed point is written with nan figures; such rows are left out so
+    that a resumed scan computes them again.
+    """
     existing = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -438,7 +439,7 @@ def _read_existing_rows(path: str) -> dict:
         return existing
     for line in lines[1:]:  # skip the column header
         cells = line.split(",")
-        if len(cells) == 5:
+        if len(cells) == 5 and cells[2] != "nan":
             existing[(cells[0], cells[1])] = cells
     return existing
 
@@ -531,8 +532,7 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
     if a["scale"] != 1.0:
         expansion = expansion.scaled(a["scale"])
     rep = analysis.anharmonic_fidelity(
-        basis, expansion, n_bar_c=n_bar_c, points=a["points"],
-        state_mode=state_mode, max_doublings=a["max_doublings"])
+        basis, expansion, n_bar_c=n_bar_c, state_mode=state_mode)
     f_exact = analysis.exact_anharmonic_fidelity(
         basis, expansion, n_bar_c=n_bar_c, state_mode=state_mode)
     payload = rep.to_dict()
@@ -547,9 +547,6 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
     _emit(_json_text("anharmonic", cfg, payload, args.stamp,
                      cfg["output"]["precision"]),
           _resolve_path(cfg["output"]["path"]))
-    if not rep.converged:
-        sys.stderr.write("anharmonic: quadrature failed to converge\n")
-        return 3
     return 0
 
 
@@ -700,9 +697,6 @@ def build_parser() -> _Parser:
     _add_out_flags(p)
     p.add_argument("--order", type=int, help="expansion order (0 disables)")
     p.add_argument("--scale", type=float, help="coefficient scale factor")
-    p.add_argument("--quad-points", dest="quad_points", type=int,
-                   help="initial Simpson interval count")
-    p.add_argument("--max-doublings", dest="max_doublings", type=int)
     p.add_argument("--state-mode", dest="state_mode",
                    choices=["pre_kick", "post_kick"])
     p.add_argument("--anh-n-bar-c", dest="anh_n_bar_c", type=float,
@@ -723,8 +717,6 @@ _EXTRA_FLAGS = {
     "anharmonic_order": ("scan", "anharmonic_order"),
     "order": ("anharmonic", "order"),
     "scale": ("anharmonic", "scale"),
-    "quad_points": ("anharmonic", "points"),
-    "max_doublings": ("anharmonic", "max_doublings"),
     "state_mode": ("anharmonic", "state_mode"),
     "anh_n_bar_c": ("anharmonic", "n_bar_c"),
     "anh_dims": ("anharmonic", "dims"),

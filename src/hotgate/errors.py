@@ -22,7 +22,7 @@ class InfeasibleRatioError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """A truncation or quadrature refinement failed to settle within tolerance."""
+    """A truncation refinement failed to settle within tolerance."""
 
 
 class ConfigError(ValueError):

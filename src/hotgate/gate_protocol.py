@@ -33,7 +33,7 @@ from math import exp, pi, sqrt
 
 import numpy as np
 
-from . import _kernels, fock_core
+from . import fock_core
 from .trap_model import (
     AnharmonicExpansion,
     ModeBasis,
@@ -422,7 +422,7 @@ def _apply_diag(state_data, diag: np.ndarray):
     if isinstance(state_data, fock_core.PureState):
         return fock_core.PureState(diag * state_data.amplitudes)
     m = state_data.matrix if isinstance(state_data, fock_core.DensityOp) else state_data
-    out = _kernels.phase_conjugate(m, diag)
+    out = m * np.outer(diag, diag.conj())
     if isinstance(state_data, fock_core.DensityOp):
         return fock_core.DensityOp(out, check=False)
     return out
@@ -534,12 +534,12 @@ class _BranchOps:
             u = self._anharmonic_u[t]
             n_c, n_r, k = batch.shape
             return (u @ batch.reshape(n_c * n_r, k)).reshape(n_c, n_r, k)
-        return _kernels.scale_grid_batch(batch.copy(), _free_phases(self.basis, t))
+        return batch * _free_phases(self.basis, t)[:, :, None]
 
     def flip_component(self, s: float, batch):
         """Project the Gaussian pulse onto the sigma^x_1 eigenvalue s."""
         w = self._mode_apply(self._vec_c.conj().T, self._vec_r.conj().T, batch)
-        w = _kernels.scale_grid_batch(w, np.exp(-1j * s * self._theta))
+        w *= np.exp(-1j * s * self._theta)[:, :, None]
         return self._mode_apply(self._vec_c, self._vec_r, w)
 
     def branch(self, b: int, s: float | None, batch):

@@ -6,6 +6,7 @@ config, 2 infeasible physics, 3 non-convergence.
 """
 
 import json
+import math
 
 import pytest
 
@@ -259,6 +260,22 @@ def test_scan_skip_existing_preserves_rows(capsys, tmp_path):
     assert "0.123456789" in out.read_text().splitlines()[-1]
 
 
+def test_scan_skip_existing_retries_failed_rows(capsys, tmp_path):
+    out = tmp_path / "grid.csv"
+    rc, _, _ = run(capsys, *_SCAN_ARGS, "--output", str(out))
+    assert rc == 0
+    # a failed point leaves nan figures behind; a skipping re-run recomputes it
+    lines = out.read_text().splitlines()
+    row = lines[-1].split(",")
+    lines[-1] = ",".join(row[:2] + ["nan", "nan", "nan"])
+    out.write_text("\n".join(lines) + "\n")
+    rc, _, _ = run(capsys, *_SCAN_ARGS, "--output", str(out), "--skip-existing")
+    assert rc == 0
+    cells = out.read_text().splitlines()[-1].split(",")
+    assert cells[:2] == row[:2]
+    assert all(math.isfinite(float(c)) for c in cells[2:])
+
+
 def test_scan_skip_existing_needs_output(capsys):
     rc, _, err = run(capsys, *_SCAN_ARGS, "--skip-existing")
     assert rc == 1
@@ -284,21 +301,12 @@ def test_anharmonic_order_zero_short_circuits(capsys):
 
 
 def test_anharmonic_compares_routes(capsys):
-    rc, out, _ = run(capsys, "anharmonic", "--anh-dims", "20,16",
-                     "--quad-points", "64")
+    rc, out, _ = run(capsys, "anharmonic", "--anh-dims", "20,16")
     assert rc == 0
     doc = json.loads(out)
     assert doc["converged"] is True
     assert 0.999 < doc["f_cor_perturbative"] <= 1.0
     assert doc["delta"] < 1e-6
-
-
-def test_anharmonic_unconverged_exits_3(capsys):
-    rc, out, err = run(capsys, "anharmonic", "--anh-dims", "20,16",
-                       "--quad-points", "64", "--max-doublings", "0")
-    assert rc == 3
-    assert "converge" in err
-    assert json.loads(out)["converged"] is False  # data still emitted
 
 
 # --- parser behaviour -------------------------------------------------------
