@@ -3,13 +3,15 @@
 Layers, bottom to top:
 
 * fock_core — truncated oscillator algebra: ladder/displacement operators,
-  thermal states, tensor products, partial traces, truncation policies.
+  thermal states, tensor products, partial traces, the truncation heuristic.
 * trap_model — statics of two ions in a power-law trap: equilibrium
   separation, normal modes, the commensurability condition nu_r = 2 nu_c,
   and the anharmonic correction to the two-mode picture.
 * gate_protocol — the kick / free-flight / addressed-flip / closing-kick
-  schedule, its condition solver, and both execution paths (literal
-  composite unitaries, and the branch-factorized channel used for scans).
+  schedule, its condition solver, the branch-factorized route that gives
+  the gate channel and the motional output from one set of propagated
+  thermal columns, and the literal composite-unitary path that tests use
+  as its oracle.
 * analysis — separation curves, channel fidelity/purity, the perturbative
   anharmonic fidelity with its exact-propagation cross-check, and grid scans.
 * cli — the `hotgate` command.
@@ -36,7 +38,6 @@ from .errors import (
     InvalidOperatorError,
     KindMismatchError,
     NoEquilibriumError,
-    NonConvergenceError,
 )
 from .fock_core import (
     DensityOp,

@@ -25,12 +25,7 @@ import sys
 import numpy as np
 
 from . import analysis, fock_core, gate_protocol, trap_model
-from .errors import (
-    ConfigError,
-    InfeasibleRatioError,
-    NoEquilibriumError,
-    NonConvergenceError,
-)
+from .errors import ConfigError, InfeasibleRatioError, NoEquilibriumError
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -356,10 +351,6 @@ def cmd_separation(cfg: dict, args: argparse.Namespace) -> int:
     curve = analysis.separation_scan(
         basis, n_points=cfg["separation"]["points"],
         check_tol=cfg["separation"]["check_tol"])
-    if not curve.converged:
-        sys.stderr.write("separation: numeric route failed the doubled-"
-                         "truncation check\n")
-        return 3
     notes = [f"dims: {curve.dims[0]},{curve.dims[1]} (c,r), numeric column at doubled dims",
              "d = distance between the kicked branches of ion 1",
              "columns: t,d_analytic,d_numeric"]
@@ -367,6 +358,10 @@ def cmd_separation(cfg: dict, args: argparse.Namespace) -> int:
     text = _csv_text("separation", cfg, ["t", "d_analytic", "d_numeric"],
                      rows, notes, args.stamp, cfg["output"]["precision"])
     _emit(text, _resolve_path(cfg["output"]["path"]))
+    if not curve.converged:
+        sys.stderr.write("separation: numeric route failed the doubled-"
+                         "truncation check\n")
+        return 3
     return 0
 
 
@@ -392,7 +387,7 @@ def _target_matrix(name: str) -> np.ndarray:
 
 def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
     spec = build_trap(cfg)
-    flip = _choice(cfg, "gate", "flip", {"gaussian", "idealized", "none"})
+    flip = _choice(cfg, "gate", "flip", {"gaussian", "idealized"})
     target_name = _choice(cfg, "gate", "target", {"gate", "identity"})
     order = cfg["anharmonic"]["order"] if args.anharmonic else None
     kwargs = dict(
@@ -406,6 +401,12 @@ def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
     )
     eta = resolve_eta(cfg)
     report = analysis.gate_report(spec, eta, cfg["gate"]["n_bar_c"], **kwargs)
+    payload = report.to_dict()
+    payload["target"] = target_name
+    payload["note"] = _FIDELITY_NOTE if target_name == "gate" else (
+        "fidelity measured against the identity map")
+    text = _json_text("gate", cfg, payload, args.stamp, cfg["output"]["precision"])
+    _emit(text, _resolve_path(cfg["output"]["path"]))
     if args.check_convergence:
         bumped = tuple(d + 8 for d in report.dims)
         recheck = analysis.gate_report(
@@ -416,12 +417,6 @@ def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
             sys.stderr.write(f"gate: fidelity moved {drift:.3e} under a "
                              "truncation bump; increase dims\n")
             return 3
-    payload = report.to_dict()
-    payload["target"] = target_name
-    payload["note"] = _FIDELITY_NOTE if target_name == "gate" else (
-        "fidelity measured against the identity map")
-    text = _json_text("gate", cfg, payload, args.stamp, cfg["output"]["precision"])
-    _emit(text, _resolve_path(cfg["output"]["path"]))
     return 0
 
 
@@ -448,7 +443,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     spec = build_trap(cfg)
     etas = _parse_grid(cfg["scan"]["etas"], "etas")
     n_bars = _parse_grid(cfg["scan"]["n_bars"], "n_bars")
-    flip = _choice(cfg, "gate", "flip", {"gaussian", "idealized", "none"})
+    flip = _choice(cfg, "gate", "flip", {"gaussian", "idealized"})
     precision = cfg["output"]["precision"]
     path = _resolve_path(cfg["output"]["path"])
     existing = {}
@@ -620,7 +615,7 @@ def _add_gate_flags(p, *, scan=False):
     g.add_argument("--margin", type=float)
     g.add_argument("--t1-over-tg", dest="t1_over_tg", type=float)
     g.add_argument("--dims", type=str, help="Fock truncation 'n_c,n_r'")
-    g.add_argument("--flip", choices=["gaussian", "idealized", "none"])
+    g.add_argument("--flip", choices=["gaussian", "idealized"])
     g.add_argument("--idealized-flip", action="store_const", const="idealized",
                    dest="flip", help="shorthand for --flip idealized")
     g.add_argument("--mass-cutoff", dest="mass_cutoff", type=float)
@@ -708,7 +703,6 @@ def build_parser() -> _Parser:
 
 
 _EXTRA_FLAGS = {
-    "solve_ratio": None,
     "sep_points": ("separation", "points"),
     "sep_check_tol": ("separation", "check_tol"),
     "etas": ("scan", "etas"),
@@ -734,14 +728,8 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         cfg = load_config(getattr(args, "config", None))
-        for mapping in (_TRAP_FLAGS, _GATE_FLAGS, _OUT_FLAGS):
+        for mapping in (_TRAP_FLAGS, _GATE_FLAGS, _OUT_FLAGS, _EXTRA_FLAGS):
             _overlay_flags(cfg, args, mapping)
-        for attr, dest in _EXTRA_FLAGS.items():
-            if dest is None:
-                continue
-            value = getattr(args, attr, None)
-            if value is not None:
-                cfg[dest[0]][dest[1]] = value
         return args.func(cfg, args)
     except ConfigError as exc:
         sys.stderr.write(f"hotgate: config error: {exc}\n")
@@ -749,9 +737,6 @@ def main(argv=None) -> int:
     except (InfeasibleRatioError, NoEquilibriumError) as exc:
         sys.stderr.write(f"hotgate: infeasible: {exc}\n")
         return 2
-    except NonConvergenceError as exc:
-        sys.stderr.write(f"hotgate: did not converge: {exc}\n")
-        return 3
 
 
 if __name__ == "__main__":

@@ -21,9 +21,5 @@ class InfeasibleRatioError(ValueError):
     """Requested mode-frequency ratio lies outside the power-law family's range."""
 
 
-class NonConvergenceError(RuntimeError):
-    """A truncation refinement failed to settle within tolerance."""
-
-
 class ConfigError(ValueError):
     """Command-line or config-file input the CLI refuses to act on."""

@@ -12,7 +12,6 @@ larger raises, so numerical rot cannot accumulate quietly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import ceil, sqrt
 
 import numpy as np
@@ -200,34 +199,6 @@ def default_fock_dim(n_bar: float, eta_mode: float) -> int:
     if n_bar < 0:
         raise ValueError("n_bar must be non-negative")
     return ceil(n_bar + 6.0 * sqrt(n_bar + 1.0) + 4.0 * (abs(eta_mode) + sqrt(n_bar)) ** 2 + 10.0)
-
-
-@dataclass
-class ConvergenceResult:
-    value: float
-    dims: tuple
-    converged: bool
-    history: list = field(default_factory=list)
-
-
-def converge_dims(evaluate, dims, tol: float = 1e-6, max_rounds: int = 3) -> ConvergenceResult:
-    """Double every Fock dimension until the scalar observable settles.
-
-    evaluate(dims) -> float is called with the starting dims and then with all
-    dims doubled, repeatedly, until successive values differ by less than tol
-    (converged) or max_rounds doublings have been spent (not converged).
-    """
-    dims = tuple(int(d) for d in dims)
-    value = float(evaluate(dims))
-    history = [(dims, value)]
-    for _ in range(max_rounds):
-        bigger = tuple(2 * d for d in dims)
-        nxt = float(evaluate(bigger))
-        history.append((bigger, nxt))
-        if abs(nxt - value) < tol:
-            return ConvergenceResult(nxt, bigger, True, history)
-        dims, value = bigger, nxt
-    return ConvergenceResult(value, dims, False, history)
 
 
 class PureState:

@@ -16,15 +16,16 @@ Protocol on the composite space qubit1 (x) qubit2 (x) mode_c (x) mode_r:
 In the commensurate harmonic trap the motional state factors out exactly and
 the internal action is a qubit-1 flip conditioned on qubit 2 being |0>.
 
-Two execution paths coexist: the literal one builds full composite unitaries
+The production route is the branch decomposition: the protocol is diagonal
+in qubit 2 and block-diagonal in the sigma^x eigenbasis of qubit 1, so the
+gate is a sum of internal operators Q_j times mode-local motional operators
+M_j.  One helper propagates the retained thermal levels through every M_j;
+gate_channel contracts those columns into the internal channel and
+motional_output into the reduced motional state.  The literal path
 (kick_unitary / free_propagator / addressed_flip_unitary, composed by
-run_gate) and is the readable reference for moderate truncations; the branch
-path (gate_channel / motional_output) exploits that the protocol is diagonal
-in qubit 2 and block-diagonal in the sigma^x eigenbasis of qubit 1, so only
-mode-local operators ever touch the motional factor.  Both paths are checked
-against each other in the tests.
+run_gate) builds full composite unitaries and is the oracle the tests
+compare the branch route against.
 """
-
 from __future__ import annotations
 
 import warnings
@@ -34,14 +35,7 @@ from math import exp, pi, sqrt
 import numpy as np
 
 from . import fock_core
-from .trap_model import (
-    AnharmonicExpansion,
-    ModeBasis,
-    mode_energies,
-    motional_hamiltonian,
-    relative_occupation,
-    v_cor_operator,
-)
+from .trap_model import ModeBasis, mode_energies, relative_occupation
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |1><0|
@@ -56,13 +50,10 @@ class KickPulse:
     """Instantaneous state-dependent momentum kick on ion 2."""
 
     eta_effective: float
-    target: int = 2
 
     def __post_init__(self):
         if self.eta_effective < 0:
             raise ValueError("eta_effective must be non-negative")
-        if self.target != 2:
-            raise ValueError("kicks address ion 2 in this protocol")
 
 
 @dataclass(frozen=True)
@@ -73,15 +64,12 @@ class AddressedPulse:
     center: float
     width: float
     duration: float
-    target: int = 1
 
     def __post_init__(self):
         if self.omega0 < 0:
             raise ValueError("omega0 must be non-negative")
         if self.width <= 0 or self.duration <= 0:
             raise ValueError("width and duration must be positive")
-        if self.target != 1:
-            raise ValueError("the addressed pulse drives ion 1 in this protocol")
 
 
 def gaussian_rabi(pulse: AddressedPulse, x) -> np.ndarray:
@@ -93,6 +81,9 @@ def gaussian_rabi(pulse: AddressedPulse, x) -> np.ndarray:
 class GateSchedule:
     """Timing and pulses of one gate execution.
 
+    kick is applied at t = 0 and again at t_g: the kick operator is its own
+    inverse, so the second application closes the first.
+
     frame_phase is the virtual z-rotation (radians) applied to qubit 2's |0>
     component after the closing kick.  The solved Gaussian schedule sets it
     to pi/2: the commanded branch pulse areas differ by half a Rabi cycle,
@@ -102,8 +93,7 @@ class GateSchedule:
 
     t0: float
     t_g: float
-    kick_open: KickPulse
-    kick_close: KickPulse
+    kick: KickPulse
     flip: AddressedPulse | None = None
     frame_phase: float = 0.0
 
@@ -257,8 +247,7 @@ def build_schedule(
     schedule = GateSchedule(
         t0=basis.flip_time,
         t_g=basis.gate_time,
-        kick_open=KickPulse(basis.eta),
-        kick_close=KickPulse(basis.eta),
+        kick=KickPulse(basis.eta),
         flip=pulse,
         frame_phase=pi / 2.0,
     )
@@ -432,32 +421,29 @@ def run_gate(
     schedule: GateSchedule,
     initial: SystemState,
     basis: ModeBasis,
-    anharmonic: AnharmonicExpansion | None = None,
     flip_mode: str = "gaussian",
 ) -> SystemState:
     """Execute the schedule on a composite state (reference path).
 
     Builds the composite pulse unitaries explicitly, so it is meant for
-    moderate truncations; large scans go through gate_channel.  When an
-    anharmonic expansion is given, the free segments evolve under the full
-    motional hamiltonian (dense exponential) instead of diagonal phases.
+    moderate truncations; large scans go through gate_channel.
     """
-    if flip_mode not in ("gaussian", "idealized", "none"):
+    if flip_mode not in ("gaussian", "idealized"):
         raise ValueError(f"unknown flip_mode {flip_mode!r}")
     if flip_mode == "gaussian" and schedule.flip is None:
         raise ValueError("schedule has no addressed pulse but flip_mode='gaussian'")
     if tuple(initial.dims[2:]) != tuple(basis.dims):
         raise ValueError("state dims do not match basis dims")
     state = initial.data
-    u_kick = kick_unitary(basis, schedule.kick_open)
+    u_kick = kick_unitary(basis, schedule.kick)
     state = fock_core.unitary_evolve(state, u_kick)
-    state = _free_segment(state, basis, schedule.t0, anharmonic)
+    state = _free_segment(state, basis, schedule.t0)
     if flip_mode == "gaussian":
         state = fock_core.unitary_evolve(state, addressed_flip_unitary(basis, schedule.flip))
-    elif flip_mode == "idealized":
+    else:
         state = fock_core.unitary_evolve(state, idealized_flip_unitary(basis))
-    state = _free_segment(state, basis, schedule.t_g - schedule.t0, anharmonic)
-    state = fock_core.unitary_evolve(state, kick_unitary(basis, schedule.kick_close))
+    state = _free_segment(state, basis, schedule.t_g - schedule.t0)
+    state = fock_core.unitary_evolve(state, u_kick)
     if flip_mode == "gaussian" and schedule.frame_phase:
         u_frame = np.kron(frame_rotation(schedule.frame_phase),
                           np.eye(int(np.prod(basis.dims)), dtype=complex))
@@ -465,14 +451,9 @@ def run_gate(
     return SystemState(initial.dims, state)
 
 
-def _free_segment(state, basis: ModeBasis, t: float, anharmonic):
-    if anharmonic is None:
-        diag = np.concatenate([_free_phases(basis, t).ravel()] * 4)
-        return _apply_diag(state, diag)
-    h = motional_hamiltonian(basis, v_cor_operator(anharmonic, basis))
-    u_mot = fock_core.hermitian_expm(h, t)
-    u = np.kron(np.eye(4, dtype=complex), u_mot)
-    return fock_core.unitary_evolve(state, u)
+def _free_segment(state, basis: ModeBasis, t: float):
+    diag = np.concatenate([_free_phases(basis, t).ravel()] * 4)
+    return _apply_diag(state, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -485,29 +466,16 @@ class _BranchOps:
 
     Batches are arrays of shape (n_c, n_r, k); every operation is either a
     single-mode matrix product or a diagonal grid multiply, so nothing larger
-    than n_mode^2 (or M x M in the dense anharmonic variant) is ever formed.
+    than n_mode^2 is ever formed.
     """
 
-    def __init__(self, basis: ModeBasis, schedule: GateSchedule, flip_mode: str,
-                 anharmonic: AnharmonicExpansion | None = None):
+    def __init__(self, basis: ModeBasis, schedule: GateSchedule, flip_mode: str):
         self.basis = basis
         self.schedule = schedule
         self.flip_mode = flip_mode
-        n_c, n_r = basis.dims
-        d_c, d_r, phase = _kick_factors(basis, schedule.kick_open)
-        # kick_close is allowed to differ in strength, though solved schedules
-        # never use that freedom
-        d_c2, d_r2, phase2 = _kick_factors(basis, schedule.kick_close)
+        d_c, d_r, phase = _kick_factors(basis, schedule.kick)
         self._open = {0: (d_c, d_r, phase), 1: (d_c.conj().T, d_r.conj().T, np.conj(phase))}
-        self._close = {0: (d_c2.conj().T, d_r2.conj().T, np.conj(phase2)),
-                       1: (d_c2, d_r2, phase2)}
-        self._anharmonic_u = {}
-        if anharmonic is not None:
-            h = motional_hamiltonian(basis, v_cor_operator(anharmonic, basis))
-            self._anharmonic_u[schedule.t0] = fock_core.hermitian_expm(h, schedule.t0)
-            rest = schedule.t_g - schedule.t0
-            self._anharmonic_u[rest] = fock_core.hermitian_expm(h, rest)
-        self.anharmonic = anharmonic
+        self._close = {0: self._open[1], 1: self._open[0]}
         if flip_mode == "gaussian":
             if schedule.flip is None:
                 raise ValueError("gaussian flip requested but schedule.flip is None")
@@ -530,10 +498,6 @@ class _BranchOps:
         return phase * self._mode_apply(d_c, d_r, batch)
 
     def free(self, t: float, batch):
-        if self.anharmonic is not None:
-            u = self._anharmonic_u[t]
-            n_c, n_r, k = batch.shape
-            return (u @ batch.reshape(n_c * n_r, k)).reshape(n_c, n_r, k)
         return batch * _free_phases(self.basis, t)[:, :, None]
 
     def flip_component(self, s: float, batch):
@@ -572,9 +536,6 @@ def _branch_terms(schedule: GateSchedule, flip_mode: str):
     elif flip_mode == "idealized":
         terms.append((0, None, np.kron(SIGMA_X, PROJ_0)))
         terms.append((1, None, np.kron(ID2, PROJ_1)))
-    elif flip_mode == "none":
-        terms.append((0, None, np.kron(ID2, PROJ_0)))
-        terms.append((1, None, np.kron(ID2, PROJ_1)))
     else:
         raise ValueError(f"unknown flip_mode {flip_mode!r}")
     return terms
@@ -585,6 +546,39 @@ def _retained_levels(probs: np.ndarray, tail: float) -> int:
     cum = np.cumsum(probs)
     idx = int(np.searchsorted(cum, 1.0 - tail)) + 1
     return min(max(idx, 1), probs.size)
+
+
+_MASS_CUTOFF = 1e-10  # default thermal weight the branch route may drop
+
+
+def _thermal_columns(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
+                     flip_mode: str, mass_cutoff: float):
+    """Propagate the retained thermal levels through every branch operator.
+
+    Keeps the K = k_c * k_r lowest product levels whose dropped thermal mass
+    stays below mass_cutoff, and returns (ops, terms, outs, probs, flat,
+    kept, dropped): outs[j] is the M x K array M_j E with E the K retained
+    unit columns, probs their thermal weights renormalised to sum 1, and
+    flat the indices of those levels in the n_c * n_r product basis.
+    """
+    n_c, n_r = basis.dims
+    p_c = fock_core.thermal_probabilities(n_bar_c, n_c)
+    p_r = fock_core.thermal_probabilities(relative_occupation(n_bar_c), n_r)
+    k_c = _retained_levels(p_c, mass_cutoff / 2.0)
+    k_r = _retained_levels(p_r, mass_cutoff / 2.0)
+    probs = np.kron(p_c[:k_c], p_r[:k_r])
+    dropped = 1.0 - float(probs.sum())
+    probs = probs / probs.sum()
+    k = k_c * k_r
+    cols = np.arange(k)
+    rows_c, rows_r = cols // k_r, cols % k_r
+    batch = np.zeros((n_c, n_r, k), dtype=complex)
+    batch[rows_c, rows_r, cols] = 1.0
+    ops = _BranchOps(basis, schedule, flip_mode)
+    terms = _branch_terms(schedule, flip_mode)
+    outs = [ops.branch(b, s, batch).reshape(n_c * n_r, k) for b, s, _ in terms]
+    flat = rows_c * n_r + rows_r
+    return ops, terms, outs, probs, flat, (k_c, k_r), dropped
 
 
 @dataclass
@@ -616,8 +610,7 @@ def gate_channel(
     schedule: GateSchedule,
     n_bar_c: float = 0.0,
     flip_mode: str = "gaussian",
-    anharmonic: AnharmonicExpansion | None = None,
-    mass_cutoff: float = 1e-10,
+    mass_cutoff: float = _MASS_CUTOFF,
 ) -> GateChannel:
     """Reconstruct the internal channel by propagating the occupied thermal
     levels through each branch operator.
@@ -627,23 +620,8 @@ def gate_channel(
     only K = (retained c-levels) x (retained r-levels) basis columns are ever
     propagated; mass_cutoff bounds the thermal weight discarded that way.
     """
-    n_c, n_r = basis.dims
-    p_c = fock_core.thermal_probabilities(n_bar_c, n_c)
-    p_r = fock_core.thermal_probabilities(relative_occupation(n_bar_c), n_r)
-    k_c = _retained_levels(p_c, mass_cutoff / 2.0)
-    k_r = _retained_levels(p_r, mass_cutoff / 2.0)
-    probs = np.kron(p_c[:k_c], p_r[:k_r])
-    dropped = 1.0 - float(probs.sum())
-    probs = probs / probs.sum()
-    k = k_c * k_r
-    batch = np.zeros((n_c, n_r, k), dtype=complex)
-    cols = np.arange(k)
-    batch[cols // k_r, cols % k_r, cols] = 1.0
-    ops = _BranchOps(basis, schedule, flip_mode, anharmonic)
-    terms = _branch_terms(schedule, flip_mode)
-    outs = []
-    for b, s, _ in terms:
-        outs.append(ops.branch(b, s, batch).reshape(n_c * n_r, k))
+    _, terms, outs, probs, _, kept, dropped = _thermal_columns(
+        basis, schedule, n_bar_c, flip_mode, mass_cutoff)
     n_t = len(terms)
     # gram[r, c] = Tr[M_r rho M_c^dag], hermitian by construction
     gram = np.empty((n_t, n_t), dtype=complex)
@@ -657,8 +635,8 @@ def gate_channel(
                 gram[c, r] = np.conj(val)
     vq = np.stack([q.T.reshape(16) for _, _, q in terms], axis=1)
     choi = vq @ gram @ vq.conj().T
-    return GateChannel(choi=choi, gram=gram, terms=terms, dims=(n_c, n_r),
-                       kept=(k_c, k_r), dropped_mass=dropped, flip_mode=flip_mode)
+    return GateChannel(choi=choi, gram=gram, terms=terms, dims=basis.dims,
+                       kept=kept, dropped_mass=dropped, flip_mode=flip_mode)
 
 
 def motional_output(
@@ -667,39 +645,38 @@ def motional_output(
     internal: np.ndarray,
     n_bar_c: float = 0.0,
     flip_mode: str = "idealized",
-    anharmonic: AnharmonicExpansion | None = None,
 ) -> fock_core.DensityOp:
     """Reduced motional state after the gate, for a product input
     internal (x) thermal(n_bar_c).
 
     rho_mot' = sum_{r,c} Tr[Q_r rho_int Q_c^dag] * M_r rho_mot M_c^dag,
-    evaluated with the same factorized branch operators as gate_channel.
+    with rho_mot the retained thermal levels of gate_channel (so the result
+    deviates from the full-truncation one by at most the dropped mass).
+    M_r rho_mot comes from the shared K propagated columns; the right factor
+    M_c^dag is one more branch application to the conjugate transpose.
     """
     internal = np.asarray(internal, dtype=complex)
     if internal.shape != (4, 4):
         raise ValueError("internal must be a 4x4 density matrix")
     n_c, n_r = basis.dims
     m = n_c * n_r
-    rho_mot = thermal_motional(basis, n_bar_c).matrix
-    ops = _BranchOps(basis, schedule, flip_mode, anharmonic)
-    terms = _branch_terms(schedule, flip_mode)
+    ops, terms, outs, probs, flat, _, _ = _thermal_columns(
+        basis, schedule, n_bar_c, flip_mode, _MASS_CUTOFF)
     n_t = len(terms)
     weights = np.empty((n_t, n_t), dtype=complex)
     for r, (_, _, q_r) in enumerate(terms):
         for c, (_, _, q_c) in enumerate(terms):
             weights[r, c] = np.trace(q_r @ internal @ q_c.conj().T)
-    x = []  # X_r = M_r rho_mot
-    for b, s, _ in terms:
-        cols = rho_mot.reshape(n_c, n_r, m)
-        x.append(ops.branch(b, s, cols).reshape(m, m))
     out = np.zeros((m, m), dtype=complex)
     for c, (b, s, _) in enumerate(terms):
-        s_c = np.zeros((m, m), dtype=complex)
+        a_c = np.zeros_like(outs[0])  # sum_r w[r, c] M_r E, M x K
         for r in range(n_t):
             if weights[r, c] != 0:
-                s_c += weights[r, c] * x[r]
-        # right-multiply by M_c^dag via one more branch application
-        y = ops.branch(b, s, s_c.conj().T.reshape(n_c, n_r, m)).reshape(m, m)
+                a_c += weights[r, c] * outs[r]
+        # (sum_r w[r, c] M_r rho_mot)^dag is nonzero only on the retained rows
+        s_dag = np.zeros((m, m), dtype=complex)
+        s_dag[flat] = (a_c * probs).conj().T
+        y = ops.branch(b, s, s_dag.reshape(n_c, n_r, m)).reshape(m, m)
         out += y.conj().T
     out = (out + out.conj().T) / 2.0
     return fock_core.DensityOp(out, check=False)

@@ -100,9 +100,10 @@ def test_separation_absolute_path_ignores_env(capsys, tmp_path, monkeypatch):
 
 
 def test_separation_tiny_truncation_exits_3(capsys):
-    rc, _, err = run(capsys, "separation", "--dims", "3,3", "--points", "8")
+    rc, out, err = run(capsys, "separation", "--dims", "3,3", "--points", "8")
     assert rc == 3
     assert "truncation" in err
+    assert out.startswith("# hotgate separation\n")  # the partial result is still emitted
 
 
 # --- conditions -------------------------------------------------------------
@@ -169,14 +170,16 @@ def test_gate_check_convergence(capsys):
     rc, out, _ = run(capsys, *ok)
     assert rc == 0
     cramped = ("gate", "--eta", "1.5", "--dims", "8,6", "--check-convergence")
-    rc, _, err = run(capsys, *cramped)
+    rc, out, err = run(capsys, *cramped)
     assert rc == 3
     assert "truncation" in err
+    assert json.loads(out)["command"] == "gate"  # the partial result is still emitted
 
 
 def test_gate_rejects_unknown_flip(capsys):
-    rc, _, err = run(capsys, "gate", "--flip", "sinc")
-    assert rc == 1
+    for flip in ("sinc", "none"):
+        rc, _, err = run(capsys, "gate", "--flip", flip)
+        assert rc == 1, flip
 
 
 # --- config files -----------------------------------------------------------

@@ -228,24 +228,3 @@ def test_default_fock_dim_monotone():
     assert base >= 10
     assert fc.default_fock_dim(2.0, 0.0) > base
     assert fc.default_fock_dim(0.0, 3.0) > base
-
-
-def test_converge_dims_settles():
-    # mean occupation of a fixed coherent state converges under doubling
-    def value(dims):
-        return fc.mean_occupation(fc.coherent_state(1.2, dims[0]))
-
-    res = fc.converge_dims(value, (16,), tol=1e-8)
-    assert res.converged
-    assert res.value == pytest.approx(1.44, abs=1e-8)
-
-
-def test_converge_dims_reports_failure():
-    calls = {"n": 0}
-
-    def noisy(dims):
-        calls["n"] += 1
-        return calls["n"] * 1.0  # never settles
-
-    res = fc.converge_dims(noisy, (4,), tol=1e-10, max_rounds=2)
-    assert not res.converged

@@ -111,10 +111,10 @@ def test_pulse_train():
 def test_schedule_validation(spec):
     kick = gp.KickPulse(1.0)
     with pytest.raises(ValueError):
-        gp.GateSchedule(t0=2.0, t_g=1.0, kick_open=kick, kick_close=kick)
+        gp.GateSchedule(t0=2.0, t_g=1.0, kick=kick)
     slow = gp.AddressedPulse(omega0=1.0, center=0.0, width=1.0, duration=1.0)
     with pytest.warns(UserWarning):
-        gp.GateSchedule(t0=1.0, t_g=6.0, kick_open=kick, kick_close=kick, flip=slow)
+        gp.GateSchedule(t0=1.0, t_g=6.0, kick=kick, flip=slow)
 
 
 # --- elementary unitaries ---------------------------------------------------
@@ -226,8 +226,7 @@ def test_run_gate_rejects_bad_modes(spec):
     init = gp.initial_state(basis, np.eye(4) / 4.0)
     with pytest.raises(ValueError):
         gp.run_gate(schedule, init, basis, flip_mode="sinc")
-    bare = gp.GateSchedule(t0=schedule.t0, t_g=schedule.t_g,
-                           kick_open=schedule.kick_open, kick_close=schedule.kick_close)
+    bare = gp.GateSchedule(t0=schedule.t0, t_g=schedule.t_g, kick=schedule.kick)
     with pytest.raises(ValueError):
         gp.run_gate(bare, init, basis, flip_mode="gaussian")
 
@@ -308,6 +307,17 @@ def test_motional_output_matches_composite_route(spec):
     init = gp.initial_state(basis, internal, n_bar_c=0.3)
     ref = gp.run_gate(schedule, init, basis, flip_mode="gaussian")
     assert fc.trace_distance(got, ref.motional_density()) < 1e-10
+    # a truncation that drops thermal levels: the deviation from the full
+    # literal route stays within the dropped thermal mass
+    basis = make_basis(spec, eta=1.5, dims=(20, 12))
+    schedule, _ = gp.build_schedule(basis, n_bar_c=0.3)
+    ch = gp.gate_channel(basis, schedule, n_bar_c=0.3)
+    assert ch.kept[0] < basis.dims[0] and ch.kept[1] < basis.dims[1]
+    got = gp.motional_output(basis, schedule, internal, n_bar_c=0.3,
+                             flip_mode="gaussian")
+    init = gp.initial_state(basis, internal, n_bar_c=0.3)
+    ref = gp.run_gate(schedule, init, basis, flip_mode="gaussian")
+    assert fc.trace_distance(got, ref.motional_density()) <= ch.dropped_mass + 1e-12
 
 
 def test_frame_phase_tag_is_load_bearing(spec):
