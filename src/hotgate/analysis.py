@@ -373,11 +373,12 @@ class GateReport:
     purity: float
     f_cor: float | None
     dims: tuple[int, int]
-    kept: tuple[int, int]
+    kept: tuple[int, int] | None
     dropped_mass: float
     condition: "gate_protocol.ConditionReport"
     tp_defect: float
     flip_mode: str
+    route: str
 
     def to_dict(self) -> dict:
         out = {
@@ -388,10 +389,11 @@ class GateReport:
             "purity": self.purity,
             "f_cor": self.f_cor,
             "dims": list(self.dims),
-            "kept_levels": list(self.kept),
+            "kept_levels": None if self.kept is None else list(self.kept),
             "dropped_mass": self.dropped_mass,
             "tp_defect": self.tp_defect,
             "flip_mode": self.flip_mode,
+            "route": self.route,
         }
         out["conditions"] = self.condition.to_dict()
         return out
@@ -405,6 +407,31 @@ def _anharmonic_point(spec, n_bar_c, order):
     small = build_mode_basis(spec, eta=spec.lamb_dicke, n_bar_c=n_bar_c, dims=dims)
     expansion = anharmonic_expansion(spec, order=order)
     return anharmonic_fidelity(small, expansion, n_bar_c=n_bar_c)
+
+
+def _solved_point(
+    spec: TrapSpec,
+    eta: float,
+    n_bar_c: float,
+    rabi_cycles: int = 3,
+    margin: float = 3.0,
+    dims: tuple[int, int] | None = None,
+    omega0_scale: float = 1.0,
+    frame_phase: float | None = None,
+):
+    """Mode basis, solved schedule and condition report of one operating
+    point, with gate_report's pulse overrides applied."""
+    basis = build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c, dims=dims)
+    schedule, condition = gate_protocol.build_schedule(
+        basis, n_bar_c=n_bar_c, rabi_cycles=rabi_cycles, margin=margin)
+    if omega0_scale != 1.0:
+        if omega0_scale < 0:
+            raise ValueError("omega0_scale must be non-negative")
+        schedule = replace(schedule, flip=replace(
+            schedule.flip, omega0=schedule.flip.omega0 * omega0_scale))
+    if frame_phase is not None:
+        schedule = replace(schedule, frame_phase=frame_phase)
+    return basis, schedule, condition
 
 
 def gate_report(
@@ -429,16 +456,8 @@ def gate_report(
     identity, when the pulse is disabled).  anharmonic_order None skips the
     dephasing estimate; 0 reports F_cor = 1 (correction switched off).
     """
-    basis = build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c, dims=dims)
-    schedule, condition = gate_protocol.build_schedule(
-        basis, n_bar_c=n_bar_c, rabi_cycles=rabi_cycles, margin=margin)
-    if omega0_scale != 1.0:
-        if omega0_scale < 0:
-            raise ValueError("omega0_scale must be non-negative")
-        schedule = replace(schedule, flip=replace(
-            schedule.flip, omega0=schedule.flip.omega0 * omega0_scale))
-    if frame_phase is not None:
-        schedule = replace(schedule, frame_phase=frame_phase)
+    basis, schedule, condition = _solved_point(
+        spec, eta, n_bar_c, rabi_cycles, margin, dims, omega0_scale, frame_phase)
     gc = gate_protocol.gate_channel(
         basis, schedule, n_bar_c=n_bar_c, flip_mode=flip_mode,
         mass_cutoff=mass_cutoff)
@@ -458,8 +477,32 @@ def gate_report(
         fidelity=fidelity, purity=purity, f_cor=f_cor,
         dims=basis.dims, kept=gc.kept, dropped_mass=gc.dropped_mass,
         condition=condition, tp_defect=channel.trace_preservation_defect(),
-        flip_mode=flip_mode,
+        flip_mode=flip_mode, route=gc.route,
     )
+
+
+def fock_route_fidelity(
+    spec: TrapSpec,
+    eta: float,
+    n_bar_c: float,
+    flip_mode: str = "gaussian",
+    mass_cutoff: float = 1e-10,
+    target: np.ndarray | None = None,
+    **point_kw,
+) -> float:
+    """Average fidelity of gate_report's operating point on the Fock route.
+
+    point_kw are gate_report's rabi_cycles, margin, dims, omega0_scale and
+    frame_phase.  On a commensurate trap gate_report takes the
+    truncation-free phase-space route, and this figure at the same dims
+    measures how far the truncated Fock space is from it.
+    """
+    basis, schedule, _ = _solved_point(spec, eta, n_bar_c, **point_kw)
+    gc = gate_protocol.fock_gate_channel(basis, schedule, n_bar_c, flip_mode,
+                                         mass_cutoff)
+    if target is None:
+        target = gate_protocol.ideal_gate()
+    return average_fidelity(QuantumChannel(gc.choi), target)
 
 
 def _scan_worker(payload):
@@ -475,6 +518,16 @@ def _scan_worker(payload):
     return row
 
 
+def scan_rows(spec: TrapSpec, points, jobs: int = 1, **report_kw):
+    """Yield the rows of scan one at a time, in input order, as they finish."""
+    payloads = [(spec, float(e), float(nb), report_kw) for e, nb in points]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(_scan_worker, payloads)
+    else:
+        yield from map(_scan_worker, payloads)
+
+
 def scan(
     spec: TrapSpec,
     points,
@@ -486,8 +539,4 @@ def scan(
     Rows come back in input order.  A failing point keeps its row, with nan
     figures and the error string attached, so partial scans stay usable.
     """
-    payloads = [(spec, float(e), float(nb), report_kw) for e, nb in points]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_scan_worker, payloads))
-    return [_scan_worker(p) for p in payloads]
+    return list(scan_rows(spec, points, jobs, **report_kw))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import datetime
 import hashlib
 import json
@@ -25,7 +26,12 @@ import sys
 import numpy as np
 
 from . import analysis, fock_core, gate_protocol, trap_model
-from .errors import ConfigError, InfeasibleRatioError, NoEquilibriumError
+from .errors import (
+    ConfigError,
+    InfeasibleRatioError,
+    NoEquilibriumError,
+    NonConvergenceError,
+)
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -408,14 +414,24 @@ def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
     text = _json_text("gate", cfg, payload, args.stamp, cfg["output"]["precision"])
     _emit(text, _resolve_path(cfg["output"]["path"]))
     if args.check_convergence:
-        bumped = tuple(d + 8 for d in report.dims)
-        recheck = analysis.gate_report(
-            spec, eta, cfg["gate"]["n_bar_c"],
-            **{**kwargs, "dims": bumped, "anharmonic_order": None})
-        drift = abs(recheck.fidelity - report.fidelity)
+        if report.route == "phase_space":
+            # the phase-space figure has no truncation; the Fock route at
+            # the report's dims shows how far that truncation would be off
+            del kwargs["anharmonic_order"]
+            fock = analysis.fock_route_fidelity(
+                spec, eta, cfg["gate"]["n_bar_c"], **{**kwargs, "dims": report.dims})
+            drift = abs(fock - report.fidelity)
+            problem = (f"the Fock route at dims {report.dims[0]},{report.dims[1]} is "
+                       f"{drift:.3e} off the truncation-free phase-space fidelity")
+        else:
+            bumped = tuple(d + 8 for d in report.dims)
+            recheck = analysis.gate_report(
+                spec, eta, cfg["gate"]["n_bar_c"],
+                **{**kwargs, "dims": bumped, "anharmonic_order": None})
+            drift = abs(recheck.fidelity - report.fidelity)
+            problem = f"fidelity moved {drift:.3e} under a truncation bump"
         if drift > 1e-6:
-            sys.stderr.write(f"gate: fidelity moved {drift:.3e} under a "
-                             "truncation bump; increase dims\n")
+            sys.stderr.write(f"gate: {problem}; increase dims\n")
             return 3
     return 0
 
@@ -440,57 +456,55 @@ def _read_existing_rows(path: str) -> dict:
 
 
 def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
+    """Grid scan.  With --output, rows go to <output>.part as they finish,
+    and the file is renamed onto the output path once the grid is done;
+    --skip-existing reuses finished rows of both files."""
     spec = build_trap(cfg)
     etas = _parse_grid(cfg["scan"]["etas"], "etas")
     n_bars = _parse_grid(cfg["scan"]["n_bars"], "n_bars")
     flip = _choice(cfg, "gate", "flip", {"gaussian", "idealized"})
     precision = cfg["output"]["precision"]
     path = _resolve_path(cfg["output"]["path"])
+    partial = None if path is None else path + ".part"
     existing = {}
     if args.skip_existing:
         if path is None:
             raise ConfigError("--skip-existing needs an output file path")
         existing = _read_existing_rows(path)
-    todo = []
-    for eta in etas:
-        for nb in n_bars:
-            key = (_fmt(eta, precision), _fmt(nb, precision))
-            if key not in existing:
-                todo.append((eta, nb))
+        existing.update(_read_existing_rows(partial))
+    grid = [(eta, nb) for eta in etas for nb in n_bars]
+    keys = [(_fmt(eta, precision), _fmt(nb, precision)) for eta, nb in grid]
+    todo = [point for point, key in zip(grid, keys) if key not in existing]
     report_kw = dict(
         rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"],
         flip_mode=flip, anharmonic_order=cfg["scan"]["anharmonic_order"],
         mass_cutoff=cfg["gate"]["mass_cutoff"])
-    computed = {}
-    if todo:
-        results = analysis.scan(spec, todo, jobs=cfg["scan"]["jobs"], **report_kw)
-        for row in results:
-            key = (_fmt(row["eta"], precision), _fmt(row["n_bar_c"], precision))
-            computed[key] = row
-            if row["error"]:
-                sys.stderr.write(f"scan: eta={key[0]} n_bar_c={key[1]}: "
-                                 f"{row['error']}\n")
-    out_rows = []
-    failures = 0
-    for eta in etas:
-        for nb in n_bars:
-            key = (_fmt(eta, precision), _fmt(nb, precision))
-            if key in existing:
-                out_rows.append(existing[key])
-                continue
-            row = computed[key]
-            if row["error"]:
-                failures += 1
-            out_rows.append([key[0], key[1], _fmt(row["fidelity"], precision),
-                             _fmt(row["purity"], precision),
-                             _fmt(row["f_cor"], precision)])
+    rows = analysis.scan_rows(spec, todo, jobs=cfg["scan"]["jobs"], **report_kw)
     notes = [_FIDELITY_NOTE,
              "purity: mean Tr[rho_out^2] over the 36 axis product inputs",
              "f_cor: perturbative anharmonic fidelity at matching n_bar_c",
              "columns: eta,n_bar_c,fidelity,purity,f_cor"]
-    text = _csv_text("scan", cfg, ["eta", "n_bar_c", "fidelity", "purity", "f_cor"],
-                     out_rows, notes, args.stamp, precision)
-    _emit(text, path)
+    failures = 0
+    sink = (contextlib.nullcontext(sys.stdout) if path is None
+            else open(partial, "w", encoding="utf-8", newline="\n"))
+    with sink as out:
+        out.write(_csv_text("scan", cfg, ["eta", "n_bar_c", "fidelity", "purity", "f_cor"],
+                            [], notes, args.stamp, precision))
+        for key in keys:
+            if key in existing:
+                cells = existing[key]
+            else:
+                row = next(rows)
+                if row["error"]:
+                    failures += 1
+                    sys.stderr.write(f"scan: eta={key[0]} n_bar_c={key[1]}: "
+                                     f"{row['error']}\n")
+                cells = [key[0], key[1], _fmt(row["fidelity"], precision),
+                         _fmt(row["purity"], precision), _fmt(row["f_cor"], precision)]
+            out.write(",".join(cells) + "\n")
+            out.flush()
+    if path is not None:
+        os.replace(partial, path)
     if todo and failures == len(todo):
         sys.stderr.write("scan: every computed row failed\n")
         return 3
@@ -737,6 +751,9 @@ def main(argv=None) -> int:
     except (InfeasibleRatioError, NoEquilibriumError) as exc:
         sys.stderr.write(f"hotgate: infeasible: {exc}\n")
         return 2
+    except NonConvergenceError as exc:
+        sys.stderr.write(f"hotgate: did not converge: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

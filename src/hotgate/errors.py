@@ -17,6 +17,10 @@ class NoEquilibriumError(RuntimeError):
     """Static force balance for the ion pair could not be bracketed."""
 
 
+class NonConvergenceError(RuntimeError):
+    """A refinement loop reached its cap without meeting its tolerance."""
+
+
 class InfeasibleRatioError(ValueError):
     """Requested mode-frequency ratio lies outside the power-law family's range."""
 

@@ -16,25 +16,38 @@ Protocol on the composite space qubit1 (x) qubit2 (x) mode_c (x) mode_r:
 In the commensurate harmonic trap the motional state factors out exactly and
 the internal action is a qubit-1 flip conditioned on qubit 2 being |0>.
 
-The production route is the branch decomposition: the protocol is diagonal
+The channel goes through the branch decomposition: the protocol is diagonal
 in qubit 2 and block-diagonal in the sigma^x eigenbasis of qubit 1, so the
 gate is a sum of internal operators Q_j times mode-local motional operators
-M_j.  One helper propagates the retained thermal levels through every M_j;
-gate_channel contracts those columns into the internal channel and
-motional_output into the reduced motional state.  The literal path
-(kick_unitary / free_propagator / addressed_flip_unitary, composed by
-run_gate) builds full composite unitaries and is the oracle the tests
-compare the branch route against.
+M_j, and the internal channel is fixed by the thermal Gram matrix
+T[r, c] = Tr[M_r rho_mot M_c^dag].  gate_channel picks one of two routes
+from its input:
+
+* phase space, for a commensurate trap whose schedule closes after one COM
+  period.  Both modes then complete whole periods, so
+  M_{b,s} = -exp(-i s theta(X + sigma_b D/2)) with X ion 1's Heisenberg
+  position at t0, a Gaussian of mean x_e/2 and width delta under the
+  thermal state.  T is a 1-D Gaussian integral, free of any Fock
+  truncation.
+* Fock, for every other trap.  One helper propagates the retained thermal
+  levels through every M_j; fock_gate_channel contracts those columns into
+  the channel and motional_output into the reduced motional state.  It is
+  also the oracle the phase-space route is tested against.
+
+The literal path (kick_unitary / free_propagator / addressed_flip_unitary,
+composed by run_gate) builds full composite unitaries and is the oracle the
+tests compare the Fock branch route against.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import exp, pi, sqrt
+from math import erfc, exp, pi, sin, sqrt
 
 import numpy as np
 
 from . import fock_core
+from .errors import NonConvergenceError
 from .trap_model import ModeBasis, mode_energies, relative_occupation
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -586,16 +599,21 @@ class GateChannel:
     """Internal 4x4 channel of one gate execution over a thermal motion.
 
     choi is sum_ij |i><j| (x) Lambda(|i><j|) (trace 4 for trace preserving);
-    gram holds the motional overlaps Tr[M_r rho_mot M_c^dag].
+    gram holds the motional overlaps Tr[M_r rho_mot M_c^dag].  route is
+    "phase_space" or "fock".  On the Fock route kept is the retained level
+    count per mode and dropped_mass the thermal weight left out; on the
+    phase-space route kept is None and dropped_mass is the Gaussian weight
+    outside the quadrature span.
     """
 
     choi: np.ndarray
     gram: np.ndarray
     terms: list
     dims: tuple[int, int]
-    kept: tuple[int, int]
+    kept: tuple[int, int] | None
     dropped_mass: float
     flip_mode: str
+    route: str
 
     def apply(self, rho_internal: np.ndarray) -> np.ndarray:
         out = np.zeros((4, 4), dtype=complex)
@@ -605,7 +623,15 @@ class GateChannel:
         return out
 
 
-def gate_channel(
+def _channel(basis, terms, gram, flip_mode, route, kept, dropped) -> GateChannel:
+    vq = np.stack([q.T.reshape(16) for _, _, q in terms], axis=1)
+    choi = vq @ gram @ vq.conj().T
+    return GateChannel(choi=choi, gram=gram, terms=terms, dims=basis.dims,
+                       kept=kept, dropped_mass=dropped, flip_mode=flip_mode,
+                       route=route)
+
+
+def fock_gate_channel(
     basis: ModeBasis,
     schedule: GateSchedule,
     n_bar_c: float = 0.0,
@@ -613,12 +639,11 @@ def gate_channel(
     mass_cutoff: float = _MASS_CUTOFF,
 ) -> GateChannel:
     """Reconstruct the internal channel by propagating the occupied thermal
-    levels through each branch operator.
+    levels through each branch operator (the Fock route).
 
-    The channel is fully determined by the Gram matrix
-    T[r, c] = Tr[M_r rho_mot M_c^dag] of the branch motional operators, so
-    only K = (retained c-levels) x (retained r-levels) basis columns are ever
-    propagated; mass_cutoff bounds the thermal weight discarded that way.
+    Only K = (retained c-levels) x (retained r-levels) basis columns are
+    ever propagated; mass_cutoff bounds the thermal weight discarded that
+    way.
     """
     _, terms, outs, probs, _, kept, dropped = _thermal_columns(
         basis, schedule, n_bar_c, flip_mode, mass_cutoff)
@@ -633,10 +658,90 @@ def gate_channel(
             else:
                 gram[r, c] = val
                 gram[c, r] = np.conj(val)
-    vq = np.stack([q.T.reshape(16) for _, _, q in terms], axis=1)
-    choi = vq @ gram @ vq.conj().T
-    return GateChannel(choi=choi, gram=gram, terms=terms, dims=basis.dims,
-                       kept=kept, dropped_mass=dropped, flip_mode=flip_mode)
+    return _channel(basis, terms, gram, flip_mode, "fock", kept, dropped)
+
+
+_SPAN = 14.0  # half-width of the quadrature span, in thermal widths of X
+_GRAM_TOL = 1e-14
+_MAX_INTERVALS = 2**18
+
+
+def _refocuses(basis: ModeBasis, schedule: GateSchedule) -> bool:
+    """True when free flight over the gate is a global phase: the trap is
+    commensurate and the schedule closes after exactly one COM period."""
+    return (basis.commensurate
+            and abs(schedule.t_g - basis.gate_time) <= 1e-12 * basis.gate_time)
+
+
+def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
+                      terms) -> np.ndarray:
+    """Gram matrix T[r, c] = E_X[f_r(X) conj(f_c(X))] of a refocusing gate.
+
+    Free flight over t_g multiplies the motion by -1, so each branch
+    operator is -K_b^dag exp(-i s theta(x1(t0))) K_b = -f_{b,s}(X): the kick
+    shifts ion 1's Heisenberg position X = x1(t0) by sigma_b D/2
+    (sigma_0 = +1 for the +k branch), and
+    f_{b,s}(x) = exp(-i s theta(x + sigma_b D/2)).  Under the thermal state X
+    is Gaussian with mean x_e/2 and variance
+    width_c^2 (2 n_bar_c + 1) + width_r^2 (2 n_bar_r + 1) / 4.  The integral
+    is a trapezoid rule over +-_SPAN widths whose interval count doubles
+    until two successive Gram matrices agree to _GRAM_TOL.
+    """
+    if schedule.flip is None:
+        raise ValueError("gaussian flip requested but schedule.flip is None")
+    n_bar_r = relative_occupation(n_bar_c)
+    delta = sqrt(basis.width_c**2 * (2.0 * n_bar_c + 1.0)
+                 + basis.width_r**2 * (2.0 * n_bar_r + 1.0) / 4.0)
+    # x1 = x_c + x_r/2 + x_e/2; the kick moves p_c by +k and p_r by -k/2
+    t0, k = schedule.t0, basis.wavenumber
+    half_d = k * (sin(basis.nu_c * t0) / (basis.m_c * basis.nu_c)
+                  - sin(basis.nu_r * t0) / (4.0 * basis.m_r * basis.nu_r))
+    shifts = np.array([half_d if b == 0 else -half_d for b, _, _ in terms])
+    signs = np.array([s for _, s, _ in terms])
+    previous = None
+    intervals = 64
+    while intervals <= _MAX_INTERVALS:
+        z = np.linspace(-_SPAN, _SPAN, intervals + 1)
+        # the end weights are ~1e-43, so the trapezoid rule is the plain sum
+        w = np.exp(-0.5 * z * z) * (2.0 * _SPAN / intervals / sqrt(2.0 * pi))
+        x = basis.x_e / 2.0 + delta * z
+        theta = 0.5 * schedule.flip.duration * gaussian_rabi(
+            schedule.flip, x[None, :] + shifts[:, None])
+        f = np.exp(-1j * signs[:, None] * theta)
+        gram = (f * w) @ f.conj().T
+        if previous is not None and np.max(np.abs(gram - previous)) <= _GRAM_TOL:
+            return gram
+        previous = gram
+        intervals *= 2
+    raise NonConvergenceError(
+        f"phase-space Gram matrix did not settle to {_GRAM_TOL:g} "
+        f"within {_MAX_INTERVALS} trapezoid intervals")
+
+
+def gate_channel(
+    basis: ModeBasis,
+    schedule: GateSchedule,
+    n_bar_c: float = 0.0,
+    flip_mode: str = "gaussian",
+    mass_cutoff: float = _MASS_CUTOFF,
+) -> GateChannel:
+    """Internal channel of the gate over the thermal motion.
+
+    A commensurate trap whose schedule closes after one COM period takes the
+    phase-space route (_phase_space_gram; every f is 1 for the idealized
+    flip), which involves no Fock truncation, so dims and mass_cutoff do not
+    enter.  Any other trap takes fock_gate_channel.
+    """
+    if not _refocuses(basis, schedule):
+        return fock_gate_channel(basis, schedule, n_bar_c, flip_mode, mass_cutoff)
+    terms = _branch_terms(schedule, flip_mode)
+    if flip_mode == "idealized":
+        gram = np.ones((len(terms), len(terms)), dtype=complex)
+        dropped = 0.0
+    else:
+        gram = _phase_space_gram(basis, schedule, n_bar_c, terms)
+        dropped = erfc(_SPAN / sqrt(2.0))
+    return _channel(basis, terms, gram, flip_mode, "phase_space", None, dropped)
 
 
 def motional_output(
@@ -650,8 +755,9 @@ def motional_output(
     internal (x) thermal(n_bar_c).
 
     rho_mot' = sum_{r,c} Tr[Q_r rho_int Q_c^dag] * M_r rho_mot M_c^dag,
-    with rho_mot the retained thermal levels of gate_channel (so the result
-    deviates from the full-truncation one by at most the dropped mass).
+    with rho_mot the retained thermal levels of fock_gate_channel (so the
+    result deviates from the full-truncation one by at most the dropped
+    mass).
     M_r rho_mot comes from the shared K propagated columns; the right factor
     M_c^dag is one more branch application to the conjugate transpose.
     """

@@ -169,11 +169,25 @@ def test_gate_check_convergence(capsys):
     ok = ("gate", "--eta", "1.5", "--check-convergence")
     rc, out, _ = run(capsys, *ok)
     assert rc == 0
+    doc = json.loads(out)
+    assert doc["route"] == "phase_space" and doc["kept_levels"] is None
     cramped = ("gate", "--eta", "1.5", "--dims", "8,6", "--check-convergence")
     rc, out, err = run(capsys, *cramped)
     assert rc == 3
     assert "truncation" in err
     assert json.loads(out)["command"] == "gate"  # the partial result is still emitted
+    # off the commensurate ratio the check reruns the Fock route at dims + 8
+    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--exponent", "2",
+                     "--check-convergence")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["route"] == "fock" and len(doc["kept_levels"]) == 2
+
+
+def test_gate_unconverged_quadrature_exits_3(capsys):
+    rc, _, err = run(capsys, "gate", "--eta", "3", "--omega0-scale", "1e6")
+    assert rc == 3
+    assert "did not converge" in err
 
 
 def test_gate_rejects_unknown_flip(capsys):
@@ -277,6 +291,37 @@ def test_scan_skip_existing_retries_failed_rows(capsys, tmp_path):
     cells = out.read_text().splitlines()[-1].split(",")
     assert cells[:2] == row[:2]
     assert all(math.isfinite(float(c)) for c in cells[2:])
+
+
+def test_scan_resumes_after_interrupt(capsys, tmp_path, monkeypatch):
+    from hotgate import analysis
+
+    args = ("scan", "--etas", "1.5,2", "--n-bars", "0,0.4")
+    whole = tmp_path / "whole.csv"
+    assert run(capsys, *args, "--output", str(whole))[0] == 0
+    real, calls = analysis.gate_report, []
+
+    def third_call_interrupts(*a, **kw):
+        calls.append(a[1:3])
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return real(*a, **kw)
+
+    monkeypatch.setattr(analysis, "gate_report", third_call_interrupts)
+    out = tmp_path / "grid.csv"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main([*args, "--output", str(out)])
+    capsys.readouterr()
+    assert not out.exists()
+    partial = tmp_path / "grid.csv.part"
+    data = [ln for ln in partial.read_text().splitlines() if not ln.startswith("#")]
+    assert data[1:] == whole.read_text().splitlines()[-4:-2]  # rows 1 and 2 survive
+    calls.clear()
+    rc, _, _ = run(capsys, *args, "--output", str(out), "--skip-existing")
+    assert rc == 0
+    assert calls == [(2.0, 0.0), (2.0, 0.4)]  # only the rows not yet written
+    assert out.read_bytes() == whole.read_bytes()
+    assert not partial.exists()
 
 
 def test_scan_skip_existing_needs_output(capsys):

@@ -1,10 +1,11 @@
 """Pulse solver, composite-space reference evolution, and the branch channel.
 
 The heavyweight check here is dual-route: the internal channel assembled from
-factorized branch operators (gate_channel) must reproduce, matrix element by
-matrix element, the channel reconstructed by literally evolving composite
+factorized branch operators (fock_gate_channel) must reproduce, matrix element
+by matrix element, the channel reconstructed by literally evolving composite
 density matrices through run_gate.  The two code paths share no plumbing
-beyond the elementary operator constructors.
+beyond the elementary operator constructors.  The phase-space channel of the
+commensurate trap is in turn checked against the Fock route.
 """
 
 import math
@@ -261,10 +262,92 @@ def test_gate_channel_matches_composite_evolution(spec):
     """Dual route: factorized branch channel vs literal density evolution."""
     basis = make_basis(spec, eta=1.2, dims=(16, 10))
     schedule, _ = gp.build_schedule(basis, n_bar_c=0.4)
-    ch = gp.gate_channel(basis, schedule, n_bar_c=0.4, mass_cutoff=0.0)
+    ch = gp.fock_gate_channel(basis, schedule, n_bar_c=0.4, mass_cutoff=0.0)
+    assert ch.route == "fock"
     assert ch.kept == basis.dims  # cutoff 0 keeps the whole rectangle
     choi_ref = _channel_choi_by_state_runs(basis, schedule, 0.4)
     np.testing.assert_allclose(ch.choi, choi_ref, atol=1e-10)
+    # off the commensurate ratio (nu_r/nu_c = sqrt(3)) the public entry
+    # point takes the Fock route
+    odd = tm.TrapSpec.normalized(exponent=2.0)
+    basis = make_basis(odd, eta=1.2, dims=(8, 6))
+    assert not basis.commensurate
+    schedule, _ = gp.build_schedule(basis, n_bar_c=0.4)
+    ch = gp.gate_channel(basis, schedule, n_bar_c=0.4, mass_cutoff=0.0)
+    assert ch.route == "fock"
+    assert ch.kept == basis.dims
+    choi_ref = _channel_choi_by_state_runs(basis, schedule, 0.4)
+    np.testing.assert_allclose(ch.choi, choi_ref, atol=1e-10)
+
+
+def _cross_route(basis, schedule, n_bar_c, flip_mode="gaussian"):
+    ps = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode=flip_mode)
+    fock = gp.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode=flip_mode)
+    assert ps.route == "phase_space" and fock.route == "fock"
+    return ps, fock
+
+
+def test_phase_space_channel_matches_fock_route(spec):
+    """At well-conditioned commensurate points and default dims the Fock
+    route reproduces the truncation-free Gram matrix."""
+    from dataclasses import replace
+
+    for n_bar_c in (0.0, 0.5, 1.0):
+        basis = make_basis(spec, eta=3.0, n_bar_c=n_bar_c)
+        schedule, rep = gp.build_schedule(basis, n_bar_c=n_bar_c)
+        assert rep.well_conditioned
+        ps, fock = _cross_route(basis, schedule, n_bar_c)
+        assert ps.kept is None and ps.dropped_mass < 1e-40
+        np.testing.assert_allclose(ps.gram, fock.gram, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(ps.choi, fock.choi, rtol=0, atol=1e-9)
+    basis = make_basis(spec, eta=3.0, n_bar_c=0.5)
+    schedule, _ = gp.build_schedule(basis, n_bar_c=0.5)
+    dark = replace(schedule, flip=replace(schedule.flip, omega0=0.0))
+    retuned = replace(schedule, frame_phase=0.3)
+    for sched, flip_mode in ((dark, "gaussian"), (retuned, "gaussian"),
+                             (schedule, "idealized")):
+        ps, fock = _cross_route(basis, sched, 0.5, flip_mode)
+        np.testing.assert_allclose(ps.gram, fock.gram, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(ps.choi, fock.choi, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(ps.gram, np.ones((2, 2)))
+    # a schedule that does not close after one COM period does not refocus
+    late = replace(schedule, t_g=1.5 * schedule.t_g)
+    assert gp.gate_channel(basis, late, n_bar_c=0.5).route == "fock"
+
+
+def test_phase_space_golden_point(spec):
+    from hotgate.analysis import gate_report
+
+    rep = gate_report(spec, 7.0, 0.0, anharmonic_order=None)
+    assert rep.route == "phase_space" and rep.kept is None
+    assert rep.fidelity == pytest.approx(0.995563065904545, abs=1e-12)
+
+
+def test_fock_route_gap_closes_as_dims_grow(spec):
+    """Ill-conditioned point: the Fock route approaches the phase-space
+    Gram matrix only as the truncation grows (default dims are (27, 20))."""
+    gaps = []
+    for dims in ((16, 12), (24, 16), (32, 20)):
+        basis = make_basis(spec, eta=0.5, n_bar_c=1.0, dims=dims)
+        schedule, rep = gp.build_schedule(basis, n_bar_c=1.0)
+        assert not rep.well_conditioned
+        ps, fock = _cross_route(basis, schedule, 1.0)
+        gaps.append(np.max(np.abs(ps.gram - fock.gram)))
+    assert gaps[0] > 1e-4
+    assert gaps[0] > 10 * gaps[1] > 100 * gaps[2]
+    assert gaps[2] < 1e-6
+
+
+def test_phase_space_quadrature_raises_at_its_cap(spec):
+    from dataclasses import replace
+
+    from hotgate.errors import NonConvergenceError
+
+    basis = make_basis(spec, eta=3.0, dims=(8, 8))
+    schedule, _ = gp.build_schedule(basis)
+    wild = replace(schedule, flip=replace(schedule.flip, omega0=schedule.flip.omega0 * 1e6))
+    with pytest.raises(NonConvergenceError):
+        gp.gate_channel(basis, wild)
 
 
 def test_gate_channel_gram_diagonal_is_unit(spec):
@@ -311,7 +394,7 @@ def test_motional_output_matches_composite_route(spec):
     # literal route stays within the dropped thermal mass
     basis = make_basis(spec, eta=1.5, dims=(20, 12))
     schedule, _ = gp.build_schedule(basis, n_bar_c=0.3)
-    ch = gp.gate_channel(basis, schedule, n_bar_c=0.3)
+    ch = gp.fock_gate_channel(basis, schedule, n_bar_c=0.3)
     assert ch.kept[0] < basis.dims[0] and ch.kept[1] < basis.dims[1]
     got = gp.motional_output(basis, schedule, internal, n_bar_c=0.3,
                              flip_mode="gaussian")
