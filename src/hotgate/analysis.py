@@ -11,7 +11,6 @@ complete positivity) is a short contraction of J.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -399,12 +398,17 @@ class GateReport:
         return out
 
 
+def anharmonic_dims(n_bar_c: float) -> tuple[int, int]:
+    """Thermal-sized truncation for the pre-kick dephasing average, which
+    needs no room for the kick."""
+    return (fock_core.default_fock_dim(n_bar_c, 0.0),
+            fock_core.default_fock_dim(relative_occupation(n_bar_c), 0.0))
+
+
 def _anharmonic_point(spec, n_bar_c, order):
-    """F_cor at thermal-sized truncation (the correction needs no kick room)."""
-    n_bar_r = relative_occupation(n_bar_c)
-    dims = (fock_core.default_fock_dim(n_bar_c, 0.0),
-            fock_core.default_fock_dim(n_bar_r, 0.0))
-    small = build_mode_basis(spec, eta=spec.lamb_dicke, n_bar_c=n_bar_c, dims=dims)
+    """F_cor at thermal-sized truncation."""
+    small = build_mode_basis(spec, eta=spec.lamb_dicke, n_bar_c=n_bar_c,
+                             dims=anharmonic_dims(n_bar_c))
     expansion = anharmonic_expansion(spec, order=order)
     return anharmonic_fidelity(small, expansion, n_bar_c=n_bar_c)
 
@@ -505,12 +509,11 @@ def fock_route_fidelity(
     return average_fidelity(QuantumChannel(gc.choi), target)
 
 
-def _scan_worker(payload):
-    spec, eta, n_bar_c, kw = payload
+def _scan_row(spec: TrapSpec, eta: float, n_bar_c: float, report_kw: dict) -> dict:
     row = {"eta": eta, "n_bar_c": n_bar_c, "fidelity": math.nan,
            "purity": math.nan, "f_cor": math.nan, "error": None}
     try:
-        rep = gate_report(spec, eta, n_bar_c, **kw)
+        rep = gate_report(spec, eta, n_bar_c, **report_kw)
         row.update(fidelity=rep.fidelity, purity=rep.purity,
                    f_cor=math.nan if rep.f_cor is None else rep.f_cor)
     except Exception as exc:  # scans keep going; the row records the failure
@@ -518,25 +521,16 @@ def _scan_worker(payload):
     return row
 
 
-def scan_rows(spec: TrapSpec, points, jobs: int = 1, **report_kw):
-    """Yield the rows of scan one at a time, in input order, as they finish."""
-    payloads = [(spec, float(e), float(nb), report_kw) for e, nb in points]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(_scan_worker, payloads)
-    else:
-        yield from map(_scan_worker, payloads)
+def scan_rows(spec: TrapSpec, points, **report_kw):
+    """Yield the rows of scan one at a time, in input order."""
+    for eta, n_bar_c in points:
+        yield _scan_row(spec, float(eta), float(n_bar_c), report_kw)
 
 
-def scan(
-    spec: TrapSpec,
-    points,
-    jobs: int = 1,
-    **report_kw,
-) -> list[dict]:
+def scan(spec: TrapSpec, points, **report_kw) -> list[dict]:
     """Evaluate gate_report on a list of (eta, n_bar_c) operating points.
 
     Rows come back in input order.  A failing point keeps its row, with nan
     figures and the error string attached, so partial scans stay usable.
     """
-    return list(scan_rows(spec, points, jobs, **report_kw))
+    return list(scan_rows(spec, points, **report_kw))

@@ -3,9 +3,12 @@
 Subcommands: modes, separation, conditions, gate, scan, anharmonic.  Each
 resolves its settings from built-in defaults, then an optional INI config
 file (--config), then command-line flags, in that order of precedence.
-Outputs are deterministic: data files never carry timestamps (--stamp opts
-in, metadata only), floats print at a fixed significant-digit count, and
-every CSV/JSON records a hash of the resolved settings that produced it.
+Every setting is declared once, in _SETTINGS, which gives its default, its
+INI type, its flag and the subcommands that read it; a subcommand's parser
+takes only those flags and rejects the rest, while an INI file may set any
+key.  Outputs are deterministic: data files never carry timestamps (--stamp
+opts in, metadata only), floats print at a fixed significant-digit count,
+and every CSV/JSON records a hash of the resolved settings that produced it.
 
 Exit codes: 0 success, 1 bad usage or config, 2 physically infeasible
 request, 3 numerical non-convergence.
@@ -25,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, fock_core, gate_protocol, trap_model
+from . import analysis, gate_protocol, trap_model
 from .errors import (
     ConfigError,
     InfeasibleRatioError,
@@ -37,83 +40,80 @@ from .errors import (
 # configuration
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "trap": {
-        "exponent": 5.0 / 3.0,
-        "lamb_dicke": 0.45,
-        "nu_c": 1.0,
-        "mass": 1.0,
-        "separation_in_x0": 820.0,
-        "stiffness": None,
-        "coulomb": None,
-    },
-    "gate": {
-        "eta": None,          # defaults to 7.0 if neither eta nor eta_single given
-        "eta_single": None,
-        "n_pulses": None,
-        "n_bar_c": 0.0,
-        "rabi_cycles": 3,
-        "margin": 3.0,
-        "t1_over_tg": 0.01,
-        "dims": None,
-        "flip": "gaussian",
-        "mass_cutoff": 1e-10,
-        "omega0_scale": 1.0,
-        "frame_phase": "auto",
-        "target": "gate",
-    },
-    "scan": {
-        "etas": "2,4,7",
-        "n_bars": "0,0.5,1",
-        "jobs": 1,
-        "anharmonic_order": 3,
-    },
-    "anharmonic": {
-        "order": 3,
-        "scale": 1.0,
-        "n_bar_c": 1.0,
-        "state_mode": "pre_kick",
-        "dims": None,
-    },
-    "separation": {
-        "points": 64,
-        "check_tol": 1e-9,
-    },
-    "output": {
-        "path": None,
-        "precision": 12,
-    },
-}
+_ALL = ("modes", "separation", "conditions", "gate", "scan", "anharmonic")
+_ETA = ("modes", "separation", "conditions", "gate", "anharmonic")
+_SCHEDULE = ("conditions", "gate", "scan")
+_FLIP = ("gate", "scan")
 
-_COERCE = {
-    ("trap", "exponent"): float, ("trap", "lamb_dicke"): float,
-    ("trap", "nu_c"): float, ("trap", "mass"): float,
-    ("trap", "separation_in_x0"): float, ("trap", "stiffness"): float,
-    ("trap", "coulomb"): float,
-    ("gate", "eta"): float, ("gate", "eta_single"): float,
-    ("gate", "n_pulses"): int, ("gate", "n_bar_c"): float,
-    ("gate", "rabi_cycles"): int, ("gate", "margin"): float,
-    ("gate", "t1_over_tg"): float, ("gate", "dims"): str,
-    ("gate", "flip"): str, ("gate", "mass_cutoff"): float,
-    ("gate", "omega0_scale"): float, ("gate", "frame_phase"): str,
-    ("gate", "target"): str,
-    ("scan", "etas"): str, ("scan", "n_bars"): str,
-    ("scan", "jobs"): int, ("scan", "anharmonic_order"): int,
-    ("anharmonic", "order"): int, ("anharmonic", "scale"): float,
-    ("anharmonic", "n_bar_c"): float, ("anharmonic", "state_mode"): str,
-    ("anharmonic", "dims"): str,
-    ("separation", "points"): int, ("separation", "check_tol"): float,
-    ("output", "path"): str, ("output", "precision"): int,
-}
+# Every setting, declared once: (section, key, default, type or tuple of
+# allowed values, flag, subcommands whose parser takes the flag, help).
+# An INI file may set any of them; a flag exists only where it is read.
+_SETTINGS = (
+    ("trap", "exponent", 5.0 / 3.0, float, "--exponent", _ALL,
+     "power of the confining wall"),
+    ("trap", "lamb_dicke", 0.45, float, "--lamb-dicke", _ALL,
+     "single-pulse kick strength of the trap spec"),
+    ("trap", "nu_c", 1.0, float, "--nu-c", _ALL, "target COM frequency"),
+    ("trap", "mass", 1.0, float, "--mass", _ALL, None),
+    ("trap", "separation_in_x0", 820.0, float, "--separation-in-x0", _ALL,
+     "equilibrium separation in ground-state widths"),
+    ("trap", "stiffness", None, float, "--stiffness", _ALL, "explicit wall prefactor"),
+    ("trap", "coulomb", None, float, "--coulomb", _ALL, "explicit repulsion constant"),
+    # eta defaults to 7.0 if neither eta nor eta_single is given
+    ("gate", "eta", None, float, "--eta", _ETA, "effective kick strength"),
+    ("gate", "eta_single", None, float, "--eta-single", _ETA, None),
+    ("gate", "n_pulses", None, int, "--n-pulses", _ETA, None),
+    ("gate", "n_bar_c", 0.0, float, "--n-bar-c", ("modes", "conditions", "gate"),
+     "thermal COM occupation"),
+    ("gate", "rabi_cycles", 3, int, "--rabi-cycles", _SCHEDULE, None),
+    ("gate", "margin", 3.0, float, "--margin", _SCHEDULE, None),
+    ("gate", "t1_over_tg", 0.01, float, "--t1-over-tg", ("conditions",), None),
+    ("gate", "dims", None, str, "--dims", ("separation", "gate"),
+     "Fock truncation 'n_c,n_r'"),
+    ("gate", "flip", "gaussian", ("gaussian", "idealized"), "--flip", _FLIP, None),
+    ("gate", "mass_cutoff", 1e-10, float, "--mass-cutoff", _FLIP, None),
+    ("gate", "omega0_scale", 1.0, float, "--omega0-scale", ("gate",), None),
+    ("gate", "frame_phase", "auto", str, "--frame-phase", ("gate",),
+     "'auto' or a phase in radians"),
+    ("gate", "target", "gate", ("gate", "identity"), "--target", ("gate",), None),
+    ("scan", "etas", "2,4,7", str, "--etas", ("scan",), "comma-separated eta grid"),
+    ("scan", "n_bars", "0,0.5,1", str, "--n-bars", ("scan",),
+     "comma-separated n_bar_c grid"),
+    ("scan", "anharmonic_order", 3, int, "--anharmonic-order", ("scan",), None),
+    ("anharmonic", "order", 3, int, "--order", ("anharmonic",),
+     "expansion order (0 disables)"),
+    ("anharmonic", "scale", 1.0, float, "--scale", ("anharmonic",),
+     "coefficient scale factor"),
+    ("anharmonic", "n_bar_c", 1.0, float, "--anh-n-bar-c", ("anharmonic",),
+     "thermal occupation for the dephasing average"),
+    ("anharmonic", "state_mode", "pre_kick", ("pre_kick", "post_kick"), "--state-mode",
+     ("anharmonic",), None),
+    ("anharmonic", "dims", None, str, "--anh-dims", ("anharmonic",), None),
+    ("separation", "points", 64, int, "--points", ("separation",),
+     "sample count over [0, t_g]"),
+    ("separation", "check_tol", 1e-9, float, "--check-tol", ("separation",),
+     "doubled-truncation agreement tolerance (in x0)"),
+    ("output", "path", None, str, "--output", _ALL, "write here instead of stdout"),
+    ("output", "precision", 12, int, "--precision", _ALL,
+     "significant digits in output"),
+)
 
-# settings that steer execution or metadata but not the data itself
-_HASH_EXCLUDE = {("scan", "jobs"), ("output", "path")}
+_DEFAULTS = {section: {k: default for s, k, default, *_ in _SETTINGS if s == section}
+             for section, *_ in _SETTINGS}
+_KINDS = {(section, key): kind for section, key, _, kind, *_ in _SETTINGS}
+
+# settings that steer where the data goes but not the data itself
+_HASH_EXCLUDE = {("output", "path")}
 
 
 def _coerce(section: str, key: str, raw: str):
-    caster = _COERCE[(section, key)]
+    kind = _KINDS[(section, key)]
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ConfigError(f"[{section}] {key} must be one of {sorted(kind)}, got {raw!r}")
+        return raw
     try:
-        return caster(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
 
@@ -135,13 +135,6 @@ def load_config(path: str | None) -> dict:
                 raise ConfigError(f"unknown config key [{section}] {key}")
             cfg[section][key] = _coerce(section, key, raw)
     return cfg
-
-
-def _overlay_flags(cfg: dict, args: argparse.Namespace, mapping: dict) -> None:
-    for attr, (section, key) in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg[section][key] = value
 
 
 def config_hash(cfg: dict, command: str) -> str:
@@ -213,13 +206,6 @@ def _frame_phase(cfg: dict) -> float | None:
         raise ConfigError(f"frame_phase must be 'auto' or a number, got {raw!r}") from None
 
 
-def _choice(cfg, section, key, allowed):
-    value = cfg[section][key]
-    if value not in allowed:
-        raise ConfigError(f"[{section}] {key} must be one of {sorted(allowed)}, got {value!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
@@ -270,9 +256,12 @@ def _quantize(obj, precision: int):
     return obj
 
 
+def _hash_line(cfg: dict, command: str) -> str:
+    return f"# config-hash: sha256:{config_hash(cfg, command)}"
+
+
 def _header_lines(command: str, cfg: dict, notes: list[str], stamp: bool) -> list[str]:
-    lines = [f"# hotgate {command}",
-             f"# config-hash: sha256:{config_hash(cfg, command)}"]
+    lines = [f"# hotgate {command}", _hash_line(cfg, command)]
     lines += [f"# {note}" for note in notes]
     if stamp:
         lines.append("# generated: " + datetime.datetime.now(datetime.timezone.utc)
@@ -393,12 +382,11 @@ def _target_matrix(name: str) -> np.ndarray:
 
 def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
     spec = build_trap(cfg)
-    flip = _choice(cfg, "gate", "flip", {"gaussian", "idealized"})
-    target_name = _choice(cfg, "gate", "target", {"gate", "identity"})
+    target_name = cfg["gate"]["target"]
     order = cfg["anharmonic"]["order"] if args.anharmonic else None
     kwargs = dict(
         rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"],
-        flip_mode=flip, anharmonic_order=order,
+        flip_mode=cfg["gate"]["flip"], anharmonic_order=order,
         dims=_parse_dims(cfg["gate"]["dims"]),
         mass_cutoff=cfg["gate"]["mass_cutoff"],
         omega0_scale=cfg["gate"]["omega0_scale"],
@@ -436,18 +424,23 @@ def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_existing_rows(path: str) -> dict:
+def _read_existing_rows(path: str, hash_line: str) -> dict:
     """Map (eta, n_bar_c) formatted strings to finished CSV rows.
 
-    A failed point is written with nan figures; such rows are left out so
-    that a resumed scan computes them again.
+    Only a file whose header carries hash_line, that is, one written with
+    the same settings, contributes rows.  A failed point is written with
+    nan figures; such rows are left out so that a resumed scan computes
+    them again.
     """
     existing = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+            lines = [ln.rstrip("\n") for ln in fh]
     except OSError:
         return existing
+    if hash_line not in lines:
+        return existing
+    lines = [ln for ln in lines if not ln.startswith("#")]
     for line in lines[1:]:  # skip the column header
         cells = line.split(",")
         if len(cells) == 5 and cells[2] != "nan":
@@ -458,11 +451,11 @@ def _read_existing_rows(path: str) -> dict:
 def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     """Grid scan.  With --output, rows go to <output>.part as they finish,
     and the file is renamed onto the output path once the grid is done;
-    --skip-existing reuses finished rows of both files."""
+    --skip-existing reuses finished rows of both files when they were
+    written with the same settings."""
     spec = build_trap(cfg)
     etas = _parse_grid(cfg["scan"]["etas"], "etas")
     n_bars = _parse_grid(cfg["scan"]["n_bars"], "n_bars")
-    flip = _choice(cfg, "gate", "flip", {"gaussian", "idealized"})
     precision = cfg["output"]["precision"]
     path = _resolve_path(cfg["output"]["path"])
     partial = None if path is None else path + ".part"
@@ -470,16 +463,17 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     if args.skip_existing:
         if path is None:
             raise ConfigError("--skip-existing needs an output file path")
-        existing = _read_existing_rows(path)
-        existing.update(_read_existing_rows(partial))
+        hash_line = _hash_line(cfg, "scan")
+        existing = _read_existing_rows(path, hash_line)
+        existing.update(_read_existing_rows(partial, hash_line))
     grid = [(eta, nb) for eta in etas for nb in n_bars]
     keys = [(_fmt(eta, precision), _fmt(nb, precision)) for eta, nb in grid]
     todo = [point for point, key in zip(grid, keys) if key not in existing]
     report_kw = dict(
         rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"],
-        flip_mode=flip, anharmonic_order=cfg["scan"]["anharmonic_order"],
+        flip_mode=cfg["gate"]["flip"], anharmonic_order=cfg["scan"]["anharmonic_order"],
         mass_cutoff=cfg["gate"]["mass_cutoff"])
-    rows = analysis.scan_rows(spec, todo, jobs=cfg["scan"]["jobs"], **report_kw)
+    rows = analysis.scan_rows(spec, todo, **report_kw)
     notes = [_FIDELITY_NOTE,
              "purity: mean Tr[rho_out^2] over the 36 axis product inputs",
              "f_cor: perturbative anharmonic fidelity at matching n_bar_c",
@@ -514,7 +508,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
     spec = build_trap(cfg)
     a = cfg["anharmonic"]
-    state_mode = _choice(cfg, "anharmonic", "state_mode", {"pre_kick", "post_kick"})
+    state_mode = a["state_mode"]
     if a["order"] == 0:
         payload = {"f_cor_perturbative": 1.0, "f_cor_exact": 1.0, "delta": 0.0,
                    "order": 0, "converged": True}
@@ -523,20 +517,11 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
               _resolve_path(cfg["output"]["path"]))
         return 0
     n_bar_c = a["n_bar_c"]
-    n_bar_r = trap_model.relative_occupation(n_bar_c)
-    eta = resolve_eta(cfg)
     dims = _parse_dims(a["dims"])
-    if dims is None:
-        if state_mode == "post_kick":
-            basis = trap_model.build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c)
-        else:
-            dims = (fock_core.default_fock_dim(n_bar_c, 0.0),
-                    fock_core.default_fock_dim(n_bar_r, 0.0))
-            basis = trap_model.build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c,
-                                                dims=dims)
-    else:
-        basis = trap_model.build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c,
-                                            dims=dims)
+    if dims is None and state_mode == "pre_kick":
+        dims = analysis.anharmonic_dims(n_bar_c)
+    basis = trap_model.build_mode_basis(spec, eta=resolve_eta(cfg), n_bar_c=n_bar_c,
+                                        dims=dims)
     expansion = trap_model.anharmonic_expansion(spec, order=a["order"])
     if a["scale"] != 1.0:
         expansion = expansion.scaled(a["scale"])
@@ -575,160 +560,58 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_TRAP_FLAGS = {
-    "exponent": ("trap", "exponent"),
-    "lamb_dicke": ("trap", "lamb_dicke"),
-    "nu_c": ("trap", "nu_c"),
-    "mass": ("trap", "mass"),
-    "separation_in_x0": ("trap", "separation_in_x0"),
-    "stiffness": ("trap", "stiffness"),
-    "coulomb": ("trap", "coulomb"),
+_COMMANDS = {
+    "modes": (cmd_modes, "equilibrium geometry and mode data"),
+    "separation": (cmd_separation, "branch separation over one period"),
+    "conditions": (cmd_conditions, "addressing geometry and validity flags"),
+    "gate": (cmd_gate, "simulate one operating point"),
+    "scan": (cmd_scan, "grid scan over eta and n_bar_c"),
+    "anharmonic": (cmd_anharmonic, "perturbative vs exact dephasing"),
 }
 
-_GATE_FLAGS = {
-    "eta": ("gate", "eta"),
-    "eta_single": ("gate", "eta_single"),
-    "n_pulses": ("gate", "n_pulses"),
-    "n_bar_c": ("gate", "n_bar_c"),
-    "rabi_cycles": ("gate", "rabi_cycles"),
-    "margin": ("gate", "margin"),
-    "t1_over_tg": ("gate", "t1_over_tg"),
-    "dims": ("gate", "dims"),
-    "flip": ("gate", "flip"),
-    "mass_cutoff": ("gate", "mass_cutoff"),
-    "omega0_scale": ("gate", "omega0_scale"),
-    "frame_phase": ("gate", "frame_phase"),
-    "target": ("gate", "target"),
-}
 
-_OUT_FLAGS = {"output": ("output", "path"), "precision": ("output", "precision")}
-
-
-def _add_trap_flags(p):
-    g = p.add_argument_group("trap")
-    g.add_argument("--exponent", type=float, help="power of the confining wall")
-    g.add_argument("--lamb-dicke", dest="lamb_dicke", type=float,
-                   help="single-pulse kick strength of the trap spec")
-    g.add_argument("--nu-c", dest="nu_c", type=float, help="target COM frequency")
-    g.add_argument("--mass", type=float)
-    g.add_argument("--separation-in-x0", dest="separation_in_x0", type=float,
-                   help="equilibrium separation in ground-state widths")
-    g.add_argument("--stiffness", type=float, help="explicit wall prefactor")
-    g.add_argument("--coulomb", type=float, help="explicit repulsion constant")
-
-
-def _add_gate_flags(p, *, scan=False):
-    g = p.add_argument_group("gate")
-    g.add_argument("--eta", type=float, help="effective kick strength")
-    g.add_argument("--eta-single", dest="eta_single", type=float)
-    g.add_argument("--n-pulses", dest="n_pulses", type=int)
-    if not scan:
-        g.add_argument("--n-bar-c", dest="n_bar_c", type=float,
-                       help="thermal COM occupation")
-    g.add_argument("--rabi-cycles", dest="rabi_cycles", type=int)
-    g.add_argument("--margin", type=float)
-    g.add_argument("--t1-over-tg", dest="t1_over_tg", type=float)
-    g.add_argument("--dims", type=str, help="Fock truncation 'n_c,n_r'")
-    g.add_argument("--flip", choices=["gaussian", "idealized"])
-    g.add_argument("--idealized-flip", action="store_const", const="idealized",
-                   dest="flip", help="shorthand for --flip idealized")
-    g.add_argument("--mass-cutoff", dest="mass_cutoff", type=float)
-    g.add_argument("--omega0-scale", dest="omega0_scale", type=float)
-    g.add_argument("--frame-phase", dest="frame_phase", type=str,
-                   help="'auto' or a phase in radians")
-    g.add_argument("--target", choices=["gate", "identity"])
-
-
-def _add_out_flags(p):
-    p.add_argument("--config", type=str, help="INI settings file")
-    p.add_argument("--output", type=str, help="write here instead of stdout")
-    p.add_argument("--precision", type=int, help="significant digits in output")
-    p.add_argument("--stamp", action="store_true",
-                   help="add a generation timestamp to the metadata")
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="hotgate",
+    parser = _Parser(prog="hotgate", allow_abbrev=False,
                      description="Two-ion conditional-flip gate simulator "
                                  "for thermally excited motion.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("modes", help="equilibrium geometry and mode data")
-    _add_trap_flags(p)
-    _add_gate_flags(p)
-    _add_out_flags(p)
-    p.add_argument("--solve-ratio", dest="solve_ratio", type=float,
-                   help="find the wall exponent giving this nu_r/nu_c")
-    p.set_defaults(func=cmd_modes)
-
-    p = sub.add_parser("separation", help="branch separation over one period")
-    _add_trap_flags(p)
-    _add_gate_flags(p)
-    _add_out_flags(p)
-    p.add_argument("--points", dest="sep_points", type=int,
-                   help="sample count over [0, t_g]")
-    p.add_argument("--check-tol", dest="sep_check_tol", type=float,
-                   help="doubled-truncation agreement tolerance (in x0)")
-    p.set_defaults(func=cmd_separation)
-
-    p = sub.add_parser("conditions", help="addressing geometry and validity flags")
-    _add_trap_flags(p)
-    _add_gate_flags(p)
-    _add_out_flags(p)
-    p.set_defaults(func=cmd_conditions)
-
-    p = sub.add_parser("gate", help="simulate one operating point")
-    _add_trap_flags(p)
-    _add_gate_flags(p)
-    _add_out_flags(p)
-    p.add_argument("--anharmonic", action="store_true",
-                   help="include the perturbative anharmonic fidelity")
-    p.add_argument("--check-convergence", action="store_true",
-                   help="re-run with bumped truncation and compare")
-    p.set_defaults(func=cmd_gate)
-
-    p = sub.add_parser("scan", help="grid scan over eta and n_bar_c")
-    _add_trap_flags(p)
-    _add_gate_flags(p, scan=True)
-    _add_out_flags(p)
-    p.add_argument("--etas", type=str, help="comma-separated eta grid")
-    p.add_argument("--n-bars", dest="n_bars", type=str,
-                   help="comma-separated n_bar_c grid")
-    p.add_argument("--jobs", type=int, help="parallel workers for scan rows")
-    p.add_argument("--anharmonic-order", dest="anharmonic_order", type=int)
-    p.add_argument("--skip-existing", action="store_true",
-                   help="reuse finished rows from the output file")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("anharmonic", help="perturbative vs exact dephasing")
-    _add_trap_flags(p)
-    _add_gate_flags(p)
-    _add_out_flags(p)
-    p.add_argument("--order", type=int, help="expansion order (0 disables)")
-    p.add_argument("--scale", type=float, help="coefficient scale factor")
-    p.add_argument("--state-mode", dest="state_mode",
-                   choices=["pre_kick", "post_kick"])
-    p.add_argument("--anh-n-bar-c", dest="anh_n_bar_c", type=float,
-                   help="thermal occupation for the dephasing average")
-    p.add_argument("--anh-dims", dest="anh_dims", type=str)
-    p.set_defaults(func=cmd_anharmonic)
-
+    subs = {}
+    for name, (func, summary) in _COMMANDS.items():
+        # no abbreviations: a flag this subcommand lacks must not be read as
+        # the prefix of one it has (scan --eta as --etas)
+        p = subs[name] = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--config", type=str, help="INI settings file")
+        p.add_argument("--stamp", action="store_true",
+                       help="add a generation timestamp to the metadata")
+        groups = {}
+        for section, key, _, kind, flag, commands, help_ in _SETTINGS:
+            if name not in commands:
+                continue
+            if section not in groups:
+                groups[section] = p.add_argument_group(section)
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            groups[section].add_argument(flag, dest=_dest(flag), help=help_, **typed)
+            if key == "flip":
+                groups[section].add_argument(
+                    "--idealized-flip", action="store_const", const="idealized",
+                    dest=_dest(flag), help="shorthand for --flip idealized")
+    subs["modes"].add_argument("--solve-ratio", dest="solve_ratio", type=float,
+                               help="find the wall exponent giving this nu_r/nu_c")
+    subs["gate"].add_argument("--anharmonic", action="store_true",
+                              help="include the perturbative anharmonic fidelity")
+    subs["gate"].add_argument(
+        "--check-convergence", action="store_true",
+        help="on the phase-space route compare with the Fock route at the "
+             "report's dims; on other traps rerun at dims + 8")
+    subs["scan"].add_argument("--skip-existing", action="store_true",
+                              help="reuse finished rows of an output file "
+                                   "written with the same settings")
     return parser
-
-
-_EXTRA_FLAGS = {
-    "sep_points": ("separation", "points"),
-    "sep_check_tol": ("separation", "check_tol"),
-    "etas": ("scan", "etas"),
-    "n_bars": ("scan", "n_bars"),
-    "jobs": ("scan", "jobs"),
-    "anharmonic_order": ("scan", "anharmonic_order"),
-    "order": ("anharmonic", "order"),
-    "scale": ("anharmonic", "scale"),
-    "state_mode": ("anharmonic", "state_mode"),
-    "anh_n_bar_c": ("anharmonic", "n_bar_c"),
-    "anh_dims": ("anharmonic", "dims"),
-}
 
 
 def main(argv=None) -> int:
@@ -741,9 +624,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if not exc.code else 1
     try:
-        cfg = load_config(getattr(args, "config", None))
-        for mapping in (_TRAP_FLAGS, _GATE_FLAGS, _OUT_FLAGS, _EXTRA_FLAGS):
-            _overlay_flags(cfg, args, mapping)
+        cfg = load_config(args.config)
+        for section, key, _, _, flag, *_ in _SETTINGS:
+            value = getattr(args, _dest(flag), None)
+            if value is not None:
+                cfg[section][key] = value
         return args.func(cfg, args)
     except ConfigError as exc:
         sys.stderr.write(f"hotgate: config error: {exc}\n")

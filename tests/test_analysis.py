@@ -276,12 +276,3 @@ def test_scan_keeps_order_and_records_failures(spec):
     assert rows[1]["error"] is not None and "ValueError" in rows[1]["error"]
     assert math.isnan(rows[1]["fidelity"])
     assert rows[2]["error"] is None
-
-
-def test_scan_parallel_matches_serial(spec):
-    points = [(1.0, 0.0), (1.2, 0.0)]
-    kw = dict(anharmonic_order=None, dims=(10, 8), flip_mode="idealized")
-    serial = an.scan(spec, points, jobs=1, **kw)
-    parallel = an.scan(spec, points, jobs=2, **kw)
-    for a, b in zip(serial, parallel):
-        assert a["fidelity"] == pytest.approx(b["fidelity"], abs=1e-12)

@@ -229,6 +229,14 @@ def test_config_unknown_section_exits_1(capsys, tmp_path):
     assert "unknown config section" in err
 
 
+def test_config_unknown_choice_exits_1(capsys, tmp_path):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[gate]\nflip = sinc\n")
+    rc, _, err = run(capsys, "gate", "--config", str(ini))
+    assert rc == 1
+    assert "must be one of" in err
+
+
 def test_config_missing_file_exits_1(capsys, tmp_path):
     rc, _, err = run(capsys, "gate", "--config", str(tmp_path / "nope.ini"))
     assert rc == 1
@@ -238,11 +246,43 @@ def test_config_missing_file_exits_1(capsys, tmp_path):
 def test_config_hash_ignores_execution_only_settings():
     cfg = cli.load_config(None)
     base = cli.config_hash(cfg, "scan")
-    cfg["scan"]["jobs"] = 4
     cfg["output"]["path"] = "/somewhere/else.csv"
     assert cli.config_hash(cfg, "scan") == base
     cfg["gate"]["mass_cutoff"] = 1e-8
     assert cli.config_hash(cfg, "scan") != base
+
+
+# config-hash of the built-in defaults, per subcommand; a change here changes
+# the header of every output file
+_DEFAULT_HASHES = {
+    "modes": "be12b086bd75a6bc5ef930602e93b98dff7b20b317597fe7d0b4027220e86e9b",
+    "separation": "37dd87d470bac35ce0175ee892ba0b01b2ad0c5336dc3236e641179dd1f3a01a",
+    "conditions": "38823832b208c38c1c630f00c74663dc07612d6dad4f87aee82af81d8e40a82b",
+    "gate": "6b4adfb9f96577d264db301c14cb9a78cee419da95a4cee4fa44e653e15cf3c9",
+    "scan": "933fcb48d5170c0121b4a291c67b488dbe6f201cdc6681b5979bef62a26e64de",
+    "anharmonic": "06b53f662a7a9fd44b0341b22b5eecee1dbec23692a51dd9f2ca59ec4e9effbb",
+}
+
+
+def test_default_config_hashes_are_stable():
+    cfg = cli.load_config(None)
+    assert {cmd: cli.config_hash(cfg, cmd) for cmd in _DEFAULT_HASHES} == _DEFAULT_HASHES
+
+
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    cases = [
+        ("scan", "--omega0-scale", "0"),
+        ("scan", "--eta", "3"),  # not an abbreviation of --etas
+        ("anharmonic", "--n-bar-c", "0.2"),
+        ("separation", "--n-bar-c", "3"),
+        ("gate", "--t1-over-tg", "0.002"),
+        ("modes", "--flip", "idealized"),
+        ("scan", "--jobs", "2"),
+    ]
+    for argv in cases:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1, argv
+        assert out == "" and "unrecognized arguments" in err, argv
 
 
 # --- scan -------------------------------------------------------------------
@@ -291,6 +331,16 @@ def test_scan_skip_existing_retries_failed_rows(capsys, tmp_path):
     cells = out.read_text().splitlines()[-1].split(",")
     assert cells[:2] == row[:2]
     assert all(math.isfinite(float(c)) for c in cells[2:])
+
+
+def test_scan_skip_existing_ignores_rows_of_other_settings(capsys, tmp_path):
+    out, fresh = tmp_path / "grid.csv", tmp_path / "fresh.csv"
+    assert run(capsys, *_SCAN_ARGS, "--output", str(out))[0] == 0
+    changed = ("--rabi-cycles", "5")
+    rc, _, _ = run(capsys, *_SCAN_ARGS, *changed, "--output", str(out), "--skip-existing")
+    assert rc == 0
+    assert run(capsys, *_SCAN_ARGS, *changed, "--output", str(fresh))[0] == 0
+    assert out.read_bytes() == fresh.read_bytes()
 
 
 def test_scan_resumes_after_interrupt(capsys, tmp_path, monkeypatch):
