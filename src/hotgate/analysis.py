@@ -207,17 +207,22 @@ def frame_states(dim: int = 4):
     """Product kets over the six single-qubit axis states, 36 in total."""
     if dim != 4:
         raise ValueError("frame states are defined for the two-qubit space")
-    return [np.kron(a, b) for a in _QUBIT_FRAME for b in _QUBIT_FRAME]
+    q = np.array(_QUBIT_FRAME)
+    # ket 6a + b is kron(frame[a], frame[b])
+    return list((q[:, None, :, None] * q[None, :, None, :]).reshape(36, 4))
 
 
 def average_purity(channel: QuantumChannel) -> float:
-    """Mean output purity Tr[Lambda(rho)^2] over the 36 axis product states."""
-    total = 0.0
-    states = frame_states(channel.dim)
-    for ket in states:
-        out = channel.apply(np.outer(ket, ket.conj()))
-        total += np.einsum("ab,ba->", out, out).real
-    return float(total / len(states))
+    """Mean output purity Tr[Lambda(rho)^2] over the 36 axis product states.
+
+    One contraction of the Choi tensor with all 36 kets gives every output
+    Lambda(|s><s|)[a, b] = sum_ij J[i, a, j, b] s_i conj(s_j) at once.
+    """
+    d = channel.dim
+    kets = np.array(frame_states(d))
+    outs = np.einsum("iajb,si,sj->sab", channel.choi.reshape(d, d, d, d),
+                     kets, kets.conj())
+    return float(np.einsum("sab,sba->", outs, outs).real / len(kets))
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +235,16 @@ def interaction_integral(v: np.ndarray, energies: np.ndarray, length: float) -> 
 
     Element (j, k) picks up integral_0^T e^{i D tau} d tau with D = E_j - E_k,
     which is T e^{i D T/2} sinc(D T / 2 pi) in numpy's normalized sinc; D = 0
-    gives exactly T.  In the commensurate trap every D is a whole multiple of
-    nu_c, so over one gate time only the resonant part of V survives.
+    gives exactly T.  The phase e^{i D T/2} is the outer product phi phi*
+    with phi = e^{i E T/2}, so only len(energies) exponentials are taken.
+    In the commensurate trap every D is a whole multiple of nu_c, so over
+    one gate time only the resonant part of V survives.  v may be real (as
+    trap_model.v_cor_operator returns it) or complex.
     """
     energies = np.asarray(energies, dtype=float)
     half = 0.5 * length * (energies[:, None] - energies[None, :])
-    return length * np.exp(1j * half) * np.sinc(half / np.pi) * np.asarray(v, dtype=complex)
+    phi = np.exp(0.5j * length * energies)
+    return length * np.outer(phi, phi.conj()) * np.sinc(half / np.pi) * np.asarray(v)
 
 
 def _branch_displacement_factors(basis: ModeBasis):
@@ -244,17 +253,12 @@ def _branch_displacement_factors(basis: ModeBasis):
     return d_c, d_r
 
 
-def _conjugate_factored(op: np.ndarray, d_c: np.ndarray, d_r: np.ndarray) -> np.ndarray:
-    """(d_c (x) d_r)^dag  op  (d_c (x) d_r) without forming the kron."""
-    n_c = d_c.shape[0]
-    n_r = d_r.shape[0]
-    t = op.reshape(n_c, n_r, n_c, n_r)
-    t = np.tensordot(d_c.conj().T, t, axes=([1], [0]))          # a <- i
-    t = np.tensordot(d_r.conj().T, t, axes=([1], [1]))          # b <- j
-    t = t.transpose(1, 0, 2, 3)
-    t = np.tensordot(t, d_c, axes=([2], [0]))                   # k -> c
-    t = np.tensordot(t, d_r, axes=([2], [0]))                   # l -> d
-    return t.reshape(n_c * n_r, n_c * n_r)
+def _apply_factored(a_c: np.ndarray, a_r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(a_c (x) a_r) x for x of shape (a_c.shape[1] * n_r, K), without the kron."""
+    n_r = a_r.shape[1]
+    t = a_c @ x.reshape(a_c.shape[1], n_r * x.shape[1])
+    t = a_r @ t.reshape(a_c.shape[0], n_r, x.shape[1])
+    return t.reshape(a_c.shape[0] * a_r.shape[0], x.shape[1])
 
 
 def _thermal_grid_probs(basis: ModeBasis, n_bar_c: float) -> np.ndarray:
@@ -319,7 +323,10 @@ def anharmonic_fidelity(
     v = v_cor_operator(expansion, basis)
     tilde = interaction_integral(v, energies, basis.gate_time)
     if state_mode == "post_kick":
-        tilde = _conjugate_factored(tilde, *_branch_displacement_factors(basis))
+        d_c, d_r = _branch_displacement_factors(basis)
+        # D^dag tilde D, the right factor as (D^T (D^dag tilde)^T)^T
+        tilde = _apply_factored(d_c.conj().T, d_r.conj().T, tilde)
+        tilde = _apply_factored(d_c.T, d_r.T, tilde.T).T
     var, mean = _phase_variance(tilde, _thermal_grid_probs(basis, n_bar_c))
     return AnharmonicReport(
         f_cor=1.0 - var, variance=var, mean_phase=mean, dims=basis.dims,
@@ -337,23 +344,60 @@ def exact_anharmonic_fidelity(
 
     Propagates each thermal ensemble member through one gate period of the
     full motional hamiltonian and averages the survival overlaps
-    |<psi(0)| e^{+i H0 t_g} e^{-i (H0 + V) t_g} |psi(0)>|^2.  The harmonic
-    reference factor is a global phase per member (every mode completes whole
-    periods at t_g), so this is the plain return overlap of the perturbed
-    evolution; it agrees with the perturbative estimate through second order
-    in the correction.
+    F = sum_j p_j |amp_j|^2, amp_j = <psi_j| e^{+i H0 t_g} e^{-i (H0 + V) t_g}
+    |psi_j>.  The harmonic reference factor is a global phase per member
+    (every mode completes whole periods at t_g), so this is the plain return
+    overlap of the perturbed evolution; it agrees with the perturbative
+    estimate through second order in the correction.
+
+    The gate unitary is never formed.  H = diag(E) + V_cor is real
+    symmetric, so H = v diag(w) v^T with v real, taken block by block over
+    the x_c-parity blocks of H whenever the data decouple them
+    (_parity_blocks).  Then, with Phi = diag(e^{i E t_g}) and
+    D = d_c (x) d_r the opening-kick displacement:
+
+    * pre_kick, psi_j = |j>: amp_j = sum_k v_jk^2 e^{-i w_k t_g}, the
+      modulus-one factor e^{i E_j t_g} dropped;
+    * post_kick, psi_j = D|j>: amp_j = sum_k (D^dag Phi v)_jk e^{-i w_k t_g}
+      (D^T v)_jk, with D applied to v in factored form.
     """
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
+    t_g = basis.gate_time
     energies = motional_energies_flat(basis)
-    h_full = motional_hamiltonian(basis, v_cor_operator(expansion, basis))
-    u_full = fock_core.hermitian_expm(h_full, basis.gate_time)
-    echo = np.exp(1j * energies * basis.gate_time)[:, None] * u_full
+    h = fock_core.hermitian_part(
+        motional_hamiltonian(basis, v_cor_operator(expansion, basis)))
     if state_mode == "post_kick":
         d_c, d_r = _branch_displacement_factors(basis)
-        echo = _conjugate_factored(echo, d_c, d_r)
+        phase = np.exp(1j * energies * t_g)
+    amp = np.zeros(energies.size, dtype=complex)
+    for levels, idx in _parity_blocks(h, basis.dims):
+        w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
+        decay = np.exp(-1j * w * t_g)
+        if state_mode == "pre_kick":
+            amp[idx] = (v * v) @ decay
+        else:
+            left = _apply_factored(d_c.conj().T[:, levels], d_r.conj().T,
+                                   phase[idx, None] * v)
+            right = _apply_factored(d_c.T[:, levels], d_r.T, v)
+            amp += (left * right) @ decay
     probs = _thermal_grid_probs(basis, n_bar_c)
-    return float(probs @ (np.abs(np.diag(echo)) ** 2))
+    return float(probs @ (np.abs(amp) ** 2))
+
+
+def _parity_blocks(h: np.ndarray, dims: tuple[int, int]):
+    """(x_c levels, flat indices) of the blocks of h to diagonalize apart.
+
+    Two blocks, the even and the odd x_c levels, when every element of h
+    between them is exactly zero (a V_cor with only even powers of x_c);
+    one block with every level otherwise.
+    """
+    n_c, n_r = dims
+    split = [np.arange(p, n_c, 2) for p in (0, 1)]
+    flat = [(lv[:, None] * n_r + np.arange(n_r)).ravel() for lv in split]
+    if np.any(h[np.ix_(flat[0], flat[1])]):
+        return [(np.arange(n_c), np.arange(n_c * n_r))]
+    return list(zip(split, flat))
 
 
 # ---------------------------------------------------------------------------

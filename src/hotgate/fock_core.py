@@ -65,6 +65,18 @@ def momentum_operator(dim: int, ground_width: float) -> np.ndarray:
     return 1j * (a.conj().T - a) / (2.0 * ground_width)
 
 
+def hermitian_part(h: np.ndarray) -> np.ndarray:
+    """(h + h^dag)/2, after checking that h is hermitian to 10*TOL_HERM
+    relative to max(|h|, 1); keeps the dtype, so a real symmetric h stays
+    real."""
+    h = np.asarray(h)
+    defect = np.abs(h - h.conj().T).max()
+    scale = max(np.abs(h).max(), 1.0)
+    if defect > 10 * TOL_HERM * scale:
+        raise InvalidOperatorError(f"operator is not hermitian (defect {defect:.3e})")
+    return (h + h.conj().T) / 2.0
+
+
 def hermitian_expm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(-i*h*t) for hermitian h, by eigendecomposition.
 
@@ -72,12 +84,7 @@ def hermitian_expm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     truncated spaces, which matters for displacement operators near the
     truncation boundary.
     """
-    h = np.asarray(h)
-    defect = np.abs(h - h.conj().T).max()
-    scale = max(np.abs(h).max(), 1.0)
-    if defect > 10 * TOL_HERM * scale:
-        raise InvalidOperatorError(f"operator is not hermitian (defect {defect:.3e})")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    w, v = np.linalg.eigh(hermitian_part(h))
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 

@@ -31,8 +31,10 @@ from its input:
   truncation.
 * Fock, for every other trap.  One helper propagates the retained thermal
   levels through every M_j; fock_gate_channel contracts those columns into
-  the channel and motional_output into the reduced motional state.  It is
-  also the oracle the phase-space route is tested against.
+  the channel and motional_output into the reduced motional state (which,
+  for the idealized flip in a refocusing trap, is the thermal state with
+  nothing propagated).  It is also the oracle the phase-space route is
+  tested against.
 
 The literal path (kick_unitary / free_propagator / addressed_flip_unitary,
 composed by run_gate) builds full composite unitaries and is the oracle the
@@ -390,7 +392,7 @@ def thermal_motional(basis: ModeBasis, n_bar_c: float) -> fock_core.DensityOp:
     n_c, n_r = basis.dims
     p_c = fock_core.thermal_probabilities(n_bar_c, n_c)
     p_r = fock_core.thermal_probabilities(relative_occupation(n_bar_c), n_r)
-    return fock_core.DensityOp(np.diag(np.kron(p_c, p_r)).astype(complex), check=False)
+    return fock_core.DensityOp(np.diag(np.kron(p_c, p_r).astype(complex)), check=False)
 
 
 def initial_state(basis: ModeBasis, internal, n_bar_c: float = 0.0) -> SystemState:
@@ -760,10 +762,18 @@ def motional_output(
     mass).
     M_r rho_mot comes from the shared K propagated columns; the right factor
     M_c^dag is one more branch application to the conjugate transpose.
+    The idealized flip in a refocusing trap (see gate_channel) makes every
+    M_j equal to -1, so there the output is the full-truncation thermal
+    state times sum_{r,c} Tr[Q_r rho_int Q_c^dag], with nothing propagated.
     """
     internal = np.asarray(internal, dtype=complex)
     if internal.shape != (4, 4):
         raise ValueError("internal must be a 4x4 density matrix")
+    if flip_mode == "idealized" and _refocuses(basis, schedule):
+        q = sum(q_j for _, _, q_j in _branch_terms(schedule, flip_mode))
+        rho = thermal_motional(basis, n_bar_c)
+        rho.matrix *= np.trace(q @ internal @ q.conj().T).real
+        return rho
     n_c, n_r = basis.dims
     m = n_c * n_r
     ops, terms, outs, probs, flat, _, _ = _thermal_columns(

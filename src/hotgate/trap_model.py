@@ -327,27 +327,35 @@ def anharmonic_expansion(spec: TrapSpec, order: int = 3,
 
 
 def v_cor_operator(expansion: AnharmonicExpansion, basis: ModeBasis) -> np.ndarray:
-    """V_cor as a dense hermitian operator on Fock(n_c) (x) Fock(n_r)."""
+    """V_cor as a dense real symmetric operator on Fock(n_c) (x) Fock(n_r).
+
+    x_c and x_r are real in the Fock basis, and so are the coefficients, so
+    the operator is real.  Each power x_c^a connects levels of equal parity
+    when a is even; with the mirror-symmetric expansion every x_c block
+    between levels of opposite parity is exactly zero, which
+    analysis.exact_anharmonic_fidelity uses.
+    """
     n_c, n_r = basis.dims
-    x_c = fock_core.position_operator(n_c, basis.width_c)
-    x_r = fock_core.position_operator(n_r, basis.width_r)
+    x_c = fock_core.position_operator(n_c, basis.width_c).real
+    x_r = fock_core.position_operator(n_r, basis.width_r).real
     max_a = max((a for a, _ in expansion.coefficients), default=0)
     max_b = max((b for _, b in expansion.coefficients), default=0)
-    pow_c = [np.eye(n_c, dtype=complex)]
+    pow_c = [np.eye(n_c)]
     for _ in range(max_a):
         pow_c.append(pow_c[-1] @ x_c)
-    pow_r = [np.eye(n_r, dtype=complex)]
+    pow_r = [np.eye(n_r)]
     for _ in range(max_b):
         pow_r.append(pow_r[-1] @ x_r)
-    out = np.zeros((n_c * n_r, n_c * n_r), dtype=complex)
+    out = np.zeros((n_c * n_r, n_c * n_r))
     for (a, b), c in sorted(expansion.coefficients.items()):
         out += c * np.kron(pow_c[a], pow_r[b])
-    return (out + out.conj().T) / 2.0
+    return (out + out.T) / 2.0
 
 
 def motional_hamiltonian(basis: ModeBasis, v_cor: np.ndarray | None = None) -> np.ndarray:
-    """H of the two modes: diagonal harmonic part plus optional V_cor."""
-    h = np.diag(motional_energies_flat(basis)).astype(complex)
+    """H of the two modes: diagonal harmonic part plus optional V_cor; real
+    unless v_cor is complex."""
+    h = np.diag(motional_energies_flat(basis))
     if v_cor is not None:
         h = h + v_cor
     return h

@@ -51,6 +51,31 @@ def test_unitary_channel_purity_is_one():
     assert an.average_purity(ch) == pytest.approx(1.0, abs=1e-12)
 
 
+def _purity_by_frame_loop(channel):
+    """The 36-state average, one apply per kron product of axis states."""
+    total = 0.0
+    for ket in (np.kron(a, b) for a in an._QUBIT_FRAME for b in an._QUBIT_FRAME):
+        out = channel.apply(np.outer(ket, ket.conj()))
+        total += np.einsum("ab,ba->", out, out).real
+    return total / 36.0
+
+
+def test_average_purity_matches_frame_state_loop(spec):
+    basis = tm.build_mode_basis(spec, eta=4.0, n_bar_c=0.5)
+    schedule, _ = gp.build_schedule(basis, n_bar_c=0.5)
+    gate = an.QuantumChannel(gp.gate_channel(basis, schedule, n_bar_c=0.5).choi)
+    rng = np.random.default_rng(5)
+    mats = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    # Kraus operators K_j = M_j S^{-1/2} with S = sum_j M_j^dag M_j
+    w, v = np.linalg.eigh(np.einsum("jba,jbc->ac", mats.conj(), mats))
+    kraus = an.QuantumChannel.from_kraus(mats @ (v / np.sqrt(w)) @ v.conj().T)
+    assert kraus.trace_preservation_defect() < 1e-12
+    for channel in (gate, kraus):
+        purity = an.average_purity(channel)
+        assert purity < 1.0 - 1e-3
+        assert abs(purity - _purity_by_frame_loop(channel)) <= 1e-14
+
+
 def test_depolarizing_apply_formula():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -224,6 +249,51 @@ def test_pre_and_post_kick_pictures_agree_when_small(spec):
     assert abs(pre.f_cor - post.f_cor) < 1e-6
     assert pre.to_dict()["state_mode"] == "pre_kick"
     assert post.to_dict()["state_mode"] == "post_kick"
+
+
+def _dense_exact_fidelity(basis, expansion, n_bar_c, state_mode):
+    """The exact overlap from the dense gate unitary: echo = e^{i H0 t_g}
+    e^{-i H t_g}, conjugated with the kick displacement from both sides in
+    the post-kick picture."""
+    energies = tm.motional_energies_flat(basis)
+    h = tm.motional_hamiltonian(basis, tm.v_cor_operator(expansion, basis))
+    echo = np.exp(1j * energies * basis.gate_time)[:, None] \
+        * fc.hermitian_expm(h, basis.gate_time)
+    if state_mode == "post_kick":
+        d = np.kron(fc.displacement(1j * basis.eta_c, basis.dims[0]),
+                    fc.displacement(-1j * basis.eta_r, basis.dims[1]))
+        echo = d.conj().T @ echo @ d
+    p = np.kron(fc.thermal_probabilities(n_bar_c, basis.dims[0]),
+                fc.thermal_probabilities(tm.relative_occupation(n_bar_c), basis.dims[1]))
+    return float(p @ np.abs(np.diag(echo)) ** 2)
+
+
+@pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
+@pytest.mark.parametrize("scale", [1.0, 32.0])
+@pytest.mark.parametrize("order", [3, 6])
+@pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0])
+def test_exact_fidelity_matches_dense_echo(exponent, order, scale, state_mode):
+    spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
+    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
+    expansion = tm.anharmonic_expansion(spec, order=order).scaled(scale)
+    h = tm.motional_hamiltonian(basis, tm.v_cor_operator(expansion, basis))
+    assert len(an._parity_blocks(h, basis.dims)) == 2
+    got = an.exact_anharmonic_fidelity(basis, expansion, 1.0, state_mode)
+    assert got < 1.0 - 1e-7
+    assert abs(got - _dense_exact_fidelity(basis, expansion, 1.0, state_mode)) <= 1e-14
+
+
+@pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
+def test_exact_fidelity_odd_xc_power_takes_one_block(spec, state_mode):
+    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
+    # x_c x_r^2 couples x_c levels of opposite parity
+    expansion = tm.AnharmonicExpansion(order=3, coefficients={(1, 2): 0.1},
+                                       x_e=basis.x_e)
+    h = tm.motional_hamiltonian(basis, tm.v_cor_operator(expansion, basis))
+    assert len(an._parity_blocks(h, basis.dims)) == 1
+    got = an.exact_anharmonic_fidelity(basis, expansion, 1.0, state_mode)
+    assert got < 1.0 - 1e-7
+    assert abs(got - _dense_exact_fidelity(basis, expansion, 1.0, state_mode)) <= 1e-14
 
 
 def test_anharmonic_state_mode_validation(anharmonic_setup):

@@ -67,6 +67,15 @@ def test_hermitian_expm_matches_scipy():
         fc.hermitian_expm(h, t), scipy.linalg.expm(-1j * t * h), atol=1e-12)
 
 
+def test_hermitian_part_keeps_real_dtype_and_checks_symmetry():
+    h = np.array([[1.0, 2.0], [2.0 + 1e-12, -3.0]])
+    part = fc.hermitian_part(h)
+    assert part.dtype == np.float64
+    np.testing.assert_array_equal(part, part.T)
+    with pytest.raises(InvalidOperatorError):
+        fc.hermitian_part(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_hermitian_expm_rejects_nonhermitian():
     with pytest.raises(InvalidOperatorError):
         fc.hermitian_expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)

@@ -381,6 +381,22 @@ def test_motional_output_idealized_returns_thermal(spec):
     assert fc.trace_distance(rho, ref) < 1e-12
 
 
+def test_motional_output_idealized_off_ratio_matches_composite_route():
+    # nu_r / nu_c = sqrt(3): the idealized flip does not refocus, so the
+    # output comes from the propagated Fock columns
+    odd = tm.TrapSpec.normalized(exponent=2.0)
+    basis = make_basis(odd, eta=1.2, dims=(8, 6))
+    schedule, _ = gp.build_schedule(basis, n_bar_c=0.2)
+    assert not gp._refocuses(basis, schedule)
+    internal = np.full((4, 4), 0.25, dtype=complex)
+    got = gp.motional_output(basis, schedule, internal, n_bar_c=0.2,
+                             flip_mode="idealized")
+    init = gp.initial_state(basis, internal, n_bar_c=0.2)
+    ref = gp.run_gate(schedule, init, basis, flip_mode="idealized")
+    assert fc.trace_distance(got, gp.thermal_motional(basis, 0.2)) > 1e-3
+    assert fc.trace_distance(got, ref.motional_density()) <= 1e-10
+
+
 def test_motional_output_matches_composite_route(spec):
     basis = make_basis(spec, eta=1.5, dims=(14, 9))
     schedule, _ = gp.build_schedule(basis, n_bar_c=0.3)

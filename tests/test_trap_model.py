@@ -248,3 +248,12 @@ def test_motional_hamiltonian_diagonal_harmonic(spec):
     basis = tm.build_mode_basis(spec, eta=0.1, dims=(3, 2))
     h = tm.motional_hamiltonian(basis)
     np.testing.assert_allclose(h, np.diag(tm.motional_energies_flat(basis)), atol=0)
+
+
+def test_v_cor_and_hamiltonian_are_real(spec):
+    basis = tm.build_mode_basis(spec, eta=0.45, dims=(6, 5))
+    v = tm.v_cor_operator(tm.anharmonic_expansion(spec, order=6), basis)
+    assert v.dtype == np.float64
+    np.testing.assert_array_equal(v, v.T)
+    assert tm.motional_hamiltonian(basis).dtype == np.float64
+    assert tm.motional_hamiltonian(basis, v).dtype == np.float64
