@@ -8,10 +8,10 @@ Layers, bottom to top:
   separation, normal modes, the commensurability condition nu_r = 2 nu_c,
   and the anharmonic correction to the two-mode picture.
 * gate_protocol — the kick / free-flight / addressed-flip / closing-kick
-  schedule, its condition solver, the gate channel (a 1-D Gaussian
-  integral over ion 1's position in the commensurate trap, propagated
-  thermal Fock columns otherwise), the motional output from those columns,
-  and the literal composite-unitary path that tests use as their oracle.
+  schedule, its condition solver, the gate channel (1-D Gaussian integrals
+  over ion 1's position, in any harmonic trap), the motional output from
+  propagated thermal Fock columns, which are also the channel's oracle, and
+  the literal composite-unitary path that tests use as their oracle.
 * analysis — separation curves, channel fidelity/purity, the perturbative
   anharmonic fidelity with its exact-propagation cross-check, and grid scans.
 * cli — the `hotgate` command.

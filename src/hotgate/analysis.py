@@ -153,25 +153,10 @@ class QuantumChannel:
         j4 = self.choi.reshape(d, d, d, d)  # [in, out, in', out']
         return np.einsum("iajb,ij->ab", j4, np.asarray(rho, dtype=complex))
 
-    def compose(self, other: "QuantumChannel") -> "QuantumChannel":
-        """self after other (matrix-product order)."""
-        d = other.dim
-        choi = np.zeros((d * d, d * d), dtype=complex)
-        j4 = choi.reshape(d, d, d, d)
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                j4[i, :, j, :] = self.apply(other.apply(e))
-        return QuantumChannel(choi)
-
     def trace_preservation_defect(self) -> float:
         d = self.dim
         tr_out = np.einsum("iaja->ij", self.choi.reshape(d, d, d, d))
         return float(np.abs(tr_out - np.eye(d)).max())
-
-    def is_trace_preserving(self, tol: float = 1e-9) -> bool:
-        return self.trace_preservation_defect() <= tol
 
     def is_completely_positive(self, tol: float = 1e-9) -> bool:
         evals = np.linalg.eigvalsh((self.choi + self.choi.conj().T) / 2.0)
@@ -263,7 +248,8 @@ def _apply_factored(a_c: np.ndarray, a_r: np.ndarray, x: np.ndarray) -> np.ndarr
 
 def _thermal_grid_probs(basis: ModeBasis, n_bar_c: float) -> np.ndarray:
     p_c = fock_core.thermal_probabilities(n_bar_c, basis.dims[0])
-    p_r = fock_core.thermal_probabilities(relative_occupation(n_bar_c), basis.dims[1])
+    p_r = fock_core.thermal_probabilities(
+        relative_occupation(n_bar_c, basis.nu_r / basis.nu_c), basis.dims[1])
     return np.kron(p_c, p_r)
 
 
@@ -416,12 +402,10 @@ class GateReport:
     purity: float
     f_cor: float | None
     dims: tuple[int, int]
-    kept: tuple[int, int] | None
     dropped_mass: float
     condition: "gate_protocol.ConditionReport"
     tp_defect: float
     flip_mode: str
-    route: str
 
     def to_dict(self) -> dict:
         out = {
@@ -432,11 +416,9 @@ class GateReport:
             "purity": self.purity,
             "f_cor": self.f_cor,
             "dims": list(self.dims),
-            "kept_levels": None if self.kept is None else list(self.kept),
             "dropped_mass": self.dropped_mass,
             "tp_defect": self.tp_defect,
             "flip_mode": self.flip_mode,
-            "route": self.route,
         }
         out["conditions"] = self.condition.to_dict()
         return out
@@ -491,7 +473,6 @@ def gate_report(
     flip_mode: str = "gaussian",
     anharmonic_order: int | None = 3,
     dims: tuple[int, int] | None = None,
-    mass_cutoff: float = 1e-10,
     omega0_scale: float = 1.0,
     frame_phase: float | None = None,
     target: np.ndarray | None = None,
@@ -506,9 +487,8 @@ def gate_report(
     """
     basis, schedule, condition = _solved_point(
         spec, eta, n_bar_c, rabi_cycles, margin, dims, omega0_scale, frame_phase)
-    gc = gate_protocol.gate_channel(
-        basis, schedule, n_bar_c=n_bar_c, flip_mode=flip_mode,
-        mass_cutoff=mass_cutoff)
+    gc = gate_protocol.gate_channel(basis, schedule, n_bar_c=n_bar_c,
+                                    flip_mode=flip_mode)
     channel = QuantumChannel(gc.choi)
     if target is None:
         target = gate_protocol.ideal_gate()
@@ -521,11 +501,12 @@ def gate_report(
     else:
         f_cor = _anharmonic_point(spec, n_bar_c, anharmonic_order).f_cor
     return GateReport(
-        eta=eta, n_bar_c=n_bar_c, n_bar_r=relative_occupation(n_bar_c),
+        eta=eta, n_bar_c=n_bar_c,
+        n_bar_r=relative_occupation(n_bar_c, basis.nu_r / basis.nu_c),
         fidelity=fidelity, purity=purity, f_cor=f_cor,
-        dims=basis.dims, kept=gc.kept, dropped_mass=gc.dropped_mass,
+        dims=basis.dims, dropped_mass=gc.dropped_mass,
         condition=condition, tp_defect=channel.trace_preservation_defect(),
-        flip_mode=flip_mode, route=gc.route,
+        flip_mode=flip_mode,
     )
 
 
@@ -534,20 +515,18 @@ def fock_route_fidelity(
     eta: float,
     n_bar_c: float,
     flip_mode: str = "gaussian",
-    mass_cutoff: float = 1e-10,
     target: np.ndarray | None = None,
     **point_kw,
 ) -> float:
-    """Average fidelity of gate_report's operating point on the Fock route.
+    """Average fidelity of gate_report's operating point on the Fock oracle.
 
     point_kw are gate_report's rabi_cycles, margin, dims, omega0_scale and
-    frame_phase.  On a commensurate trap gate_report takes the
-    truncation-free phase-space route, and this figure at the same dims
-    measures how far the truncated Fock space is from it.
+    frame_phase.  gate_report's channel has no Fock truncation, so this
+    figure at the same dims measures how far the truncated Fock space is
+    from it.
     """
     basis, schedule, _ = _solved_point(spec, eta, n_bar_c, **point_kw)
-    gc = gate_protocol.fock_gate_channel(basis, schedule, n_bar_c, flip_mode,
-                                         mass_cutoff)
+    gc = gate_protocol.fock_gate_channel(basis, schedule, n_bar_c, flip_mode)
     if target is None:
         target = gate_protocol.ideal_gate()
     return average_fidelity(QuantumChannel(gc.choi), target)

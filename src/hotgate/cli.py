@@ -8,7 +8,8 @@ INI type, its flag and the subcommands that read it; a subcommand's parser
 takes only those flags and rejects the rest, while an INI file may set any
 key.  Outputs are deterministic: data files never carry timestamps (--stamp
 opts in, metadata only), floats print at a fixed significant-digit count,
-and every CSV/JSON records a hash of the resolved settings that produced it.
+and every CSV/JSON records a hash of the resolved settings its subcommand
+reads.
 
 Exit codes: 0 success, 1 bad usage or config, 2 physically infeasible
 request, 3 numerical non-convergence.
@@ -43,11 +44,11 @@ from .errors import (
 _ALL = ("modes", "separation", "conditions", "gate", "scan", "anharmonic")
 _ETA = ("modes", "separation", "conditions", "gate", "anharmonic")
 _SCHEDULE = ("conditions", "gate", "scan")
-_FLIP = ("gate", "scan")
 
 # Every setting, declared once: (section, key, default, type or tuple of
-# allowed values, flag, subcommands whose parser takes the flag, help).
-# An INI file may set any of them; a flag exists only where it is read.
+# allowed values, flag, subcommands that read it, help).  An INI file may
+# set any of them; a flag exists, and the config hash covers the setting,
+# only where it is read.
 _SETTINGS = (
     ("trap", "exponent", 5.0 / 3.0, float, "--exponent", _ALL,
      "power of the confining wall"),
@@ -70,8 +71,8 @@ _SETTINGS = (
     ("gate", "t1_over_tg", 0.01, float, "--t1-over-tg", ("conditions",), None),
     ("gate", "dims", None, str, "--dims", ("separation", "gate"),
      "Fock truncation 'n_c,n_r'"),
-    ("gate", "flip", "gaussian", ("gaussian", "idealized"), "--flip", _FLIP, None),
-    ("gate", "mass_cutoff", 1e-10, float, "--mass-cutoff", _FLIP, None),
+    ("gate", "flip", "gaussian", ("gaussian", "idealized"), "--flip", ("gate", "scan"),
+     None),
     ("gate", "omega0_scale", 1.0, float, "--omega0-scale", ("gate",), None),
     ("gate", "frame_phase", "auto", str, "--frame-phase", ("gate",),
      "'auto' or a phase in radians"),
@@ -80,7 +81,7 @@ _SETTINGS = (
     ("scan", "n_bars", "0,0.5,1", str, "--n-bars", ("scan",),
      "comma-separated n_bar_c grid"),
     ("scan", "anharmonic_order", 3, int, "--anharmonic-order", ("scan",), None),
-    ("anharmonic", "order", 3, int, "--order", ("anharmonic",),
+    ("anharmonic", "order", 3, int, "--order", ("gate", "anharmonic"),
      "expansion order (0 disables)"),
     ("anharmonic", "scale", 1.0, float, "--scale", ("anharmonic",),
      "coefficient scale factor"),
@@ -101,6 +102,7 @@ _SETTINGS = (
 _DEFAULTS = {section: {k: default for s, k, default, *_ in _SETTINGS if s == section}
              for section, *_ in _SETTINGS}
 _KINDS = {(section, key): kind for section, key, _, kind, *_ in _SETTINGS}
+_READERS = {(section, key): commands for section, key, *_, commands, _ in _SETTINGS}
 
 # settings that steer where the data goes but not the data itself
 _HASH_EXCLUDE = {("output", "path")}
@@ -138,10 +140,12 @@ def load_config(path: str | None) -> dict:
 
 
 def config_hash(cfg: dict, command: str) -> str:
+    """sha256 over the resolved settings that command reads, so a setting
+    it ignores cannot change its header."""
     parts = [f"command={command}"]
     for section in sorted(cfg):
         for key in sorted(cfg[section]):
-            if (section, key) in _HASH_EXCLUDE:
+            if (section, key) in _HASH_EXCLUDE or command not in _READERS[(section, key)]:
                 continue
             parts.append(f"{section}.{key}={cfg[section][key]!r}")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
@@ -388,7 +392,6 @@ def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
         rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"],
         flip_mode=cfg["gate"]["flip"], anharmonic_order=order,
         dims=_parse_dims(cfg["gate"]["dims"]),
-        mass_cutoff=cfg["gate"]["mass_cutoff"],
         omega0_scale=cfg["gate"]["omega0_scale"],
         frame_phase=_frame_phase(cfg),
         target=_target_matrix(target_name),
@@ -402,24 +405,16 @@ def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
     text = _json_text("gate", cfg, payload, args.stamp, cfg["output"]["precision"])
     _emit(text, _resolve_path(cfg["output"]["path"]))
     if args.check_convergence:
-        if report.route == "phase_space":
-            # the phase-space figure has no truncation; the Fock route at
-            # the report's dims shows how far that truncation would be off
-            del kwargs["anharmonic_order"]
-            fock = analysis.fock_route_fidelity(
-                spec, eta, cfg["gate"]["n_bar_c"], **{**kwargs, "dims": report.dims})
-            drift = abs(fock - report.fidelity)
-            problem = (f"the Fock route at dims {report.dims[0]},{report.dims[1]} is "
-                       f"{drift:.3e} off the truncation-free phase-space fidelity")
-        else:
-            bumped = tuple(d + 8 for d in report.dims)
-            recheck = analysis.gate_report(
-                spec, eta, cfg["gate"]["n_bar_c"],
-                **{**kwargs, "dims": bumped, "anharmonic_order": None})
-            drift = abs(recheck.fidelity - report.fidelity)
-            problem = f"fidelity moved {drift:.3e} under a truncation bump"
+        # the reported figure has no truncation; the Fock oracle at the
+        # report's dims shows how far that truncation would be off
+        del kwargs["anharmonic_order"]
+        fock = analysis.fock_route_fidelity(
+            spec, eta, cfg["gate"]["n_bar_c"], **{**kwargs, "dims": report.dims})
+        drift = abs(fock - report.fidelity)
         if drift > 1e-6:
-            sys.stderr.write(f"gate: {problem}; increase dims\n")
+            sys.stderr.write(f"gate: the Fock route at dims {report.dims[0]},"
+                             f"{report.dims[1]} is {drift:.3e} off the truncation-"
+                             f"free fidelity; increase dims\n")
             return 3
     return 0
 
@@ -471,8 +466,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     todo = [point for point, key in zip(grid, keys) if key not in existing]
     report_kw = dict(
         rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"],
-        flip_mode=cfg["gate"]["flip"], anharmonic_order=cfg["scan"]["anharmonic_order"],
-        mass_cutoff=cfg["gate"]["mass_cutoff"])
+        flip_mode=cfg["gate"]["flip"], anharmonic_order=cfg["scan"]["anharmonic_order"])
     rows = analysis.scan_rows(spec, todo, **report_kw)
     notes = [_FIDELITY_NOTE,
              "purity: mean Tr[rho_out^2] over the 36 axis product inputs",
@@ -606,8 +600,8 @@ def build_parser() -> _Parser:
                               help="include the perturbative anharmonic fidelity")
     subs["gate"].add_argument(
         "--check-convergence", action="store_true",
-        help="on the phase-space route compare with the Fock route at the "
-             "report's dims; on other traps rerun at dims + 8")
+        help="compare with the Fock route at the report's dims; a fidelity "
+             "gap above 1e-6 exits 3")
     subs["scan"].add_argument("--skip-existing", action="store_true",
                               help="reuse finished rows of an output file "
                                    "written with the same settings")

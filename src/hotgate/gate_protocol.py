@@ -20,21 +20,22 @@ The channel goes through the branch decomposition: the protocol is diagonal
 in qubit 2 and block-diagonal in the sigma^x eigenbasis of qubit 1, so the
 gate is a sum of internal operators Q_j times mode-local motional operators
 M_j, and the internal channel is fixed by the thermal Gram matrix
-T[r, c] = Tr[M_r rho_mot M_c^dag].  gate_channel picks one of two routes
-from its input:
+T[r, c] = Tr[M_r rho_mot M_c^dag].
 
-* phase space, for a commensurate trap whose schedule closes after one COM
-  period.  Both modes then complete whole periods, so
-  M_{b,s} = -exp(-i s theta(X + sigma_b D/2)) with X ion 1's Heisenberg
-  position at t0, a Gaussian of mean x_e/2 and width delta under the
-  thermal state.  T is a 1-D Gaussian integral, free of any Fock
-  truncation.
-* Fock, for every other trap.  One helper propagates the retained thermal
-  levels through every M_j; fock_gate_channel contracts those columns into
-  the channel and motional_output into the reduced motional state (which,
-  for the idealized flip in a refocusing trap, is the thermal state with
-  nothing propagated).  It is also the oracle the phase-space route is
-  tested against.
+gate_channel, for any harmonic trap and schedule, writes
+M_{b,s} = U(t_g) G_b f_{b,s}(X), with X ion 1's Heisenberg position at t0
+and G_b the displacement that imperfect refocusing leaves on branch b.  The
+thermal state is Gaussian, so every entry of T is a 1-D Gaussian integral
+over X (the cross-branch ones at a complex shift, by the characteristic
+function of the Weyl operator G_1^dag G_0), free of any Fock truncation.
+In the commensurate trap closed after one COM period G_b = 1 and the
+integral is the plain average over X.
+
+The Fock route propagates the retained thermal levels through every M_j in
+one helper; fock_gate_channel contracts those columns into the channel (the
+oracle gate_channel is tested against) and motional_output into the
+reduced motional state (which, for the idealized flip in a refocusing trap,
+is the thermal state with nothing propagated).
 
 The literal path (kick_unitary / free_propagator / addressed_flip_unitary,
 composed by run_gate) builds full composite unitaries and is the oracle the
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import erfc, exp, pi, sin, sqrt
+from math import cos, erfc, exp, pi, sin, sqrt
 
 import numpy as np
 
@@ -88,7 +89,9 @@ class AddressedPulse:
 
 
 def gaussian_rabi(pulse: AddressedPulse, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    """Omega(x); x may be complex (the profile is entire), which the
+    cross-branch Gram blocks use."""
+    x = np.asarray(x, dtype=np.result_type(x, 1.0))
     return pulse.omega0 * np.exp(-((x - pulse.center) ** 2) / (2.0 * pulse.width**2))
 
 
@@ -177,7 +180,8 @@ class ConditionReport:
 
 def eta_lower_bound(n_bar_c: float) -> float:
     """Minimum kick strength for branch separation to clear the thermal
-    wavepacket size: sqrt(4*n_bar_c + 2*n_bar_r + 3)/(3*sqrt(3))."""
+    wavepacket size: sqrt(4*n_bar_c + 2*n_bar_r + 3)/(3*sqrt(3)), the
+    paper's bound for the commensurate trap (n_bar_r at nu_r = 2 nu_c)."""
     n_bar_r = relative_occupation(n_bar_c)
     return sqrt(4.0 * n_bar_c + 2.0 * n_bar_r + 3.0) / (3.0 * sqrt(3.0))
 
@@ -219,7 +223,7 @@ def condition_solver(
     n = int(rabi_cycles)
     eta = basis.eta
     x0 = basis.x0
-    n_bar_r = relative_occupation(n_bar_c)
+    n_bar_r = relative_occupation(n_bar_c, basis.nu_r / basis.nu_c)
     big_d = 1.5 * sqrt(3.0) * x0 * eta
     delta = sqrt(n_bar_c + n_bar_r / 2.0 + 0.75) * x0
     big_w = (4.0 * n + 0.5) * big_d
@@ -391,7 +395,8 @@ def thermal_motional(basis: ModeBasis, n_bar_c: float) -> fock_core.DensityOp:
     common temperature set by the COM occupation n_bar_c."""
     n_c, n_r = basis.dims
     p_c = fock_core.thermal_probabilities(n_bar_c, n_c)
-    p_r = fock_core.thermal_probabilities(relative_occupation(n_bar_c), n_r)
+    p_r = fock_core.thermal_probabilities(
+        relative_occupation(n_bar_c, basis.nu_r / basis.nu_c), n_r)
     return fock_core.DensityOp(np.diag(np.kron(p_c, p_r).astype(complex)), check=False)
 
 
@@ -578,7 +583,8 @@ def _thermal_columns(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
     """
     n_c, n_r = basis.dims
     p_c = fock_core.thermal_probabilities(n_bar_c, n_c)
-    p_r = fock_core.thermal_probabilities(relative_occupation(n_bar_c), n_r)
+    p_r = fock_core.thermal_probabilities(
+        relative_occupation(n_bar_c, basis.nu_r / basis.nu_c), n_r)
     k_c = _retained_levels(p_c, mass_cutoff / 2.0)
     k_r = _retained_levels(p_r, mass_cutoff / 2.0)
     probs = np.kron(p_c[:k_c], p_r[:k_r])
@@ -601,11 +607,11 @@ class GateChannel:
     """Internal 4x4 channel of one gate execution over a thermal motion.
 
     choi is sum_ij |i><j| (x) Lambda(|i><j|) (trace 4 for trace preserving);
-    gram holds the motional overlaps Tr[M_r rho_mot M_c^dag].  route is
-    "phase_space" or "fock".  On the Fock route kept is the retained level
-    count per mode and dropped_mass the thermal weight left out; on the
-    phase-space route kept is None and dropped_mass is the Gaussian weight
-    outside the quadrature span.
+    gram holds the motional overlaps Tr[M_r rho_mot M_c^dag].  gate_channel
+    leaves kept None and sets dropped_mass to the Gaussian weight outside
+    its quadrature span; the Fock oracle fock_gate_channel sets kept to the
+    retained level count per mode and dropped_mass to the thermal weight
+    left out.
     """
 
     choi: np.ndarray
@@ -615,7 +621,6 @@ class GateChannel:
     kept: tuple[int, int] | None
     dropped_mass: float
     flip_mode: str
-    route: str
 
     def apply(self, rho_internal: np.ndarray) -> np.ndarray:
         out = np.zeros((4, 4), dtype=complex)
@@ -625,12 +630,11 @@ class GateChannel:
         return out
 
 
-def _channel(basis, terms, gram, flip_mode, route, kept, dropped) -> GateChannel:
+def _channel(basis, terms, gram, flip_mode, kept, dropped) -> GateChannel:
     vq = np.stack([q.T.reshape(16) for _, _, q in terms], axis=1)
     choi = vq @ gram @ vq.conj().T
     return GateChannel(choi=choi, gram=gram, terms=terms, dims=basis.dims,
-                       kept=kept, dropped_mass=dropped, flip_mode=flip_mode,
-                       route=route)
+                       kept=kept, dropped_mass=dropped, flip_mode=flip_mode)
 
 
 def fock_gate_channel(
@@ -641,7 +645,7 @@ def fock_gate_channel(
     mass_cutoff: float = _MASS_CUTOFF,
 ) -> GateChannel:
     """Reconstruct the internal channel by propagating the occupied thermal
-    levels through each branch operator (the Fock route).
+    levels through each branch operator (the Fock oracle of gate_channel).
 
     Only K = (retained c-levels) x (retained r-levels) basis columns are
     ever propagated; mass_cutoff bounds the thermal weight discarded that
@@ -660,7 +664,7 @@ def fock_gate_channel(
             else:
                 gram[r, c] = val
                 gram[c, r] = np.conj(val)
-    return _channel(basis, terms, gram, flip_mode, "fock", kept, dropped)
+    return _channel(basis, terms, gram, flip_mode, kept, dropped)
 
 
 _SPAN = 14.0  # half-width of the quadrature span, in thermal widths of X
@@ -675,23 +679,67 @@ def _refocuses(basis: ModeBasis, schedule: GateSchedule) -> bool:
             and abs(schedule.t_g - basis.gate_time) <= 1e-12 * basis.gate_time)
 
 
+def _residual_displacement(basis: ModeBasis, schedule: GateSchedule,
+                           n_bar_c: float):
+    """(exp(-kappa^2 S_YY / 2), z, a) of the cross-branch Gram blocks.
+
+    The residual displacements G_b of the two branches leave
+    G_1^dag G_0 = exp(i kappa Y), kappa = 2k, Y = x2 - x2(t_g).  On
+    R = (x_c, p_c, x_r, p_r) a Heisenberg position is
+    x_m(t) = cos(nu_m t) x_m + sin(nu_m t)/(m_m nu_m) p_m, so X - x_e/2 and
+    Y are linear forms whose thermal covariances S and commutator
+    [X, Y] = i c_XY give z = kappa (i S_XY - c_XY/2) and a = kappa c_XY
+    (Gaussian characteristic functions: Weedbrook et al., Rev. Mod. Phys.
+    84, 621 (2012)).
+    """
+    n_bar_r = relative_occupation(n_bar_c, basis.nu_r / basis.nu_c)
+    w_c, w_r = basis.width_c, basis.width_r
+    var = np.array([w_c**2 * (2.0 * n_bar_c + 1.0), (2.0 * n_bar_c + 1.0) / (4.0 * w_c**2),
+                    w_r**2 * (2.0 * n_bar_r + 1.0), (2.0 * n_bar_r + 1.0) / (4.0 * w_r**2)])
+
+    def form(t: float, r: float) -> np.ndarray:  # x_c(t) + r x_r(t)
+        return np.array([cos(basis.nu_c * t), sin(basis.nu_c * t) / (basis.m_c * basis.nu_c),
+                         r * cos(basis.nu_r * t),
+                         r * sin(basis.nu_r * t) / (basis.m_r * basis.nu_r)])
+
+    x = form(schedule.t0, 0.5)
+    y = form(0.0, -0.5) - form(schedule.t_g, -0.5)
+    kappa = 2.0 * basis.wavenumber
+    s_xy, s_yy = x @ (var * y), y @ (var * y)
+    c_xy = x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]
+    return exp(-0.5 * kappa**2 * s_yy), kappa * (1j * s_xy - 0.5 * c_xy), kappa * c_xy
+
+
 def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
                       terms) -> np.ndarray:
-    """Gram matrix T[r, c] = E_X[f_r(X) conj(f_c(X))] of a refocusing gate.
+    """Gram matrix of the Gaussian flip as 1-D Gaussian integrals over X.
 
-    Free flight over t_g multiplies the motion by -1, so each branch
-    operator is -K_b^dag exp(-i s theta(x1(t0))) K_b = -f_{b,s}(X): the kick
-    shifts ion 1's Heisenberg position X = x1(t0) by sigma_b D/2
-    (sigma_0 = +1 for the +k branch), and
-    f_{b,s}(x) = exp(-i s theta(x + sigma_b D/2)).  Under the thermal state X
-    is Gaussian with mean x_e/2 and variance
-    width_c^2 (2 n_bar_c + 1) + width_r^2 (2 n_bar_r + 1) / 4.  The integral
-    is a trapezoid rule over +-_SPAN widths whose interval count doubles
+    Each branch operator is M_{b,s} = U(t_g) G_b f_{b,s}(X): X = x1(t0) is
+    ion 1's Heisenberg position at the flip, the opening kick shifts it by
+    sigma_b D/2 (sigma_0 = +1 for the +k branch), so
+    f_{b,s}(x) = exp(-i s theta(x + sigma_b D/2)), and
+    G_b = exp(-i k_b x2(t_g)) exp(i k_b x2), k_0 = k, k_1 = -k, is the
+    displacement that refocusing leaves behind.  U(t_g) cancels in
+    T[r, c] = Tr[M_r rho M_c^dag].  Under the thermal state X is Gaussian
+    with mean x_e/2 and variance
+    width_c^2 (2 n_bar_c + 1) + width_r^2 (2 n_bar_r + 1) / 4.
+
+    * Same branch: T[r, c] = E_X[f_r(X) conj(f_c(X))].
+    * r in branch 0, c in branch 1: with (damp, z, a) from
+      _residual_displacement,
+      T[r, c] = damp E_X[f_r(X + z + a) fbar_c(X + z)], where
+      fbar_c(x) = exp(+i s_c theta(x - D/2)) is the analytic continuation
+      of conj(f_c) to the complex shift.  The (1, 0) block is its conjugate
+      transpose.
+
+    When _refocuses holds, G_b = 1 and the same-branch product already
+    gives the cross blocks, so they are not evaluated apart.  The integrals
+    are a trapezoid rule over +-_SPAN widths whose interval count doubles
     until two successive Gram matrices agree to _GRAM_TOL.
     """
     if schedule.flip is None:
         raise ValueError("gaussian flip requested but schedule.flip is None")
-    n_bar_r = relative_occupation(n_bar_c)
+    n_bar_r = relative_occupation(n_bar_c, basis.nu_r / basis.nu_c)
     delta = sqrt(basis.width_c**2 * (2.0 * n_bar_c + 1.0)
                  + basis.width_r**2 * (2.0 * n_bar_r + 1.0) / 4.0)
     # x1 = x_c + x_r/2 + x_e/2; the kick moves p_c by +k and p_r by -k/2
@@ -700,6 +748,14 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
                   - sin(basis.nu_r * t0) / (4.0 * basis.m_r * basis.nu_r))
     shifts = np.array([half_d if b == 0 else -half_d for b, _, _ in terms])
     signs = np.array([s for _, s, _ in terms])
+    rows = np.array([b == 0 for b, _, _ in terms])
+    cross = None if _refocuses(basis, schedule) else _residual_displacement(
+        basis, schedule, n_bar_c)
+
+    def theta(x, pick):
+        return 0.5 * schedule.flip.duration * gaussian_rabi(
+            schedule.flip, x[None, :] + shifts[pick, None])
+
     previous = None
     intervals = 64
     while intervals <= _MAX_INTERVALS:
@@ -707,10 +763,15 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
         # the end weights are ~1e-43, so the trapezoid rule is the plain sum
         w = np.exp(-0.5 * z * z) * (2.0 * _SPAN / intervals / sqrt(2.0 * pi))
         x = basis.x_e / 2.0 + delta * z
-        theta = 0.5 * schedule.flip.duration * gaussian_rabi(
-            schedule.flip, x[None, :] + shifts[:, None])
-        f = np.exp(-1j * signs[:, None] * theta)
+        f = np.exp(-1j * signs[:, None] * theta(x, slice(None)))
         gram = (f * w) @ f.conj().T
+        if cross is not None:
+            damp, shift, a = cross
+            f_r = np.exp(-1j * signs[rows, None] * theta(x + shift + a, rows))
+            fbar_c = np.exp(1j * signs[~rows, None] * theta(x + shift, ~rows))
+            block = damp * ((f_r * w) @ fbar_c.T)
+            gram[np.ix_(rows, ~rows)] = block
+            gram[np.ix_(~rows, rows)] = block.conj().T
         if previous is not None and np.max(np.abs(gram - previous)) <= _GRAM_TOL:
             return gram
         previous = gram
@@ -725,25 +786,28 @@ def gate_channel(
     schedule: GateSchedule,
     n_bar_c: float = 0.0,
     flip_mode: str = "gaussian",
-    mass_cutoff: float = _MASS_CUTOFF,
 ) -> GateChannel:
-    """Internal channel of the gate over the thermal motion.
+    """Internal channel of the gate over the thermal motion, in any harmonic
+    trap and for any schedule.
 
-    A commensurate trap whose schedule closes after one COM period takes the
-    phase-space route (_phase_space_gram; every f is 1 for the idealized
-    flip), which involves no Fock truncation, so dims and mass_cutoff do not
-    enter.  Any other trap takes fock_gate_channel.
+    The Gram matrix comes from _phase_space_gram, with no Fock truncation,
+    so basis.dims does not enter.  For the idealized flip every f is 1 and
+    the Gram matrix is [[1, damp], [damp, 1]] with
+    damp = exp(-kappa^2 S_YY / 2) of _residual_displacement, all ones when
+    the schedule refocuses.  fock_gate_channel is the oracle it is tested
+    against.
     """
-    if not _refocuses(basis, schedule):
-        return fock_gate_channel(basis, schedule, n_bar_c, flip_mode, mass_cutoff)
     terms = _branch_terms(schedule, flip_mode)
     if flip_mode == "idealized":
         gram = np.ones((len(terms), len(terms)), dtype=complex)
+        if not _refocuses(basis, schedule):
+            damp = _residual_displacement(basis, schedule, n_bar_c)[0]
+            gram[0, 1] = gram[1, 0] = damp
         dropped = 0.0
     else:
         gram = _phase_space_gram(basis, schedule, n_bar_c, terms)
         dropped = erfc(_SPAN / sqrt(2.0))
-    return _channel(basis, terms, gram, flip_mode, "phase_space", None, dropped)
+    return _channel(basis, terms, gram, flip_mode, None, dropped)
 
 
 def motional_output(

@@ -171,13 +171,18 @@ def solve_exponent_for_ratio(target_ratio: float, p_max: float = 400.0) -> float
     return p_star
 
 
-def relative_occupation(n_bar_c: float) -> float:
+def relative_occupation(n_bar_c: float, ratio: float = 2.0) -> float:
     """Thermal occupation of the stretch mode when both modes share the
-    temperature that gives the COM mode n_bar_c (commensurate trap,
-    nu_r = 2*nu_c)."""
+    temperature that gives the COM mode n_bar_c, for nu_r = ratio * nu_c:
+    1/((1 + 1/n_bar_c)^ratio - 1).  The commensurate ratio 2 takes the
+    equal closed form n_bar_c^2/(2 n_bar_c + 1)."""
     if n_bar_c < 0:
         raise ValueError("n_bar_c must be non-negative")
-    return n_bar_c**2 / (2.0 * n_bar_c + 1.0)
+    if ratio == 2.0:
+        return n_bar_c**2 / (2.0 * n_bar_c + 1.0)
+    if n_bar_c == 0:
+        return 0.0
+    return 1.0 / ((1.0 + 1.0 / n_bar_c) ** ratio - 1.0)
 
 
 @dataclass(frozen=True)
@@ -257,7 +262,7 @@ def build_mode_basis(
     if commensurate:
         assert abs(eta_r - eta / 2.0) <= 1e-12 * max(eta, 1.0)
     if dims is None:
-        n_bar_r = relative_occupation(n_bar_c)
+        n_bar_r = relative_occupation(n_bar_c, nu_r / nu_c)
         dims = (fock_core.default_fock_dim(n_bar_c, eta_c),
                 fock_core.default_fock_dim(n_bar_r, eta_r))
     return ModeBasis(nu_c=nu_c, nu_r=nu_r, m_c=m_c, m_r=m_r, x_e=x_e,

@@ -163,6 +163,11 @@ def test_gate_anharmonic_column(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert 0.99999 < doc["f_cor"] < 1.0
+    # gate reads [anharmonic] order, so it takes the flag too
+    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--idealized-flip",
+                     "--anharmonic", "--order", "0")
+    assert rc == 0
+    assert json.loads(out)["f_cor"] == 1.0
 
 
 def test_gate_check_convergence(capsys):
@@ -170,18 +175,18 @@ def test_gate_check_convergence(capsys):
     rc, out, _ = run(capsys, *ok)
     assert rc == 0
     doc = json.loads(out)
-    assert doc["route"] == "phase_space" and doc["kept_levels"] is None
+    assert "route" not in doc and "kept_levels" not in doc
     cramped = ("gate", "--eta", "1.5", "--dims", "8,6", "--check-convergence")
     rc, out, err = run(capsys, *cramped)
     assert rc == 3
     assert "truncation" in err
     assert json.loads(out)["command"] == "gate"  # the partial result is still emitted
-    # off the commensurate ratio the check reruns the Fock route at dims + 8
+    # off the commensurate ratio the check compares with the Fock route too
     rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--exponent", "2",
                      "--check-convergence")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["route"] == "fock" and len(doc["kept_levels"]) == 2
+    assert "route" not in doc and "kept_levels" not in doc
 
 
 def test_gate_unconverged_quadrature_exits_3(capsys):
@@ -248,19 +253,28 @@ def test_config_hash_ignores_execution_only_settings():
     base = cli.config_hash(cfg, "scan")
     cfg["output"]["path"] = "/somewhere/else.csv"
     assert cli.config_hash(cfg, "scan") == base
-    cfg["gate"]["mass_cutoff"] = 1e-8
+    cfg["gate"]["margin"] = 4.0
     assert cli.config_hash(cfg, "scan") != base
+
+
+def test_config_hash_covers_only_settings_the_command_reads():
+    cfg = cli.load_config(None)
+    base = {cmd: cli.config_hash(cfg, cmd) for cmd in ("gate", "scan", "anharmonic")}
+    cfg["anharmonic"]["order"] = 4  # read by gate --anharmonic, not by scan
+    assert cli.config_hash(cfg, "gate") != base["gate"]
+    assert cli.config_hash(cfg, "anharmonic") != base["anharmonic"]
+    assert cli.config_hash(cfg, "scan") == base["scan"]
 
 
 # config-hash of the built-in defaults, per subcommand; a change here changes
 # the header of every output file
 _DEFAULT_HASHES = {
-    "modes": "be12b086bd75a6bc5ef930602e93b98dff7b20b317597fe7d0b4027220e86e9b",
-    "separation": "37dd87d470bac35ce0175ee892ba0b01b2ad0c5336dc3236e641179dd1f3a01a",
-    "conditions": "38823832b208c38c1c630f00c74663dc07612d6dad4f87aee82af81d8e40a82b",
-    "gate": "6b4adfb9f96577d264db301c14cb9a78cee419da95a4cee4fa44e653e15cf3c9",
-    "scan": "933fcb48d5170c0121b4a291c67b488dbe6f201cdc6681b5979bef62a26e64de",
-    "anharmonic": "06b53f662a7a9fd44b0341b22b5eecee1dbec23692a51dd9f2ca59ec4e9effbb",
+    "modes": "fd5e16a73342c8ee76bc35f86ce447934f0eefd5ee663931fc0356d51bead767",
+    "separation": "e99f0ed56a50f71b26cddd942756d0b0cb24beab6b4681a92946c5311e94be89",
+    "conditions": "3d9ec494a9be9a370202ee4069602e7dc1c819d5bf23cc8aa09b73cde72b5be0",
+    "gate": "7d8a6eb7db93b424e8810ce50ae8dc8d705dbc4664d79cdf1c5eed44d2e334d3",
+    "scan": "b3beec4335b76e2570116ec97e0885fbb8b9969000817a0b3b446e1c68b49b63",
+    "anharmonic": "a1e497014304831e5804e18386dff798ea68dcb2a85a7929f914d38c12d00c90",
 }
 
 
@@ -341,6 +355,26 @@ def test_scan_skip_existing_ignores_rows_of_other_settings(capsys, tmp_path):
     assert rc == 0
     assert run(capsys, *_SCAN_ARGS, *changed, "--output", str(fresh))[0] == 0
     assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_scan_skip_existing_ignores_settings_scan_does_not_read(capsys, tmp_path,
+                                                               monkeypatch):
+    from hotgate import analysis
+
+    args = ("scan", "--etas", "2", "--n-bars", "0", "--anharmonic-order", "0")
+    out = tmp_path / "grid.csv"
+    assert run(capsys, *args, "--output", str(out))[0] == 0
+    first = out.read_bytes()
+    ini = tmp_path / "conditions.ini"
+    ini.write_text("[gate]\nt1_over_tg = 0.002\n")  # read by conditions only
+    calls = []
+    monkeypatch.setattr(analysis, "gate_report",
+                        lambda *a, **kw: calls.append(a[1:3]))
+    rc, _, _ = run(capsys, *args, "--config", str(ini), "--output", str(out),
+                   "--skip-existing")
+    assert rc == 0
+    assert calls == []  # every row reused
+    assert out.read_bytes() == first
 
 
 def test_scan_resumes_after_interrupt(capsys, tmp_path, monkeypatch):

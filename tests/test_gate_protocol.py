@@ -4,8 +4,9 @@ The heavyweight check here is dual-route: the internal channel assembled from
 factorized branch operators (fock_gate_channel) must reproduce, matrix element
 by matrix element, the channel reconstructed by literally evolving composite
 density matrices through run_gate.  The two code paths share no plumbing
-beyond the elementary operator constructors.  The phase-space channel of the
-commensurate trap is in turn checked against the Fock route.
+beyond the elementary operator constructors.  The truncation-free channel of
+gate_channel is in turn checked against the Fock route, on refocusing and
+non-refocusing gates alike.
 """
 
 import math
@@ -263,18 +264,16 @@ def test_gate_channel_matches_composite_evolution(spec):
     basis = make_basis(spec, eta=1.2, dims=(16, 10))
     schedule, _ = gp.build_schedule(basis, n_bar_c=0.4)
     ch = gp.fock_gate_channel(basis, schedule, n_bar_c=0.4, mass_cutoff=0.0)
-    assert ch.route == "fock"
     assert ch.kept == basis.dims  # cutoff 0 keeps the whole rectangle
     choi_ref = _channel_choi_by_state_runs(basis, schedule, 0.4)
     np.testing.assert_allclose(ch.choi, choi_ref, atol=1e-10)
-    # off the commensurate ratio (nu_r/nu_c = sqrt(3)) the public entry
-    # point takes the Fock route
+    # off the commensurate ratio (nu_r/nu_c = sqrt(3)) the branch operators
+    # do not refocus; the Fock oracle still follows the literal evolution
     odd = tm.TrapSpec.normalized(exponent=2.0)
     basis = make_basis(odd, eta=1.2, dims=(8, 6))
     assert not basis.commensurate
     schedule, _ = gp.build_schedule(basis, n_bar_c=0.4)
-    ch = gp.gate_channel(basis, schedule, n_bar_c=0.4, mass_cutoff=0.0)
-    assert ch.route == "fock"
+    ch = gp.fock_gate_channel(basis, schedule, n_bar_c=0.4, mass_cutoff=0.0)
     assert ch.kept == basis.dims
     choi_ref = _channel_choi_by_state_runs(basis, schedule, 0.4)
     np.testing.assert_allclose(ch.choi, choi_ref, atol=1e-10)
@@ -283,7 +282,6 @@ def test_gate_channel_matches_composite_evolution(spec):
 def _cross_route(basis, schedule, n_bar_c, flip_mode="gaussian"):
     ps = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode=flip_mode)
     fock = gp.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode=flip_mode)
-    assert ps.route == "phase_space" and fock.route == "fock"
     return ps, fock
 
 
@@ -310,16 +308,72 @@ def test_phase_space_channel_matches_fock_route(spec):
         np.testing.assert_allclose(ps.gram, fock.gram, rtol=0, atol=1e-9)
         np.testing.assert_allclose(ps.choi, fock.choi, rtol=0, atol=1e-9)
     np.testing.assert_array_equal(ps.gram, np.ones((2, 2)))
-    # a schedule that does not close after one COM period does not refocus
+    # a schedule that does not close after one COM period does not refocus,
+    # and its cross-branch blocks still follow the Fock route
     late = replace(schedule, t_g=1.5 * schedule.t_g)
-    assert gp.gate_channel(basis, late, n_bar_c=0.5).route == "fock"
+    assert not gp._refocuses(basis, late)
+    ps, fock = _cross_route(basis, late, 0.5)
+    np.testing.assert_allclose(ps.gram, fock.gram, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(ps.choi, fock.choi, rtol=0, atol=1e-9)
+
+
+# (exponent, eta, n_bar_c, t_g in COM periods): three traps off the
+# commensurate ratio, and the commensurate trap closed after 1.5 periods
+_UNFOCUSED = [(2.0, 1.5, 0.5, 1.0), (1.7, 2.0, 0.5, 1.0), (2.0, 3.0, 0.5, 1.0),
+              (5.0 / 3.0, 3.0, 0.5, 1.5)]
+
+
+def _unfocused_point(exponent, eta, n_bar_c, periods):
+    """Solved schedule at default dims + 8, where the Fock oracle with
+    mass_cutoff 1e-15 is converged to about 1e-13."""
+    from dataclasses import replace
+
+    basis = make_basis(tm.TrapSpec.normalized(exponent=exponent), eta=eta,
+                       n_bar_c=n_bar_c)
+    basis = basis.with_dims(tuple(d + 8 for d in basis.dims))
+    schedule, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
+    schedule = replace(schedule, t_g=periods * schedule.t_g)
+    assert not gp._refocuses(basis, schedule)
+    return basis, schedule
+
+
+@pytest.mark.parametrize("point", _UNFOCUSED, ids=str)
+def test_gate_channel_matches_fock_oracle_without_refocusing(point):
+    """The residual displacement left by imperfect refocusing enters the
+    cross-branch blocks at a complex shift; the Fock oracle has none of
+    that algebra."""
+    basis, schedule = _unfocused_point(*point)
+    n_bar_c = point[2]
+    ch = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c)
+    fock = gp.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, mass_cutoff=1e-15)
+    np.testing.assert_allclose(ch.gram, fock.gram, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ch.choi, fock.choi, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("point", _UNFOCUSED[:3], ids=str)
+def test_idealized_flip_off_ratio_closed_form(point):
+    """Gram [[1, d], [d, 1]], d = exp(-kappa^2 Var(Y)/2), with
+    Var(x_m - x_m(t)) = 2 w_m^2 (2 n_m + 1)(1 - cos nu_m t) per mode."""
+    basis, schedule = _unfocused_point(*point)
+    n_bar_c = point[2]
+    n_bar_r = tm.relative_occupation(n_bar_c, basis.nu_r / basis.nu_c)
+    t_g = schedule.t_g
+    var_y = (2.0 * basis.width_c**2 * (2.0 * n_bar_c + 1.0) * (1.0 - math.cos(basis.nu_c * t_g))
+             + 0.5 * basis.width_r**2 * (2.0 * n_bar_r + 1.0)
+             * (1.0 - math.cos(basis.nu_r * t_g)))
+    d = math.exp(-0.5 * (2.0 * basis.wavenumber) ** 2 * var_y)
+    assert d < 0.99  # far from the all-ones Gram matrix of a refocusing gate
+    ch = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode="idealized")
+    np.testing.assert_allclose(ch.gram, [[1.0, d], [d, 1.0]], rtol=0, atol=1e-15)
+    fock = gp.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode="idealized",
+                                mass_cutoff=1e-15)
+    np.testing.assert_allclose(ch.gram, fock.gram, rtol=0, atol=1e-13)
 
 
 def test_phase_space_golden_point(spec):
     from hotgate.analysis import gate_report
 
     rep = gate_report(spec, 7.0, 0.0, anharmonic_order=None)
-    assert rep.route == "phase_space" and rep.kept is None
     assert rep.fidelity == pytest.approx(0.995563065904545, abs=1e-12)
 
 
@@ -370,6 +424,15 @@ def test_channel_apply_matches_choi_contraction(spec):
     contracted = np.einsum("iajb,ij->ab", ch.choi.reshape(4, 4, 4, 4), rho)
     np.testing.assert_allclose(out, contracted, atol=1e-12)
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
+
+
+def test_thermal_motional_shares_one_temperature_off_ratio():
+    basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=1.0, dims=(6, 5))
+    assert not basis.commensurate
+    p = np.diag(gp.thermal_motional(basis, 0.8).matrix).real.reshape(basis.dims)
+    boltzmann_c = p[1, 0] / p[0, 0]
+    assert p[0, 1] / p[0, 0] == pytest.approx(
+        boltzmann_c ** (basis.nu_r / basis.nu_c), abs=1e-12)
 
 
 def test_motional_output_idealized_returns_thermal(spec):

@@ -147,6 +147,23 @@ def test_relative_occupation_rational_points():
     assert tm.relative_occupation(3.0) == pytest.approx(9.0 / 7.0, rel=1e-15)
 
 
+def test_relative_occupation_at_any_ratio():
+    # nu_r / nu_c = sqrt(3), the exponent-2 trap: 1/(2^sqrt(3) - 1)
+    assert tm.relative_occupation(1.0, 3**0.5) == pytest.approx(0.430663761919, abs=1e-12)
+    beta = 0.7
+    n_c = 1.0 / math.expm1(beta)
+    for ratio in (1.5, 3**0.5, 2.5):
+        assert tm.relative_occupation(n_c, ratio) == pytest.approx(
+            1.0 / math.expm1(ratio * beta), rel=1e-12)
+    assert tm.relative_occupation(0.0, 3**0.5) == 0.0
+
+
+def test_relative_occupation_ratio_two_keeps_the_commensurate_formula():
+    for n in (0.0, 0.5, 1.0, 3.0):
+        assert tm.relative_occupation(n, 2.0) == n**2 / (2.0 * n + 1.0)
+        assert tm.relative_occupation(n) == n**2 / (2.0 * n + 1.0)
+
+
 # --- quantized basis --------------------------------------------------------
 
 
