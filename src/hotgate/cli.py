@@ -527,7 +527,8 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
     payload.update({
         "f_cor_perturbative": rep.f_cor,
         "f_cor_exact": f_exact,
-        "delta": abs(rep.f_cor - f_exact),
+        # a difference of two figures near 1: digits below 1e-15 are roundoff
+        "delta": round(abs(rep.f_cor - f_exact), 15),
         "scale": a["scale"],
         "n_bar_c": n_bar_c,
     })

@@ -14,7 +14,7 @@ class InvalidOperatorError(ValueError):
 
 
 class NoEquilibriumError(RuntimeError):
-    """Static force balance for the ion pair could not be bracketed."""
+    """Static force balance for the ion pair has no solution in double range."""
 
 
 class NonConvergenceError(RuntimeError):

@@ -7,10 +7,11 @@ nu_c) and a stretch mode (x_r, mass m/2, frequency nu_r), with
 
     x1 = x_c + (x_r + x_e)/2,   x2 = x_c - (x_r + x_e)/2.
 
-The frequency ratio nu_r/nu_c depends only on the exponent p, which is what
-makes the commensurate choice (ratio exactly 2, p = 5/3) possible.  The
-residual cubic-and-up Taylor terms of the full potential around equilibrium
-("V_cor") are what the anharmonic error analysis consumes.
+The frequency ratio nu_r/nu_c = sqrt((p+1)/(p-1)) depends only on the
+exponent p, which is what makes the commensurate choice (ratio exactly 2,
+p = 5/3) possible; it inverts in closed form, as the force balance does.
+The residual cubic-and-up Taylor terms of the full potential around
+equilibrium ("V_cor") are what the anharmonic error analysis consumes.
 
 Units: hbar = 1; the reference length is the single-ion ground-state width
 x0 = 1/sqrt(2*m*nu_c).
@@ -19,15 +20,12 @@ x0 = 1/sqrt(2*m*nu_c).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import exp, factorial, log, sqrt
+from math import exp, factorial, inf, log, sqrt
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fock_core
 from .errors import InfeasibleRatioError, NoEquilibriumError
-
-_BRENTQ_RTOL = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -103,24 +101,19 @@ def total_potential(spec: TrapSpec, x_c: float, x_r: float, x_e: float) -> float
 
 
 def equilibrium_separation(spec: TrapSpec) -> float:
-    """Separation x_e where the trap force balances the Coulomb repulsion,
-    found by bracketed root finding (relative tolerance ~1e-14)."""
+    """Separation x_e where the trap force balances the Coulomb repulsion.
 
-    def imbalance(s: float) -> float:
-        return potential_derivative(spec, s / 2.0, 1) - spec.coulomb / s**2
-
+    The balance K*p*(x_e/2)^(p-1) = C/x_e^2 has the closed-form solution
+    x_e = (2^(p-1) * C/(p*K))^(1/(p+1)), taken in log space so steep walls
+    (large p) cannot overflow; there is nothing to bracket or iterate.  A
+    spec whose C/(p*K) over- or underflows a double raises
+    NoEquilibriumError.
+    """
     p = spec.exponent
-    # analytic solution of k*p*(s/2)^(p-1) = C/s^2, taken in log space so
-    # steep walls (large p) cannot overflow
-    guess = exp(((p - 1.0) * log(2.0) + log(spec.coulomb / (p * spec.stiffness)))
-                / (p + 1.0))
-    lo, hi = guess / 2.0, guess * 2.0
-    for _ in range(200):
-        if imbalance(lo) < 0 < imbalance(hi):
-            return brentq(imbalance, lo, hi, rtol=_BRENTQ_RTOL, maxiter=200)
-        lo /= 2.0
-        hi *= 2.0
-    raise NoEquilibriumError("could not bracket the force balance")
+    force_ratio = spec.coulomb / (p * spec.stiffness)
+    if not 0.0 < force_ratio < inf:
+        raise NoEquilibriumError(f"C/(p*K) = {force_ratio} is out of double range")
+    return exp(((p - 1.0) * log(2.0) + log(force_ratio)) / (p + 1.0))
 
 
 def mode_frequencies(spec: TrapSpec, x_e: float | None = None) -> tuple[float, float]:
@@ -143,15 +136,17 @@ def frequency_ratio(spec: TrapSpec) -> float:
 
 
 def solve_exponent_for_ratio(target_ratio: float, p_max: float = 400.0) -> float:
-    """Exponent p whose stretch/COM frequency ratio equals target_ratio.
+    """Exponent p whose stretch/COM frequency ratio equals target_ratio:
+    r = sqrt((p+1)/(p-1)) inverts to p = (r^2+1)/(r^2-1).
 
-    The ratio is monotonically decreasing in p and independent of stiffness
-    and of x_e for the power-law family; both facts are spot-checked at run
-    time.  Unreachable ratios raise InfeasibleRatioError.  p_max stays modest
-    because (x/2)^p overflows IEEE doubles near p ~ 1000; at the default cap
-    the attainable ratios already span (1.0025, ~4.5e4).
+    The curvature route (mode_frequencies) spot-checks at run time that the
+    ratio falls with p and that stiffness leaves it unchanged to 1e-9.
+    Unreachable ratios raise InfeasibleRatioError.  p_max stays modest
+    because (x/2)^p overflows doubles near p ~ 1000; near p = 1 a double p
+    resolves the ratio only to about eps*r^3/4, so p_min = 1 + 5e-5 keeps
+    the 1e-9 check passing and the attainable ratios span (1.0025, 200).
     """
-    p_min = 1.0 + 1e-9
+    p_min = 1.0 + 5e-5
 
     def ratio_at(p: float) -> float:
         return frequency_ratio(TrapSpec(exponent=p))
@@ -159,12 +154,13 @@ def solve_exponent_for_ratio(target_ratio: float, p_max: float = 400.0) -> float
     r_hi, r_lo = ratio_at(p_min), ratio_at(p_max)
     if not r_lo < target_ratio < r_hi:
         raise InfeasibleRatioError(
-            f"ratio {target_ratio} outside attainable range ({r_lo:.6f}, {r_hi:.1f})")
+            f"ratio {target_ratio} outside attainable range ({r_lo:.6f}, {r_hi:.1f}); "
+            "closer to p = 1 a double exponent cannot resolve the ratio to 1e-9")
     samples = [ratio_at(p) for p in (1.2, 2.0, 4.0, 20.0)]
     if not all(a > b for a, b in zip(samples, samples[1:])):
         raise AssertionError("frequency ratio is expected to decrease with p")
-    p_star = brentq(lambda p: ratio_at(p) - target_ratio, p_min, p_max,
-                    xtol=1e-12, rtol=_BRENTQ_RTOL, maxiter=200)
+    r_sq = target_ratio * target_ratio
+    p_star = (r_sq + 1.0) / (r_sq - 1.0)
     stiff = frequency_ratio(TrapSpec(exponent=p_star, stiffness=3.0))
     if abs(stiff - target_ratio) > 1e-9:
         raise AssertionError("frequency ratio unexpectedly depends on stiffness")
@@ -237,7 +233,7 @@ def build_mode_basis(
 
     eta defaults to spec.lamb_dicke.  When the computed frequency ratio is
     within snap_tol of 2, nu_r is snapped to exactly 2*nu_c so that the
-    root-finder's ~1e-12 residue cannot masquerade as gate dephasing.
+    curvature route's roundoff cannot masquerade as gate dephasing.
     Default dims follow fock_core.default_fock_dim per mode, sized by the
     thermal occupations (n_bar_c and its same-temperature stretch partner).
     """

@@ -7,6 +7,10 @@ config, 2 infeasible physics, 3 non-convergence.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,9 +57,13 @@ def test_modes_solve_ratio_round_trip(capsys):
 
 
 def test_modes_infeasible_ratio_exits_2(capsys):
-    rc, _, err = run(capsys, "modes", "--solve-ratio", "1.0001")
-    assert rc == 2
-    assert "infeasible" in err
+    # 1000 lies beyond what a double exponent resolves to the 1e-9 check
+    for ratio in ("1.0001", "1000"):
+        rc, out, err = run(capsys, "modes", "--solve-ratio", ratio)
+        assert rc == 2
+        assert "infeasible" in err
+        assert "Traceback" not in err
+        assert out == ""
 
 
 def test_modes_pulse_train_eta(capsys):
@@ -433,12 +441,26 @@ def test_anharmonic_order_zero_short_circuits(capsys):
 
 
 def test_anharmonic_compares_routes(capsys):
-    rc, out, _ = run(capsys, "anharmonic", "--anh-dims", "20,16")
+    rc, out, _ = run(capsys, "anharmonic", "--anh-dims", "20,16", "--precision", "17")
     assert rc == 0
     doc = json.loads(out)
     assert doc["converged"] is True
     assert 0.999 < doc["f_cor_perturbative"] <= 1.0
     assert doc["delta"] < 1e-6
+    # a difference of two figures near 1: below 1e-15 it is roundoff
+    assert doc["delta"] == round(abs(doc["f_cor_perturbative"] - doc["f_cor_exact"]), 15)
+
+
+# --- start-up ---------------------------------------------------------------
+
+
+def test_import_leaves_scipy_unimported():
+    # scipy is a test oracle only; scipy.optimize was most of the cold start
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, hotgate, hotgate.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 # --- parser behaviour -------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hotgate import fock_core, trap_model as tm
-from hotgate.errors import InfeasibleRatioError
+from hotgate.errors import InfeasibleRatioError, NoEquilibriumError
 
 
 # --- finite-difference helpers ---------------------------------------------
@@ -71,6 +71,28 @@ def test_equilibrium_zeroes_the_gradient(spec):
     assert abs(_mixed_partial(f, 1, 0, h)) * h < 1e-9 * scale
 
 
+@pytest.mark.parametrize("s", [
+    *(tm.TrapSpec(exponent=p, stiffness=0.8, coulomb=1.3)
+      for p in (1.05, 5.0 / 3.0, 2.0, 3.0, 20.0, 400.0)),
+    tm.TrapSpec.normalized(),
+], ids=lambda s: f"p={s.exponent:g},K={s.stiffness:.3g}")
+def test_equilibrium_balances_forces_to_roundoff(s):
+    # the closed form leaves K*p*(x_e/2)^(p-1) - C/x_e^2 at roundoff: within
+    # 8*p*eps of the Coulomb force, relative (measured at most 3.9*p*eps)
+    x_e = tm.equilibrium_separation(s)
+    coulomb_force = s.coulomb / x_e**2
+    trap_force = tm.potential_derivative(s, x_e / 2.0, 1)
+    eps = np.finfo(float).eps
+    assert abs(trap_force - coulomb_force) <= 8.0 * s.exponent * eps * coulomb_force
+
+
+def test_equilibrium_out_of_double_range_raises():
+    with pytest.raises(NoEquilibriumError):
+        tm.equilibrium_separation(tm.TrapSpec(exponent=2.0, stiffness=1e-300, coulomb=1e300))
+    with pytest.raises(NoEquilibriumError):
+        tm.equilibrium_separation(tm.TrapSpec(exponent=2.0, stiffness=1e300, coulomb=1e-300))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         tm.TrapSpec(exponent=1.0)
@@ -122,15 +144,23 @@ def test_frequency_ratio_formula(p, expected):
 
 
 def test_solve_exponent_round_trips():
-    assert tm.solve_exponent_for_ratio(2.0) == pytest.approx(5.0 / 3.0, abs=1e-9)
+    assert tm.solve_exponent_for_ratio(2.0) == 5.0 / 3.0
+    assert tm.solve_exponent_for_ratio(1.7) == 2.0582010582010586
     assert tm.solve_exponent_for_ratio(math.sqrt(3.0)) == pytest.approx(2.0, abs=1e-9)
 
 
+def test_solve_exponent_round_trips_across_the_attainable_range():
+    # r -> p -> frequency_ratio through the curvature route, up to just
+    # inside the limit where a double exponent still resolves r to 1e-9
+    for r in np.geomspace(1.003, 199.99, 60):
+        p = tm.solve_exponent_for_ratio(r)
+        assert abs(tm.frequency_ratio(tm.TrapSpec(exponent=p)) - r) <= 1e-9, r
+
+
 def test_solve_exponent_rejects_unreachable_ratio():
-    with pytest.raises(InfeasibleRatioError):
-        tm.solve_exponent_for_ratio(1.0001)
-    with pytest.raises(InfeasibleRatioError):
-        tm.solve_exponent_for_ratio(1e6)
+    for r in (1.0001, 200.01, 1e3, 1e6):
+        with pytest.raises(InfeasibleRatioError):
+            tm.solve_exponent_for_ratio(r)
 
 
 def test_relative_occupation_is_bose_at_double_frequency():
