@@ -6,7 +6,8 @@ Layers, bottom to top:
   thermal states, tensor products, partial traces, the truncation heuristic.
 * trap_model — statics of two ions in a power-law trap: equilibrium
   separation, normal modes, the commensurability condition nu_r = 2 nu_c,
-  and the anharmonic correction to the two-mode picture.
+  the anharmonic correction to the two-mode picture, and (ModeBasis) the
+  thermal and kick geometry the layers above read.
 * gate_protocol — the kick / free-flight / addressed-flip / closing-kick
   schedule, its condition solver, the gate channel (1-D Gaussian integrals
   over ion 1's position, in any harmonic trap), the motional output from

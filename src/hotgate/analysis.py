@@ -50,15 +50,13 @@ class SeparationCurve:
 
 
 def separation_analytic(basis: ModeBasis, times) -> np.ndarray:
-    """Branch separation d(t) = 2*x0*eta*[sin(nu_c t) - sin(2 nu_c t)/2].
+    """Branch separation d(t) = 2*ModeBasis.half_separation(t) on any trap.
 
-    Follows from the coherent displacements +-i*eta_c, -+i*eta_r of the kick
-    and ion 1's position x1 = x_c + (x_r + x_e)/2; the maximum
-    D = (3*sqrt(3)/2)*x0*eta sits at t0 = 2*pi/(3*nu_c).
+    On the commensurate trap d(t) = 2*x0*eta*[sin(nu_c t) - sin(2 nu_c t)/2],
+    whose maximum D = (3*sqrt(3)/2)*x0*eta sits at t0 = 2*pi/(3*nu_c); off
+    the ratio the peak moves and d(t_g) is no longer zero.
     """
-    t = np.asarray(times, dtype=float)
-    w = basis.nu_c
-    return 2.0 * basis.x0 * basis.eta * (np.sin(w * t) - 0.5 * np.sin(2.0 * w * t))
+    return 2.0 * basis.half_separation(np.asarray(times, dtype=float))
 
 
 def _mean_x_kicked(alpha: complex, width: float, nu: float, dim: int, times):
@@ -232,31 +230,12 @@ def interaction_integral(v: np.ndarray, energies: np.ndarray, length: float) -> 
     return length * np.outer(phi, phi.conj()) * np.sinc(half / np.pi) * np.asarray(v)
 
 
-def _branch_displacement_factors(basis: ModeBasis):
-    d_c = fock_core.displacement(1j * basis.eta_c, basis.dims[0])
-    d_r = fock_core.displacement(-1j * basis.eta_r, basis.dims[1])
-    return d_c, d_r
-
-
 def _apply_factored(a_c: np.ndarray, a_r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(a_c (x) a_r) x for x of shape (a_c.shape[1] * n_r, K), without the kron."""
     n_r = a_r.shape[1]
     t = a_c @ x.reshape(a_c.shape[1], n_r * x.shape[1])
     t = a_r @ t.reshape(a_c.shape[0], n_r, x.shape[1])
     return t.reshape(a_c.shape[0] * a_r.shape[0], x.shape[1])
-
-
-def _thermal_grid_probs(basis: ModeBasis, n_bar_c: float) -> np.ndarray:
-    p_c = fock_core.thermal_probabilities(n_bar_c, basis.dims[0])
-    p_r = fock_core.thermal_probabilities(
-        relative_occupation(n_bar_c, basis.nu_r / basis.nu_c), basis.dims[1])
-    return np.kron(p_c, p_r)
-
-
-def _phase_variance(tilde_v: np.ndarray, probs: np.ndarray):
-    mean = float(np.real(probs @ np.diag(tilde_v)))
-    second = float(np.einsum("j,jk->", probs, np.abs(tilde_v) ** 2))
-    return second - mean * mean, mean
 
 
 @dataclass(frozen=True)
@@ -309,11 +288,13 @@ def anharmonic_fidelity(
     v = v_cor_operator(expansion, basis)
     tilde = interaction_integral(v, energies, basis.gate_time)
     if state_mode == "post_kick":
-        d_c, d_r = _branch_displacement_factors(basis)
+        d_c, d_r = basis.kick_displacements()
         # D^dag tilde D, the right factor as (D^T (D^dag tilde)^T)^T
         tilde = _apply_factored(d_c.conj().T, d_r.conj().T, tilde)
         tilde = _apply_factored(d_c.T, d_r.T, tilde.T).T
-    var, mean = _phase_variance(tilde, _thermal_grid_probs(basis, n_bar_c))
+    probs = np.kron(*basis.thermal_weights(n_bar_c))
+    mean = float(np.real(probs @ np.diag(tilde)))
+    var = float(np.einsum("j,jk->", probs, np.abs(tilde) ** 2)) - mean * mean
     return AnharmonicReport(
         f_cor=1.0 - var, variance=var, mean_phase=mean, dims=basis.dims,
         state_mode=state_mode, order=expansion.order,
@@ -354,7 +335,7 @@ def exact_anharmonic_fidelity(
     h = fock_core.hermitian_part(
         motional_hamiltonian(basis, v_cor_operator(expansion, basis)))
     if state_mode == "post_kick":
-        d_c, d_r = _branch_displacement_factors(basis)
+        d_c, d_r = basis.kick_displacements()
         phase = np.exp(1j * energies * t_g)
     amp = np.zeros(energies.size, dtype=complex)
     for levels, idx in _parity_blocks(h, basis.dims):
@@ -367,8 +348,7 @@ def exact_anharmonic_fidelity(
                                    phase[idx, None] * v)
             right = _apply_factored(d_c.T[:, levels], d_r.T, v)
             amp += (left * right) @ decay
-    probs = _thermal_grid_probs(basis, n_bar_c)
-    return float(probs @ (np.abs(amp) ** 2))
+    return float(np.kron(*basis.thermal_weights(n_bar_c)) @ (np.abs(amp) ** 2))
 
 
 def _parity_blocks(h: np.ndarray, dims: tuple[int, int]):
@@ -502,7 +482,7 @@ def gate_report(
         f_cor = _anharmonic_point(spec, n_bar_c, anharmonic_order).f_cor
     return GateReport(
         eta=eta, n_bar_c=n_bar_c,
-        n_bar_r=relative_occupation(n_bar_c, basis.nu_r / basis.nu_c),
+        n_bar_r=condition.n_bar_r,
         fidelity=fidelity, purity=purity, f_cor=f_cor,
         dims=basis.dims, dropped_mass=gc.dropped_mass,
         condition=condition, tp_defect=channel.trace_preservation_defect(),

@@ -5,7 +5,7 @@ Protocol on the composite space qubit1 (x) qubit2 (x) mode_c (x) mode_r:
 1. a state-dependent momentum kick on ion 2 (sigma+ e^{ikx2} + sigma- e^{-ikx2}),
    which splits the motion into two coherent branches correlated with qubit 2;
 2. free evolution to t0 = 2*pi/(3*nu_c), where the branch separation of ion 1
-   peaks;
+   peaks on the commensurate trap;
 3. a spatially addressed Rabi pulse on ion 1 whose Gaussian profile is tuned
    so one branch sees a half-integer number of Rabi cycles (flip) and the
    other an integer number (no net effect);
@@ -15,6 +15,10 @@ Protocol on the composite space qubit1 (x) qubit2 (x) mode_c (x) mode_r:
 
 In the commensurate harmonic trap the motional state factors out exactly and
 the internal action is a qubit-1 flip conditioned on qubit 2 being |0>.
+
+Every route reads the thermal and kick geometry from trap_model.ModeBasis,
+so on any trap the condition solver tunes the pulse to the same branch
+separation D and thermal spread Delta that the gate channel integrates over.
 
 The channel goes through the branch decomposition: the protocol is diagonal
 in qubit 2 and block-diagonal in the sigma^x eigenbasis of qubit 1, so the
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import cos, erfc, exp, pi, sin, sqrt
+from math import erfc, exp, pi, sqrt
 
 import numpy as np
 
@@ -208,11 +212,13 @@ def condition_solver(
 ) -> tuple[AddressedPulse, ConditionReport]:
     """Solve the addressed-pulse geometry for a thermal operating point.
 
-    With N = rabi_cycles, the construction pins the Gaussian width to
-    W = (4N + 1/2)*D at the branch separation maximum D = (3*sqrt(3)/2)*x0*eta,
-    centers the profile at l = x_e/2 + W (its steepest point sits on ion 1),
-    and fixes the pulse area Omega(x_e/2)*t1/2 = (2N + 1/4)*pi so the two
-    branches see (2N + 1/2)*pi and 2N*pi respectively.
+    D is ion 1's branch separation at the flip time and Delta its thermal
+    spread, both from basis, on any trap; on the commensurate trap D is the
+    maximum (3*sqrt(3)/2)*x0*eta.  With N = rabi_cycles, the construction
+    pins the Gaussian width to W = (4N + 1/2)*D, centers the profile at
+    l = x_e/2 + W (its steepest point sits on ion 1), and fixes the pulse
+    area Omega(x_e/2)*t1/2 = (2N + 1/4)*pi so the two branches see
+    (2N + 1/2)*pi and 2N*pi respectively.
     """
     if int(rabi_cycles) != rabi_cycles or rabi_cycles < 1:
         raise ValueError("rabi_cycles must be a positive integer")
@@ -221,11 +227,8 @@ def condition_solver(
     if margin < 1.0:
         raise ValueError("margin below 1 would defeat the validity flags")
     n = int(rabi_cycles)
-    eta = basis.eta
-    x0 = basis.x0
-    n_bar_r = relative_occupation(n_bar_c, basis.nu_r / basis.nu_c)
-    big_d = 1.5 * sqrt(3.0) * x0 * eta
-    delta = sqrt(n_bar_c + n_bar_r / 2.0 + 0.75) * x0
+    big_d = 2.0 * float(basis.half_separation(basis.flip_time))
+    delta = basis.thermal_spread(n_bar_c)
     big_w = (4.0 * n + 0.5) * big_d
     center = basis.x_e / 2.0 + big_w
     t1 = t1_over_tg * basis.gate_time
@@ -233,7 +236,7 @@ def condition_solver(
     omega_edge = 2.0 * area / t1
     omega0 = omega_edge * exp(0.5)
     bound = eta_lower_bound(n_bar_c)
-    ratio = eta / bound if bound > 0 else float("inf")
+    ratio = basis.eta / bound if bound > 0 else float("inf")
     phase_spread = area * delta / big_w  # d(theta)/dx at x_e/2 times Delta
     satisfied = {
         "separation_hierarchy": big_w > big_d > delta * margin,
@@ -245,7 +248,8 @@ def condition_solver(
     }
     pulse = AddressedPulse(omega0=omega0, center=center, width=big_w, duration=t1)
     report = ConditionReport(
-        eta=eta, n_bar_c=n_bar_c, n_bar_r=n_bar_r, rabi_cycles=n, margin=margin,
+        eta=basis.eta, n_bar_c=n_bar_c, n_bar_r=basis.stretch_occupation(n_bar_c),
+        rabi_cycles=n, margin=margin,
         big_d=big_d, delta=delta, big_w=big_w, center=center, t1=t1,
         omega0=omega0, omega0_t1=omega0 * t1, pulse_area=area,
         w_over_d=big_w / big_d, eta_bound=bound, eta_bound_ratio=ratio,
@@ -281,17 +285,13 @@ def build_schedule(
 def _kick_factors(basis: ModeBasis, pulse: KickPulse):
     """Mode displacement factors and constant phase of e^{+ik x2}.
 
-    x2 = x_c - (x_r + x_e)/2, so the +k branch displaces mode c by +i*eta_c,
-    mode r by -i*eta_r, and carries the constant phase e^{-i k x_e/2}.
+    x2 = x_c - (x_r + x_e)/2, so the +k branch displaces the modes by
+    basis.kick_displacements() and carries the constant phase e^{-i k x_e/2}.
     """
-    k_eff = pulse.eta_effective / basis.x0
-    eta_c = k_eff * basis.width_c
-    eta_r = (k_eff / 2.0) * basis.width_r
-    n_c, n_r = basis.dims
-    d_c = fock_core.displacement(1j * eta_c, n_c)
-    d_r = fock_core.displacement(-1j * eta_r, n_r)
-    phase = np.exp(-0.5j * k_eff * basis.x_e)
-    return d_c, d_r, phase
+    if pulse.eta_effective != basis.eta:
+        raise ValueError(f"kick eta {pulse.eta_effective} is not the basis eta {basis.eta}")
+    d_c, d_r = basis.kick_displacements()
+    return d_c, d_r, np.exp(-0.5j * basis.wavenumber * basis.x_e)
 
 
 def kick_unitary(basis: ModeBasis, pulse: KickPulse) -> np.ndarray:
@@ -393,11 +393,8 @@ class SystemState:
 def thermal_motional(basis: ModeBasis, n_bar_c: float) -> fock_core.DensityOp:
     """Product of truncation-renormalized thermal states of both modes, at the
     common temperature set by the COM occupation n_bar_c."""
-    n_c, n_r = basis.dims
-    p_c = fock_core.thermal_probabilities(n_bar_c, n_c)
-    p_r = fock_core.thermal_probabilities(
-        relative_occupation(n_bar_c, basis.nu_r / basis.nu_c), n_r)
-    return fock_core.DensityOp(np.diag(np.kron(p_c, p_r).astype(complex)), check=False)
+    probs = np.kron(*basis.thermal_weights(n_bar_c))
+    return fock_core.DensityOp(np.diag(probs.astype(complex)), check=False)
 
 
 def initial_state(basis: ModeBasis, internal, n_bar_c: float = 0.0) -> SystemState:
@@ -582,9 +579,7 @@ def _thermal_columns(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
     flat the indices of those levels in the n_c * n_r product basis.
     """
     n_c, n_r = basis.dims
-    p_c = fock_core.thermal_probabilities(n_bar_c, n_c)
-    p_r = fock_core.thermal_probabilities(
-        relative_occupation(n_bar_c, basis.nu_r / basis.nu_c), n_r)
+    p_c, p_r = basis.thermal_weights(n_bar_c)
     k_c = _retained_levels(p_c, mass_cutoff / 2.0)
     k_r = _retained_levels(p_r, mass_cutoff / 2.0)
     probs = np.kron(p_c[:k_c], p_r[:k_r])
@@ -621,13 +616,6 @@ class GateChannel:
     kept: tuple[int, int] | None
     dropped_mass: float
     flip_mode: str
-
-    def apply(self, rho_internal: np.ndarray) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        for r, (_, _, q_r) in enumerate(self.terms):
-            for c, (_, _, q_c) in enumerate(self.terms):
-                out += self.gram[r, c] * (q_r @ rho_internal @ q_c.conj().T)
-        return out
 
 
 def _channel(basis, terms, gram, flip_mode, kept, dropped) -> GateChannel:
@@ -684,26 +672,16 @@ def _residual_displacement(basis: ModeBasis, schedule: GateSchedule,
     """(exp(-kappa^2 S_YY / 2), z, a) of the cross-branch Gram blocks.
 
     The residual displacements G_b of the two branches leave
-    G_1^dag G_0 = exp(i kappa Y), kappa = 2k, Y = x2 - x2(t_g).  On
-    R = (x_c, p_c, x_r, p_r) a Heisenberg position is
-    x_m(t) = cos(nu_m t) x_m + sin(nu_m t)/(m_m nu_m) p_m, so X - x_e/2 and
-    Y are linear forms whose thermal covariances S and commutator
+    G_1^dag G_0 = exp(i kappa Y), kappa = 2k, Y = x2 - x2(t_g).
+    X - x_e/2 and Y are linear forms on R = (x_c, p_c, x_r, p_r)
+    (ModeBasis.position_form) whose thermal covariances S and commutator
     [X, Y] = i c_XY give z = kappa (i S_XY - c_XY/2) and a = kappa c_XY
     (Gaussian characteristic functions: Weedbrook et al., Rev. Mod. Phys.
     84, 621 (2012)).
     """
-    n_bar_r = relative_occupation(n_bar_c, basis.nu_r / basis.nu_c)
-    w_c, w_r = basis.width_c, basis.width_r
-    var = np.array([w_c**2 * (2.0 * n_bar_c + 1.0), (2.0 * n_bar_c + 1.0) / (4.0 * w_c**2),
-                    w_r**2 * (2.0 * n_bar_r + 1.0), (2.0 * n_bar_r + 1.0) / (4.0 * w_r**2)])
-
-    def form(t: float, r: float) -> np.ndarray:  # x_c(t) + r x_r(t)
-        return np.array([cos(basis.nu_c * t), sin(basis.nu_c * t) / (basis.m_c * basis.nu_c),
-                         r * cos(basis.nu_r * t),
-                         r * sin(basis.nu_r * t) / (basis.m_r * basis.nu_r)])
-
-    x = form(schedule.t0, 0.5)
-    y = form(0.0, -0.5) - form(schedule.t_g, -0.5)
+    var = basis.thermal_variances(n_bar_c)
+    x = basis.position_form(schedule.t0, 0.5)
+    y = basis.position_form(0.0, -0.5) - basis.position_form(schedule.t_g, -0.5)
     kappa = 2.0 * basis.wavenumber
     s_xy, s_yy = x @ (var * y), y @ (var * y)
     c_xy = x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]
@@ -716,13 +694,13 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
 
     Each branch operator is M_{b,s} = U(t_g) G_b f_{b,s}(X): X = x1(t0) is
     ion 1's Heisenberg position at the flip, the opening kick shifts it by
-    sigma_b D/2 (sigma_0 = +1 for the +k branch), so
+    sigma_b D/2 (sigma_0 = +1 for the +k branch, D/2 from
+    ModeBasis.half_separation), so
     f_{b,s}(x) = exp(-i s theta(x + sigma_b D/2)), and
     G_b = exp(-i k_b x2(t_g)) exp(i k_b x2), k_0 = k, k_1 = -k, is the
     displacement that refocusing leaves behind.  U(t_g) cancels in
     T[r, c] = Tr[M_r rho M_c^dag].  Under the thermal state X is Gaussian
-    with mean x_e/2 and variance
-    width_c^2 (2 n_bar_c + 1) + width_r^2 (2 n_bar_r + 1) / 4.
+    with mean x_e/2 and spread Delta = ModeBasis.thermal_spread.
 
     * Same branch: T[r, c] = E_X[f_r(X) conj(f_c(X))].
     * r in branch 0, c in branch 1: with (damp, z, a) from
@@ -739,13 +717,8 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
     """
     if schedule.flip is None:
         raise ValueError("gaussian flip requested but schedule.flip is None")
-    n_bar_r = relative_occupation(n_bar_c, basis.nu_r / basis.nu_c)
-    delta = sqrt(basis.width_c**2 * (2.0 * n_bar_c + 1.0)
-                 + basis.width_r**2 * (2.0 * n_bar_r + 1.0) / 4.0)
-    # x1 = x_c + x_r/2 + x_e/2; the kick moves p_c by +k and p_r by -k/2
-    t0, k = schedule.t0, basis.wavenumber
-    half_d = k * (sin(basis.nu_c * t0) / (basis.m_c * basis.nu_c)
-                  - sin(basis.nu_r * t0) / (4.0 * basis.m_r * basis.nu_r))
+    delta = basis.thermal_spread(n_bar_c)
+    half_d = basis.half_separation(schedule.t0)
     shifts = np.array([half_d if b == 0 else -half_d for b, _, _ in terms])
     signs = np.array([s for _, s, _ in terms])
     rows = np.array([b == 0 for b, _, _ in terms])

@@ -188,7 +188,10 @@ class ModeBasis:
     eta_c and eta_r are the per-mode kick strengths of a momentum kick k on
     ion 2: exp(i*k*x2) = D_c(+i*eta_c) (x) D_r(-i*eta_r) up to a constant
     phase, with eta_c = k*width_c and eta_r = (k/2)*width_r.  dims are the
-    Fock truncations (n_c, n_r).
+    Fock truncations (n_c, n_r).  The methods below are the one definition
+    of the thermal and kick geometry on any trap, which the condition
+    solver, the gate channel, the separation curve and the dephasing
+    weights all read.
     """
 
     nu_c: float
@@ -211,7 +214,8 @@ class ModeBasis:
 
     @property
     def flip_time(self) -> float:
-        """First maximum of the branch separation, 2*pi/(3*nu_c)."""
+        """Flip time of the schedule, 2*pi/(3*nu_c): the first maximum of
+        the branch separation on the commensurate trap only."""
         return 2.0 * np.pi / (3.0 * self.nu_c)
 
     @property
@@ -220,6 +224,47 @@ class ModeBasis:
 
     def with_dims(self, dims: tuple[int, int]) -> "ModeBasis":
         return replace(self, dims=(int(dims[0]), int(dims[1])))
+
+    def stretch_occupation(self, n_bar_c: float) -> float:
+        """n_bar_r at the temperature that gives the COM mode n_bar_c."""
+        return relative_occupation(n_bar_c, self.nu_r / self.nu_c)
+
+    def thermal_weights(self, n_bar_c: float) -> tuple[np.ndarray, np.ndarray]:
+        """Truncation-renormalized thermal level weights (p_c, p_r) at dims."""
+        n_c, n_r = self.dims
+        return (fock_core.thermal_probabilities(n_bar_c, n_c),
+                fock_core.thermal_probabilities(self.stretch_occupation(n_bar_c), n_r))
+
+    def thermal_variances(self, n_bar_c: float) -> np.ndarray:
+        """Thermal variances of R = (x_c, p_c, x_r, p_r), whose covariance is
+        diagonal: width^2 (2n+1) and (2n+1)/(4 width^2) per mode."""
+        c, r = 2.0 * n_bar_c + 1.0, 2.0 * self.stretch_occupation(n_bar_c) + 1.0
+        w_c, w_r = self.width_c, self.width_r
+        return np.array([w_c**2 * c, c / (4.0 * w_c**2), w_r**2 * r, r / (4.0 * w_r**2)])
+
+    def position_form(self, t, r: float) -> np.ndarray:
+        """x_c(t) + r x_r(t) as a linear form on R (t a float or an array),
+        with x_m(t) = cos(nu_m t) x_m + sin(nu_m t)/(m_m nu_m) p_m."""
+        return np.array([np.cos(self.nu_c * t), np.sin(self.nu_c * t) / (self.m_c * self.nu_c),
+                         r * np.cos(self.nu_r * t),
+                         r * np.sin(self.nu_r * t) / (self.m_r * self.nu_r)])
+
+    def thermal_spread(self, n_bar_c: float) -> float:
+        """Thermal spread Delta of x1(t), sqrt(Var x_c + Var x_r / 4) at any t."""
+        var = self.thermal_variances(n_bar_c)
+        return sqrt(var[0] + var[2] / 4.0)
+
+    def half_separation(self, t):
+        """Half the distance between the kicked branches of x1 at time t: the
+        kick moves p_c by +k and p_r by -k/2, which shifts the +k branch of
+        x1(t) by k (sin(nu_c t)/(m_c nu_c) - sin(nu_r t)/(4 m_r nu_r))."""
+        form = self.position_form(t, 0.5)
+        return self.wavenumber * (form[1] - form[3] / 2.0)
+
+    def kick_displacements(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fock displacements (D_c(+i eta_c), D_r(-i eta_r)) of the +k kick."""
+        return (fock_core.displacement(1j * self.eta_c, self.dims[0]),
+                fock_core.displacement(-1j * self.eta_r, self.dims[1]))
 
 
 def build_mode_basis(

@@ -120,13 +120,21 @@ def test_channel_rejects_bad_choi_shape():
 # --- branch separation ------------------------------------------------------
 
 
-def test_separation_analytic_endpoints_and_peak(spec):
-    basis = tm.build_mode_basis(spec, eta=2.0, dims=(8, 8))
+@pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0])
+def test_separation_analytic_endpoints_and_peak(exponent):
+    """Closed form against the coherent-state Fock route at 0, t0 and t_g;
+    on the commensurate trap t0 is the peak and the branches close at t_g."""
+    basis = tm.build_mode_basis(tm.TrapSpec.normalized(exponent=exponent), eta=2.0)
     t = np.array([0.0, basis.flip_time, basis.gate_time])
     d = an.separation_analytic(basis, t)
     assert d[0] == 0.0
-    assert abs(d[2]) < 1e-12 * basis.x0
-    assert d[1] == pytest.approx(1.5 * math.sqrt(3.0) * basis.x0 * 2.0, rel=1e-12)
+    np.testing.assert_allclose(d, an.separation_numeric(basis, t), rtol=0,
+                               atol=1e-9 * basis.x0)
+    if basis.commensurate:
+        assert abs(d[2]) < 1e-12 * basis.x0
+        assert d[1] == pytest.approx(1.5 * math.sqrt(3.0) * basis.x0 * 2.0, rel=1e-12)
+    else:
+        assert abs(d[2]) > 0.1 * basis.x0
 
 
 def test_separation_numeric_tracks_analytic(spec):

@@ -114,6 +114,22 @@ def test_separation_tiny_truncation_exits_3(capsys):
     assert out.startswith("# hotgate separation\n")  # the partial result is still emitted
 
 
+_X0 = 1.0 / math.sqrt(2.0)  # x0 = 1/sqrt(2 m nu_c) of the default normalized trap
+
+
+@pytest.mark.parametrize("exponent", ["2", "1.7"])
+def test_separation_off_ratio_closed_form_matches_numeric(capsys, exponent):
+    """Off the commensurate ratio the closed-form column is the general
+    half-separation, not the nu_r = 2 nu_c curve."""
+    rc, out, _ = run(capsys, "separation", "--exponent", exponent, "--precision", "17")
+    assert rc == 0
+    rows = [[float(v) for v in ln.split(",")] for ln in out.splitlines()
+            if ln and ln[0].isdigit()]
+    assert len(rows) == 64
+    assert max(abs(d_a - d_n) for _, d_a, d_n in rows) <= 1e-9 * _X0
+    assert rows[-1][2] > 1.0  # the branches do not close at t_g
+
+
 # --- conditions -------------------------------------------------------------
 
 
@@ -127,6 +143,23 @@ def test_conditions_json_payload(capsys):
     assert doc["w_over_d"] == pytest.approx(12.5)
     assert doc["ok_eta_above_bound"] is True
     assert "generated" not in doc  # no stamp unless asked
+
+
+@pytest.mark.parametrize("exponent", [2.0, 1.7])
+def test_conditions_off_ratio_separation_matches_fock_route(capsys, exponent):
+    """D is the branch separation at the flip time, as the Fock-space
+    coherent-state route measures it on the same trap."""
+    from hotgate import analysis, trap_model
+
+    rc, out, _ = run(capsys, "conditions", "--exponent", str(exponent), "--eta", "7",
+                     "--n-bar-c", "1", "--precision", "17")
+    assert rc == 0
+    doc = json.loads(out)
+    basis = trap_model.build_mode_basis(trap_model.TrapSpec.normalized(exponent=exponent),
+                                        eta=7.0, n_bar_c=1.0)
+    d_fock = float(analysis.separation_numeric(basis, [basis.flip_time])[0])
+    assert doc["branch_separation_D"] / 2 == pytest.approx(d_fock / 2, rel=0, abs=1e-9 * _X0)
+    assert doc["profile_width_W"] == pytest.approx(12.5 * d_fock, rel=1e-12)
 
 
 def test_stamp_is_opt_in(capsys):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hotgate import fock_core as fc, gate_protocol as gp, trap_model as tm
+from hotgate import analysis as an, fock_core as fc, gate_protocol as gp, trap_model as tm
 
 
 @pytest.fixture(scope="module")
@@ -82,15 +82,40 @@ def test_linearized_branch_areas_are_half_cycle_apart(spec):
         assert rep.pulse_area - shift == pytest.approx(2 * n * math.pi, rel=1e-12)
 
 
-def test_exact_gaussian_branch_areas_close_to_linearized(spec):
-    # the quadratic remainder of the profile shifts the areas by O((D/2W)^2)
-    basis = make_basis(spec, eta=7.0, dims=(8, 8))
+@pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0])
+def test_exact_gaussian_branch_areas_close_to_linearized(exponent):
+    """The branches at the flip sit where the Fock route puts them; the
+    quadratic remainder of the profile shifts their areas by O((D/2W)^2)."""
+    basis = make_basis(tm.TrapSpec.normalized(exponent=exponent), eta=7.0)
     pulse, rep = gp.condition_solver(basis, rabi_cycles=3)
+    half_d = float(an.separation_numeric(basis, [basis.flip_time])[0]) / 2.0
     edge = basis.x_e / 2.0
     theta = lambda x: 0.5 * pulse.duration * float(gp.gaussian_rabi(pulse, x))
     assert theta(edge) == pytest.approx(rep.pulse_area, rel=1e-12)
-    assert theta(edge + rep.big_d / 2) == pytest.approx(6.5 * math.pi, rel=1e-4)
-    assert theta(edge - rep.big_d / 2) == pytest.approx(6.0 * math.pi, rel=1e-4)
+    assert theta(edge + half_d) == pytest.approx(6.5 * math.pi, rel=1e-4)
+    assert theta(edge - half_d) == pytest.approx(6.0 * math.pi, rel=1e-4)
+
+
+@pytest.mark.parametrize("exponent", [2.0, 1.7])
+def test_condition_geometry_matches_fock_routes_off_ratio(exponent):
+    """D against the coherent-state branch separation at t0, and Delta^2
+    against <x1^2> - <x1>^2 of the Fock thermal state at ample dims."""
+    basis = make_basis(tm.TrapSpec.normalized(exponent=exponent), eta=3.0,
+                       dims=(48, 32), n_bar_c=1.0)
+    assert not basis.commensurate
+    _, rep = gp.condition_solver(basis, n_bar_c=1.0)
+    d_fock = float(an.separation_numeric(basis, [basis.flip_time])[0])
+    assert rep.big_d == pytest.approx(d_fock, rel=0, abs=1e-9 * basis.x0)
+    n_c, n_r = basis.dims
+    x1 = (np.kron(fc.position_operator(n_c, basis.width_c).real, np.eye(n_r))
+          + np.kron(np.eye(n_c), fc.position_operator(n_r, basis.width_r).real) / 2.0
+          + basis.x_e / 2.0 * np.eye(n_c * n_r))
+    p = np.diag(gp.thermal_motional(basis, 1.0).matrix).real
+    mean = p @ np.diag(x1)
+    var = p @ np.diag(x1 @ x1) - mean**2
+    # <x1>^2 ~ (x_e/2)^2 cancels here, which costs about 1e-10 relative
+    assert rep.delta**2 == pytest.approx(var, rel=1e-9)
+    assert rep.delta == basis.thermal_spread(1.0)
 
 
 def test_eta_lower_bound_values():
@@ -127,6 +152,13 @@ def test_kick_unitary_is_unitary(spec):
     u = gp.kick_unitary(basis, gp.KickPulse(1.0))
     d = u.shape[0]
     np.testing.assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
+
+
+def test_kick_must_carry_the_basis_eta(spec):
+    """The basis sizes eta_c, eta_r and the Fock displacements of the kick."""
+    basis = make_basis(spec, eta=1.0, dims=(6, 5))
+    with pytest.raises(ValueError):
+        gp.kick_unitary(basis, gp.KickPulse(2.0))
 
 
 def test_kick_imparts_opposite_mode_momenta(spec):
@@ -416,13 +448,19 @@ def test_gate_channel_gram_diagonal_is_unit(spec):
 
 
 def test_channel_apply_matches_choi_contraction(spec):
+    """The Choi assembly against the branch sum
+    Lambda(rho) = sum_rc gram[r, c] Q_r rho Q_c^dag."""
+    from hotgate.analysis import QuantumChannel
+
     basis = make_basis(spec, eta=1.5, dims=(18, 11))
     schedule, _ = gp.build_schedule(basis)
     ch = gp.gate_channel(basis, schedule)
     rho = np.full((4, 4), 0.25, dtype=complex)
-    out = ch.apply(rho)
-    contracted = np.einsum("iajb,ij->ab", ch.choi.reshape(4, 4, 4, 4), rho)
-    np.testing.assert_allclose(out, contracted, atol=1e-12)
+    branch_sum = sum(ch.gram[r, c] * (q_r @ rho @ q_c.conj().T)
+                     for r, (_, _, q_r) in enumerate(ch.terms)
+                     for c, (_, _, q_c) in enumerate(ch.terms))
+    out = QuantumChannel(ch.choi).apply(rho)
+    np.testing.assert_allclose(out, branch_sum, atol=1e-12)
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
 
 
