@@ -25,6 +25,7 @@ from .trap_model import (
     motional_energies_flat,
     motional_hamiltonian,
     relative_occupation,
+    v_cor_factors,
     v_cor_operator,
 )
 
@@ -213,21 +214,25 @@ def average_purity(channel: QuantumChannel) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _phase_integral(detuning, length: float):
+    """integral_0^length e^{i D tau} d tau = length e^{i D length/2}
+    sinc(D length / 2 pi) in numpy's normalized sinc, element-wise over an
+    array of detunings D; D = 0 gives exactly length."""
+    half = 0.5 * length * np.asarray(detuning, dtype=float)
+    return length * np.exp(1j * half) * np.sinc(half / np.pi)
+
+
 def interaction_integral(v: np.ndarray, energies: np.ndarray, length: float) -> np.ndarray:
     """integral_0^length of e^{i H0 tau} V e^{-i H0 tau} d tau for diagonal H0.
 
-    Element (j, k) picks up integral_0^T e^{i D tau} d tau with D = E_j - E_k,
-    which is T e^{i D T/2} sinc(D T / 2 pi) in numpy's normalized sinc; D = 0
-    gives exactly T.  The phase e^{i D T/2} is the outer product phi phi*
-    with phi = e^{i E T/2}, so only len(energies) exponentials are taken.
-    In the commensurate trap every D is a whole multiple of nu_c, so over
+    Element (j, k) picks up _phase_integral(E_j - E_k, length).  In the
+    commensurate trap every E_j - E_k is a whole multiple of nu_c, so over
     one gate time only the resonant part of V survives.  v may be real (as
-    trap_model.v_cor_operator returns it) or complex.
+    trap_model.v_cor_operator returns it) or complex.  Dense, M x M: the
+    oracle of anharmonic_fidelity's factored integral.
     """
     energies = np.asarray(energies, dtype=float)
-    half = 0.5 * length * (energies[:, None] - energies[None, :])
-    phi = np.exp(0.5j * length * energies)
-    return length * np.outer(phi, phi.conj()) * np.sinc(half / np.pi) * np.asarray(v)
+    return _phase_integral(energies[:, None] - energies[None, :], length) * np.asarray(v)
 
 
 def _apply_factored(a_c: np.ndarray, a_r: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -266,6 +271,35 @@ class AnharmonicReport:
         }
 
 
+def _integral_factors(basis: ModeBasis, expansion: AnharmonicExpansion):
+    """Kronecker factors of the interaction integral, W = sum_k A_k (x) B_k,
+    stacked as A of shape (K, n_c, n_c) and B of shape (K, n_r, n_r).
+
+    On a harmonic trap E_j - E_k = nu_c dc + nu_r dr depends only on the
+    level differences, so each term X_c^a (x) Q_a of V_cor splits over the
+    diagonals dc of X_c^a: A_k is that diagonal band and
+    B_k = Q_a * _phase_integral(nu_c dc + nu_r (n - n')) element-wise.
+    """
+    n_c, n_r = basis.dims
+    dc_of = np.subtract.outer(np.arange(n_c), np.arange(n_c))
+    dr_of = np.subtract.outer(np.arange(n_r), np.arange(n_r))
+    a_fac, b_fac = [], []
+    for a, x_pow, q in v_cor_factors(expansion, basis):
+        for dc in range(-a, a + 1, 2):
+            a_fac.append(np.where(dc_of == dc, x_pow, 0.0))
+            b_fac.append(q * _phase_integral(basis.nu_c * dc + basis.nu_r * dr_of,
+                                             basis.gate_time))
+    return (np.array(a_fac).reshape(-1, n_c, n_c),
+            np.array(b_fac, dtype=complex).reshape(-1, n_r, n_r))
+
+
+def _weighted_gram(factors: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """G_kl = sum_mq p_m F_k,mq conj(F_l,mq)."""
+    k, n, _ = factors.shape
+    flat = factors.reshape(k, n * n)
+    return (factors * probs[:, None]).reshape(k, n * n) @ flat.conj().T
+
+
 def anharmonic_fidelity(
     basis: ModeBasis,
     expansion: AnharmonicExpansion,
@@ -275,26 +309,37 @@ def anharmonic_fidelity(
     """Fidelity reduction from the anharmonic correction, to leading order.
 
     Integrates the correction in the interaction picture over one gate time
-    (in closed form, see interaction_integral) and reports
-    F_cor = 1 - Var(phase) over the thermal ensemble, where the variance is
-    <W^2> - <W>^2 of the integrated phase operator W.  state_mode 'pre_kick'
-    (default) evaluates over the undisplaced thermal state; 'post_kick'
-    conjugates W with the opening-kick displacement first, which probes the
-    branch geometry but needs kick-sized truncations.
+    (in closed form, see _phase_integral) and reports F_cor = 1 - Var(phase)
+    over the thermal ensemble, where the variance is <W^2> - <W>^2 of the
+    integrated phase operator W.  state_mode 'pre_kick' (default) evaluates
+    over the undisplaced thermal state; 'post_kick' conjugates W with the
+    opening-kick displacement first, which probes the branch geometry but
+    needs kick-sized truncations.
+
+    W is never formed: it is the sum of K Kronecker products A_k (x) B_k of
+    _integral_factors (4 at order 3, 16 at order 6), the kick conjugates
+    each factor, D^dag (A (x) B) D = (d_c^dag A d_c) (x) (d_r^dag B d_r),
+    and with the thermal weights p = p_c (x) p_r
+    <W> = sum_k (p_c . diag A_k)(p_r . diag B_k) and
+    sum_j p_j sum_l |W_jl|^2 = sum_kl G^c_kl G^r_kl, with G^c and G^r the
+    weighted Gram matrices of the A_k and the B_k.  The cost is
+    K (n_c^3 + n_r^3) + K^2 (n_c^2 + n_r^2) against M^2 (n_c + n_r) for the
+    dense M x M integral (M = n_c n_r), which interaction_integral keeps as
+    the oracle.
     """
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
-    energies = motional_energies_flat(basis)
-    v = v_cor_operator(expansion, basis)
-    tilde = interaction_integral(v, energies, basis.gate_time)
+    a_fac, b_fac = _integral_factors(basis, expansion)
     if state_mode == "post_kick":
         d_c, d_r = basis.kick_displacements()
-        # D^dag tilde D, the right factor as (D^T (D^dag tilde)^T)^T
-        tilde = _apply_factored(d_c.conj().T, d_r.conj().T, tilde)
-        tilde = _apply_factored(d_c.T, d_r.T, tilde.T).T
-    probs = np.kron(*basis.thermal_weights(n_bar_c))
-    mean = float(np.real(probs @ np.diag(tilde)))
-    var = float(np.einsum("j,jk->", probs, np.abs(tilde) ** 2)) - mean * mean
+        a_fac = d_c.conj().T @ a_fac @ d_c
+        b_fac = d_r.conj().T @ b_fac @ d_r
+    p_c, p_r = basis.thermal_weights(n_bar_c)
+    diag_c = np.diagonal(a_fac, axis1=1, axis2=2) @ p_c
+    diag_r = np.diagonal(b_fac, axis1=1, axis2=2) @ p_r
+    mean = float(np.real(diag_c @ diag_r))
+    second = float(np.real(np.sum(_weighted_gram(a_fac, p_c) * _weighted_gram(b_fac, p_r))))
+    var = second - mean * mean
     return AnharmonicReport(
         f_cor=1.0 - var, variance=var, mean_phase=mean, dims=basis.dims,
         state_mode=state_mode, order=expansion.order,

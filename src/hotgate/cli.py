@@ -527,8 +527,10 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
     payload.update({
         "f_cor_perturbative": rep.f_cor,
         "f_cor_exact": f_exact,
-        # a difference of two figures near 1: digits below 1e-15 are roundoff
+        # a difference of two figures near 1, and a mean that is zero at odd
+        # order (resonant terms cancel their conjugates): below 1e-15 is roundoff
         "delta": round(abs(rep.f_cor - f_exact), 15),
+        "mean_phase": round(rep.mean_phase, 15),
         "scale": a["scale"],
         "n_bar_c": n_bar_c,
     })

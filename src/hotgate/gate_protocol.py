@@ -218,7 +218,8 @@ def condition_solver(
     pins the Gaussian width to W = (4N + 1/2)*D, centers the profile at
     l = x_e/2 + W (its steepest point sits on ion 1), and fixes the pulse
     area Omega(x_e/2)*t1/2 = (2N + 1/4)*pi so the two branches see
-    (2N + 1/2)*pi and 2N*pi respectively.
+    (2N + 1/2)*pi and 2N*pi respectively.  eta_bound is the kick strength
+    at which D would equal Delta, so eta_bound_ratio = D/Delta on any trap.
     """
     if int(rabi_cycles) != rabi_cycles or rabi_cycles < 1:
         raise ValueError("rabi_cycles must be a positive integer")
@@ -227,7 +228,8 @@ def condition_solver(
     if margin < 1.0:
         raise ValueError("margin below 1 would defeat the validity flags")
     n = int(rabi_cycles)
-    big_d = 2.0 * float(basis.half_separation(basis.flip_time))
+    lever = float(basis.half_separation_per_k(basis.flip_time))
+    big_d = 2.0 * basis.wavenumber * lever
     delta = basis.thermal_spread(n_bar_c)
     big_w = (4.0 * n + 0.5) * big_d
     center = basis.x_e / 2.0 + big_w
@@ -235,8 +237,10 @@ def condition_solver(
     area = (2.0 * n + 0.25) * pi  # Omega(x_e/2) * t1 / 2
     omega_edge = 2.0 * area / t1
     omega0 = omega_edge * exp(0.5)
-    bound = eta_lower_bound(n_bar_c)
-    ratio = basis.eta / bound if bound > 0 else float("inf")
+    # the eta at which D equals Delta on this trap (eta_lower_bound on the
+    # commensurate one), so eta/eta_bound is D/Delta
+    bound = delta * basis.x0 / (2.0 * lever)
+    ratio = basis.eta / bound
     phase_spread = area * delta / big_w  # d(theta)/dx at x_e/2 times Delta
     satisfied = {
         "separation_hierarchy": big_w > big_d > delta * margin,

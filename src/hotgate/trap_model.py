@@ -258,8 +258,12 @@ class ModeBasis:
         """Half the distance between the kicked branches of x1 at time t: the
         kick moves p_c by +k and p_r by -k/2, which shifts the +k branch of
         x1(t) by k (sin(nu_c t)/(m_c nu_c) - sin(nu_r t)/(4 m_r nu_r))."""
+        return self.wavenumber * self.half_separation_per_k(t)
+
+    def half_separation_per_k(self, t):
+        """half_separation(t) per unit wavenumber k; defined at eta = 0 too."""
         form = self.position_form(t, 0.5)
-        return self.wavenumber * (form[1] - form[3] / 2.0)
+        return form[1] - form[3] / 2.0
 
     def kick_displacements(self) -> tuple[np.ndarray, np.ndarray]:
         """Fock displacements (D_c(+i eta_c), D_r(-i eta_r)) of the +k kick."""
@@ -372,29 +376,49 @@ def anharmonic_expansion(spec: TrapSpec, order: int = 3,
     return AnharmonicExpansion(order=order, coefficients=coeffs, x_e=x_e)
 
 
-def v_cor_operator(expansion: AnharmonicExpansion, basis: ModeBasis) -> np.ndarray:
-    """V_cor as a dense real symmetric operator on Fock(n_c) (x) Fock(n_r).
+def _position_powers(dim: int, width: float, max_power: int) -> list[np.ndarray]:
+    """[x^0, ..., x^max_power] of the real truncated position matrix."""
+    x = fock_core.position_operator(dim, width).real
+    powers = [np.eye(dim)]
+    for _ in range(max_power):
+        powers.append(powers[-1] @ x)
+    return powers
 
-    x_c and x_r are real in the Fock basis, and so are the coefficients, so
-    the operator is real.  Each power x_c^a connects levels of equal parity
-    when a is even; with the mirror-symmetric expansion every x_c block
-    between levels of opposite parity is exactly zero, which
-    analysis.exact_anharmonic_fidelity uses.
+
+def v_cor_factors(expansion: AnharmonicExpansion,
+                  basis: ModeBasis) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """V_cor = sum_a X_c^a (x) Q_a as (a, X_c^a, Q_a), one term per power of x_c.
+
+    X_c^a is the a-th power of the truncated x_c matrix and
+    Q_a = sum_b c_ab X_r^b; both are real and symmetric up to roundoff.
+    X_c^a is nonzero only on the diagonals n - n' in {-a, -a+2, ..., a}, so
+    with the mirror-symmetric expansion (even a only) every x_c block
+    between levels of opposite parity is exactly zero.  This is the one
+    definition of V_cor: v_cor_operator sums the Kronecker products, and
+    analysis.anharmonic_fidelity integrates the factors without forming them.
+    """
+    coeffs = sorted(expansion.coefficients.items())
+    if not coeffs:
+        return []
+    n_c, n_r = basis.dims
+    pow_c = _position_powers(n_c, basis.width_c, max(a for (a, _), _ in coeffs))
+    pow_r = _position_powers(n_r, basis.width_r, max(b for (_, b), _ in coeffs))
+    q: dict[int, np.ndarray] = {}
+    for (a, b), c in coeffs:
+        q[a] = q.get(a, 0.0) + c * pow_r[b]
+    return [(a, pow_c[a], q_a) for a, q_a in sorted(q.items())]
+
+
+def v_cor_operator(expansion: AnharmonicExpansion, basis: ModeBasis) -> np.ndarray:
+    """V_cor as a dense real symmetric operator on Fock(n_c) (x) Fock(n_r):
+    the sum of the Kronecker products of v_cor_factors, symmetrized.  Dense,
+    for the exact check (analysis.exact_anharmonic_fidelity) and as the
+    oracle of the factored route.
     """
     n_c, n_r = basis.dims
-    x_c = fock_core.position_operator(n_c, basis.width_c).real
-    x_r = fock_core.position_operator(n_r, basis.width_r).real
-    max_a = max((a for a, _ in expansion.coefficients), default=0)
-    max_b = max((b for _, b in expansion.coefficients), default=0)
-    pow_c = [np.eye(n_c)]
-    for _ in range(max_a):
-        pow_c.append(pow_c[-1] @ x_c)
-    pow_r = [np.eye(n_r)]
-    for _ in range(max_b):
-        pow_r.append(pow_r[-1] @ x_r)
     out = np.zeros((n_c * n_r, n_c * n_r))
-    for (a, b), c in sorted(expansion.coefficients.items()):
-        out += c * np.kron(pow_c[a], pow_r[b])
+    for _, x_pow, q in v_cor_factors(expansion, basis):
+        out += np.kron(x_pow, q)
     return (out + out.T) / 2.0
 
 

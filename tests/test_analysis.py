@@ -245,6 +245,54 @@ def test_pre_and_post_kick_pictures_agree_when_small(spec):
     assert post.to_dict()["state_mode"] == "post_kick"
 
 
+def _dense_dephasing(basis, expansion, n_bar_c, state_mode):
+    """(<W>, Var W) from the dense M x M interaction integral of the dense
+    V_cor, conjugated with the kron of the kick displacements post kick."""
+    tilde = an.interaction_integral(tm.v_cor_operator(expansion, basis),
+                                    tm.motional_energies_flat(basis), basis.gate_time)
+    if state_mode == "post_kick":
+        d = np.kron(*basis.kick_displacements())
+        tilde = d.conj().T @ tilde @ d
+    p = np.kron(*basis.thermal_weights(n_bar_c))
+    mean = float(np.real(p @ np.diag(tilde)))
+    return mean, float(p @ (np.abs(tilde) ** 2).sum(axis=1)) - mean * mean
+
+
+@pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
+@pytest.mark.parametrize("exponent, order", [
+    (5.0 / 3.0, 3), (5.0 / 3.0, 6), (2.0, 3), (2.0, 6),
+    # x_c x_r^2: odd a; on the commensurate trap every term of it is off
+    # resonance and its variance is roundoff, so it runs off the ratio
+    (2.0, "odd"),
+])
+def test_factored_dephasing_matches_dense_integral(exponent, order, state_mode):
+    spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
+    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
+    if order == "odd":
+        expansion = tm.AnharmonicExpansion(order=3, coefficients={(1, 2): 0.1},
+                                           x_e=basis.x_e)
+    else:
+        expansion = tm.anharmonic_expansion(spec, order=order)
+    rep = an.anharmonic_fidelity(basis, expansion, 1.0, state_mode)
+    mean, var = _dense_dephasing(basis, expansion, 1.0, state_mode)
+    assert var > 1e-7
+    assert abs(rep.variance - var) <= 1e-12 * var
+    assert abs(rep.mean_phase - mean) <= 1e-14
+
+
+def test_post_kick_dephasing_converged_at_kick_sized_dims(spec):
+    """At the default (kick-sized) dims of (eta 7, n_bar_c 1) the factored
+    route is cheap, and 16 more levels per mode leave the variance alone."""
+    expansion = tm.anharmonic_expansion(spec, order=3)
+    basis = tm.build_mode_basis(spec, eta=7.0, n_bar_c=1.0)
+    assert basis.dims == (162, 84)
+    bigger = basis.with_dims((basis.dims[0] + 16, basis.dims[1] + 16))
+    var = an.anharmonic_fidelity(basis, expansion, 1.0, "post_kick").variance
+    ref = an.anharmonic_fidelity(bigger, expansion, 1.0, "post_kick").variance
+    assert var > 1e-3
+    assert abs(var - ref) <= 1e-12 * ref
+
+
 def _dense_exact_fidelity(basis, expansion, n_bar_c, state_mode):
     """The exact overlap from the dense gate unitary: echo = e^{i H0 t_g}
     e^{-i H t_g}, conjugated with the kick displacement from both sides in

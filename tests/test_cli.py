@@ -474,14 +474,18 @@ def test_anharmonic_order_zero_short_circuits(capsys):
 
 
 def test_anharmonic_compares_routes(capsys):
-    rc, out, _ = run(capsys, "anharmonic", "--anh-dims", "20,16", "--precision", "17")
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["converged"] is True
-    assert 0.999 < doc["f_cor_perturbative"] <= 1.0
-    assert doc["delta"] < 1e-6
-    # a difference of two figures near 1: below 1e-15 it is roundoff
-    assert doc["delta"] == round(abs(doc["f_cor_perturbative"] - doc["f_cor_exact"]), 15)
+    for args in (("--anh-dims", "20,16"),
+                 ("--state-mode", "post_kick", "--anh-n-bar-c", "0.2", "--eta", "2")):
+        rc, out, _ = run(capsys, "anharmonic", *args, "--precision", "17")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["converged"] is True
+        assert 0.999 < doc["f_cor_perturbative"] <= 1.0
+        assert doc["delta"] < 1e-6
+        # a difference of two figures near 1: below 1e-15 it is roundoff
+        assert doc["delta"] == round(abs(doc["f_cor_perturbative"] - doc["f_cor_exact"]), 15)
+        # at order 3 the resonant terms cancel their conjugates: <W> is zero
+        assert doc["mean_phase"] == 0.0
 
 
 # --- start-up ---------------------------------------------------------------

@@ -44,8 +44,16 @@ def test_condition_solver_algebra(spec):
         rep.pulse_area, rel=1e-12)
     assert pulse.omega0 == rep.omega0
     assert pulse.width == rep.big_w
-    # D/Delta and eta/eta_bound are the same number by construction
-    assert rep.big_d / rep.delta == pytest.approx(rep.eta_bound_ratio, rel=1e-12)
+    # D/Delta and eta/eta_bound are the same number by construction, on any
+    # trap; on the commensurate one eta_bound is the paper's closed form
+    off_ratio = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=7.0, dims=(8, 8))
+    for r in (rep, gp.condition_solver(off_ratio, n_bar_c=1.0)[1]):
+        assert r.big_d / r.delta == pytest.approx(r.eta_bound_ratio, rel=1e-12)
+    assert rep.eta_bound == pytest.approx(gp.eta_lower_bound(0.0), rel=1e-12)
+    # the bound reads only the geometry per unit kick, so eta = 0 has it too
+    at_rest = make_basis(spec, eta=0.0, dims=(8, 8))
+    t0 = basis.flip_time
+    assert at_rest.half_separation_per_k(t0) == basis.half_separation_per_k(t0)
     assert rep.well_conditioned
     d = rep.to_dict()
     assert d["well_conditioned"] is True
