@@ -22,11 +22,9 @@ from .trap_model import (
     TrapSpec,
     anharmonic_expansion,
     build_mode_basis,
-    motional_energies_flat,
-    motional_hamiltonian,
+    mode_energies,
     relative_occupation,
     v_cor_factors,
-    v_cor_operator,
 )
 
 # ---------------------------------------------------------------------------
@@ -235,14 +233,6 @@ def interaction_integral(v: np.ndarray, energies: np.ndarray, length: float) -> 
     return _phase_integral(energies[:, None] - energies[None, :], length) * np.asarray(v)
 
 
-def _apply_factored(a_c: np.ndarray, a_r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(a_c (x) a_r) x for x of shape (a_c.shape[1] * n_r, K), without the kron."""
-    n_r = a_r.shape[1]
-    t = a_c @ x.reshape(a_c.shape[1], n_r * x.shape[1])
-    t = a_r @ t.reshape(a_c.shape[0], n_r, x.shape[1])
-    return t.reshape(a_c.shape[0] * a_r.shape[0], x.shape[1])
-
-
 @dataclass(frozen=True)
 class AnharmonicReport:
     """Perturbative dephasing estimate for one operating point."""
@@ -362,53 +352,77 @@ def exact_anharmonic_fidelity(
     overlap of the perturbed evolution; it agrees with the perturbative
     estimate through second order in the correction.
 
-    The gate unitary is never formed.  H = diag(E) + V_cor is real
-    symmetric, so H = v diag(w) v^T with v real, taken block by block over
-    the x_c-parity blocks of H whenever the data decouple them
-    (_parity_blocks).  Then, with Phi = diag(e^{i E t_g}) and
-    D = d_c (x) d_r the opening-kick displacement:
+    Neither the gate unitary nor any M x M array (M = n_c n_r) is formed.
+    H = diag(E) + V_cor is real symmetric, and V_cor = sum_a X_c^a (x) Q_a
+    (trap_model.v_cor_factors) couples x_c levels of opposite parity only
+    through odd a.  So H is assembled from the factors and diagonalized
+    block by block (_hamiltonian_blocks: the even and the odd x_c levels
+    when every a is even), each block H_b = v diag(w) v^T with v real.
+    Then, with Phi = diag(e^{i E t_g}) and D = d_c (x) d_r the opening-kick
+    displacement:
 
     * pre_kick, psi_j = |j>: amp_j = sum_k v_jk^2 e^{-i w_k t_g}, the
       modulus-one factor e^{i E_j t_g} dropped;
     * post_kick, psi_j = D|j>: amp_j = sum_k (D^dag Phi v)_jk e^{-i w_k t_g}
-      (D^T v)_jk, with D applied to v in factored form.
+      (D^T v)_jk, where D^dag Phi = (d_c^dag Phi_c) (x) (d_r^dag Phi_r) and
+      both factored operators act on the real v (_kron_apply_real).
     """
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
     t_g = basis.gate_time
-    energies = motional_energies_flat(basis)
-    h = fock_core.hermitian_part(
-        motional_hamiltonian(basis, v_cor_operator(expansion, basis)))
+    p_c, p_r = basis.thermal_weights(n_bar_c)
+    amp = np.zeros((p_c.size, p_r.size), dtype=complex)
     if state_mode == "post_kick":
+        e_c, e_r = mode_energies(basis)
         d_c, d_r = basis.kick_displacements()
-        phase = np.exp(1j * energies * t_g)
-    amp = np.zeros(energies.size, dtype=complex)
-    for levels, idx in _parity_blocks(h, basis.dims):
-        w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
+        left_c = d_c.conj().T * np.exp(1j * e_c * t_g)
+        left_r = d_r.conj().T * np.exp(1j * e_r * t_g)
+    for lv, h in _hamiltonian_blocks(basis, expansion):
+        w, v = np.linalg.eigh(h)
         decay = np.exp(-1j * w * t_g)
         if state_mode == "pre_kick":
-            amp[idx] = (v * v) @ decay
+            amp[lv] = ((v * v) @ decay).reshape(lv.size, -1)
         else:
-            left = _apply_factored(d_c.conj().T[:, levels], d_r.conj().T,
-                                   phase[idx, None] * v)
-            right = _apply_factored(d_c.T[:, levels], d_r.T, v)
-            amp += (left * right) @ decay
-    return float(np.kron(*basis.thermal_weights(n_bar_c)) @ (np.abs(amp) ** 2))
+            left = _kron_apply_real(left_c[:, lv], left_r, v)
+            right = _kron_apply_real(d_c.T[:, lv], d_r.T, v)
+            amp += ((left * right) @ decay).reshape(amp.shape)
+    return float(p_c @ (np.abs(amp) ** 2) @ p_r)
 
 
-def _parity_blocks(h: np.ndarray, dims: tuple[int, int]):
-    """(x_c levels, flat indices) of the blocks of h to diagonalize apart.
+def _hamiltonian_blocks(basis: ModeBasis, expansion: AnharmonicExpansion):
+    """(x_c levels lv, H[lv (x) all, lv (x) all]) for each block of
+    H = diag(E) + V_cor to diagonalize apart, assembled from v_cor_factors.
 
-    Two blocks, the even and the odd x_c levels, when every element of h
-    between them is exactly zero (a V_cor with only even powers of x_c);
-    one block with every level otherwise.
+    The level sets are read off the powers a of x_c: the even and the odd
+    x_c levels when every a is even (X_c^a then has no element between
+    levels of opposite parity), one set with every level otherwise.  Each
+    block is diag(E_lv) + sum_a X_c^a[lv, lv] (x) Q_a, checked and
+    symmetrized by fock_core.hermitian_part.
     """
-    n_c, n_r = dims
-    split = [np.arange(p, n_c, 2) for p in (0, 1)]
-    flat = [(lv[:, None] * n_r + np.arange(n_r)).ravel() for lv in split]
-    if np.any(h[np.ix_(flat[0], flat[1])]):
-        return [(np.arange(n_c), np.arange(n_c * n_r))]
-    return list(zip(split, flat))
+    n_c, n_r = basis.dims
+    e_c, e_r = mode_energies(basis)
+    factors = v_cor_factors(expansion, basis)
+    if all(a % 2 == 0 for a, _, _ in factors):
+        level_sets = [np.arange(0, n_c, 2), np.arange(1, n_c, 2)]
+    else:
+        level_sets = [np.arange(n_c)]
+    for lv in level_sets:
+        size = lv.size * n_r
+        v_cor = np.zeros((size, size))
+        for _, x_pow, q in factors:
+            v_cor += np.kron(x_pow[np.ix_(lv, lv)], q)
+        energies = (e_c[lv, None] + e_r).ravel()
+        yield lv, fock_core.hermitian_part(np.diag(energies) + v_cor)
+
+
+def _kron_apply_real(a_c: np.ndarray, a_r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(a_c (x) a_r) x for complex a_c, a_r and real x of shape
+    (a_c.shape[1] * n_r, K), without the kron: the r-stage runs on the real
+    data as two real matmuls, then one complex matmul does the c-stage."""
+    x = x.reshape(a_c.shape[1], a_r.shape[1], -1)
+    t = (a_r.real @ x) + 1j * (a_r.imag @ x)
+    t = a_c @ t.reshape(a_c.shape[1], -1)
+    return t.reshape(a_c.shape[0] * a_r.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------

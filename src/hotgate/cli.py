@@ -188,16 +188,23 @@ def build_trap(cfg: dict) -> trap_model.TrapSpec:
 
 
 def resolve_eta(cfg: dict) -> float:
+    """The gate's effective kick eta; a gate needs a positive one."""
     g = cfg["gate"]
     if g["eta"] is not None and g["eta_single"] is not None:
         raise ConfigError("give either eta or eta_single (+ n_pulses), not both")
     if g["eta_single"] is not None:
         if g["n_pulses"] is None:
             raise ConfigError("eta_single needs n_pulses")
-        return gate_protocol.pulse_train(g["eta_single"], g["n_pulses"])
+        try:
+            return gate_protocol.pulse_train(g["eta_single"], g["n_pulses"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if g["n_pulses"] is not None:
         raise ConfigError("n_pulses needs eta_single")
-    return 7.0 if g["eta"] is None else g["eta"]
+    eta = 7.0 if g["eta"] is None else g["eta"]
+    if not eta > 0:
+        raise ConfigError(f"eta must be positive, got {eta:g}")
+    return eta
 
 
 def _frame_phase(cfg: dict) -> float | None:

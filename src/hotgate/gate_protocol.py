@@ -220,6 +220,8 @@ def condition_solver(
     area Omega(x_e/2)*t1/2 = (2N + 1/4)*pi so the two branches see
     (2N + 1/2)*pi and 2N*pi respectively.  eta_bound is the kick strength
     at which D would equal Delta, so eta_bound_ratio = D/Delta on any trap.
+    D = 0 (an unkicked basis) leaves no profile to solve and raises
+    ValueError.
     """
     if int(rabi_cycles) != rabi_cycles or rabi_cycles < 1:
         raise ValueError("rabi_cycles must be a positive integer")
@@ -230,6 +232,9 @@ def condition_solver(
     n = int(rabi_cycles)
     lever = float(basis.half_separation_per_k(basis.flip_time))
     big_d = 2.0 * basis.wavenumber * lever
+    if big_d == 0.0:
+        raise ValueError("the branches are not separated at the flip time (D = 0); "
+                         "the kick eta must be positive")
     delta = basis.thermal_spread(n_bar_c)
     big_w = (4.0 * n + 0.5) * big_d
     center = basis.x_e / 2.0 + big_w

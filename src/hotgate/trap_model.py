@@ -394,8 +394,10 @@ def v_cor_factors(expansion: AnharmonicExpansion,
     X_c^a is nonzero only on the diagonals n - n' in {-a, -a+2, ..., a}, so
     with the mirror-symmetric expansion (even a only) every x_c block
     between levels of opposite parity is exactly zero.  This is the one
-    definition of V_cor: v_cor_operator sums the Kronecker products, and
-    analysis.anharmonic_fidelity integrates the factors without forming them.
+    definition of V_cor: analysis.anharmonic_fidelity integrates the factors
+    and analysis.exact_anharmonic_fidelity assembles H block by block from
+    them, neither forming the dense operator; v_cor_operator sums the
+    Kronecker products for the tests.
     """
     coeffs = sorted(expansion.coefficients.items())
     if not coeffs:
@@ -411,9 +413,8 @@ def v_cor_factors(expansion: AnharmonicExpansion,
 
 def v_cor_operator(expansion: AnharmonicExpansion, basis: ModeBasis) -> np.ndarray:
     """V_cor as a dense real symmetric operator on Fock(n_c) (x) Fock(n_r):
-    the sum of the Kronecker products of v_cor_factors, symmetrized.  Dense,
-    for the exact check (analysis.exact_anharmonic_fidelity) and as the
-    oracle of the factored route.
+    the sum of the Kronecker products of v_cor_factors, symmetrized.  Dense
+    oracle for tests of the factored routes; no production route calls it.
     """
     n_c, n_r = basis.dims
     out = np.zeros((n_c * n_r, n_c * n_r))
@@ -423,8 +424,9 @@ def v_cor_operator(expansion: AnharmonicExpansion, basis: ModeBasis) -> np.ndarr
 
 
 def motional_hamiltonian(basis: ModeBasis, v_cor: np.ndarray | None = None) -> np.ndarray:
-    """H of the two modes: diagonal harmonic part plus optional V_cor; real
-    unless v_cor is complex."""
+    """H of the two modes as a dense M x M array: diagonal harmonic part
+    plus optional V_cor; real unless v_cor is complex.  Dense oracle for
+    tests; analysis.exact_anharmonic_fidelity assembles H per block."""
     h = np.diag(motional_energies_flat(basis))
     if v_cor is not None:
         h = h + v_cor

@@ -319,8 +319,7 @@ def test_exact_fidelity_matches_dense_echo(exponent, order, scale, state_mode):
     spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
     basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
     expansion = tm.anharmonic_expansion(spec, order=order).scaled(scale)
-    h = tm.motional_hamiltonian(basis, tm.v_cor_operator(expansion, basis))
-    assert len(an._parity_blocks(h, basis.dims)) == 2
+    assert len(list(an._hamiltonian_blocks(basis, expansion))) == 2
     got = an.exact_anharmonic_fidelity(basis, expansion, 1.0, state_mode)
     assert got < 1.0 - 1e-7
     assert abs(got - _dense_exact_fidelity(basis, expansion, 1.0, state_mode)) <= 1e-14
@@ -332,11 +331,51 @@ def test_exact_fidelity_odd_xc_power_takes_one_block(spec, state_mode):
     # x_c x_r^2 couples x_c levels of opposite parity
     expansion = tm.AnharmonicExpansion(order=3, coefficients={(1, 2): 0.1},
                                        x_e=basis.x_e)
-    h = tm.motional_hamiltonian(basis, tm.v_cor_operator(expansion, basis))
-    assert len(an._parity_blocks(h, basis.dims)) == 1
+    [(levels, _)] = an._hamiltonian_blocks(basis, expansion)
+    assert levels.tolist() == list(range(basis.dims[0]))
     got = an.exact_anharmonic_fidelity(basis, expansion, 1.0, state_mode)
     assert got < 1.0 - 1e-7
     assert abs(got - _dense_exact_fidelity(basis, expansion, 1.0, state_mode)) <= 1e-14
+
+
+@pytest.mark.parametrize("state_mode, dims, reference", [
+    ("pre_kick", (24, 19), 0.9999978254882697),
+    ("post_kick", (28, 22), 0.9981852007170257),
+])
+def test_exact_fidelity_never_builds_the_dense_hamiltonian(
+        spec, monkeypatch, state_mode, dims, reference):
+    """The exact route runs with the dense V_cor and H unavailable and still
+    gives the benchmark's f_cor_exact figures (eta 7, n_bar_c 1, order 3)."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense M x M operator built")
+
+    monkeypatch.setattr(tm, "v_cor_operator", dense)
+    monkeypatch.setattr(tm, "motional_hamiltonian", dense)
+    assert not hasattr(an, "v_cor_operator")
+    assert not hasattr(an, "motional_hamiltonian")
+    basis = tm.build_mode_basis(spec, eta=7.0, n_bar_c=1.0, dims=dims)
+    got = an.exact_anharmonic_fidelity(basis, tm.anharmonic_expansion(spec, order=3),
+                                       1.0, state_mode)
+    assert abs(got - reference) <= 1e-9 * (1.0 - reference)
+
+
+@pytest.mark.parametrize("order", [3, 6])
+def test_hamiltonian_blocks_match_dense_hamiltonian(spec, order):
+    """A mirror-symmetric expansion leaves the even/odd x_c cross block of
+    the dense H exactly zero, and each block assembled from v_cor_factors is
+    the matching block of the dense H."""
+    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
+    expansion = tm.anharmonic_expansion(spec, order=order)
+    h = tm.motional_hamiltonian(basis, tm.v_cor_operator(expansion, basis))
+    n_c, n_r = basis.dims
+    flat = [(np.arange(p, n_c, 2)[:, None] * n_r + np.arange(n_r)).ravel() for p in (0, 1)]
+    assert not np.any(h[np.ix_(flat[0], flat[1])])
+    blocks = list(an._hamiltonian_blocks(basis, expansion))
+    assert [lv.tolist() for lv, _ in blocks] == [list(range(0, n_c, 2)),
+                                                 list(range(1, n_c, 2))]
+    for (_, block), idx in zip(blocks, flat):
+        ref = h[np.ix_(idx, idx)]
+        assert np.abs(block - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_anharmonic_state_mode_validation(anharmonic_setup):

@@ -80,6 +80,21 @@ def test_conflicting_eta_flags_exit_1(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("conditions", "--eta", "0"),
+    ("gate", "--eta", "0"),
+    ("conditions", "--eta", "-1"),
+    ("gate", "--eta", "-1"),
+    ("conditions", "--eta-single", "0", "--n-pulses", "3"),
+    ("modes", "--eta-single", "0.45", "--n-pulses", "0"),
+])
+def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("hotgate: config error: ") and err.count("\n") == 1
+
+
 # --- separation -------------------------------------------------------------
 
 

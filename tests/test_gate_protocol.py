@@ -79,6 +79,13 @@ def test_condition_solver_rejects_bad_inputs(spec):
         gp.condition_solver(basis, n_bar_c=-0.1)
 
 
+def test_condition_solver_rejects_unkicked_basis(spec):
+    # eta 0 leaves D = 0, and W = (4N + 1/2) D with it
+    basis = make_basis(spec, eta=0.0, dims=(10, 8))
+    with pytest.raises(ValueError, match="D = 0"):
+        gp.condition_solver(basis)
+
+
 def test_linearized_branch_areas_are_half_cycle_apart(spec):
     """theta0*(1 +- D/(2W)) must land on (2N+1/2)pi and 2N*pi exactly."""
     basis = make_basis(spec, eta=7.0, dims=(8, 8))
