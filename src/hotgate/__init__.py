@@ -10,9 +10,9 @@ Layers, bottom to top:
   thermal and kick geometry the layers above read.
 * gate_protocol — the kick / free-flight / addressed-flip / closing-kick
   schedule, its condition solver, the gate channel (1-D Gaussian integrals
-  over ion 1's position, in any harmonic trap), the motional output from
-  propagated thermal Fock columns, which are also the channel's oracle, and
-  the literal composite-unitary path that tests use as their oracle.
+  over ion 1's position, in any harmonic trap), and the motional output
+  where it has a closed form.  The Fock-space oracles the tests check these
+  against live in tests/oracles.py, outside the package.
 * analysis — separation curves, channel fidelity/purity, the perturbative
   anharmonic fidelity with its exact-propagation cross-check, and grid scans.
 * cli — the `hotgate` command.
@@ -64,16 +64,13 @@ from .gate_protocol import (
     GateChannel,
     GateSchedule,
     KickPulse,
-    SystemState,
     build_schedule,
     condition_solver,
     eta_lower_bound,
     gate_channel,
     ideal_gate,
-    initial_state,
     motional_output,
     pulse_train,
-    run_gate,
 )
 from .trap_model import (
     AnharmonicExpansion,

@@ -220,19 +220,6 @@ def _phase_integral(detuning, length: float):
     return length * np.exp(1j * half) * np.sinc(half / np.pi)
 
 
-def interaction_integral(v: np.ndarray, energies: np.ndarray, length: float) -> np.ndarray:
-    """integral_0^length of e^{i H0 tau} V e^{-i H0 tau} d tau for diagonal H0.
-
-    Element (j, k) picks up _phase_integral(E_j - E_k, length).  In the
-    commensurate trap every E_j - E_k is a whole multiple of nu_c, so over
-    one gate time only the resonant part of V survives.  v may be real (as
-    trap_model.v_cor_operator returns it) or complex.  Dense, M x M: the
-    oracle of anharmonic_fidelity's factored integral.
-    """
-    energies = np.asarray(energies, dtype=float)
-    return _phase_integral(energies[:, None] - energies[None, :], length) * np.asarray(v)
-
-
 @dataclass(frozen=True)
 class AnharmonicReport:
     """Perturbative dephasing estimate for one operating point."""
@@ -314,8 +301,7 @@ def anharmonic_fidelity(
     sum_j p_j sum_l |W_jl|^2 = sum_kl G^c_kl G^r_kl, with G^c and G^r the
     weighted Gram matrices of the A_k and the B_k.  The cost is
     K (n_c^3 + n_r^3) + K^2 (n_c^2 + n_r^2) against M^2 (n_c + n_r) for the
-    dense M x M integral (M = n_c n_r), which interaction_integral keeps as
-    the oracle.
+    dense M x M integral (M = n_c n_r).
     """
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
@@ -470,37 +456,13 @@ def anharmonic_dims(n_bar_c: float) -> tuple[int, int]:
             fock_core.default_fock_dim(relative_occupation(n_bar_c), 0.0))
 
 
-def _anharmonic_point(spec, n_bar_c, order):
-    """F_cor at thermal-sized truncation."""
-    small = build_mode_basis(spec, eta=spec.lamb_dicke, n_bar_c=n_bar_c,
-                             dims=anharmonic_dims(n_bar_c))
+def _anharmonic_point(spec, n_bar_c, order, dims_factor=1):
+    """F_cor at thermal-sized truncation, anharmonic_dims scaled by
+    dims_factor (2 gives the doubled-truncation check of gate's F_cor)."""
+    dims = tuple(dims_factor * d for d in anharmonic_dims(n_bar_c))
+    small = build_mode_basis(spec, eta=spec.lamb_dicke, n_bar_c=n_bar_c, dims=dims)
     expansion = anharmonic_expansion(spec, order=order)
     return anharmonic_fidelity(small, expansion, n_bar_c=n_bar_c)
-
-
-def _solved_point(
-    spec: TrapSpec,
-    eta: float,
-    n_bar_c: float,
-    rabi_cycles: int = 3,
-    margin: float = 3.0,
-    dims: tuple[int, int] | None = None,
-    omega0_scale: float = 1.0,
-    frame_phase: float | None = None,
-):
-    """Mode basis, solved schedule and condition report of one operating
-    point, with gate_report's pulse overrides applied."""
-    basis = build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c, dims=dims)
-    schedule, condition = gate_protocol.build_schedule(
-        basis, n_bar_c=n_bar_c, rabi_cycles=rabi_cycles, margin=margin)
-    if omega0_scale != 1.0:
-        if omega0_scale < 0:
-            raise ValueError("omega0_scale must be non-negative")
-        schedule = replace(schedule, flip=replace(
-            schedule.flip, omega0=schedule.flip.omega0 * omega0_scale))
-    if frame_phase is not None:
-        schedule = replace(schedule, frame_phase=frame_phase)
-    return basis, schedule, condition
 
 
 def gate_report(
@@ -524,8 +486,16 @@ def gate_report(
     identity, when the pulse is disabled).  anharmonic_order None skips the
     dephasing estimate; 0 reports F_cor = 1 (correction switched off).
     """
-    basis, schedule, condition = _solved_point(
-        spec, eta, n_bar_c, rabi_cycles, margin, dims, omega0_scale, frame_phase)
+    basis = build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c, dims=dims)
+    schedule, condition = gate_protocol.build_schedule(
+        basis, n_bar_c=n_bar_c, rabi_cycles=rabi_cycles, margin=margin)
+    if omega0_scale != 1.0:
+        if omega0_scale < 0:
+            raise ValueError("omega0_scale must be non-negative")
+        schedule = replace(schedule, flip=replace(
+            schedule.flip, omega0=schedule.flip.omega0 * omega0_scale))
+    if frame_phase is not None:
+        schedule = replace(schedule, frame_phase=frame_phase)
     gc = gate_protocol.gate_channel(basis, schedule, n_bar_c=n_bar_c,
                                     flip_mode=flip_mode)
     channel = QuantumChannel(gc.choi)
@@ -547,28 +517,6 @@ def gate_report(
         condition=condition, tp_defect=channel.trace_preservation_defect(),
         flip_mode=flip_mode,
     )
-
-
-def fock_route_fidelity(
-    spec: TrapSpec,
-    eta: float,
-    n_bar_c: float,
-    flip_mode: str = "gaussian",
-    target: np.ndarray | None = None,
-    **point_kw,
-) -> float:
-    """Average fidelity of gate_report's operating point on the Fock oracle.
-
-    point_kw are gate_report's rabi_cycles, margin, dims, omega0_scale and
-    frame_phase.  gate_report's channel has no Fock truncation, so this
-    figure at the same dims measures how far the truncated Fock space is
-    from it.
-    """
-    basis, schedule, _ = _solved_point(spec, eta, n_bar_c, **point_kw)
-    gc = gate_protocol.fock_gate_channel(basis, schedule, n_bar_c, flip_mode)
-    if target is None:
-        target = gate_protocol.ideal_gate()
-    return average_fidelity(QuantumChannel(gc.choi), target)
 
 
 def _scan_row(spec: TrapSpec, eta: float, n_bar_c: float, report_kw: dict) -> dict:

@@ -6,10 +6,11 @@ file (--config), then command-line flags, in that order of precedence.
 Every setting is declared once, in _SETTINGS, which gives its default, its
 INI type, its flag and the subcommands that read it; a subcommand's parser
 takes only those flags and rejects the rest, while an INI file may set any
-key.  Outputs are deterministic: data files never carry timestamps (--stamp
-opts in, metadata only), floats print at a fixed significant-digit count,
-and every CSV/JSON records a hash of the resolved settings its subcommand
-reads.
+key.  _RANGES holds the range of each numeric setting, checked for the
+settings a subcommand reads before it runs.  Outputs are deterministic:
+data files never carry timestamps (--stamp opts in, metadata only), floats
+print at a fixed significant-digit count, and every CSV/JSON records a hash
+of the resolved settings its subcommand reads.
 
 Exit codes: 0 success, 1 bad usage or config, 2 physically infeasible
 request, 3 numerical non-convergence.
@@ -69,7 +70,7 @@ _SETTINGS = (
     ("gate", "rabi_cycles", 3, int, "--rabi-cycles", _SCHEDULE, None),
     ("gate", "margin", 3.0, float, "--margin", _SCHEDULE, None),
     ("gate", "t1_over_tg", 0.01, float, "--t1-over-tg", ("conditions",), None),
-    ("gate", "dims", None, str, "--dims", ("separation", "gate"),
+    ("gate", "dims", None, str, "--dims", ("separation",),
      "Fock truncation 'n_c,n_r'"),
     ("gate", "flip", "gaussian", ("gaussian", "idealized"), "--flip", ("gate", "scan"),
      None),
@@ -106,6 +107,44 @@ _READERS = {(section, key): commands for section, key, *_, commands, _ in _SETTI
 
 # settings that steer where the data goes but not the data itself
 _HASH_EXCLUDE = {("output", "path")}
+
+
+# The range each numeric setting must lie in, as (test, rule).  main checks
+# every setting the subcommand reads before the subcommand runs, so a value
+# the library would reject is a config error, not a traceback or a scan of
+# failed rows.
+_RANGES = {
+    ("trap", "exponent"): (lambda v: v > 1.0, "above 1"),
+    ("trap", "lamb_dicke"): (lambda v: v >= 0.0, "non-negative"),
+    ("trap", "nu_c"): (lambda v: v > 0.0, "positive"),
+    ("trap", "mass"): (lambda v: v > 0.0, "positive"),
+    ("trap", "separation_in_x0"): (lambda v: v > 0.0, "positive"),
+    ("trap", "stiffness"): (lambda v: v > 0.0, "positive"),
+    ("trap", "coulomb"): (lambda v: v > 0.0, "positive"),
+    ("gate", "n_bar_c"): (lambda v: v >= 0.0, "non-negative"),
+    ("gate", "rabi_cycles"): (lambda v: v >= 1, "a positive integer"),
+    ("gate", "margin"): (lambda v: v >= 1.0, "at least 1"),
+    ("gate", "t1_over_tg"): (lambda v: v > 0.0, "positive"),
+    ("gate", "omega0_scale"): (lambda v: v >= 0.0, "non-negative"),
+    ("scan", "etas"): (lambda raw: all(v > 0.0 for v in _parse_grid(raw, "etas")),
+                       "a list of positive numbers"),
+    ("scan", "n_bars"): (lambda raw: all(v >= 0.0 for v in _parse_grid(raw, "n_bars")),
+                         "a list of non-negative numbers"),
+    ("scan", "anharmonic_order"): (lambda v: v == 0 or 3 <= v <= 6, "0 or between 3 and 6"),
+    ("anharmonic", "order"): (lambda v: v == 0 or 3 <= v <= 6, "0 or between 3 and 6"),
+    ("anharmonic", "n_bar_c"): (lambda v: v >= 0.0, "non-negative"),
+    ("separation", "points"): (lambda v: v >= 2, "at least 2"),
+    ("output", "precision"): (lambda v: v >= 0, "non-negative"),
+}
+
+
+def _check_ranges(cfg: dict, command: str) -> None:
+    """Raise ConfigError for the first setting command reads that is out of
+    its range; unset optional settings (None) pass."""
+    for (section, key), (test, rule) in _RANGES.items():
+        value = cfg[section][key]
+        if command in _READERS[(section, key)] and value is not None and not test(value):
+            raise ConfigError(f"[{section}] {key} must be {rule}, got {value!r}")
 
 
 def _coerce(section: str, key: str, raw: str):
@@ -395,33 +434,28 @@ def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
     spec = build_trap(cfg)
     target_name = cfg["gate"]["target"]
     order = cfg["anharmonic"]["order"] if args.anharmonic else None
-    kwargs = dict(
+    frame_phase = _frame_phase(cfg)
+    report = analysis.gate_report(
+        spec, resolve_eta(cfg), cfg["gate"]["n_bar_c"],
         rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"],
         flip_mode=cfg["gate"]["flip"], anharmonic_order=order,
-        dims=_parse_dims(cfg["gate"]["dims"]),
-        omega0_scale=cfg["gate"]["omega0_scale"],
-        frame_phase=_frame_phase(cfg),
-        target=_target_matrix(target_name),
-    )
-    eta = resolve_eta(cfg)
-    report = analysis.gate_report(spec, eta, cfg["gate"]["n_bar_c"], **kwargs)
+        omega0_scale=cfg["gate"]["omega0_scale"], frame_phase=frame_phase,
+        target=_target_matrix(target_name))
     payload = report.to_dict()
     payload["target"] = target_name
     payload["note"] = _FIDELITY_NOTE if target_name == "gate" else (
         "fidelity measured against the identity map")
     text = _json_text("gate", cfg, payload, args.stamp, cfg["output"]["precision"])
     _emit(text, _resolve_path(cfg["output"]["path"]))
-    if args.check_convergence:
-        # the reported figure has no truncation; the Fock oracle at the
-        # report's dims shows how far that truncation would be off
-        del kwargs["anharmonic_order"]
-        fock = analysis.fock_route_fidelity(
-            spec, eta, cfg["gate"]["n_bar_c"], **{**kwargs, "dims": report.dims})
-        drift = abs(fock - report.fidelity)
-        if drift > 1e-6:
-            sys.stderr.write(f"gate: the Fock route at dims {report.dims[0]},"
-                             f"{report.dims[1]} is {drift:.3e} off the truncation-"
-                             f"free fidelity; increase dims\n")
+    if args.check_convergence and order:
+        # the channel checks its own quadrature; F_cor is the one figure
+        # gate reports from a truncated Fock space
+        doubled = analysis._anharmonic_point(spec, cfg["gate"]["n_bar_c"], order,
+                                             dims_factor=2).f_cor
+        gap = abs(doubled - report.f_cor)
+        if gap > 1e-6:
+            sys.stderr.write(f"gate: F_cor moves by {gap:.3e} when its truncation "
+                             f"doubles (truncation gap above 1e-6)\n")
             return 3
     return 0
 
@@ -610,7 +644,7 @@ def build_parser() -> _Parser:
                               help="include the perturbative anharmonic fidelity")
     subs["gate"].add_argument(
         "--check-convergence", action="store_true",
-        help="compare with the Fock route at the report's dims; a fidelity "
+        help="with --anharmonic, recompute F_cor at doubled truncation; a "
              "gap above 1e-6 exits 3")
     subs["scan"].add_argument("--skip-existing", action="store_true",
                               help="reuse finished rows of an output file "
@@ -633,6 +667,7 @@ def main(argv=None) -> int:
             value = getattr(args, _dest(flag), None)
             if value is not None:
                 cfg[section][key] = value
+        _check_ranges(cfg, args.command)
         return args.func(cfg, args)
     except ConfigError as exc:
         sys.stderr.write(f"hotgate: config error: {exc}\n")

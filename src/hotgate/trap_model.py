@@ -324,11 +324,6 @@ def mode_energies(basis: ModeBasis) -> tuple[np.ndarray, np.ndarray]:
     return e_c, e_r
 
 
-def motional_energies_flat(basis: ModeBasis) -> np.ndarray:
-    e_c, e_r = mode_energies(basis)
-    return (e_c[:, None] + e_r[None, :]).ravel()
-
-
 @dataclass(frozen=True)
 class AnharmonicExpansion:
     """Taylor remainder of the two-ion potential beyond quadratic order.
@@ -396,8 +391,7 @@ def v_cor_factors(expansion: AnharmonicExpansion,
     between levels of opposite parity is exactly zero.  This is the one
     definition of V_cor: analysis.anharmonic_fidelity integrates the factors
     and analysis.exact_anharmonic_fidelity assembles H block by block from
-    them, neither forming the dense operator; v_cor_operator sums the
-    Kronecker products for the tests.
+    them, neither forming the dense operator.
     """
     coeffs = sorted(expansion.coefficients.items())
     if not coeffs:
@@ -409,25 +403,3 @@ def v_cor_factors(expansion: AnharmonicExpansion,
     for (a, b), c in coeffs:
         q[a] = q.get(a, 0.0) + c * pow_r[b]
     return [(a, pow_c[a], q_a) for a, q_a in sorted(q.items())]
-
-
-def v_cor_operator(expansion: AnharmonicExpansion, basis: ModeBasis) -> np.ndarray:
-    """V_cor as a dense real symmetric operator on Fock(n_c) (x) Fock(n_r):
-    the sum of the Kronecker products of v_cor_factors, symmetrized.  Dense
-    oracle for tests of the factored routes; no production route calls it.
-    """
-    n_c, n_r = basis.dims
-    out = np.zeros((n_c * n_r, n_c * n_r))
-    for _, x_pow, q in v_cor_factors(expansion, basis):
-        out += np.kron(x_pow, q)
-    return (out + out.T) / 2.0
-
-
-def motional_hamiltonian(basis: ModeBasis, v_cor: np.ndarray | None = None) -> np.ndarray:
-    """H of the two modes as a dense M x M array: diagonal harmonic part
-    plus optional V_cor; real unless v_cor is complex.  Dense oracle for
-    tests; analysis.exact_anharmonic_fidelity assembles H per block."""
-    h = np.diag(motional_energies_flat(basis))
-    if v_cor is not None:
-        h = h + v_cor
-    return h

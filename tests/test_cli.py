@@ -95,6 +95,40 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     assert err.startswith("hotgate: config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("conditions", "--rabi-cycles", "0"),
+    ("conditions", "--margin", "0.5"),
+    ("conditions", "--n-bar-c", "-1"),
+    ("gate", "--n-bar-c", "-1"),
+    ("gate", "--rabi-cycles", "0"),
+    ("gate", "--anharmonic", "--order", "9"),
+    ("modes", "--n-bar-c", "-1"),
+    ("separation", "--points", "1"),
+    ("anharmonic", "--anh-n-bar-c", "-1"),
+    ("anharmonic", "--order", "2"),
+    ("scan", "--etas", "0"),
+    ("scan", "--n-bars", "-1"),
+    ("scan", "--rabi-cycles", "0"),
+    ("scan", "--anharmonic-order", "2"),
+    ("conditions", "--t1-over-tg", "0"),
+    ("gate", "--omega0-scale", "-1"),
+    ("modes", "--exponent", "1"),
+    ("modes", "--mass", "0"),
+    ("modes", "--nu-c", "0"),
+    ("modes", "--separation-in-x0", "0"),
+    ("modes", "--lamb-dicke", "-1"),
+    ("modes", "--stiffness", "-1", "--coulomb", "1"),
+    ("modes", "--stiffness", "1", "--coulomb", "0"),
+    ("modes", "--precision", "-1"),
+], ids=" ".join)
+def test_out_of_range_setting_exits_1_with_one_line(capsys, argv):
+    """Rejected before any work runs: no traceback, and no scan rows."""
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("hotgate: config error: ") and err.count("\n") == 1
+
+
 # --- separation -------------------------------------------------------------
 
 
@@ -187,8 +221,7 @@ def test_stamp_is_opt_in(capsys):
 
 
 def test_gate_idealized_flip_is_perfect(capsys):
-    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--dims", "14,10",
-                     "--idealized-flip")
+    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--idealized-flip")
     assert rc == 0
     doc = json.loads(out)
     assert doc["fidelity"] == pytest.approx(1.0, abs=1e-9)
@@ -198,7 +231,7 @@ def test_gate_idealized_flip_is_perfect(capsys):
 
 
 def test_gate_output_is_deterministic(capsys):
-    argv = ("gate", "--eta", "1.5", "--dims", "14,10", "--idealized-flip")
+    argv = ("gate", "--eta", "1.5", "--idealized-flip")
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
@@ -214,8 +247,8 @@ def test_gate_disabled_pulse_against_identity(capsys):
 
 
 def test_gate_anharmonic_column(capsys):
-    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--dims", "14,10",
-                     "--idealized-flip", "--n-bar-c", "0.5", "--anharmonic")
+    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--idealized-flip",
+                     "--n-bar-c", "0.5", "--anharmonic")
     assert rc == 0
     doc = json.loads(out)
     assert 0.99999 < doc["f_cor"] < 1.0
@@ -227,22 +260,40 @@ def test_gate_anharmonic_column(capsys):
 
 
 def test_gate_check_convergence(capsys):
-    ok = ("gate", "--eta", "1.5", "--check-convergence")
-    rc, out, _ = run(capsys, *ok)
+    """The check recomputes F_cor, the one truncated figure gate reports, at
+    doubled truncation; the channel checks its own quadrature."""
+    hot = ("gate", "--eta", "7", "--anharmonic", "--check-convergence")
+    rc, out, _ = run(capsys, *hot, "--n-bar-c", "3")
     assert rc == 0
     doc = json.loads(out)
     assert "route" not in doc and "kept_levels" not in doc
-    cramped = ("gate", "--eta", "1.5", "--dims", "8,6", "--check-convergence")
-    rc, out, err = run(capsys, *cramped)
+    # at n_bar_c 10 the thermal-sized truncation of F_cor is too tight
+    rc, out, err = run(capsys, *hot, "--n-bar-c", "10")
     assert rc == 3
-    assert "truncation" in err
+    assert "F_cor" in err and "truncation gap" in err
     assert json.loads(out)["command"] == "gate"  # the partial result is still emitted
-    # off the commensurate ratio the check compares with the Fock route too
-    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--exponent", "2",
+    # no F_cor requested, no truncated figure to check, on any trap
+    rc, out, _ = run(capsys, "gate", "--eta", "7", "--n-bar-c", "1", "--exponent", "2",
                      "--check-convergence")
     assert rc == 0
-    doc = json.loads(out)
-    assert "route" not in doc and "kept_levels" not in doc
+    assert json.loads(out)["f_cor"] is None
+
+
+def test_gate_check_convergence_memory_is_bounded(capsys):
+    """numpy reports its buffers to tracemalloc; recomputing the gate on a
+    truncated Fock route peaked at about 370 MB here."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rc = cli.main(["gate", "--eta", "7", "--n-bar-c", "0.5", "--anharmonic",
+                       "--check-convergence"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 32e6
 
 
 def test_gate_unconverged_quadrature_exits_3(capsys):
@@ -328,7 +379,7 @@ _DEFAULT_HASHES = {
     "modes": "fd5e16a73342c8ee76bc35f86ce447934f0eefd5ee663931fc0356d51bead767",
     "separation": "e99f0ed56a50f71b26cddd942756d0b0cb24beab6b4681a92946c5311e94be89",
     "conditions": "3d9ec494a9be9a370202ee4069602e7dc1c819d5bf23cc8aa09b73cde72b5be0",
-    "gate": "7d8a6eb7db93b424e8810ce50ae8dc8d705dbc4664d79cdf1c5eed44d2e334d3",
+    "gate": "6bfa9c6e970ef19fd2c8ad7aa9014505363255b082708ab0faa2476d4af344d1",
     "scan": "b3beec4335b76e2570116ec97e0885fbb8b9969000817a0b3b446e1c68b49b63",
     "anharmonic": "a1e497014304831e5804e18386dff798ea68dcb2a85a7929f914d38c12d00c90",
 }
@@ -348,6 +399,7 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ("gate", "--t1-over-tg", "0.002"),
         ("modes", "--flip", "idealized"),
         ("scan", "--jobs", "2"),
+        ("gate", "--dims", "14,10"),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)

@@ -1,12 +1,15 @@
-"""Pulse solver, composite-space reference evolution, and the branch channel.
+"""Pulse solver, the gate channel, and the Fock-space oracles it is checked
+against.
 
-The heavyweight check here is dual-route: the internal channel assembled from
-factorized branch operators (fock_gate_channel) must reproduce, matrix element
-by matrix element, the channel reconstructed by literally evolving composite
-density matrices through run_gate.  The two code paths share no plumbing
-beyond the elementary operator constructors.  The truncation-free channel of
-gate_channel is in turn checked against the Fock route, on refocusing and
-non-refocusing gates alike.
+The oracles live in tests/oracles.py, outside the package.  The heavyweight
+check is dual-route within them: the internal channel assembled from
+factorized branch operators (oracles.fock_gate_channel) must reproduce,
+matrix element by matrix element, the channel reconstructed by literally
+evolving composite density matrices through oracles.run_gate.  The two code
+paths share no plumbing beyond the elementary operator constructors.  The
+package's truncation-free gate_channel is in turn checked against the Fock
+branch route, on refocusing and non-refocusing gates alike, and its
+closed-form motional_output against the propagated Fock columns.
 """
 
 import math
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from hotgate import analysis as an, fock_core as fc, gate_protocol as gp, trap_model as tm
 
 
@@ -164,7 +168,7 @@ def test_schedule_validation(spec):
 
 def test_kick_unitary_is_unitary(spec):
     basis = make_basis(spec, eta=1.0, dims=(10, 8))
-    u = gp.kick_unitary(basis, gp.KickPulse(1.0))
+    u = oracles.kick_unitary(basis, gp.KickPulse(1.0))
     d = u.shape[0]
     np.testing.assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
 
@@ -173,22 +177,22 @@ def test_kick_must_carry_the_basis_eta(spec):
     """The basis sizes eta_c, eta_r and the Fock displacements of the kick."""
     basis = make_basis(spec, eta=1.0, dims=(6, 5))
     with pytest.raises(ValueError):
-        gp.kick_unitary(basis, gp.KickPulse(2.0))
+        oracles.kick_unitary(basis, gp.KickPulse(2.0))
 
 
 def test_kick_imparts_opposite_mode_momenta(spec):
     """+k on the COM mode and -k/2 on the stretch mode, per branch."""
     basis = make_basis(spec, eta=1.0, dims=(12, 9))
     k = basis.eta / basis.x0
-    u = gp.kick_unitary(basis, gp.KickPulse(basis.eta))
+    u = oracles.kick_unitary(basis, gp.KickPulse(basis.eta))
     n_c, n_r = basis.dims
     p_c = np.kron(fc.momentum_operator(n_c, basis.width_c), np.eye(n_r))
     p_r = np.kron(np.eye(n_c), fc.momentum_operator(n_r, basis.width_r))
     for q2, sign in ((0, +1.0), (1, -1.0)):
         ket = np.zeros(4)
         ket[q2] = 1.0  # internal |0, q2>
-        state = gp.initial_state(basis, ket)
-        out = gp.SystemState(state.dims, fc.unitary_evolve(state.data, u))
+        state = oracles.initial_state(basis, ket)
+        out = oracles.SystemState(state.dims, fc.unitary_evolve(state.data, u))
         rho_m = out.motional_density()
         assert np.trace(rho_m @ p_c).real == pytest.approx(sign * k, abs=1e-9)
         assert np.trace(rho_m @ p_r).real == pytest.approx(-sign * k / 2.0, abs=1e-9)
@@ -220,7 +224,7 @@ def test_addressed_flip_against_dense_expm(spec):
     omega = (vecs * gp.gaussian_rabi(pulse, vals)) @ vecs.conj().T
     h = np.kron(np.kron(gp.SIGMA_X, gp.ID2), omega)
     oracle = scipy.linalg.expm(-0.5j * pulse.duration * h)
-    got = gp.addressed_flip_unitary(basis, pulse)
+    got = oracles.addressed_flip_unitary(basis, pulse)
     np.testing.assert_allclose(got, oracle, atol=1e-10)
 
 
@@ -230,7 +234,7 @@ def test_flat_profile_limit_is_global_rotation(spec):
     theta = 0.4
     pulse = gp.AddressedPulse(
         omega0=2.0 * theta / 0.25, center=basis.x_e / 2.0, width=1e8, duration=0.25)
-    got = gp.addressed_flip_unitary(basis, pulse)
+    got = oracles.addressed_flip_unitary(basis, pulse)
     rot = scipy.linalg.expm(-1j * theta * gp.SIGMA_X)
     oracle = np.kron(np.kron(rot, gp.ID2), np.eye(int(np.prod(basis.dims))))
     np.testing.assert_allclose(got, oracle, atol=1e-6)
@@ -247,7 +251,7 @@ def test_ideal_gate_truth_table():
 
 
 def test_frame_rotation_acts_on_qubit2_zero():
-    r = gp.frame_rotation(math.pi / 2.0)
+    r = oracles.frame_rotation(math.pi / 2.0)
     expect = np.diag([1j, 1.0, 1j, 1.0])
     np.testing.assert_allclose(r, expect, atol=1e-15)
 
@@ -259,8 +263,8 @@ def test_idealized_run_restores_motion_and_flips(spec):
     basis = make_basis(spec, eta=1.2, dims=(14, 10))
     schedule, _ = gp.build_schedule(basis)
     internal = np.ones(4) / 2.0
-    init = gp.initial_state(basis, internal)
-    out = gp.run_gate(schedule, init, basis, flip_mode="idealized")
+    init = oracles.initial_state(basis, internal)
+    out = oracles.run_gate(schedule, init, basis, flip_mode="idealized")
     u = gp.ideal_gate()
     target = u @ np.outer(internal, internal) @ u.conj().T
     assert fc.trace_distance(out.internal_density(), target) < 1e-12
@@ -272,20 +276,20 @@ def test_idealized_run_restores_motion_and_flips(spec):
 def test_run_gate_rejects_bad_modes(spec):
     basis = make_basis(spec, eta=1.0, dims=(6, 5))
     schedule, _ = gp.build_schedule(basis)
-    init = gp.initial_state(basis, np.eye(4) / 4.0)
+    init = oracles.initial_state(basis, np.eye(4) / 4.0)
     with pytest.raises(ValueError):
-        gp.run_gate(schedule, init, basis, flip_mode="sinc")
+        oracles.run_gate(schedule, init, basis, flip_mode="sinc")
     bare = gp.GateSchedule(t0=schedule.t0, t_g=schedule.t_g, kick=schedule.kick)
     with pytest.raises(ValueError):
-        gp.run_gate(bare, init, basis, flip_mode="gaussian")
+        oracles.run_gate(bare, init, basis, flip_mode="gaussian")
 
 
 def _channel_choi_by_state_runs(basis, schedule, n_bar_c):
     """Choi matrix of the run_gate path, via pure-state polarization."""
 
     def lam(ket):
-        init = gp.initial_state(basis, np.asarray(ket, dtype=complex), n_bar_c)
-        out = gp.run_gate(schedule, init, basis, flip_mode="gaussian")
+        init = oracles.initial_state(basis, np.asarray(ket, dtype=complex), n_bar_c)
+        out = oracles.run_gate(schedule, init, basis, flip_mode="gaussian")
         return out.internal_density()
 
     eye = np.eye(4)
@@ -310,7 +314,7 @@ def test_gate_channel_matches_composite_evolution(spec):
     """Dual route: factorized branch channel vs literal density evolution."""
     basis = make_basis(spec, eta=1.2, dims=(16, 10))
     schedule, _ = gp.build_schedule(basis, n_bar_c=0.4)
-    ch = gp.fock_gate_channel(basis, schedule, n_bar_c=0.4, mass_cutoff=0.0)
+    ch = oracles.fock_gate_channel(basis, schedule, n_bar_c=0.4, mass_cutoff=0.0)
     assert ch.kept == basis.dims  # cutoff 0 keeps the whole rectangle
     choi_ref = _channel_choi_by_state_runs(basis, schedule, 0.4)
     np.testing.assert_allclose(ch.choi, choi_ref, atol=1e-10)
@@ -320,7 +324,7 @@ def test_gate_channel_matches_composite_evolution(spec):
     basis = make_basis(odd, eta=1.2, dims=(8, 6))
     assert not basis.commensurate
     schedule, _ = gp.build_schedule(basis, n_bar_c=0.4)
-    ch = gp.fock_gate_channel(basis, schedule, n_bar_c=0.4, mass_cutoff=0.0)
+    ch = oracles.fock_gate_channel(basis, schedule, n_bar_c=0.4, mass_cutoff=0.0)
     assert ch.kept == basis.dims
     choi_ref = _channel_choi_by_state_runs(basis, schedule, 0.4)
     np.testing.assert_allclose(ch.choi, choi_ref, atol=1e-10)
@@ -328,7 +332,7 @@ def test_gate_channel_matches_composite_evolution(spec):
 
 def _cross_route(basis, schedule, n_bar_c, flip_mode="gaussian"):
     ps = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode=flip_mode)
-    fock = gp.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode=flip_mode)
+    fock = oracles.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode=flip_mode)
     return ps, fock
 
 
@@ -342,7 +346,7 @@ def test_phase_space_channel_matches_fock_route(spec):
         schedule, rep = gp.build_schedule(basis, n_bar_c=n_bar_c)
         assert rep.well_conditioned
         ps, fock = _cross_route(basis, schedule, n_bar_c)
-        assert ps.kept is None and ps.dropped_mass < 1e-40
+        assert ps.dropped_mass < 1e-40
         np.testing.assert_allclose(ps.gram, fock.gram, rtol=0, atol=1e-9)
         np.testing.assert_allclose(ps.choi, fock.choi, rtol=0, atol=1e-9)
     basis = make_basis(spec, eta=3.0, n_bar_c=0.5)
@@ -392,7 +396,7 @@ def test_gate_channel_matches_fock_oracle_without_refocusing(point):
     basis, schedule = _unfocused_point(*point)
     n_bar_c = point[2]
     ch = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c)
-    fock = gp.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, mass_cutoff=1e-15)
+    fock = oracles.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, mass_cutoff=1e-15)
     np.testing.assert_allclose(ch.gram, fock.gram, rtol=0, atol=1e-12)
     np.testing.assert_allclose(ch.choi, fock.choi, rtol=0, atol=1e-12)
 
@@ -412,7 +416,7 @@ def test_idealized_flip_off_ratio_closed_form(point):
     assert d < 0.99  # far from the all-ones Gram matrix of a refocusing gate
     ch = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode="idealized")
     np.testing.assert_allclose(ch.gram, [[1.0, d], [d, 1.0]], rtol=0, atol=1e-15)
-    fock = gp.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode="idealized",
+    fock = oracles.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode="idealized",
                                 mass_cutoff=1e-15)
     np.testing.assert_allclose(ch.gram, fock.gram, rtol=0, atol=1e-13)
 
@@ -497,6 +501,20 @@ def test_motional_output_idealized_returns_thermal(spec):
     assert fc.trace_distance(rho, ref) < 1e-12
 
 
+def test_motional_output_rejects_inputs_without_closed_form(spec):
+    """The package gives the motional output only where it is the thermal
+    state; the Gaussian flip and a schedule that does not refocus raise."""
+    basis = make_basis(spec, eta=1.5, dims=(14, 9))
+    schedule, _ = gp.build_schedule(basis, n_bar_c=0.3)
+    internal = np.full((4, 4), 0.25, dtype=complex)
+    with pytest.raises(ValueError, match="closed form"):
+        gp.motional_output(basis, schedule, internal, n_bar_c=0.3, flip_mode="gaussian")
+    odd = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=1.2, dims=(8, 6))
+    schedule, _ = gp.build_schedule(odd, n_bar_c=0.2)
+    with pytest.raises(ValueError, match="closed form"):
+        gp.motional_output(odd, schedule, internal, n_bar_c=0.2, flip_mode="idealized")
+
+
 def test_motional_output_idealized_off_ratio_matches_composite_route():
     # nu_r / nu_c = sqrt(3): the idealized flip does not refocus, so the
     # output comes from the propagated Fock columns
@@ -505,10 +523,10 @@ def test_motional_output_idealized_off_ratio_matches_composite_route():
     schedule, _ = gp.build_schedule(basis, n_bar_c=0.2)
     assert not gp._refocuses(basis, schedule)
     internal = np.full((4, 4), 0.25, dtype=complex)
-    got = gp.motional_output(basis, schedule, internal, n_bar_c=0.2,
-                             flip_mode="idealized")
-    init = gp.initial_state(basis, internal, n_bar_c=0.2)
-    ref = gp.run_gate(schedule, init, basis, flip_mode="idealized")
+    got = oracles.fock_motional_output(basis, schedule, internal, n_bar_c=0.2,
+                                       flip_mode="idealized")
+    init = oracles.initial_state(basis, internal, n_bar_c=0.2)
+    ref = oracles.run_gate(schedule, init, basis, flip_mode="idealized")
     assert fc.trace_distance(got, gp.thermal_motional(basis, 0.2)) > 1e-3
     assert fc.trace_distance(got, ref.motional_density()) <= 1e-10
 
@@ -517,21 +535,21 @@ def test_motional_output_matches_composite_route(spec):
     basis = make_basis(spec, eta=1.5, dims=(14, 9))
     schedule, _ = gp.build_schedule(basis, n_bar_c=0.3)
     internal = np.full((4, 4), 0.25, dtype=complex)
-    got = gp.motional_output(basis, schedule, internal, n_bar_c=0.3,
-                             flip_mode="gaussian")
-    init = gp.initial_state(basis, internal, n_bar_c=0.3)
-    ref = gp.run_gate(schedule, init, basis, flip_mode="gaussian")
+    got = oracles.fock_motional_output(basis, schedule, internal, n_bar_c=0.3,
+                                       flip_mode="gaussian")
+    init = oracles.initial_state(basis, internal, n_bar_c=0.3)
+    ref = oracles.run_gate(schedule, init, basis, flip_mode="gaussian")
     assert fc.trace_distance(got, ref.motional_density()) < 1e-10
     # a truncation that drops thermal levels: the deviation from the full
     # literal route stays within the dropped thermal mass
     basis = make_basis(spec, eta=1.5, dims=(20, 12))
     schedule, _ = gp.build_schedule(basis, n_bar_c=0.3)
-    ch = gp.fock_gate_channel(basis, schedule, n_bar_c=0.3)
+    ch = oracles.fock_gate_channel(basis, schedule, n_bar_c=0.3)
     assert ch.kept[0] < basis.dims[0] and ch.kept[1] < basis.dims[1]
-    got = gp.motional_output(basis, schedule, internal, n_bar_c=0.3,
-                             flip_mode="gaussian")
-    init = gp.initial_state(basis, internal, n_bar_c=0.3)
-    ref = gp.run_gate(schedule, init, basis, flip_mode="gaussian")
+    got = oracles.fock_motional_output(basis, schedule, internal, n_bar_c=0.3,
+                                       flip_mode="gaussian")
+    init = oracles.initial_state(basis, internal, n_bar_c=0.3)
+    ref = oracles.run_gate(schedule, init, basis, flip_mode="gaussian")
     assert fc.trace_distance(got, ref.motional_density()) <= ch.dropped_mass + 1e-12
 
 
