@@ -2,8 +2,9 @@
 
 Layers, bottom to top:
 
-* fock_core — truncated oscillator algebra: ladder/displacement operators,
-  thermal states, tensor products, partial traces, the truncation heuristic.
+* fock_core — truncated oscillator algebra on plain arrays: ladder,
+  position and displacement operators, coherent and thermal states, trace
+  distance, the truncation heuristic.
 * trap_model — statics of two ions in a power-law trap: equilibrium
   separation, normal modes, the commensurability condition nu_r = 2 nu_c,
   the anharmonic correction to the two-mode picture, and (ModeBasis) the
@@ -37,23 +38,17 @@ from .errors import (
     ConfigError,
     InfeasibleRatioError,
     InvalidOperatorError,
-    KindMismatchError,
     NoEquilibriumError,
     NonConvergenceError,
 )
 from .fock_core import (
     DensityOp,
-    PureState,
     annihilation,
     coherent_state,
-    creation,
     default_fock_dim,
     displacement,
-    fock_state,
     hermitian_expm,
-    partial_trace,
     position_operator,
-    tensor,
     thermal_probabilities,
     thermal_state,
     trace_distance,
@@ -63,7 +58,6 @@ from .gate_protocol import (
     ConditionReport,
     GateChannel,
     GateSchedule,
-    KickPulse,
     build_schedule,
     condition_solver,
     eta_lower_bound,

@@ -60,7 +60,7 @@ def separation_analytic(basis: ModeBasis, times) -> np.ndarray:
 
 def _mean_x_kicked(alpha: complex, width: float, nu: float, dim: int, times):
     """<x(t)> of a single mode prepared in the coherent state |alpha>."""
-    ket = fock_core.coherent_state(alpha, dim).amplitudes
+    ket = fock_core.coherent_state(alpha, dim)
     x_op = fock_core.position_operator(dim, width)
     phases = np.exp(-1j * nu * (np.arange(dim) + 0.5)[None, :] * np.asarray(times)[:, None])
     kets = phases * ket[None, :]

@@ -627,17 +627,13 @@ def build_parser() -> _Parser:
         p.add_argument("--stamp", action="store_true",
                        help="add a generation timestamp to the metadata")
         groups = {}
-        for section, key, _, kind, flag, commands, help_ in _SETTINGS:
+        for section, _, _, kind, flag, commands, help_ in _SETTINGS:
             if name not in commands:
                 continue
             if section not in groups:
                 groups[section] = p.add_argument_group(section)
             typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             groups[section].add_argument(flag, dest=_dest(flag), help=help_, **typed)
-            if key == "flip":
-                groups[section].add_argument(
-                    "--idealized-flip", action="store_const", const="idealized",
-                    dest=_dest(flag), help="shorthand for --flip idealized")
     subs["modes"].add_argument("--solve-ratio", dest="solve_ratio", type=float,
                                help="find the wall exponent giving this nu_r/nu_c")
     subs["gate"].add_argument("--anharmonic", action="store_true",

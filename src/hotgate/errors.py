@@ -5,12 +5,8 @@ ValueError subclasses, runtime numerical trouble is RuntimeError subclasses.
 """
 
 
-class KindMismatchError(TypeError):
-    """Raised when operators and states are mixed in one tensor product."""
-
-
 class InvalidOperatorError(ValueError):
-    """Operator fails a structural contract (hermiticity, unitarity, positivity)."""
+    """Operator fails a structural contract (hermiticity, unit trace, positivity)."""
 
 
 class NoEquilibriumError(RuntimeError):

@@ -60,17 +60,6 @@ ID2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
-class KickPulse:
-    """Instantaneous state-dependent momentum kick on ion 2."""
-
-    eta_effective: float
-
-    def __post_init__(self):
-        if self.eta_effective < 0:
-            raise ValueError("eta_effective must be non-negative")
-
-
-@dataclass(frozen=True)
 class AddressedPulse:
     """Gaussian-profile Rabi pulse on ion 1: Omega(x) = omega0 * exp(-(x-center)^2/(2 width^2))."""
 
@@ -97,8 +86,9 @@ def gaussian_rabi(pulse: AddressedPulse, x) -> np.ndarray:
 class GateSchedule:
     """Timing and pulses of one gate execution.
 
-    kick is applied at t = 0 and again at t_g: the kick operator is its own
-    inverse, so the second application closes the first.
+    The kick is applied at t = 0 and again at t_g: the kick operator is its
+    own inverse, so the second application closes the first.  Its strength
+    is basis.eta of the ModeBasis the schedule runs on.
 
     frame_phase is the virtual z-rotation (radians) applied to qubit 2's |0>
     component after the closing kick.  The solved Gaussian schedule sets it
@@ -109,7 +99,6 @@ class GateSchedule:
 
     t0: float
     t_g: float
-    kick: KickPulse
     flip: AddressedPulse | None = None
     frame_phase: float = 0.0
 
@@ -273,7 +262,6 @@ def build_schedule(
     schedule = GateSchedule(
         t0=basis.flip_time,
         t_g=basis.gate_time,
-        kick=KickPulse(basis.eta),
         flip=pulse,
         frame_phase=pi / 2.0,
     )

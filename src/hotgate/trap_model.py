@@ -27,6 +27,9 @@ import numpy as np
 from . import fock_core
 from .errors import InfeasibleRatioError, NoEquilibriumError
 
+_P_MAX = 400.0  # largest exponent solve_exponent_for_ratio tries
+_SNAP_TOL = 1e-8  # build_mode_basis snaps a ratio this close to 2 to exactly 2
+
 
 @dataclass(frozen=True)
 class TrapSpec:
@@ -135,13 +138,13 @@ def frequency_ratio(spec: TrapSpec) -> float:
     return nu_r / nu_c
 
 
-def solve_exponent_for_ratio(target_ratio: float, p_max: float = 400.0) -> float:
+def solve_exponent_for_ratio(target_ratio: float) -> float:
     """Exponent p whose stretch/COM frequency ratio equals target_ratio:
     r = sqrt((p+1)/(p-1)) inverts to p = (r^2+1)/(r^2-1).
 
     The curvature route (mode_frequencies) spot-checks at run time that the
     ratio falls with p and that stiffness leaves it unchanged to 1e-9.
-    Unreachable ratios raise InfeasibleRatioError.  p_max stays modest
+    Unreachable ratios raise InfeasibleRatioError.  _P_MAX stays modest
     because (x/2)^p overflows doubles near p ~ 1000; near p = 1 a double p
     resolves the ratio only to about eps*r^3/4, so p_min = 1 + 5e-5 keeps
     the 1e-9 check passing and the attainable ratios span (1.0025, 200).
@@ -151,7 +154,7 @@ def solve_exponent_for_ratio(target_ratio: float, p_max: float = 400.0) -> float
     def ratio_at(p: float) -> float:
         return frequency_ratio(TrapSpec(exponent=p))
 
-    r_hi, r_lo = ratio_at(p_min), ratio_at(p_max)
+    r_hi, r_lo = ratio_at(p_min), ratio_at(_P_MAX)
     if not r_lo < target_ratio < r_hi:
         raise InfeasibleRatioError(
             f"ratio {target_ratio} outside attainable range ({r_lo:.6f}, {r_hi:.1f}); "
@@ -276,12 +279,11 @@ def build_mode_basis(
     eta: float | None = None,
     n_bar_c: float = 0.0,
     dims: tuple[int, int] | None = None,
-    snap_tol: float = 1e-8,
 ) -> ModeBasis:
     """Quantize the two modes for a given effective kick strength.
 
     eta defaults to spec.lamb_dicke.  When the computed frequency ratio is
-    within snap_tol of 2, nu_r is snapped to exactly 2*nu_c so that the
+    within _SNAP_TOL of 2, nu_r is snapped to exactly 2*nu_c so that the
     curvature route's roundoff cannot masquerade as gate dephasing.
     Default dims follow fock_core.default_fock_dim per mode, sized by the
     thermal occupations (n_bar_c and its same-temperature stretch partner).
@@ -292,7 +294,7 @@ def build_mode_basis(
         raise ValueError("eta must be non-negative")
     x_e = equilibrium_separation(spec)
     nu_c, nu_r = mode_frequencies(spec, x_e)
-    commensurate = abs(nu_r / nu_c - 2.0) < snap_tol
+    commensurate = abs(nu_r / nu_c - 2.0) < _SNAP_TOL
     if commensurate:
         nu_r = 2.0 * nu_c
     m = spec.mass

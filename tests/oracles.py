@@ -5,7 +5,8 @@ Fock space at basis.dims, where the package's own routes do not:
 
 * the literal composite path: kick_unitary, free flight, addressed_flip_unitary
   or idealized_flip_unitary and frame_rotation, composed by run_gate on full
-  qubit1 (x) qubit2 (x) mode_c (x) mode_r states;
+  qubit1 (x) qubit2 (x) mode_c (x) mode_r states held as plain arrays (a 1-D
+  array is a ket, a 2-D array a density matrix);
 * the Fock branch route: the retained thermal levels propagated through
   every branch operator (_BranchOps, _thermal_columns), contracted into the
   channel (fock_gate_channel) or into the reduced motional state
@@ -29,7 +30,6 @@ from hotgate.gate_protocol import (
     AddressedPulse,
     GateChannel,
     GateSchedule,
-    KickPulse,
     _branch_terms,
     _channel,
     _free_phases,
@@ -51,21 +51,20 @@ SIGMA_MINUS = SIGMA_PLUS.conj().T
 # ---------------------------------------------------------------------------
 
 
-def _kick_factors(basis: ModeBasis, pulse: KickPulse):
+def _kick_factors(basis: ModeBasis):
     """Mode displacement factors and constant phase of e^{+ik x2}.
 
     x2 = x_c - (x_r + x_e)/2, so the +k branch displaces the modes by
     basis.kick_displacements() and carries the constant phase e^{-i k x_e/2}.
     """
-    if pulse.eta_effective != basis.eta:
-        raise ValueError(f"kick eta {pulse.eta_effective} is not the basis eta {basis.eta}")
     d_c, d_r = basis.kick_displacements()
     return d_c, d_r, np.exp(-0.5j * basis.wavenumber * basis.x_e)
 
 
-def kick_unitary(basis: ModeBasis, pulse: KickPulse) -> np.ndarray:
-    """Full composite kick sigma+_2 e^{ik x2} + sigma-_2 e^{-ik x2}."""
-    d_c, d_r, phase = _kick_factors(basis, pulse)
+def kick_unitary(basis: ModeBasis) -> np.ndarray:
+    """Full composite kick sigma+_2 e^{ik x2} + sigma-_2 e^{-ik x2}, of
+    strength basis.eta."""
+    d_c, d_r, phase = _kick_factors(basis)
     e_plus = phase * np.kron(d_c, d_r)
     e_minus = e_plus.conj().T
     return (np.kron(np.kron(ID2, SIGMA_PLUS), e_plus)
@@ -119,63 +118,62 @@ def frame_rotation(phase: float) -> np.ndarray:
 
 @dataclass
 class SystemState:
-    """State on qubit1 (x) qubit2 (x) mode_c (x) mode_r."""
+    """State on qubit1 (x) qubit2 (x) mode_c (x) mode_r: data is a ket (1-D
+    array) or a density matrix (2-D array) over prod(dims)."""
 
     dims: tuple[int, int, int, int]
-    data: "fock_core.PureState | fock_core.DensityOp"
+    data: np.ndarray
 
     def __post_init__(self):
         d = int(np.prod(self.dims))
         if self.dims[0] != 2 or self.dims[1] != 2:
             raise ValueError("the first two subsystems must be qubits")
-        if self.data.dim != d:
-            raise ValueError(f"state dimension {self.data.dim} != prod(dims) {d}")
+        if self.data.shape[0] != d:
+            raise ValueError(f"state dimension {self.data.shape[0]} != prod(dims) {d}")
 
-    def density_matrix(self) -> np.ndarray:
-        return self.data.to_density().matrix
+    def _blocks(self) -> np.ndarray:
+        """The density matrix as a (4, M, 4, M) array, M = n_c n_r."""
+        rho = self.data if self.data.ndim == 2 else np.outer(self.data, self.data.conj())
+        m = rho.shape[0] // 4
+        return rho.reshape(4, m, 4, m)
 
     def internal_density(self) -> np.ndarray:
-        return fock_core.partial_trace(self.density_matrix(), self.dims, keep=(0, 1))
+        return np.einsum("ambm->ab", self._blocks())
 
     def motional_density(self) -> np.ndarray:
-        return fock_core.partial_trace(self.density_matrix(), self.dims, keep=(2, 3))
+        return np.einsum("aman->mn", self._blocks())
 
 
 def initial_state(basis: ModeBasis, internal, n_bar_c: float = 0.0) -> SystemState:
     """Product of an internal two-qubit state with the thermal motion.
 
-    internal may be a length-4 ket or a 4x4 density matrix (raw arrays or
-    fock_core wrappers).  A pure internal state over the vacuum stays a
-    PureState; anything thermal becomes a DensityOp.
+    internal may be a length-4 ket or a 4x4 density matrix.  A pure internal
+    state over the vacuum stays a ket; anything thermal becomes a density
+    matrix.
     """
     n_c, n_r = basis.dims
-    if isinstance(internal, fock_core.PureState):
-        internal = internal.amplitudes
-    elif isinstance(internal, fock_core.DensityOp):
-        internal = internal.matrix
     internal = np.asarray(internal, dtype=complex)
     if internal.shape == (4,):
         if n_bar_c == 0:
             mot = np.zeros(n_c * n_r, dtype=complex)
             mot[0] = 1.0
-            return SystemState((2, 2, n_c, n_r),
-                               fock_core.PureState(np.kron(internal, mot)))
+            return SystemState((2, 2, n_c, n_r), np.kron(internal, mot))
         internal = np.outer(internal, internal.conj())
     if internal.shape != (4, 4):
         raise ValueError("internal state must be a length-4 ket or 4x4 matrix")
     rho = np.kron(internal, thermal_motional(basis, n_bar_c).matrix)
-    return SystemState((2, 2, n_c, n_r), fock_core.DensityOp(rho, check=False))
+    return SystemState((2, 2, n_c, n_r), rho)
 
 
-def _apply_diag(state_data, diag: np.ndarray):
-    """Apply a diagonal unitary given as its phase vector."""
-    if isinstance(state_data, fock_core.PureState):
-        return fock_core.PureState(diag * state_data.amplitudes)
-    m = state_data.matrix if isinstance(state_data, fock_core.DensityOp) else state_data
-    out = m * np.outer(diag, diag.conj())
-    if isinstance(state_data, fock_core.DensityOp):
-        return fock_core.DensityOp(out, check=False)
-    return out
+def evolve(state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u applied to a ket (u psi) or to a density matrix (u rho u^dag)."""
+    return u @ state if state.ndim == 1 else u @ state @ u.conj().T
+
+
+def _free_segment(state: np.ndarray, basis: ModeBasis, t: float) -> np.ndarray:
+    """Free flight for time t, applied as its diagonal of phases."""
+    diag = np.concatenate([_free_phases(basis, t).ravel()] * 4)
+    return diag * state if state.ndim == 1 else state * np.outer(diag, diag.conj())
 
 
 def run_gate(
@@ -195,26 +193,20 @@ def run_gate(
         raise ValueError("schedule has no addressed pulse but flip_mode='gaussian'")
     if tuple(initial.dims[2:]) != tuple(basis.dims):
         raise ValueError("state dims do not match basis dims")
-    state = initial.data
-    u_kick = kick_unitary(basis, schedule.kick)
-    state = fock_core.unitary_evolve(state, u_kick)
+    u_kick = kick_unitary(basis)
+    state = evolve(initial.data, u_kick)
     state = _free_segment(state, basis, schedule.t0)
     if flip_mode == "gaussian":
-        state = fock_core.unitary_evolve(state, addressed_flip_unitary(basis, schedule.flip))
+        state = evolve(state, addressed_flip_unitary(basis, schedule.flip))
     else:
-        state = fock_core.unitary_evolve(state, idealized_flip_unitary(basis))
+        state = evolve(state, idealized_flip_unitary(basis))
     state = _free_segment(state, basis, schedule.t_g - schedule.t0)
-    state = fock_core.unitary_evolve(state, u_kick)
+    state = evolve(state, u_kick)
     if flip_mode == "gaussian" and schedule.frame_phase:
         u_frame = np.kron(frame_rotation(schedule.frame_phase),
                           np.eye(int(np.prod(basis.dims)), dtype=complex))
-        state = fock_core.unitary_evolve(state, u_frame)
+        state = evolve(state, u_frame)
     return SystemState(initial.dims, state)
-
-
-def _free_segment(state, basis: ModeBasis, t: float):
-    diag = np.concatenate([_free_phases(basis, t).ravel()] * 4)
-    return _apply_diag(state, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +226,7 @@ class _BranchOps:
         self.basis = basis
         self.schedule = schedule
         self.flip_mode = flip_mode
-        d_c, d_r, phase = _kick_factors(basis, schedule.kick)
+        d_c, d_r, phase = _kick_factors(basis)
         self._open = {0: (d_c, d_r, phase), 1: (d_c.conj().T, d_r.conj().T, np.conj(phase))}
         self._close = {0: self._open[1], 1: self._open[0]}
         if flip_mode == "gaussian":

@@ -221,7 +221,7 @@ def test_stamp_is_opt_in(capsys):
 
 
 def test_gate_idealized_flip_is_perfect(capsys):
-    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--idealized-flip")
+    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--flip", "idealized")
     assert rc == 0
     doc = json.loads(out)
     assert doc["fidelity"] == pytest.approx(1.0, abs=1e-9)
@@ -231,7 +231,7 @@ def test_gate_idealized_flip_is_perfect(capsys):
 
 
 def test_gate_output_is_deterministic(capsys):
-    argv = ("gate", "--eta", "1.5", "--idealized-flip")
+    argv = ("gate", "--eta", "1.5", "--flip", "idealized")
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
@@ -247,13 +247,13 @@ def test_gate_disabled_pulse_against_identity(capsys):
 
 
 def test_gate_anharmonic_column(capsys):
-    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--idealized-flip",
+    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--flip", "idealized",
                      "--n-bar-c", "0.5", "--anharmonic")
     assert rc == 0
     doc = json.loads(out)
     assert 0.99999 < doc["f_cor"] < 1.0
     # gate reads [anharmonic] order, so it takes the flag too
-    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--idealized-flip",
+    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--flip", "idealized",
                      "--anharmonic", "--order", "0")
     assert rc == 0
     assert json.loads(out)["f_cor"] == 1.0
@@ -400,6 +400,7 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ("modes", "--flip", "idealized"),
         ("scan", "--jobs", "2"),
         ("gate", "--dims", "14,10"),
+        ("gate", "--idealized-flip"),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)

@@ -1,4 +1,5 @@
-"""Oscillator-algebra layer: operators, states, tensor plumbing."""
+"""Oscillator-algebra layer: operators and states, and the reduced states
+the oracles take of composite-space arrays."""
 
 import math
 
@@ -6,14 +7,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from hotgate import fock_core as fc
-from hotgate.errors import InvalidOperatorError, KindMismatchError
+from hotgate.errors import InvalidOperatorError
 
 
 def test_ladder_commutator_inner_block():
     d = 12
     a = fc.annihilation(d)
-    comm = a @ fc.creation(d) - fc.creation(d) @ a
+    comm = a @ a.conj().T - a.conj().T @ a
     # truncation corrupts only the last diagonal entry
     np.testing.assert_allclose(comm[: d - 1, : d - 1], np.eye(d - 1), atol=1e-14)
     assert comm[d - 1, d - 1] == pytest.approx(1 - d)
@@ -21,8 +23,8 @@ def test_ladder_commutator_inner_block():
 
 def test_number_operator_is_adag_a():
     d = 9
-    np.testing.assert_allclose(
-        fc.number_operator(d), fc.creation(d) @ fc.annihilation(d), atol=0)
+    a = fc.annihilation(d)
+    np.testing.assert_allclose(fc.number_operator(d), a.conj().T @ a, atol=0)
 
 
 def test_position_momentum_commutator():
@@ -115,21 +117,8 @@ def test_thermal_state_mean_occupation():
 def test_coherent_state_poisson_mean():
     alpha = 1.1 - 0.6j
     ket = fc.coherent_state(alpha, 60)
-    assert fc.mean_occupation(ket) == pytest.approx(abs(alpha) ** 2, abs=1e-10)
-
-
-def test_fock_state():
-    ket = fc.fock_state(8, 3)
-    assert ket.amplitudes[3] == 1.0
-    assert fc.mean_occupation(ket) == pytest.approx(3.0)
-
-
-def test_pure_state_norm_repair_and_reject():
-    amp = np.array([1.0, 1e-8])
-    st = fc.PureState(amp)
-    assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(InvalidOperatorError):
-        fc.PureState(np.array([1.0, 0.5]))
+    rho = fc.DensityOp(np.outer(ket, ket.conj()))
+    assert fc.mean_occupation(rho) == pytest.approx(abs(alpha) ** 2, abs=1e-10)
 
 
 def test_density_validation():
@@ -144,87 +133,37 @@ def test_density_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_tensor_operators_matches_kron():
-    a = fc.annihilation(3)
-    b = fc.number_operator(4)
-    np.testing.assert_allclose(fc.tensor([a, b]), np.kron(a, b), atol=0)
-
-
-def test_tensor_pure_states():
-    k1 = fc.fock_state(3, 1)
-    k2 = fc.fock_state(2, 0)
-    joint = fc.tensor([k1, k2])
-    expect = np.zeros(6)
-    expect[2] = 1.0
-    np.testing.assert_allclose(joint.amplitudes, expect, atol=0)
-
-
-def test_tensor_promotes_mixed_purity():
-    pure = fc.fock_state(2, 0)
-    mixed = fc.thermal_state(0.5, 3)
-    joint = fc.tensor([pure, mixed])
-    assert isinstance(joint, fc.DensityOp)
-    assert joint.dim == 6
-
-
-def test_tensor_rejects_operator_state_mix():
-    with pytest.raises(KindMismatchError):
-        fc.tensor([fc.annihilation(3), fc.fock_state(3, 0)])
-
-
-def test_partial_trace_product_state():
-    rho_a = fc.thermal_state(0.7, 5).matrix
-    rho_b = fc.thermal_state(0.2, 4).matrix
-    joint = np.kron(rho_a, rho_b)
-    np.testing.assert_allclose(
-        fc.partial_trace(joint, (5, 4), keep=(0,)), rho_a, atol=1e-14)
-    np.testing.assert_allclose(
-        fc.partial_trace(joint, (5, 4), keep=(1,)), rho_b, atol=1e-14)
-
-
-def test_partial_trace_bell_pair():
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / math.sqrt(2)
-    rho = np.outer(bell, bell.conj())
-    red = fc.partial_trace(rho, (2, 2), keep=(0,))
-    np.testing.assert_allclose(red, np.eye(2) / 2, atol=1e-14)
-
-
 def test_partial_trace_against_einsum_oracle():
+    """oracles.SystemState's reduced states against an index-by-index
+    einsum, on a random non-product density matrix and on a random ket."""
     rng = np.random.default_rng(3)
-    dims = (2, 3, 4)
+    dims = (2, 2, 3, 4)
     d = int(np.prod(dims))
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ m.conj().T
     rho /= np.trace(rho)
-    t = rho.reshape(*dims, *dims)
-    # keep subsystems 0 and 2, trace out 1
-    oracle = np.einsum("ajkbjc->akbc", t.reshape(2, 3, 4, 2, 3, 4)).reshape(8, 8)
-    got = fc.partial_trace(rho, dims, keep=(0, 2))
-    np.testing.assert_allclose(got, oracle, atol=1e-13)
-    assert np.trace(got) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_unitary_evolve_density_conjugation():
-    rng = np.random.default_rng(9)
-    h = rng.normal(size=(6, 6))
-    h = h + h.T
-    u = scipy.linalg.expm(-1j * h)
-    rho = fc.thermal_state(0.4, 6)
-    out = fc.unitary_evolve(rho, u)
-    np.testing.assert_allclose(out.matrix, u @ rho.matrix @ u.conj().T, atol=1e-12)
-
-
-def test_unitary_evolve_rejects_nonunitary():
-    with pytest.raises(InvalidOperatorError):
-        fc.unitary_evolve(fc.fock_state(3, 0), np.diag([1.0, 1.0, 2.0]))
+    ket = rng.normal(size=d) + 1j * rng.normal(size=d)
+    ket /= np.linalg.norm(ket)
+    t = rho.reshape(dims + dims)
+    psi = ket.reshape(dims)
+    cases = [
+        (rho, np.einsum("abcdefcd->abef", t), np.einsum("abcdabgh->cdgh", t)),
+        (ket, np.einsum("abcd,efcd->abef", psi, psi.conj()),
+         np.einsum("abcd,abgh->cdgh", psi, psi.conj())),
+    ]
+    for data, internal, motional in cases:
+        state = oracles.SystemState(dims, data)
+        got_q, got_m = state.internal_density(), state.motional_density()
+        np.testing.assert_allclose(got_q, internal.reshape(4, 4), atol=1e-13)
+        np.testing.assert_allclose(got_m, motional.reshape(12, 12), atol=1e-13)
+        assert np.trace(got_q) == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(got_m) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trace_distance_extremes():
-    k0 = fc.fock_state(4, 0)
-    k1 = fc.fock_state(4, 1)
-    assert fc.trace_distance(k0.to_density(), k1.to_density()) == pytest.approx(1.0)
-    assert fc.trace_distance(k0.to_density(), k0.to_density()) == pytest.approx(0.0, abs=1e-14)
+    p0, p1 = np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 0, 0])
+    assert fc.trace_distance(p0, p1) == pytest.approx(1.0)
+    assert fc.trace_distance(p0, p0) == pytest.approx(0.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -155,36 +155,38 @@ def test_pulse_train():
 
 
 def test_schedule_validation(spec):
-    kick = gp.KickPulse(1.0)
     with pytest.raises(ValueError):
-        gp.GateSchedule(t0=2.0, t_g=1.0, kick=kick)
+        gp.GateSchedule(t0=2.0, t_g=1.0)
     slow = gp.AddressedPulse(omega0=1.0, center=0.0, width=1.0, duration=1.0)
     with pytest.warns(UserWarning):
-        gp.GateSchedule(t0=1.0, t_g=6.0, kick=kick, flip=slow)
+        gp.GateSchedule(t0=1.0, t_g=6.0, flip=slow)
 
 
 # --- elementary unitaries ---------------------------------------------------
 
 
 def test_kick_unitary_is_unitary(spec):
+    """Every composite unitary run_gate applies: the kick, both flips and
+    the frame rotation (x) 1.  run_gate itself does not check them."""
     basis = make_basis(spec, eta=1.0, dims=(10, 8))
-    u = oracles.kick_unitary(basis, gp.KickPulse(1.0))
-    d = u.shape[0]
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
-
-
-def test_kick_must_carry_the_basis_eta(spec):
-    """The basis sizes eta_c, eta_r and the Fock displacements of the kick."""
-    basis = make_basis(spec, eta=1.0, dims=(6, 5))
-    with pytest.raises(ValueError):
-        oracles.kick_unitary(basis, gp.KickPulse(2.0))
+    schedule, _ = gp.build_schedule(basis)
+    eye_m = np.eye(int(np.prod(basis.dims)))
+    unitaries = {
+        "kick": oracles.kick_unitary(basis),
+        "addressed flip": oracles.addressed_flip_unitary(basis, schedule.flip),
+        "idealized flip": oracles.idealized_flip_unitary(basis),
+        "frame rotation": np.kron(oracles.frame_rotation(schedule.frame_phase), eye_m),
+    }
+    for name, u in unitaries.items():
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-12,
+                                   err_msg=name)
 
 
 def test_kick_imparts_opposite_mode_momenta(spec):
     """+k on the COM mode and -k/2 on the stretch mode, per branch."""
     basis = make_basis(spec, eta=1.0, dims=(12, 9))
     k = basis.eta / basis.x0
-    u = oracles.kick_unitary(basis, gp.KickPulse(basis.eta))
+    u = oracles.kick_unitary(basis)
     n_c, n_r = basis.dims
     p_c = np.kron(fc.momentum_operator(n_c, basis.width_c), np.eye(n_r))
     p_r = np.kron(np.eye(n_c), fc.momentum_operator(n_r, basis.width_r))
@@ -192,7 +194,7 @@ def test_kick_imparts_opposite_mode_momenta(spec):
         ket = np.zeros(4)
         ket[q2] = 1.0  # internal |0, q2>
         state = oracles.initial_state(basis, ket)
-        out = oracles.SystemState(state.dims, fc.unitary_evolve(state.data, u))
+        out = oracles.SystemState(state.dims, oracles.evolve(state.data, u))
         rho_m = out.motional_density()
         assert np.trace(rho_m @ p_c).real == pytest.approx(sign * k, abs=1e-9)
         assert np.trace(rho_m @ p_r).real == pytest.approx(-sign * k / 2.0, abs=1e-9)
@@ -279,7 +281,7 @@ def test_run_gate_rejects_bad_modes(spec):
     init = oracles.initial_state(basis, np.eye(4) / 4.0)
     with pytest.raises(ValueError):
         oracles.run_gate(schedule, init, basis, flip_mode="sinc")
-    bare = gp.GateSchedule(t0=schedule.t0, t_g=schedule.t_g, kick=schedule.kick)
+    bare = gp.GateSchedule(t0=schedule.t0, t_g=schedule.t_g)
     with pytest.raises(ValueError):
         oracles.run_gate(bare, init, basis, flip_mode="gaussian")
 
