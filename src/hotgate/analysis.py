@@ -194,17 +194,23 @@ def frame_states(dim: int = 4):
     return list((q[:, None, :, None] * q[None, :, None, :]).reshape(36, 4))
 
 
+# |s><s| of the 36 frame kets, flattened: row s holds s_i conj(s_j) at 4 i + j
+_FRAME_PROJECTORS = np.array([np.outer(s, s.conj()).reshape(16) for s in frame_states()])
+
+
 def average_purity(channel: QuantumChannel) -> float:
     """Mean output purity Tr[Lambda(rho)^2] over the 36 axis product states.
 
-    One contraction of the Choi tensor with all 36 kets gives every output
+    One matmul of the 36 frame projectors |s><s| with the Choi tensor
+    reordered to J[(i, j), (a, b)] gives every output
     Lambda(|s><s|)[a, b] = sum_ij J[i, a, j, b] s_i conj(s_j) at once.
     """
     d = channel.dim
-    kets = np.array(frame_states(d))
-    outs = np.einsum("iajb,si,sj->sab", channel.choi.reshape(d, d, d, d),
-                     kets, kets.conj())
-    return float(np.einsum("sab,sba->", outs, outs).real / len(kets))
+    if d != 4:
+        raise ValueError("frame states are defined for the two-qubit space")
+    choi = channel.choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    outs = (_FRAME_PROJECTORS @ choi).reshape(-1, d, d)
+    return float(np.einsum("sab,sba->", outs, outs).real / len(outs))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +471,17 @@ def _anharmonic_point(spec, n_bar_c, order, dims_factor=1):
     return anharmonic_fidelity(small, expansion, n_bar_c=n_bar_c)
 
 
+def _f_cor(spec, n_bar_c, order):
+    """The F_cor that gate_report reports: None for order None (skipped), 1
+    for order 0 (correction switched off), else _anharmonic_point's, which
+    is built at eta = spec.lamb_dicke and so reads no gate eta."""
+    if order is None:
+        return None
+    if order == 0:
+        return 1.0
+    return _anharmonic_point(spec, n_bar_c, order).f_cor
+
+
 def gate_report(
     spec: TrapSpec,
     eta: float,
@@ -503,12 +520,7 @@ def gate_report(
         target = gate_protocol.ideal_gate()
     fidelity = average_fidelity(channel, target)
     purity = average_purity(channel)
-    if anharmonic_order is None:
-        f_cor = None
-    elif anharmonic_order == 0:
-        f_cor = 1.0
-    else:
-        f_cor = _anharmonic_point(spec, n_bar_c, anharmonic_order).f_cor
+    f_cor = _f_cor(spec, n_bar_c, anharmonic_order)
     return GateReport(
         eta=eta, n_bar_c=n_bar_c,
         n_bar_r=condition.n_bar_r,
@@ -519,22 +531,34 @@ def gate_report(
     )
 
 
-def _scan_row(spec: TrapSpec, eta: float, n_bar_c: float, report_kw: dict) -> dict:
+def _scan_row(spec: TrapSpec, eta: float, n_bar_c: float, order: int | None,
+              report_kw: dict, f_cors: dict) -> dict:
     row = {"eta": eta, "n_bar_c": n_bar_c, "fidelity": math.nan,
            "purity": math.nan, "f_cor": math.nan, "error": None}
     try:
-        rep = gate_report(spec, eta, n_bar_c, **report_kw)
+        rep = gate_report(spec, eta, n_bar_c, anharmonic_order=None, **report_kw)
+        if n_bar_c not in f_cors:
+            f_cors[n_bar_c] = _f_cor(spec, n_bar_c, order)
+        f_cor = f_cors[n_bar_c]
         row.update(fidelity=rep.fidelity, purity=rep.purity,
-                   f_cor=math.nan if rep.f_cor is None else rep.f_cor)
+                   f_cor=math.nan if f_cor is None else f_cor)
     except Exception as exc:  # scans keep going; the row records the failure
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
-def scan_rows(spec: TrapSpec, points, **report_kw):
-    """Yield the rows of scan one at a time, in input order."""
+def scan_rows(spec: TrapSpec, points, anharmonic_order: int | None = 3, **report_kw):
+    """Yield the rows of scan one at a time, in input order.
+
+    F_cor reads n_bar_c but not eta (_f_cor), so each distinct n_bar_c
+    computes it once per call: f_cors lives only as long as this generator.
+    A failing F_cor is not stored, so every row it fails raises, and
+    records, its own error.
+    """
+    f_cors = {}
     for eta, n_bar_c in points:
-        yield _scan_row(spec, float(eta), float(n_bar_c), report_kw)
+        yield _scan_row(spec, float(eta), float(n_bar_c), anharmonic_order, report_kw,
+                        f_cors)
 
 
 def scan(spec: TrapSpec, points, **report_kw) -> list[dict]:

@@ -58,6 +58,12 @@ PROJ_0 = np.diag([1.0, 0.0]).astype(complex)
 PROJ_1 = np.diag([0.0, 1.0]).astype(complex)
 ID2 = np.eye(2, dtype=complex)
 
+# the constant internal factors of _branch_terms: (b, s, Q) with Q acting on
+# qubit1 (x) qubit2, built once; _branch_terms hands out fresh copies
+_GAUSSIAN_TERMS = [(b, s, np.kron((ID2 + s * SIGMA_X) / 2.0, proj))
+                   for b, proj in ((0, PROJ_0), (1, PROJ_1)) for s in (1.0, -1.0)]
+_IDEALIZED_TERMS = [(0, None, np.kron(SIGMA_X, PROJ_0)), (1, None, np.kron(ID2, PROJ_1))]
+
 
 @dataclass(frozen=True)
 class AddressedPulse:
@@ -288,7 +294,7 @@ def free_propagator(basis: ModeBasis, t: float) -> np.ndarray:
 
 def ideal_gate() -> np.ndarray:
     """Target internal gate: flip qubit 1 iff qubit 2 is |0> (basis q1 (x) q2)."""
-    return np.kron(SIGMA_X, PROJ_0) + np.kron(ID2, PROJ_1)
+    return _IDEALIZED_TERMS[0][2] + _IDEALIZED_TERMS[1][2]
 
 
 def thermal_motional(basis: ModeBasis, n_bar_c: float) -> fock_core.DensityOp:
@@ -309,23 +315,15 @@ def _branch_terms(schedule: GateSchedule, flip_mode: str):
     The composite unitary is sum_j Q_j (x) M_j with Q_j acting on
     qubit1 (x) qubit2.  Qubit 2 stays diagonal (each kick toggles it twice);
     the Gaussian flip splits qubit 1 over the sigma^x eigenprojectors, and
-    the frame rotation contributes its phase to the b = 0 terms.
+    the frame rotation contributes its phase to the b = 0 terms.  Every
+    call returns new arrays.
     """
-    p_plus = (ID2 + SIGMA_X) / 2.0
-    p_minus = (ID2 - SIGMA_X) / 2.0
-    proj = {0: PROJ_0, 1: PROJ_1}
-    terms = []
     if flip_mode == "gaussian":
-        for b in (0, 1):
-            fphase = np.exp(1j * schedule.frame_phase) if b == 0 else 1.0
-            for s, p in ((1.0, p_plus), (-1.0, p_minus)):
-                terms.append((b, s, fphase * np.kron(p, proj[b])))
-    elif flip_mode == "idealized":
-        terms.append((0, None, np.kron(SIGMA_X, PROJ_0)))
-        terms.append((1, None, np.kron(ID2, PROJ_1)))
-    else:
-        raise ValueError(f"unknown flip_mode {flip_mode!r}")
-    return terms
+        fphase = np.exp(1j * schedule.frame_phase)
+        return [(b, s, (fphase if b == 0 else 1.0) * q) for b, s, q in _GAUSSIAN_TERMS]
+    if flip_mode == "idealized":
+        return [(b, s, q.copy()) for b, s, q in _IDEALIZED_TERMS]
+    raise ValueError(f"unknown flip_mode {flip_mode!r}")
 
 
 @dataclass
@@ -410,7 +408,7 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
     When _refocuses holds, G_b = 1 and the same-branch product already
     gives the cross blocks, so they are not evaluated apart.  The integrals
     are a trapezoid rule over +-_SPAN widths whose interval count doubles
-    until two successive Gram matrices agree to _GRAM_TOL.
+    from 64 until two successive Gram matrices agree to _GRAM_TOL.
     """
     if schedule.flip is None:
         raise ValueError("gaussian flip requested but schedule.flip is None")
@@ -426,29 +424,48 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
         return 0.5 * schedule.flip.duration * gaussian_rabi(
             schedule.flip, x[None, :] + shifts[pick, None])
 
-    previous = None
-    intervals = 64
-    while intervals <= _MAX_INTERVALS:
+    def integrand(intervals):
+        """[w, f] (and the cross-block factors [f_r, fbar_c] when the
+        schedule does not refocus) on the grid of `intervals` intervals;
+        the end weights w are ~1e-43, so the trapezoid rule is a plain sum."""
         z = np.linspace(-_SPAN, _SPAN, intervals + 1)
-        # the end weights are ~1e-43, so the trapezoid rule is the plain sum
         w = np.exp(-0.5 * z * z) * (2.0 * _SPAN / intervals / sqrt(2.0 * pi))
         x = basis.x_e / 2.0 + delta * z
         f = np.exp(-1j * signs[:, None] * theta(x, slice(None)))
+        if cross is None:
+            return [w, f]
+        _, shift, a = cross
+        f_r = np.exp(-1j * signs[rows, None] * theta(x + shift + a, rows))
+        fbar_c = np.exp(1j * signs[~rows, None] * theta(x + shift, ~rows))
+        return [w, f, f_r, fbar_c]
+
+    def gram_of(w, f, *cross_factors):
         gram = (f * w) @ f.conj().T
-        if cross is not None:
-            damp, shift, a = cross
-            f_r = np.exp(-1j * signs[rows, None] * theta(x + shift + a, rows))
-            fbar_c = np.exp(1j * signs[~rows, None] * theta(x + shift, ~rows))
-            block = damp * ((f_r * w) @ fbar_c.T)
+        if cross_factors:
+            f_r, fbar_c = cross_factors
+            block = cross[0] * ((f_r * w) @ fbar_c.T)
             gram[np.ix_(rows, ~rows)] = block
             gram[np.ix_(~rows, rows)] = block.conj().T
-        if previous is not None and np.max(np.abs(gram - previous)) <= _GRAM_TOL:
+        return gram
+
+    # the 64-interval grid is every other node of the 128-interval one
+    # (dyadic nodes, so exactly), at twice the weight: one evaluation
+    # serves the first two levels
+    intervals = 128
+    level = integrand(intervals)
+    w, *factors = (g[..., ::2] for g in level)
+    previous = gram_of(2.0 * w, *factors)
+    while True:
+        gram = gram_of(*level)
+        if np.max(np.abs(gram - previous)) <= _GRAM_TOL:
             return gram
         previous = gram
         intervals *= 2
-    raise NonConvergenceError(
-        f"phase-space Gram matrix did not settle to {_GRAM_TOL:g} "
-        f"within {_MAX_INTERVALS} trapezoid intervals")
+        if intervals > _MAX_INTERVALS:
+            raise NonConvergenceError(
+                f"phase-space Gram matrix did not settle to {_GRAM_TOL:g} "
+                f"within {_MAX_INTERVALS} trapezoid intervals")
+        level = integrand(intervals)
 
 
 def gate_channel(

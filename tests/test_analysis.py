@@ -9,6 +9,7 @@ import scipy.linalg
 
 import oracles
 from hotgate import analysis as an, fock_core as fc, gate_protocol as gp, trap_model as tm
+from hotgate.errors import NonConvergenceError
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,11 @@ def test_average_purity_matches_frame_state_loop(spec):
         purity = an.average_purity(channel)
         assert purity < 1.0 - 1e-3
         assert abs(purity - _purity_by_frame_loop(channel)) <= 1e-14
+
+
+def test_average_purity_rejects_other_dimensions():
+    with pytest.raises(ValueError):
+        an.average_purity(an.QuantumChannel.depolarizing(0.5, dim=3))
 
 
 def test_depolarizing_apply_formula():
@@ -426,3 +432,50 @@ def test_scan_keeps_order_and_records_failures(spec):
     assert rows[1]["error"] is not None and "ValueError" in rows[1]["error"]
     assert math.isnan(rows[1]["fidelity"])
     assert rows[2]["error"] is None
+
+
+def _counting_anharmonic_point(monkeypatch, fail_at=None):
+    """Wrap analysis._anharmonic_point to count its calls, raising
+    NonConvergenceError at n_bar_c == fail_at."""
+    calls = []
+    real = an._anharmonic_point
+
+    def counted(spec, n_bar_c, order, dims_factor=1):
+        calls.append(n_bar_c)
+        if n_bar_c == fail_at:
+            raise NonConvergenceError(f"no F_cor at n_bar_c {n_bar_c}")
+        return real(spec, n_bar_c, order, dims_factor)
+
+    monkeypatch.setattr(an, "_anharmonic_point", counted)
+    return calls
+
+
+_SCAN_POINTS = [(eta, nb) for eta in (2.0, 4.0, 7.0) for nb in (0.0, 0.5)]
+
+
+def test_scan_computes_f_cor_once_per_n_bar_c(spec, monkeypatch):
+    calls = _counting_anharmonic_point(monkeypatch)
+    first = an.scan(spec, _SCAN_POINTS, anharmonic_order=3)
+    assert sorted(calls) == [0.0, 0.5]
+    # a second scan in the same process starts from nothing
+    second = an.scan(spec, _SCAN_POINTS, anharmonic_order=3)
+    assert sorted(calls) == [0.0, 0.0, 0.5, 0.5]
+    for rows in (first, second):
+        for row in rows:
+            assert row["error"] is None
+            rep = an.gate_report(spec, row["eta"], row["n_bar_c"], anharmonic_order=3)
+            assert row["f_cor"] == rep.f_cor
+            assert (row["fidelity"], row["purity"]) == (rep.fidelity, rep.purity)
+
+
+def test_scan_row_keeps_its_own_f_cor_error(spec, monkeypatch):
+    calls = _counting_anharmonic_point(monkeypatch, fail_at=0.5)
+    rows = an.scan(spec, _SCAN_POINTS, anharmonic_order=3)
+    # a failure is not memoized: each row at 0.5 raises it anew
+    assert sorted(calls) == [0.0, 0.5, 0.5, 0.5]
+    for row in rows:
+        if row["n_bar_c"] == 0.5:
+            assert row["error"] == "NonConvergenceError: no F_cor at n_bar_c 0.5"
+            assert math.isnan(row["fidelity"]) and math.isnan(row["f_cor"])
+        else:
+            assert row["error"] is None and row["f_cor"] == 1.0

@@ -568,6 +568,14 @@ def test_import_leaves_scipy_unimported():
     assert out.stdout.strip() == "False"
 
 
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-m", "hotgate", "modes"], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert "commensurate=true" in out.stdout
+
+
 # --- parser behaviour -------------------------------------------------------
 
 

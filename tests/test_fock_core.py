@@ -128,6 +128,16 @@ def test_density_validation():
         fc.DensityOp(np.diag([1.5, -0.5]).astype(complex))
 
 
+def test_validate_psd_checks_what_the_constructor_skips():
+    # above PSD_AUTO_DIM levels the constructor leaves positivity unchecked
+    dim = fc.PSD_AUTO_DIM + 1
+    probs = np.full(dim, (1.0 + 1e-6) / (dim - 1))
+    probs[-1] = -1e-6
+    rho = fc.DensityOp(np.diag(probs))
+    with pytest.raises(InvalidOperatorError, match="not positive"):
+        rho.validate_psd()
+
+
 # ---------------------------------------------------------------------------
 # composites
 # ---------------------------------------------------------------------------

@@ -430,6 +430,58 @@ def test_phase_space_golden_point(spec):
     assert rep.fidelity == pytest.approx(0.995563065904545, abs=1e-12)
 
 
+def _plain_trapezoid_gram(basis, schedule, n_bar_c, terms, intervals):
+    """The Gram matrix of _phase_space_gram's docstring on one plain
+    trapezoid grid of `intervals` intervals over +-_SPAN thermal widths."""
+    z = np.linspace(-gp._SPAN, gp._SPAN, intervals + 1)
+    w = np.exp(-0.5 * z * z) * (2.0 * gp._SPAN / intervals / math.sqrt(2.0 * math.pi))
+    x = basis.x_e / 2.0 + basis.thermal_spread(n_bar_c) * z
+    half_d = basis.half_separation(schedule.t0)
+    shifts = np.array([half_d if b == 0 else -half_d for b, _, _ in terms])
+    signs = np.array([s for _, s, _ in terms])
+
+    def f(x, sign):  # f_{b,s}(x), or fbar for sign +1
+        theta = 0.5 * schedule.flip.duration * gp.gaussian_rabi(
+            schedule.flip, x[None, :] + shifts[:, None])
+        return np.exp(sign * 1j * signs[:, None] * theta)
+
+    f0 = f(x, -1)
+    gram = (f0 * w) @ f0.conj().T
+    if not gp._refocuses(basis, schedule):
+        damp, shift, a = gp._residual_displacement(basis, schedule, n_bar_c)
+        rows = np.array([b == 0 for b, _, _ in terms])
+        block = damp * ((f(x + shift + a, -1)[rows] * w) @ f(x + shift, 1)[~rows].T)
+        gram[np.ix_(rows, ~rows)] = block
+        gram[np.ix_(~rows, rows)] = block.conj().T
+    return gram
+
+
+@pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0])
+def test_phase_space_gram_is_the_128_interval_trapezoid(exponent):
+    """The first level reuses the 128-interval nodes for the 64-interval
+    sum; at the golden point and off the ratio the loop stops at 128."""
+    spec = tm.TrapSpec.normalized(exponent=exponent)
+    basis = make_basis(spec, eta=7.0)
+    schedule, _ = gp.build_schedule(basis)
+    terms = gp._branch_terms(schedule, "gaussian")
+    gram = gp._phase_space_gram(basis, schedule, 0.0, terms)
+    coarse, fine = (_plain_trapezoid_gram(basis, schedule, 0.0, terms, n) for n in (64, 128))
+    assert np.array_equal(gram, fine)
+    assert np.max(np.abs(fine - coarse)) <= gp._GRAM_TOL
+
+
+@pytest.mark.parametrize("flip_mode", ["gaussian", "idealized"])
+def test_branch_terms_are_fresh_arrays(spec, flip_mode):
+    schedule, _ = gp.build_schedule(make_basis(spec, eta=2.0))
+    first = gp._branch_terms(schedule, flip_mode)
+    expected = [q.copy() for _, _, q in first]
+    for _, _, q in first:
+        q[...] = 7.0
+    again = gp._branch_terms(schedule, flip_mode)
+    for (_, _, q), want in zip(again, expected):
+        assert np.array_equal(q, want)
+
+
 def test_fock_route_gap_closes_as_dims_grow(spec):
     """Ill-conditioned point: the Fock route approaches the phase-space
     Gram matrix only as the truncation grows (default dims are (27, 20))."""
