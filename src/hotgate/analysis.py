@@ -23,7 +23,6 @@ from .trap_model import (
     anharmonic_expansion,
     build_mode_basis,
     mode_energies,
-    relative_occupation,
     v_cor_factors,
 )
 
@@ -58,9 +57,10 @@ def separation_analytic(basis: ModeBasis, times) -> np.ndarray:
     return 2.0 * basis.half_separation(np.asarray(times, dtype=float))
 
 
-def _mean_x_kicked(alpha: complex, width: float, nu: float, dim: int, times):
-    """<x(t)> of a single mode prepared in the coherent state |alpha>."""
-    ket = fock_core.coherent_state(alpha, dim)
+def _mean_x(displacement: np.ndarray, width: float, nu: float, times):
+    """<x(t)> of one mode prepared in displacement|0>, renormalized."""
+    ket = displacement[:, 0] / np.linalg.norm(displacement[:, 0])
+    dim = ket.size
     x_op = fock_core.position_operator(dim, width)
     phases = np.exp(-1j * nu * (np.arange(dim) + 0.5)[None, :] * np.asarray(times)[:, None])
     kets = phases * ket[None, :]
@@ -68,21 +68,20 @@ def _mean_x_kicked(alpha: complex, width: float, nu: float, dim: int, times):
 
 
 def separation_numeric(basis: ModeBasis, times, dims: tuple[int, int] | None = None):
-    """Branch separation from direct Fock-space evolution at the given dims."""
-    n_c, n_r = dims if dims is not None else basis.dims
-    eta_c, eta_r = basis.eta_c, basis.eta_r
-    d_c = _mean_x_kicked(1j * eta_c, basis.width_c, basis.nu_c, n_c, times) \
-        - _mean_x_kicked(-1j * eta_c, basis.width_c, basis.nu_c, n_c, times)
-    d_r = _mean_x_kicked(-1j * eta_r, basis.width_r, basis.nu_r, n_r, times) \
-        - _mean_x_kicked(1j * eta_r, basis.width_r, basis.nu_r, n_r, times)
-    # x1 = x_c + (x_r + x_e)/2; the constant x_e/2 cancels in the difference
-    return d_c + d_r / 2.0
+    """Branch separation from direct Fock-space evolution at the given dims:
+    the -k branch is the parity image of the +k one (the kets of
+    ModeBasis.kick_displacements), with exactly opposite <x(t)>, so
+    x1 = x_c + (x_r + x_e)/2 gives d = 2(<x_c> + <x_r>/2) of the +k branch."""
+    if dims is not None:
+        basis = basis.with_dims(dims)
+    d_c, d_r = basis.kick_displacements()
+    return 2.0 * (_mean_x(d_c, basis.width_c, basis.nu_c, times)
+                  + _mean_x(d_r, basis.width_r, basis.nu_r, times) / 2.0)
 
 
 def separation_scan(
     basis: ModeBasis,
     n_points: int = 64,
-    dims: tuple[int, int] | None = None,
     check_tol: float = 1e-9,
 ) -> SeparationCurve:
     """Sample one gate period of the separation, analytic against numeric.
@@ -93,8 +92,8 @@ def separation_scan(
     if n_points < 2:
         raise ValueError("need at least two sample points")
     times = np.linspace(0.0, basis.gate_time, n_points)
-    n_c, n_r = dims if dims is not None else basis.dims
-    num = separation_numeric(basis, times, (n_c, n_r))
+    n_c, n_r = basis.dims
+    num = separation_numeric(basis, times)
     num2 = separation_numeric(basis, times, (2 * n_c, 2 * n_r))
     converged = bool(np.abs(num - num2).max() <= check_tol * basis.x0)
     return SeparationCurve(
@@ -432,7 +431,6 @@ class GateReport:
     fidelity: float
     purity: float
     f_cor: float | None
-    dims: tuple[int, int]
     dropped_mass: float
     condition: "gate_protocol.ConditionReport"
     tp_defect: float
@@ -446,7 +444,6 @@ class GateReport:
             "fidelity": self.fidelity,
             "purity": self.purity,
             "f_cor": self.f_cor,
-            "dims": list(self.dims),
             "dropped_mass": self.dropped_mass,
             "tp_defect": self.tp_defect,
             "flip_mode": self.flip_mode,
@@ -455,26 +452,18 @@ class GateReport:
         return out
 
 
-def anharmonic_dims(n_bar_c: float) -> tuple[int, int]:
-    """Thermal-sized truncation for the pre-kick dephasing average, which
-    needs no room for the kick."""
-    return (fock_core.default_fock_dim(n_bar_c, 0.0),
-            fock_core.default_fock_dim(relative_occupation(n_bar_c), 0.0))
-
-
 def _anharmonic_point(spec, n_bar_c, order, dims_factor=1):
-    """F_cor at thermal-sized truncation, anharmonic_dims scaled by
-    dims_factor (2 gives the doubled-truncation check of gate's F_cor)."""
-    dims = tuple(dims_factor * d for d in anharmonic_dims(n_bar_c))
-    small = build_mode_basis(spec, eta=spec.lamb_dicke, n_bar_c=n_bar_c, dims=dims)
+    """Pre-kick F_cor on the trap's zero-kick basis, whose dims the thermal
+    occupations alone size, times dims_factor (2 checks gate's F_cor)."""
+    basis = build_mode_basis(spec, eta=0.0, n_bar_c=n_bar_c)
+    basis = basis.with_dims((dims_factor * basis.dims[0], dims_factor * basis.dims[1]))
     expansion = anharmonic_expansion(spec, order=order)
-    return anharmonic_fidelity(small, expansion, n_bar_c=n_bar_c)
+    return anharmonic_fidelity(basis, expansion, n_bar_c=n_bar_c)
 
 
 def _f_cor(spec, n_bar_c, order):
     """The F_cor that gate_report reports: None for order None (skipped), 1
-    for order 0 (correction switched off), else _anharmonic_point's, which
-    is built at eta = spec.lamb_dicke and so reads no gate eta."""
+    for order 0 (correction switched off), else _anharmonic_point's (no eta)."""
     if order is None:
         return None
     if order == 0:
@@ -502,6 +491,8 @@ def gate_report(
     replaces the conditional-flip unitary in the fidelity (for instance the
     identity, when the pulse is disabled).  anharmonic_order None skips the
     dephasing estimate; 0 reports F_cor = 1 (correction switched off).
+    dims sets the truncation of the gate's mode basis, which no figure
+    reads: the channel is truncation-free and F_cor sizes its own basis.
     """
     basis = build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c, dims=dims)
     schedule, condition = gate_protocol.build_schedule(
@@ -525,7 +516,7 @@ def gate_report(
         eta=eta, n_bar_c=n_bar_c,
         n_bar_r=condition.n_bar_r,
         fidelity=fidelity, purity=purity, f_cor=f_cor,
-        dims=basis.dims, dropped_mass=gc.dropped_mass,
+        dropped_mass=gc.dropped_mass,
         condition=condition, tp_defect=channel.trace_preservation_defect(),
         flip_mode=flip_mode,
     )

@@ -69,7 +69,6 @@ _SETTINGS = (
      "thermal COM occupation"),
     ("gate", "rabi_cycles", 3, int, "--rabi-cycles", _SCHEDULE, None),
     ("gate", "margin", 3.0, float, "--margin", _SCHEDULE, None),
-    ("gate", "t1_over_tg", 0.01, float, "--t1-over-tg", ("conditions",), None),
     ("gate", "dims", None, str, "--dims", ("separation",),
      "Fock truncation 'n_c,n_r'"),
     ("gate", "flip", "gaussian", ("gaussian", "idealized"), "--flip", ("gate", "scan"),
@@ -81,8 +80,7 @@ _SETTINGS = (
     ("scan", "etas", "2,4,7", str, "--etas", ("scan",), "comma-separated eta grid"),
     ("scan", "n_bars", "0,0.5,1", str, "--n-bars", ("scan",),
      "comma-separated n_bar_c grid"),
-    ("scan", "anharmonic_order", 3, int, "--anharmonic-order", ("scan",), None),
-    ("anharmonic", "order", 3, int, "--order", ("gate", "anharmonic"),
+    ("anharmonic", "order", 3, int, "--order", ("gate", "scan", "anharmonic"),
      "expansion order (0 disables)"),
     ("anharmonic", "scale", 1.0, float, "--scale", ("anharmonic",),
      "coefficient scale factor"),
@@ -124,13 +122,11 @@ _RANGES = {
     ("gate", "n_bar_c"): (lambda v: v >= 0.0, "non-negative"),
     ("gate", "rabi_cycles"): (lambda v: v >= 1, "a positive integer"),
     ("gate", "margin"): (lambda v: v >= 1.0, "at least 1"),
-    ("gate", "t1_over_tg"): (lambda v: v > 0.0, "positive"),
     ("gate", "omega0_scale"): (lambda v: v >= 0.0, "non-negative"),
     ("scan", "etas"): (lambda raw: all(v > 0.0 for v in _parse_grid(raw, "etas")),
                        "a list of positive numbers"),
     ("scan", "n_bars"): (lambda raw: all(v >= 0.0 for v in _parse_grid(raw, "n_bars")),
                          "a list of non-negative numbers"),
-    ("scan", "anharmonic_order"): (lambda v: v == 0 or 3 <= v <= 6, "0 or between 3 and 6"),
     ("anharmonic", "order"): (lambda v: v == 0 or 3 <= v <= 6, "0 or between 3 and 6"),
     ("anharmonic", "n_bar_c"): (lambda v: v >= 0.0, "non-negative"),
     ("separation", "points"): (lambda v: v >= 2, "at least 2"),
@@ -357,14 +353,13 @@ def cmd_modes(cfg: dict, args: argparse.Namespace) -> int:
         exponent = trap_model.solve_exponent_for_ratio(args.solve_ratio)
         cfg["trap"]["exponent"] = exponent
     spec = build_trap(cfg)
-    x_e = trap_model.equilibrium_separation(spec)
-    nu_c, nu_r = trap_model.mode_frequencies(spec, x_e)
-    basis = trap_model.build_mode_basis(spec, eta=resolve_eta(cfg),
-                                        n_bar_c=cfg["gate"]["n_bar_c"])
+    n_bar_c = cfg["gate"]["n_bar_c"]
+    basis = trap_model.build_mode_basis(spec, eta=resolve_eta(cfg), n_bar_c=n_bar_c)
+    nu_c, nu_r = trap_model.mode_frequencies(spec, basis.x_e)  # before the snap to 2
     pairs = [
         ("exponent", spec.exponent),
-        ("x_e", x_e),
-        ("x_e_over_x0", x_e / basis.x0),
+        ("x_e", basis.x_e),
+        ("x_e_over_x0", basis.x_e / basis.x0),
         ("nu_c", nu_c),
         ("nu_r", nu_r),
         ("ratio", nu_r / nu_c),
@@ -377,7 +372,7 @@ def cmd_modes(cfg: dict, args: argparse.Namespace) -> int:
         ("eta_r", basis.eta_r),
         ("gate_time", basis.gate_time),
         ("flip_time", basis.flip_time),
-        ("eta_lower_bound_at_nbar", gate_protocol.eta_lower_bound(cfg["gate"]["n_bar_c"])),
+        ("eta_lower_bound_at_nbar", basis.eta_bound(n_bar_c)),
     ]
     if args.solve_ratio is not None:
         pairs.insert(0, ("target_ratio", args.solve_ratio))
@@ -416,8 +411,7 @@ def cmd_conditions(cfg: dict, args: argparse.Namespace) -> int:
                                         n_bar_c=cfg["gate"]["n_bar_c"])
     _, report = gate_protocol.condition_solver(
         basis, n_bar_c=cfg["gate"]["n_bar_c"],
-        rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"],
-        t1_over_tg=cfg["gate"]["t1_over_tg"])
+        rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"])
     text = _json_text("conditions", cfg, report.to_dict(), args.stamp,
                       cfg["output"]["precision"])
     _emit(text, _resolve_path(cfg["output"]["path"]))
@@ -507,7 +501,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     todo = [point for point, key in zip(grid, keys) if key not in existing]
     report_kw = dict(
         rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"],
-        flip_mode=cfg["gate"]["flip"], anharmonic_order=cfg["scan"]["anharmonic_order"])
+        flip_mode=cfg["gate"]["flip"], anharmonic_order=cfg["anharmonic"]["order"])
     rows = analysis.scan_rows(spec, todo, **report_kw)
     notes = [_FIDELITY_NOTE,
              "purity: mean Tr[rho_out^2] over the 36 axis product inputs",
@@ -552,11 +546,10 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
               _resolve_path(cfg["output"]["path"]))
         return 0
     n_bar_c = a["n_bar_c"]
-    dims = _parse_dims(a["dims"])
-    if dims is None and state_mode == "pre_kick":
-        dims = analysis.anharmonic_dims(n_bar_c)
-    basis = trap_model.build_mode_basis(spec, eta=resolve_eta(cfg), n_bar_c=n_bar_c,
-                                        dims=dims)
+    eta = resolve_eta(cfg)  # pre_kick reads no kick: take the zero-kick basis
+    basis = trap_model.build_mode_basis(
+        spec, eta=eta if state_mode == "post_kick" else 0.0, n_bar_c=n_bar_c,
+        dims=_parse_dims(a["dims"]))
     expansion = trap_model.anharmonic_expansion(spec, order=a["order"])
     if a["scale"] != 1.0:
         expansion = expansion.scaled(a["scale"])

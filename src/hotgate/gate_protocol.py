@@ -171,6 +171,9 @@ class ConditionReport:
         return out
 
 
+_T1_OVER_TG = 0.01  # pulse length over t_g; GateSchedule warns above 1/20
+
+
 def eta_lower_bound(n_bar_c: float) -> float:
     """Minimum kick strength for branch separation to clear the thermal
     wavepacket size: sqrt(4*n_bar_c + 2*n_bar_r + 3)/(3*sqrt(3)), the
@@ -197,7 +200,6 @@ def condition_solver(
     n_bar_c: float = 0.0,
     rabi_cycles: int = 3,
     margin: float = 3.0,
-    t1_over_tg: float = 0.01,
 ) -> tuple[AddressedPulse, ConditionReport]:
     """Solve the addressed-pulse geometry for a thermal operating point.
 
@@ -207,8 +209,8 @@ def condition_solver(
     pins the Gaussian width to W = (4N + 1/2)*D, centers the profile at
     l = x_e/2 + W (its steepest point sits on ion 1), and fixes the pulse
     area Omega(x_e/2)*t1/2 = (2N + 1/4)*pi so the two branches see
-    (2N + 1/2)*pi and 2N*pi respectively.  eta_bound is the kick strength
-    at which D would equal Delta, so eta_bound_ratio = D/Delta on any trap.
+    (2N + 1/2)*pi and 2N*pi respectively, over t1 = _T1_OVER_TG * t_g.
+    eta_bound_ratio = eta/ModeBasis.eta_bound = D/Delta on any trap.
     D = 0 (an unkicked basis) leaves no profile to solve and raises
     ValueError.
     """
@@ -219,21 +221,18 @@ def condition_solver(
     if margin < 1.0:
         raise ValueError("margin below 1 would defeat the validity flags")
     n = int(rabi_cycles)
-    lever = float(basis.half_separation_per_k(basis.flip_time))
-    big_d = 2.0 * basis.wavenumber * lever
+    big_d = 2.0 * float(basis.half_separation(basis.flip_time))
     if big_d == 0.0:
         raise ValueError("the branches are not separated at the flip time (D = 0); "
                          "the kick eta must be positive")
     delta = basis.thermal_spread(n_bar_c)
     big_w = (4.0 * n + 0.5) * big_d
     center = basis.x_e / 2.0 + big_w
-    t1 = t1_over_tg * basis.gate_time
+    t1 = _T1_OVER_TG * basis.gate_time
     area = (2.0 * n + 0.25) * pi  # Omega(x_e/2) * t1 / 2
     omega_edge = 2.0 * area / t1
     omega0 = omega_edge * exp(0.5)
-    # the eta at which D equals Delta on this trap (eta_lower_bound on the
-    # commensurate one), so eta/eta_bound is D/Delta
-    bound = delta * basis.x0 / (2.0 * lever)
+    bound = basis.eta_bound(n_bar_c)
     ratio = basis.eta / bound
     phase_spread = area * delta / big_w  # d(theta)/dx at x_e/2 times Delta
     satisfied = {
@@ -261,10 +260,9 @@ def build_schedule(
     n_bar_c: float = 0.0,
     rabi_cycles: int = 3,
     margin: float = 3.0,
-    t1_over_tg: float = 0.01,
 ) -> tuple[GateSchedule, ConditionReport]:
     """Assemble the full solved schedule for one operating point."""
-    pulse, report = condition_solver(basis, n_bar_c, rabi_cycles, margin, t1_over_tg)
+    pulse, report = condition_solver(basis, n_bar_c, rabi_cycles, margin)
     schedule = GateSchedule(
         t0=basis.flip_time,
         t_g=basis.gate_time,
@@ -352,6 +350,10 @@ def _channel(terms, gram, flip_mode, dropped) -> GateChannel:
 
 _SPAN = 14.0  # half-width of the quadrature span, in thermal widths of X
 _GRAM_TOL = 1e-14
+# Converged levels differ by rounding, a few eps per unit of summed magnitude
+# (the stalled gaps at exponent 2, eta 0.5, n_bar_c 10: 0.7-7.3 times that);
+# k = 16 covers it, and 16 eps < _GRAM_TOL leaves unit-modulus sums at _GRAM_TOL.
+_ROUNDING_FLOOR = 16 * np.finfo(float).eps
 _MAX_INTERVALS = 2**18
 
 
@@ -407,8 +409,9 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
 
     When _refocuses holds, G_b = 1 and the same-branch product already
     gives the cross blocks, so they are not evaluated apart.  The integrals
-    are a trapezoid rule over +-_SPAN widths whose interval count doubles
-    from 64 until two successive Gram matrices agree to _GRAM_TOL.
+    are a trapezoid rule over +-_SPAN widths whose interval count doubles from
+    64 until two successive Gram matrices agree to _GRAM_TOL or, if larger,
+    _ROUNDING_FLOOR times the summed magnitude of gram_of.
     """
     if schedule.flip is None:
         raise ValueError("gaussian flip requested but schedule.flip is None")
@@ -440,13 +443,18 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
         return [w, f, f_r, fbar_c]
 
     def gram_of(w, f, *cross_factors):
+        """(Gram, mass): mass is the largest cross-block sum of magnitudes
+        damp * sum w |f_r| |fbar_c|, which the complex shift can lift far
+        above its entry (<= 1); same-branch sums (|f| = 1) are 1, left out."""
         gram = (f * w) @ f.conj().T
+        mass = 0.0
         if cross_factors:
             f_r, fbar_c = cross_factors
             block = cross[0] * ((f_r * w) @ fbar_c.T)
             gram[np.ix_(rows, ~rows)] = block
             gram[np.ix_(~rows, rows)] = block.conj().T
-        return gram
+            mass = cross[0] * np.max((np.abs(f_r) * w) @ np.abs(fbar_c).T)
+        return gram, mass
 
     # the 64-interval grid is every other node of the 128-interval one
     # (dyadic nodes, so exactly), at twice the weight: one evaluation
@@ -454,10 +462,10 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
     intervals = 128
     level = integrand(intervals)
     w, *factors = (g[..., ::2] for g in level)
-    previous = gram_of(2.0 * w, *factors)
+    previous, _ = gram_of(2.0 * w, *factors)
     while True:
-        gram = gram_of(*level)
-        if np.max(np.abs(gram - previous)) <= _GRAM_TOL:
+        gram, mass = gram_of(*level)
+        if np.max(np.abs(gram - previous)) <= max(_GRAM_TOL, _ROUNDING_FLOOR * mass):
             return gram
         previous = gram
         intervals *= 2

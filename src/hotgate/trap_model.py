@@ -268,6 +268,13 @@ class ModeBasis:
         form = self.position_form(t, 0.5)
         return form[1] - form[3] / 2.0
 
+    def eta_bound(self, n_bar_c: float) -> float:
+        """The eta at which the branch separation at flip_time equals the
+        thermal spread on this trap; gate_protocol.eta_lower_bound, the
+        paper's closed form, on the commensurate one.  Reads no self.eta."""
+        lever = float(self.half_separation_per_k(self.flip_time))
+        return self.thermal_spread(n_bar_c) * self.x0 / (2.0 * lever)
+
     def kick_displacements(self) -> tuple[np.ndarray, np.ndarray]:
         """Fock displacements (D_c(+i eta_c), D_r(-i eta_r)) of the +k kick."""
         return (fock_core.displacement(1j * self.eta_c, self.dims[0]),

@@ -151,6 +151,39 @@ def test_separation_numeric_tracks_analytic(spec):
     assert curve.max_error < 1e-9 * basis.x0
 
 
+def _four_ket_separation(basis, times, dims):
+    """The separation from four coherent kets, one per mode and kick sign:
+    the +k kick displaces x_c by +i eta_c and x_r by -i eta_r, the -k kick
+    the other way."""
+    def mean_x(alpha, width, nu, dim):
+        ket = fc.coherent_state(alpha, dim)
+        phases = np.exp(-1j * nu * (np.arange(dim) + 0.5)[None, :] * times[:, None])
+        kets = phases * ket[None, :]
+        return np.einsum("tj,jk,tk->t", kets.conj(), fc.position_operator(dim, width),
+                         kets).real
+
+    n_c, n_r = dims
+    d_c = (mean_x(1j * basis.eta_c, basis.width_c, basis.nu_c, n_c)
+           - mean_x(-1j * basis.eta_c, basis.width_c, basis.nu_c, n_c))
+    d_r = (mean_x(-1j * basis.eta_r, basis.width_r, basis.nu_r, n_r)
+           - mean_x(1j * basis.eta_r, basis.width_r, basis.nu_r, n_r))
+    return d_c + d_r / 2.0
+
+
+@pytest.mark.parametrize("eta", [0.5, 2.0, 7.0])
+@pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0, 1.7])
+def test_separation_numeric_is_the_four_ket_route(exponent, eta):
+    """One ket per mode from ModeBasis.kick_displacements, the -k branch
+    taken as its parity image, gives the four-ket separation bit for bit,
+    at the default dims and at the doubled ones separation_scan uses."""
+    basis = tm.build_mode_basis(tm.TrapSpec.normalized(exponent=exponent), eta=eta)
+    times = np.linspace(0.0, basis.gate_time, 64)
+    n_c, n_r = basis.dims
+    for dims in ((n_c, n_r), (2 * n_c, 2 * n_r)):
+        np.testing.assert_array_equal(an.separation_numeric(basis, times, dims),
+                                      _four_ket_separation(basis, times, dims))
+
+
 def test_separation_peak_dominates_curve(spec):
     basis = tm.build_mode_basis(spec, eta=1.0, dims=(16, 12))
     times = np.linspace(0.0, basis.gate_time, 401)

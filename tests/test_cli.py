@@ -48,6 +48,23 @@ def test_modes_reports_commensurate_trap(capsys):
     assert out.startswith("# hotgate modes\n# config-hash: sha256:")
 
 
+@pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0, 1.7])
+def test_modes_and_conditions_print_the_same_eta_bound(capsys, exponent):
+    """Both print ModeBasis.eta_bound, the bound of the trap at hand; on the
+    commensurate trap it is the paper's closed form."""
+    from hotgate import gate_protocol
+
+    argv = ("--exponent", repr(exponent), "--n-bar-c", "1", "--precision", "17")
+    rc, out, _ = run(capsys, "modes", *argv)
+    assert rc == 0
+    bound = float(kv_lines(out)["eta_lower_bound_at_nbar"])
+    rc, out, _ = run(capsys, "conditions", *argv)
+    assert rc == 0
+    assert json.loads(out)["eta_bound"] == bound
+    if exponent == 5.0 / 3.0:
+        assert bound == pytest.approx(gate_protocol.eta_lower_bound(1.0), rel=1e-15)
+
+
 def test_modes_solve_ratio_round_trip(capsys):
     rc, out, _ = run(capsys, "modes", "--solve-ratio", "2")
     assert rc == 0
@@ -109,8 +126,7 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("scan", "--etas", "0"),
     ("scan", "--n-bars", "-1"),
     ("scan", "--rabi-cycles", "0"),
-    ("scan", "--anharmonic-order", "2"),
-    ("conditions", "--t1-over-tg", "0"),
+    ("scan", "--order", "2"),
     ("gate", "--omega0-scale", "-1"),
     ("modes", "--exponent", "1"),
     ("modes", "--mass", "0"),
@@ -259,6 +275,21 @@ def test_gate_anharmonic_column(capsys):
     assert json.loads(out)["f_cor"] == 1.0
 
 
+def test_gate_and_scan_read_one_anharmonic_order(capsys, tmp_path):
+    ini = tmp_path / "order.ini"
+    ini.write_text("[anharmonic]\norder = 4\n")
+    rc, out, _ = run(capsys, "gate", "--config", str(ini), "--eta", "7", "--n-bar-c", "1",
+                     "--anharmonic", "--precision", "17")
+    assert rc == 0
+    f_cor = json.loads(out)["f_cor"]
+    assert f_cor == pytest.approx(0.999997822551, abs=1e-12)  # order 3 gives ...825495
+    rc, out, _ = run(capsys, "scan", "--config", str(ini), "--etas", "7", "--n-bars", "1",
+                     "--precision", "17")
+    assert rc == 0
+    row = [ln for ln in out.splitlines() if not ln.startswith("#")][1].split(",")
+    assert float(row[4]) == f_cor
+
+
 def test_gate_check_convergence(capsys):
     """The check recomputes F_cor, the one truncated figure gate reports, at
     doubled truncation; the channel checks its own quadrature."""
@@ -367,9 +398,12 @@ def test_config_hash_ignores_execution_only_settings():
 def test_config_hash_covers_only_settings_the_command_reads():
     cfg = cli.load_config(None)
     base = {cmd: cli.config_hash(cfg, cmd) for cmd in ("gate", "scan", "anharmonic")}
-    cfg["anharmonic"]["order"] = 4  # read by gate --anharmonic, not by scan
-    assert cli.config_hash(cfg, "gate") != base["gate"]
+    cfg["anharmonic"]["order"] = 4  # read by gate --anharmonic and by scan
+    assert all(cli.config_hash(cfg, cmd) != base[cmd] for cmd in base)
+    cfg = cli.load_config(None)
+    cfg["anharmonic"]["scale"] = 2.0  # read by anharmonic only
     assert cli.config_hash(cfg, "anharmonic") != base["anharmonic"]
+    assert cli.config_hash(cfg, "gate") == base["gate"]
     assert cli.config_hash(cfg, "scan") == base["scan"]
 
 
@@ -378,9 +412,9 @@ def test_config_hash_covers_only_settings_the_command_reads():
 _DEFAULT_HASHES = {
     "modes": "fd5e16a73342c8ee76bc35f86ce447934f0eefd5ee663931fc0356d51bead767",
     "separation": "e99f0ed56a50f71b26cddd942756d0b0cb24beab6b4681a92946c5311e94be89",
-    "conditions": "3d9ec494a9be9a370202ee4069602e7dc1c819d5bf23cc8aa09b73cde72b5be0",
+    "conditions": "0fc80497fd32d5ddf9f4833f99f5a11ad4a9918f65634e8bce3bd2952d0cc05b",
     "gate": "6bfa9c6e970ef19fd2c8ad7aa9014505363255b082708ab0faa2476d4af344d1",
-    "scan": "b3beec4335b76e2570116ec97e0885fbb8b9969000817a0b3b446e1c68b49b63",
+    "scan": "57bae9e86cba03b5ea2ccd3980ed417c1cb3e928ef96841c7ea611d37cd7f473",
     "anharmonic": "a1e497014304831e5804e18386dff798ea68dcb2a85a7929f914d38c12d00c90",
 }
 
@@ -397,6 +431,8 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ("anharmonic", "--n-bar-c", "0.2"),
         ("separation", "--n-bar-c", "3"),
         ("gate", "--t1-over-tg", "0.002"),
+        ("conditions", "--t1-over-tg", "0.002"),
+        ("scan", "--anharmonic-order", "3"),
         ("modes", "--flip", "idealized"),
         ("scan", "--jobs", "2"),
         ("gate", "--dims", "14,10"),
@@ -470,12 +506,12 @@ def test_scan_skip_existing_ignores_settings_scan_does_not_read(capsys, tmp_path
                                                                monkeypatch):
     from hotgate import analysis
 
-    args = ("scan", "--etas", "2", "--n-bars", "0", "--anharmonic-order", "0")
+    args = ("scan", "--etas", "2", "--n-bars", "0", "--order", "0")
     out = tmp_path / "grid.csv"
     assert run(capsys, *args, "--output", str(out))[0] == 0
     first = out.read_bytes()
-    ini = tmp_path / "conditions.ini"
-    ini.write_text("[gate]\nt1_over_tg = 0.002\n")  # read by conditions only
+    ini = tmp_path / "anharmonic.ini"
+    ini.write_text("[anharmonic]\nscale = 2.0\n")  # read by anharmonic only
     calls = []
     monkeypatch.setattr(analysis, "gate_report",
                         lambda *a, **kw: calls.append(a[1:3]))
@@ -554,6 +590,29 @@ def test_anharmonic_compares_routes(capsys):
         assert doc["delta"] == round(abs(doc["f_cor_perturbative"] - doc["f_cor_exact"]), 15)
         # at order 3 the resonant terms cancel their conjugates: <W> is zero
         assert doc["mean_phase"] == 0.0
+
+
+@pytest.mark.parametrize("n_bar_c, dims", [(3.0, [37, 28]), (10.0, [80, 54])])
+def test_anharmonic_pre_kick_default_is_the_gate_f_cor(capsys, monkeypatch, n_bar_c, dims):
+    """Off the ratio, the gate's F_cor and anharmonic's pre_kick default both
+    take the zero-kick basis of the trap, sized by its own stretch
+    occupation."""
+    from hotgate import analysis, trap_model
+
+    spec = trap_model.TrapSpec.normalized(exponent=2.0, lamb_dicke=0.45)
+    basis = trap_model.build_mode_basis(spec, eta=0.0, n_bar_c=n_bar_c)
+    assert list(basis.dims) == dims
+    f_cor = analysis.anharmonic_fidelity(basis, trap_model.anharmonic_expansion(spec),
+                                         n_bar_c=n_bar_c).f_cor
+    assert analysis.gate_report(spec, 7.0, n_bar_c).f_cor == f_cor
+    # the exact cross-check is not under test here, and takes 4 s at n_bar_c 10
+    monkeypatch.setattr(analysis, "exact_anharmonic_fidelity", lambda *a, **kw: 1.0)
+    rc, out, _ = run(capsys, "anharmonic", "--exponent", "2", "--anh-n-bar-c", str(n_bar_c),
+                     "--precision", "17")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["dims"] == dims
+    assert doc["f_cor_perturbative"] == f_cor
 
 
 # --- start-up ---------------------------------------------------------------

@@ -470,6 +470,21 @@ def test_phase_space_gram_is_the_128_interval_trapezoid(exponent):
     assert np.max(np.abs(fine - coarse)) <= gp._GRAM_TOL
 
 
+def test_phase_space_gram_stops_at_its_rounding_floor():
+    """Off the ratio at low kick and high temperature the cross-block terms,
+    whose magnitudes sum to about 2.6e4, cancel down to entries <= 1, so
+    successive levels stall near 1e-11, far above _GRAM_TOL; the loop stops
+    at _ROUNDING_FLOOR (16 eps) times that summed magnitude instead of
+    running to its cap.  The stopped Gram matrix and a plain 2**14-interval
+    trapezoid each carry up to one such allowance, 16 * eps * 2.6e4 =
+    9.2e-11, so they agree to 2e-10."""
+    basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=0.5, n_bar_c=10.0)
+    schedule, _ = gp.build_schedule(basis, n_bar_c=10.0)
+    ch = gp.gate_channel(basis, schedule, n_bar_c=10.0)
+    reference = _plain_trapezoid_gram(basis, schedule, 10.0, ch.terms, 2**14)
+    np.testing.assert_allclose(ch.gram, reference, rtol=0, atol=2e-10)
+
+
 @pytest.mark.parametrize("flip_mode", ["gaussian", "idealized"])
 def test_branch_terms_are_fresh_arrays(spec, flip_mode):
     schedule, _ = gp.build_schedule(make_basis(spec, eta=2.0))
