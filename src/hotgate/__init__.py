@@ -3,8 +3,8 @@
 Layers, bottom to top:
 
 * fock_core — truncated oscillator algebra on plain arrays: ladder,
-  position and displacement operators, coherent and thermal states, trace
-  distance, the truncation heuristic.
+  position and displacement operators, thermal states, trace distance, the
+  truncation heuristic.
 * trap_model — statics of two ions in a power-law trap: equilibrium
   separation, normal modes, the commensurability condition nu_r = 2 nu_c,
   the anharmonic correction to the two-mode picture, and (ModeBasis) the
@@ -44,7 +44,6 @@ from .errors import (
 from .fock_core import (
     DensityOp,
     annihilation,
-    coherent_state,
     default_fock_dim,
     displacement,
     hermitian_expm,

@@ -4,8 +4,8 @@ and the anharmonic dephasing budget.
 The channel tools are deliberately small: everything is phrased through the
 Choi matrix J = sum_ij |i><j| (x) Lambda(|i><j|), because the gate simulator
 already produces one (gate_protocol.GateChannel) and every quantity we report
-(entanglement fidelity, average fidelity, purity, trace preservation,
-complete positivity) is a short contraction of J.
+(entanglement fidelity, average fidelity, purity, trace preservation)
+is a short contraction of J.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ class SeparationCurve:
     x0: float
     converged: bool
 
-    @property
-    def max_error(self) -> float:
-        return float(np.abs(self.analytic - self.numeric).max())
-
 
 def separation_analytic(basis: ModeBasis, times) -> np.ndarray:
     """Branch separation d(t) = 2*ModeBasis.half_separation(t) on any trap.
@@ -79,15 +75,14 @@ def separation_numeric(basis: ModeBasis, times, dims: tuple[int, int] | None = N
                   + _mean_x(d_r, basis.width_r, basis.nu_r, times) / 2.0)
 
 
-def separation_scan(
-    basis: ModeBasis,
-    n_points: int = 64,
-    check_tol: float = 1e-9,
-) -> SeparationCurve:
+_CHECK_TOL = 1e-9  # doubled-truncation agreement of separation_scan, in x0
+
+
+def separation_scan(basis: ModeBasis, n_points: int = 64) -> SeparationCurve:
     """Sample one gate period of the separation, analytic against numeric.
 
     The numeric route is recomputed at doubled truncation; `converged` records
-    whether the two truncations agree to check_tol * x0 everywhere.
+    whether the two truncations agree to _CHECK_TOL * x0 everywhere.
     """
     if n_points < 2:
         raise ValueError("need at least two sample points")
@@ -95,7 +90,7 @@ def separation_scan(
     n_c, n_r = basis.dims
     num = separation_numeric(basis, times)
     num2 = separation_numeric(basis, times, (2 * n_c, 2 * n_r))
-    converged = bool(np.abs(num - num2).max() <= check_tol * basis.x0)
+    converged = bool(np.abs(num - num2).max() <= _CHECK_TOL * basis.x0)
     return SeparationCurve(
         times=times, analytic=separation_analytic(basis, times), numeric=num2,
         dims=(n_c, n_r), x0=basis.x0, converged=converged,
@@ -126,37 +121,10 @@ class QuantumChannel:
             raise ValueError("choi matrix must be square with square dimension")
         self.dim = d
 
-    @classmethod
-    def from_unitary(cls, u: np.ndarray) -> "QuantumChannel":
-        v = _col_vec(np.asarray(u, dtype=complex))
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def from_kraus(cls, kraus) -> "QuantumChannel":
-        vs = [_col_vec(np.asarray(k, dtype=complex)) for k in kraus]
-        choi = sum(np.outer(v, v.conj()) for v in vs)
-        return cls(choi)
-
-    @classmethod
-    def depolarizing(cls, p: float, dim: int = 4) -> "QuantumChannel":
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        ident = cls.from_unitary(np.eye(dim, dtype=complex))
-        return cls((1.0 - p) * ident.choi + (p / dim) * np.eye(dim * dim, dtype=complex))
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        d = self.dim
-        j4 = self.choi.reshape(d, d, d, d)  # [in, out, in', out']
-        return np.einsum("iajb,ij->ab", j4, np.asarray(rho, dtype=complex))
-
     def trace_preservation_defect(self) -> float:
         d = self.dim
         tr_out = np.einsum("iaja->ij", self.choi.reshape(d, d, d, d))
         return float(np.abs(tr_out - np.eye(d)).max())
-
-    def is_completely_positive(self, tol: float = 1e-9) -> bool:
-        evals = np.linalg.eigvalsh((self.choi + self.choi.conj().T) / 2.0)
-        return bool(evals.min() >= -tol)
 
 
 def average_fidelity(channel: QuantumChannel, target: np.ndarray) -> float:
@@ -184,10 +152,8 @@ _QUBIT_FRAME = [
 ]
 
 
-def frame_states(dim: int = 4):
+def frame_states():
     """Product kets over the six single-qubit axis states, 36 in total."""
-    if dim != 4:
-        raise ValueError("frame states are defined for the two-qubit space")
     q = np.array(_QUBIT_FRAME)
     # ket 6a + b is kron(frame[a], frame[b])
     return list((q[:, None, :, None] * q[None, :, None, :]).reshape(36, 4))
@@ -431,7 +397,6 @@ class GateReport:
     fidelity: float
     purity: float
     f_cor: float | None
-    dropped_mass: float
     condition: "gate_protocol.ConditionReport"
     tp_defect: float
     flip_mode: str
@@ -444,7 +409,6 @@ class GateReport:
             "fidelity": self.fidelity,
             "purity": self.purity,
             "f_cor": self.f_cor,
-            "dropped_mass": self.dropped_mass,
             "tp_defect": self.tp_defect,
             "flip_mode": self.flip_mode,
         }
@@ -516,7 +480,6 @@ def gate_report(
         eta=eta, n_bar_c=n_bar_c,
         n_bar_r=condition.n_bar_r,
         fidelity=fidelity, purity=purity, f_cor=f_cor,
-        dropped_mass=gc.dropped_mass,
         condition=condition, tp_defect=channel.trace_preservation_defect(),
         flip_mode=flip_mode,
     )

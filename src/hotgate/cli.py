@@ -53,8 +53,6 @@ _SCHEDULE = ("conditions", "gate", "scan")
 _SETTINGS = (
     ("trap", "exponent", 5.0 / 3.0, float, "--exponent", _ALL,
      "power of the confining wall"),
-    ("trap", "lamb_dicke", 0.45, float, "--lamb-dicke", _ALL,
-     "single-pulse kick strength of the trap spec"),
     ("trap", "nu_c", 1.0, float, "--nu-c", _ALL, "target COM frequency"),
     ("trap", "mass", 1.0, float, "--mass", _ALL, None),
     ("trap", "separation_in_x0", 820.0, float, "--separation-in-x0", _ALL,
@@ -68,7 +66,7 @@ _SETTINGS = (
     ("gate", "n_bar_c", 0.0, float, "--n-bar-c", ("modes", "conditions", "gate"),
      "thermal COM occupation"),
     ("gate", "rabi_cycles", 3, int, "--rabi-cycles", _SCHEDULE, None),
-    ("gate", "margin", 3.0, float, "--margin", _SCHEDULE, None),
+    ("gate", "margin", 3.0, float, "--margin", ("conditions", "gate"), None),
     ("gate", "dims", None, str, "--dims", ("separation",),
      "Fock truncation 'n_c,n_r'"),
     ("gate", "flip", "gaussian", ("gaussian", "idealized"), "--flip", ("gate", "scan"),
@@ -91,8 +89,6 @@ _SETTINGS = (
     ("anharmonic", "dims", None, str, "--anh-dims", ("anharmonic",), None),
     ("separation", "points", 64, int, "--points", ("separation",),
      "sample count over [0, t_g]"),
-    ("separation", "check_tol", 1e-9, float, "--check-tol", ("separation",),
-     "doubled-truncation agreement tolerance (in x0)"),
     ("output", "path", None, str, "--output", _ALL, "write here instead of stdout"),
     ("output", "precision", 12, int, "--precision", _ALL,
      "significant digits in output"),
@@ -110,10 +106,9 @@ _HASH_EXCLUDE = {("output", "path")}
 # The range each numeric setting must lie in, as (test, rule).  main checks
 # every setting the subcommand reads before the subcommand runs, so a value
 # the library would reject is a config error, not a traceback or a scan of
-# failed rows.
+# failed rows.  Every float setting must also be finite.
 _RANGES = {
     ("trap", "exponent"): (lambda v: v > 1.0, "above 1"),
-    ("trap", "lamb_dicke"): (lambda v: v >= 0.0, "non-negative"),
     ("trap", "nu_c"): (lambda v: v > 0.0, "positive"),
     ("trap", "mass"): (lambda v: v > 0.0, "positive"),
     ("trap", "separation_in_x0"): (lambda v: v > 0.0, "positive"),
@@ -135,11 +130,16 @@ _RANGES = {
 
 
 def _check_ranges(cfg: dict, command: str) -> None:
-    """Raise ConfigError for the first setting command reads that is out of
-    its range; unset optional settings (None) pass."""
-    for (section, key), (test, rule) in _RANGES.items():
+    """Raise ConfigError for the first setting command reads that is
+    non-finite or out of its range; unset optional settings (None) pass."""
+    for (section, key), kind in _KINDS.items():
         value = cfg[section][key]
-        if command in _READERS[(section, key)] and value is not None and not test(value):
+        if command not in _READERS[(section, key)] or value is None:
+            continue
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
+        test, rule = _RANGES.get((section, key), (None, None))
+        if test is not None and not test(value):
             raise ConfigError(f"[{section}] {key} must be {rule}, got {value!r}")
 
 
@@ -205,6 +205,8 @@ def _parse_grid(raw, name: str) -> list[float]:
         raise ConfigError(f"{name} must be a comma-separated number list, got {raw!r}") from None
     if not values:
         raise ConfigError(f"{name} grid is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{name} must hold finite numbers, got {raw!r}")
     return values
 
 
@@ -216,10 +218,10 @@ def build_trap(cfg: dict) -> trap_model.TrapSpec:
             raise ConfigError("explicit traps need both stiffness and coulomb")
         return trap_model.TrapSpec(
             exponent=t["exponent"], stiffness=t["stiffness"],
-            coulomb=t["coulomb"], mass=t["mass"], lamb_dicke=t["lamb_dicke"])
+            coulomb=t["coulomb"], mass=t["mass"])
     return trap_model.TrapSpec.normalized(
-        exponent=t["exponent"], lamb_dicke=t["lamb_dicke"], nu_c=t["nu_c"],
-        mass=t["mass"], separation_in_x0=t["separation_in_x0"])
+        exponent=t["exponent"], nu_c=t["nu_c"], mass=t["mass"],
+        separation_in_x0=t["separation_in_x0"])
 
 
 def resolve_eta(cfg: dict) -> float:
@@ -247,9 +249,12 @@ def _frame_phase(cfg: dict) -> float | None:
     if raw == "auto":
         return None
     try:
-        return float(raw)
+        phase = float(raw)
     except ValueError:
         raise ConfigError(f"frame_phase must be 'auto' or a number, got {raw!r}") from None
+    if not math.isfinite(phase):
+        raise ConfigError(f"frame_phase must be finite, got {raw!r}")
+    return phase
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +393,7 @@ def cmd_separation(cfg: dict, args: argparse.Namespace) -> int:
     basis = trap_model.build_mode_basis(
         spec, eta=resolve_eta(cfg), n_bar_c=0.0,
         dims=_parse_dims(cfg["gate"]["dims"]))
-    curve = analysis.separation_scan(
-        basis, n_points=cfg["separation"]["points"],
-        check_tol=cfg["separation"]["check_tol"])
+    curve = analysis.separation_scan(basis, n_points=cfg["separation"]["points"])
     notes = [f"dims: {curve.dims[0]},{curve.dims[1]} (c,r), numeric column at doubled dims",
              "d = distance between the kicked branches of ion 1",
              "columns: t,d_analytic,d_numeric"]
@@ -499,10 +502,9 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     grid = [(eta, nb) for eta in etas for nb in n_bars]
     keys = [(_fmt(eta, precision), _fmt(nb, precision)) for eta, nb in grid]
     todo = [point for point, key in zip(grid, keys) if key not in existing]
-    report_kw = dict(
-        rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"],
-        flip_mode=cfg["gate"]["flip"], anharmonic_order=cfg["anharmonic"]["order"])
-    rows = analysis.scan_rows(spec, todo, **report_kw)
+    rows = analysis.scan_rows(
+        spec, todo, rabi_cycles=cfg["gate"]["rabi_cycles"], flip_mode=cfg["gate"]["flip"],
+        anharmonic_order=cfg["anharmonic"]["order"])
     notes = [_FIDELITY_NOTE,
              "purity: mean Tr[rho_out^2] over the 36 axis product inputs",
              "f_cor: perturbative anharmonic fidelity at matching n_bar_c",

@@ -52,14 +52,6 @@ def position_operator(dim: int, ground_width: float) -> np.ndarray:
     return ground_width * (a + a.conj().T)
 
 
-def momentum_operator(dim: int, ground_width: float) -> np.ndarray:
-    """p = i*(a^dag - a)/(2w), conjugate to position_operator ([x, p] = i)."""
-    if ground_width <= 0:
-        raise ValueError("ground_width must be positive")
-    a = annihilation(dim)
-    return 1j * (a.conj().T - a) / (2.0 * ground_width)
-
-
 def hermitian_part(h: np.ndarray) -> np.ndarray:
     """(h + h^dag)/2, after checking that h is hermitian to 10*TOL_HERM
     relative to max(|h|, 1); keeps the dtype, so a real symmetric h stays
@@ -167,12 +159,6 @@ class DensityOp:
 
 def thermal_state(n_bar: float, dim: int) -> DensityOp:
     return DensityOp(np.diag(thermal_probabilities(n_bar, dim)).astype(complex))
-
-
-def coherent_state(alpha: complex, dim: int) -> np.ndarray:
-    """Amplitudes of D(alpha)|0>, renormalized after truncation to dim levels."""
-    ket = displacement(alpha, dim)[:, 0]
-    return ket / np.linalg.norm(ket)
 
 
 def mean_occupation(state: DensityOp) -> float:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import erfc, exp, pi, sqrt
+from math import exp, pi, sqrt
 
 import numpy as np
 
@@ -120,9 +120,10 @@ class GateSchedule:
 class ConditionReport:
     """Solved addressing geometry and validity flags for one operating point.
 
-    The flags operationalize the protocol's separation hierarchy and pulse
-    rules; `satisfied` maps short names to booleans, and well_conditioned
-    is their conjunction.
+    The flags operationalize the protocol's separation hierarchy, profile
+    linearity, Rabi-cycle count and kick bound (the cycle matching and the
+    pulse area hold by construction); `satisfied` maps short names to
+    booleans, and well_conditioned is their conjunction.
     """
 
     eta: float
@@ -237,9 +238,7 @@ def condition_solver(
     phase_spread = area * delta / big_w  # d(theta)/dx at x_e/2 times Delta
     satisfied = {
         "separation_hierarchy": big_w > big_d > delta * margin,
-        "rabi_cycle_matching": True,  # exact by construction, see module tests
         "profile_linearity": phase_spread < 1.0 / margin,
-        "pulse_area_rule": True,  # area == (2N + 1/4)*pi by construction
         "rabi_cycles_large": n >= 3,
         "eta_above_bound": ratio >= margin,
     }
@@ -330,22 +329,18 @@ class GateChannel:
 
     choi is sum_ij |i><j| (x) Lambda(|i><j|) (trace 4 for trace preserving);
     gram holds the motional overlaps Tr[M_r rho_mot M_c^dag] of the branch
-    terms; dropped_mass is the Gaussian weight outside the quadrature span
-    (0 for the idealized flip, which integrates nothing).
+    terms.
     """
 
     choi: np.ndarray
     gram: np.ndarray
     terms: list
-    dropped_mass: float
-    flip_mode: str
 
 
-def _channel(terms, gram, flip_mode, dropped) -> GateChannel:
+def _channel(terms, gram) -> GateChannel:
     vq = np.stack([q.T.reshape(16) for _, _, q in terms], axis=1)
     choi = vq @ gram @ vq.conj().T
-    return GateChannel(choi=choi, gram=gram, terms=terms, dropped_mass=dropped,
-                       flip_mode=flip_mode)
+    return GateChannel(choi=choi, gram=gram, terms=terms)
 
 
 _SPAN = 14.0  # half-width of the quadrature span, in thermal widths of X
@@ -497,11 +492,9 @@ def gate_channel(
         if not _refocuses(basis, schedule):
             damp = _residual_displacement(basis, schedule, n_bar_c)[0]
             gram[0, 1] = gram[1, 0] = damp
-        dropped = 0.0
     else:
         gram = _phase_space_gram(basis, schedule, n_bar_c, terms)
-        dropped = erfc(_SPAN / sqrt(2.0))
-    return _channel(terms, gram, flip_mode, dropped)
+    return _channel(terms, gram)
 
 
 def motional_output(

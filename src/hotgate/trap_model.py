@@ -36,7 +36,8 @@ class TrapSpec:
     """Static trap parameters.
 
     lamb_dicke is the single-pulse kick strength eta = k*x0 for the driving
-    laser; pulse trains scale it (see gate_protocol.pulse_train).
+    laser; pulse trains scale it (see gate_protocol.pulse_train).  No route
+    reads it: build_mode_basis takes the gate's eta explicitly.
     """
 
     exponent: float
@@ -93,14 +94,6 @@ def potential_derivative(spec: TrapSpec, x: float, order: int = 0) -> float:
     for i in range(order):
         coeff *= p - i
     return coeff * x ** (p - order)
-
-
-def total_potential(spec: TrapSpec, x_c: float, x_r: float, x_e: float) -> float:
-    """Full two-ion potential in mode coordinates (finite-difference anchor)."""
-    x1 = x_c + (x_r + x_e) / 2.0
-    x2 = x_c - (x_r + x_e) / 2.0
-    k, p = spec.stiffness, spec.exponent
-    return k * abs(x1) ** p + k * abs(x2) ** p + spec.coulomb / (x_e + x_r)
 
 
 def equilibrium_separation(spec: TrapSpec) -> float:
@@ -283,20 +276,17 @@ class ModeBasis:
 
 def build_mode_basis(
     spec: TrapSpec,
-    eta: float | None = None,
+    eta: float,
     n_bar_c: float = 0.0,
     dims: tuple[int, int] | None = None,
 ) -> ModeBasis:
     """Quantize the two modes for a given effective kick strength.
 
-    eta defaults to spec.lamb_dicke.  When the computed frequency ratio is
-    within _SNAP_TOL of 2, nu_r is snapped to exactly 2*nu_c so that the
+    When the computed frequency ratio is within _SNAP_TOL of 2, nu_r is snapped to exactly 2*nu_c so that the
     curvature route's roundoff cannot masquerade as gate dephasing.
     Default dims follow fock_core.default_fock_dim per mode, sized by the
     thermal occupations (n_bar_c and its same-temperature stretch partner).
     """
-    if eta is None:
-        eta = spec.lamb_dicke
     if eta < 0:
         raise ValueError("eta must be non-negative")
     x_e = equilibrium_separation(spec)
@@ -344,18 +334,15 @@ class AnharmonicExpansion:
 
     order: int
     coefficients: dict
-    x_e: float
 
     def scaled(self, factor: float) -> "AnharmonicExpansion":
         return AnharmonicExpansion(
             order=self.order,
             coefficients={k: factor * v for k, v in self.coefficients.items()},
-            x_e=self.x_e,
         )
 
 
-def anharmonic_expansion(spec: TrapSpec, order: int = 3,
-                         x_e: float | None = None) -> AnharmonicExpansion:
+def anharmonic_expansion(spec: TrapSpec, order: int = 3) -> AnharmonicExpansion:
     """Analytic Taylor coefficients of V_cor around equilibrium.
 
     The trap wells contribute V^(n)(x_e/2)*(1/2)^b * 2/(a! b!) for even a
@@ -365,8 +352,7 @@ def anharmonic_expansion(spec: TrapSpec, order: int = 3,
     """
     if not 3 <= order <= 6:
         raise ValueError("order must be between 3 and 6")
-    if x_e is None:
-        x_e = equilibrium_separation(spec)
+    x_e = equilibrium_separation(spec)
     u = x_e / 2.0
     coeffs: dict = {}
     for n in range(3, order + 1):
@@ -377,7 +363,7 @@ def anharmonic_expansion(spec: TrapSpec, order: int = 3,
             if c != 0.0:
                 coeffs[(a, b)] = coeffs.get((a, b), 0.0) + c
         coeffs[(0, n)] = coeffs.get((0, n), 0.0) + spec.coulomb * (-1.0) ** n / x_e ** (n + 1)
-    return AnharmonicExpansion(order=order, coefficients=coeffs, x_e=x_e)
+    return AnharmonicExpansion(order=order, coefficients=coeffs)
 
 
 def _position_powers(dim: int, width: float, max_power: int) -> list[np.ndarray]:

@@ -12,7 +12,11 @@ Fock space at basis.dims, where the package's own routes do not:
   channel (fock_gate_channel) or into the reduced motional state
   (fock_motional_output);
 * the dense M x M (M = n_c n_r) forms of V_cor, of the motional hamiltonian
-  and of the interaction-picture integral of the dephasing estimate.
+  and of the interaction-picture integral of the dephasing estimate;
+* reference channels and states for the metric tests: unitary, Kraus and
+  depolarizing channels as QuantumChannel, the channel applied to a state,
+  its complete positivity, the momentum operator and coherent kets, and the
+  full two-ion potential that the Taylor coefficients are differenced from.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hotgate import fock_core
-from hotgate.analysis import _phase_integral
+from hotgate.analysis import QuantumChannel, _col_vec, _phase_integral
 from hotgate.gate_protocol import (
     ID2,
     PROJ_0,
@@ -39,6 +43,7 @@ from hotgate.gate_protocol import (
 from hotgate.trap_model import (
     AnharmonicExpansion,
     ModeBasis,
+    TrapSpec,
     mode_energies,
     v_cor_factors,
 )
@@ -313,6 +318,7 @@ class FockChannel(GateChannel):
     """GateChannel of fock_gate_channel: dropped_mass is the thermal weight
     left out, and kept the retained level count per mode."""
 
+    dropped_mass: float
     kept: tuple[int, int]
 
 
@@ -343,8 +349,7 @@ def fock_gate_channel(
             else:
                 gram[r, c] = val
                 gram[c, r] = np.conj(val)
-    channel = _channel(terms, gram, flip_mode, dropped)
-    return FockChannel(**vars(channel), kept=kept)
+    return FockChannel(**vars(_channel(terms, gram)), dropped_mass=dropped, kept=kept)
 
 
 def fock_motional_output(
@@ -433,3 +438,58 @@ def interaction_integral(v: np.ndarray, energies: np.ndarray, length: float) -> 
     """
     energies = np.asarray(energies, dtype=float)
     return _phase_integral(energies[:, None] - energies[None, :], length) * np.asarray(v)
+
+
+# ---------------------------------------------------------------------------
+# reference channels, states and potential
+# ---------------------------------------------------------------------------
+
+
+def unitary_channel(u: np.ndarray) -> QuantumChannel:
+    v = _col_vec(np.asarray(u, dtype=complex))
+    return QuantumChannel(np.outer(v, v.conj()))
+
+
+def kraus_channel(kraus) -> QuantumChannel:
+    vs = [_col_vec(np.asarray(k, dtype=complex)) for k in kraus]
+    return QuantumChannel(sum(np.outer(v, v.conj()) for v in vs))
+
+
+def depolarizing_channel(p: float, dim: int = 4) -> QuantumChannel:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    ident = unitary_channel(np.eye(dim, dtype=complex))
+    return QuantumChannel((1.0 - p) * ident.choi + (p / dim) * np.eye(dim * dim, dtype=complex))
+
+
+def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
+    d = channel.dim
+    j4 = channel.choi.reshape(d, d, d, d)  # [in, out, in', out']
+    return np.einsum("iajb,ij->ab", j4, np.asarray(rho, dtype=complex))
+
+
+def is_completely_positive(channel: QuantumChannel, tol: float = 1e-9) -> bool:
+    evals = np.linalg.eigvalsh((channel.choi + channel.choi.conj().T) / 2.0)
+    return bool(evals.min() >= -tol)
+
+
+def momentum_operator(dim: int, ground_width: float) -> np.ndarray:
+    """p = i*(a^dag - a)/(2w), conjugate to fock_core.position_operator ([x, p] = i)."""
+    if ground_width <= 0:
+        raise ValueError("ground_width must be positive")
+    a = fock_core.annihilation(dim)
+    return 1j * (a.conj().T - a) / (2.0 * ground_width)
+
+
+def coherent_state(alpha: complex, dim: int) -> np.ndarray:
+    """Amplitudes of D(alpha)|0>, renormalized after truncation to dim levels."""
+    ket = fock_core.displacement(alpha, dim)[:, 0]
+    return ket / np.linalg.norm(ket)
+
+
+def total_potential(spec: TrapSpec, x_c: float, x_r: float, x_e: float) -> float:
+    """Full two-ion potential in mode coordinates (finite-difference anchor)."""
+    x1 = x_c + (x_r + x_e) / 2.0
+    x2 = x_c - (x_r + x_e) / 2.0
+    k, p = spec.stiffness, spec.exponent
+    return k * abs(x1) ** p + k * abs(x2) ** p + spec.coulomb / (x_e + x_r)

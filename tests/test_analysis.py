@@ -22,12 +22,12 @@ def spec():
 
 def test_average_fidelity_of_the_target_itself():
     u = gp.ideal_gate()
-    assert an.average_fidelity(an.QuantumChannel.from_unitary(u), u) == pytest.approx(1.0, abs=1e-14)
+    assert an.average_fidelity(oracles.unitary_channel(u), u) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_average_fidelity_identity_vs_conditional_flip():
     # Tr[U_ideal] = 2, so F_ent = |2|^2/16 and F_avg = (4/4 + 1)/5... worked out: 0.4
-    ident = an.QuantumChannel.from_unitary(np.eye(4))
+    ident = oracles.unitary_channel(np.eye(4))
     assert an.average_fidelity(ident, gp.ideal_gate()) == pytest.approx(0.4, abs=1e-14)
 
 
@@ -35,12 +35,12 @@ def test_average_fidelity_orthogonal_error():
     # a stray flip on qubit 1 after the perfect gate: Tr[sigma_x (x) I] = 0
     u = gp.ideal_gate()
     err = np.kron(gp.SIGMA_X, gp.ID2) @ u
-    ch = an.QuantumChannel.from_unitary(err)
+    ch = oracles.unitary_channel(err)
     assert an.average_fidelity(ch, u) == pytest.approx(0.2, abs=1e-14)
 
 
 def test_fully_depolarizing_figures():
-    ch = an.QuantumChannel.depolarizing(1.0)
+    ch = oracles.depolarizing_channel(1.0)
     assert an.average_fidelity(ch, gp.ideal_gate()) == pytest.approx(0.25, abs=1e-12)
     assert an.average_purity(ch) == pytest.approx(0.25, abs=1e-12)
 
@@ -49,7 +49,7 @@ def test_unitary_channel_purity_is_one():
     rng = np.random.default_rng(7)
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     u = scipy.linalg.expm(-1j * (h + h.conj().T))
-    ch = an.QuantumChannel.from_unitary(u)
+    ch = oracles.unitary_channel(u)
     assert an.average_purity(ch) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -57,7 +57,7 @@ def _purity_by_frame_loop(channel):
     """The 36-state average, one apply per kron product of axis states."""
     total = 0.0
     for ket in (np.kron(a, b) for a in an._QUBIT_FRAME for b in an._QUBIT_FRAME):
-        out = channel.apply(np.outer(ket, ket.conj()))
+        out = oracles.apply_channel(channel, np.outer(ket, ket.conj()))
         total += np.einsum("ab,ba->", out, out).real
     return total / 36.0
 
@@ -70,7 +70,7 @@ def test_average_purity_matches_frame_state_loop(spec):
     mats = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
     # Kraus operators K_j = M_j S^{-1/2} with S = sum_j M_j^dag M_j
     w, v = np.linalg.eigh(np.einsum("jba,jbc->ac", mats.conj(), mats))
-    kraus = an.QuantumChannel.from_kraus(mats @ (v / np.sqrt(w)) @ v.conj().T)
+    kraus = oracles.kraus_channel(mats @ (v / np.sqrt(w)) @ v.conj().T)
     assert kraus.trace_preservation_defect() < 1e-12
     for channel in (gate, kraus):
         purity = an.average_purity(channel)
@@ -80,7 +80,7 @@ def test_average_purity_matches_frame_state_loop(spec):
 
 def test_average_purity_rejects_other_dimensions():
     with pytest.raises(ValueError):
-        an.average_purity(an.QuantumChannel.depolarizing(0.5, dim=3))
+        an.average_purity(oracles.depolarizing_channel(0.5, dim=3))
 
 
 def test_depolarizing_apply_formula():
@@ -89,7 +89,7 @@ def test_depolarizing_apply_formula():
     rho = m @ m.conj().T
     rho /= np.trace(rho)
     p = 0.3
-    out = an.QuantumChannel.depolarizing(p).apply(rho)
+    out = oracles.apply_channel(oracles.depolarizing_channel(p), rho)
     np.testing.assert_allclose(out, (1 - p) * rho + p * np.eye(4) / 4.0, atol=1e-12)
 
 
@@ -97,16 +97,16 @@ def test_from_kraus_phase_damping():
     p = 0.2
     kraus = [math.sqrt(1 - p) * np.eye(4),
              math.sqrt(p) * np.kron(np.diag([1.0, -1.0]), np.eye(2))]
-    ch = an.QuantumChannel.from_kraus(kraus)
+    ch = oracles.kraus_channel(kraus)
     assert ch.trace_preservation_defect() < 1e-12
-    assert ch.is_completely_positive(1e-12)
+    assert oracles.is_completely_positive(ch, 1e-12)
     rho = np.full((4, 4), 0.25, dtype=complex)
     direct = sum(k @ rho @ k.conj().T for k in kraus)
-    np.testing.assert_allclose(ch.apply(rho), direct, atol=1e-12)
+    np.testing.assert_allclose(oracles.apply_channel(ch, rho), direct, atol=1e-12)
 
 
 def test_lossy_kraus_has_tp_defect():
-    ch = an.QuantumChannel.from_kraus([0.5 * np.eye(4)])
+    ch = oracles.kraus_channel([0.5 * np.eye(4)])
     assert ch.trace_preservation_defect() == pytest.approx(0.75, abs=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_channel_rejects_bad_choi_shape():
     with pytest.raises(ValueError):
         an.QuantumChannel(np.eye(5))
     with pytest.raises(ValueError):
-        an.QuantumChannel.depolarizing(1.5)
+        oracles.depolarizing_channel(1.5)
 
 
 # --- branch separation ------------------------------------------------------
@@ -148,7 +148,7 @@ def test_separation_numeric_tracks_analytic(spec):
     basis = tm.build_mode_basis(spec, eta=2.0)
     curve = an.separation_scan(basis, n_points=64)
     assert curve.converged
-    assert curve.max_error < 1e-9 * basis.x0
+    assert np.abs(curve.analytic - curve.numeric).max() < 1e-9 * basis.x0
 
 
 def _four_ket_separation(basis, times, dims):
@@ -156,7 +156,7 @@ def _four_ket_separation(basis, times, dims):
     the +k kick displaces x_c by +i eta_c and x_r by -i eta_r, the -k kick
     the other way."""
     def mean_x(alpha, width, nu, dim):
-        ket = fc.coherent_state(alpha, dim)
+        ket = oracles.coherent_state(alpha, dim)
         phases = np.exp(-1j * nu * (np.arange(dim) + 0.5)[None, :] * times[:, None])
         kets = phases * ket[None, :]
         return np.einsum("tj,jk,tk->t", kets.conj(), fc.position_operator(dim, width),
@@ -309,8 +309,7 @@ def test_factored_dephasing_matches_dense_integral(exponent, order, state_mode):
     spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
     basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
     if order == "odd":
-        expansion = tm.AnharmonicExpansion(order=3, coefficients={(1, 2): 0.1},
-                                           x_e=basis.x_e)
+        expansion = tm.AnharmonicExpansion(order=3, coefficients={(1, 2): 0.1})
     else:
         expansion = tm.anharmonic_expansion(spec, order=order)
     rep = an.anharmonic_fidelity(basis, expansion, 1.0, state_mode)
@@ -369,8 +368,7 @@ def test_exact_fidelity_matches_dense_echo(exponent, order, scale, state_mode):
 def test_exact_fidelity_odd_xc_power_takes_one_block(spec, state_mode):
     basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
     # x_c x_r^2 couples x_c levels of opposite parity
-    expansion = tm.AnharmonicExpansion(order=3, coefficients={(1, 2): 0.1},
-                                       x_e=basis.x_e)
+    expansion = tm.AnharmonicExpansion(order=3, coefficients={(1, 2): 0.1})
     [(levels, _)] = an._hamiltonian_blocks(basis, expansion)
     assert levels.tolist() == list(range(basis.dims[0]))
     got = an.exact_anharmonic_fidelity(basis, expansion, 1.0, state_mode)
@@ -453,6 +451,24 @@ def test_gate_report_disabled_pulse_identity_target(spec):
     assert rep.fidelity == pytest.approx(1.0, abs=1e-9)
     assert rep.purity == pytest.approx(1.0, abs=1e-9)
     assert rep.f_cor == 1.0
+
+
+@pytest.mark.parametrize("ratio", [3.0, 21.0])
+def test_harmonic_gate_depends_only_on_d_over_delta(spec, ratio):
+    """On the commensurate trap W = (4N + 1/2) D, l = x_e/2 + W and the
+    pulse area is fixed, so the flip angle at X = x_e/2 + Delta z reads only
+    z and D/Delta = eta/eta_bound(n_bar_c): fidelity and purity are one
+    curve of that ratio, however hot the motion (21 is the golden point)."""
+    basis = tm.build_mode_basis(spec, eta=1.0, dims=(2, 2))  # eta_bound reads no eta
+    figures = []
+    for n_bar_c in (0.0, 0.5, 1.0, 3.0, 10.0, 30.0):
+        rep = an.gate_report(spec, ratio * basis.eta_bound(n_bar_c), n_bar_c,
+                             anharmonic_order=None)
+        assert rep.condition.eta_bound_ratio == pytest.approx(ratio, rel=1e-14)
+        figures.append((rep.fidelity, rep.purity))
+    for fidelity, purity in figures[1:]:
+        assert abs(fidelity - figures[0][0]) <= 1e-13
+        assert abs(purity - figures[0][1]) <= 1e-13
 
 
 def test_scan_keeps_order_and_records_failures(spec):

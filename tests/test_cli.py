@@ -132,10 +132,18 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("modes", "--mass", "0"),
     ("modes", "--nu-c", "0"),
     ("modes", "--separation-in-x0", "0"),
-    ("modes", "--lamb-dicke", "-1"),
     ("modes", "--stiffness", "-1", "--coulomb", "1"),
     ("modes", "--stiffness", "1", "--coulomb", "0"),
     ("modes", "--precision", "-1"),
+    # non-finite values
+    ("gate", "--eta", "inf"),
+    ("gate", "--n-bar-c", "inf"),
+    ("anharmonic", "--anh-n-bar-c", "inf"),
+    ("scan", "--etas", "inf", "--n-bars", "0"),
+    ("scan", "--etas", "2", "--n-bars", "inf"),
+    ("gate", "--frame-phase", "nan"),
+    ("anharmonic", "--scale", "nan"),
+    ("gate", "--omega0-scale", "inf"),
 ], ids=" ".join)
 def test_out_of_range_setting_exits_1_with_one_line(capsys, argv):
     """Rejected before any work runs: no traceback, and no scan rows."""
@@ -391,7 +399,7 @@ def test_config_hash_ignores_execution_only_settings():
     base = cli.config_hash(cfg, "scan")
     cfg["output"]["path"] = "/somewhere/else.csv"
     assert cli.config_hash(cfg, "scan") == base
-    cfg["gate"]["margin"] = 4.0
+    cfg["gate"]["rabi_cycles"] = 4
     assert cli.config_hash(cfg, "scan") != base
 
 
@@ -410,12 +418,12 @@ def test_config_hash_covers_only_settings_the_command_reads():
 # config-hash of the built-in defaults, per subcommand; a change here changes
 # the header of every output file
 _DEFAULT_HASHES = {
-    "modes": "fd5e16a73342c8ee76bc35f86ce447934f0eefd5ee663931fc0356d51bead767",
-    "separation": "e99f0ed56a50f71b26cddd942756d0b0cb24beab6b4681a92946c5311e94be89",
-    "conditions": "0fc80497fd32d5ddf9f4833f99f5a11ad4a9918f65634e8bce3bd2952d0cc05b",
-    "gate": "6bfa9c6e970ef19fd2c8ad7aa9014505363255b082708ab0faa2476d4af344d1",
-    "scan": "57bae9e86cba03b5ea2ccd3980ed417c1cb3e928ef96841c7ea611d37cd7f473",
-    "anharmonic": "a1e497014304831e5804e18386dff798ea68dcb2a85a7929f914d38c12d00c90",
+    "modes": "1d98a1019973bb79fce3a0f9f3f9f9231089d317c40febed15d134781bccecbb",
+    "separation": "5ca5bac5ed084522f06e518d6fd949ae06b1860024e4df01395475d8542059bd",
+    "conditions": "4c0ba33d3e88ce99a12389347efc6378ef2923b599320e065e6069a971a8f187",
+    "gate": "8cca1dc4d3c431b4f1ca3f026ee631266b560e050a807b7ffb3fcee99c3a4fc8",
+    "scan": "0d5217bebad133eec9c61dc752bbb084bbee32cca77828e61d2883661d21b433",
+    "anharmonic": "339daa7f50317f4ea83b47e42b9f4715a081fc223b2692b8238a77592a3c35e7",
 }
 
 
@@ -437,11 +445,75 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ("scan", "--jobs", "2"),
         ("gate", "--dims", "14,10"),
         ("gate", "--idealized-flip"),
+        ("scan", "--margin", "5"),
+        ("modes", "--lamb-dicke", "0.9"),
+        ("separation", "--check-tol", "1e-6"),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)
         assert rc == 1, argv
         assert out == "" and "unrecognized arguments" in err, argv
+
+
+# --- every setting reaches the data -----------------------------------------
+
+_ANH = ("--anh-dims", "12,10", "--eta", "1")
+_SEP = ("--eta", "1", "--points", "4", "--precision", "17")
+_TRAIN = ("--eta-single", "0.45", "--n-pulses", "3")
+_EXPLICIT = ("--stiffness", "1", "--coulomb", "1")
+_SCAN = ("--etas", "2", "--n-bars", "0", "--order", "0")
+
+# per setting: (a subcommand that reads it, its argv, the argv with only
+# that setting changed); every setting but [output] path is listed
+_DATA_CASES = {
+    ("trap", "exponent"): ("modes", (), ("--exponent", "2")),
+    ("trap", "nu_c"): ("modes", (), ("--nu-c", "2")),
+    ("trap", "mass"): ("modes", (), ("--mass", "2")),
+    ("trap", "separation_in_x0"): ("modes", (), ("--separation-in-x0", "400")),
+    ("trap", "stiffness"): ("modes", _EXPLICIT, ("--stiffness", "2", "--coulomb", "1")),
+    ("trap", "coulomb"): ("modes", _EXPLICIT, ("--stiffness", "1", "--coulomb", "2")),
+    ("gate", "eta"): ("modes", (), ("--eta", "3")),
+    ("gate", "eta_single"): ("modes", _TRAIN, ("--eta-single", "0.5", "--n-pulses", "3")),
+    ("gate", "n_pulses"): ("modes", _TRAIN, ("--eta-single", "0.45", "--n-pulses", "5")),
+    ("gate", "n_bar_c"): ("modes", (), ("--n-bar-c", "1")),
+    ("gate", "rabi_cycles"): ("conditions", (), ("--rabi-cycles", "5")),
+    ("gate", "margin"): ("conditions", (), ("--margin", "5")),
+    ("gate", "dims"): ("separation", (*_SEP, "--dims", "12,12"), (*_SEP, "--dims", "14,14")),
+    ("gate", "flip"): ("gate", (), ("--flip", "idealized")),
+    ("gate", "omega0_scale"): ("gate", (), ("--omega0-scale", "0.5")),
+    ("gate", "frame_phase"): ("gate", (), ("--frame-phase", "0")),
+    ("gate", "target"): ("gate", (), ("--target", "identity")),
+    ("scan", "etas"): ("scan", _SCAN, (*_SCAN, "--etas", "3")),
+    ("scan", "n_bars"): ("scan", _SCAN, (*_SCAN, "--n-bars", "0.5")),
+    ("anharmonic", "order"): ("anharmonic", _ANH, (*_ANH, "--order", "4")),
+    ("anharmonic", "scale"): ("anharmonic", _ANH, (*_ANH, "--scale", "2")),
+    ("anharmonic", "n_bar_c"): ("anharmonic", _ANH, (*_ANH, "--anh-n-bar-c", "0.5")),
+    ("anharmonic", "state_mode"): ("anharmonic", _ANH, (*_ANH, "--state-mode", "post_kick")),
+    ("anharmonic", "dims"): ("anharmonic", _ANH, (*_ANH, "--anh-dims", "10,8")),
+    ("separation", "points"): ("separation", _SEP, (*_SEP, "--points", "5")),
+    ("output", "precision"): ("modes", (), ("--precision", "6")),
+}
+
+
+def test_data_cases_cover_every_setting():
+    """A new setting joins _DATA_CASES, so it has to show it moves a figure."""
+    settings = {(section, key) for section, key, *_ in cli._SETTINGS}
+    assert set(_DATA_CASES) == settings - {("output", "path")}
+
+
+def _data_lines(capsys, command, argv):
+    rc, out, err = run(capsys, command, *argv)
+    assert rc == 0, (command, argv, err)
+    return [ln for ln in out.splitlines() if "config-hash" not in ln and "config_hash" not in ln]
+
+
+@pytest.mark.parametrize("setting", sorted(_DATA_CASES), ids=".".join)
+def test_setting_changes_the_data_of_a_reader(capsys, setting):
+    """A setting that a subcommand reads and hashes but that moves none of
+    its data is dead weight: the hash line aside, the output must change."""
+    command, base, changed = _DATA_CASES[setting]
+    assert command in cli._READERS[setting]
+    assert _data_lines(capsys, command, base) != _data_lines(capsys, command, changed)
 
 
 # --- scan -------------------------------------------------------------------

