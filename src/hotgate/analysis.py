@@ -207,17 +207,6 @@ class AnharmonicReport:
         """Always True: the interaction integral is exact, nothing iterates."""
         return True
 
-    def to_dict(self) -> dict:
-        return {
-            "f_cor": self.f_cor,
-            "phase_variance": self.variance,
-            "mean_phase": self.mean_phase,
-            "converged": self.converged,
-            "dims": list(self.dims),
-            "state_mode": self.state_mode,
-            "order": self.order,
-        }
-
 
 def _integral_factors(basis: ModeBasis, expansion: AnharmonicExpansion):
     """Kronecker factors of the interaction integral, W = sum_k A_k (x) B_k,
@@ -272,7 +261,8 @@ def anharmonic_fidelity(
     sum_j p_j sum_l |W_jl|^2 = sum_kl G^c_kl G^r_kl, with G^c and G^r the
     weighted Gram matrices of the A_k and the B_k.  The cost is
     K (n_c^3 + n_r^3) + K^2 (n_c^2 + n_r^2) against M^2 (n_c + n_r) for the
-    dense M x M integral (M = n_c n_r).
+    dense M x M integral (M = n_c n_r).  The empty expansion (order 0) has
+    K = 0, so its mean and variance are exactly 0 and F_cor exactly 1.
     """
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
@@ -323,9 +313,14 @@ def exact_anharmonic_fidelity(
     * post_kick, psi_j = D|j>: amp_j = sum_k (D^dag Phi v)_jk e^{-i w_k t_g}
       (D^T v)_jk, where D^dag Phi = (d_c^dag Phi_c) (x) (d_r^dag Phi_r) and
       both factored operators act on the real v (_kron_apply_real).
+
+    The empty expansion (order 0) leaves H = H0, under which every member
+    returns with unit modulus: F = 1 with nothing diagonalized.
     """
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
+    if not expansion.coefficients:
+        return 1.0
     t_g = basis.gate_time
     p_c, p_r = basis.thermal_weights(n_bar_c)
     amp = np.zeros((p_c.size, p_r.size), dtype=complex)
@@ -425,16 +420,6 @@ def _anharmonic_point(spec, n_bar_c, order, dims_factor=1):
     return anharmonic_fidelity(basis, expansion, n_bar_c=n_bar_c)
 
 
-def _f_cor(spec, n_bar_c, order):
-    """The F_cor that gate_report reports: None for order None (skipped), 1
-    for order 0 (correction switched off), else _anharmonic_point's (no eta)."""
-    if order is None:
-        return None
-    if order == 0:
-        return 1.0
-    return _anharmonic_point(spec, n_bar_c, order).f_cor
-
-
 def gate_report(
     spec: TrapSpec,
     eta: float,
@@ -454,7 +439,7 @@ def gate_report(
     frame_phase overrides the schedule's closing frame rotation, and target
     replaces the conditional-flip unitary in the fidelity (for instance the
     identity, when the pulse is disabled).  anharmonic_order None skips the
-    dephasing estimate; 0 reports F_cor = 1 (correction switched off).
+    dephasing estimate; at order 0, the empty expansion, F_cor is 1.
     dims sets the truncation of the gate's mode basis, which no figure
     reads: the channel is truncation-free and F_cor sizes its own basis.
     """
@@ -475,7 +460,8 @@ def gate_report(
         target = gate_protocol.ideal_gate()
     fidelity = average_fidelity(channel, target)
     purity = average_purity(channel)
-    f_cor = _f_cor(spec, n_bar_c, anharmonic_order)
+    f_cor = (None if anharmonic_order is None
+             else _anharmonic_point(spec, n_bar_c, anharmonic_order).f_cor)
     return GateReport(
         eta=eta, n_bar_c=n_bar_c,
         n_bar_r=condition.n_bar_r,
@@ -492,7 +478,8 @@ def _scan_row(spec: TrapSpec, eta: float, n_bar_c: float, order: int | None,
     try:
         rep = gate_report(spec, eta, n_bar_c, anharmonic_order=None, **report_kw)
         if n_bar_c not in f_cors:
-            f_cors[n_bar_c] = _f_cor(spec, n_bar_c, order)
+            f_cors[n_bar_c] = (None if order is None
+                               else _anharmonic_point(spec, n_bar_c, order).f_cor)
         f_cor = f_cors[n_bar_c]
         row.update(fidelity=rep.fidelity, purity=rep.purity,
                    f_cor=math.nan if f_cor is None else f_cor)
@@ -504,10 +491,10 @@ def _scan_row(spec: TrapSpec, eta: float, n_bar_c: float, order: int | None,
 def scan_rows(spec: TrapSpec, points, anharmonic_order: int | None = 3, **report_kw):
     """Yield the rows of scan one at a time, in input order.
 
-    F_cor reads n_bar_c but not eta (_f_cor), so each distinct n_bar_c
-    computes it once per call: f_cors lives only as long as this generator.
-    A failing F_cor is not stored, so every row it fails raises, and
-    records, its own error.
+    F_cor reads n_bar_c but not eta (_anharmonic_point), so each distinct
+    n_bar_c computes it once per call: f_cors lives only as long as this
+    generator.  A failing F_cor is not stored, so every row it fails
+    raises, and records, its own error.
     """
     f_cors = {}
     for eta, n_bar_c in points:

@@ -430,7 +430,7 @@ def _target_matrix(name: str) -> np.ndarray:
 def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
     spec = build_trap(cfg)
     target_name = cfg["gate"]["target"]
-    order = cfg["anharmonic"]["order"] if args.anharmonic else None
+    order = cfg["anharmonic"]["order"]
     frame_phase = _frame_phase(cfg)
     report = analysis.gate_report(
         spec, resolve_eta(cfg), cfg["gate"]["n_bar_c"],
@@ -444,7 +444,7 @@ def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
         "fidelity measured against the identity map")
     text = _json_text("gate", cfg, payload, args.stamp, cfg["output"]["precision"])
     _emit(text, _resolve_path(cfg["output"]["path"]))
-    if args.check_convergence and order:
+    if args.check_convergence:
         # the channel checks its own quadrature; F_cor is the one figure
         # gate reports from a truncated Fock space
         doubled = analysis._anharmonic_point(spec, cfg["gate"]["n_bar_c"], order,
@@ -540,13 +540,6 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
     spec = build_trap(cfg)
     a = cfg["anharmonic"]
     state_mode = a["state_mode"]
-    if a["order"] == 0:
-        payload = {"f_cor_perturbative": 1.0, "f_cor_exact": 1.0, "delta": 0.0,
-                   "order": 0, "converged": True}
-        _emit(_json_text("anharmonic", cfg, payload, args.stamp,
-                         cfg["output"]["precision"]),
-              _resolve_path(cfg["output"]["path"]))
-        return 0
     n_bar_c = a["n_bar_c"]
     eta = resolve_eta(cfg)  # pre_kick reads no kick: take the zero-kick basis
     basis = trap_model.build_mode_basis(
@@ -559,18 +552,20 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
         basis, expansion, n_bar_c=n_bar_c, state_mode=state_mode)
     f_exact = analysis.exact_anharmonic_fidelity(
         basis, expansion, n_bar_c=n_bar_c, state_mode=state_mode)
-    payload = rep.to_dict()
-    payload.update({
+    payload = {
         "f_cor_perturbative": rep.f_cor,
         "f_cor_exact": f_exact,
         # a difference of two figures near 1, and a mean that is zero at odd
         # order (resonant terms cancel their conjugates): below 1e-15 is roundoff
         "delta": round(abs(rep.f_cor - f_exact), 15),
         "mean_phase": round(rep.mean_phase, 15),
+        "phase_variance": rep.variance,
+        "dims": list(rep.dims),
+        "state_mode": rep.state_mode,
+        "order": rep.order,
         "scale": a["scale"],
         "n_bar_c": n_bar_c,
-    })
-    del payload["f_cor"]
+    }
     _emit(_json_text("anharmonic", cfg, payload, args.stamp,
                      cfg["output"]["precision"]),
           _resolve_path(cfg["output"]["path"]))
@@ -631,12 +626,9 @@ def build_parser() -> _Parser:
             groups[section].add_argument(flag, dest=_dest(flag), help=help_, **typed)
     subs["modes"].add_argument("--solve-ratio", dest="solve_ratio", type=float,
                                help="find the wall exponent giving this nu_r/nu_c")
-    subs["gate"].add_argument("--anharmonic", action="store_true",
-                              help="include the perturbative anharmonic fidelity")
     subs["gate"].add_argument(
         "--check-convergence", action="store_true",
-        help="with --anharmonic, recompute F_cor at doubled truncation; a "
-             "gap above 1e-6 exits 3")
+        help="recompute F_cor at doubled truncation; a gap above 1e-6 exits 3")
     subs["scan"].add_argument("--skip-existing", action="store_true",
                               help="reuse finished rows of an output file "
                                    "written with the same settings")
@@ -662,6 +654,10 @@ def main(argv=None) -> int:
         return args.func(cfg, args)
     except ConfigError as exc:
         sys.stderr.write(f"hotgate: config error: {exc}\n")
+        return 1
+    except OverflowError:  # a finite setting whose arithmetic leaves double range
+        sys.stderr.write("hotgate: config error: a setting is too large: "
+                         "its arithmetic overflows a double\n")
         return 1
     except (InfeasibleRatioError, NoEquilibriumError) as exc:
         sys.stderr.write(f"hotgate: infeasible: {exc}\n")

@@ -81,13 +81,6 @@ class AddressedPulse:
             raise ValueError("width and duration must be positive")
 
 
-def gaussian_rabi(pulse: AddressedPulse, x) -> np.ndarray:
-    """Omega(x); x may be complex (the profile is entire), which the
-    cross-branch Gram blocks use."""
-    x = np.asarray(x, dtype=np.result_type(x, 1.0))
-    return pulse.omega0 * np.exp(-((x - pulse.center) ** 2) / (2.0 * pulse.width**2))
-
-
 @dataclass(frozen=True)
 class GateSchedule:
     """Timing and pulses of one gate execution.
@@ -407,20 +400,28 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
     are a trapezoid rule over +-_SPAN widths whose interval count doubles from
     64 until two successive Gram matrices agree to _GRAM_TOL or, if larger,
     _ROUNDING_FLOOR times the summed magnitude of gram_of.
+
+    The profile reads each node as its offset from the centre l,
+    (x_e/2 - l) + shift + Delta z, with the large x_e/2 (~410 x0) removed
+    once: X - l formed node by node would round every node apart, by
+    ulp(x_e/2), and the doubling would then run on that noise.
     """
-    if schedule.flip is None:
+    flip = schedule.flip
+    if flip is None:
         raise ValueError("gaussian flip requested but schedule.flip is None")
     delta = basis.thermal_spread(n_bar_c)
     half_d = basis.half_separation(schedule.t0)
-    shifts = np.array([half_d if b == 0 else -half_d for b, _, _ in terms])
+    edge = basis.x_e / 2.0 - flip.center
+    offsets = np.array([edge + (half_d if b == 0 else -half_d) for b, _, _ in terms])
     signs = np.array([s for _, s, _ in terms])
     rows = np.array([b == 0 for b, _, _ in terms])
     cross = None if _refocuses(basis, schedule) else _residual_displacement(
         basis, schedule, n_bar_c)
 
-    def theta(x, pick):
-        return 0.5 * schedule.flip.duration * gaussian_rabi(
-            schedule.flip, x[None, :] + shifts[pick, None])
+    def theta(u, pick):
+        """Flip angle Omega t1 / 2 of the terms pick at X = x_e/2 + u."""
+        v = offsets[pick, None] + u[None, :]
+        return 0.5 * flip.duration * (flip.omega0 * np.exp(-(v**2) / (2.0 * flip.width**2)))
 
     def integrand(intervals):
         """[w, f] (and the cross-block factors [f_r, fbar_c] when the
@@ -428,13 +429,13 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
         the end weights w are ~1e-43, so the trapezoid rule is a plain sum."""
         z = np.linspace(-_SPAN, _SPAN, intervals + 1)
         w = np.exp(-0.5 * z * z) * (2.0 * _SPAN / intervals / sqrt(2.0 * pi))
-        x = basis.x_e / 2.0 + delta * z
-        f = np.exp(-1j * signs[:, None] * theta(x, slice(None)))
+        u = delta * z
+        f = np.exp(-1j * signs[:, None] * theta(u, slice(None)))
         if cross is None:
             return [w, f]
         _, shift, a = cross
-        f_r = np.exp(-1j * signs[rows, None] * theta(x + shift + a, rows))
-        fbar_c = np.exp(1j * signs[~rows, None] * theta(x + shift, ~rows))
+        f_r = np.exp(-1j * signs[rows, None] * theta(u + shift + a, rows))
+        fbar_c = np.exp(1j * signs[~rows, None] * theta(u + shift, ~rows))
         return [w, f, f_r, fbar_c]
 
     def gram_of(w, f, *cross_factors):

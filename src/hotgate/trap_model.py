@@ -349,9 +349,10 @@ def anharmonic_expansion(spec: TrapSpec, order: int = 3) -> AnharmonicExpansion:
     with a + b = n (the odd-a terms cancel between the two mirrored ions);
     the Coulomb term contributes C*(-1)^n / x_e^(n+1) to the pure-x_r
     monomials.  Cross-checked against finite differences in the tests.
+    Order 0 is the empty expansion, which every route reads as V_cor = 0.
     """
-    if not 3 <= order <= 6:
-        raise ValueError("order must be between 3 and 6")
+    if order != 0 and not 3 <= order <= 6:
+        raise ValueError("order must be 0 or between 3 and 6")
     x_e = equilibrium_separation(spec)
     u = x_e / 2.0
     coeffs: dict = {}

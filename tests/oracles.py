@@ -4,6 +4,7 @@ No production route calls anything here.  Each function works in truncated
 Fock space at basis.dims, where the package's own routes do not:
 
 * the literal composite path: kick_unitary, free flight, addressed_flip_unitary
+  (with the pulse profile gaussian_rabi read at absolute positions)
   or idealized_flip_unitary and frame_rotation, composed by run_gate on full
   qubit1 (x) qubit2 (x) mode_c (x) mode_r states held as plain arrays (a 1-D
   array is a ket, a 2-D array a density matrix);
@@ -37,7 +38,6 @@ from hotgate.gate_protocol import (
     _branch_terms,
     _channel,
     _free_phases,
-    gaussian_rabi,
     thermal_motional,
 )
 from hotgate.trap_model import (
@@ -88,6 +88,13 @@ def _flip_eigensystem(basis: ModeBasis):
     xv_r, vec_r = np.linalg.eigh(fock_core.position_operator(n_r, basis.width_r))
     xgrid = xv_c[:, None] + (xv_r[None, :] + basis.x_e) / 2.0
     return vec_c, vec_r, xgrid
+
+
+def gaussian_rabi(pulse: AddressedPulse, x) -> np.ndarray:
+    """Omega(x) = omega0 exp(-(x - center)^2 / (2 width^2)), read at absolute
+    positions x; x may be complex (the profile is entire)."""
+    x = np.asarray(x, dtype=np.result_type(x, 1.0))
+    return pulse.omega0 * np.exp(-((x - pulse.center) ** 2) / (2.0 * pulse.width**2))
 
 
 def addressed_flip_unitary(basis: ModeBasis, pulse: AddressedPulse) -> np.ndarray:

@@ -254,6 +254,36 @@ def test_zero_correction_means_unit_fidelity(anharmonic_setup):
     assert rep.variance == 0.0
 
 
+@pytest.fixture(scope="module")
+def kicked_basis(spec):
+    """The kick-sized default basis at eta 7, n_bar_c 1: dims (162, 84)."""
+    basis = tm.build_mode_basis(spec, eta=7.0, n_bar_c=1.0)
+    assert basis.dims == (162, 84)
+    return basis
+
+
+@pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
+def test_order_zero_gives_exactly_unit_fidelity(spec, kicked_basis, state_mode):
+    """The empty expansion has K = 0 factors: mean and variance are 0."""
+    rep = an.anharmonic_fidelity(kicked_basis, tm.anharmonic_expansion(spec, order=0),
+                                 n_bar_c=1.0, state_mode=state_mode)
+    assert (rep.f_cor, rep.variance, rep.mean_phase) == (1.0, 0.0, 0.0)
+    assert rep.order == 0 and rep.state_mode == state_mode
+
+
+@pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
+def test_exact_order_zero_diagonalizes_nothing(spec, kicked_basis, state_mode, monkeypatch):
+    """H = H0 returns every member with unit modulus; the two parity blocks
+    here would have 6,804 rows each."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called for the empty expansion")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert an.exact_anharmonic_fidelity(
+        kicked_basis, tm.anharmonic_expansion(spec, order=0), n_bar_c=1.0,
+        state_mode=state_mode) == 1.0
+
+
 def test_variance_scales_quadratically(anharmonic_setup):
     basis, expansion = anharmonic_setup
     base = an.anharmonic_fidelity(basis, expansion, n_bar_c=1.0)
@@ -281,8 +311,8 @@ def test_pre_and_post_kick_pictures_agree_when_small(spec):
     assert pre.f_cor > 0.999995
     assert post.f_cor > 0.999995
     assert abs(pre.f_cor - post.f_cor) < 1e-6
-    assert pre.to_dict()["state_mode"] == "pre_kick"
-    assert post.to_dict()["state_mode"] == "post_kick"
+    assert pre.state_mode == "pre_kick"
+    assert post.state_mode == "post_kick"
 
 
 def _dense_dephasing(basis, expansion, n_bar_c, state_mode):

@@ -118,7 +118,7 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("conditions", "--n-bar-c", "-1"),
     ("gate", "--n-bar-c", "-1"),
     ("gate", "--rabi-cycles", "0"),
-    ("gate", "--anharmonic", "--order", "9"),
+    ("gate", "--order", "9"),
     ("modes", "--n-bar-c", "-1"),
     ("separation", "--points", "1"),
     ("anharmonic", "--anh-n-bar-c", "-1"),
@@ -144,9 +144,14 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("gate", "--frame-phase", "nan"),
     ("anharmonic", "--scale", "nan"),
     ("gate", "--omega0-scale", "inf"),
+    # finite, but too large for the arithmetic they enter
+    ("gate", "--eta", "1e300"),
+    ("gate", "--n-bar-c", "1e300"),
+    ("modes", "--eta", "1e300"),
+    ("conditions", "--eta", "1e200"),
 ], ids=" ".join)
 def test_out_of_range_setting_exits_1_with_one_line(capsys, argv):
-    """Rejected before any work runs: no traceback, and no scan rows."""
+    """Rejected as a config error: no traceback, and no scan rows."""
     rc, out, err = run(capsys, *argv)
     assert rc == 1
     assert out == ""
@@ -250,7 +255,7 @@ def test_gate_idealized_flip_is_perfect(capsys):
     doc = json.loads(out)
     assert doc["fidelity"] == pytest.approx(1.0, abs=1e-9)
     assert doc["flip_mode"] == "idealized"
-    assert doc["f_cor"] is None  # not requested
+    assert doc["f_cor"] == 1.0  # the cold ground state has no phase variance
     assert doc["target"] == "gate"
 
 
@@ -272,13 +277,13 @@ def test_gate_disabled_pulse_against_identity(capsys):
 
 def test_gate_anharmonic_column(capsys):
     rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--flip", "idealized",
-                     "--n-bar-c", "0.5", "--anharmonic")
+                     "--n-bar-c", "0.5")
     assert rc == 0
     doc = json.loads(out)
     assert 0.99999 < doc["f_cor"] < 1.0
-    # gate reads [anharmonic] order, so it takes the flag too
+    # [anharmonic] order is the one switch: order 0 is the empty expansion
     rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--flip", "idealized",
-                     "--anharmonic", "--order", "0")
+                     "--n-bar-c", "0.5", "--order", "0")
     assert rc == 0
     assert json.loads(out)["f_cor"] == 1.0
 
@@ -287,7 +292,7 @@ def test_gate_and_scan_read_one_anharmonic_order(capsys, tmp_path):
     ini = tmp_path / "order.ini"
     ini.write_text("[anharmonic]\norder = 4\n")
     rc, out, _ = run(capsys, "gate", "--config", str(ini), "--eta", "7", "--n-bar-c", "1",
-                     "--anharmonic", "--precision", "17")
+                     "--precision", "17")
     assert rc == 0
     f_cor = json.loads(out)["f_cor"]
     assert f_cor == pytest.approx(0.999997822551, abs=1e-12)  # order 3 gives ...825495
@@ -301,7 +306,7 @@ def test_gate_and_scan_read_one_anharmonic_order(capsys, tmp_path):
 def test_gate_check_convergence(capsys):
     """The check recomputes F_cor, the one truncated figure gate reports, at
     doubled truncation; the channel checks its own quadrature."""
-    hot = ("gate", "--eta", "7", "--anharmonic", "--check-convergence")
+    hot = ("gate", "--eta", "7", "--check-convergence")
     rc, out, _ = run(capsys, *hot, "--n-bar-c", "3")
     assert rc == 0
     doc = json.loads(out)
@@ -311,11 +316,11 @@ def test_gate_check_convergence(capsys):
     assert rc == 3
     assert "F_cor" in err and "truncation gap" in err
     assert json.loads(out)["command"] == "gate"  # the partial result is still emitted
-    # no F_cor requested, no truncated figure to check, on any trap
+    # order 0: F_cor is 1 at any truncation, so nothing to check, on any trap
     rc, out, _ = run(capsys, "gate", "--eta", "7", "--n-bar-c", "1", "--exponent", "2",
-                     "--check-convergence")
+                     "--order", "0", "--check-convergence")
     assert rc == 0
-    assert json.loads(out)["f_cor"] is None
+    assert json.loads(out)["f_cor"] == 1.0
 
 
 def test_gate_check_convergence_memory_is_bounded(capsys):
@@ -325,8 +330,7 @@ def test_gate_check_convergence_memory_is_bounded(capsys):
 
     tracemalloc.start()
     try:
-        rc = cli.main(["gate", "--eta", "7", "--n-bar-c", "0.5", "--anharmonic",
-                       "--check-convergence"])
+        rc = cli.main(["gate", "--eta", "7", "--n-bar-c", "0.5", "--check-convergence"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -406,7 +410,7 @@ def test_config_hash_ignores_execution_only_settings():
 def test_config_hash_covers_only_settings_the_command_reads():
     cfg = cli.load_config(None)
     base = {cmd: cli.config_hash(cfg, cmd) for cmd in ("gate", "scan", "anharmonic")}
-    cfg["anharmonic"]["order"] = 4  # read by gate --anharmonic and by scan
+    cfg["anharmonic"]["order"] = 4  # read by gate and by scan too
     assert all(cli.config_hash(cfg, cmd) != base[cmd] for cmd in base)
     cfg = cli.load_config(None)
     cfg["anharmonic"]["scale"] = 2.0  # read by anharmonic only
@@ -448,6 +452,7 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ("scan", "--margin", "5"),
         ("modes", "--lamb-dicke", "0.9"),
         ("separation", "--check-tol", "1e-6"),
+        ("gate", "--anharmonic"),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)
@@ -462,36 +467,43 @@ _SEP = ("--eta", "1", "--points", "4", "--precision", "17")
 _TRAIN = ("--eta-single", "0.45", "--n-pulses", "3")
 _EXPLICIT = ("--stiffness", "1", "--coulomb", "1")
 _SCAN = ("--etas", "2", "--n-bars", "0", "--order", "0")
+# F_cor is 1 at every order at n_bar_c 0: the ground state has no phase
+# variance, so only a warm point shows the order
+_HOT = ("--n-bar-c", "0.5")
+_HOT_SCAN = ("--etas", "2", "--n-bars", "0.5")
 
-# per setting: (a subcommand that reads it, its argv, the argv with only
-# that setting changed); every setting but [output] path is listed
+# per setting: cases of (a subcommand that reads it, its argv, the argv with
+# only that setting changed), one per reader that uses it its own way; every
+# setting but [output] path is listed
 _DATA_CASES = {
-    ("trap", "exponent"): ("modes", (), ("--exponent", "2")),
-    ("trap", "nu_c"): ("modes", (), ("--nu-c", "2")),
-    ("trap", "mass"): ("modes", (), ("--mass", "2")),
-    ("trap", "separation_in_x0"): ("modes", (), ("--separation-in-x0", "400")),
-    ("trap", "stiffness"): ("modes", _EXPLICIT, ("--stiffness", "2", "--coulomb", "1")),
-    ("trap", "coulomb"): ("modes", _EXPLICIT, ("--stiffness", "1", "--coulomb", "2")),
-    ("gate", "eta"): ("modes", (), ("--eta", "3")),
-    ("gate", "eta_single"): ("modes", _TRAIN, ("--eta-single", "0.5", "--n-pulses", "3")),
-    ("gate", "n_pulses"): ("modes", _TRAIN, ("--eta-single", "0.45", "--n-pulses", "5")),
-    ("gate", "n_bar_c"): ("modes", (), ("--n-bar-c", "1")),
-    ("gate", "rabi_cycles"): ("conditions", (), ("--rabi-cycles", "5")),
-    ("gate", "margin"): ("conditions", (), ("--margin", "5")),
-    ("gate", "dims"): ("separation", (*_SEP, "--dims", "12,12"), (*_SEP, "--dims", "14,14")),
-    ("gate", "flip"): ("gate", (), ("--flip", "idealized")),
-    ("gate", "omega0_scale"): ("gate", (), ("--omega0-scale", "0.5")),
-    ("gate", "frame_phase"): ("gate", (), ("--frame-phase", "0")),
-    ("gate", "target"): ("gate", (), ("--target", "identity")),
-    ("scan", "etas"): ("scan", _SCAN, (*_SCAN, "--etas", "3")),
-    ("scan", "n_bars"): ("scan", _SCAN, (*_SCAN, "--n-bars", "0.5")),
-    ("anharmonic", "order"): ("anharmonic", _ANH, (*_ANH, "--order", "4")),
-    ("anharmonic", "scale"): ("anharmonic", _ANH, (*_ANH, "--scale", "2")),
-    ("anharmonic", "n_bar_c"): ("anharmonic", _ANH, (*_ANH, "--anh-n-bar-c", "0.5")),
-    ("anharmonic", "state_mode"): ("anharmonic", _ANH, (*_ANH, "--state-mode", "post_kick")),
-    ("anharmonic", "dims"): ("anharmonic", _ANH, (*_ANH, "--anh-dims", "10,8")),
-    ("separation", "points"): ("separation", _SEP, (*_SEP, "--points", "5")),
-    ("output", "precision"): ("modes", (), ("--precision", "6")),
+    ("trap", "exponent"): [("modes", (), ("--exponent", "2"))],
+    ("trap", "nu_c"): [("modes", (), ("--nu-c", "2"))],
+    ("trap", "mass"): [("modes", (), ("--mass", "2"))],
+    ("trap", "separation_in_x0"): [("modes", (), ("--separation-in-x0", "400"))],
+    ("trap", "stiffness"): [("modes", _EXPLICIT, ("--stiffness", "2", "--coulomb", "1"))],
+    ("trap", "coulomb"): [("modes", _EXPLICIT, ("--stiffness", "1", "--coulomb", "2"))],
+    ("gate", "eta"): [("modes", (), ("--eta", "3"))],
+    ("gate", "eta_single"): [("modes", _TRAIN, ("--eta-single", "0.5", "--n-pulses", "3"))],
+    ("gate", "n_pulses"): [("modes", _TRAIN, ("--eta-single", "0.45", "--n-pulses", "5"))],
+    ("gate", "n_bar_c"): [("modes", (), ("--n-bar-c", "1"))],
+    ("gate", "rabi_cycles"): [("conditions", (), ("--rabi-cycles", "5"))],
+    ("gate", "margin"): [("conditions", (), ("--margin", "5"))],
+    ("gate", "dims"): [("separation", (*_SEP, "--dims", "12,12"), (*_SEP, "--dims", "14,14"))],
+    ("gate", "flip"): [("gate", (), ("--flip", "idealized"))],
+    ("gate", "omega0_scale"): [("gate", (), ("--omega0-scale", "0.5"))],
+    ("gate", "frame_phase"): [("gate", (), ("--frame-phase", "0"))],
+    ("gate", "target"): [("gate", (), ("--target", "identity"))],
+    ("scan", "etas"): [("scan", _SCAN, (*_SCAN, "--etas", "3"))],
+    ("scan", "n_bars"): [("scan", _SCAN, (*_SCAN, "--n-bars", "0.5"))],
+    ("anharmonic", "order"): [("anharmonic", _ANH, (*_ANH, "--order", "4")),
+                              ("gate", _HOT, (*_HOT, "--order", "4")),
+                              ("scan", _HOT_SCAN, (*_HOT_SCAN, "--order", "4"))],
+    ("anharmonic", "scale"): [("anharmonic", _ANH, (*_ANH, "--scale", "2"))],
+    ("anharmonic", "n_bar_c"): [("anharmonic", _ANH, (*_ANH, "--anh-n-bar-c", "0.5"))],
+    ("anharmonic", "state_mode"): [("anharmonic", _ANH, (*_ANH, "--state-mode", "post_kick"))],
+    ("anharmonic", "dims"): [("anharmonic", _ANH, (*_ANH, "--anh-dims", "10,8"))],
+    ("separation", "points"): [("separation", _SEP, (*_SEP, "--points", "5"))],
+    ("output", "precision"): [("modes", (), ("--precision", "6"))],
 }
 
 
@@ -507,11 +519,13 @@ def _data_lines(capsys, command, argv):
     return [ln for ln in out.splitlines() if "config-hash" not in ln and "config_hash" not in ln]
 
 
-@pytest.mark.parametrize("setting", sorted(_DATA_CASES), ids=".".join)
-def test_setting_changes_the_data_of_a_reader(capsys, setting):
+@pytest.mark.parametrize("setting, case", [
+    pytest.param(setting, case, id=".".join(setting) + (f"-{case[0]}" if i else ""))
+    for setting, cases in sorted(_DATA_CASES.items()) for i, case in enumerate(cases)])
+def test_setting_changes_the_data_of_a_reader(capsys, setting, case):
     """A setting that a subcommand reads and hashes but that moves none of
     its data is dead weight: the hash line aside, the output must change."""
-    command, base, changed = _DATA_CASES[setting]
+    command, base, changed = case
     assert command in cli._READERS[setting]
     assert _data_lines(capsys, command, base) != _data_lines(capsys, command, changed)
 
@@ -641,12 +655,19 @@ def test_scan_empty_grid_exits_1(capsys):
 
 
 def test_anharmonic_order_zero_short_circuits(capsys):
-    rc, out, _ = run(capsys, "anharmonic", "--order", "0")
+    """Order 0 is the empty expansion: both routes give 1, the exact one
+    diagonalizing nothing at the kick-sized default dims (162, 84), and the
+    JSON carries the keys of any other order."""
+    rc, out, _ = run(capsys, "anharmonic", "--order", "0", "--state-mode", "post_kick")
     assert rc == 0
     doc = json.loads(out)
     assert doc["f_cor_perturbative"] == 1.0
     assert doc["f_cor_exact"] == 1.0
     assert doc["delta"] == 0.0
+    assert doc["dims"] == [162, 84]
+    rc, out, _ = run(capsys, "anharmonic", "--state-mode", "post_kick", *_ANH)
+    assert rc == 0
+    assert set(doc) == set(json.loads(out))
 
 
 def test_anharmonic_compares_routes(capsys):
@@ -655,7 +676,6 @@ def test_anharmonic_compares_routes(capsys):
         rc, out, _ = run(capsys, "anharmonic", *args, "--precision", "17")
         assert rc == 0
         doc = json.loads(out)
-        assert doc["converged"] is True
         assert 0.999 < doc["f_cor_perturbative"] <= 1.0
         assert doc["delta"] < 1e-6
         # a difference of two figures near 1: below 1e-15 it is roundoff

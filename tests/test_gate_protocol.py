@@ -12,6 +12,7 @@ branch route, on refocusing and non-refocusing gates alike, and its
 closed-form motional_output against the propagated Fock columns.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -109,7 +110,7 @@ def test_exact_gaussian_branch_areas_close_to_linearized(exponent):
     pulse, rep = gp.condition_solver(basis, rabi_cycles=3)
     half_d = float(an.separation_numeric(basis, [basis.flip_time])[0]) / 2.0
     edge = basis.x_e / 2.0
-    theta = lambda x: 0.5 * pulse.duration * float(gp.gaussian_rabi(pulse, x))
+    theta = lambda x: 0.5 * pulse.duration * float(oracles.gaussian_rabi(pulse, x))
     assert theta(edge) == pytest.approx(rep.pulse_area, rel=1e-12)
     assert theta(edge + half_d) == pytest.approx(6.5 * math.pi, rel=1e-4)
     assert theta(edge - half_d) == pytest.approx(6.0 * math.pi, rel=1e-4)
@@ -223,7 +224,7 @@ def test_addressed_flip_against_dense_expm(spec):
         + (np.kron(np.eye(n_c), fc.position_operator(n_r, basis.width_r))
            + basis.x_e * np.eye(n_c * n_r)) / 2.0
     vals, vecs = np.linalg.eigh(x1)
-    omega = (vecs * gp.gaussian_rabi(pulse, vals)) @ vecs.conj().T
+    omega = (vecs * oracles.gaussian_rabi(pulse, vals)) @ vecs.conj().T
     h = np.kron(np.kron(gp.SIGMA_X, gp.ID2), omega)
     oracle = scipy.linalg.expm(-0.5j * pulse.duration * h)
     got = oracles.addressed_flip_unitary(basis, pulse)
@@ -431,25 +432,28 @@ def test_phase_space_golden_point(spec):
 
 def _plain_trapezoid_gram(basis, schedule, n_bar_c, terms, intervals):
     """The Gram matrix of _phase_space_gram's docstring on one plain
-    trapezoid grid of `intervals` intervals over +-_SPAN thermal widths."""
+    trapezoid grid of `intervals` intervals over +-_SPAN thermal widths,
+    with the profile read at the node's offset from its centre l."""
     z = np.linspace(-gp._SPAN, gp._SPAN, intervals + 1)
     w = np.exp(-0.5 * z * z) * (2.0 * gp._SPAN / intervals / math.sqrt(2.0 * math.pi))
-    x = basis.x_e / 2.0 + basis.thermal_spread(n_bar_c) * z
+    u = basis.thermal_spread(n_bar_c) * z  # X - x_e/2
     half_d = basis.half_separation(schedule.t0)
-    shifts = np.array([half_d if b == 0 else -half_d for b, _, _ in terms])
+    edge = basis.x_e / 2.0 - schedule.flip.center
+    offsets = np.array([edge + (half_d if b == 0 else -half_d) for b, _, _ in terms])
+    centred = dataclasses.replace(schedule.flip, center=0.0)
     signs = np.array([s for _, s, _ in terms])
 
-    def f(x, sign):  # f_{b,s}(x), or fbar for sign +1
-        theta = 0.5 * schedule.flip.duration * gp.gaussian_rabi(
-            schedule.flip, x[None, :] + shifts[:, None])
+    def f(u, sign):  # f_{b,s}(x_e/2 + u), or fbar for sign +1
+        theta = 0.5 * schedule.flip.duration * oracles.gaussian_rabi(
+            centred, offsets[:, None] + u[None, :])
         return np.exp(sign * 1j * signs[:, None] * theta)
 
-    f0 = f(x, -1)
+    f0 = f(u, -1)
     gram = (f0 * w) @ f0.conj().T
     if not gp._refocuses(basis, schedule):
         damp, shift, a = gp._residual_displacement(basis, schedule, n_bar_c)
         rows = np.array([b == 0 for b, _, _ in terms])
-        block = damp * ((f(x + shift + a, -1)[rows] * w) @ f(x + shift, 1)[~rows].T)
+        block = damp * ((f(u + shift + a, -1)[rows] * w) @ f(u + shift, 1)[~rows].T)
         gram[np.ix_(rows, ~rows)] = block
         gram[np.ix_(~rows, rows)] = block.conj().T
     return gram
@@ -482,6 +486,20 @@ def test_phase_space_gram_stops_at_its_rounding_floor():
     ch = gp.gate_channel(basis, schedule, n_bar_c=10.0)
     reference = _plain_trapezoid_gram(basis, schedule, 10.0, ch.terms, 2**14)
     np.testing.assert_allclose(ch.gram, reference, rtol=0, atol=2e-10)
+
+
+def test_phase_space_gram_nodes_are_centre_relative(monkeypatch):
+    """Off the ratio at low kick and n_bar_c 0 the Gram matrix settles within
+    256 intervals.  Nodes formed as x_e/2 + Delta z (~410 x0) and then
+    differenced against the centre l each carried their own rounding,
+    ~ulp(410 x0), and the doubling ran on that noise to 1,024 intervals."""
+    monkeypatch.setattr(gp, "_MAX_INTERVALS", 256)
+    basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=0.5)
+    schedule, _ = gp.build_schedule(basis)
+    terms = gp._branch_terms(schedule, "gaussian")
+    gram = gp._phase_space_gram(basis, schedule, 0.0, terms)
+    reference = _plain_trapezoid_gram(basis, schedule, 0.0, terms, 2**12)
+    np.testing.assert_allclose(gram, reference, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("flip_mode", ["gaussian", "idealized"])

@@ -268,6 +268,8 @@ def test_expansion_structure(spec):
         tm.anharmonic_expansion(spec, order=2)
     with pytest.raises(ValueError):
         tm.anharmonic_expansion(spec, order=7)
+    # order 0 switches the correction off: no monomials at all
+    assert tm.anharmonic_expansion(spec, order=0).coefficients == {}
 
 
 def test_expansion_scaling(spec):
