@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fock_core, gate_protocol
+from .errors import ConfigError
 from .trap_model import (
     AnharmonicExpansion,
     ModeBasis,
@@ -230,6 +231,11 @@ def _integral_factors(basis: ModeBasis, expansion: AnharmonicExpansion):
             np.array(b_fac, dtype=complex).reshape(-1, n_r, n_r))
 
 
+# Cap on K (n_c^2 + n_r^2), the factor entries of anharmonic_fidelity (a + 1
+# pairs per power x_c^a); at 24 (pre_kick) to 45 (post_kick) bytes each, < 0.75 GB
+_MAX_FACTOR_ENTRIES = 2**24
+
+
 def _weighted_gram(factors: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """G_kl = sum_mq p_m F_k,mq conj(F_l,mq)."""
     k, n, _ = factors.shape
@@ -261,11 +267,22 @@ def anharmonic_fidelity(
     sum_j p_j sum_l |W_jl|^2 = sum_kl G^c_kl G^r_kl, with G^c and G^r the
     weighted Gram matrices of the A_k and the B_k.  The cost is
     K (n_c^3 + n_r^3) + K^2 (n_c^2 + n_r^2) against M^2 (n_c + n_r) for the
-    dense M x M integral (M = n_c n_r).  The empty expansion (order 0) has
-    K = 0, so its mean and variance are exactly 0 and F_cor exactly 1.
+    dense M x M integral (M = n_c n_r); above _MAX_FACTOR_ENTRIES it raises
+    ConfigError before allocating.  The empty expansion (order 0) has K = 0,
+    so F_cor is exactly 1, returned with nothing sized by the dims.
     """
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
+    if not expansion.coefficients:
+        return AnharmonicReport(f_cor=1.0, variance=0.0, mean_phase=0.0, dims=basis.dims,
+                                state_mode=state_mode, order=expansion.order)
+    n_c, n_r = basis.dims
+    entries = sum(a + 1 for a in {a for a, _ in expansion.coefficients}) * (n_c**2 + n_r**2)
+    if entries > _MAX_FACTOR_ENTRIES:
+        raise ConfigError(
+            f"F_cor at dims ({n_c}, {n_r}) and order {expansion.order} needs {entries:,} "
+            f"factor entries, above the budget of {_MAX_FACTOR_ENTRIES:,} (about 0.75 GB); "
+            f"lower n_bar_c or the dims, or set [anharmonic] order 0 to skip F_cor")
     a_fac, b_fac = _integral_factors(basis, expansion)
     if state_mode == "post_kick":
         d_c, d_r = basis.kick_displacements()
@@ -314,8 +331,8 @@ def exact_anharmonic_fidelity(
       (D^T v)_jk, where D^dag Phi = (d_c^dag Phi_c) (x) (d_r^dag Phi_r) and
       both factored operators act on the real v (_kron_apply_real).
 
-    The empty expansion (order 0) leaves H = H0, under which every member
-    returns with unit modulus: F = 1 with nothing diagonalized.
+    The empty expansion (order 0) leaves H = H0: every member returns with
+    unit modulus, so F = 1 with nothing diagonalized.
     """
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
@@ -478,11 +495,9 @@ def _scan_row(spec: TrapSpec, eta: float, n_bar_c: float, order: int | None,
     try:
         rep = gate_report(spec, eta, n_bar_c, anharmonic_order=None, **report_kw)
         if n_bar_c not in f_cors:
-            f_cors[n_bar_c] = (None if order is None
+            f_cors[n_bar_c] = (math.nan if order is None
                                else _anharmonic_point(spec, n_bar_c, order).f_cor)
-        f_cor = f_cors[n_bar_c]
-        row.update(fidelity=rep.fidelity, purity=rep.purity,
-                   f_cor=math.nan if f_cor is None else f_cor)
+        row.update(fidelity=rep.fidelity, purity=rep.purity, f_cor=f_cors[n_bar_c])
     except Exception as exc:  # scans keep going; the row records the failure
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

@@ -655,9 +655,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"hotgate: config error: {exc}\n")
         return 1
-    except OverflowError:  # a finite setting whose arithmetic leaves double range
-        sys.stderr.write("hotgate: config error: a setting is too large: "
-                         "its arithmetic overflows a double\n")
+    except OverflowError as exc:  # a finite setting whose arithmetic leaves double range
+        sys.stderr.write(f"hotgate: config error: a setting is too large: "
+                         f"its arithmetic overflows a double ({exc})\n")
         return 1
     except (InfeasibleRatioError, NoEquilibriumError) as exc:
         sys.stderr.write(f"hotgate: infeasible: {exc}\n")

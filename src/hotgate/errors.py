@@ -22,4 +22,4 @@ class InfeasibleRatioError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Command-line or config-file input the CLI refuses to act on."""
+    """Input the package refuses: a bad setting, or a request above a memory budget."""

@@ -81,6 +81,13 @@ class AddressedPulse:
             raise ValueError("width and duration must be positive")
 
 
+def gaussian_rabi(pulse: AddressedPulse, offset) -> np.ndarray:
+    """Omega = omega0 exp(-offset^2 / (2 width^2)) at offset = x - center from
+    the profile centre; offset may be complex (the profile is entire), which
+    the cross-branch Gram blocks use."""
+    return pulse.omega0 * np.exp(-(offset**2) / (2.0 * pulse.width**2))
+
+
 @dataclass(frozen=True)
 class GateSchedule:
     """Timing and pulses of one gate execution.
@@ -399,12 +406,9 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
     gives the cross blocks, so they are not evaluated apart.  The integrals
     are a trapezoid rule over +-_SPAN widths whose interval count doubles from
     64 until two successive Gram matrices agree to _GRAM_TOL or, if larger,
-    _ROUNDING_FLOOR times the summed magnitude of gram_of.
-
-    The profile reads each node as its offset from the centre l,
-    (x_e/2 - l) + shift + Delta z, with the large x_e/2 (~410 x0) removed
-    once: X - l formed node by node would round every node apart, by
-    ulp(x_e/2), and the doubling would then run on that noise.
+    _ROUNDING_FLOOR times the summed magnitude of gram_of.  Nodes are read
+    as offsets from the profile centre l, (x_e/2 - l) + shift + Delta z, so
+    none carries the rounding of x_e/2 (~410 x0) for the doubling to chase.
     """
     flip = schedule.flip
     if flip is None:
@@ -420,8 +424,7 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
 
     def theta(u, pick):
         """Flip angle Omega t1 / 2 of the terms pick at X = x_e/2 + u."""
-        v = offsets[pick, None] + u[None, :]
-        return 0.5 * flip.duration * (flip.omega0 * np.exp(-(v**2) / (2.0 * flip.width**2)))
+        return 0.5 * flip.duration * gaussian_rabi(flip, offsets[pick, None] + u[None, :])
 
     def integrand(intervals):
         """[w, f] (and the cross-block factors [f_r, fbar_c] when the

@@ -4,7 +4,6 @@ No production route calls anything here.  Each function works in truncated
 Fock space at basis.dims, where the package's own routes do not:
 
 * the literal composite path: kick_unitary, free flight, addressed_flip_unitary
-  (with the pulse profile gaussian_rabi read at absolute positions)
   or idealized_flip_unitary and frame_rotation, composed by run_gate on full
   qubit1 (x) qubit2 (x) mode_c (x) mode_r states held as plain arrays (a 1-D
   array is a ket, a 2-D array a density matrix);
@@ -38,6 +37,7 @@ from hotgate.gate_protocol import (
     _branch_terms,
     _channel,
     _free_phases,
+    gaussian_rabi,
     thermal_motional,
 )
 from hotgate.trap_model import (
@@ -90,17 +90,10 @@ def _flip_eigensystem(basis: ModeBasis):
     return vec_c, vec_r, xgrid
 
 
-def gaussian_rabi(pulse: AddressedPulse, x) -> np.ndarray:
-    """Omega(x) = omega0 exp(-(x - center)^2 / (2 width^2)), read at absolute
-    positions x; x may be complex (the profile is entire)."""
-    x = np.asarray(x, dtype=np.result_type(x, 1.0))
-    return pulse.omega0 * np.exp(-((x - pulse.center) ** 2) / (2.0 * pulse.width**2))
-
-
 def addressed_flip_unitary(basis: ModeBasis, pulse: AddressedPulse) -> np.ndarray:
     """exp[-i (t1/2) Omega(x1) sigma^x_1] on the full composite space."""
     vec_c, vec_r, xgrid = _flip_eigensystem(basis)
-    theta = 0.5 * pulse.duration * gaussian_rabi(pulse, xgrid)
+    theta = 0.5 * pulse.duration * gaussian_rabi(pulse, xgrid - pulse.center)
     vec = np.kron(vec_c, vec_r)
     out = np.zeros((4 * theta.size,) * 2, dtype=complex)
     for s, proj in ((1.0, (ID2 + SIGMA_X) / 2), (-1.0, (ID2 - SIGMA_X) / 2)):
@@ -245,7 +238,8 @@ class _BranchOps:
             if schedule.flip is None:
                 raise ValueError("gaussian flip requested but schedule.flip is None")
             self._vec_c, self._vec_r, xgrid = _flip_eigensystem(basis)
-            self._theta = 0.5 * schedule.flip.duration * gaussian_rabi(schedule.flip, xgrid)
+            self._theta = 0.5 * schedule.flip.duration * gaussian_rabi(
+                schedule.flip, xgrid - schedule.flip.center)
 
     @staticmethod
     def _mode_apply(mat_c, mat_r, batch):

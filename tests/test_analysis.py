@@ -9,7 +9,7 @@ import scipy.linalg
 
 import oracles
 from hotgate import analysis as an, fock_core as fc, gate_protocol as gp, trap_model as tm
-from hotgate.errors import NonConvergenceError
+from hotgate.errors import ConfigError, NonConvergenceError
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +282,41 @@ def test_exact_order_zero_diagonalizes_nothing(spec, kicked_basis, state_mode, m
     assert an.exact_anharmonic_fidelity(
         kicked_basis, tm.anharmonic_expansion(spec, order=0), n_bar_c=1.0,
         state_mode=state_mode) == 1.0
+
+
+@pytest.mark.parametrize("order", [3, 6])
+def test_memory_budget_counts_the_factor_entries(spec, monkeypatch, order):
+    """The budget is checked against K (n_c^2 + n_r^2) before any factor is
+    built; that count is the size of the stacks _integral_factors builds."""
+    basis = tm.build_mode_basis(spec, eta=0.0, n_bar_c=1.0)
+    expansion = tm.anharmonic_expansion(spec, order=order)
+    a_fac, b_fac = an._integral_factors(basis, expansion)
+    monkeypatch.setattr(an, "_MAX_FACTOR_ENTRIES", a_fac.size + b_fac.size)
+    an.anharmonic_fidelity(basis, expansion)
+    monkeypatch.setattr(an, "_MAX_FACTOR_ENTRIES", a_fac.size + b_fac.size - 1)
+    with pytest.raises(ConfigError, match="budget"):
+        an.anharmonic_fidelity(basis, expansion)
+
+
+def test_hot_dims_refuse_or_skip_without_allocating(spec):
+    """At dims (10**5, 10**5) the factor stacks would need terabytes: order 3
+    raises ConfigError before allocating them, and order 0 returns F_cor 1
+    in either picture with nothing sized by the dims."""
+    import tracemalloc
+
+    huge = tm.build_mode_basis(spec, eta=7.0, n_bar_c=0.0).with_dims((10**5, 10**5))
+    order3, order0 = (tm.anharmonic_expansion(spec, order=k) for k in (3, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="order 0"):
+            an.anharmonic_fidelity(huge, order3)
+        reps = [an.anharmonic_fidelity(huge, order0, n_bar_c=1e4, state_mode=mode)
+                for mode in ("pre_kick", "post_kick")]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [rep.f_cor for rep in reps] == [1.0, 1.0]
+    assert peak < 1e6
 
 
 def test_variance_scales_quadratically(anharmonic_setup):

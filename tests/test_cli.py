@@ -339,6 +339,34 @@ def test_gate_check_convergence_memory_is_bounded(capsys):
     assert peak < 32e6
 
 
+def test_hot_gate_memory_is_bounded(capsys):
+    """F_cor's basis grows with n_bar_c (dims near 5 n_bar_c per mode), the
+    channel's does not.  Far above F_cor's memory budget, gate refuses with
+    one line before allocating; --order 0 skips F_cor and reports the
+    channel, and nothing sized by the dims is built in either run."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        refused = run(capsys, "gate", "--n-bar-c", "1e4")
+        skipped = run(capsys, "gate", "--n-bar-c", "1e4", "--order", "0",
+                      "--check-convergence")
+        scanned = run(capsys, "scan", "--etas", "7", "--n-bars", "1e4", "--order", "0")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rc, out, err = refused
+    assert (rc, out) == (1, "")
+    assert err.startswith("hotgate: config error: F_cor at dims") and err.count("\n") == 1
+    rc, out, _ = skipped
+    assert rc == 0
+    assert json.loads(out)["f_cor"] == 1.0
+    rc, out, _ = scanned
+    assert rc == 0
+    assert [ln for ln in out.splitlines() if not ln.startswith("#")][1].endswith(",1")
+    assert peak < 32e6
+
+
 def test_gate_unconverged_quadrature_exits_3(capsys):
     rc, _, err = run(capsys, "gate", "--eta", "3", "--omega0-scale", "1e6")
     assert rc == 3

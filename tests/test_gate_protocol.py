@@ -12,7 +12,6 @@ branch route, on refocusing and non-refocusing gates alike, and its
 closed-form motional_output against the propagated Fock columns.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -110,7 +109,7 @@ def test_exact_gaussian_branch_areas_close_to_linearized(exponent):
     pulse, rep = gp.condition_solver(basis, rabi_cycles=3)
     half_d = float(an.separation_numeric(basis, [basis.flip_time])[0]) / 2.0
     edge = basis.x_e / 2.0
-    theta = lambda x: 0.5 * pulse.duration * float(oracles.gaussian_rabi(pulse, x))
+    theta = lambda x: 0.5 * pulse.duration * float(gp.gaussian_rabi(pulse, x - pulse.center))
     assert theta(edge) == pytest.approx(rep.pulse_area, rel=1e-12)
     assert theta(edge + half_d) == pytest.approx(6.5 * math.pi, rel=1e-4)
     assert theta(edge - half_d) == pytest.approx(6.0 * math.pi, rel=1e-4)
@@ -224,7 +223,7 @@ def test_addressed_flip_against_dense_expm(spec):
         + (np.kron(np.eye(n_c), fc.position_operator(n_r, basis.width_r))
            + basis.x_e * np.eye(n_c * n_r)) / 2.0
     vals, vecs = np.linalg.eigh(x1)
-    omega = (vecs * oracles.gaussian_rabi(pulse, vals)) @ vecs.conj().T
+    omega = (vecs * gp.gaussian_rabi(pulse, vals - pulse.center)) @ vecs.conj().T
     h = np.kron(np.kron(gp.SIGMA_X, gp.ID2), omega)
     oracle = scipy.linalg.expm(-0.5j * pulse.duration * h)
     got = oracles.addressed_flip_unitary(basis, pulse)
@@ -440,12 +439,11 @@ def _plain_trapezoid_gram(basis, schedule, n_bar_c, terms, intervals):
     half_d = basis.half_separation(schedule.t0)
     edge = basis.x_e / 2.0 - schedule.flip.center
     offsets = np.array([edge + (half_d if b == 0 else -half_d) for b, _, _ in terms])
-    centred = dataclasses.replace(schedule.flip, center=0.0)
     signs = np.array([s for _, s, _ in terms])
 
     def f(u, sign):  # f_{b,s}(x_e/2 + u), or fbar for sign +1
-        theta = 0.5 * schedule.flip.duration * oracles.gaussian_rabi(
-            centred, offsets[:, None] + u[None, :])
+        theta = 0.5 * schedule.flip.duration * gp.gaussian_rabi(
+            schedule.flip, offsets[:, None] + u[None, :])
         return np.exp(sign * 1j * signs[:, None] * theta)
 
     f0 = f(u, -1)
