@@ -11,7 +11,7 @@ is a short contraction of J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class SeparationCurve:
     analytic: np.ndarray
     numeric: np.ndarray
     dims: tuple[int, int]
-    x0: float
     converged: bool
 
 
@@ -94,7 +93,7 @@ def separation_scan(basis: ModeBasis, n_points: int = 64) -> SeparationCurve:
     converged = bool(np.abs(num - num2).max() <= _CHECK_TOL * basis.x0)
     return SeparationCurve(
         times=times, analytic=separation_analytic(basis, times), numeric=num2,
-        dims=(n_c, n_r), x0=basis.x0, converged=converged,
+        dims=(n_c, n_r), converged=converged,
     )
 
 
@@ -414,17 +413,8 @@ class GateReport:
     flip_mode: str
 
     def to_dict(self) -> dict:
-        out = {
-            "eta": self.eta,
-            "n_bar_c": self.n_bar_c,
-            "n_bar_r": self.n_bar_r,
-            "fidelity": self.fidelity,
-            "purity": self.purity,
-            "f_cor": self.f_cor,
-            "tp_defect": self.tp_defect,
-            "flip_mode": self.flip_mode,
-        }
-        out["conditions"] = self.condition.to_dict()
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["conditions"] = out.pop("condition").to_dict()
         return out
 
 
@@ -498,6 +488,8 @@ def _scan_row(spec: TrapSpec, eta: float, n_bar_c: float, order: int | None,
             f_cors[n_bar_c] = (math.nan if order is None
                                else _anharmonic_point(spec, n_bar_c, order).f_cor)
         row.update(fidelity=rep.fidelity, purity=rep.purity, f_cor=f_cors[n_bar_c])
+    except OverflowError as exc:  # a point beyond double range is a bad grid, not a row
+        raise OverflowError(f"scan point eta={eta:g}, n_bar_c={n_bar_c:g}: {exc}") from exc
     except Exception as exc:  # scans keep going; the row records the failure
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -521,6 +513,7 @@ def scan(spec: TrapSpec, points, **report_kw) -> list[dict]:
     """Evaluate gate_report on a list of (eta, n_bar_c) operating points.
 
     Rows come back in input order.  A failing point keeps its row, with nan
-    figures and the error string attached, so partial scans stay usable.
+    figures and the error string attached, so partial scans stay usable; a
+    point too large for double arithmetic (OverflowError) stops the scan.
     """
     return list(scan_rows(spec, points, **report_kw))

@@ -59,10 +59,7 @@ _SETTINGS = (
      "equilibrium separation in ground-state widths"),
     ("trap", "stiffness", None, float, "--stiffness", _ALL, "explicit wall prefactor"),
     ("trap", "coulomb", None, float, "--coulomb", _ALL, "explicit repulsion constant"),
-    # eta defaults to 7.0 if neither eta nor eta_single is given
-    ("gate", "eta", None, float, "--eta", _ETA, "effective kick strength"),
-    ("gate", "eta_single", None, float, "--eta-single", _ETA, None),
-    ("gate", "n_pulses", None, int, "--n-pulses", _ETA, None),
+    ("gate", "eta", 7.0, float, "--eta", _ETA, "effective kick strength"),
     ("gate", "n_bar_c", 0.0, float, "--n-bar-c", ("modes", "conditions", "gate"),
      "thermal COM occupation"),
     ("gate", "rabi_cycles", 3, int, "--rabi-cycles", _SCHEDULE, None),
@@ -114,6 +111,7 @@ _RANGES = {
     ("trap", "separation_in_x0"): (lambda v: v > 0.0, "positive"),
     ("trap", "stiffness"): (lambda v: v > 0.0, "positive"),
     ("trap", "coulomb"): (lambda v: v > 0.0, "positive"),
+    ("gate", "eta"): (lambda v: v > 0.0, "positive"),
     ("gate", "n_bar_c"): (lambda v: v >= 0.0, "non-negative"),
     ("gate", "rabi_cycles"): (lambda v: v >= 1, "a positive integer"),
     ("gate", "margin"): (lambda v: v >= 1.0, "at least 1"),
@@ -213,35 +211,18 @@ def _parse_grid(raw, name: str) -> list[float]:
 def build_trap(cfg: dict) -> trap_model.TrapSpec:
     t = cfg["trap"]
     explicit = t["stiffness"] is not None or t["coulomb"] is not None
-    if explicit:
-        if t["stiffness"] is None or t["coulomb"] is None:
-            raise ConfigError("explicit traps need both stiffness and coulomb")
-        return trap_model.TrapSpec(
-            exponent=t["exponent"], stiffness=t["stiffness"],
-            coulomb=t["coulomb"], mass=t["mass"])
-    return trap_model.TrapSpec.normalized(
-        exponent=t["exponent"], nu_c=t["nu_c"], mass=t["mass"],
-        separation_in_x0=t["separation_in_x0"])
-
-
-def resolve_eta(cfg: dict) -> float:
-    """The gate's effective kick eta; a gate needs a positive one."""
-    g = cfg["gate"]
-    if g["eta"] is not None and g["eta_single"] is not None:
-        raise ConfigError("give either eta or eta_single (+ n_pulses), not both")
-    if g["eta_single"] is not None:
-        if g["n_pulses"] is None:
-            raise ConfigError("eta_single needs n_pulses")
-        try:
-            return gate_protocol.pulse_train(g["eta_single"], g["n_pulses"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if g["n_pulses"] is not None:
-        raise ConfigError("n_pulses needs eta_single")
-    eta = 7.0 if g["eta"] is None else g["eta"]
-    if not eta > 0:
-        raise ConfigError(f"eta must be positive, got {eta:g}")
-    return eta
+    if explicit and (t["stiffness"] is None or t["coulomb"] is None):
+        raise ConfigError("explicit traps need both stiffness and coulomb")
+    try:
+        if explicit:
+            return trap_model.TrapSpec(
+                exponent=t["exponent"], stiffness=t["stiffness"],
+                coulomb=t["coulomb"], mass=t["mass"])
+        return trap_model.TrapSpec.normalized(
+            exponent=t["exponent"], nu_c=t["nu_c"], mass=t["mass"],
+            separation_in_x0=t["separation_in_x0"])
+    except ValueError as exc:  # in range, but a derived constant left double range
+        raise ConfigError(f"the trap settings leave double range: {exc}") from None
 
 
 def _frame_phase(cfg: dict) -> float | None:
@@ -359,7 +340,7 @@ def cmd_modes(cfg: dict, args: argparse.Namespace) -> int:
         cfg["trap"]["exponent"] = exponent
     spec = build_trap(cfg)
     n_bar_c = cfg["gate"]["n_bar_c"]
-    basis = trap_model.build_mode_basis(spec, eta=resolve_eta(cfg), n_bar_c=n_bar_c)
+    basis = trap_model.build_mode_basis(spec, eta=cfg["gate"]["eta"], n_bar_c=n_bar_c)
     nu_c, nu_r = trap_model.mode_frequencies(spec, basis.x_e)  # before the snap to 2
     pairs = [
         ("exponent", spec.exponent),
@@ -391,7 +372,7 @@ def cmd_modes(cfg: dict, args: argparse.Namespace) -> int:
 def cmd_separation(cfg: dict, args: argparse.Namespace) -> int:
     spec = build_trap(cfg)
     basis = trap_model.build_mode_basis(
-        spec, eta=resolve_eta(cfg), n_bar_c=0.0,
+        spec, eta=cfg["gate"]["eta"], n_bar_c=0.0,
         dims=_parse_dims(cfg["gate"]["dims"]))
     curve = analysis.separation_scan(basis, n_points=cfg["separation"]["points"])
     notes = [f"dims: {curve.dims[0]},{curve.dims[1]} (c,r), numeric column at doubled dims",
@@ -410,7 +391,7 @@ def cmd_separation(cfg: dict, args: argparse.Namespace) -> int:
 
 def cmd_conditions(cfg: dict, args: argparse.Namespace) -> int:
     spec = build_trap(cfg)
-    basis = trap_model.build_mode_basis(spec, eta=resolve_eta(cfg),
+    basis = trap_model.build_mode_basis(spec, eta=cfg["gate"]["eta"],
                                         n_bar_c=cfg["gate"]["n_bar_c"])
     _, report = gate_protocol.condition_solver(
         basis, n_bar_c=cfg["gate"]["n_bar_c"],
@@ -433,7 +414,7 @@ def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
     order = cfg["anharmonic"]["order"]
     frame_phase = _frame_phase(cfg)
     report = analysis.gate_report(
-        spec, resolve_eta(cfg), cfg["gate"]["n_bar_c"],
+        spec, cfg["gate"]["eta"], cfg["gate"]["n_bar_c"],
         rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"],
         flip_mode=cfg["gate"]["flip"], anharmonic_order=order,
         omega0_scale=cfg["gate"]["omega0_scale"], frame_phase=frame_phase,
@@ -541,9 +522,8 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
     a = cfg["anharmonic"]
     state_mode = a["state_mode"]
     n_bar_c = a["n_bar_c"]
-    eta = resolve_eta(cfg)  # pre_kick reads no kick: take the zero-kick basis
-    basis = trap_model.build_mode_basis(
-        spec, eta=eta if state_mode == "post_kick" else 0.0, n_bar_c=n_bar_c,
+    basis = trap_model.build_mode_basis(  # pre_kick reads no kick: the zero-kick basis
+        spec, eta=cfg["gate"]["eta"] if state_mode == "post_kick" else 0.0, n_bar_c=n_bar_c,
         dims=_parse_dims(a["dims"]))
     expansion = trap_model.anharmonic_expansion(spec, order=a["order"])
     if a["scale"] != 1.0:

@@ -44,7 +44,7 @@ oracles and live in tests/oracles.py.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import exp, pi, sqrt
 
 import numpy as np
@@ -116,6 +116,11 @@ class GateSchedule:
                           "instantaneous-pulse approximation degrades", stacklevel=2)
 
 
+# ConditionReport fields whose JSON key names the paper's symbol
+_JSON_KEYS = {"big_d": "branch_separation_D", "delta": "wavepacket_delta",
+              "big_w": "profile_width_W", "center": "profile_center_l"}
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """Solved addressing geometry and validity flags for one operating point.
@@ -149,25 +154,9 @@ class ConditionReport:
         return all(self.satisfied.values())
 
     def to_dict(self) -> dict:
-        out = {
-            "eta": self.eta,
-            "n_bar_c": self.n_bar_c,
-            "n_bar_r": self.n_bar_r,
-            "rabi_cycles": self.rabi_cycles,
-            "margin": self.margin,
-            "branch_separation_D": self.big_d,
-            "wavepacket_delta": self.delta,
-            "profile_width_W": self.big_w,
-            "profile_center_l": self.center,
-            "t1": self.t1,
-            "omega0": self.omega0,
-            "omega0_t1": self.omega0_t1,
-            "pulse_area": self.pulse_area,
-            "w_over_d": self.w_over_d,
-            "eta_bound": self.eta_bound,
-            "eta_bound_ratio": self.eta_bound_ratio,
-            "well_conditioned": self.well_conditioned,
-        }
+        out = {_JSON_KEYS.get(f.name, f.name): getattr(self, f.name)
+               for f in fields(self) if f.name != "satisfied"}
+        out["well_conditioned"] = self.well_conditioned
         out.update({f"ok_{k}": v for k, v in self.satisfied.items()})
         return out
 

@@ -548,6 +548,13 @@ def test_scan_keeps_order_and_records_failures(spec):
     assert rows[2]["error"] is None
 
 
+def test_scan_stops_on_a_point_beyond_double_range(spec):
+    """An OverflowError is a bad grid, not a failed row: it leaves the scan."""
+    with pytest.raises(OverflowError):
+        an.scan(spec, [(1.2, 0.0), (1e300, 0.0)], anharmonic_order=None,
+                flip_mode="idealized")
+
+
 def _counting_anharmonic_point(monkeypatch, fail_at=None):
     """Wrap analysis._anharmonic_point to count its calls, raising
     NonConvergenceError at n_bar_c == fail_at."""

@@ -8,6 +8,7 @@ config, 2 infeasible physics, 3 non-convergence.
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -83,27 +84,14 @@ def test_modes_infeasible_ratio_exits_2(capsys):
         assert out == ""
 
 
-def test_modes_pulse_train_eta(capsys):
-    rc, out, _ = run(capsys, "modes", "--eta-single", "0.45", "--n-pulses", "15")
-    assert rc == 0
-    assert float(kv_lines(out)["eta"]) == pytest.approx(6.75, abs=1e-12)
-
-
-def test_conflicting_eta_flags_exit_1(capsys):
-    rc, _, err = run(capsys, "gate", "--eta", "2", "--eta-single", "0.45")
-    assert rc == 1
-    assert "config error" in err
-    rc, _, err = run(capsys, "gate", "--n-pulses", "3")
-    assert rc == 1
-
-
 @pytest.mark.parametrize("argv", [
     ("conditions", "--eta", "0"),
     ("gate", "--eta", "0"),
     ("conditions", "--eta", "-1"),
     ("gate", "--eta", "-1"),
-    ("conditions", "--eta-single", "0", "--n-pulses", "3"),
-    ("modes", "--eta-single", "0.45", "--n-pulses", "0"),
+    ("modes", "--eta", "0"),
+    ("separation", "--eta", "-1"),
+    ("anharmonic", "--eta", "0"),
 ])
 def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -149,6 +137,10 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("gate", "--n-bar-c", "1e300"),
     ("modes", "--eta", "1e300"),
     ("conditions", "--eta", "1e200"),
+    # in range, but a trap constant derived from them leaves double range
+    ("modes", "--mass", "1e300"),
+    ("modes", "--exponent", "1e300"),
+    ("modes", "--separation-in-x0", "1e-300"),
 ], ids=" ".join)
 def test_out_of_range_setting_exits_1_with_one_line(capsys, argv):
     """Rejected as a config error: no traceback, and no scan rows."""
@@ -238,6 +230,31 @@ def test_conditions_off_ratio_separation_matches_fock_route(capsys, exponent):
     d_fock = float(analysis.separation_numeric(basis, [basis.flip_time])[0])
     assert doc["branch_separation_D"] / 2 == pytest.approx(d_fock / 2, rel=0, abs=1e-9 * _X0)
     assert doc["profile_width_W"] == pytest.approx(12.5 * d_fock, rel=1e-12)
+
+
+# the conditions JSON: ConditionReport's fields, four of them under the
+# paper's symbols, then well_conditioned and one ok_ flag per condition
+_CONDITION_KEYS = {
+    "eta", "n_bar_c", "n_bar_r", "rabi_cycles", "margin", "branch_separation_D",
+    "wavepacket_delta", "profile_width_W", "profile_center_l", "t1", "omega0",
+    "omega0_t1", "pulse_area", "w_over_d", "eta_bound", "eta_bound_ratio",
+    "well_conditioned", "ok_separation_hierarchy", "ok_profile_linearity",
+    "ok_rabi_cycles_large", "ok_eta_above_bound"}
+_GATE_KEYS = {"eta", "n_bar_c", "n_bar_r", "fidelity", "purity", "f_cor", "tp_defect",
+              "flip_mode", "conditions", "target", "note"}
+
+
+def test_report_json_key_sets_are_pinned(capsys):
+    """The report JSON is read off the dataclass fields, so a field that is
+    added or renamed changes these key sets."""
+    rc, out, _ = run(capsys, "conditions")
+    assert rc == 0
+    assert set(json.loads(out)) == _CONDITION_KEYS | {"command", "config_hash"}
+    rc, out, _ = run(capsys, "gate")
+    assert rc == 0
+    doc = json.loads(out)
+    assert set(doc) == _GATE_KEYS | {"command", "config_hash"}
+    assert set(doc["conditions"]) == _CONDITION_KEYS
 
 
 def test_stamp_is_opt_in(capsys):
@@ -398,10 +415,11 @@ def test_config_file_sets_defaults_and_flags_override(capsys, tmp_path):
 
 def test_config_unknown_key_exits_1(capsys, tmp_path):
     ini = tmp_path / "bad.ini"
-    ini.write_text("[gate]\netb = 2\n")
-    rc, _, err = run(capsys, "gate", "--config", str(ini))
-    assert rc == 1
-    assert "unknown config key" in err
+    for key in ("etb", "eta_single", "n_pulses"):  # the kick is [gate] eta alone
+        ini.write_text(f"[gate]\n{key} = 2\n")
+        rc, _, err = run(capsys, "gate", "--config", str(ini))
+        assert rc == 1
+        assert "unknown config key" in err
 
 
 def test_config_unknown_section_exits_1(capsys, tmp_path):
@@ -450,12 +468,12 @@ def test_config_hash_covers_only_settings_the_command_reads():
 # config-hash of the built-in defaults, per subcommand; a change here changes
 # the header of every output file
 _DEFAULT_HASHES = {
-    "modes": "1d98a1019973bb79fce3a0f9f3f9f9231089d317c40febed15d134781bccecbb",
-    "separation": "5ca5bac5ed084522f06e518d6fd949ae06b1860024e4df01395475d8542059bd",
-    "conditions": "4c0ba33d3e88ce99a12389347efc6378ef2923b599320e065e6069a971a8f187",
-    "gate": "8cca1dc4d3c431b4f1ca3f026ee631266b560e050a807b7ffb3fcee99c3a4fc8",
+    "modes": "47f368af77a9a64729d500cfc36cb5585673e10109a325d5f7d2c4a938bc7117",
+    "separation": "b1876e86c6345e57faec55de861a29e485df4631d2b681e5ea0e4d234ccc31b4",
+    "conditions": "0e63b8730631cec8ae3740d3e0c73675509158025de1e3c30b2db0d30664c22f",
+    "gate": "ca0637640c63e227094a407a08445fbe98cee599f3eb625be2b738ef2aa9d39d",
     "scan": "0d5217bebad133eec9c61dc752bbb084bbee32cca77828e61d2883661d21b433",
-    "anharmonic": "339daa7f50317f4ea83b47e42b9f4715a081fc223b2692b8238a77592a3c35e7",
+    "anharmonic": "2b152ae585346d636acbb538ddfab42f8a0f1abb4480a6fbac344a007b36b90a",
 }
 
 
@@ -481,6 +499,9 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ("modes", "--lamb-dicke", "0.9"),
         ("separation", "--check-tol", "1e-6"),
         ("gate", "--anharmonic"),
+        # a train of N kicks of eta_1 is --eta N*eta_1
+        ("modes", "--eta-single", "0.45", "--n-pulses", "15"),
+        ("gate", "--n-pulses", "3"),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)
@@ -492,7 +513,6 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
 
 _ANH = ("--anh-dims", "12,10", "--eta", "1")
 _SEP = ("--eta", "1", "--points", "4", "--precision", "17")
-_TRAIN = ("--eta-single", "0.45", "--n-pulses", "3")
 _EXPLICIT = ("--stiffness", "1", "--coulomb", "1")
 _SCAN = ("--etas", "2", "--n-bars", "0", "--order", "0")
 # F_cor is 1 at every order at n_bar_c 0: the ground state has no phase
@@ -511,8 +531,6 @@ _DATA_CASES = {
     ("trap", "stiffness"): [("modes", _EXPLICIT, ("--stiffness", "2", "--coulomb", "1"))],
     ("trap", "coulomb"): [("modes", _EXPLICIT, ("--stiffness", "1", "--coulomb", "2"))],
     ("gate", "eta"): [("modes", (), ("--eta", "3"))],
-    ("gate", "eta_single"): [("modes", _TRAIN, ("--eta-single", "0.5", "--n-pulses", "3"))],
-    ("gate", "n_pulses"): [("modes", _TRAIN, ("--eta-single", "0.45", "--n-pulses", "5"))],
     ("gate", "n_bar_c"): [("modes", (), ("--n-bar-c", "1"))],
     ("gate", "rabi_cycles"): [("conditions", (), ("--rabi-cycles", "5"))],
     ("gate", "margin"): [("conditions", (), ("--margin", "5"))],
@@ -667,6 +685,19 @@ def test_scan_resumes_after_interrupt(capsys, tmp_path, monkeypatch):
     assert not partial.exists()
 
 
+@pytest.mark.parametrize("grid", [("--etas", "2", "--n-bars", "1e300"), ("--etas", "1e300")],
+                         ids=" ".join)
+def test_scan_point_beyond_double_range_exits_1(capsys, grid):
+    """A config error, as for gate --n-bar-c 1e300, not a grid of failed
+    rows; only the CSV header is out by then."""
+    rc, out, err = run(capsys, "scan", *grid)
+    assert rc == 1
+    assert err.startswith("hotgate: config error: ") and err.count("\n") == 1
+    assert "scan point eta=" in err
+    assert [ln for ln in out.splitlines() if not ln.startswith("#")] == [
+        "eta,n_bar_c,fidelity,purity,f_cor"]
+
+
 def test_scan_skip_existing_needs_output(capsys):
     rc, _, err = run(capsys, *_SCAN_ARGS, "--skip-existing")
     assert rc == 1
@@ -753,6 +784,23 @@ def test_python_dash_m_runs_the_cli():
                          text=True, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     assert "commensurate=true" in out.stdout
+
+
+# --- README -----------------------------------------------------------------
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    """Each worked `hotgate ...` example of README exits 0, so the docs name
+    no flag the command has dropped."""
+    examples = [shlex.split(ln)[1:] for ln in _README.read_text().splitlines()
+                if ln.startswith("hotgate ") and "<subcommand>" not in ln]
+    assert examples
+    monkeypatch.setenv("HOTGATE_OUTPUT_DIR", str(tmp_path))
+    for argv in examples:
+        rc, _, err = run(capsys, *argv)
+        assert rc == 0, (argv, err)
 
 
 # --- parser behaviour -------------------------------------------------------
