@@ -49,6 +49,19 @@ def test_modes_reports_commensurate_trap(capsys):
     assert out.startswith("# hotgate modes\n# config-hash: sha256:")
 
 
+def test_modes_pulse_train_eta(capsys):
+    """A train of N kicks of eta_1 is given as --eta N*eta_1; the train has
+    no flags of its own."""
+    rc, out, _ = run(capsys, "modes", "--eta", str(15 * 0.45))
+    assert rc == 0
+    assert float(kv_lines(out)["eta"]) == pytest.approx(6.75, abs=1e-12)
+    for argv in (("modes", "--eta-single", "0.45", "--n-pulses", "15"),
+                 ("gate", "--n-pulses", "3")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1, argv
+        assert out == "" and "unrecognized arguments" in err, argv
+
+
 @pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0, 1.7])
 def test_modes_and_conditions_print_the_same_eta_bound(capsys, exponent):
     """Both print ModeBasis.eta_bound, the bound of the trap at hand; on the
@@ -499,9 +512,6 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ("modes", "--lamb-dicke", "0.9"),
         ("separation", "--check-tol", "1e-6"),
         ("gate", "--anharmonic"),
-        # a train of N kicks of eta_1 is --eta N*eta_1
-        ("modes", "--eta-single", "0.45", "--n-pulses", "15"),
-        ("gate", "--n-pulses", "3"),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)
