@@ -331,12 +331,22 @@ def exact_anharmonic_fidelity(
       both factored operators act on the real v (_kron_apply_real).
 
     The empty expansion (order 0) leaves H = H0: every member returns with
-    unit modulus, so F = 1 with nothing diagonalized.
+    unit modulus, so F = 1 with nothing diagonalized.  Above
+    _MAX_EXACT_BYTES of estimated peak (_exact_peak_bytes) it raises
+    ConfigError before any block is assembled.
     """
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
     if not expansion.coefficients:
         return 1.0
+    peak = _exact_peak_bytes(basis, expansion, state_mode)
+    if peak > _MAX_EXACT_BYTES:
+        n_c, n_r = basis.dims
+        raise ConfigError(
+            f"the exact F_cor check at dims ({n_c}, {n_r}), {state_mode}, needs about "
+            f"{peak / 1e9:.3g} GB for its largest block, above the budget of "
+            f"{_MAX_EXACT_BYTES / 1e9:g} GB; lower n_bar_c or the dims, or set "
+            f"[anharmonic] order 0")
     t_g = basis.gate_time
     p_c, p_r = basis.thermal_weights(n_bar_c)
     amp = np.zeros((p_c.size, p_r.size), dtype=complex)
@@ -357,24 +367,45 @@ def exact_anharmonic_fidelity(
     return float(p_c @ (np.abs(amp) ** 2) @ p_r)
 
 
+# Cap on _exact_peak_bytes.  The n_bar_c 1 post_kick default, dims (162, 84),
+# is estimated at 3.7 GB and measured at 6.0 GB; n_bar_c 2 would be 6.5 GB.
+_MAX_EXACT_BYTES = 4 * 10**9
+
+
+def _level_sets(n_c: int, expansion: AnharmonicExpansion) -> list[range]:
+    """The x_c levels of each block of H to diagonalize apart, read off the
+    powers a of x_c: the even and the odd levels when every a is even
+    (X_c^a then has no element between levels of opposite parity), one set
+    with every level otherwise."""
+    if all(a % 2 == 0 for a, _ in expansion.coefficients):
+        return [range(0, n_c, 2), range(1, n_c, 2)]
+    return [range(n_c)]
+
+
+def _exact_peak_bytes(basis: ModeBasis, expansion: AnharmonicExpansion,
+                      state_mode: str) -> int:
+    """Estimated peak memory of exact_anharmonic_fidelity, from the dims
+    alone: the largest block's real H and eigenvectors, s x s each with
+    s = levels * n_r, and post_kick's two complex M x s overlaps (M = n_c n_r)."""
+    n_c, n_r = basis.dims
+    size = max(len(levels) for levels in _level_sets(n_c, expansion)) * n_r
+    peak = 2 * 8 * size**2
+    if state_mode == "post_kick":
+        peak += 2 * 16 * n_c * n_r * size
+    return peak
+
+
 def _hamiltonian_blocks(basis: ModeBasis, expansion: AnharmonicExpansion):
     """(x_c levels lv, H[lv (x) all, lv (x) all]) for each block of
-    H = diag(E) + V_cor to diagonalize apart, assembled from v_cor_factors.
-
-    The level sets are read off the powers a of x_c: the even and the odd
-    x_c levels when every a is even (X_c^a then has no element between
-    levels of opposite parity), one set with every level otherwise.  Each
-    block is diag(E_lv) + sum_a X_c^a[lv, lv] (x) Q_a, checked and
-    symmetrized by fock_core.hermitian_part.
+    H = diag(E) + V_cor to diagonalize apart (_level_sets), assembled from
+    v_cor_factors.  Each block is diag(E_lv) + sum_a X_c^a[lv, lv] (x) Q_a,
+    checked and symmetrized by fock_core.hermitian_part.
     """
     n_c, n_r = basis.dims
     e_c, e_r = mode_energies(basis)
     factors = v_cor_factors(expansion, basis)
-    if all(a % 2 == 0 for a, _, _ in factors):
-        level_sets = [np.arange(0, n_c, 2), np.arange(1, n_c, 2)]
-    else:
-        level_sets = [np.arange(n_c)]
-    for lv in level_sets:
+    for levels in _level_sets(n_c, expansion):
+        lv = np.asarray(levels)
         size = lv.size * n_r
         v_cor = np.zeros((size, size))
         for _, x_pow, q in factors:

@@ -4,13 +4,14 @@ Subcommands: modes, separation, conditions, gate, scan, anharmonic.  Each
 resolves its settings from built-in defaults, then an optional INI config
 file (--config), then command-line flags, in that order of precedence.
 Every setting is declared once, in _SETTINGS, which gives its default, its
-INI type, its flag and the subcommands that read it; a subcommand's parser
-takes only those flags and rejects the rest, while an INI file may set any
-key.  _RANGES holds the range of each numeric setting, checked for the
-settings a subcommand reads before it runs.  Outputs are deterministic:
-data files never carry timestamps (--stamp opts in, metadata only), floats
-print at a fixed significant-digit count, and every CSV/JSON records a hash
-of the resolved settings its subcommand reads.
+INI type, its flag and the subcommands that read it; main builds the
+parser of the subcommand named first alone, which takes only those flags
+and rejects the rest, while an INI file may set any key.  _RANGES holds
+the range of each numeric setting, checked for the settings a subcommand
+reads before it runs.  Outputs are deterministic: data files never carry
+timestamps (--stamp opts in, metadata only), floats print at a fixed
+significant-digit count, and every CSV/JSON records a hash of the resolved
+settings its subcommand reads.
 
 Exit codes: 0 success, 1 bad usage or config, 2 physically infeasible
 request, 3 numerical non-convergence.
@@ -329,6 +330,17 @@ _FIDELITY_NOTE = ("fidelity: average over pure input states, "
                   "(4*F_ent + 1)/5 against the conditional-flip target")
 
 
+def _reported_f_cor(f_cor, where: str):
+    """F_cor as gate and scan report it.  Past a phase variance of 1 the
+    second-order 1 - Var is no fidelity: it is reported as None (null in
+    JSON, nan in CSV), with one stderr line that names the variance."""
+    if not f_cor < 0.0:  # nan too: a failed row
+        return f_cor
+    sys.stderr.write(f"{where}: F_cor not reported: phase variance {1.0 - f_cor:.6g} "
+                     f"is above 1, beyond the second-order estimate 1 - Var\n")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -420,6 +432,7 @@ def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
         omega0_scale=cfg["gate"]["omega0_scale"], frame_phase=frame_phase,
         target=_target_matrix(target_name))
     payload = report.to_dict()
+    payload["f_cor"] = _reported_f_cor(report.f_cor, "gate")
     payload["target"] = target_name
     payload["note"] = _FIDELITY_NOTE if target_name == "gate" else (
         "fidelity measured against the identity map")
@@ -505,8 +518,9 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
                     failures += 1
                     sys.stderr.write(f"scan: eta={key[0]} n_bar_c={key[1]}: "
                                      f"{row['error']}\n")
+                f_cor = _reported_f_cor(row["f_cor"], f"scan: eta={key[0]} n_bar_c={key[1]}")
                 cells = [key[0], key[1], _fmt(row["fidelity"], precision),
-                         _fmt(row["purity"], precision), _fmt(row["f_cor"], precision)]
+                         _fmt(row["purity"], precision), _fmt(f_cor, precision)]
             out.write(",".join(cells) + "\n")
             out.flush()
     if path is not None:
@@ -528,9 +542,10 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
     expansion = trap_model.anharmonic_expansion(spec, order=a["order"])
     if a["scale"] != 1.0:
         expansion = expansion.scaled(a["scale"])
-    rep = analysis.anharmonic_fidelity(
-        basis, expansion, n_bar_c=n_bar_c, state_mode=state_mode)
+    # the exact check first: its memory budget refuses before either route allocates
     f_exact = analysis.exact_anharmonic_fidelity(
+        basis, expansion, n_bar_c=n_bar_c, state_mode=state_mode)
+    rep = analysis.anharmonic_fidelity(
         basis, expansion, n_bar_c=n_bar_c, state_mode=state_mode)
     payload = {
         "f_cor_perturbative": rep.f_cor,
@@ -577,48 +592,70 @@ _COMMANDS = {
     "anharmonic": (cmd_anharmonic, "perturbative vs exact dephasing"),
 }
 
+# The one flag a subcommand takes beside --config, --stamp and the flags of
+# its settings, as (flag, argparse keywords); no INI key sets it.
+_EXTRA_FLAGS = {
+    "modes": ("--solve-ratio", {"type": float,
+                                "help": "find the wall exponent giving this nu_r/nu_c"}),
+    "gate": ("--check-convergence", {
+        "action": "store_true",
+        "help": "recompute F_cor at doubled truncation; a gap above 1e-6 exits 3"}),
+    "scan": ("--skip-existing", {
+        "action": "store_true",
+        "help": "reuse finished rows of an output file written with the same settings"}),
+}
+
 
 def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
-def build_parser() -> _Parser:
+def _command_parser(command: str) -> _Parser:
+    """The parser of one subcommand: --config, --stamp, the flag of every
+    setting the subcommand reads, grouped by INI section, and its extra flag."""
+    # no abbreviations: a flag this subcommand lacks must not be read as
+    # the prefix of one it has (scan --eta as --etas)
+    parser = _Parser(prog=f"hotgate {command}", description=_COMMANDS[command][1],
+                     allow_abbrev=False)
+    parser.add_argument("--config", type=str, help="INI settings file")
+    parser.add_argument("--stamp", action="store_true",
+                        help="add a generation timestamp to the metadata")
+    groups = {}
+    for section, _, _, kind, flag, commands, help_ in _SETTINGS:
+        if command not in commands:
+            continue
+        if section not in groups:
+            groups[section] = parser.add_argument_group(section)
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        groups[section].add_argument(flag, dest=_dest(flag), help=help_, **typed)
+    if command in _EXTRA_FLAGS:
+        flag, keywords = _EXTRA_FLAGS[command]
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
+def _top_parser() -> _Parser:
+    """The parser of a command line that names no subcommand first: it lists
+    the subcommands for --help and reports every other input as a usage error."""
     parser = _Parser(prog="hotgate", allow_abbrev=False,
                      description="Two-ion conditional-flip gate simulator "
-                                 "for thermally excited motion.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    subs = {}
-    for name, (func, summary) in _COMMANDS.items():
-        # no abbreviations: a flag this subcommand lacks must not be read as
-        # the prefix of one it has (scan --eta as --etas)
-        p = subs[name] = sub.add_parser(name, help=summary, allow_abbrev=False)
-        p.set_defaults(func=func)
-        p.add_argument("--config", type=str, help="INI settings file")
-        p.add_argument("--stamp", action="store_true",
-                       help="add a generation timestamp to the metadata")
-        groups = {}
-        for section, _, _, kind, flag, commands, help_ in _SETTINGS:
-            if name not in commands:
-                continue
-            if section not in groups:
-                groups[section] = p.add_argument_group(section)
-            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            groups[section].add_argument(flag, dest=_dest(flag), help=help_, **typed)
-    subs["modes"].add_argument("--solve-ratio", dest="solve_ratio", type=float,
-                               help="find the wall exponent giving this nu_r/nu_c")
-    subs["gate"].add_argument(
-        "--check-convergence", action="store_true",
-        help="recompute F_cor at doubled truncation; a gap above 1e-6 exits 3")
-    subs["scan"].add_argument("--skip-existing", action="store_true",
-                              help="reuse finished rows of an output file "
-                                   "written with the same settings")
+                                 "for thermally excited motion.",
+                     epilog="'hotgate <subcommand> --help' lists the flags of one subcommand.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="<subcommand>")
+    for name, (_, summary) in _COMMANDS.items():
+        sub.add_parser(name, help=summary, add_help=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command not in _COMMANDS:
+            _top_parser().parse_args(argv)
+            # it parsed: a subcommand behind an option, which is not run
+            raise _UsageError("the subcommand must be the first argument")
+        args = _command_parser(command).parse_args(argv[1:])
     except _UsageError as exc:
         sys.stderr.write(f"hotgate: {exc}\n")
         return 1
@@ -630,8 +667,8 @@ def main(argv=None) -> int:
             value = getattr(args, _dest(flag), None)
             if value is not None:
                 cfg[section][key] = value
-        _check_ranges(cfg, args.command)
-        return args.func(cfg, args)
+        _check_ranges(cfg, command)
+        return _COMMANDS[command][0](cfg, args)
     except ConfigError as exc:
         sys.stderr.write(f"hotgate: config error: {exc}\n")
         return 1

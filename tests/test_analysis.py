@@ -319,6 +319,52 @@ def test_hot_dims_refuse_or_skip_without_allocating(spec):
     assert peak < 1e6
 
 
+def _refuse_blocks(*args, **kwargs):
+    raise AssertionError("a Hamiltonian block was assembled above the memory budget")
+
+
+@pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
+def test_exact_memory_budget_counts_the_largest_block(spec, monkeypatch, state_mode):
+    """The estimate is the largest block's H and eigenvectors, plus post_kick's
+    two complex M x s overlaps; a budget equal to it passes, and one less
+    raises before any block is assembled."""
+    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(17, 12))
+    expansion = tm.anharmonic_expansion(spec, order=3)
+    largest = max((h for _, h in an._hamiltonian_blocks(basis, expansion)), key=len)
+    assert largest.shape == (9 * 12, 9 * 12)  # the even levels 0, 2, ..., 16
+    overlaps = 2 * 16 * (17 * 12) * len(largest) if state_mode == "post_kick" else 0
+    peak = an._exact_peak_bytes(basis, expansion, state_mode)
+    assert peak == 2 * largest.nbytes + overlaps
+    monkeypatch.setattr(an, "_MAX_EXACT_BYTES", peak)
+    assert an.exact_anharmonic_fidelity(basis, expansion, 1.0, state_mode) < 1.0
+    monkeypatch.setattr(an, "_MAX_EXACT_BYTES", peak - 1)
+    monkeypatch.setattr(an, "_hamiltonian_blocks", _refuse_blocks)
+    with pytest.raises(ConfigError, match="budget"):
+        an.exact_anharmonic_fidelity(basis, expansion, 1.0, state_mode)
+
+
+def test_exact_memory_budget_admits_the_post_kick_default(spec, kicked_basis, monkeypatch):
+    """Estimated here, never run: the n_bar_c 1 post_kick default (6.0 GB
+    measured) is under the budget, n_bar_c 3 post_kick is above it; the
+    order-6 check at dims (907, 474), 740 GB, raises with nothing allocated."""
+    import tracemalloc
+
+    order3 = tm.anharmonic_expansion(spec, order=3)
+    assert an._exact_peak_bytes(kicked_basis, order3, "post_kick") <= an._MAX_EXACT_BYTES
+    hot = tm.build_mode_basis(spec, eta=7.0, n_bar_c=3.0)
+    assert an._exact_peak_bytes(hot, order3, "post_kick") > an._MAX_EXACT_BYTES
+    huge = tm.build_mode_basis(spec, eta=0.0, n_bar_c=164.0, dims=(907, 474))
+    monkeypatch.setattr(an, "_hamiltonian_blocks", _refuse_blocks)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"dims \(907, 474\).*budget"):
+            an.exact_anharmonic_fidelity(huge, tm.anharmonic_expansion(spec, order=6), 164.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_variance_scales_quadratically(anharmonic_setup):
     basis, expansion = anharmonic_setup
     base = an.anharmonic_fidelity(basis, expansion, n_bar_c=1.0)

@@ -8,6 +8,7 @@ config, 2 infeasible physics, 3 non-convergence.
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -397,6 +398,33 @@ def test_hot_gate_memory_is_bounded(capsys):
     assert peak < 32e6
 
 
+def test_f_cor_above_unit_variance_is_not_reported(capsys, monkeypatch):
+    """At n_bar_c 120 the phase variance is 1.29, so 1 - Var = -0.29 is no
+    fidelity: gate prints null and scan nan, each with one stderr line that
+    names the variance; anharmonic keeps the raw second-order figure."""
+    from hotgate import analysis
+
+    rc, out, err = run(capsys, "gate", "--n-bar-c", "120")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["f_cor"] is None and 0.0 < doc["fidelity"] < 1.0
+    assert err.startswith("gate: ") and err.count("\n") == 1
+    assert "phase variance 1.29283" in err
+    rc, out, err = run(capsys, "scan", "--etas", "7", "--n-bars", "120")
+    assert rc == 0
+    row = [ln for ln in out.splitlines() if not ln.startswith("#")][1].split(",")
+    assert row[4] == "nan" and 0.0 < float(row[2]) < 1.0
+    assert err.startswith("scan: eta=7 n_bar_c=120: ") and err.count("\n") == 1
+    assert "phase variance 1.29283" in err
+    # the exact check is not under test here, and is over its budget at n_bar_c 120
+    monkeypatch.setattr(analysis, "exact_anharmonic_fidelity", lambda *a, **kw: 1.0)
+    rc, out, _ = run(capsys, "anharmonic", "--anh-n-bar-c", "120", "--precision", "17")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["f_cor_perturbative"] == pytest.approx(1.0 - doc["phase_variance"], abs=1e-15)
+    assert doc["f_cor_perturbative"] == pytest.approx(-0.29283, abs=1e-5)
+
+
 def test_gate_unconverged_quadrature_exits_3(capsys):
     rc, _, err = run(capsys, "gate", "--eta", "3", "--omega0-scale", "1e6")
     assert rc == 3
@@ -753,6 +781,30 @@ def test_anharmonic_compares_routes(capsys):
         assert doc["mean_phase"] == 0.0
 
 
+def test_anharmonic_exact_check_over_budget_exits_1_at_once(capsys, monkeypatch):
+    """The exact check's largest block would need 740 GB here: one config-error
+    line, and neither route allocates (the exact check runs first)."""
+    import tracemalloc
+
+    from hotgate import analysis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hamiltonian block was assembled above the memory budget")
+
+    monkeypatch.setattr(analysis, "_hamiltonian_blocks", refuse)
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "anharmonic", "--anh-n-bar-c", "164", "--order", "6",
+                           "--anh-dims", "907,474")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (1, "")
+    assert err.startswith("hotgate: config error: the exact F_cor check at dims (907, 474)")
+    assert "budget" in err and err.count("\n") == 1
+    assert peak < 32e6
+
+
 @pytest.mark.parametrize("n_bar_c, dims", [(3.0, [37, 28]), (10.0, [80, 54])])
 def test_anharmonic_pre_kick_default_is_the_gate_f_cor(capsys, monkeypatch, n_bar_c, dims):
     """Off the ratio, the gate's F_cor and anharmonic's pre_kick default both
@@ -829,7 +881,48 @@ def test_no_arguments_exits_1(capsys):
 def test_help_exits_0(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
-    assert "modes" in out and "scan" in out
+    assert all(command in out for command in
+               ("modes", "separation", "conditions", "gate", "scan", "anharmonic"))
+
+
+# the one flag of a subcommand that is no setting
+_EXTRA_FLAGS = {"modes": "--solve-ratio", "gate": "--check-convergence",
+                "scan": "--skip-existing"}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_subcommand_takes_exactly_its_flags(capsys, command):
+    """--config, --stamp, the flag of each setting the subcommand reads, and
+    its extra flag: --help names exactly these and exits 0, and every other
+    setting flag and every other extra flag exits 1."""
+    flags = {row[4]: row[5] for row in cli._SETTINGS}
+    own = {flag for flag, readers in flags.items() if command in readers}
+    own |= {"--config", "--stamp"} | {_EXTRA_FLAGS.get(command)} - {None}
+    rc, out, _ = run(capsys, command, "--help")
+    assert rc == 0
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", out)) == own | {"--help"}
+    for flag in (set(flags) | set(_EXTRA_FLAGS.values())) - own:
+        rc, out, err = run(capsys, command, flag, "1")
+        assert rc == 1, flag
+        assert out == "" and "unrecognized arguments" in err, flag
+
+
+def test_main_builds_only_the_parser_it_runs(capsys, monkeypatch):
+    """One parser per call, the one of the subcommand in argv[0]: a count, so
+    that building every subcommand's parser again shows whatever the timing."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for argv in (("scan", "--etas", "2", "--n-bars", "0", "--order", "0"),
+                 ("gate", "--eta", "1.5", "--flip", "idealized")):
+        built.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert built == [f"hotgate {argv[0]}"]
 
 
 def test_precision_flag_shapes_output(capsys):
