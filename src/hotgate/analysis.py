@@ -11,7 +11,7 @@ is a short contraction of J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -467,36 +467,22 @@ def gate_report(
     flip_mode: str = "gaussian",
     anharmonic_order: int | None = 3,
     dims: tuple[int, int] | None = None,
-    omega0_scale: float = 1.0,
-    frame_phase: float | None = None,
-    target: np.ndarray | None = None,
 ) -> GateReport:
     """Simulate one operating point and collect its figures of merit.
 
-    omega0_scale rescales the solved pulse amplitude (0 turns the flip off),
-    frame_phase overrides the schedule's closing frame rotation, and target
-    replaces the conditional-flip unitary in the fidelity (for instance the
-    identity, when the pulse is disabled).  anharmonic_order None skips the
-    dephasing estimate; at order 0, the empty expansion, F_cor is 1.
+    Fidelity is taken against the conditional flip, gate_protocol.ideal_gate.
+    anharmonic_order None skips the dephasing estimate; at order 0, the
+    empty expansion, F_cor is 1.
     dims sets the truncation of the gate's mode basis, which no figure
     reads: the channel is truncation-free and F_cor sizes its own basis.
     """
     basis = build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c, dims=dims)
     schedule, condition = gate_protocol.build_schedule(
         basis, n_bar_c=n_bar_c, rabi_cycles=rabi_cycles, margin=margin)
-    if omega0_scale != 1.0:
-        if omega0_scale < 0:
-            raise ValueError("omega0_scale must be non-negative")
-        schedule = replace(schedule, flip=replace(
-            schedule.flip, omega0=schedule.flip.omega0 * omega0_scale))
-    if frame_phase is not None:
-        schedule = replace(schedule, frame_phase=frame_phase)
     gc = gate_protocol.gate_channel(basis, schedule, n_bar_c=n_bar_c,
                                     flip_mode=flip_mode)
     channel = QuantumChannel(gc.choi)
-    if target is None:
-        target = gate_protocol.ideal_gate()
-    fidelity = average_fidelity(channel, target)
+    fidelity = average_fidelity(channel, gate_protocol.ideal_gate())
     purity = average_purity(channel)
     f_cor = (None if anharmonic_order is None
              else _anharmonic_point(spec, n_bar_c, anharmonic_order).f_cor)
@@ -515,10 +501,11 @@ def _scan_row(spec: TrapSpec, eta: float, n_bar_c: float, order: int | None,
            "purity": math.nan, "f_cor": math.nan, "error": None}
     try:
         rep = gate_report(spec, eta, n_bar_c, anharmonic_order=None, **report_kw)
+        row.update(fidelity=rep.fidelity, purity=rep.purity)  # kept if F_cor fails
         if n_bar_c not in f_cors:
             f_cors[n_bar_c] = (math.nan if order is None
                                else _anharmonic_point(spec, n_bar_c, order).f_cor)
-        row.update(fidelity=rep.fidelity, purity=rep.purity, f_cor=f_cors[n_bar_c])
+        row["f_cor"] = f_cors[n_bar_c]
     except OverflowError as exc:  # a point beyond double range is a bad grid, not a row
         raise OverflowError(f"scan point eta={eta:g}, n_bar_c={n_bar_c:g}: {exc}") from exc
     except Exception as exc:  # scans keep going; the row records the failure
@@ -532,7 +519,8 @@ def scan_rows(spec: TrapSpec, points, anharmonic_order: int | None = 3, **report
     F_cor reads n_bar_c but not eta (_anharmonic_point), so each distinct
     n_bar_c computes it once per call: f_cors lives only as long as this
     generator.  A failing F_cor is not stored, so every row it fails
-    raises, and records, its own error.
+    raises, and records, its own error; such a row keeps the channel's
+    fidelity and purity, with F_cor nan.
     """
     f_cors = {}
     for eta, n_bar_c in points:
@@ -544,7 +532,7 @@ def scan(spec: TrapSpec, points, **report_kw) -> list[dict]:
     """Evaluate gate_report on a list of (eta, n_bar_c) operating points.
 
     Rows come back in input order.  A failing point keeps its row, with nan
-    figures and the error string attached, so partial scans stay usable; a
+    for each figure it did not reach and the error string attached, so partial scans stay usable; a
     point too large for double arithmetic (OverflowError) stops the scan.
     """
     return list(scan_rows(spec, points, **report_kw))

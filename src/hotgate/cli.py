@@ -4,14 +4,13 @@ Subcommands: modes, separation, conditions, gate, scan, anharmonic.  Each
 resolves its settings from built-in defaults, then an optional INI config
 file (--config), then command-line flags, in that order of precedence.
 Every setting is declared once, in _SETTINGS, which gives its default, its
-INI type, its flag and the subcommands that read it; main builds the
-parser of the subcommand named first alone, which takes only those flags
-and rejects the rest, while an INI file may set any key.  _RANGES holds
-the range of each numeric setting, checked for the settings a subcommand
-reads before it runs.  Outputs are deterministic: data files never carry
-timestamps (--stamp opts in, metadata only), floats print at a fixed
-significant-digit count, and every CSV/JSON records a hash of the resolved
-settings its subcommand reads.
+INI type, its flag, the subcommands that read it and its range, checked
+for the settings a subcommand reads before it runs; main builds the parser
+of the subcommand named first alone, which takes only those flags and
+rejects the rest, while an INI file may set any key.  Outputs are
+deterministic: data files never carry timestamps (--stamp opts in,
+metadata only), floats print at a fixed significant-digit count, and every
+CSV/JSON records a hash of the resolved settings its subcommand reads.
 
 Exit codes: 0 success, 1 bad usage or config, 2 physically infeasible
 request, 3 numerical non-convergence.
@@ -47,99 +46,80 @@ _ALL = ("modes", "separation", "conditions", "gate", "scan", "anharmonic")
 _ETA = ("modes", "separation", "conditions", "gate", "anharmonic")
 _SCHEDULE = ("conditions", "gate", "scan")
 
+# The range of a numeric setting, as (test, rule): main checks every setting
+# the subcommand reads before the subcommand runs, so a value the library
+# would reject is a config error, not a traceback or a scan of failed rows.
+# Every float setting must also be finite.
+_POSITIVE = (lambda v: v > 0.0, "positive")
+_NON_NEGATIVE = (lambda v: v >= 0.0, "non-negative")
+
 # Every setting, declared once: (section, key, default, type or tuple of
-# allowed values, flag, subcommands that read it, help).  An INI file may
-# set any of them; a flag exists, and the config hash covers the setting,
-# only where it is read.
+# allowed values, flag, subcommands that read it, help, range or None).  An
+# INI file may set any of them; a flag exists, and the config hash covers
+# the setting, only where it is read.
 _SETTINGS = (
     ("trap", "exponent", 5.0 / 3.0, float, "--exponent", _ALL,
-     "power of the confining wall"),
-    ("trap", "nu_c", 1.0, float, "--nu-c", _ALL, "target COM frequency"),
-    ("trap", "mass", 1.0, float, "--mass", _ALL, None),
+     "power of the confining wall", (lambda v: v > 1.0, "above 1")),
+    ("trap", "nu_c", 1.0, float, "--nu-c", _ALL, "target COM frequency", _POSITIVE),
+    ("trap", "mass", 1.0, float, "--mass", _ALL, None, _POSITIVE),
     ("trap", "separation_in_x0", 820.0, float, "--separation-in-x0", _ALL,
-     "equilibrium separation in ground-state widths"),
-    ("trap", "stiffness", None, float, "--stiffness", _ALL, "explicit wall prefactor"),
-    ("trap", "coulomb", None, float, "--coulomb", _ALL, "explicit repulsion constant"),
-    ("gate", "eta", 7.0, float, "--eta", _ETA, "effective kick strength"),
+     "equilibrium separation in ground-state widths", _POSITIVE),
+    ("trap", "stiffness", None, float, "--stiffness", _ALL, "explicit wall prefactor",
+     _POSITIVE),
+    ("trap", "coulomb", None, float, "--coulomb", _ALL, "explicit repulsion constant",
+     _POSITIVE),
+    ("gate", "eta", 7.0, float, "--eta", _ETA, "effective kick strength", _POSITIVE),
     ("gate", "n_bar_c", 0.0, float, "--n-bar-c", ("modes", "conditions", "gate"),
-     "thermal COM occupation"),
-    ("gate", "rabi_cycles", 3, int, "--rabi-cycles", _SCHEDULE, None),
-    ("gate", "margin", 3.0, float, "--margin", ("conditions", "gate"), None),
-    ("gate", "dims", None, str, "--dims", ("separation",),
-     "Fock truncation 'n_c,n_r'"),
+     "thermal COM occupation", _NON_NEGATIVE),
+    ("gate", "rabi_cycles", 3, int, "--rabi-cycles", _SCHEDULE, None,
+     (lambda v: v >= 1, "a positive integer")),
+    ("gate", "margin", 3.0, float, "--margin", ("conditions", "gate"), None,
+     (lambda v: v >= 1.0, "at least 1")),
+    ("gate", "dims", None, str, "--dims", ("separation",), "Fock truncation 'n_c,n_r'", None),
     ("gate", "flip", "gaussian", ("gaussian", "idealized"), "--flip", ("gate", "scan"),
-     None),
-    ("gate", "omega0_scale", 1.0, float, "--omega0-scale", ("gate",), None),
-    ("gate", "frame_phase", "auto", str, "--frame-phase", ("gate",),
-     "'auto' or a phase in radians"),
-    ("gate", "target", "gate", ("gate", "identity"), "--target", ("gate",), None),
-    ("scan", "etas", "2,4,7", str, "--etas", ("scan",), "comma-separated eta grid"),
-    ("scan", "n_bars", "0,0.5,1", str, "--n-bars", ("scan",),
-     "comma-separated n_bar_c grid"),
+     None, None),
+    ("scan", "etas", "2,4,7", str, "--etas", ("scan",), "comma-separated eta grid",
+     (lambda raw: all(v > 0.0 for v in _parse_grid(raw, "etas")),
+      "a list of positive numbers")),
+    ("scan", "n_bars", "0,0.5,1", str, "--n-bars", ("scan",), "comma-separated n_bar_c grid",
+     (lambda raw: all(v >= 0.0 for v in _parse_grid(raw, "n_bars")),
+      "a list of non-negative numbers")),
     ("anharmonic", "order", 3, int, "--order", ("gate", "scan", "anharmonic"),
-     "expansion order (0 disables)"),
+     "expansion order (0 disables)", (lambda v: v == 0 or 3 <= v <= 6, "0 or between 3 and 6")),
     ("anharmonic", "scale", 1.0, float, "--scale", ("anharmonic",),
-     "coefficient scale factor"),
+     "coefficient scale factor", None),
     ("anharmonic", "n_bar_c", 1.0, float, "--anh-n-bar-c", ("anharmonic",),
-     "thermal occupation for the dephasing average"),
+     "thermal occupation for the dephasing average", _NON_NEGATIVE),
     ("anharmonic", "state_mode", "pre_kick", ("pre_kick", "post_kick"), "--state-mode",
-     ("anharmonic",), None),
-    ("anharmonic", "dims", None, str, "--anh-dims", ("anharmonic",), None),
+     ("anharmonic",), None, None),
+    ("anharmonic", "dims", None, str, "--anh-dims", ("anharmonic",), None, None),
     ("separation", "points", 64, int, "--points", ("separation",),
-     "sample count over [0, t_g]"),
-    ("output", "path", None, str, "--output", _ALL, "write here instead of stdout"),
+     "sample count over [0, t_g]", (lambda v: v >= 2, "at least 2")),
+    ("output", "path", None, str, "--output", _ALL, "write here instead of stdout", None),
     ("output", "precision", 12, int, "--precision", _ALL,
-     "significant digits in output"),
+     "significant digits in output", _NON_NEGATIVE),
 )
 
 _DEFAULTS = {section: {k: default for s, k, default, *_ in _SETTINGS if s == section}
              for section, *_ in _SETTINGS}
 _KINDS = {(section, key): kind for section, key, _, kind, *_ in _SETTINGS}
-_READERS = {(section, key): commands for section, key, *_, commands, _ in _SETTINGS}
+_READERS = {(section, key): commands for section, key, *_, commands, _, _ in _SETTINGS}
 
 # settings that steer where the data goes but not the data itself
 _HASH_EXCLUDE = {("output", "path")}
 
 
-# The range each numeric setting must lie in, as (test, rule).  main checks
-# every setting the subcommand reads before the subcommand runs, so a value
-# the library would reject is a config error, not a traceback or a scan of
-# failed rows.  Every float setting must also be finite.
-_RANGES = {
-    ("trap", "exponent"): (lambda v: v > 1.0, "above 1"),
-    ("trap", "nu_c"): (lambda v: v > 0.0, "positive"),
-    ("trap", "mass"): (lambda v: v > 0.0, "positive"),
-    ("trap", "separation_in_x0"): (lambda v: v > 0.0, "positive"),
-    ("trap", "stiffness"): (lambda v: v > 0.0, "positive"),
-    ("trap", "coulomb"): (lambda v: v > 0.0, "positive"),
-    ("gate", "eta"): (lambda v: v > 0.0, "positive"),
-    ("gate", "n_bar_c"): (lambda v: v >= 0.0, "non-negative"),
-    ("gate", "rabi_cycles"): (lambda v: v >= 1, "a positive integer"),
-    ("gate", "margin"): (lambda v: v >= 1.0, "at least 1"),
-    ("gate", "omega0_scale"): (lambda v: v >= 0.0, "non-negative"),
-    ("scan", "etas"): (lambda raw: all(v > 0.0 for v in _parse_grid(raw, "etas")),
-                       "a list of positive numbers"),
-    ("scan", "n_bars"): (lambda raw: all(v >= 0.0 for v in _parse_grid(raw, "n_bars")),
-                         "a list of non-negative numbers"),
-    ("anharmonic", "order"): (lambda v: v == 0 or 3 <= v <= 6, "0 or between 3 and 6"),
-    ("anharmonic", "n_bar_c"): (lambda v: v >= 0.0, "non-negative"),
-    ("separation", "points"): (lambda v: v >= 2, "at least 2"),
-    ("output", "precision"): (lambda v: v >= 0, "non-negative"),
-}
-
-
 def _check_ranges(cfg: dict, command: str) -> None:
     """Raise ConfigError for the first setting command reads that is
     non-finite or out of its range; unset optional settings (None) pass."""
-    for (section, key), kind in _KINDS.items():
+    for section, key, _, kind, _, commands, _, bounds in _SETTINGS:
         value = cfg[section][key]
-        if command not in _READERS[(section, key)] or value is None:
+        if command not in commands or value is None:
             continue
         if kind is float and not math.isfinite(value):
             raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
-        test, rule = _RANGES.get((section, key), (None, None))
-        if test is not None and not test(value):
-            raise ConfigError(f"[{section}] {key} must be {rule}, got {value!r}")
+        if bounds is not None and not bounds[0](value):
+            raise ConfigError(f"[{section}] {key} must be {bounds[1]}, got {value!r}")
 
 
 def _coerce(section: str, key: str, raw: str):
@@ -224,19 +204,6 @@ def build_trap(cfg: dict) -> trap_model.TrapSpec:
             separation_in_x0=t["separation_in_x0"])
     except ValueError as exc:  # in range, but a derived constant left double range
         raise ConfigError(f"the trap settings leave double range: {exc}") from None
-
-
-def _frame_phase(cfg: dict) -> float | None:
-    raw = cfg["gate"]["frame_phase"]
-    if raw == "auto":
-        return None
-    try:
-        phase = float(raw)
-    except ValueError:
-        raise ConfigError(f"frame_phase must be 'auto' or a number, got {raw!r}") from None
-    if not math.isfinite(phase):
-        raise ConfigError(f"frame_phase must be finite, got {raw!r}")
-    return phase
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +297,16 @@ _FIDELITY_NOTE = ("fidelity: average over pure input states, "
                   "(4*F_ent + 1)/5 against the conditional-flip target")
 
 
-def _reported_f_cor(f_cor, where: str):
+def _reported_f_cor(f_cor, where: str | None):
     """F_cor as gate and scan report it.  Past a phase variance of 1 the
     second-order 1 - Var is no fidelity: it is reported as None (null in
-    JSON, nan in CSV), with one stderr line that names the variance."""
+    JSON, nan in CSV), with one stderr line that names the variance, unless
+    where is None."""
     if not f_cor < 0.0:  # nan too: a failed row
         return f_cor
-    sys.stderr.write(f"{where}: F_cor not reported: phase variance {1.0 - f_cor:.6g} "
-                     f"is above 1, beyond the second-order estimate 1 - Var\n")
+    if where is not None:
+        sys.stderr.write(f"{where}: F_cor not reported: phase variance {1.0 - f_cor:.6g} "
+                         f"is above 1, beyond the second-order estimate 1 - Var\n")
     return None
 
 
@@ -414,33 +383,22 @@ def cmd_conditions(cfg: dict, args: argparse.Namespace) -> int:
     return 0
 
 
-def _target_matrix(name: str) -> np.ndarray:
-    if name == "gate":
-        return gate_protocol.ideal_gate()
-    return np.eye(4, dtype=complex)
-
-
 def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
     spec = build_trap(cfg)
-    target_name = cfg["gate"]["target"]
     order = cfg["anharmonic"]["order"]
-    frame_phase = _frame_phase(cfg)
     report = analysis.gate_report(
         spec, cfg["gate"]["eta"], cfg["gate"]["n_bar_c"],
         rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"],
-        flip_mode=cfg["gate"]["flip"], anharmonic_order=order,
-        omega0_scale=cfg["gate"]["omega0_scale"], frame_phase=frame_phase,
-        target=_target_matrix(target_name))
+        flip_mode=cfg["gate"]["flip"], anharmonic_order=order)
     payload = report.to_dict()
     payload["f_cor"] = _reported_f_cor(report.f_cor, "gate")
-    payload["target"] = target_name
-    payload["note"] = _FIDELITY_NOTE if target_name == "gate" else (
-        "fidelity measured against the identity map")
+    payload["note"] = _FIDELITY_NOTE
     text = _json_text("gate", cfg, payload, args.stamp, cfg["output"]["precision"])
     _emit(text, _resolve_path(cfg["output"]["path"]))
-    if args.check_convergence:
+    if args.check_convergence and payload["f_cor"] is not None:
         # the channel checks its own quadrature; F_cor is the one figure
-        # gate reports from a truncated Fock space
+        # gate reports from a truncated Fock space, and one it does not
+        # report (null) has nothing to check
         doubled = analysis._anharmonic_point(spec, cfg["gate"]["n_bar_c"], order,
                                              dims_factor=2).f_cor
         gap = abs(doubled - report.f_cor)
@@ -455,9 +413,11 @@ def _read_existing_rows(path: str, hash_line: str) -> dict:
     """Map (eta, n_bar_c) formatted strings to finished CSV rows.
 
     Only a file whose header carries hash_line, that is, one written with
-    the same settings, contributes rows.  A failed point is written with
-    nan figures; such rows are left out so that a resumed scan computes
-    them again.
+    the same settings, contributes rows.  A point whose channel failed is
+    written with nan figures; such rows are left out so that a resumed scan
+    computes them again.  A row with channel figures and F_cor nan (refused
+    by its memory budget, or above unit variance) is finished: its F_cor
+    would come out the same.
     """
     existing = {}
     try:
@@ -503,7 +463,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
              "purity: mean Tr[rho_out^2] over the 36 axis product inputs",
              "f_cor: perturbative anharmonic fidelity at matching n_bar_c",
              "columns: eta,n_bar_c,fidelity,purity,f_cor"]
-    failures = 0
+    failures, noted = 0, set()
     sink = (contextlib.nullcontext(sys.stdout) if path is None
             else open(partial, "w", encoding="utf-8", newline="\n"))
     with sink as out:
@@ -518,7 +478,10 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
                     failures += 1
                     sys.stderr.write(f"scan: eta={key[0]} n_bar_c={key[1]}: "
                                      f"{row['error']}\n")
-                f_cor = _reported_f_cor(row["f_cor"], f"scan: eta={key[0]} n_bar_c={key[1]}")
+                # F_cor reads n_bar_c alone: its note is written once per value
+                f_cor = _reported_f_cor(row["f_cor"], None if row["n_bar_c"] in noted
+                                        else f"scan: eta={key[0]} n_bar_c={key[1]}")
+                noted.add(row["n_bar_c"])
                 cells = [key[0], key[1], _fmt(row["fidelity"], precision),
                          _fmt(row["purity"], precision), _fmt(f_cor, precision)]
             out.write(",".join(cells) + "\n")
@@ -583,26 +546,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Every subcommand: (function, summary, extra flag), where the extra flag is
+# the one flag it takes beside --config, --stamp and the flags of its
+# settings, as (flag, argparse keywords), or None; no INI key sets it.
 _COMMANDS = {
-    "modes": (cmd_modes, "equilibrium geometry and mode data"),
-    "separation": (cmd_separation, "branch separation over one period"),
-    "conditions": (cmd_conditions, "addressing geometry and validity flags"),
-    "gate": (cmd_gate, "simulate one operating point"),
-    "scan": (cmd_scan, "grid scan over eta and n_bar_c"),
-    "anharmonic": (cmd_anharmonic, "perturbative vs exact dephasing"),
-}
-
-# The one flag a subcommand takes beside --config, --stamp and the flags of
-# its settings, as (flag, argparse keywords); no INI key sets it.
-_EXTRA_FLAGS = {
-    "modes": ("--solve-ratio", {"type": float,
-                                "help": "find the wall exponent giving this nu_r/nu_c"}),
-    "gate": ("--check-convergence", {
+    "modes": (cmd_modes, "equilibrium geometry and mode data",
+              ("--solve-ratio", {"type": float,
+                                 "help": "find the wall exponent giving this nu_r/nu_c"})),
+    "separation": (cmd_separation, "branch separation over one period", None),
+    "conditions": (cmd_conditions, "addressing geometry and validity flags", None),
+    "gate": (cmd_gate, "simulate one operating point", ("--check-convergence", {
         "action": "store_true",
-        "help": "recompute F_cor at doubled truncation; a gap above 1e-6 exits 3"}),
-    "scan": ("--skip-existing", {
+        "help": "recompute F_cor at doubled truncation; a gap above 1e-6 exits 3"})),
+    "scan": (cmd_scan, "grid scan over eta and n_bar_c", ("--skip-existing", {
         "action": "store_true",
-        "help": "reuse finished rows of an output file written with the same settings"}),
+        "help": "reuse finished rows of an output file written with the same settings"})),
+    "anharmonic": (cmd_anharmonic, "perturbative vs exact dephasing", None),
 }
 
 
@@ -615,22 +574,21 @@ def _command_parser(command: str) -> _Parser:
     setting the subcommand reads, grouped by INI section, and its extra flag."""
     # no abbreviations: a flag this subcommand lacks must not be read as
     # the prefix of one it has (scan --eta as --etas)
-    parser = _Parser(prog=f"hotgate {command}", description=_COMMANDS[command][1],
-                     allow_abbrev=False)
+    _, summary, extra = _COMMANDS[command]
+    parser = _Parser(prog=f"hotgate {command}", description=summary, allow_abbrev=False)
     parser.add_argument("--config", type=str, help="INI settings file")
     parser.add_argument("--stamp", action="store_true",
                         help="add a generation timestamp to the metadata")
     groups = {}
-    for section, _, _, kind, flag, commands, help_ in _SETTINGS:
+    for section, _, _, kind, flag, commands, help_, _ in _SETTINGS:
         if command not in commands:
             continue
         if section not in groups:
             groups[section] = parser.add_argument_group(section)
         typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
         groups[section].add_argument(flag, dest=_dest(flag), help=help_, **typed)
-    if command in _EXTRA_FLAGS:
-        flag, keywords = _EXTRA_FLAGS[command]
-        parser.add_argument(flag, **keywords)
+    if extra is not None:
+        parser.add_argument(extra[0], **extra[1])
     return parser
 
 
@@ -642,7 +600,7 @@ def _top_parser() -> _Parser:
                                  "for thermally excited motion.",
                      epilog="'hotgate <subcommand> --help' lists the flags of one subcommand.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="<subcommand>")
-    for name, (_, summary) in _COMMANDS.items():
+    for name, (_, summary, _) in _COMMANDS.items():
         sub.add_parser(name, help=summary, add_help=False)
     return parser
 

@@ -1,6 +1,7 @@
 """Channel metrics, branch-separation curves, and the dephasing estimates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -556,12 +557,16 @@ def test_gate_report_linearity_flag_trips_when_hot(spec):
 
 
 def test_gate_report_disabled_pulse_identity_target(spec):
-    # no flip, no frame tag: branch phases cancel and the gate is the identity
-    rep = an.gate_report(spec, eta=2.0, n_bar_c=0.0, anharmonic_order=0,
-                         omega0_scale=0.0, frame_phase=0.0, target=np.eye(4))
-    assert rep.fidelity == pytest.approx(1.0, abs=1e-9)
-    assert rep.purity == pytest.approx(1.0, abs=1e-9)
-    assert rep.f_cor == 1.0
+    """No flip and no frame tag: refocusing cancels the branch phases and the
+    channel is the identity, cold or hot.  gate_report scores only against
+    the conditional flip, so the schedule is run through gate_channel."""
+    for n_bar_c in (0.0, 1.0):
+        basis = tm.build_mode_basis(spec, eta=2.0, n_bar_c=n_bar_c)
+        schedule, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
+        bare = replace(schedule, flip=replace(schedule.flip, omega0=0.0), frame_phase=0.0)
+        channel = an.QuantumChannel(gp.gate_channel(basis, bare, n_bar_c=n_bar_c).choi)
+        assert an.average_fidelity(channel, np.eye(4)) == pytest.approx(1.0, abs=1e-9)
+        assert an.average_purity(channel) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("ratio", [3.0, 21.0])
@@ -643,6 +648,9 @@ def test_scan_row_keeps_its_own_f_cor_error(spec, monkeypatch):
     for row in rows:
         if row["n_bar_c"] == 0.5:
             assert row["error"] == "NonConvergenceError: no F_cor at n_bar_c 0.5"
-            assert math.isnan(row["fidelity"]) and math.isnan(row["f_cor"])
+            # the channel was done before F_cor failed: its figures stay
+            rep = an.gate_report(spec, row["eta"], 0.5, anharmonic_order=None)
+            assert (row["fidelity"], row["purity"]) == (rep.fidelity, rep.purity)
+            assert math.isnan(row["f_cor"])
         else:
             assert row["error"] is None and row["f_cor"] == 1.0

@@ -129,7 +129,6 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("scan", "--n-bars", "-1"),
     ("scan", "--rabi-cycles", "0"),
     ("scan", "--order", "2"),
-    ("gate", "--omega0-scale", "-1"),
     ("modes", "--exponent", "1"),
     ("modes", "--mass", "0"),
     ("modes", "--nu-c", "0"),
@@ -143,9 +142,7 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("anharmonic", "--anh-n-bar-c", "inf"),
     ("scan", "--etas", "inf", "--n-bars", "0"),
     ("scan", "--etas", "2", "--n-bars", "inf"),
-    ("gate", "--frame-phase", "nan"),
     ("anharmonic", "--scale", "nan"),
-    ("gate", "--omega0-scale", "inf"),
     # finite, but too large for the arithmetic they enter
     ("gate", "--eta", "1e300"),
     ("gate", "--n-bar-c", "1e300"),
@@ -255,7 +252,7 @@ _CONDITION_KEYS = {
     "well_conditioned", "ok_separation_hierarchy", "ok_profile_linearity",
     "ok_rabi_cycles_large", "ok_eta_above_bound"}
 _GATE_KEYS = {"eta", "n_bar_c", "n_bar_r", "fidelity", "purity", "f_cor", "tp_defect",
-              "flip_mode", "conditions", "target", "note"}
+              "flip_mode", "conditions", "note"}
 
 
 def test_report_json_key_sets_are_pinned(capsys):
@@ -287,7 +284,6 @@ def test_gate_idealized_flip_is_perfect(capsys):
     assert doc["fidelity"] == pytest.approx(1.0, abs=1e-9)
     assert doc["flip_mode"] == "idealized"
     assert doc["f_cor"] == 1.0  # the cold ground state has no phase variance
-    assert doc["target"] == "gate"
 
 
 def test_gate_output_is_deterministic(capsys):
@@ -298,12 +294,18 @@ def test_gate_output_is_deterministic(capsys):
 
 
 def test_gate_disabled_pulse_against_identity(capsys):
-    rc, out, _ = run(capsys, "gate", "--eta", "2", "--omega0-scale", "0",
-                     "--frame-phase", "0", "--target", "identity")
+    # the pulse, frame and target are not settings: the former command line
+    # is refused, and gate scores against the conditional flip alone (the
+    # identity check on a disabled pulse is a library test)
+    rc, out, err = run(capsys, "gate", "--eta", "2", "--omega0-scale", "0",
+                       "--frame-phase", "0", "--target", "identity")
+    assert rc == 1
+    assert out == "" and "unrecognized arguments" in err
+    rc, out, _ = run(capsys, "gate", "--eta", "2")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["fidelity"] == pytest.approx(1.0, abs=1e-9)
-    assert "identity" in doc["note"]
+    assert "target" not in doc
+    assert "conditional-flip target" in doc["note"]
 
 
 def test_gate_anharmonic_column(capsys):
@@ -425,10 +427,66 @@ def test_f_cor_above_unit_variance_is_not_reported(capsys, monkeypatch):
     assert doc["f_cor_perturbative"] == pytest.approx(-0.29283, abs=1e-5)
 
 
-def test_gate_unconverged_quadrature_exits_3(capsys):
-    rc, _, err = run(capsys, "gate", "--eta", "3", "--omega0-scale", "1e6")
+def test_gate_check_convergence_skips_an_unreported_f_cor(capsys, monkeypatch):
+    """At n_bar_c 120 gate prints F_cor as null; the check has no figure to
+    compare, so it recomputes nothing and the run exits 0."""
+    from hotgate import analysis
+
+    real, calls = analysis._anharmonic_point, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_anharmonic_point", counting)
+    rc, out, err = run(capsys, "gate", "--n-bar-c", "120", "--check-convergence")
+    assert rc == 0
+    assert json.loads(out)["f_cor"] is None
+    assert calls == [{}]  # the reported F_cor alone, none at doubled truncation
+    assert err.startswith("gate: F_cor not reported") and err.count("\n") == 1
+
+
+def test_scan_f_cor_note_once_per_n_bar_c(capsys):
+    """F_cor reads n_bar_c alone, so two rows at n_bar_c 120 share one note."""
+    rc, out, err = run(capsys, "scan", "--etas", "7,4", "--n-bars", "120,1")
+    assert rc == 0
+    rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")][1:]
+    assert [row[4] for row in rows] == ["nan", "0.999997825495"] * 2
+    assert err.startswith("scan: eta=7 n_bar_c=120: F_cor not reported")
+    assert err.count("\n") == 1
+
+
+def test_scan_row_whose_f_cor_fails_keeps_its_channel_figures(capsys):
+    """At n_bar_c 1000 F_cor's memory budget refuses after the channel is
+    done: the row keeps fidelity and purity, writes F_cor as nan and records
+    the error, and a grid of such rows alone exits 3."""
+    rc, out, err = run(capsys, "scan", "--etas", "7", "--n-bars", "1000,0")
+    assert rc == 0
+    rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")][1:]
+    assert rows[0][:2] == ["7", "1000"] and rows[0][4] == "nan"
+    assert 0.5 < float(rows[0][2]) < 1.0 and 0.5 < float(rows[0][3]) < 1.0
+    assert rows[1] == ["7", "0", "0.995563065905", "0.992646365545", "1"]
+    assert err.startswith("scan: eta=7 n_bar_c=1000: ConfigError: F_cor at dims")
+    assert err.count("\n") == 1
+    rc, out, err = run(capsys, "scan", "--etas", "7", "--n-bars", "1000")
     assert rc == 3
-    assert "did not converge" in err
+    assert [ln for ln in out.splitlines() if not ln.startswith("#")][1].startswith(
+        ",".join(rows[0][:4]))
+    assert err.endswith("scan: every computed row failed\n")
+
+
+def test_gate_unconverged_quadrature_exits_3(capsys, monkeypatch):
+    """The channel's real quadrature, held to a tolerance no doubling meets
+    within two levels: exit 3 with one line, and no JSON."""
+    from hotgate import gate_protocol
+
+    monkeypatch.setattr(gate_protocol, "_GRAM_TOL", 0.0)
+    monkeypatch.setattr(gate_protocol, "_ROUNDING_FLOOR", 0.0)
+    monkeypatch.setattr(gate_protocol, "_MAX_INTERVALS", 256)
+    rc, out, err = run(capsys, "gate", "--eta", "3")
+    assert (rc, out) == (3, "")
+    assert err.startswith("hotgate: did not converge: ") and err.count("\n") == 1
+    assert "within 256 trapezoid intervals" in err
 
 
 def test_gate_rejects_unknown_flip(capsys):
@@ -512,7 +570,7 @@ _DEFAULT_HASHES = {
     "modes": "47f368af77a9a64729d500cfc36cb5585673e10109a325d5f7d2c4a938bc7117",
     "separation": "b1876e86c6345e57faec55de861a29e485df4631d2b681e5ea0e4d234ccc31b4",
     "conditions": "0e63b8730631cec8ae3740d3e0c73675509158025de1e3c30b2db0d30664c22f",
-    "gate": "ca0637640c63e227094a407a08445fbe98cee599f3eb625be2b738ef2aa9d39d",
+    "gate": "a12b41084e79604b1d4772dfbb6d85fd69842fe452d54aba8802e41271f1237a",
     "scan": "0d5217bebad133eec9c61dc752bbb084bbee32cca77828e61d2883661d21b433",
     "anharmonic": "2b152ae585346d636acbb538ddfab42f8a0f1abb4480a6fbac344a007b36b90a",
 }
@@ -540,6 +598,9 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         ("modes", "--lamb-dicke", "0.9"),
         ("separation", "--check-tol", "1e-6"),
         ("gate", "--anharmonic"),
+        ("gate", "--omega0-scale", "0"),  # the pulse, frame and target are not settings
+        ("gate", "--frame-phase", "0"),
+        ("gate", "--target", "identity"),
     ]
     for argv in cases:
         rc, out, err = run(capsys, *argv)
@@ -574,9 +635,6 @@ _DATA_CASES = {
     ("gate", "margin"): [("conditions", (), ("--margin", "5"))],
     ("gate", "dims"): [("separation", (*_SEP, "--dims", "12,12"), (*_SEP, "--dims", "14,14"))],
     ("gate", "flip"): [("gate", (), ("--flip", "idealized"))],
-    ("gate", "omega0_scale"): [("gate", (), ("--omega0-scale", "0.5"))],
-    ("gate", "frame_phase"): [("gate", (), ("--frame-phase", "0"))],
-    ("gate", "target"): [("gate", (), ("--target", "identity"))],
     ("scan", "etas"): [("scan", _SCAN, (*_SCAN, "--etas", "3"))],
     ("scan", "n_bars"): [("scan", _SCAN, (*_SCAN, "--n-bars", "0.5"))],
     ("anharmonic", "order"): [("anharmonic", _ANH, (*_ANH, "--order", "4")),
