@@ -328,8 +328,12 @@ def exact_anharmonic_fidelity(
       modulus-one factor e^{i E_j t_g} dropped;
     * post_kick, psi_j = D|j>: amp_j = sum_k (D^dag Phi v)_jk e^{-i w_k t_g}
       (D^T v)_jk, where D^dag Phi = (d_c^dag Phi_c) (x) (d_r^dag Phi_r) and
-      both factored operators act on the real v (_kron_apply_real).
+      both factored operators act on the real v (_kron_apply_real), over
+      _OVERLAP_CHUNK eigenvector columns at a time, so the complex overlaps
+      are M x chunk and not M x s.
 
+    Each block's H is dropped once it is diagonalized, and its v before the
+    next block is assembled, so the peak is the largest block's eigensolve.
     The empty expansion (order 0) leaves H = H0: every member returns with
     unit modulus, so F = 1 with nothing diagonalized.  Above
     _MAX_EXACT_BYTES of estimated peak (_exact_peak_bytes) it raises
@@ -357,18 +361,27 @@ def exact_anharmonic_fidelity(
         left_r = d_r.conj().T * np.exp(1j * e_r * t_g)
     for lv, h in _hamiltonian_blocks(basis, expansion):
         w, v = np.linalg.eigh(h)
+        del h
         decay = np.exp(-1j * w * t_g)
         if state_mode == "pre_kick":
             amp[lv] = ((v * v) @ decay).reshape(lv.size, -1)
         else:
-            left = _kron_apply_real(left_c[:, lv], left_r, v)
-            right = _kron_apply_real(d_c.T[:, lv], d_r.T, v)
-            amp += ((left * right) @ decay).reshape(amp.shape)
+            for k in range(0, v.shape[1], _OVERLAP_CHUNK):
+                cols = slice(k, k + _OVERLAP_CHUNK)
+                left = _kron_apply_real(left_c[:, lv], left_r, v[:, cols])
+                right = _kron_apply_real(d_c.T[:, lv], d_r.T, v[:, cols])
+                amp += ((left * right) @ decay[cols]).reshape(amp.shape)
+        del v
     return float(p_c @ (np.abs(amp) ** 2) @ p_r)
 
 
-# Cap on _exact_peak_bytes.  The n_bar_c 1 post_kick default, dims (162, 84),
-# is estimated at 3.7 GB and measured at 6.0 GB; n_bar_c 2 would be 6.5 GB.
+# Eigenvector columns per post_kick overlap: the overlaps then stay far below
+# the eigensolve, and at dims (28, 22) and (115, 66) they took no longer
+# than with 32 to 256 columns (within 1 ms of whole blocks at (28, 22)).
+_OVERLAP_CHUNK = 64
+
+# Cap on _exact_peak_bytes.  It admits the post_kick default up to n_bar_c 2,
+# dims (185, 97), estimated at 3.3 GB; n_bar_c 3, dims (204, 107), is 4.9 GB.
 _MAX_EXACT_BYTES = 4 * 10**9
 
 
@@ -385,33 +398,46 @@ def _level_sets(n_c: int, expansion: AnharmonicExpansion) -> list[range]:
 def _exact_peak_bytes(basis: ModeBasis, expansion: AnharmonicExpansion,
                       state_mode: str) -> int:
     """Estimated peak memory of exact_anharmonic_fidelity, from the dims
-    alone: the largest block's real H and eigenvectors, s x s each with
-    s = levels * n_r, and post_kick's two complex M x s overlaps (M = n_c n_r)."""
+    alone.  The largest block's eigensolve sets it: for s = levels * n_r
+    rows, eigh holds the real H, numpy's working copy, dsyevd's workspace
+    (2 s^2 + 6 s doubles and 5 s ints) and the eigenvectors, 5 s^2 doubles,
+    where assembling H takes at most 3 s^2.  post_kick adds its overlaps,
+    at most four complex M x chunk arrays (M = n_c n_r)."""
     n_c, n_r = basis.dims
     size = max(len(levels) for levels in _level_sets(n_c, expansion)) * n_r
-    peak = 2 * 8 * size**2
+    peak = 8 * (5 * size + 16) * size
     if state_mode == "post_kick":
-        peak += 2 * 16 * n_c * n_r * size
+        peak += 4 * 16 * n_c * n_r * min(_OVERLAP_CHUNK, size)
     return peak
 
 
 def _hamiltonian_blocks(basis: ModeBasis, expansion: AnharmonicExpansion):
     """(x_c levels lv, H[lv (x) all, lv (x) all]) for each block of
     H = diag(E) + V_cor to diagonalize apart (_level_sets), assembled from
-    v_cor_factors.  Each block is diag(E_lv) + sum_a X_c^a[lv, lv] (x) Q_a,
-    checked and symmetrized by fock_core.hermitian_part.
+    v_cor_factors by _hamiltonian_block, whose frame, unlike this one, ends
+    before the caller diagonalizes, and with it the unsymmetrized sum.
     """
-    n_c, n_r = basis.dims
+    n_c, _ = basis.dims
     e_c, e_r = mode_energies(basis)
     factors = v_cor_factors(expansion, basis)
     for levels in _level_sets(n_c, expansion):
         lv = np.asarray(levels)
-        size = lv.size * n_r
-        v_cor = np.zeros((size, size))
-        for _, x_pow, q in factors:
-            v_cor += np.kron(x_pow[np.ix_(lv, lv)], q)
-        energies = (e_c[lv, None] + e_r).ravel()
-        yield lv, fock_core.hermitian_part(np.diag(energies) + v_cor)
+        yield lv, _hamiltonian_block(lv, e_c, e_r, factors)
+
+
+def _hamiltonian_block(lv: np.ndarray, e_c: np.ndarray, e_r: np.ndarray,
+                       factors: list[tuple[int, np.ndarray, np.ndarray]]) -> np.ndarray:
+    """diag(E_lv) + sum_a X_c^a[lv, lv] (x) Q_a, checked and symmetrized by
+    fock_core.hermitian_part.  The Kronecker terms are summed in place into
+    one array, and E is added on its diagonal last, which is the sum
+    diag(E) + V_cor term for term."""
+    n_r = e_r.size
+    h = np.zeros((lv.size, n_r, lv.size, n_r))
+    for _, x_pow, q in factors:
+        h += x_pow[np.ix_(lv, lv)][:, None, :, None] * q[None, :, None, :]
+    h = h.reshape(lv.size * n_r, -1)
+    h.flat[::h.shape[0] + 1] += (e_c[lv, None] + e_r).ravel()
+    return fock_core.hermitian_part(h)
 
 
 def _kron_apply_real(a_c: np.ndarray, a_r: np.ndarray, x: np.ndarray) -> np.ndarray:

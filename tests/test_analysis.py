@@ -326,16 +326,17 @@ def _refuse_blocks(*args, **kwargs):
 
 @pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
 def test_exact_memory_budget_counts_the_largest_block(spec, monkeypatch, state_mode):
-    """The estimate is the largest block's H and eigenvectors, plus post_kick's
-    two complex M x s overlaps; a budget equal to it passes, and one less
-    raises before any block is assembled."""
+    """The estimate is the largest block's eigensolve, five real s x s arrays
+    plus O(s), and post_kick's four complex M x chunk overlaps; a budget
+    equal to it passes, and one less raises before any block is assembled."""
     basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(17, 12))
     expansion = tm.anharmonic_expansion(spec, order=3)
     largest = max((h for _, h in an._hamiltonian_blocks(basis, expansion)), key=len)
     assert largest.shape == (9 * 12, 9 * 12)  # the even levels 0, 2, ..., 16
-    overlaps = 2 * 16 * (17 * 12) * len(largest) if state_mode == "post_kick" else 0
+    chunk = min(an._OVERLAP_CHUNK, len(largest))
+    overlaps = 4 * 16 * (17 * 12) * chunk if state_mode == "post_kick" else 0
     peak = an._exact_peak_bytes(basis, expansion, state_mode)
-    assert peak == 2 * largest.nbytes + overlaps
+    assert peak == 5 * largest.nbytes + 16 * 8 * len(largest) + overlaps
     monkeypatch.setattr(an, "_MAX_EXACT_BYTES", peak)
     assert an.exact_anharmonic_fidelity(basis, expansion, 1.0, state_mode) < 1.0
     monkeypatch.setattr(an, "_MAX_EXACT_BYTES", peak - 1)
@@ -345,13 +346,16 @@ def test_exact_memory_budget_counts_the_largest_block(spec, monkeypatch, state_m
 
 
 def test_exact_memory_budget_admits_the_post_kick_default(spec, kicked_basis, monkeypatch):
-    """Estimated here, never run: the n_bar_c 1 post_kick default (6.0 GB
-    measured) is under the budget, n_bar_c 3 post_kick is above it; the
-    order-6 check at dims (907, 474), 740 GB, raises with nothing allocated."""
+    """Estimated here, never run: the n_bar_c 1 post_kick default (1.9 GB
+    measured) and n_bar_c 2 are under the budget, n_bar_c 3 post_kick is
+    above it; the order-6 check at dims (907, 474), 1.9 TB, raises with
+    nothing allocated."""
     import tracemalloc
 
     order3 = tm.anharmonic_expansion(spec, order=3)
     assert an._exact_peak_bytes(kicked_basis, order3, "post_kick") <= an._MAX_EXACT_BYTES
+    warm = tm.build_mode_basis(spec, eta=7.0, n_bar_c=2.0)
+    assert an._exact_peak_bytes(warm, order3, "post_kick") <= an._MAX_EXACT_BYTES
     hot = tm.build_mode_basis(spec, eta=7.0, n_bar_c=3.0)
     assert an._exact_peak_bytes(hot, order3, "post_kick") > an._MAX_EXACT_BYTES
     huge = tm.build_mode_basis(spec, eta=0.0, n_bar_c=164.0, dims=(907, 474))
@@ -364,6 +368,86 @@ def test_exact_memory_budget_admits_the_post_kick_default(spec, kicked_basis, mo
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+@pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
+@pytest.mark.parametrize("eta, dims", [(3.0, (17, 12)), (7.0, (24, 19))])
+def test_exact_traced_peak_is_within_the_estimate(spec, eta, dims, state_mode):
+    """All that one call allocates through numpy, at its peak, fits the
+    estimate.  eigh's working copy and dsyevd's workspace, which the
+    estimate also counts, are malloc'ed out of tracemalloc's sight."""
+    import tracemalloc
+
+    basis = tm.build_mode_basis(spec, eta=eta, n_bar_c=1.0, dims=dims)
+    expansion = tm.anharmonic_expansion(spec, order=3)
+    tracemalloc.start()
+    try:
+        an.exact_anharmonic_fidelity(basis, expansion, 1.0, state_mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= an._exact_peak_bytes(basis, expansion, state_mode)
+
+
+def _whole_block_exact(basis, expansion, n_bar_c, state_mode):
+    """The exact overlap with each block summed as the dense
+    diag(E) + sum_a kron(X_c^a[lv, lv], Q_a) and each overlap contracted
+    over all of a block's eigenvector columns at once."""
+    n_c, n_r = basis.dims
+    t_g = basis.gate_time
+    e_c, e_r = tm.mode_energies(basis)
+    d_c, d_r = basis.kick_displacements()
+    left_c = d_c.conj().T * np.exp(1j * e_c * t_g)
+    left_r = d_r.conj().T * np.exp(1j * e_r * t_g)
+    p_c, p_r = basis.thermal_weights(n_bar_c)
+    amp = np.zeros((n_c, n_r), dtype=complex)
+    for levels in an._level_sets(n_c, expansion):
+        lv = np.asarray(levels)
+        v_cor = np.zeros((lv.size * n_r, lv.size * n_r))
+        for _, x_pow, q in tm.v_cor_factors(expansion, basis):
+            v_cor += np.kron(x_pow[np.ix_(lv, lv)], q)
+        h = fc.hermitian_part(np.diag((e_c[lv, None] + e_r).ravel()) + v_cor)
+        w, v = np.linalg.eigh(h)
+        decay = np.exp(-1j * w * t_g)
+        if state_mode == "pre_kick":
+            amp[lv] = ((v * v) @ decay).reshape(lv.size, -1)
+        else:
+            left = an._kron_apply_real(left_c[:, lv], left_r, v)
+            right = an._kron_apply_real(d_c.T[:, lv], d_r.T, v)
+            amp += ((left * right) @ decay).reshape(amp.shape)
+    return float(p_c @ (np.abs(amp) ** 2) @ p_r)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 10**6])
+@pytest.mark.parametrize("eta, dims, scale", [(3.0, (16, 12), 32.0), (7.0, (24, 19), 1.0)])
+def test_exact_post_kick_chunks_move_only_summation_order(
+        spec, monkeypatch, eta, dims, scale, chunk):
+    """Contracting the post_kick overlaps over chunks of 1, 7 (which divides
+    no block's 96 or 228 rows) or all eigenvector columns gives the
+    whole-block figure to summation order.  Both points have 1 - F above
+    1e-3, where one ulp of F is well inside 1e-12 of 1 - F."""
+    basis = tm.build_mode_basis(spec, eta=eta, n_bar_c=1.0, dims=dims)
+    expansion = tm.anharmonic_expansion(spec, order=3).scaled(scale)
+    monkeypatch.setattr(an, "_OVERLAP_CHUNK", chunk)
+    ref = 1.0 - _whole_block_exact(basis, expansion, 1.0, "post_kick")
+    got = 1.0 - an.exact_anharmonic_fidelity(basis, expansion, 1.0, "post_kick")
+    assert ref > 1e-3
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("order", [3, 6, "odd"])
+def test_exact_pre_kick_equals_the_whole_block_route_bit_for_bit(spec, order):
+    """pre_kick takes no chunks, and its blocks, summed in place, are the
+    dense sums bit for bit, so its figure is unchanged to the last bit, in
+    two blocks (orders 3 and 6) and in one (x_c x_r^2, an odd power)."""
+    if order == "odd":
+        expansion = tm.AnharmonicExpansion(order=3, coefficients={(1, 2): 0.1})
+    else:
+        expansion = tm.anharmonic_expansion(spec, order=order)
+    basis = tm.build_mode_basis(spec, eta=7.0, n_bar_c=1.0, dims=(24, 19))
+    got = an.exact_anharmonic_fidelity(basis, expansion, 1.0, "pre_kick")
+    assert got < 1.0
+    assert got == _whole_block_exact(basis, expansion, 1.0, "pre_kick")
 
 
 def test_variance_scales_quadratically(anharmonic_setup):

@@ -840,7 +840,7 @@ def test_anharmonic_compares_routes(capsys):
 
 
 def test_anharmonic_exact_check_over_budget_exits_1_at_once(capsys, monkeypatch):
-    """The exact check's largest block would need 740 GB here: one config-error
+    """The exact check's largest block would need 1.9 TB here: one config-error
     line, and neither route allocates (the exact check runs first)."""
     import tracemalloc
 
