@@ -259,7 +259,7 @@ def anharmonic_fidelity(
     needs kick-sized truncations.
 
     W is never formed: it is the sum of K Kronecker products A_k (x) B_k of
-    _integral_factors (4 at order 3, 16 at order 6), the kick conjugates
+    _integral_factors (4 at order 3), the kick conjugates
     each factor, D^dag (A (x) B) D = (d_c^dag A d_c) (x) (d_r^dag B d_r),
     and with the thermal weights p = p_c (x) p_r
     <W> = sum_k (p_c . diag A_k)(p_r . diag B_k) and
@@ -268,7 +268,8 @@ def anharmonic_fidelity(
     K (n_c^3 + n_r^3) + K^2 (n_c^2 + n_r^2) against M^2 (n_c + n_r) for the
     dense M x M integral (M = n_c n_r); above _MAX_FACTOR_ENTRIES it raises
     ConfigError before allocating.  The empty expansion (order 0) has K = 0,
-    so F_cor is exactly 1, returned with nothing sized by the dims.
+    so F_cor is exactly 1, returned with nothing sized by the dims.  A mean
+    or variance that leaves double range raises OverflowError.
     """
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
@@ -283,16 +284,19 @@ def anharmonic_fidelity(
             f"factor entries, above the budget of {_MAX_FACTOR_ENTRIES:,} (about 0.75 GB); "
             f"lower n_bar_c or the dims, or set [anharmonic] order 0 to skip F_cor")
     a_fac, b_fac = _integral_factors(basis, expansion)
-    if state_mode == "post_kick":
-        d_c, d_r = basis.kick_displacements()
-        a_fac = d_c.conj().T @ a_fac @ d_c
-        b_fac = d_r.conj().T @ b_fac @ d_r
     p_c, p_r = basis.thermal_weights(n_bar_c)
-    diag_c = np.diagonal(a_fac, axis1=1, axis2=2) @ p_c
-    diag_r = np.diagonal(b_fac, axis1=1, axis2=2) @ p_r
-    mean = float(np.real(diag_c @ diag_r))
-    second = float(np.real(np.sum(_weighted_gram(a_fac, p_c) * _weighted_gram(b_fac, p_r))))
-    var = second - mean * mean
+    with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+        if state_mode == "post_kick":
+            d_c, d_r = basis.kick_displacements()
+            a_fac = d_c.conj().T @ a_fac @ d_c
+            b_fac = d_r.conj().T @ b_fac @ d_r
+        diag_c = np.diagonal(a_fac, axis1=1, axis2=2) @ p_c
+        diag_r = np.diagonal(b_fac, axis1=1, axis2=2) @ p_r
+        mean = float(np.real(diag_c @ diag_r))
+        second = float(np.real(np.sum(_weighted_gram(a_fac, p_c) * _weighted_gram(b_fac, p_r))))
+        var = second - mean * mean
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise OverflowError(f"F_cor's phase mean {mean} or variance {var} is not finite")
     return AnharmonicReport(
         f_cor=1.0 - var, variance=var, mean_phase=mean, dims=basis.dims,
         state_mode=state_mode, order=expansion.order,
@@ -317,10 +321,10 @@ def exact_anharmonic_fidelity(
 
     Neither the gate unitary nor any M x M array (M = n_c n_r) is formed.
     H = diag(E) + V_cor is real symmetric, and V_cor = sum_a X_c^a (x) Q_a
-    (trap_model.v_cor_factors) couples x_c levels of opposite parity only
-    through odd a.  So H is assembled from the factors and diagonalized
-    block by block (_hamiltonian_blocks: the even and the odd x_c levels
-    when every a is even), each block H_b = v diag(w) v^T with v real.
+    (trap_model.v_cor_factors) has only even powers a of x_c, so it couples
+    no two x_c levels of opposite parity.  H is therefore assembled from the
+    factors and diagonalized in two blocks (_hamiltonian_blocks: the even
+    and the odd x_c levels), each H_b = v diag(w) v^T with v real.
     Then, with Phi = diag(e^{i E t_g}) and D = d_c (x) d_r the opening-kick
     displacement:
 
@@ -343,7 +347,7 @@ def exact_anharmonic_fidelity(
         raise ValueError(f"unknown state_mode {state_mode!r}")
     if not expansion.coefficients:
         return 1.0
-    peak = _exact_peak_bytes(basis, expansion, state_mode)
+    peak = _exact_peak_bytes(basis, state_mode)
     if peak > _MAX_EXACT_BYTES:
         n_c, n_r = basis.dims
         raise ConfigError(
@@ -385,26 +389,15 @@ _OVERLAP_CHUNK = 64
 _MAX_EXACT_BYTES = 4 * 10**9
 
 
-def _level_sets(n_c: int, expansion: AnharmonicExpansion) -> list[range]:
-    """The x_c levels of each block of H to diagonalize apart, read off the
-    powers a of x_c: the even and the odd levels when every a is even
-    (X_c^a then has no element between levels of opposite parity), one set
-    with every level otherwise."""
-    if all(a % 2 == 0 for a, _ in expansion.coefficients):
-        return [range(0, n_c, 2), range(1, n_c, 2)]
-    return [range(n_c)]
-
-
-def _exact_peak_bytes(basis: ModeBasis, expansion: AnharmonicExpansion,
-                      state_mode: str) -> int:
+def _exact_peak_bytes(basis: ModeBasis, state_mode: str) -> int:
     """Estimated peak memory of exact_anharmonic_fidelity, from the dims
-    alone.  The largest block's eigensolve sets it: for s = levels * n_r
+    alone.  The even x_c levels' eigensolve sets it: for s = ceil(n_c/2) n_r
     rows, eigh holds the real H, numpy's working copy, dsyevd's workspace
     (2 s^2 + 6 s doubles and 5 s ints) and the eigenvectors, 5 s^2 doubles,
     where assembling H takes at most 3 s^2.  post_kick adds its overlaps,
     at most four complex M x chunk arrays (M = n_c n_r)."""
     n_c, n_r = basis.dims
-    size = max(len(levels) for levels in _level_sets(n_c, expansion)) * n_r
+    size = (n_c + 1) // 2 * n_r
     peak = 8 * (5 * size + 16) * size
     if state_mode == "post_kick":
         peak += 4 * 16 * n_c * n_r * min(_OVERLAP_CHUNK, size)
@@ -412,16 +405,15 @@ def _exact_peak_bytes(basis: ModeBasis, expansion: AnharmonicExpansion,
 
 
 def _hamiltonian_blocks(basis: ModeBasis, expansion: AnharmonicExpansion):
-    """(x_c levels lv, H[lv (x) all, lv (x) all]) for each block of
-    H = diag(E) + V_cor to diagonalize apart (_level_sets), assembled from
+    """(x_c levels lv, H[lv (x) all, lv (x) all]) for the even, then the
+    odd x_c levels lv, the two blocks of H = diag(E) + V_cor, assembled from
     v_cor_factors by _hamiltonian_block, whose frame, unlike this one, ends
     before the caller diagonalizes, and with it the unsymmetrized sum.
     """
     n_c, _ = basis.dims
     e_c, e_r = mode_energies(basis)
     factors = v_cor_factors(expansion, basis)
-    for levels in _level_sets(n_c, expansion):
-        lv = np.asarray(levels)
+    for lv in (np.arange(0, n_c, 2), np.arange(1, n_c, 2)):
         yield lv, _hamiltonian_block(lv, e_c, e_r, factors)
 
 

@@ -85,7 +85,7 @@ _SETTINGS = (
      (lambda raw: all(v >= 0.0 for v in _parse_grid(raw, "n_bars")),
       "a list of non-negative numbers")),
     ("anharmonic", "order", 3, int, "--order", ("gate", "scan", "anharmonic"),
-     "expansion order (0 disables)", (lambda v: v == 0 or 3 <= v <= 6, "0 or between 3 and 6")),
+     "3 for the cubic correction, 0 for none", (lambda v: v in (0, 3), "0 or 3")),
     ("anharmonic", "scale", 1.0, float, "--scale", ("anharmonic",),
      "coefficient scale factor", None),
     ("anharmonic", "n_bar_c", 1.0, float, "--anh-n-bar-c", ("anharmonic",),
@@ -317,6 +317,8 @@ def _reported_f_cor(f_cor, where: str | None):
 
 def cmd_modes(cfg: dict, args: argparse.Namespace) -> int:
     if args.solve_ratio is not None:
+        if not math.isfinite(args.solve_ratio):
+            raise ConfigError(f"--solve-ratio must be finite, got {args.solve_ratio!r}")
         exponent = trap_model.solve_exponent_for_ratio(args.solve_ratio)
         cfg["trap"]["exponent"] = exponent
     spec = build_trap(cfg)

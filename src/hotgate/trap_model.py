@@ -10,8 +10,8 @@ nu_c) and a stretch mode (x_r, mass m/2, frequency nu_r), with
 The frequency ratio nu_r/nu_c = sqrt((p+1)/(p-1)) depends only on the
 exponent p, which is what makes the commensurate choice (ratio exactly 2,
 p = 5/3) possible; it inverts in closed form, as the force balance does.
-The residual cubic-and-up Taylor terms of the full potential around
-equilibrium ("V_cor") are what the anharmonic error analysis consumes.
+The residual cubic Taylor terms of the full potential around equilibrium
+("V_cor") are what the anharmonic error analysis consumes.
 
 Units: hbar = 1; the reference length is the single-ion ground-state width
 x0 = 1/sqrt(2*m*nu_c).
@@ -20,7 +20,7 @@ x0 = 1/sqrt(2*m*nu_c).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import exp, factorial, inf, log, sqrt
+from math import exp, inf, log, sqrt
 
 import numpy as np
 
@@ -327,13 +327,18 @@ def mode_energies(basis: ModeBasis) -> tuple[np.ndarray, np.ndarray]:
 class AnharmonicExpansion:
     """Taylor remainder of the two-ion potential beyond quadratic order.
 
-    coefficients maps (a, b) -> real coefficient of x_c^a * x_r^b; only
-    monomials of total degree 3..order appear, and mirror symmetry of the
-    trap (x_c -> -x_c at fixed x_r) removes every odd power of x_c.
+    coefficients maps (a, b) -> real coefficient of x_c^a * x_r^b.  Mirror
+    symmetry of the trap (x_c -> -x_c at fixed x_r) removes every odd power
+    of x_c, and an expansion with one raises ValueError: the exact route
+    diagonalizes the even and the odd x_c levels apart on that symmetry.
     """
 
     order: int
     coefficients: dict
+
+    def __post_init__(self):
+        if any(a % 2 for a, _ in self.coefficients):
+            raise ValueError(f"odd powers of x_c break the mirror symmetry: {self.coefficients}")
 
     def scaled(self, factor: float) -> "AnharmonicExpansion":
         return AnharmonicExpansion(
@@ -343,28 +348,25 @@ class AnharmonicExpansion:
 
 
 def anharmonic_expansion(spec: TrapSpec, order: int = 3) -> AnharmonicExpansion:
-    """Analytic Taylor coefficients of V_cor around equilibrium.
+    """Analytic Taylor coefficients of V_cor around equilibrium: the cubic at
+    order 3, none at order 0 (which every route reads as V_cor = 0).
 
-    The trap wells contribute V^(n)(x_e/2)*(1/2)^b * 2/(a! b!) for even a
-    with a + b = n (the odd-a terms cancel between the two mirrored ions);
-    the Coulomb term contributes C*(-1)^n / x_e^(n+1) to the pure-x_r
-    monomials.  Cross-checked against finite differences in the tests.
-    Order 0 is the empty expansion, which every route reads as V_cor = 0.
+    The wells contribute V'''(x_e/2) (x_c^2 x_r / 2 + x_r^3 / 24), their odd
+    x_c powers cancelling between the mirrored ions, and the Coulomb term
+    -C x_r^3 / x_e^4; the tests check both by finite differences.  No higher
+    order: the quartic's first-order level shifts, without the cubic's
+    second-order ones of the same size, move F_cor away from the exact check.
     """
-    if order != 0 and not 3 <= order <= 6:
-        raise ValueError("order must be 0 or between 3 and 6")
+    if order not in (0, 3):
+        raise ValueError("order must be 0 or 3")
+    if order == 0:
+        return AnharmonicExpansion(order=0, coefficients={})
     x_e = equilibrium_separation(spec)
-    u = x_e / 2.0
-    coeffs: dict = {}
-    for n in range(3, order + 1):
-        v_n = potential_derivative(spec, u, n)
-        for a in range(0, n + 1, 2):
-            b = n - a
-            c = v_n * 0.5**b * 2.0 / (factorial(a) * factorial(b))
-            if c != 0.0:
-                coeffs[(a, b)] = coeffs.get((a, b), 0.0) + c
-        coeffs[(0, n)] = coeffs.get((0, n), 0.0) + spec.coulomb * (-1.0) ** n / x_e ** (n + 1)
-    return AnharmonicExpansion(order=order, coefficients=coeffs)
+    v_3 = potential_derivative(spec, x_e / 2.0, 3)
+    coeffs = {(0, 3): v_3 / 24.0 - spec.coulomb / x_e**4}
+    if v_3 != 0.0:  # a harmonic wall (p = 2) has no x_c^2 x_r term
+        coeffs[(2, 1)] = v_3 / 2.0
+    return AnharmonicExpansion(order=3, coefficients=coeffs)
 
 
 def _position_powers(dim: int, width: float, max_power: int) -> list[np.ndarray]:
@@ -383,7 +385,7 @@ def v_cor_factors(expansion: AnharmonicExpansion,
     X_c^a is the a-th power of the truncated x_c matrix and
     Q_a = sum_b c_ab X_r^b; both are real and symmetric up to roundoff.
     X_c^a is nonzero only on the diagonals n - n' in {-a, -a+2, ..., a}, so
-    with the mirror-symmetric expansion (even a only) every x_c block
+    with every a even (AnharmonicExpansion admits no other) every x_c block
     between levels of opposite parity is exactly zero.  This is the one
     definition of V_cor: analysis.anharmonic_fidelity integrates the factors
     and analysis.exact_anharmonic_fidelity assembles H block by block from

@@ -125,6 +125,16 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("separation", "--points", "1"),
     ("anharmonic", "--anh-n-bar-c", "-1"),
     ("anharmonic", "--order", "2"),
+    # the cubic is the one correction: orders 4-6 were dropped
+    ("gate", "--order", "4"),
+    ("gate", "--order", "5"),
+    ("gate", "--order", "6"),
+    ("anharmonic", "--order", "4"),
+    ("anharmonic", "--order", "5"),
+    ("anharmonic", "--order", "6"),
+    ("scan", "--order", "4"),
+    ("scan", "--order", "5"),
+    ("scan", "--order", "6"),
     ("scan", "--etas", "0"),
     ("scan", "--n-bars", "-1"),
     ("scan", "--rabi-cycles", "0"),
@@ -143,11 +153,14 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("scan", "--etas", "inf", "--n-bars", "0"),
     ("scan", "--etas", "2", "--n-bars", "inf"),
     ("anharmonic", "--scale", "nan"),
+    ("modes", "--solve-ratio", "nan"),  # a bad input, not an infeasible trap
+    ("modes", "--solve-ratio", "inf"),
     # finite, but too large for the arithmetic they enter
     ("gate", "--eta", "1e300"),
     ("gate", "--n-bar-c", "1e300"),
     ("modes", "--eta", "1e300"),
     ("conditions", "--eta", "1e200"),
+    ("anharmonic", "--scale", "1e300", "--anh-dims", "8,6"),  # F_cor's variance
     # in range, but a trap constant derived from them leaves double range
     ("modes", "--mass", "1e300"),
     ("modes", "--exponent", "1e300"),
@@ -323,17 +336,28 @@ def test_gate_anharmonic_column(capsys):
 
 def test_gate_and_scan_read_one_anharmonic_order(capsys, tmp_path):
     ini = tmp_path / "order.ini"
-    ini.write_text("[anharmonic]\norder = 4\n")
+    ini.write_text("[anharmonic]\norder = 0\n")
     rc, out, _ = run(capsys, "gate", "--config", str(ini), "--eta", "7", "--n-bar-c", "1",
                      "--precision", "17")
     assert rc == 0
     f_cor = json.loads(out)["f_cor"]
-    assert f_cor == pytest.approx(0.999997822551, abs=1e-12)  # order 3 gives ...825495
+    assert f_cor == 1.0  # order 3 gives 0.99999782549...
     rc, out, _ = run(capsys, "scan", "--config", str(ini), "--etas", "7", "--n-bars", "1",
                      "--precision", "17")
     assert rc == 0
     row = [ln for ln in out.splitlines() if not ln.startswith("#")][1].split(",")
     assert float(row[4]) == f_cor
+
+
+def test_ini_order_outside_0_and_3_exits_1(capsys, tmp_path):
+    """The INI key is checked like the flag: the cubic is the one correction."""
+    ini = tmp_path / "order.ini"
+    for order in (4, 5, 6):
+        ini.write_text(f"[anharmonic]\norder = {order}\n")
+        for command in ("gate", "scan", "anharmonic"):
+            rc, out, err = run(capsys, command, "--config", str(ini))
+            assert (rc, out) == (1, "")
+            assert err == f"hotgate: config error: [anharmonic] order must be 0 or 3, got {order}\n"
 
 
 def test_gate_check_convergence(capsys):
@@ -555,7 +579,7 @@ def test_config_hash_ignores_execution_only_settings():
 def test_config_hash_covers_only_settings_the_command_reads():
     cfg = cli.load_config(None)
     base = {cmd: cli.config_hash(cfg, cmd) for cmd in ("gate", "scan", "anharmonic")}
-    cfg["anharmonic"]["order"] = 4  # read by gate and by scan too
+    cfg["anharmonic"]["order"] = 0  # read by gate and by scan too
     assert all(cli.config_hash(cfg, cmd) != base[cmd] for cmd in base)
     cfg = cli.load_config(None)
     cfg["anharmonic"]["scale"] = 2.0  # read by anharmonic only
@@ -637,9 +661,9 @@ _DATA_CASES = {
     ("gate", "flip"): [("gate", (), ("--flip", "idealized"))],
     ("scan", "etas"): [("scan", _SCAN, (*_SCAN, "--etas", "3"))],
     ("scan", "n_bars"): [("scan", _SCAN, (*_SCAN, "--n-bars", "0.5"))],
-    ("anharmonic", "order"): [("anharmonic", _ANH, (*_ANH, "--order", "4")),
-                              ("gate", _HOT, (*_HOT, "--order", "4")),
-                              ("scan", _HOT_SCAN, (*_HOT_SCAN, "--order", "4"))],
+    ("anharmonic", "order"): [("anharmonic", _ANH, (*_ANH, "--order", "0")),
+                              ("gate", _HOT, (*_HOT, "--order", "0")),
+                              ("scan", _HOT_SCAN, (*_HOT_SCAN, "--order", "0"))],
     ("anharmonic", "scale"): [("anharmonic", _ANH, (*_ANH, "--scale", "2"))],
     ("anharmonic", "n_bar_c"): [("anharmonic", _ANH, (*_ANH, "--anh-n-bar-c", "0.5"))],
     ("anharmonic", "state_mode"): [("anharmonic", _ANH, (*_ANH, "--state-mode", "post_kick"))],
@@ -852,7 +876,7 @@ def test_anharmonic_exact_check_over_budget_exits_1_at_once(capsys, monkeypatch)
     monkeypatch.setattr(analysis, "_hamiltonian_blocks", refuse)
     tracemalloc.start()
     try:
-        rc, out, err = run(capsys, "anharmonic", "--anh-n-bar-c", "164", "--order", "6",
+        rc, out, err = run(capsys, "anharmonic", "--anh-n-bar-c", "164",
                            "--anh-dims", "907,474")
         _, peak = tracemalloc.get_traced_memory()
     finally:

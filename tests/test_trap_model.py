@@ -242,34 +242,40 @@ def test_mode_energies_ladder(spec):
 
 
 def test_expansion_against_finite_differences(spec):
-    """Every cubic and quartic coefficient against FD mixed partials."""
+    """Every cubic coefficient against FD mixed partials."""
     x_e = tm.equilibrium_separation(spec)
-    exp4 = tm.anharmonic_expansion(spec, order=4)
+    exp3 = tm.anharmonic_expansion(spec, order=3)
 
     def f(xc, xr):
         return oracles.total_potential(spec, xc, xr, x_e)
 
     h = 2.0  # x_e ~ 5.8e2 here, so this sits well inside the convergence zone
-    for (a, b), coeff in exp4.coefficients.items():
+    for (a, b), coeff in exp3.coefficients.items():
         fd = _mixed_partial(f, a, b, h) / (math.factorial(a) * math.factorial(b))
         assert coeff == pytest.approx(fd, rel=2e-4), (a, b)
 
 
 def test_expansion_structure(spec):
-    exp6 = tm.anharmonic_expansion(spec, order=6)
-    degrees = {a + b for a, b in exp6.coefficients}
-    assert degrees == {3, 4, 5, 6}
-    # mirror symmetry of the two wells kills every odd power of x_c
-    assert all(a % 2 == 0 for a, _ in exp6.coefficients)
-    assert (2, 1) in exp6.coefficients
-    assert (0, 3) in exp6.coefficients
-    assert (4, 2) in exp6.coefficients
-    with pytest.raises(ValueError):
-        tm.anharmonic_expansion(spec, order=2)
-    with pytest.raises(ValueError):
-        tm.anharmonic_expansion(spec, order=7)
+    # mirror symmetry of the two wells kills x_c^3 and x_c x_r^2
+    assert set(tm.anharmonic_expansion(spec, order=3).coefficients) == {(0, 3), (2, 1)}
+    # the harmonic wall has no cubic term of its own: only the Coulomb x_r^3
+    harmonic = tm.TrapSpec.normalized(exponent=2.0)
+    assert set(tm.anharmonic_expansion(harmonic, order=3).coefficients) == {(0, 3)}
+    for order in (1, 2, 4, 5, 6, 7):
+        with pytest.raises(ValueError, match="0 or 3"):
+            tm.anharmonic_expansion(spec, order=order)
     # order 0 switches the correction off: no monomials at all
     assert tm.anharmonic_expansion(spec, order=0).coefficients == {}
+
+
+def test_expansion_rejects_odd_xc_powers(spec):
+    """An odd power of x_c breaks the mirror symmetry that the exact route's
+    two parity blocks rest on: the type refuses it, even at coefficient 0."""
+    cubic = tm.anharmonic_expansion(spec, order=3).coefficients
+    for odd in ((1, 2), (3, 0), (1, 0)):
+        for coeff in (0.1, 0.0):
+            with pytest.raises(ValueError, match="mirror symmetry"):
+                tm.AnharmonicExpansion(order=3, coefficients={**cubic, odd: coeff})
 
 
 def test_expansion_scaling(spec):
@@ -301,7 +307,7 @@ def test_motional_hamiltonian_diagonal_harmonic(spec):
 
 def test_v_cor_and_hamiltonian_are_real(spec):
     basis = tm.build_mode_basis(spec, eta=0.45, dims=(6, 5))
-    v = oracles.v_cor_operator(tm.anharmonic_expansion(spec, order=6), basis)
+    v = oracles.v_cor_operator(tm.anharmonic_expansion(spec, order=3), basis)
     assert v.dtype == np.float64
     np.testing.assert_array_equal(v, v.T)
     assert oracles.motional_hamiltonian(basis).dtype == np.float64
