@@ -334,7 +334,7 @@ def exact_anharmonic_fidelity(
       (D^T v)_jk, where D^dag Phi = (d_c^dag Phi_c) (x) (d_r^dag Phi_r) and
       both factored operators act on the real v (_kron_apply_real), over
       _OVERLAP_CHUNK eigenvector columns at a time, so the complex overlaps
-      are M x chunk and not M x s.
+      are M x chunk and not M x s, for the members j of nonzero p_j alone.
 
     Each block's H is dropped once it is diagonalized, and its v before the
     next block is assembled, so the peak is the largest block's eigensolve.
@@ -357,12 +357,17 @@ def exact_anharmonic_fidelity(
             f"[anharmonic] order 0")
     t_g = basis.gate_time
     p_c, p_r = basis.thermal_weights(n_bar_c)
-    amp = np.zeros((p_c.size, p_r.size), dtype=complex)
     if state_mode == "post_kick":
+        # only members of nonzero weight are overlapped (one at n_bar_c 0); their
+        # rows are taken in F order, so the matmuls round as with all of them
+        keep_c, keep_r = np.flatnonzero(p_c), np.flatnonzero(p_r)
+        p_c, p_r = p_c[keep_c], p_r[keep_r]
         e_c, e_r = mode_energies(basis)
         d_c, d_r = basis.kick_displacements()
-        left_c = d_c.conj().T * np.exp(1j * e_c * t_g)
-        left_r = d_r.conj().T * np.exp(1j * e_r * t_g)
+        left_c = np.take(d_c.conj() * np.exp(1j * e_c * t_g)[:, None], keep_c, axis=1).T
+        left_r = np.take(d_r.conj() * np.exp(1j * e_r * t_g)[:, None], keep_r, axis=1).T
+        right_c, right_r = np.take(d_c, keep_c, axis=1).T, np.take(d_r, keep_r, axis=1).T
+    amp = np.zeros((p_c.size, p_r.size), dtype=complex)
     for lv, h in _hamiltonian_blocks(basis, expansion):
         w, v = np.linalg.eigh(h)
         del h
@@ -373,7 +378,7 @@ def exact_anharmonic_fidelity(
             for k in range(0, v.shape[1], _OVERLAP_CHUNK):
                 cols = slice(k, k + _OVERLAP_CHUNK)
                 left = _kron_apply_real(left_c[:, lv], left_r, v[:, cols])
-                right = _kron_apply_real(d_c.T[:, lv], d_r.T, v[:, cols])
+                right = _kron_apply_real(right_c[:, lv], right_r, v[:, cols])
                 amp += ((left * right) @ decay[cols]).reshape(amp.shape)
         del v
     return float(p_c @ (np.abs(amp) ** 2) @ p_r)

@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -64,18 +65,15 @@ _SETTINGS = (
     ("trap", "mass", 1.0, float, "--mass", _ALL, None, _POSITIVE),
     ("trap", "separation_in_x0", 820.0, float, "--separation-in-x0", _ALL,
      "equilibrium separation in ground-state widths", _POSITIVE),
-    ("trap", "stiffness", None, float, "--stiffness", _ALL, "explicit wall prefactor",
-     _POSITIVE),
-    ("trap", "coulomb", None, float, "--coulomb", _ALL, "explicit repulsion constant",
-     _POSITIVE),
     ("gate", "eta", 7.0, float, "--eta", _ETA, "effective kick strength", _POSITIVE),
-    ("gate", "n_bar_c", 0.0, float, "--n-bar-c", ("modes", "conditions", "gate"),
+    ("gate", "n_bar_c", 0.0, float, "--n-bar-c", ("modes", "conditions", "gate", "anharmonic"),
      "thermal COM occupation", _NON_NEGATIVE),
     ("gate", "rabi_cycles", 3, int, "--rabi-cycles", _SCHEDULE, None,
      (lambda v: v >= 1, "a positive integer")),
     ("gate", "margin", 3.0, float, "--margin", ("conditions", "gate"), None,
      (lambda v: v >= 1.0, "at least 1")),
-    ("gate", "dims", None, str, "--dims", ("separation",), "Fock truncation 'n_c,n_r'", None),
+    ("gate", "dims", None, str, "--dims", ("separation", "anharmonic"),
+     "Fock truncation 'n_c,n_r'", None),
     ("gate", "flip", "gaussian", ("gaussian", "idealized"), "--flip", ("gate", "scan"),
      None, None),
     ("scan", "etas", "2,4,7", str, "--etas", ("scan",), "comma-separated eta grid",
@@ -88,11 +86,8 @@ _SETTINGS = (
      "3 for the cubic correction, 0 for none", (lambda v: v in (0, 3), "0 or 3")),
     ("anharmonic", "scale", 1.0, float, "--scale", ("anharmonic",),
      "coefficient scale factor", None),
-    ("anharmonic", "n_bar_c", 1.0, float, "--anh-n-bar-c", ("anharmonic",),
-     "thermal occupation for the dephasing average", _NON_NEGATIVE),
     ("anharmonic", "state_mode", "pre_kick", ("pre_kick", "post_kick"), "--state-mode",
      ("anharmonic",), None, None),
-    ("anharmonic", "dims", None, str, "--anh-dims", ("anharmonic",), None, None),
     ("separation", "points", 64, int, "--points", ("separation",),
      "sample count over [0, t_g]", (lambda v: v >= 2, "at least 2")),
     ("output", "path", None, str, "--output", _ALL, "write here instead of stdout", None),
@@ -104,9 +99,6 @@ _DEFAULTS = {section: {k: default for s, k, default, *_ in _SETTINGS if s == sec
              for section, *_ in _SETTINGS}
 _KINDS = {(section, key): kind for section, key, _, kind, *_ in _SETTINGS}
 _READERS = {(section, key): commands for section, key, *_, commands, _, _ in _SETTINGS}
-
-# settings that steer where the data goes but not the data itself
-_HASH_EXCLUDE = {("output", "path")}
 
 
 def _check_ranges(cfg: dict, command: str) -> None:
@@ -154,12 +146,12 @@ def load_config(path: str | None) -> dict:
 
 
 def config_hash(cfg: dict, command: str) -> str:
-    """sha256 over the resolved settings that command reads, so a setting
-    it ignores cannot change its header."""
+    """sha256 over the resolved settings that command reads but the output
+    path, so a setting that does not shape its data cannot change its header."""
     parts = [f"command={command}"]
     for section in sorted(cfg):
         for key in sorted(cfg[section]):
-            if (section, key) in _HASH_EXCLUDE or command not in _READERS[(section, key)]:
+            if (section, key) == ("output", "path") or command not in _READERS[(section, key)]:
                 continue
             parts.append(f"{section}.{key}={cfg[section][key]!r}")
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
@@ -190,15 +182,9 @@ def _parse_grid(raw, name: str) -> list[float]:
 
 
 def build_trap(cfg: dict) -> trap_model.TrapSpec:
+    """The [trap] settings' normalized trap; README converts an explicit (K, C)."""
     t = cfg["trap"]
-    explicit = t["stiffness"] is not None or t["coulomb"] is not None
-    if explicit and (t["stiffness"] is None or t["coulomb"] is None):
-        raise ConfigError("explicit traps need both stiffness and coulomb")
     try:
-        if explicit:
-            return trap_model.TrapSpec(
-                exponent=t["exponent"], stiffness=t["stiffness"],
-                coulomb=t["coulomb"], mass=t["mass"])
         return trap_model.TrapSpec.normalized(
             exponent=t["exponent"], nu_c=t["nu_c"], mass=t["mass"],
             separation_in_x0=t["separation_in_x0"])
@@ -220,7 +206,8 @@ def _resolve_path(path: str | None) -> str | None:
     return path
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text: str, cfg: dict) -> None:
+    path = _resolve_path(cfg["output"]["path"])
     if path is None:
         sys.stdout.write(text)
         return
@@ -260,16 +247,20 @@ def _hash_line(cfg: dict, command: str) -> str:
     return f"# config-hash: sha256:{config_hash(cfg, command)}"
 
 
+def _generated() -> str:
+    return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
 def _header_lines(command: str, cfg: dict, notes: list[str], stamp: bool) -> list[str]:
     lines = [f"# hotgate {command}", _hash_line(cfg, command)]
     lines += [f"# {note}" for note in notes]
     if stamp:
-        lines.append("# generated: " + datetime.datetime.now(datetime.timezone.utc)
-                     .strftime("%Y-%m-%dT%H:%M:%SZ"))
+        lines.append("# generated: " + _generated())
     return lines
 
 
-def _csv_text(command, cfg, columns, rows, notes, stamp, precision) -> str:
+def _csv_text(command, cfg, columns, rows, notes, stamp) -> str:
+    precision = cfg["output"]["precision"]
     lines = _header_lines(command, cfg, notes, stamp)
     lines.append(",".join(columns))
     for row in rows:
@@ -277,20 +268,20 @@ def _csv_text(command, cfg, columns, rows, notes, stamp, precision) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _kv_text(command, cfg, pairs, notes, stamp, precision) -> str:
+def _kv_text(command, cfg, pairs, notes, stamp) -> str:
     lines = _header_lines(command, cfg, notes, stamp)
-    lines += [f"{k}={_fmt(v, precision)}" for k, v in pairs]
+    lines += [f"{k}={_fmt(v, cfg['output']['precision'])}" for k, v in pairs]
     return "\n".join(lines) + "\n"
 
 
-def _json_text(command, cfg, payload: dict, stamp, precision) -> str:
+def _json_text(command, cfg, payload: dict, stamp) -> str:
     body = {"command": command,
             "config_hash": "sha256:" + config_hash(cfg, command)}
     if stamp:
-        body["generated"] = (datetime.datetime.now(datetime.timezone.utc)
-                             .strftime("%Y-%m-%dT%H:%M:%SZ"))
+        body["generated"] = _generated()
     body.update(payload)
-    return json.dumps(_quantize(body, precision), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_quantize(body, cfg["output"]["precision"]), indent=2,
+                      sort_keys=True) + "\n"
 
 
 _FIDELITY_NOTE = ("fidelity: average over pure input states, "
@@ -347,8 +338,7 @@ def cmd_modes(cfg: dict, args: argparse.Namespace) -> int:
         pairs.insert(0, ("target_ratio", args.solve_ratio))
     notes = ["mode frequencies from the static curvature at equilibrium",
              "lengths share the unit of x0 = 1/sqrt(2*m*nu_c)"]
-    text = _kv_text("modes", cfg, pairs, notes, args.stamp, cfg["output"]["precision"])
-    _emit(text, _resolve_path(cfg["output"]["path"]))
+    _emit(_kv_text("modes", cfg, pairs, notes, args.stamp), cfg)
     return 0
 
 
@@ -362,9 +352,8 @@ def cmd_separation(cfg: dict, args: argparse.Namespace) -> int:
              "d = distance between the kicked branches of ion 1",
              "columns: t,d_analytic,d_numeric"]
     rows = list(zip(curve.times, curve.analytic, curve.numeric))
-    text = _csv_text("separation", cfg, ["t", "d_analytic", "d_numeric"],
-                     rows, notes, args.stamp, cfg["output"]["precision"])
-    _emit(text, _resolve_path(cfg["output"]["path"]))
+    _emit(_csv_text("separation", cfg, ["t", "d_analytic", "d_numeric"], rows, notes,
+                    args.stamp), cfg)
     if not curve.converged:
         sys.stderr.write("separation: numeric route failed the doubled-"
                          "truncation check\n")
@@ -379,9 +368,7 @@ def cmd_conditions(cfg: dict, args: argparse.Namespace) -> int:
     _, report = gate_protocol.condition_solver(
         basis, n_bar_c=cfg["gate"]["n_bar_c"],
         rabi_cycles=cfg["gate"]["rabi_cycles"], margin=cfg["gate"]["margin"])
-    text = _json_text("conditions", cfg, report.to_dict(), args.stamp,
-                      cfg["output"]["precision"])
-    _emit(text, _resolve_path(cfg["output"]["path"]))
+    _emit(_json_text("conditions", cfg, report.to_dict(), args.stamp), cfg)
     return 0
 
 
@@ -395,8 +382,7 @@ def cmd_gate(cfg: dict, args: argparse.Namespace) -> int:
     payload = report.to_dict()
     payload["f_cor"] = _reported_f_cor(report.f_cor, "gate")
     payload["note"] = _FIDELITY_NOTE
-    text = _json_text("gate", cfg, payload, args.stamp, cfg["output"]["precision"])
-    _emit(text, _resolve_path(cfg["output"]["path"]))
+    _emit(_json_text("gate", cfg, payload, args.stamp), cfg)
     if args.check_convergence and payload["f_cor"] is not None:
         # the channel checks its own quadrature; F_cor is the one figure
         # gate reports from a truncated Fock space, and one it does not
@@ -470,7 +456,7 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
             else open(partial, "w", encoding="utf-8", newline="\n"))
     with sink as out:
         out.write(_csv_text("scan", cfg, ["eta", "n_bar_c", "fidelity", "purity", "f_cor"],
-                            [], notes, args.stamp, precision))
+                            [], notes, args.stamp))
         for key in keys:
             if key in existing:
                 cells = existing[key]
@@ -500,10 +486,10 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
     spec = build_trap(cfg)
     a = cfg["anharmonic"]
     state_mode = a["state_mode"]
-    n_bar_c = a["n_bar_c"]
+    n_bar_c = cfg["gate"]["n_bar_c"]
     basis = trap_model.build_mode_basis(  # pre_kick reads no kick: the zero-kick basis
         spec, eta=cfg["gate"]["eta"] if state_mode == "post_kick" else 0.0, n_bar_c=n_bar_c,
-        dims=_parse_dims(a["dims"]))
+        dims=_parse_dims(cfg["gate"]["dims"]))
     expansion = trap_model.anharmonic_expansion(spec, order=a["order"])
     if a["scale"] != 1.0:
         expansion = expansion.scaled(a["scale"])
@@ -526,9 +512,7 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
         "scale": a["scale"],
         "n_bar_c": n_bar_c,
     }
-    _emit(_json_text("anharmonic", cfg, payload, args.stamp,
-                     cfg["output"]["precision"]),
-          _resolve_path(cfg["output"]["path"]))
+    _emit(_json_text("anharmonic", cfg, payload, args.stamp), cfg)
     return 0
 
 
@@ -542,6 +526,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's hook: -1e3, -.5, -2,4 and -inf are values for the range
+        # check to name; no flag here starts with - and a digit, '.', inf or nan
+        self._negative_number_matcher = re.compile(r"^-(?:[\d.]|inf|nan)", re.IGNORECASE)
+
     # argparse exits with status 2 on usage errors; 2 is taken, so route
     # through an exception and let main() return 1
     def error(self, message):

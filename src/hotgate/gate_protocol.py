@@ -426,8 +426,11 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
         if cross is None:
             return [w, f]
         _, shift, a = cross
-        f_r = np.exp(-1j * signs[rows, None] * theta(u + shift + a, rows))
-        fbar_c = np.exp(1j * signs[~rows, None] * theta(u + shift, ~rows))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            f_r = np.exp(-1j * signs[rows, None] * theta(u + shift + a, rows))
+            fbar_c = np.exp(1j * signs[~rows, None] * theta(u + shift, ~rows))
+        if not (np.isfinite(f_r).all() and np.isfinite(fbar_c).all()):
+            raise NonConvergenceError("the cross-branch Gram factors overflow a double")
         return [w, f, f_r, fbar_c]
 
     def gram_of(w, f, *cross_factors):

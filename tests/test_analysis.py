@@ -433,6 +433,26 @@ def test_exact_post_kick_chunks_move_only_summation_order(
     assert abs(got - ref) <= 1e-12 * ref
 
 
+def test_exact_post_kick_overlaps_only_members_of_nonzero_weight(spec, monkeypatch):
+    """At n_bar_c 0 one member, |0, 0>, has weight: the overlaps are taken
+    for that row alone, and F is the whole-block figure, which overlaps
+    every member, to summation order."""
+    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=0.0, dims=(16, 12))
+    expansion = tm.anharmonic_expansion(spec, order=3).scaled(32.0)
+    ref = 1.0 - _whole_block_exact(basis, expansion, 0.0, "post_kick")
+    real, rows = an._kron_apply_real, []
+
+    def counting(a_c, a_r, x):
+        rows.append(a_c.shape[0] * a_r.shape[0])
+        return real(a_c, a_r, x)
+
+    monkeypatch.setattr(an, "_kron_apply_real", counting)
+    got = 1.0 - an.exact_anharmonic_fidelity(basis, expansion, 0.0, "post_kick")
+    assert rows and set(rows) == {1}
+    assert ref > 1e-4
+    assert abs(got - ref) <= 1e-12 * ref
+
+
 @pytest.mark.parametrize("order", [3])
 def test_exact_pre_kick_equals_the_whole_block_route_bit_for_bit(spec, order):
     """pre_kick takes no chunks, and its blocks, summed in place, are the

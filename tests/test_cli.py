@@ -80,6 +80,20 @@ def test_modes_and_conditions_print_the_same_eta_bound(capsys, exponent):
         assert bound == pytest.approx(gate_protocol.eta_lower_bound(1.0), rel=1e-15)
 
 
+def test_off_ratio_occupation_far_above_one(capsys):
+    """On the exponent-2 trap at n_bar_c 1e17, 1 + 1/n_bar_c rounds to 1:
+    modes still prints a finite bound, and gate ends with one line and no
+    traceback, as on the commensurate trap."""
+    rc, out, _ = run(capsys, "modes", "--exponent", "2", "--n-bar-c", "1e17")
+    assert rc == 0
+    assert math.isfinite(float(kv_lines(out)["eta_lower_bound_at_nbar"]))
+    for exponent in ("2", repr(5.0 / 3.0)):
+        rc, out, err = run(capsys, "gate", "--exponent", exponent, "--n-bar-c", "1e17",
+                           "--order", "0")
+        assert (rc, out) == (3, ""), exponent
+        assert err.startswith("hotgate: did not converge: ") and err.count("\n") == 1
+
+
 def test_modes_solve_ratio_round_trip(capsys):
     rc, out, _ = run(capsys, "modes", "--solve-ratio", "2")
     assert rc == 0
@@ -123,7 +137,7 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("gate", "--order", "9"),
     ("modes", "--n-bar-c", "-1"),
     ("separation", "--points", "1"),
-    ("anharmonic", "--anh-n-bar-c", "-1"),
+    ("anharmonic", "--n-bar-c", "-1"),
     ("anharmonic", "--order", "2"),
     # the cubic is the one correction: orders 4-6 were dropped
     ("gate", "--order", "4"),
@@ -143,13 +157,11 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("modes", "--mass", "0"),
     ("modes", "--nu-c", "0"),
     ("modes", "--separation-in-x0", "0"),
-    ("modes", "--stiffness", "-1", "--coulomb", "1"),
-    ("modes", "--stiffness", "1", "--coulomb", "0"),
     ("modes", "--precision", "-1"),
     # non-finite values
     ("gate", "--eta", "inf"),
     ("gate", "--n-bar-c", "inf"),
-    ("anharmonic", "--anh-n-bar-c", "inf"),
+    ("anharmonic", "--n-bar-c", "inf"),
     ("scan", "--etas", "inf", "--n-bars", "0"),
     ("scan", "--etas", "2", "--n-bars", "inf"),
     ("anharmonic", "--scale", "nan"),
@@ -160,7 +172,7 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("gate", "--n-bar-c", "1e300"),
     ("modes", "--eta", "1e300"),
     ("conditions", "--eta", "1e200"),
-    ("anharmonic", "--scale", "1e300", "--anh-dims", "8,6"),  # F_cor's variance
+    ("anharmonic", "--scale", "1e300", "--dims", "8,6"),  # F_cor's variance
     # in range, but a trap constant derived from them leaves double range
     ("modes", "--mass", "1e300"),
     ("modes", "--exponent", "1e300"),
@@ -172,6 +184,21 @@ def test_out_of_range_setting_exits_1_with_one_line(capsys, argv):
     assert rc == 1
     assert out == ""
     assert err.startswith("hotgate: config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [pytest.param(argv, message, id=" ".join(argv)) for
+                                           argv, message in [
+    (("gate", "--eta", "-1e3"), "[gate] eta must be positive, got -1000.0"),
+    (("scan", "--etas", "-2,4"), "[scan] etas must be a list of positive numbers, got '-2,4'"),
+    (("modes", "--solve-ratio", "-inf"), "--solve-ratio must be finite, got -inf"),
+    (("gate", "--n-bar-c", "-.5"), "[gate] n_bar_c must be non-negative, got -0.5"),
+]])
+def test_negative_looking_value_reaches_the_range_check(capsys, argv, message):
+    """A value such as -1e3, -2,4 or -inf is read as the flag's value, not
+    as an unknown option, so its one config-error line names it."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == f"hotgate: config error: {message}\n"
 
 
 # --- separation -------------------------------------------------------------
@@ -444,7 +471,7 @@ def test_f_cor_above_unit_variance_is_not_reported(capsys, monkeypatch):
     assert "phase variance 1.29283" in err
     # the exact check is not under test here, and is over its budget at n_bar_c 120
     monkeypatch.setattr(analysis, "exact_anharmonic_fidelity", lambda *a, **kw: 1.0)
-    rc, out, _ = run(capsys, "anharmonic", "--anh-n-bar-c", "120", "--precision", "17")
+    rc, out, _ = run(capsys, "anharmonic", "--n-bar-c", "120", "--precision", "17")
     assert rc == 0
     doc = json.loads(out)
     assert doc["f_cor_perturbative"] == pytest.approx(1.0 - doc["phase_variance"], abs=1e-15)
@@ -591,12 +618,12 @@ def test_config_hash_covers_only_settings_the_command_reads():
 # config-hash of the built-in defaults, per subcommand; a change here changes
 # the header of every output file
 _DEFAULT_HASHES = {
-    "modes": "47f368af77a9a64729d500cfc36cb5585673e10109a325d5f7d2c4a938bc7117",
-    "separation": "b1876e86c6345e57faec55de861a29e485df4631d2b681e5ea0e4d234ccc31b4",
-    "conditions": "0e63b8730631cec8ae3740d3e0c73675509158025de1e3c30b2db0d30664c22f",
-    "gate": "a12b41084e79604b1d4772dfbb6d85fd69842fe452d54aba8802e41271f1237a",
-    "scan": "0d5217bebad133eec9c61dc752bbb084bbee32cca77828e61d2883661d21b433",
-    "anharmonic": "2b152ae585346d636acbb538ddfab42f8a0f1abb4480a6fbac344a007b36b90a",
+    "modes": "3060250cf98f2018737ca2f14646e532d157b416d5499b8431b74997090b4b8c",
+    "separation": "185a81b4c5d0d1a4ca1b277d9012c60f250b28baa9cfc734547d7b96ac59ad90",
+    "conditions": "b0d3d47a6e9158e121dd80c72524f104a6ac167445c80b44752b5efe1e12e663",
+    "gate": "9f56dda6d70a1596e5170045cfe5eb0f58516b9388be0eabba9a050c5d6b7e07",
+    "scan": "9cbe49b062949fe8a1eb82cf3e05b3f9d5cc6c5ad948c13cb5a8fba3e9ca12b2",
+    "anharmonic": "b7c2b3c5a14820f897d336d84f0ab159838228bc810e8d16e24cefa35a12979e",
 }
 
 
@@ -609,7 +636,7 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
     cases = [
         ("scan", "--omega0-scale", "0"),
         ("scan", "--eta", "3"),  # not an abbreviation of --etas
-        ("anharmonic", "--n-bar-c", "0.2"),
+        ("anharmonic", "--flip", "idealized"),
         ("separation", "--n-bar-c", "3"),
         ("gate", "--t1-over-tg", "0.002"),
         ("conditions", "--t1-over-tg", "0.002"),
@@ -632,11 +659,30 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
         assert out == "" and "unrecognized arguments" in err, argv
 
 
+def test_removed_settings_are_refused(capsys, tmp_path):
+    """The CLI trap is the normalized trap, and anharmonic reads [gate]
+    n_bar_c and dims: the explicit-trap pair and the anharmonic copies are
+    no flags and no INI keys."""
+    for command in cli._COMMANDS:
+        for flag in ("--stiffness", "--coulomb", "--anh-n-bar-c", "--anh-dims"):
+            rc, out, err = run(capsys, command, flag, "2")
+            assert (rc, out) == (1, ""), (command, flag)
+            assert "unrecognized arguments" in err, (command, flag)
+    ini = tmp_path / "old.ini"
+    for section, key in (("trap", "stiffness"), ("trap", "coulomb"),
+                         ("anharmonic", "n_bar_c"), ("anharmonic", "dims")):
+        ini.write_text(f"[{section}]\n{key} = 2\n")
+        rc, out, err = run(capsys, "anharmonic", "--config", str(ini))
+        assert (rc, out) == (1, "")
+        assert err == f"hotgate: config error: unknown config key [{section}] {key}\n"
+
+
 # --- every setting reaches the data -----------------------------------------
 
-_ANH = ("--anh-dims", "12,10", "--eta", "1")
+# warm: the ground state has no phase variance, so at n_bar_c 0 order and
+# scale barely move the figures
+_ANH = ("--dims", "12,10", "--eta", "1", "--n-bar-c", "0.5")
 _SEP = ("--eta", "1", "--points", "4", "--precision", "17")
-_EXPLICIT = ("--stiffness", "1", "--coulomb", "1")
 _SCAN = ("--etas", "2", "--n-bars", "0", "--order", "0")
 # F_cor is 1 at every order at n_bar_c 0: the ground state has no phase
 # variance, so only a warm point shows the order
@@ -651,13 +697,13 @@ _DATA_CASES = {
     ("trap", "nu_c"): [("modes", (), ("--nu-c", "2"))],
     ("trap", "mass"): [("modes", (), ("--mass", "2"))],
     ("trap", "separation_in_x0"): [("modes", (), ("--separation-in-x0", "400"))],
-    ("trap", "stiffness"): [("modes", _EXPLICIT, ("--stiffness", "2", "--coulomb", "1"))],
-    ("trap", "coulomb"): [("modes", _EXPLICIT, ("--stiffness", "1", "--coulomb", "2"))],
     ("gate", "eta"): [("modes", (), ("--eta", "3"))],
-    ("gate", "n_bar_c"): [("modes", (), ("--n-bar-c", "1"))],
+    ("gate", "n_bar_c"): [("modes", (), ("--n-bar-c", "1")),
+                          ("anharmonic", _ANH, (*_ANH, "--n-bar-c", "1"))],
     ("gate", "rabi_cycles"): [("conditions", (), ("--rabi-cycles", "5"))],
     ("gate", "margin"): [("conditions", (), ("--margin", "5"))],
-    ("gate", "dims"): [("separation", (*_SEP, "--dims", "12,12"), (*_SEP, "--dims", "14,14"))],
+    ("gate", "dims"): [("separation", (*_SEP, "--dims", "12,12"), (*_SEP, "--dims", "14,14")),
+                       ("anharmonic", _ANH, (*_ANH, "--dims", "10,8"))],
     ("gate", "flip"): [("gate", (), ("--flip", "idealized"))],
     ("scan", "etas"): [("scan", _SCAN, (*_SCAN, "--etas", "3"))],
     ("scan", "n_bars"): [("scan", _SCAN, (*_SCAN, "--n-bars", "0.5"))],
@@ -665,9 +711,7 @@ _DATA_CASES = {
                               ("gate", _HOT, (*_HOT, "--order", "0")),
                               ("scan", _HOT_SCAN, (*_HOT_SCAN, "--order", "0"))],
     ("anharmonic", "scale"): [("anharmonic", _ANH, (*_ANH, "--scale", "2"))],
-    ("anharmonic", "n_bar_c"): [("anharmonic", _ANH, (*_ANH, "--anh-n-bar-c", "0.5"))],
     ("anharmonic", "state_mode"): [("anharmonic", _ANH, (*_ANH, "--state-mode", "post_kick"))],
-    ("anharmonic", "dims"): [("anharmonic", _ANH, (*_ANH, "--anh-dims", "10,8"))],
     ("separation", "points"): [("separation", _SEP, (*_SEP, "--points", "5"))],
     ("output", "precision"): [("modes", (), ("--precision", "6"))],
 }
@@ -837,7 +881,8 @@ def test_anharmonic_order_zero_short_circuits(capsys):
     """Order 0 is the empty expansion: both routes give 1, the exact one
     diagonalizing nothing at the kick-sized default dims (162, 84), and the
     JSON carries the keys of any other order."""
-    rc, out, _ = run(capsys, "anharmonic", "--order", "0", "--state-mode", "post_kick")
+    rc, out, _ = run(capsys, "anharmonic", "--order", "0", "--state-mode", "post_kick",
+                     "--n-bar-c", "1")
     assert rc == 0
     doc = json.loads(out)
     assert doc["f_cor_perturbative"] == 1.0
@@ -850,8 +895,8 @@ def test_anharmonic_order_zero_short_circuits(capsys):
 
 
 def test_anharmonic_compares_routes(capsys):
-    for args in (("--anh-dims", "20,16"),
-                 ("--state-mode", "post_kick", "--anh-n-bar-c", "0.2", "--eta", "2")):
+    for args in (("--n-bar-c", "1", "--dims", "20,16"),
+                 ("--state-mode", "post_kick", "--n-bar-c", "0.2", "--eta", "2")):
         rc, out, _ = run(capsys, "anharmonic", *args, "--precision", "17")
         assert rc == 0
         doc = json.loads(out)
@@ -861,6 +906,42 @@ def test_anharmonic_compares_routes(capsys):
         assert doc["delta"] == round(abs(doc["f_cor_perturbative"] - doc["f_cor_exact"]), 15)
         # at order 3 the resonant terms cancel their conjugates: <W> is zero
         assert doc["mean_phase"] == 0.0
+
+
+def test_anharmonic_reads_the_gate_temperature_from_ini(capsys, tmp_path):
+    """[gate] n_bar_c is anharmonic's temperature too: at its default 0 the
+    pre_kick figures sit at 1, and an INI n_bar_c = 1 moves both."""
+    rc, out, _ = run(capsys, "anharmonic", "--dims", "12,10")
+    assert rc == 0
+    cold = json.loads(out)
+    assert cold["n_bar_c"] == 0.0
+    ini = tmp_path / "warm.ini"
+    ini.write_text("[gate]\nn_bar_c = 1\n")
+    rc, out, _ = run(capsys, "anharmonic", "--config", str(ini), "--dims", "12,10")
+    assert rc == 0
+    warm = json.loads(out)
+    assert warm["n_bar_c"] == 1.0
+    assert warm["f_cor_perturbative"] < cold["f_cor_perturbative"]
+    assert warm["f_cor_exact"] < cold["f_cor_exact"]
+
+
+def test_anharmonic_prints_the_library_figures(capsys):
+    """--n-bar-c and --dims are the n_bar_c and dims of the zero-kick basis
+    both routes run on."""
+    from hotgate import analysis, trap_model
+
+    spec = trap_model.TrapSpec.normalized()
+    basis = trap_model.build_mode_basis(spec, eta=0.0, n_bar_c=1.0, dims=(24, 19))
+    expansion = trap_model.anharmonic_expansion(spec)
+    rep = analysis.anharmonic_fidelity(basis, expansion, n_bar_c=1.0)
+    exact = analysis.exact_anharmonic_fidelity(basis, expansion, n_bar_c=1.0)
+    rc, out, _ = run(capsys, "anharmonic", "--n-bar-c", "1", "--dims", "24,19",
+                     "--precision", "17")
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["f_cor_perturbative"], doc["f_cor_exact"]) == (rep.f_cor, exact)
+    assert doc["phase_variance"] == rep.variance
+    assert (doc["dims"], doc["n_bar_c"]) == ([24, 19], 1.0)
 
 
 def test_anharmonic_exact_check_over_budget_exits_1_at_once(capsys, monkeypatch):
@@ -876,8 +957,7 @@ def test_anharmonic_exact_check_over_budget_exits_1_at_once(capsys, monkeypatch)
     monkeypatch.setattr(analysis, "_hamiltonian_blocks", refuse)
     tracemalloc.start()
     try:
-        rc, out, err = run(capsys, "anharmonic", "--anh-n-bar-c", "164",
-                           "--anh-dims", "907,474")
+        rc, out, err = run(capsys, "anharmonic", "--n-bar-c", "164", "--dims", "907,474")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -902,7 +982,7 @@ def test_anharmonic_pre_kick_default_is_the_gate_f_cor(capsys, monkeypatch, n_ba
     assert analysis.gate_report(spec, 7.0, n_bar_c).f_cor == f_cor
     # the exact cross-check is not under test here, and takes 4 s at n_bar_c 10
     monkeypatch.setattr(analysis, "exact_anharmonic_fidelity", lambda *a, **kw: 1.0)
-    rc, out, _ = run(capsys, "anharmonic", "--exponent", "2", "--anh-n-bar-c", str(n_bar_c),
+    rc, out, _ = run(capsys, "anharmonic", "--exponent", "2", "--n-bar-c", str(n_bar_c),
                      "--precision", "17")
     assert rc == 0
     doc = json.loads(out)
@@ -936,10 +1016,15 @@ _README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_examples_run(capsys, tmp_path, monkeypatch):
-    """Each worked `hotgate ...` example of README exits 0, so the docs name
-    no flag the command has dropped."""
-    examples = [shlex.split(ln)[1:] for ln in _README.read_text().splitlines()
-                if ln.startswith("hotgate ") and "<subcommand>" not in ln]
+    """Each `hotgate ...` line in README's fenced blocks but the `hotgate
+    <subcommand> [flags]` template exits 0, so the docs name no flag the
+    command has dropped."""
+    examples, fenced = [], False
+    for line in _README.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("hotgate ") and "<subcommand>" not in line:
+            examples.append(shlex.split(line)[1:])
     assert examples
     monkeypatch.setenv("HOTGATE_OUTPUT_DIR", str(tmp_path))
     for argv in examples:

@@ -189,6 +189,21 @@ def test_relative_occupation_at_any_ratio():
     assert tm.relative_occupation(0.0, 3**0.5) == 0.0
 
 
+def test_relative_occupation_off_ratio_far_above_one():
+    """Where 1 + 1/n_bar_c rounds to 1 (n_bar_c 1e17) the off-ratio
+    occupation is still finite, and at 1e9 it keeps full precision, against
+    60-digit decimal arithmetic."""
+    from decimal import Decimal, localcontext
+
+    ratio = 3**0.5
+    for n_c in (1e3, 1e9, 1e17):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            one = Decimal(1)
+            ref = one / ((one + one / Decimal(n_c)) ** Decimal(ratio) - one)
+        assert tm.relative_occupation(n_c, ratio) == pytest.approx(float(ref), rel=1e-14)
+
+
 def test_relative_occupation_ratio_two_keeps_the_commensurate_formula():
     for n in (0.0, 0.5, 1.0, 3.0):
         assert tm.relative_occupation(n, 2.0) == n**2 / (2.0 * n + 1.0)
