@@ -7,7 +7,8 @@ Every setting is declared once, in _SETTINGS, which gives its default, its
 INI type, its flag, the subcommands that read it and its range, checked
 for the settings a subcommand reads before it runs; main builds the parser
 of the subcommand named first alone, which takes only those flags and
-rejects the rest, while an INI file may set any key.  Outputs are
+rejects the rest, while an INI file may set any key (a subcommand runs
+with the default of every setting it does not read).  Outputs are
 deterministic: data files never carry timestamps (--stamp opts in,
 metadata only), floats print at a fixed significant-digit count, and every
 CSV/JSON records a hash of the resolved settings its subcommand reads.
@@ -61,8 +62,9 @@ _NON_NEGATIVE = (lambda v: v >= 0.0, "non-negative")
 _SETTINGS = (
     ("trap", "exponent", 5.0 / 3.0, float, "--exponent", _ALL,
      "power of the confining wall", (lambda v: v > 1.0, "above 1")),
-    ("trap", "nu_c", 1.0, float, "--nu-c", _ALL, "target COM frequency", _POSITIVE),
-    ("trap", "mass", 1.0, float, "--mass", _ALL, None, _POSITIVE),
+    # nu_c and m set units that the figures of scan and anharmonic do not carry
+    ("trap", "nu_c", 1.0, float, "--nu-c", _ALL[:4], "target COM frequency", _POSITIVE),
+    ("trap", "mass", 1.0, float, "--mass", _ALL[:4], None, _POSITIVE),
     ("trap", "separation_in_x0", 820.0, float, "--separation-in-x0", _ALL,
      "equilibrium separation in ground-state widths", _POSITIVE),
     ("gate", "eta", 7.0, float, "--eta", _ETA, "effective kick strength", _POSITIVE),
@@ -613,9 +615,11 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 1
     try:
         cfg = load_config(args.config)
-        for section, key, _, _, flag, *_ in _SETTINGS:
+        for section, key, default, _, flag, commands, *_ in _SETTINGS:
             value = getattr(args, _dest(flag), None)
-            if value is not None:
+            if command not in commands:  # an INI value it does not read: the default
+                cfg[section][key] = default
+            elif value is not None:
                 cfg[section][key] = value
         _check_ranges(cfg, command)
         return _COMMANDS[command][0](cfg, args)

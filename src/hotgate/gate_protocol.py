@@ -30,8 +30,9 @@ gate_channel, for any harmonic trap and schedule, writes
 M_{b,s} = U(t_g) G_b f_{b,s}(X), with X ion 1's Heisenberg position at t0
 and G_b the displacement that imperfect refocusing leaves on branch b.  The
 thermal state is Gaussian, so every entry of T is a 1-D Gaussian integral
-over X (the cross-branch ones at a complex shift, by the characteristic
-function of the Weyl operator G_1^dag G_0), free of any Fock truncation.
+over X (the cross-branch ones against a complex Gaussian weight, by the
+characteristic function of the Weyl operator G_1^dag G_0), free of any Fock
+truncation.
 In the commensurate trap closed after one COM period G_b = 1 and the
 integral is the plain average over X.
 
@@ -83,8 +84,7 @@ class AddressedPulse:
 
 def gaussian_rabi(pulse: AddressedPulse, offset) -> np.ndarray:
     """Omega = omega0 exp(-offset^2 / (2 width^2)) at offset = x - center from
-    the profile centre; offset may be complex (the profile is entire), which
-    the cross-branch Gram blocks use."""
+    the profile centre."""
     return pulse.omega0 * np.exp(-(offset**2) / (2.0 * pulse.width**2))
 
 
@@ -334,10 +334,6 @@ def _channel(terms, gram) -> GateChannel:
 
 _SPAN = 14.0  # half-width of the quadrature span, in thermal widths of X
 _GRAM_TOL = 1e-14
-# Converged levels differ by rounding, a few eps per unit of summed magnitude
-# (the stalled gaps at exponent 2, eta 0.5, n_bar_c 10: 0.7-7.3 times that);
-# k = 16 covers it, and 16 eps < _GRAM_TOL leaves unit-modulus sums at _GRAM_TOL.
-_ROUNDING_FLOOR = 16 * np.finfo(float).eps
 _MAX_INTERVALS = 2**18
 
 
@@ -350,7 +346,7 @@ def _refocuses(basis: ModeBasis, schedule: GateSchedule) -> bool:
 
 def _residual_displacement(basis: ModeBasis, schedule: GateSchedule,
                            n_bar_c: float):
-    """(exp(-kappa^2 S_YY / 2), z, a) of the cross-branch Gram blocks.
+    """(-kappa^2 S_YY / 2, z, a) of the cross-branch Gram blocks.
 
     The residual displacements G_b of the two branches leave
     G_1^dag G_0 = exp(i kappa Y), kappa = 2k, Y = x2 - x2(t_g).
@@ -366,7 +362,7 @@ def _residual_displacement(basis: ModeBasis, schedule: GateSchedule,
     kappa = 2.0 * basis.wavenumber
     s_xy, s_yy = x @ (var * y), y @ (var * y)
     c_xy = x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]
-    return exp(-0.5 * kappa**2 * s_yy), kappa * (1j * s_xy - 0.5 * c_xy), kappa * c_xy
+    return -0.5 * kappa**2 * s_yy, kappa * (1j * s_xy - 0.5 * c_xy), kappa * c_xy
 
 
 def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
@@ -384,20 +380,22 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
     with mean x_e/2 and spread Delta = ModeBasis.thermal_spread.
 
     * Same branch: T[r, c] = E_X[f_r(X) conj(f_c(X))].
-    * r in branch 0, c in branch 1: with (damp, z, a) from
-      _residual_displacement,
-      T[r, c] = damp E_X[f_r(X + z + a) fbar_c(X + z)], where
-      fbar_c(x) = exp(+i s_c theta(x - D/2)) is the analytic continuation
-      of conj(f_c) to the complex shift.  The (1, 0) block is its conjugate
-      transpose.
+    * r in branch 0, c in branch 1: with (log_damp, z, a) from
+      _residual_displacement, X sits at the complex shift X + z; the profile
+      is entire, so the contour moves back to the real axis:
+      T[r, c] = int f_r(x + a) conj(f_c(x)) e^{log_damp} N(x; z, Delta^2) dx.
+      As S_XX S_YY - S_XY^2 >= c_XY^2/4 (Robertson-Schroedinger), the weight
+      at x = x_e/2 + Delta t is at most exp(-(Re z/Delta)^2/2 - (t - Re z/Delta)^2/2)
+      in modulus: below e^-49 at the span's ends, summing to at most 1.  The
+      (1, 0) block is its conjugate transpose.
 
     When _refocuses holds, G_b = 1 and the same-branch product already
     gives the cross blocks, so they are not evaluated apart.  The integrals
     are a trapezoid rule over +-_SPAN widths whose interval count doubles from
-    64 until two successive Gram matrices agree to _GRAM_TOL or, if larger,
-    _ROUNDING_FLOOR times the summed magnitude of gram_of.  Nodes are read
-    as offsets from the profile centre l, (x_e/2 - l) + shift + Delta z, so
-    none carries the rounding of x_e/2 (~410 x0) for the doubling to chase.
+    64 until two successive Gram matrices agree to _GRAM_TOL.  Nodes are
+    read as offsets from the profile centre l,
+    (x_e/2 - l + sigma_b D/2) + (Delta t + a) with a only in f_r, so none
+    carries the rounding of x_e/2 (~410 x0) for the doubling to chase.
     """
     flip = schedule.flip
     if flip is None:
@@ -416,47 +414,38 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
         return 0.5 * flip.duration * gaussian_rabi(flip, offsets[pick, None] + u[None, :])
 
     def integrand(intervals):
-        """[w, f] (and the cross-block factors [f_r, fbar_c] when the
-        schedule does not refocus) on the grid of `intervals` intervals;
-        the end weights w are ~1e-43, so the trapezoid rule is a plain sum."""
-        z = np.linspace(-_SPAN, _SPAN, intervals + 1)
-        w = np.exp(-0.5 * z * z) * (2.0 * _SPAN / intervals / sqrt(2.0 * pi))
-        u = delta * z
+        """Weights [w] and factors [f] (and the cross-block weight and f_r(X + a)
+        unless the schedule refocuses) on the grid of `intervals` intervals;
+        the end weights are below e^-49, so the trapezoid rule is a plain sum."""
+        t = np.linspace(-_SPAN, _SPAN, intervals + 1)
+        step = 2.0 * _SPAN / intervals / sqrt(2.0 * pi)
+        w = np.exp(-0.5 * t * t) * step
+        u = delta * t
         f = np.exp(-1j * signs[:, None] * theta(u, slice(None)))
         if cross is None:
-            return [w, f]
-        _, shift, a = cross
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            f_r = np.exp(-1j * signs[rows, None] * theta(u + shift + a, rows))
-            fbar_c = np.exp(1j * signs[~rows, None] * theta(u + shift, ~rows))
-        if not (np.isfinite(f_r).all() and np.isfinite(fbar_c).all()):
-            raise NonConvergenceError("the cross-branch Gram factors overflow a double")
-        return [w, f, f_r, fbar_c]
+            return [w], [f]
+        log_damp, shift, a = cross
+        w_cross = np.exp(log_damp - 0.5 * (t - shift / delta) ** 2) * step
+        return [w, w_cross], [f, np.exp(-1j * signs[rows, None] * theta(u + a, rows))]
 
-    def gram_of(w, f, *cross_factors):
-        """(Gram, mass): mass is the largest cross-block sum of magnitudes
-        damp * sum w |f_r| |fbar_c|, which the complex shift can lift far
-        above its entry (<= 1); same-branch sums (|f| = 1) are 1, left out."""
-        gram = (f * w) @ f.conj().T
-        mass = 0.0
-        if cross_factors:
-            f_r, fbar_c = cross_factors
-            block = cross[0] * ((f_r * w) @ fbar_c.T)
+    def gram_of(weights, factors):
+        f = factors[0]
+        gram = (f * weights[0]) @ f.conj().T
+        if cross is not None:
+            block = (factors[1] * weights[1]) @ f[~rows].conj().T
             gram[np.ix_(rows, ~rows)] = block
             gram[np.ix_(~rows, rows)] = block.conj().T
-            mass = cross[0] * np.max((np.abs(f_r) * w) @ np.abs(fbar_c).T)
-        return gram, mass
+        return gram
 
     # the 64-interval grid is every other node of the 128-interval one
     # (dyadic nodes, so exactly), at twice the weight: one evaluation
     # serves the first two levels
     intervals = 128
-    level = integrand(intervals)
-    w, *factors = (g[..., ::2] for g in level)
-    previous, _ = gram_of(2.0 * w, *factors)
+    weights, factors = integrand(intervals)
+    previous = gram_of([2.0 * w[::2] for w in weights], [f[:, ::2] for f in factors])
     while True:
-        gram, mass = gram_of(*level)
-        if np.max(np.abs(gram - previous)) <= max(_GRAM_TOL, _ROUNDING_FLOOR * mass):
+        gram = gram_of(weights, factors)
+        if np.max(np.abs(gram - previous)) <= _GRAM_TOL:
             return gram
         previous = gram
         intervals *= 2
@@ -464,7 +453,7 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
             raise NonConvergenceError(
                 f"phase-space Gram matrix did not settle to {_GRAM_TOL:g} "
                 f"within {_MAX_INTERVALS} trapezoid intervals")
-        level = integrand(intervals)
+        weights, factors = integrand(intervals)
 
 
 def gate_channel(
@@ -479,14 +468,14 @@ def gate_channel(
     The Gram matrix comes from _phase_space_gram, with no Fock truncation,
     so basis.dims does not enter.  For the idealized flip every f is 1 and
     the Gram matrix is [[1, damp], [damp, 1]] with
-    damp = exp(-kappa^2 S_YY / 2) of _residual_displacement, all ones when
+    damp = exp(-kappa^2 S_YY / 2) from _residual_displacement, all ones when
     the schedule refocuses.
     """
     terms = _branch_terms(schedule, flip_mode)
     if flip_mode == "idealized":
         gram = np.ones((len(terms), len(terms)), dtype=complex)
         if not _refocuses(basis, schedule):
-            damp = _residual_displacement(basis, schedule, n_bar_c)[0]
+            damp = exp(_residual_displacement(basis, schedule, n_bar_c)[0])
             gram[0, 1] = gram[1, 0] = damp
     else:
         gram = _phase_space_gram(basis, schedule, n_bar_c, terms)

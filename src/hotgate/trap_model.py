@@ -166,16 +166,17 @@ def solve_exponent_for_ratio(target_ratio: float) -> float:
 def relative_occupation(n_bar_c: float, ratio: float = 2.0) -> float:
     """Thermal occupation of the stretch mode when both modes share the
     temperature that gives the COM mode n_bar_c, for nu_r = ratio * nu_c:
-    1/((1 + 1/n_bar_c)^ratio - 1), written with expm1 and log1p to stay
-    accurate where 1 + 1/n_bar_c rounds to 1.  The commensurate ratio 2
-    takes the equal closed form n_bar_c^2/(2 n_bar_c + 1)."""
+    1/((1 + 1/n_bar_c)^ratio - 1) = e^-x/-expm1(-x), x = ratio log1p(1/n_bar_c),
+    accurate where 1 + 1/n_bar_c rounds to 1 and 0 where e^x would overflow.
+    The commensurate ratio 2 takes the closed form n_bar_c^2/(2 n_bar_c + 1)."""
     if n_bar_c < 0:
         raise ValueError("n_bar_c must be non-negative")
     if ratio == 2.0:
         return n_bar_c**2 / (2.0 * n_bar_c + 1.0)
     if n_bar_c == 0:
         return 0.0
-    return 1.0 / expm1(ratio * log1p(1.0 / n_bar_c))
+    x = ratio * log1p(1.0 / n_bar_c)
+    return exp(-x) / -expm1(-x)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,56 @@ def test_off_ratio_occupation_far_above_one(capsys):
         assert err.startswith("hotgate: did not converge: ") and err.count("\n") == 1
 
 
+def test_off_ratio_occupation_far_below_one(capsys):
+    """On the exponent-2 trap at n_bar_c 1e-200, (1 + 1/n_bar_c)^ratio leaves
+    double range while n_bar_r is simply 0: modes prints the n_bar_c 0 bound."""
+    rc, out, err = run(capsys, "modes", "--exponent", "2", "--n-bar-c", "1e-200")
+    assert (rc, err) == (0, "")
+    bound = kv_lines(out)["eta_lower_bound_at_nbar"]
+    rc, out, _ = run(capsys, "modes", "--exponent", "2")
+    assert rc == 0 and kv_lines(out)["eta_lower_bound_at_nbar"] == bound
+
+
+@pytest.mark.parametrize("n_bar_c, fidelity", [("100", 0.414552213786), ("300", None),
+                                               ("1e4", 0.399443103091)])
+def test_hot_off_ratio_gate_reports_its_figure(capsys, n_bar_c, fidelity):
+    """Off the ratio the cross-branch Gram blocks stay bounded at any
+    temperature: the channel is trace preserving and every cross entry lies
+    within exp(-kappa^2 (S_YY - S_XY^2/S_XX)/2), the modulus bound of its
+    Gaussian weight (Robertson-Schroedinger), from the linear forms of X and
+    Y written out here."""
+    import numpy as np
+
+    from hotgate import gate_protocol, trap_model
+
+    rc, out, err = run(capsys, "gate", "--exponent", "2", "--eta", "7", "--order", "0",
+                       "--n-bar-c", n_bar_c)
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["tp_defect"] <= 1e-15
+    if fidelity is not None:
+        assert doc["fidelity"] == pytest.approx(fidelity, abs=1e-12)
+    n_bar = float(n_bar_c)
+    basis = trap_model.build_mode_basis(trap_model.TrapSpec.normalized(exponent=2.0),
+                                        eta=7.0, n_bar_c=n_bar)
+    schedule, _ = gate_protocol.build_schedule(basis, n_bar_c=n_bar)
+    gram = gate_protocol.gate_channel(basis, schedule, n_bar_c=n_bar).gram
+    var = basis.thermal_variances(n_bar)
+    x = basis.position_form(schedule.t0, 0.5)
+    y = basis.position_form(0.0, -0.5) - basis.position_form(schedule.t_g, -0.5)
+    s_xx, s_xy, s_yy = x @ (var * x), x @ (var * y), y @ (var * y)
+    bound = math.exp(-0.5 * (2.0 * basis.wavenumber) ** 2 * (s_yy - s_xy**2 / s_xx))
+    assert np.all(np.abs(gram[:2, 2:]) <= bound) and np.all(np.abs(gram[2:, :2]) <= bound)
+
+
+def test_hot_off_ratio_scan_row(capsys):
+    rc, out, err = run(capsys, "scan", "--exponent", "2", "--etas", "7", "--n-bars", "100",
+                       "--order", "0")
+    assert (rc, err) == (0, "")
+    rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")]
+    assert rows[1] == ["7", "100", "0.414552213786", "0.44562150885", "1"]
+
+
 def test_modes_solve_ratio_round_trip(capsys):
     rc, out, _ = run(capsys, "modes", "--solve-ratio", "2")
     assert rc == 0
@@ -532,7 +582,6 @@ def test_gate_unconverged_quadrature_exits_3(capsys, monkeypatch):
     from hotgate import gate_protocol
 
     monkeypatch.setattr(gate_protocol, "_GRAM_TOL", 0.0)
-    monkeypatch.setattr(gate_protocol, "_ROUNDING_FLOOR", 0.0)
     monkeypatch.setattr(gate_protocol, "_MAX_INTERVALS", 256)
     rc, out, err = run(capsys, "gate", "--eta", "3")
     assert (rc, out) == (3, "")
@@ -622,8 +671,8 @@ _DEFAULT_HASHES = {
     "separation": "185a81b4c5d0d1a4ca1b277d9012c60f250b28baa9cfc734547d7b96ac59ad90",
     "conditions": "b0d3d47a6e9158e121dd80c72524f104a6ac167445c80b44752b5efe1e12e663",
     "gate": "9f56dda6d70a1596e5170045cfe5eb0f58516b9388be0eabba9a050c5d6b7e07",
-    "scan": "9cbe49b062949fe8a1eb82cf3e05b3f9d5cc6c5ad948c13cb5a8fba3e9ca12b2",
-    "anharmonic": "b7c2b3c5a14820f897d336d84f0ab159838228bc810e8d16e24cefa35a12979e",
+    "scan": "33f41a4d5a75b1c02322af485ced557f602b42a1b5dab07305d2fc193d529658",
+    "anharmonic": "3cf6103561b752f691393d61d2375e1a8dfa9f06c647a36b461c65a61c972f24",
 }
 
 
@@ -738,6 +787,24 @@ def test_setting_changes_the_data_of_a_reader(capsys, setting, case):
     command, base, changed = case
     assert command in cli._READERS[setting]
     assert _data_lines(capsys, command, base) != _data_lines(capsys, command, changed)
+
+
+def test_scan_and_anharmonic_ignore_the_trap_units(capsys, tmp_path):
+    """nu_c and m set units that the figures of scan and anharmonic do not
+    carry: those subcommands take no such flag, and an INI value reaches
+    neither their data nor their config hash, while gate still hashes it."""
+    ini = tmp_path / "units.ini"
+    ini.write_text("[trap]\nnu_c = 2.7\nmass = 0.3\n")
+    for command, argv in (("scan", _SCAN), ("anharmonic", _ANH)):
+        argv = (*argv, "--precision", "17")
+        assert run(capsys, command, *argv, "--config", str(ini)) == run(capsys, command, *argv)
+        for flag in ("--nu-c", "--mass"):
+            rc, out, err = run(capsys, command, *argv, flag, "2")
+            assert (rc, out) == (1, "") and "unrecognized arguments" in err, (command, flag)
+    cfg = cli.load_config(str(ini))
+    assert cli.config_hash(cfg, "scan") == _DEFAULT_HASHES["scan"]
+    assert cli.config_hash(cfg, "anharmonic") == _DEFAULT_HASHES["anharmonic"]
+    assert cli.config_hash(cfg, "gate") != _DEFAULT_HASHES["gate"]
 
 
 # --- scan -------------------------------------------------------------------

@@ -392,8 +392,8 @@ def _unfocused_point(exponent, eta, n_bar_c, periods):
 @pytest.mark.parametrize("point", _UNFOCUSED, ids=str)
 def test_gate_channel_matches_fock_oracle_without_refocusing(point):
     """The residual displacement left by imperfect refocusing enters the
-    cross-branch blocks at a complex shift; the Fock oracle has none of
-    that algebra."""
+    cross-branch blocks as a complex Gaussian weight; the Fock oracle has
+    none of that algebra."""
     basis, schedule = _unfocused_point(*point)
     n_bar_c = point[2]
     ch = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c)
@@ -429,38 +429,83 @@ def test_phase_space_golden_point(spec):
     assert rep.fidelity == pytest.approx(0.995563065904545, abs=1e-12)
 
 
-def _plain_trapezoid_gram(basis, schedule, n_bar_c, terms, intervals):
-    """The Gram matrix of _phase_space_gram's docstring on one plain
-    trapezoid grid of `intervals` intervals over +-_SPAN thermal widths,
-    with the profile read at the node's offset from its centre l."""
-    z = np.linspace(-gp._SPAN, gp._SPAN, intervals + 1)
-    w = np.exp(-0.5 * z * z) * (2.0 * gp._SPAN / intervals / math.sqrt(2.0 * math.pi))
-    u = basis.thermal_spread(n_bar_c) * z  # X - x_e/2
+def _trapezoid_setup(basis, schedule, n_bar_c, terms, intervals):
+    """Nodes t, trapezoid weights w, X - x_e/2 at the nodes, and
+    f(u, sign) = f_{b,s}(x_e/2 + u) for every term (fbar for sign +1), with
+    the profile read at the node's offset from its centre l."""
+    t = np.linspace(-gp._SPAN, gp._SPAN, intervals + 1)
+    step = 2.0 * gp._SPAN / intervals / math.sqrt(2.0 * math.pi)
+    w = np.exp(-0.5 * t * t) * step
     half_d = basis.half_separation(schedule.t0)
     edge = basis.x_e / 2.0 - schedule.flip.center
     offsets = np.array([edge + (half_d if b == 0 else -half_d) for b, _, _ in terms])
     signs = np.array([s for _, s, _ in terms])
 
-    def f(u, sign):  # f_{b,s}(x_e/2 + u), or fbar for sign +1
+    def f(u, sign):
         theta = 0.5 * schedule.flip.duration * gp.gaussian_rabi(
             schedule.flip, offsets[:, None] + u[None, :])
         return np.exp(sign * 1j * signs[:, None] * theta)
 
+    return t, step, w, basis.thermal_spread(n_bar_c) * t, f
+
+
+def _with_cross_block(gram, rows, block):
+    gram[np.ix_(rows, ~rows)] = block
+    gram[np.ix_(~rows, rows)] = block.conj().T
+    return gram
+
+
+def _plain_trapezoid_gram(basis, schedule, n_bar_c, terms, intervals):
+    """The Gram matrix of _phase_space_gram's docstring on one plain
+    trapezoid grid of `intervals` intervals over +-_SPAN thermal widths:
+    the cross-branch blocks on the real axis, f_r(x + a) conj(f_c(x))
+    against the complex weight e^{log_damp} N(x; z, Delta^2)."""
+    t, step, w, u, f = _trapezoid_setup(basis, schedule, n_bar_c, terms, intervals)
     f0 = f(u, -1)
     gram = (f0 * w) @ f0.conj().T
-    if not gp._refocuses(basis, schedule):
-        damp, shift, a = gp._residual_displacement(basis, schedule, n_bar_c)
-        rows = np.array([b == 0 for b, _, _ in terms])
-        block = damp * ((f(u + shift + a, -1)[rows] * w) @ f(u + shift, 1)[~rows].T)
-        gram[np.ix_(rows, ~rows)] = block
-        gram[np.ix_(~rows, rows)] = block.conj().T
-    return gram
+    if gp._refocuses(basis, schedule):
+        return gram
+    log_damp, shift, a = gp._residual_displacement(basis, schedule, n_bar_c)
+    w_cross = np.exp(log_damp - 0.5 * (t - shift / basis.thermal_spread(n_bar_c)) ** 2) * step
+    rows = np.array([b == 0 for b, _, _ in terms])
+    block = (f(u + a, -1)[rows] * w_cross) @ f0[~rows].conj().T
+    return _with_cross_block(gram, rows, block)
+
+
+def _complex_offset_gram(basis, schedule, n_bar_c, terms, intervals):
+    """The same Gram matrix with the cross-branch blocks at the complex
+    shift itself, damp E_X[f_r(X + z + a) fbar_c(X + z)], the analytic
+    continuation of the profile, on the real Gaussian weights: an oracle
+    with its own arithmetic, usable where the shifted factors stay well
+    inside double range."""
+    t, step, w, u, f = _trapezoid_setup(basis, schedule, n_bar_c, terms, intervals)
+    f0 = f(u, -1)
+    gram = (f0 * w) @ f0.conj().T
+    if gp._refocuses(basis, schedule):
+        return gram
+    log_damp, shift, a = gp._residual_displacement(basis, schedule, n_bar_c)
+    rows = np.array([b == 0 for b, _, _ in terms])
+    block = math.exp(log_damp) * ((f(u + shift + a, -1)[rows] * w) @ f(u + shift, 1)[~rows].T)
+    return _with_cross_block(gram, rows, block)
+
+
+@pytest.mark.parametrize("point", _UNFOCUSED, ids=str)
+def test_real_axis_gram_matches_the_complex_shift_form(point):
+    """Moving the cross-branch contour back to the real axis changes the
+    arithmetic, not the integral: wherever the schedule does not refocus
+    the Gram matrix matches the complex-shift form on 1024 intervals."""
+    basis, schedule = _unfocused_point(*point)
+    terms = gp._branch_terms(schedule, "gaussian")
+    gram = gp._phase_space_gram(basis, schedule, point[2], terms)
+    reference = _complex_offset_gram(basis, schedule, point[2], terms, 1024)
+    np.testing.assert_allclose(gram, reference, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0])
 def test_phase_space_gram_is_the_128_interval_trapezoid(exponent):
     """The first level reuses the 128-interval nodes for the 64-interval
-    sum; at the golden point and off the ratio the loop stops at 128."""
+    sum; at the golden point and off the ratio the loop stops at 128, and
+    the real-axis cross blocks agree with the complex-shift form."""
     spec = tm.TrapSpec.normalized(exponent=exponent)
     basis = make_basis(spec, eta=7.0)
     schedule, _ = gp.build_schedule(basis)
@@ -469,21 +514,28 @@ def test_phase_space_gram_is_the_128_interval_trapezoid(exponent):
     coarse, fine = (_plain_trapezoid_gram(basis, schedule, 0.0, terms, n) for n in (64, 128))
     assert np.array_equal(gram, fine)
     assert np.max(np.abs(fine - coarse)) <= gp._GRAM_TOL
+    np.testing.assert_allclose(
+        gram, _complex_offset_gram(basis, schedule, 0.0, terms, 128), rtol=0, atol=1e-14)
 
 
-def test_phase_space_gram_stops_at_its_rounding_floor():
-    """Off the ratio at low kick and high temperature the cross-block terms,
-    whose magnitudes sum to about 2.6e4, cancel down to entries <= 1, so
-    successive levels stall near 1e-11, far above _GRAM_TOL; the loop stops
-    at _ROUNDING_FLOOR (16 eps) times that summed magnitude instead of
-    running to its cap.  The stopped Gram matrix and a plain 2**14-interval
-    trapezoid each carry up to one such allowance, 16 * eps * 2.6e4 =
-    9.2e-11, so they agree to 2e-10."""
+def test_phase_space_gram_settles_at_its_tolerance_off_ratio(monkeypatch):
+    """Off the ratio at low kick and high temperature the complex-shift
+    cross-block terms sum in magnitude to about 2.6e4 and cancel down to
+    entries <= 1, so rounding held successive levels of that form about
+    1e-11 apart.  On the real axis every term is bounded and the sum of
+    their magnitudes is at most 1: the loop settles at _GRAM_TOL within
+    256 intervals, agrees with a 4096-interval real-axis trapezoid to
+    _GRAM_TOL, and with the complex-shift form on 2**14 intervals within
+    that form's rounding allowance, 16 * eps * 2.6e4 = 9.2e-11."""
+    monkeypatch.setattr(gp, "_MAX_INTERVALS", 256)
     basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=0.5, n_bar_c=10.0)
     schedule, _ = gp.build_schedule(basis, n_bar_c=10.0)
-    ch = gp.gate_channel(basis, schedule, n_bar_c=10.0)
-    reference = _plain_trapezoid_gram(basis, schedule, 10.0, ch.terms, 2**14)
-    np.testing.assert_allclose(ch.gram, reference, rtol=0, atol=2e-10)
+    terms = gp._branch_terms(schedule, "gaussian")
+    gram = gp._phase_space_gram(basis, schedule, 10.0, terms)
+    np.testing.assert_allclose(gram, _plain_trapezoid_gram(basis, schedule, 10.0, terms, 2**12),
+                               rtol=0, atol=gp._GRAM_TOL)
+    np.testing.assert_allclose(gram, _complex_offset_gram(basis, schedule, 10.0, terms, 2**14),
+                               rtol=0, atol=9.2e-11)
 
 
 def test_phase_space_gram_nodes_are_centre_relative(monkeypatch):
