@@ -63,38 +63,34 @@ def _mean_x(displacement: np.ndarray, width: float, nu: float, times):
     return np.einsum("tj,jk,tk->t", kets.conj(), x_op, kets).real
 
 
-def separation_numeric(basis: ModeBasis, times, dims: tuple[int, int] | None = None):
-    """Branch separation from direct Fock-space evolution at the given dims:
+def separation_numeric(basis: ModeBasis, times):
+    """Branch separation from direct Fock-space evolution at basis.dims:
     the -k branch is the parity image of the +k one (the kets of
     ModeBasis.kick_displacements), with exactly opposite <x(t)>, so
     x1 = x_c + (x_r + x_e)/2 gives d = 2(<x_c> + <x_r>/2) of the +k branch."""
-    if dims is not None:
-        basis = basis.with_dims(dims)
     d_c, d_r = basis.kick_displacements()
     return 2.0 * (_mean_x(d_c, basis.width_c, basis.nu_c, times)
                   + _mean_x(d_r, basis.width_r, basis.nu_r, times) / 2.0)
 
 
-_CHECK_TOL = 1e-9  # doubled-truncation agreement of separation_scan, in x0
+_CHECK_TOL = 1e-9  # separation_scan's agreement of the two routes, in x0
 
 
 def separation_scan(basis: ModeBasis, n_points: int = 64) -> SeparationCurve:
     """Sample one gate period of the separation, analytic against numeric.
 
-    The numeric route is recomputed at doubled truncation; `converged` records
-    whether the two truncations agree to _CHECK_TOL * x0 everywhere.
+    The numeric route runs once, at basis.dims; `converged` records whether
+    it meets the closed form to _CHECK_TOL * x0 everywhere, which a
+    truncation too tight for the kick misses.
     """
     if n_points < 2:
         raise ValueError("need at least two sample points")
     times = np.linspace(0.0, basis.gate_time, n_points)
-    n_c, n_r = basis.dims
-    num = separation_numeric(basis, times)
-    num2 = separation_numeric(basis, times, (2 * n_c, 2 * n_r))
-    converged = bool(np.abs(num - num2).max() <= _CHECK_TOL * basis.x0)
-    return SeparationCurve(
-        times=times, analytic=separation_analytic(basis, times), numeric=num2,
-        dims=(n_c, n_r), converged=converged,
-    )
+    analytic = separation_analytic(basis, times)
+    numeric = separation_numeric(basis, times)
+    converged = bool(np.abs(numeric - analytic).max() <= _CHECK_TOL * basis.x0)
+    return SeparationCurve(times=times, analytic=analytic, numeric=numeric,
+                           dims=basis.dims, converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +194,6 @@ class AnharmonicReport:
     f_cor: float
     variance: float
     mean_phase: float
-    dims: tuple[int, int]
-    state_mode: str
-    order: int
 
     @property
     def converged(self) -> bool:
@@ -274,8 +267,7 @@ def anharmonic_fidelity(
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
     if not expansion.coefficients:
-        return AnharmonicReport(f_cor=1.0, variance=0.0, mean_phase=0.0, dims=basis.dims,
-                                state_mode=state_mode, order=expansion.order)
+        return AnharmonicReport(f_cor=1.0, variance=0.0, mean_phase=0.0)
     n_c, n_r = basis.dims
     entries = sum(a + 1 for a in {a for a, _ in expansion.coefficients}) * (n_c**2 + n_r**2)
     if entries > _MAX_FACTOR_ENTRIES:
@@ -297,10 +289,7 @@ def anharmonic_fidelity(
         var = second - mean * mean
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise OverflowError(f"F_cor's phase mean {mean} or variance {var} is not finite")
-    return AnharmonicReport(
-        f_cor=1.0 - var, variance=var, mean_phase=mean, dims=basis.dims,
-        state_mode=state_mode, order=expansion.order,
-    )
+    return AnharmonicReport(f_cor=1.0 - var, variance=var, mean_phase=mean)
 
 
 def exact_anharmonic_fidelity(
@@ -464,7 +453,6 @@ class GateReport:
     f_cor: float | None
     condition: "gate_protocol.ConditionReport"
     tp_defect: float
-    flip_mode: str
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -486,14 +474,13 @@ def gate_report(
     eta: float,
     n_bar_c: float,
     rabi_cycles: int = 3,
-    margin: float = 3.0,
-    flip_mode: str = "gaussian",
     anharmonic_order: int | None = 3,
     dims: tuple[int, int] | None = None,
 ) -> GateReport:
     """Simulate one operating point and collect its figures of merit.
 
-    Fidelity is taken against the conditional flip, gate_protocol.ideal_gate.
+    The flip is the addressed Gaussian pulse of the solved schedule, and
+    fidelity is taken against the conditional flip, gate_protocol.ideal_gate.
     anharmonic_order None skips the dephasing estimate; at order 0, the
     empty expansion, F_cor is 1.
     dims sets the truncation of the gate's mode basis, which no figure
@@ -501,9 +488,8 @@ def gate_report(
     """
     basis = build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c, dims=dims)
     schedule, condition = gate_protocol.build_schedule(
-        basis, n_bar_c=n_bar_c, rabi_cycles=rabi_cycles, margin=margin)
-    gc = gate_protocol.gate_channel(basis, schedule, n_bar_c=n_bar_c,
-                                    flip_mode=flip_mode)
+        basis, n_bar_c=n_bar_c, rabi_cycles=rabi_cycles)
+    gc = gate_protocol.gate_channel(basis, schedule, n_bar_c=n_bar_c)
     channel = QuantumChannel(gc.choi)
     fidelity = average_fidelity(channel, gate_protocol.ideal_gate())
     purity = average_purity(channel)
@@ -514,7 +500,6 @@ def gate_report(
         n_bar_r=condition.n_bar_r,
         fidelity=fidelity, purity=purity, f_cor=f_cor,
         condition=condition, tp_defect=channel.trace_preservation_defect(),
-        flip_mode=flip_mode,
     )
 
 

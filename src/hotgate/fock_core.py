@@ -39,11 +39,6 @@ def annihilation(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
-def number_operator(dim: int) -> np.ndarray:
-    dim = _check_dim(dim)
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
 def position_operator(dim: int, ground_width: float) -> np.ndarray:
     """x = w*(a + a^dag) where w = 1/sqrt(2*M*nu) is the ground-state width."""
     if ground_width <= 0:
@@ -153,15 +148,11 @@ class DensityOp:
     def purity(self) -> float:
         return float(np.vdot(self.matrix, self.matrix).real)
 
-    def expectation(self, op: np.ndarray) -> complex:
-        return complex(np.trace(self.matrix @ np.asarray(op)))
-
 
 def thermal_state(n_bar: float, dim: int) -> DensityOp:
     return DensityOp(np.diag(thermal_probabilities(n_bar, dim)).astype(complex))
 
 
 def mean_occupation(state: DensityOp) -> float:
-    """Tr[rho n] for a single-mode density operator."""
-    op = number_operator(state.dim)
-    return float(np.real(state.expectation(op)))
+    """Tr[rho n] = sum_n n rho_nn for a single-mode density operator."""
+    return float(np.arange(state.dim) @ state.matrix.diagonal().real)

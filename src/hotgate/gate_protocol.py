@@ -135,7 +135,6 @@ class ConditionReport:
     n_bar_c: float
     n_bar_r: float
     rabi_cycles: int
-    margin: float
     big_d: float
     delta: float
     big_w: float
@@ -162,6 +161,7 @@ class ConditionReport:
 
 
 _T1_OVER_TG = 0.01  # pulse length over t_g; GateSchedule warns above 1/20
+_MARGIN = 3.0  # factor by which the separation, linearity and kick flags must hold
 
 
 def eta_lower_bound(n_bar_c: float) -> float:
@@ -189,7 +189,6 @@ def condition_solver(
     basis: ModeBasis,
     n_bar_c: float = 0.0,
     rabi_cycles: int = 3,
-    margin: float = 3.0,
 ) -> tuple[AddressedPulse, ConditionReport]:
     """Solve the addressed-pulse geometry for a thermal operating point.
 
@@ -200,7 +199,9 @@ def condition_solver(
     l = x_e/2 + W (its steepest point sits on ion 1), and fixes the pulse
     area Omega(x_e/2)*t1/2 = (2N + 1/4)*pi so the two branches see
     (2N + 1/2)*pi and 2N*pi respectively, over t1 = _T1_OVER_TG * t_g.
-    eta_bound_ratio = eta/ModeBasis.eta_bound = D/Delta on any trap.
+    eta_bound_ratio = eta/ModeBasis.eta_bound = D/Delta on any trap.  The
+    flags ask D > 3 Delta, a phase spread below 1/3 and eta/eta_bound >= 3
+    (_MARGIN).
     D = 0 (an unkicked basis) leaves no profile to solve and raises
     ValueError.
     """
@@ -208,8 +209,6 @@ def condition_solver(
         raise ValueError("rabi_cycles must be a positive integer")
     if n_bar_c < 0:
         raise ValueError("n_bar_c must be non-negative")
-    if margin < 1.0:
-        raise ValueError("margin below 1 would defeat the validity flags")
     n = int(rabi_cycles)
     big_d = 2.0 * float(basis.half_separation(basis.flip_time))
     if big_d == 0.0:
@@ -226,15 +225,15 @@ def condition_solver(
     ratio = basis.eta / bound
     phase_spread = area * delta / big_w  # d(theta)/dx at x_e/2 times Delta
     satisfied = {
-        "separation_hierarchy": big_w > big_d > delta * margin,
-        "profile_linearity": phase_spread < 1.0 / margin,
+        "separation_hierarchy": big_w > big_d > delta * _MARGIN,
+        "profile_linearity": phase_spread < 1.0 / _MARGIN,
         "rabi_cycles_large": n >= 3,
-        "eta_above_bound": ratio >= margin,
+        "eta_above_bound": ratio >= _MARGIN,
     }
     pulse = AddressedPulse(omega0=omega0, center=center, width=big_w, duration=t1)
     report = ConditionReport(
         eta=basis.eta, n_bar_c=n_bar_c, n_bar_r=basis.stretch_occupation(n_bar_c),
-        rabi_cycles=n, margin=margin,
+        rabi_cycles=n,
         big_d=big_d, delta=delta, big_w=big_w, center=center, t1=t1,
         omega0=omega0, omega0_t1=omega0 * t1, pulse_area=area,
         w_over_d=big_w / big_d, eta_bound=bound, eta_bound_ratio=ratio,
@@ -247,10 +246,9 @@ def build_schedule(
     basis: ModeBasis,
     n_bar_c: float = 0.0,
     rabi_cycles: int = 3,
-    margin: float = 3.0,
 ) -> tuple[GateSchedule, ConditionReport]:
     """Assemble the full solved schedule for one operating point."""
-    pulse, report = condition_solver(basis, n_bar_c, rabi_cycles, margin)
+    pulse, report = condition_solver(basis, n_bar_c, rabi_cycles)
     schedule = GateSchedule(
         t0=basis.flip_time,
         t_g=basis.gate_time,

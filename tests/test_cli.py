@@ -180,7 +180,6 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ("conditions", "--rabi-cycles", "0"),
-    ("conditions", "--margin", "0.5"),
     ("conditions", "--n-bar-c", "-1"),
     ("gate", "--n-bar-c", "-1"),
     ("gate", "--rabi-cycles", "0"),
@@ -214,7 +213,6 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("anharmonic", "--n-bar-c", "inf"),
     ("scan", "--etas", "inf", "--n-bars", "0"),
     ("scan", "--etas", "2", "--n-bars", "inf"),
-    ("anharmonic", "--scale", "nan"),
     ("modes", "--solve-ratio", "nan"),  # a bad input, not an infeasible trap
     ("modes", "--solve-ratio", "inf"),
     # finite, but too large for the arithmetic they enter
@@ -222,7 +220,6 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("gate", "--n-bar-c", "1e300"),
     ("modes", "--eta", "1e300"),
     ("conditions", "--eta", "1e200"),
-    ("anharmonic", "--scale", "1e300", "--dims", "8,6"),  # F_cor's variance
     # in range, but a trap constant derived from them leaves double range
     ("modes", "--mass", "1e300"),
     ("modes", "--exponent", "1e300"),
@@ -249,6 +246,23 @@ def test_negative_looking_value_reaches_the_range_check(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (1, "")
     assert err == f"hotgate: config error: {message}\n"
+
+
+def test_tiny_separation_keeps_its_finite_coulomb_term(capsys):
+    """At --separation-in-x0 1e-100, x_e^4 underflows a double while the
+    Coulomb coefficient C/x_e^4 (about -1e100) is finite: gate, scan and
+    anharmonic run to the end, and the phase variance, far above 1, leaves
+    gate's F_cor null and scan's nan."""
+    tiny = ("--separation-in-x0", "1e-100")
+    rc, out, err = run(capsys, "gate", *tiny)
+    assert rc == 0 and "Traceback" not in err
+    assert json.loads(out)["f_cor"] is None
+    rc, out, err = run(capsys, "scan", *tiny, "--etas", "2", "--n-bars", "0")
+    assert rc == 0 and "Traceback" not in err
+    assert [ln for ln in out.splitlines() if not ln.startswith("#")][1].endswith(",nan")
+    rc, out, err = run(capsys, "anharmonic", *tiny, "--dims", "8,6")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["phase_variance"] > 1.0
 
 
 # --- separation -------------------------------------------------------------
@@ -279,9 +293,10 @@ def test_separation_absolute_path_ignores_env(capsys, tmp_path, monkeypatch):
 
 
 def test_separation_tiny_truncation_exits_3(capsys):
+    """The numeric column runs once, at --dims, and is held to the closed form."""
     rc, out, err = run(capsys, "separation", "--dims", "3,3", "--points", "8")
     assert rc == 3
-    assert "truncation" in err
+    assert "truncation" in err and "closed form" in err and err.count("\n") == 1
     assert out.startswith("# hotgate separation\n")  # the partial result is still emitted
 
 
@@ -336,13 +351,13 @@ def test_conditions_off_ratio_separation_matches_fock_route(capsys, exponent):
 # the conditions JSON: ConditionReport's fields, four of them under the
 # paper's symbols, then well_conditioned and one ok_ flag per condition
 _CONDITION_KEYS = {
-    "eta", "n_bar_c", "n_bar_r", "rabi_cycles", "margin", "branch_separation_D",
+    "eta", "n_bar_c", "n_bar_r", "rabi_cycles", "branch_separation_D",
     "wavepacket_delta", "profile_width_W", "profile_center_l", "t1", "omega0",
     "omega0_t1", "pulse_area", "w_over_d", "eta_bound", "eta_bound_ratio",
     "well_conditioned", "ok_separation_hierarchy", "ok_profile_linearity",
     "ok_rabi_cycles_large", "ok_eta_above_bound"}
 _GATE_KEYS = {"eta", "n_bar_c", "n_bar_r", "fidelity", "purity", "f_cor", "tp_defect",
-              "flip_mode", "conditions", "note"}
+              "conditions", "note"}
 
 
 def test_report_json_key_sets_are_pinned(capsys):
@@ -367,17 +382,8 @@ def test_stamp_is_opt_in(capsys):
 # --- gate -------------------------------------------------------------------
 
 
-def test_gate_idealized_flip_is_perfect(capsys):
-    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--flip", "idealized")
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["fidelity"] == pytest.approx(1.0, abs=1e-9)
-    assert doc["flip_mode"] == "idealized"
-    assert doc["f_cor"] == 1.0  # the cold ground state has no phase variance
-
-
 def test_gate_output_is_deterministic(capsys):
-    argv = ("gate", "--eta", "1.5", "--flip", "idealized")
+    argv = ("gate", "--eta", "1.5")
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
@@ -399,14 +405,12 @@ def test_gate_disabled_pulse_against_identity(capsys):
 
 
 def test_gate_anharmonic_column(capsys):
-    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--flip", "idealized",
-                     "--n-bar-c", "0.5")
+    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--n-bar-c", "0.5")
     assert rc == 0
     doc = json.loads(out)
     assert 0.99999 < doc["f_cor"] < 1.0
     # [anharmonic] order is the one switch: order 0 is the empty expansion
-    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--flip", "idealized",
-                     "--n-bar-c", "0.5", "--order", "0")
+    rc, out, _ = run(capsys, "gate", "--eta", "1.5", "--n-bar-c", "0.5", "--order", "0")
     assert rc == 0
     assert json.loads(out)["f_cor"] == 1.0
 
@@ -589,25 +593,19 @@ def test_gate_unconverged_quadrature_exits_3(capsys, monkeypatch):
     assert "within 256 trapezoid intervals" in err
 
 
-def test_gate_rejects_unknown_flip(capsys):
-    for flip in ("sinc", "none"):
-        rc, _, err = run(capsys, "gate", "--flip", flip)
-        assert rc == 1, flip
-
-
 # --- config files -----------------------------------------------------------
 
 
 def test_config_file_sets_defaults_and_flags_override(capsys, tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(
-        "[gate]\neta = 1.5\ndims = 14,10\nflip = idealized\n"
+        "[gate]\neta = 1.5\ndims = 14,10\nrabi_cycles = 5\n"
         "[output]\nprecision = 8\n")
     rc, out, _ = run(capsys, "gate", "--config", str(ini))
     assert rc == 0
     doc = json.loads(out)
     assert doc["eta"] == 1.5
-    assert doc["flip_mode"] == "idealized"
+    assert doc["conditions"]["rabi_cycles"] == 5
     rc, out, _ = run(capsys, "gate", "--config", str(ini), "--eta", "1.2")
     assert json.loads(out)["eta"] == 1.2
 
@@ -631,8 +629,8 @@ def test_config_unknown_section_exits_1(capsys, tmp_path):
 
 def test_config_unknown_choice_exits_1(capsys, tmp_path):
     ini = tmp_path / "bad.ini"
-    ini.write_text("[gate]\nflip = sinc\n")
-    rc, _, err = run(capsys, "gate", "--config", str(ini))
+    ini.write_text("[anharmonic]\nstate_mode = mid_kick\n")
+    rc, _, err = run(capsys, "anharmonic", "--config", str(ini))
     assert rc == 1
     assert "must be one of" in err
 
@@ -658,7 +656,7 @@ def test_config_hash_covers_only_settings_the_command_reads():
     cfg["anharmonic"]["order"] = 0  # read by gate and by scan too
     assert all(cli.config_hash(cfg, cmd) != base[cmd] for cmd in base)
     cfg = cli.load_config(None)
-    cfg["anharmonic"]["scale"] = 2.0  # read by anharmonic only
+    cfg["anharmonic"]["state_mode"] = "post_kick"  # read by anharmonic only
     assert cli.config_hash(cfg, "anharmonic") != base["anharmonic"]
     assert cli.config_hash(cfg, "gate") == base["gate"]
     assert cli.config_hash(cfg, "scan") == base["scan"]
@@ -669,10 +667,10 @@ def test_config_hash_covers_only_settings_the_command_reads():
 _DEFAULT_HASHES = {
     "modes": "3060250cf98f2018737ca2f14646e532d157b416d5499b8431b74997090b4b8c",
     "separation": "185a81b4c5d0d1a4ca1b277d9012c60f250b28baa9cfc734547d7b96ac59ad90",
-    "conditions": "b0d3d47a6e9158e121dd80c72524f104a6ac167445c80b44752b5efe1e12e663",
-    "gate": "9f56dda6d70a1596e5170045cfe5eb0f58516b9388be0eabba9a050c5d6b7e07",
-    "scan": "33f41a4d5a75b1c02322af485ced557f602b42a1b5dab07305d2fc193d529658",
-    "anharmonic": "3cf6103561b752f691393d61d2375e1a8dfa9f06c647a36b461c65a61c972f24",
+    "conditions": "c0234f4703010792f3997c4b4a19e3fd00f063241aa959259633b5d59d906e8d",
+    "gate": "87b022e3be1ad9067db7251bcf0f20ebef485e93e03261ad474caf8ee2b83fe4",
+    "scan": "bfb1efab3a7f9b9ce588f75eb40f6931f720dec9a607b1ff60d71a9a57538fe7",
+    "anharmonic": "7db7203fa7a5bf4a7e9a812ad17007622ed551f5d8bb9ee154fb2d49a4d33b3f",
 }
 
 
@@ -709,27 +707,33 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
 
 
 def test_removed_settings_are_refused(capsys, tmp_path):
-    """The CLI trap is the normalized trap, and anharmonic reads [gate]
-    n_bar_c and dims: the explicit-trap pair and the anharmonic copies are
-    no flags and no INI keys."""
+    """The CLI trap is the normalized trap, anharmonic reads [gate] n_bar_c
+    and dims, and the gate is the paper's: the explicit-trap pair, the
+    anharmonic copies, the idealized flip, the validity-flag factor and the
+    coupling scale are no flags and no INI keys on any subcommand."""
+    removed = (("trap", "stiffness"), ("trap", "coulomb"), ("anharmonic", "n_bar_c"),
+               ("anharmonic", "dims"), ("gate", "flip"), ("gate", "margin"),
+               ("anharmonic", "scale"))
+    flags = ("--stiffness", "--coulomb", "--anh-n-bar-c", "--anh-dims", "--flip", "--margin",
+             "--scale")
+    ini = tmp_path / "old.ini"
     for command in cli._COMMANDS:
-        for flag in ("--stiffness", "--coulomb", "--anh-n-bar-c", "--anh-dims"):
-            rc, out, err = run(capsys, command, flag, "2")
+        for flag, value in [(flag, "2") for flag in flags] + [("--flip", "idealized"),
+                                                              ("--flip", "gaussian")]:
+            rc, out, err = run(capsys, command, flag, value)
             assert (rc, out) == (1, ""), (command, flag)
             assert "unrecognized arguments" in err, (command, flag)
-    ini = tmp_path / "old.ini"
-    for section, key in (("trap", "stiffness"), ("trap", "coulomb"),
-                         ("anharmonic", "n_bar_c"), ("anharmonic", "dims")):
-        ini.write_text(f"[{section}]\n{key} = 2\n")
-        rc, out, err = run(capsys, "anharmonic", "--config", str(ini))
-        assert (rc, out) == (1, "")
-        assert err == f"hotgate: config error: unknown config key [{section}] {key}\n"
+        for section, key in removed:
+            ini.write_text(f"[{section}]\n{key} = 2\n")
+            rc, out, err = run(capsys, command, "--config", str(ini))
+            assert (rc, out) == (1, ""), (command, key)
+            assert err == f"hotgate: config error: unknown config key [{section}] {key}\n"
 
 
 # --- every setting reaches the data -----------------------------------------
 
-# warm: the ground state has no phase variance, so at n_bar_c 0 order and
-# scale barely move the figures
+# warm: the ground state has no phase variance, so at n_bar_c 0 the order
+# barely moves the figures
 _ANH = ("--dims", "12,10", "--eta", "1", "--n-bar-c", "0.5")
 _SEP = ("--eta", "1", "--points", "4", "--precision", "17")
 _SCAN = ("--etas", "2", "--n-bars", "0", "--order", "0")
@@ -750,16 +754,13 @@ _DATA_CASES = {
     ("gate", "n_bar_c"): [("modes", (), ("--n-bar-c", "1")),
                           ("anharmonic", _ANH, (*_ANH, "--n-bar-c", "1"))],
     ("gate", "rabi_cycles"): [("conditions", (), ("--rabi-cycles", "5"))],
-    ("gate", "margin"): [("conditions", (), ("--margin", "5"))],
     ("gate", "dims"): [("separation", (*_SEP, "--dims", "12,12"), (*_SEP, "--dims", "14,14")),
                        ("anharmonic", _ANH, (*_ANH, "--dims", "10,8"))],
-    ("gate", "flip"): [("gate", (), ("--flip", "idealized"))],
     ("scan", "etas"): [("scan", _SCAN, (*_SCAN, "--etas", "3"))],
     ("scan", "n_bars"): [("scan", _SCAN, (*_SCAN, "--n-bars", "0.5"))],
     ("anharmonic", "order"): [("anharmonic", _ANH, (*_ANH, "--order", "0")),
                               ("gate", _HOT, (*_HOT, "--order", "0")),
                               ("scan", _HOT_SCAN, (*_HOT_SCAN, "--order", "0"))],
-    ("anharmonic", "scale"): [("anharmonic", _ANH, (*_ANH, "--scale", "2"))],
     ("anharmonic", "state_mode"): [("anharmonic", _ANH, (*_ANH, "--state-mode", "post_kick"))],
     ("separation", "points"): [("separation", _SEP, (*_SEP, "--points", "5"))],
     ("output", "precision"): [("modes", (), ("--precision", "6"))],
@@ -874,7 +875,7 @@ def test_scan_skip_existing_ignores_settings_scan_does_not_read(capsys, tmp_path
     assert run(capsys, *args, "--output", str(out))[0] == 0
     first = out.read_bytes()
     ini = tmp_path / "anharmonic.ini"
-    ini.write_text("[anharmonic]\nscale = 2.0\n")  # read by anharmonic only
+    ini.write_text("[anharmonic]\nstate_mode = post_kick\n")  # read by anharmonic only
     calls = []
     monkeypatch.setattr(analysis, "gate_report",
                         lambda *a, **kw: calls.append(a[1:3]))
@@ -956,9 +957,12 @@ def test_anharmonic_order_zero_short_circuits(capsys):
     assert doc["f_cor_exact"] == 1.0
     assert doc["delta"] == 0.0
     assert doc["dims"] == [162, 84]
+    assert (doc["order"], doc["state_mode"]) == (0, "post_kick")
     rc, out, _ = run(capsys, "anharmonic", "--state-mode", "post_kick", *_ANH)
     assert rc == 0
-    assert set(doc) == set(json.loads(out))
+    assert set(doc) == set(json.loads(out)) == {
+        "command", "config_hash", "f_cor_perturbative", "f_cor_exact", "delta", "mean_phase",
+        "phase_variance", "dims", "state_mode", "order", "n_bar_c"}
 
 
 def test_anharmonic_compares_routes(capsys):
@@ -1153,7 +1157,7 @@ def test_main_builds_only_the_parser_it_runs(capsys, monkeypatch):
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
     for argv in (("scan", "--etas", "2", "--n-bars", "0", "--order", "0"),
-                 ("gate", "--eta", "1.5", "--flip", "idealized")):
+                 ("gate", "--eta", "1.5", "--order", "0")):
         built.clear()
         assert run(capsys, *argv)[0] == 0
         assert built == [f"hotgate {argv[0]}"]

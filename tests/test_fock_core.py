@@ -21,10 +21,14 @@ def test_ladder_commutator_inner_block():
     assert comm[d - 1, d - 1] == pytest.approx(1 - d)
 
 
-def test_number_operator_is_adag_a():
+def test_mean_occupation_is_adag_a():
+    """sum_n n rho_nn is Tr[rho a^dag a], off-diagonal entries and all."""
     d = 9
     a = fc.annihilation(d)
-    np.testing.assert_allclose(fc.number_operator(d), a.conj().T @ a, atol=0)
+    ket = np.random.default_rng(3).normal(size=(d, 2)) @ [1.0, 1j]
+    rho = fc.DensityOp(np.outer(ket, ket.conj()) / np.vdot(ket, ket))
+    expected = np.trace(rho.matrix @ a.conj().T @ a).real
+    assert fc.mean_occupation(rho) == pytest.approx(expected, rel=1e-14)
 
 
 def test_position_momentum_commutator():

@@ -73,12 +73,18 @@ def test_condition_solver_flags_weak_kick(spec):
     assert not rep.well_conditioned
 
 
+def test_validity_flags_hold_by_the_fixed_factor_3(spec):
+    """eta_above_bound asks eta >= 3 eta_bound: it trips just below 3."""
+    bound = make_basis(spec, eta=1.0, dims=(8, 8)).eta_bound(1.0)
+    for ratio, ok in ((3.0 * (1 + 1e-9), True), (3.0 * (1 - 1e-9), False)):
+        _, rep = gp.condition_solver(make_basis(spec, eta=ratio * bound, dims=(8, 8)), 1.0)
+        assert rep.satisfied["eta_above_bound"] is ok, ratio
+
+
 def test_condition_solver_rejects_bad_inputs(spec):
     basis = make_basis(spec, eta=7.0, dims=(8, 8))
     with pytest.raises(ValueError):
         gp.condition_solver(basis, rabi_cycles=0)
-    with pytest.raises(ValueError):
-        gp.condition_solver(basis, margin=0.5)
     with pytest.raises(ValueError):
         gp.condition_solver(basis, n_bar_c=-0.1)
 

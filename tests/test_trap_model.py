@@ -270,6 +270,17 @@ def test_expansion_against_finite_differences(spec):
         assert coeff == pytest.approx(fd, rel=2e-4), (a, b)
 
 
+def test_coulomb_coefficient_survives_an_underflowing_x_e_fourth():
+    """At 1e-100 widths x_e^4 underflows a double, while C/x_e^4 is finite."""
+    spec = tm.TrapSpec.normalized(separation_in_x0=1e-100)
+    x_e = tm.equilibrium_separation(spec)
+    assert x_e**4 == 0.0
+    v_3 = tm.potential_derivative(spec, x_e / 2.0, 3)
+    coulomb = math.exp(math.log(spec.coulomb) - 4.0 * math.log(x_e))
+    coeff = tm.anharmonic_expansion(spec, order=3).coefficients[(0, 3)]
+    assert coeff == pytest.approx(v_3 / 24.0 - coulomb, rel=1e-12)
+
+
 def test_expansion_structure(spec):
     # mirror symmetry of the two wells kills x_c^3 and x_c x_r^2
     assert set(tm.anharmonic_expansion(spec, order=3).coefficients) == {(0, 3), (2, 1)}
