@@ -593,6 +593,14 @@ def test_gate_unconverged_quadrature_exits_3(capsys, monkeypatch):
     assert "within 256 trapezoid intervals" in err
 
 
+def test_gate_rejects_unknown_flip(capsys):
+    """The gate runs the paper's flip only: no --flip value is taken."""
+    for flip in ("sinc", "none", "idealized"):
+        rc, out, err = run(capsys, "gate", "--flip", flip)
+        assert (rc, out) == (1, ""), flip
+        assert "unrecognized arguments: --flip" in err, flip
+
+
 # --- config files -----------------------------------------------------------
 
 
