@@ -1,17 +1,22 @@
 """Figures of merit: branch separation curves, channel fidelity and purity,
 and the anharmonic dephasing budget.
 
-The channel tools are deliberately small: everything is phrased through the
-Choi matrix J = sum_ij |i><j| (x) Lambda(|i><j|), because the gate simulator
-already produces one (gate_protocol.GateChannel) and every quantity we report
-(entanglement fidelity, average fidelity, purity, trace preservation)
-is a short contraction of J.
+gate_report reads its figures off the branch decomposition of the gate,
+Lambda(rho) = sum_rc T_rc Q_r rho Q_c^dag (gate_protocol.GateChannel): the
+entanglement fidelity, the mean output purity over the 36 frame states and
+the trace-preservation defect are each a closed-form contraction of the 4x4
+Gram matrix T with constants of the four branch operators Q_r
+(_branch_figures).  The Choi matrix J = sum_ij |i><j| (x) Lambda(|i><j|)
+and the generic tools on it (QuantumChannel, average_fidelity,
+average_purity) work for any channel; the tests hold the contractions to
+them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -172,6 +177,52 @@ def average_purity(channel: QuantumChannel) -> float:
     choi = channel.choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     outs = (_FRAME_PROJECTORS @ choi).reshape(-1, d, d)
     return float(np.einsum("sab,sba->", outs, outs).real / len(outs))
+
+
+@cache
+def _branch_constants() -> np.ndarray:
+    """[K | P] (16 x 32) of the Gaussian flip's branch operators Q_r
+    (gate_protocol._GAUSSIAN_TERMS), built on first use:
+
+    * K[(r, c), (p, q)] is Tr[Q_r rho_s Q_c^dag Q_p rho_s Q_q^dag] averaged
+      over the 36 frame states rho_s = |s><s|, that is G[s, c, p] G[s, q, r]
+      with G[s, c, p] = <s| Q_c^dag Q_p |s>;
+    * row (r, c) of P holds the 16 entries of Q_c^dag Q_r.
+
+    Both leave out the frame phase: it multiplies Q_r by one phase per
+    qubit-2 branch b, and every nonzero product Q_c^dag Q_p has b_c = b_p.
+    """
+    ops = np.array([q for _, _, q in gate_protocol._GAUSSIAN_TERMS])
+    products = np.einsum("cba,rbd->rcad", ops.conj(), ops)
+    kets = np.array(frame_states())
+    grams = np.einsum("sa,pcad,sd->scp", kets.conj(), products, kets)
+    kernel = np.einsum("scp,sqr->rcpq", grams, grams) / len(kets)
+    return np.hstack([kernel.reshape(16, 16), products.reshape(16, 16)])
+
+
+def _branch_figures(gram: np.ndarray, terms, target: np.ndarray) -> tuple[float, float, float]:
+    """Average fidelity against target, mean frame-state purity and
+    trace-preservation defect of Lambda(rho) = sum_rc T_rc Q_r rho Q_c^dag,
+    for the Gaussian flip's terms (b, s, Q_r) with any frame phase:
+
+    * F_ent = a T a^dag / 16 with a_r = Tr[U^dag Q_r], then
+      F_avg = (4 F_ent + 1)/5, as average_fidelity on the Choi matrix;
+    * purity = sum T_rc T_pq K_rcpq, as average_purity;
+    * defect = max |sum_rc T_rc Q_c^dag Q_r - 1|, the channel's trace
+      Lambda^dag(1) against the identity, as trace_preservation_defect.
+
+    K and the products Q_c^dag Q_r come from _branch_constants, so one
+    matmul of the flattened T gives the purity's inner sum and Lambda^dag(1).
+    """
+    ops = np.array([q for _, _, q in terms]).reshape(len(terms), 16)
+    a = ops @ np.asarray(target, dtype=complex).conj().reshape(16)
+    f_ent = (a @ gram @ a.conj()).real / 16.0
+    t = gram.reshape(16)
+    contracted = t @ _branch_constants()
+    purity = (contracted[:16] @ t).real
+    dual = contracted[16:]  # Lambda^dag(1), flattened
+    dual[::5] -= 1.0  # its diagonal
+    return float((4.0 * f_ent + 1.0) / 5.0), float(purity), float(np.abs(dual).max())
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +532,8 @@ def gate_report(
 
     The flip is the addressed Gaussian pulse of the solved schedule, and
     fidelity is taken against the conditional flip, gate_protocol.ideal_gate.
+    Fidelity, purity and tp_defect are contractions of the channel's 4x4
+    Gram matrix (_branch_figures); no Choi matrix is built.
     anharmonic_order None skips the dephasing estimate; at order 0, the
     empty expansion, F_cor is 1.
     dims sets the truncation of the gate's mode basis, which no figure
@@ -490,16 +543,14 @@ def gate_report(
     schedule, condition = gate_protocol.build_schedule(
         basis, n_bar_c=n_bar_c, rabi_cycles=rabi_cycles)
     gc = gate_protocol.gate_channel(basis, schedule, n_bar_c=n_bar_c)
-    channel = QuantumChannel(gc.choi)
-    fidelity = average_fidelity(channel, gate_protocol.ideal_gate())
-    purity = average_purity(channel)
+    fidelity, purity, tp_defect = _branch_figures(gc.gram, gc.terms, gate_protocol.ideal_gate())
     f_cor = (None if anharmonic_order is None
              else _anharmonic_point(spec, n_bar_c, anharmonic_order).f_cor)
     return GateReport(
         eta=eta, n_bar_c=n_bar_c,
         n_bar_r=condition.n_bar_r,
         fidelity=fidelity, purity=purity, f_cor=f_cor,
-        condition=condition, tp_defect=channel.trace_preservation_defect(),
+        condition=condition, tp_defect=tp_defect,
     )
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import cache, cached_property
 from math import exp, pi, sqrt
 
 import numpy as np
@@ -312,27 +313,50 @@ def _branch_terms(schedule: GateSchedule, flip_mode: str):
 
 @dataclass
 class GateChannel:
-    """Internal 4x4 channel of one gate execution over a thermal motion.
+    """Internal 4x4 channel of one gate execution over a thermal motion,
+    Lambda(rho) = sum_rc gram[r, c] Q_r rho Q_c^dag.
 
-    choi is sum_ij |i><j| (x) Lambda(|i><j|) (trace 4 for trace preserving);
     gram holds the motional overlaps Tr[M_r rho_mot M_c^dag] of the branch
-    terms.
+    terms (b, s, Q).  choi, sum_ij |i><j| (x) Lambda(|i><j|) (trace 4 for
+    trace preserving), is assembled from them on first read (_choi): the
+    figures of analysis.gate_report are contractions of gram alone.
     """
 
-    choi: np.ndarray
     gram: np.ndarray
     terms: list
 
+    @cached_property
+    def choi(self) -> np.ndarray:
+        return _choi(self.terms, self.gram)
 
-def _channel(terms, gram) -> GateChannel:
+
+def _choi(terms, gram) -> np.ndarray:
+    """sum_rc gram[r, c] vec(Q_r) vec(Q_c)^dag, vec(Q) = sum_i |i> (x) Q|i>."""
     vq = np.stack([q.T.reshape(16) for _, _, q in terms], axis=1)
-    choi = vq @ gram @ vq.conj().T
-    return GateChannel(choi=choi, gram=gram, terms=terms)
+    return vq @ gram @ vq.conj().T
 
 
 _SPAN = 14.0  # half-width of the quadrature span, in thermal widths of X
 _GRAM_TOL = 1e-14
+_FIRST_LEVEL = 128  # intervals of the first grid the integrand is evaluated on
 _MAX_INTERVALS = 2**18
+
+
+@cache
+def _trapezoid_nodes(intervals: int):
+    """(t, w, step) of the trapezoid rule with `intervals` intervals over
+    +-_SPAN thermal widths: nodes t and weights w = N(t) step, the end
+    weights below e^-49, so the rule is a plain sum.  Above _FIRST_LEVEL
+    only the nodes that the level adds, its odd ones, are returned.  Every
+    node is dyadic, so each level's nodes are exactly those of the grids
+    below it.  Built once per interval count, read-only."""
+    t = np.linspace(-_SPAN, _SPAN, intervals + 1)
+    if intervals > _FIRST_LEVEL:
+        t = t[1::2].copy()
+    step = 2.0 * _SPAN / intervals / sqrt(2.0 * pi)
+    w = np.exp(-0.5 * t * t) * step
+    t.flags.writeable = w.flags.writeable = False
+    return t, w, step
 
 
 def _refocuses(basis: ModeBasis, schedule: GateSchedule) -> bool:
@@ -388,12 +412,17 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
       (1, 0) block is its conjugate transpose.
 
     When _refocuses holds, G_b = 1 and the same-branch product already
-    gives the cross blocks, so they are not evaluated apart.  The integrals
-    are a trapezoid rule over +-_SPAN widths whose interval count doubles from
-    64 until two successive Gram matrices agree to _GRAM_TOL.  Nodes are
-    read as offsets from the profile centre l,
-    (x_e/2 - l + sigma_b D/2) + (Delta t + a) with a only in f_r, so none
-    carries the rounding of x_e/2 (~410 x0) for the doubling to chase.
+    gives the cross blocks, so they are not evaluated apart.  The profile
+    is read for s = +1 only: f_{b,-1} is the conjugate of f_{b,+1}, bit for
+    bit.  The integrals are a trapezoid rule over +-_SPAN widths
+    (_trapezoid_nodes) whose interval count doubles from 64 until two
+    successive Gram matrices agree to _GRAM_TOL.  The first evaluation is
+    on _FIRST_LEVEL intervals, whose even nodes at twice the weight give the
+    64-interval sum; each later level evaluates only its new nodes and adds
+    their sum to half the previous Gram matrix.  Nodes are read as offsets
+    from the profile centre l, (x_e/2 - l + sigma_b D/2) + (Delta t + a)
+    with a only in f_r, so none carries the rounding of x_e/2 (~410 x0) for
+    the doubling to chase.
     """
     flip = schedule.flip
     if flip is None:
@@ -401,30 +430,29 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
     delta = basis.thermal_spread(n_bar_c)
     half_d = basis.half_separation(schedule.t0)
     edge = basis.x_e / 2.0 - flip.center
-    offsets = np.array([edge + (half_d if b == 0 else -half_d) for b, _, _ in terms])
-    signs = np.array([s for _, s, _ in terms])
-    rows = np.array([b == 0 for b, _, _ in terms])
     cross = None if _refocuses(basis, schedule) else _residual_displacement(
         basis, schedule, n_bar_c)
+    # the profile is read on branch 0 and branch 1 at X and, for the cross
+    # blocks, on branch 0 at X + a, all at s = +1; row k + n_rows of the
+    # factors is the conjugate of row k
+    offsets = np.array([edge + half_d, edge - half_d] + ([] if cross is None else [edge + half_d]))
+    n_rows = offsets.size
+    same = [b + (0 if s > 0 else n_rows) for b, s, _ in terms]
+    shifted = [2 + (0 if s > 0 else n_rows) for b, s, _ in terms if b == 0]
+    rows = np.array([b == 0 for b, _, _ in terms])
 
-    def theta(u, pick):
-        """Flip angle Omega t1 / 2 of the terms pick at X = x_e/2 + u."""
-        return 0.5 * flip.duration * gaussian_rabi(flip, offsets[pick, None] + u[None, :])
-
-    def integrand(intervals):
-        """Weights [w] and factors [f] (and the cross-block weight and f_r(X + a)
-        unless the schedule refocuses) on the grid of `intervals` intervals;
-        the end weights are below e^-49, so the trapezoid rule is a plain sum."""
-        t = np.linspace(-_SPAN, _SPAN, intervals + 1)
-        step = 2.0 * _SPAN / intervals / sqrt(2.0 * pi)
-        w = np.exp(-0.5 * t * t) * step
+    def integrand(t, w, step):
+        """Weights [w] and factors [f] (and the cross-block weight and
+        f_r(X + a) unless the schedule refocuses) at the nodes t."""
         u = delta * t
-        f = np.exp(-1j * signs[:, None] * theta(u, slice(None)))
+        x = offsets[:, None] + (u if cross is None else np.stack([u, u, u + cross[2]]))
+        f_plus = np.exp(-1j * (0.5 * flip.duration * gaussian_rabi(flip, x)))
+        f = np.concatenate([f_plus, f_plus.conj()])
         if cross is None:
-            return [w], [f]
-        log_damp, shift, a = cross
+            return [w], [f[same]]
+        log_damp, shift, _ = cross
         w_cross = np.exp(log_damp - 0.5 * (t - shift / delta) ** 2) * step
-        return [w, w_cross], [f, np.exp(-1j * signs[rows, None] * theta(u + a, rows))]
+        return [w, w_cross], [f[same], f[shifted]]
 
     def gram_of(weights, factors):
         f = factors[0]
@@ -435,23 +463,18 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
             gram[np.ix_(~rows, rows)] = block.conj().T
         return gram
 
-    # the 64-interval grid is every other node of the 128-interval one
-    # (dyadic nodes, so exactly), at twice the weight: one evaluation
-    # serves the first two levels
-    intervals = 128
-    weights, factors = integrand(intervals)
+    intervals = _FIRST_LEVEL
+    weights, factors = integrand(*_trapezoid_nodes(intervals))
+    gram = gram_of(weights, factors)
     previous = gram_of([2.0 * w[::2] for w in weights], [f[:, ::2] for f in factors])
-    while True:
-        gram = gram_of(weights, factors)
-        if np.max(np.abs(gram - previous)) <= _GRAM_TOL:
-            return gram
-        previous = gram
+    while np.max(np.abs(gram - previous)) > _GRAM_TOL:
         intervals *= 2
         if intervals > _MAX_INTERVALS:
             raise NonConvergenceError(
                 f"phase-space Gram matrix did not settle to {_GRAM_TOL:g} "
                 f"within {_MAX_INTERVALS} trapezoid intervals")
-        weights, factors = integrand(intervals)
+        previous, gram = gram, 0.5 * gram + gram_of(*integrand(*_trapezoid_nodes(intervals)))
+    return gram
 
 
 def gate_channel(
@@ -477,7 +500,7 @@ def gate_channel(
             gram[0, 1] = gram[1, 0] = damp
     else:
         gram = _phase_space_gram(basis, schedule, n_bar_c, terms)
-    return _channel(terms, gram)
+    return GateChannel(gram=gram, terms=terms)
 
 
 def motional_output(

@@ -19,8 +19,9 @@ x0 = 1/sqrt(2*m*nu_c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import exp, expm1, inf, log, log1p, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -71,6 +72,12 @@ class TrapSpec:
         kHz): roughly 8e2 widths, which keeps the anharmonic corrections in
         the perturbative regime.  C = K = 1 would park the ions about one
         width apart and is not a meaningful operating point.
+
+        A separation at which C, or the cube u^3 of the half separation that
+        C is built from, falls below the smallest normal double (under about
+        8e-103 x0 at the other defaults) raises ValueError: in the subnormal
+        range C loses the digits the force balance needs to return the
+        targets.
         """
         if exponent <= 1.0:
             raise ValueError("exponent must exceed 1")
@@ -80,7 +87,14 @@ class TrapSpec:
         u = separation_in_x0 * x0 / 2.0  # half separation
         p = exponent
         stiffness = mass * nu_c**2 * u ** (2.0 - p) / (p * (p - 1.0))
-        coulomb = 4.0 * mass * nu_c**2 * u**3 / (p - 1.0)
+        u_cubed = u**3
+        coulomb = 4.0 * mass * nu_c**2 * u_cubed / (p - 1.0)
+        if min(u_cubed, coulomb) < float_info.min:
+            least = float_info.min * max(1.0, (p - 1.0) / (4.0 * mass * nu_c**2))
+            raise ValueError(
+                f"separation_in_x0 {separation_in_x0:g} makes the Coulomb coefficient "
+                f"subnormal, so the trap would miss its targets; at this exponent, nu_c "
+                f"and mass it must be at least about {2.0 * least ** (1.0 / 3.0) / x0:.2g}")
         return cls(exponent=p, stiffness=stiffness, coulomb=coulomb, mass=mass,
                    lamb_dicke=lamb_dicke)
 
@@ -179,7 +193,10 @@ class ModeBasis:
     Fock truncations (n_c, n_r).  The methods below are the one definition
     of the thermal and kick geometry on any trap, which the condition
     solver, the gate channel, the separation curve and the dephasing
-    weights all read.
+    weights all read.  thermal_spread and, at a float time,
+    half_separation_per_k are computed once per basis and argument: one
+    operating point reads each from both the condition solver and the gate
+    channel.
     """
 
     nu_c: float
@@ -195,6 +212,7 @@ class ModeBasis:
     eta_r: float
     dims: tuple[int, int]
     commensurate: bool
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def gate_time(self) -> float:
@@ -239,8 +257,11 @@ class ModeBasis:
 
     def thermal_spread(self, n_bar_c: float) -> float:
         """Thermal spread Delta of x1(t), sqrt(Var x_c + Var x_r / 4) at any t."""
-        var = self.thermal_variances(n_bar_c)
-        return sqrt(var[0] + var[2] / 4.0)
+        key = ("thermal_spread", n_bar_c)
+        if key not in self._memo:
+            var = self.thermal_variances(n_bar_c)
+            self._memo[key] = sqrt(var[0] + var[2] / 4.0)
+        return self._memo[key]
 
     def half_separation(self, t):
         """Half the distance between the kicked branches of x1 at time t: the
@@ -250,8 +271,14 @@ class ModeBasis:
 
     def half_separation_per_k(self, t):
         """half_separation(t) per unit wavenumber k; defined at eta = 0 too."""
+        key = ("half_separation_per_k", t)
+        if isinstance(t, float) and key in self._memo:
+            return self._memo[key]
         form = self.position_form(t, 0.5)
-        return form[1] - form[3] / 2.0
+        lever = form[1] - form[3] / 2.0
+        if isinstance(t, float):
+            self._memo[key] = lever
+        return lever
 
     def eta_bound(self, n_bar_c: float) -> float:
         """The eta at which the branch separation at flip_time equals the

@@ -35,7 +35,6 @@ from hotgate.gate_protocol import (
     GateChannel,
     GateSchedule,
     _branch_terms,
-    _channel,
     _free_phases,
     gaussian_rabi,
     thermal_motional,
@@ -350,7 +349,7 @@ def fock_gate_channel(
             else:
                 gram[r, c] = val
                 gram[c, r] = np.conj(val)
-    return FockChannel(**vars(_channel(terms, gram)), dropped_mass=dropped, kept=kept)
+    return FockChannel(gram=gram, terms=terms, dropped_mass=dropped, kept=kept)
 
 
 def fock_motional_output(

@@ -84,6 +84,63 @@ def test_average_purity_rejects_other_dimensions():
         an.average_purity(oracles.depolarizing_channel(0.5, dim=3))
 
 
+def _choi_route(spec, eta, n_bar_c, frame_phase=None):
+    """(channel, terms, gram) of the solved schedule, the channel as the
+    QuantumChannel of its Choi matrix; frame_phase replaces the schedule's."""
+    basis = tm.build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c)
+    schedule, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
+    if frame_phase is not None:
+        schedule = replace(schedule, frame_phase=frame_phase)
+    gc = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c)
+    return an.QuantumChannel(gc.choi), gc.terms, gc.gram
+
+
+@pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0])
+def test_gate_report_figures_match_the_choi_route(exponent):
+    """gate_report's fidelity, purity and TP defect, contracted from the
+    Gram matrix, equal average_fidelity, average_purity and
+    trace_preservation_defect on the Choi matrix to 1e-14."""
+    spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
+    for eta in (0.5, 2.0, 7.0):
+        for n_bar_c in (0.0, 1.0, 10.0):
+            rep = an.gate_report(spec, eta, n_bar_c, anharmonic_order=None)
+            channel, _, _ = _choi_route(spec, eta, n_bar_c)
+            assert abs(rep.fidelity - an.average_fidelity(channel, gp.ideal_gate())) <= 1e-14
+            assert abs(rep.purity - an.average_purity(channel)) <= 1e-14
+            assert abs(rep.tp_defect - channel.trace_preservation_defect()) <= 1e-14
+
+
+@pytest.mark.parametrize("frame_phase", [0.0, 1.1, -2.5])
+def test_branch_figures_hold_at_any_frame_phase(spec, frame_phase):
+    """The frame phase enters the fidelity through a_r = Tr[U^dag Q_r] and
+    cancels from the purity and TP constants."""
+    channel, terms, gram = _choi_route(spec, 4.0, 0.5, frame_phase)
+    target = gp.ideal_gate()
+    fidelity, purity, defect = an._branch_figures(gram, terms, target)
+    assert abs(fidelity - an.average_fidelity(channel, target)) <= 1e-14
+    assert abs(purity - an.average_purity(channel)) <= 1e-14
+    assert abs(defect - channel.trace_preservation_defect()) <= 1e-14
+
+
+def test_gate_report_and_scan_build_no_choi_matrix(spec, monkeypatch):
+    """With the Choi assembly and the Choi-matrix tools patched to raise,
+    gate_report and scan_rows still run and report the same figures."""
+    want = an.gate_report(spec, 7.0, 1.0, anharmonic_order=None)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Choi route ran")
+
+    for name in ("QuantumChannel", "average_fidelity", "average_purity"):
+        monkeypatch.setattr(an, name, refuse)
+    monkeypatch.setattr(gp, "_choi", refuse)
+    rep = an.gate_report(spec, 7.0, 1.0, anharmonic_order=None)
+    assert (rep.fidelity, rep.purity, rep.tp_defect) == (want.fidelity, want.purity,
+                                                         want.tp_defect)
+    rows = list(an.scan_rows(spec, [(7.0, 1.0), (2.0, 0.0)], anharmonic_order=None))
+    assert [row["error"] for row in rows] == [None, None]
+    assert (rows[0]["fidelity"], rows[0]["purity"]) == (want.fidelity, want.purity)
+
+
 def test_depolarizing_apply_formula():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

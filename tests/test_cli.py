@@ -265,6 +265,15 @@ def test_tiny_separation_keeps_its_finite_coulomb_term(capsys):
     assert json.loads(out)["phase_variance"] > 1.0
 
 
+def test_subnormal_trap_exits_1_naming_the_bound(capsys):
+    """A separation whose Coulomb coefficient would be subnormal is refused
+    with one config-error line instead of a trap off its own targets."""
+    rc, out, err = run(capsys, "modes", "--separation-in-x0", "1e-107")
+    assert (rc, out) == (1, "")
+    assert err.startswith("hotgate: config error:") and err.count("\n") == 1
+    assert "at least about 8e-103" in err
+
+
 # --- separation -------------------------------------------------------------
 
 

@@ -558,6 +558,42 @@ def test_phase_space_gram_nodes_are_centre_relative(monkeypatch):
     np.testing.assert_allclose(gram, reference, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("eta, n_bar_c, intervals", [(0.5, 10.0, 256), (7.0, 1e4, 512)])
+def test_phase_space_gram_evaluates_each_node_once(monkeypatch, eta, n_bar_c, intervals):
+    """Past the first level each doubling reads the profile at its new (odd)
+    nodes only.  Off the ratio, where the loop stops at `intervals`, that is
+    intervals + 1 nodes in all (257 and 513, where evaluating every node of
+    every level took 129 + 257 and 129 + 257 + 513), and the Gram matrix is
+    the plain trapezoid on the last grid to _GRAM_TOL."""
+    nodes = []
+
+    def counting_rabi(pulse, offset, rabi=gp.gaussian_rabi):
+        nodes.append(np.shape(offset)[-1])
+        return rabi(pulse, offset)
+
+    basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=eta, n_bar_c=n_bar_c)
+    schedule, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
+    terms = gp._branch_terms(schedule, "gaussian")
+    monkeypatch.setattr(gp, "gaussian_rabi", counting_rabi)
+    gram = gp._phase_space_gram(basis, schedule, n_bar_c, terms)
+    assert sum(nodes) == intervals + 1
+    monkeypatch.undo()
+    np.testing.assert_allclose(
+        gram, _plain_trapezoid_gram(basis, schedule, n_bar_c, terms, intervals),
+        rtol=0, atol=gp._GRAM_TOL)
+
+
+def test_gate_channel_choi_is_assembled_from_the_gram(spec):
+    """GateChannel.choi, built on first read, is
+    sum_rc T_rc vec(Q_r) vec(Q_c)^dag with vec(Q) = sum_i |i> (x) Q|i>."""
+    basis = make_basis(spec, eta=7.0, n_bar_c=1.0)
+    schedule, _ = gp.build_schedule(basis, n_bar_c=1.0)
+    ch = gp.gate_channel(basis, schedule, n_bar_c=1.0)
+    assert "choi" not in vars(ch)
+    vq = np.stack([q.T.reshape(16) for _, _, q in ch.terms], axis=1)
+    assert np.array_equal(ch.choi, vq @ ch.gram @ vq.conj().T)
+
+
 @pytest.mark.parametrize("flip_mode", ["gaussian", "idealized"])
 def test_branch_terms_are_fresh_arrays(spec, flip_mode):
     schedule, _ = gp.build_schedule(make_basis(spec, eta=2.0))

@@ -281,6 +281,28 @@ def test_coulomb_coefficient_survives_an_underflowing_x_e_fourth():
     assert coeff == pytest.approx(v_3 / 24.0 - coulomb, rel=1e-12)
 
 
+def test_normalized_refuses_a_subnormal_coulomb_coefficient():
+    """Below about 8e-103 widths u^3 is subnormal: at 1e-107 the trap would
+    come back off its ratio (2.00057), so it is refused with the bound
+    named; 1e-100 still hits the commensurate ratio."""
+    with pytest.raises(ValueError, match="subnormal.*at least about 8e-103"):
+        tm.TrapSpec.normalized(separation_in_x0=1e-107)
+    assert tm.build_mode_basis(tm.TrapSpec.normalized(separation_in_x0=1e-100),
+                               eta=7.0).commensurate
+
+
+def test_mode_basis_memo_matches_the_array_route(spec):
+    """thermal_spread and, at a float time, half_separation are computed
+    once per basis; the array route returns the same numbers, and a basis
+    copied by with_dims starts with an empty memo."""
+    basis = tm.build_mode_basis(spec, eta=7.0, n_bar_c=1.0)
+    t = basis.flip_time
+    first = basis.half_separation(t)
+    assert basis.half_separation(t) == first == basis.half_separation(np.array([t]))[0]
+    assert basis.thermal_spread(1.0) == basis.thermal_spread(1.0) > basis.thermal_spread(0.0)
+    assert basis.with_dims((4, 4))._memo == {}
+
+
 def test_expansion_structure(spec):
     # mirror symmetry of the two wells kills x_c^3 and x_c x_r^2
     assert set(tm.anharmonic_expansion(spec, order=3).coefficients) == {(0, 3), (2, 1)}
