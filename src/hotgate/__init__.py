@@ -10,9 +10,10 @@ Layers, bottom to top:
   the anharmonic correction to the two-mode picture, and (ModeBasis) the
   thermal and kick geometry the layers above read.
 * gate_protocol — the kick / free-flight / addressed-flip / closing-kick
-  schedule, its condition solver, the gate channel (1-D Gaussian integrals
-  over ion 1's position, in any harmonic trap), and the motional output
-  where it has a closed form.  The Fock-space oracles the tests check these
+  protocol at its fixed times, the condition solver for the addressed
+  pulse, the one input solved per operating point, the gate channel (1-D
+  Gaussian integrals over ion 1's position, in any harmonic trap), and the
+  motional output where it has a closed form.  The Fock-space oracles the tests check these
   against live in tests/oracles.py, outside the package.
 * analysis — separation curves, channel fidelity/purity, the perturbative
   anharmonic fidelity with its exact-propagation cross-check, and grid scans.
@@ -56,7 +57,6 @@ from .gate_protocol import (
     AddressedPulse,
     ConditionReport,
     GateChannel,
-    GateSchedule,
     build_schedule,
     condition_solver,
     eta_lower_bound,

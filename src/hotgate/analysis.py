@@ -181,46 +181,47 @@ def average_purity(channel: QuantumChannel) -> float:
 
 @cache
 def _branch_constants() -> np.ndarray:
-    """[K | P] (16 x 32) of the Gaussian flip's branch operators Q_r
-    (gate_protocol._GAUSSIAN_TERMS), built on first use:
+    """[A | K | P] (16 x 33) of the Gaussian flip's branch operators Q_r
+    (gate_protocol._GAUSSIAN_TERMS, frame rotation included), built on
+    first use:
 
+    * A[(r, c)] = a_r conj(a_c) / 16, a_r = Tr[U^dag Q_r] against the
+      conditional flip U = gate_protocol.ideal_gate();
     * K[(r, c), (p, q)] is Tr[Q_r rho_s Q_c^dag Q_p rho_s Q_q^dag] averaged
       over the 36 frame states rho_s = |s><s|, that is G[s, c, p] G[s, q, r]
       with G[s, c, p] = <s| Q_c^dag Q_p |s>;
     * row (r, c) of P holds the 16 entries of Q_c^dag Q_r.
-
-    Both leave out the frame phase: it multiplies Q_r by one phase per
-    qubit-2 branch b, and every nonzero product Q_c^dag Q_p has b_c = b_p.
     """
     ops = np.array([q for _, _, q in gate_protocol._GAUSSIAN_TERMS])
     products = np.einsum("cba,rbd->rcad", ops.conj(), ops)
     kets = np.array(frame_states())
     grams = np.einsum("sa,pcad,sd->scp", kets.conj(), products, kets)
     kernel = np.einsum("scp,sqr->rcpq", grams, grams) / len(kets)
-    return np.hstack([kernel.reshape(16, 16), products.reshape(16, 16)])
+    a = ops.reshape(len(ops), 16) @ gate_protocol.ideal_gate().conj().reshape(16)
+    overlaps = np.outer(a, a.conj()).reshape(16, 1) / 16.0
+    return np.hstack([overlaps, kernel.reshape(16, 16), products.reshape(16, 16)])
 
 
-def _branch_figures(gram: np.ndarray, terms, target: np.ndarray) -> tuple[float, float, float]:
-    """Average fidelity against target, mean frame-state purity and
-    trace-preservation defect of Lambda(rho) = sum_rc T_rc Q_r rho Q_c^dag,
-    for the Gaussian flip's terms (b, s, Q_r) with any frame phase:
+def _branch_figures(gram: np.ndarray) -> tuple[float, float, float]:
+    """Average fidelity against the conditional flip, mean frame-state
+    purity and trace-preservation defect of the Gaussian flip's channel
+    Lambda(rho) = sum_rc T_rc Q_r rho Q_c^dag:
 
-    * F_ent = a T a^dag / 16 with a_r = Tr[U^dag Q_r], then
-      F_avg = (4 F_ent + 1)/5, as average_fidelity on the Choi matrix;
+    * F_ent = sum_rc T_rc A_rc = a T a^dag / 16, then F_avg = (4 F_ent + 1)/5,
+      as average_fidelity on the Choi matrix;
     * purity = sum T_rc T_pq K_rcpq, as average_purity;
     * defect = max |sum_rc T_rc Q_c^dag Q_r - 1|, the channel's trace
       Lambda^dag(1) against the identity, as trace_preservation_defect.
 
-    K and the products Q_c^dag Q_r come from _branch_constants, so one
-    matmul of the flattened T gives the purity's inner sum and Lambda^dag(1).
+    A, K and the products Q_c^dag Q_r come from _branch_constants, so one
+    matmul of the flattened T gives F_ent, the purity's inner sum and
+    Lambda^dag(1).
     """
-    ops = np.array([q for _, _, q in terms]).reshape(len(terms), 16)
-    a = ops @ np.asarray(target, dtype=complex).conj().reshape(16)
-    f_ent = (a @ gram @ a.conj()).real / 16.0
     t = gram.reshape(16)
     contracted = t @ _branch_constants()
-    purity = (contracted[:16] @ t).real
-    dual = contracted[16:]  # Lambda^dag(1), flattened
+    f_ent = contracted[0].real
+    purity = (contracted[1:17] @ t).real
+    dual = contracted[17:]  # Lambda^dag(1), flattened
     dual[::5] -= 1.0  # its diagonal
     return float((4.0 * f_ent + 1.0) / 5.0), float(purity), float(np.abs(dual).max())
 
@@ -530,8 +531,8 @@ def gate_report(
 ) -> GateReport:
     """Simulate one operating point and collect its figures of merit.
 
-    The flip is the addressed Gaussian pulse of the solved schedule, and
-    fidelity is taken against the conditional flip, gate_protocol.ideal_gate.
+    The flip is the solved addressed Gaussian pulse, and fidelity is taken
+    against the conditional flip, gate_protocol.ideal_gate.
     Fidelity, purity and tp_defect are contractions of the channel's 4x4
     Gram matrix (_branch_figures); no Choi matrix is built.
     anharmonic_order None skips the dephasing estimate; at order 0, the
@@ -540,10 +541,10 @@ def gate_report(
     reads: the channel is truncation-free and F_cor sizes its own basis.
     """
     basis = build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c, dims=dims)
-    schedule, condition = gate_protocol.build_schedule(
+    pulse, condition = gate_protocol.build_schedule(
         basis, n_bar_c=n_bar_c, rabi_cycles=rabi_cycles)
-    gc = gate_protocol.gate_channel(basis, schedule, n_bar_c=n_bar_c)
-    fidelity, purity, tp_defect = _branch_figures(gc.gram, gc.terms, gate_protocol.ideal_gate())
+    gram = gate_protocol.gate_channel(basis, pulse, n_bar_c=n_bar_c).gram
+    fidelity, purity, tp_defect = _branch_figures(gram)
     f_cor = (None if anharmonic_order is None
              else _anharmonic_point(spec, n_bar_c, anharmonic_order).f_cor)
     return GateReport(

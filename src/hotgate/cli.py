@@ -71,7 +71,7 @@ _SETTINGS = (
     ("gate", "n_bar_c", 0.0, float, "--n-bar-c", ("modes", "conditions", "gate", "anharmonic"),
      "thermal COM occupation", _NON_NEGATIVE),
     ("gate", "rabi_cycles", 3, int, "--rabi-cycles", _SCHEDULE, None,
-     (lambda v: v >= 1, "a positive integer")),
+     (lambda v: 1 <= v < gate_protocol._RABI_CYCLES_LIMIT, "a positive integer below 2**50")),
     ("gate", "dims", None, str, "--dims", ("separation", "anharmonic"),
      "Fock truncation 'n_c,n_r'", None),
     ("scan", "etas", "2,4,7", str, "--etas", ("scan",), "comma-separated eta grid",

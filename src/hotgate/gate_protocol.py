@@ -1,4 +1,4 @@
-"""Pulse schedule and propagators for the two-ion conditional-flip gate.
+"""Addressed pulse and propagators for the two-ion conditional-flip gate.
 
 Protocol on the composite space qubit1 (x) qubit2 (x) mode_c (x) mode_r:
 
@@ -11,7 +11,12 @@ Protocol on the composite space qubit1 (x) qubit2 (x) mode_c (x) mode_r:
    other an integer number (no net effect);
 4. free evolution to t_g = 2*pi/nu_c, where both motional modes complete an
    integer number of periods (nu_r = 2*nu_c), refocusing the branches;
-5. the closing kick, which undoes step 1.
+5. the closing kick, which undoes step 1, and a pi/2 frame rotation on
+   qubit 2 (_FRAME_FACTOR) that returns the gate to the target's frame.
+
+Every time in the schedule is fixed (ModeBasis.flip_time and gate_time),
+so the one thing solved per operating point is the addressed pulse
+(condition_solver, also named build_schedule).
 
 In the commensurate harmonic trap the motional state factors out exactly and
 the internal action is a qubit-1 flip conditioned on qubit 2 being |0>.
@@ -26,18 +31,18 @@ gate is a sum of internal operators Q_j times mode-local motional operators
 M_j, and the internal channel is fixed by the thermal Gram matrix
 T[r, c] = Tr[M_r rho_mot M_c^dag].
 
-gate_channel, for any harmonic trap and schedule, writes
+gate_channel, for any harmonic trap, writes
 M_{b,s} = U(t_g) G_b f_{b,s}(X), with X ion 1's Heisenberg position at t0
 and G_b the displacement that imperfect refocusing leaves on branch b.  The
 thermal state is Gaussian, so every entry of T is a 1-D Gaussian integral
 over X (the cross-branch ones against a complex Gaussian weight, by the
 characteristic function of the Weyl operator G_1^dag G_0), free of any Fock
 truncation.
-In the commensurate trap closed after one COM period G_b = 1 and the
-integral is the plain average over X.
+In the commensurate trap G_b = 1 and the integral is the plain average
+over X.
 
 motional_output gives the reduced motional state where it has a closed
-form: the idealized flip on a schedule that refocuses leaves the thermal
+form: the idealized flip on the commensurate trap leaves the thermal
 state.  The Fock-space routes that check all of this (the literal
 composite-unitary path and the propagated thermal Fock columns) are test
 oracles and live in tests/oracles.py.
@@ -48,11 +53,12 @@ import warnings
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from math import exp, pi, sqrt
+from sys import float_info
 
 import numpy as np
 
 from . import fock_core
-from .errors import NonConvergenceError
+from .errors import ConfigError, NonConvergenceError
 from .trap_model import ModeBasis, mode_energies, relative_occupation
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -60,11 +66,27 @@ PROJ_0 = np.diag([1.0, 0.0]).astype(complex)
 PROJ_1 = np.diag([0.0, 1.0]).astype(complex)
 ID2 = np.eye(2, dtype=complex)
 
-# the constant internal factors of _branch_terms: (b, s, Q) with Q acting on
-# qubit1 (x) qubit2, built once; _branch_terms hands out fresh copies
-_GAUSSIAN_TERMS = [(b, s, np.kron((ID2 + s * SIGMA_X) / 2.0, proj))
-                   for b, proj in ((0, PROJ_0), (1, PROJ_1)) for s in (1.0, -1.0)]
-_IDEALIZED_TERMS = [(0, None, np.kron(SIGMA_X, PROJ_0)), (1, None, np.kron(ID2, PROJ_1))]
+# The frame rotation after the closing kick, e^{i pi/2} on qubit 2's |0>
+# component: the commanded branch pulse areas differ by half a Rabi cycle,
+# which tags the flipped branch with -i, and the rotation returns the
+# realized gate to the ideal gate's phase frame.
+_FRAME_FACTOR = np.exp(1j * pi / 2.0)
+
+
+def _read_only(q: np.ndarray) -> np.ndarray:
+    q.flags.writeable = False
+    return q
+
+
+# The branch decomposition's internal factors (b, s, Q), Q acting on
+# qubit1 (x) qubit2: qubit 2 stays diagonal (each kick toggles it twice), the
+# Gaussian flip splits qubit 1 over the sigma^x eigenprojectors and the frame
+# rotation multiplies the b = 0 terms.  Shared by every channel, read-only.
+_GAUSSIAN_TERMS = tuple(
+    (b, s, _read_only(phase * np.kron((ID2 + s * SIGMA_X) / 2.0, proj)))
+    for b, proj, phase in ((0, PROJ_0, _FRAME_FACTOR), (1, PROJ_1, 1.0)) for s in (1.0, -1.0))
+_IDEALIZED_TERMS = ((0, None, _read_only(np.kron(SIGMA_X, PROJ_0))),
+                    (1, None, _read_only(np.kron(ID2, PROJ_1))))
 
 
 @dataclass(frozen=True)
@@ -87,34 +109,6 @@ def gaussian_rabi(pulse: AddressedPulse, offset) -> np.ndarray:
     """Omega = omega0 exp(-offset^2 / (2 width^2)) at offset = x - center from
     the profile centre."""
     return pulse.omega0 * np.exp(-(offset**2) / (2.0 * pulse.width**2))
-
-
-@dataclass(frozen=True)
-class GateSchedule:
-    """Timing and pulses of one gate execution.
-
-    The kick is applied at t = 0 and again at t_g: the kick operator is its
-    own inverse, so the second application closes the first.  Its strength
-    is basis.eta of the ModeBasis the schedule runs on.
-
-    frame_phase is the virtual z-rotation (radians) applied to qubit 2's |0>
-    component after the closing kick.  The solved Gaussian schedule sets it
-    to pi/2: the commanded branch pulse areas differ by half a Rabi cycle,
-    which deterministically tags the flipped branch with -i, and the frame
-    rotation returns the realized gate to the ideal gate's phase frame.
-    """
-
-    t0: float
-    t_g: float
-    flip: AddressedPulse | None = None
-    frame_phase: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.t0 < self.t_g:
-            raise ValueError("need 0 < t0 < t_g")
-        if self.flip is not None and self.flip.duration > self.t_g / 20.0:
-            warnings.warn("addressed pulse lasts more than t_g/20; the "
-                          "instantaneous-pulse approximation degrades", stacklevel=2)
 
 
 # ConditionReport fields whose JSON key names the paper's symbol
@@ -161,8 +155,9 @@ class ConditionReport:
         return out
 
 
-_T1_OVER_TG = 0.01  # pulse length over t_g; GateSchedule warns above 1/20
+_T1_OVER_TG = 0.01  # pulse length over t_g; gate_channel warns above 1/20
 _MARGIN = 3.0  # factor by which the separation, linearity and kick flags must hold
+_RABI_CYCLES_LIMIT = 2**50  # the least N whose 2N + 1/4 a double rounds to 2N
 
 
 def eta_lower_bound(n_bar_c: float) -> float:
@@ -204,14 +199,23 @@ def condition_solver(
     flags ask D > 3 Delta, a phase spread below 1/3 and eta/eta_bound >= 3
     (_MARGIN).
     D = 0 (an unkicked basis) leaves no profile to solve and raises
-    ValueError.
+    ValueError.  From N = 2**50 on, 2N + 1/4 rounds to 2N in a double, which
+    drops the quarter cycle that sets the branches half a Rabi cycle apart,
+    so such N raise ValueError.
+
+    build_schedule is the same function: the flip and gate times are
+    ModeBasis.flip_time and gate_time and the frame rotation is fixed
+    (_FRAME_FACTOR), so the solved pulse is the whole schedule.
     """
     if int(rabi_cycles) != rabi_cycles or rabi_cycles < 1:
         raise ValueError("rabi_cycles must be a positive integer")
+    if rabi_cycles >= _RABI_CYCLES_LIMIT:
+        raise ValueError(f"rabi_cycles must be below 2**50 = {_RABI_CYCLES_LIMIT}: from there "
+                         f"2N + 1/4 rounds to 2N and the branches lose their half-cycle offset")
     if n_bar_c < 0:
         raise ValueError("n_bar_c must be non-negative")
     n = int(rabi_cycles)
-    big_d = 2.0 * float(basis.half_separation(basis.flip_time))
+    big_d = 2.0 * (basis.wavenumber * basis.flip_half_separation_per_k)
     if big_d == 0.0:
         raise ValueError("the branches are not separated at the flip time (D = 0); "
                          "the kick eta must be positive")
@@ -243,20 +247,7 @@ def condition_solver(
     return pulse, report
 
 
-def build_schedule(
-    basis: ModeBasis,
-    n_bar_c: float = 0.0,
-    rabi_cycles: int = 3,
-) -> tuple[GateSchedule, ConditionReport]:
-    """Assemble the full solved schedule for one operating point."""
-    pulse, report = condition_solver(basis, n_bar_c, rabi_cycles)
-    schedule = GateSchedule(
-        t0=basis.flip_time,
-        t_g=basis.gate_time,
-        flip=pulse,
-        frame_phase=pi / 2.0,
-    )
-    return schedule, report
+build_schedule = condition_solver
 
 
 # ---------------------------------------------------------------------------
@@ -294,36 +285,20 @@ def thermal_motional(basis: ModeBasis, n_bar_c: float) -> fock_core.DensityOp:
 # ---------------------------------------------------------------------------
 
 
-def _branch_terms(schedule: GateSchedule, flip_mode: str):
-    """Internal operators Q and branch labels for the channel decomposition.
-
-    The composite unitary is sum_j Q_j (x) M_j with Q_j acting on
-    qubit1 (x) qubit2.  Qubit 2 stays diagonal (each kick toggles it twice);
-    the Gaussian flip splits qubit 1 over the sigma^x eigenprojectors, and
-    the frame rotation contributes its phase to the b = 0 terms.  Every
-    call returns new arrays.
-    """
-    if flip_mode == "gaussian":
-        fphase = np.exp(1j * schedule.frame_phase)
-        return [(b, s, (fphase if b == 0 else 1.0) * q) for b, s, q in _GAUSSIAN_TERMS]
-    if flip_mode == "idealized":
-        return [(b, s, q.copy()) for b, s, q in _IDEALIZED_TERMS]
-    raise ValueError(f"unknown flip_mode {flip_mode!r}")
-
-
 @dataclass
 class GateChannel:
     """Internal 4x4 channel of one gate execution over a thermal motion,
     Lambda(rho) = sum_rc gram[r, c] Q_r rho Q_c^dag.
 
     gram holds the motional overlaps Tr[M_r rho_mot M_c^dag] of the branch
-    terms (b, s, Q).  choi, sum_ij |i><j| (x) Lambda(|i><j|) (trace 4 for
+    terms (b, s, Q), the shared read-only _GAUSSIAN_TERMS or
+    _IDEALIZED_TERMS.  choi, sum_ij |i><j| (x) Lambda(|i><j|) (trace 4 for
     trace preserving), is assembled from them on first read (_choi): the
     figures of analysis.gate_report are contractions of gram alone.
     """
 
     gram: np.ndarray
-    terms: list
+    terms: tuple
 
     @cached_property
     def choi(self) -> np.ndarray:
@@ -359,19 +334,12 @@ def _trapezoid_nodes(intervals: int):
     return t, w, step
 
 
-def _refocuses(basis: ModeBasis, schedule: GateSchedule) -> bool:
-    """True when free flight over the gate is a global phase: the trap is
-    commensurate and the schedule closes after exactly one COM period."""
-    return (basis.commensurate
-            and abs(schedule.t_g - basis.gate_time) <= 1e-12 * basis.gate_time)
-
-
-def _residual_displacement(basis: ModeBasis, schedule: GateSchedule,
-                           n_bar_c: float):
+def _residual_displacement(basis: ModeBasis, n_bar_c: float):
     """(-kappa^2 S_YY / 2, z, a) of the cross-branch Gram blocks.
 
     The residual displacements G_b of the two branches leave
-    G_1^dag G_0 = exp(i kappa Y), kappa = 2k, Y = x2 - x2(t_g).
+    G_1^dag G_0 = exp(i kappa Y), kappa = 2k, Y = x2 - x2(t_g), with the
+    flip at t0 = ModeBasis.flip_time and t_g = ModeBasis.gate_time.
     X - x_e/2 and Y are linear forms on R = (x_c, p_c, x_r, p_r)
     (ModeBasis.position_form) whose thermal covariances S and commutator
     [X, Y] = i c_XY give z = kappa (i S_XY - c_XY/2) and a = kappa c_XY
@@ -379,22 +347,22 @@ def _residual_displacement(basis: ModeBasis, schedule: GateSchedule,
     84, 621 (2012)).
     """
     var = basis.thermal_variances(n_bar_c)
-    x = basis.position_form(schedule.t0, 0.5)
-    y = basis.position_form(0.0, -0.5) - basis.position_form(schedule.t_g, -0.5)
+    x = basis.position_form(basis.flip_time, 0.5)
+    y = basis.position_form(0.0, -0.5) - basis.position_form(basis.gate_time, -0.5)
     kappa = 2.0 * basis.wavenumber
     s_xy, s_yy = x @ (var * y), y @ (var * y)
     c_xy = x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]
     return -0.5 * kappa**2 * s_yy, kappa * (1j * s_xy - 0.5 * c_xy), kappa * c_xy
 
 
-def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
+def _phase_space_gram(basis: ModeBasis, pulse: AddressedPulse, n_bar_c: float,
                       terms) -> np.ndarray:
     """Gram matrix of the Gaussian flip as 1-D Gaussian integrals over X.
 
     Each branch operator is M_{b,s} = U(t_g) G_b f_{b,s}(X): X = x1(t0) is
-    ion 1's Heisenberg position at the flip, the opening kick shifts it by
-    sigma_b D/2 (sigma_0 = +1 for the +k branch, D/2 from
-    ModeBasis.half_separation), so
+    ion 1's Heisenberg position at the flip, t0 = ModeBasis.flip_time, the
+    opening kick shifts it by sigma_b D/2 (sigma_0 = +1 for the +k branch,
+    D/2 from ModeBasis.flip_half_separation_per_k), so
     f_{b,s}(x) = exp(-i s theta(x + sigma_b D/2)), and
     G_b = exp(-i k_b x2(t_g)) exp(i k_b x2), k_0 = k, k_1 = -k, is the
     displacement that refocusing leaves behind.  U(t_g) cancels in
@@ -411,10 +379,10 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
       in modulus: below e^-49 at the span's ends, summing to at most 1.  The
       (1, 0) block is its conjugate transpose.
 
-    When _refocuses holds, G_b = 1 and the same-branch product already
-    gives the cross blocks, so they are not evaluated apart.  The profile
-    is read for s = +1 only: f_{b,-1} is the conjugate of f_{b,+1}, bit for
-    bit.  The integrals are a trapezoid rule over +-_SPAN widths
+    On the commensurate trap G_b = 1 (free flight over t_g is a global
+    phase) and the same-branch product already gives the cross blocks, so
+    they are not evaluated apart.  The profile is read for s = +1 only:
+    f_{b,-1} is the conjugate of f_{b,+1}, bit for bit.  The integrals are a trapezoid rule over +-_SPAN widths
     (_trapezoid_nodes) whose interval count doubles from 64 until two
     successive Gram matrices agree to _GRAM_TOL.  The first evaluation is
     on _FIRST_LEVEL intervals, whose even nodes at twice the weight give the
@@ -423,15 +391,20 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
     from the profile centre l, (x_e/2 - l + sigma_b D/2) + (Delta t + a)
     with a only in f_r, so none carries the rounding of x_e/2 (~410 x0) for
     the doubling to chase.
+
+    A profile width whose square is below the smallest normal double, at a
+    kick too weak for this trap, would make each flip angle 0/0 and raises
+    ConfigError naming the least eta.
     """
-    flip = schedule.flip
-    if flip is None:
-        raise ValueError("gaussian flip requested but schedule.flip is None")
+    if pulse.width**2 < float_info.min:
+        raise ConfigError(
+            f"the profile width W = {pulse.width:.3g} x0 squares below the smallest normal "
+            f"double, so the flip angle is 0/0; the kick eta must be at least about "
+            f"{basis.eta / pulse.width * sqrt(float_info.min):.2g} on this trap")
     delta = basis.thermal_spread(n_bar_c)
-    half_d = basis.half_separation(schedule.t0)
-    edge = basis.x_e / 2.0 - flip.center
-    cross = None if _refocuses(basis, schedule) else _residual_displacement(
-        basis, schedule, n_bar_c)
+    half_d = basis.wavenumber * basis.flip_half_separation_per_k
+    edge = basis.x_e / 2.0 - pulse.center
+    cross = None if basis.commensurate else _residual_displacement(basis, n_bar_c)
     # the profile is read on branch 0 and branch 1 at X and, for the cross
     # blocks, on branch 0 at X + a, all at s = +1; row k + n_rows of the
     # factors is the conjugate of row k
@@ -443,10 +416,10 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
 
     def integrand(t, w, step):
         """Weights [w] and factors [f] (and the cross-block weight and
-        f_r(X + a) unless the schedule refocuses) at the nodes t."""
+        f_r(X + a) off the commensurate trap) at the nodes t."""
         u = delta * t
         x = offsets[:, None] + (u if cross is None else np.stack([u, u, u + cross[2]]))
-        f_plus = np.exp(-1j * (0.5 * flip.duration * gaussian_rabi(flip, x)))
+        f_plus = np.exp(-1j * (0.5 * pulse.duration * gaussian_rabi(pulse, x)))
         f = np.concatenate([f_plus, f_plus.conj()])
         if cross is None:
             return [w], [f[same]]
@@ -479,33 +452,38 @@ def _phase_space_gram(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
 
 def gate_channel(
     basis: ModeBasis,
-    schedule: GateSchedule,
+    pulse: AddressedPulse | None,
     n_bar_c: float = 0.0,
     flip_mode: str = "gaussian",
 ) -> GateChannel:
     """Internal channel of the gate over the thermal motion, in any harmonic
-    trap and for any schedule.
+    trap, for the addressed pulse (condition_solver's) at
+    ModeBasis.flip_time, closed at ModeBasis.gate_time.
 
     The Gram matrix comes from _phase_space_gram, with no Fock truncation,
-    so basis.dims does not enter.  For the idealized flip every f is 1 and
-    the Gram matrix is [[1, damp], [damp, 1]] with
-    damp = exp(-kappa^2 S_YY / 2) from _residual_displacement, all ones when
-    the schedule refocuses.
+    so basis.dims does not enter.  A pulse longer than t_g/20 warns: the
+    flip is taken as instantaneous.  The idealized flip does not read the
+    pulse: every f is 1 and the Gram matrix is [[1, damp], [damp, 1]] with
+    damp = exp(-kappa^2 S_YY / 2) from _residual_displacement, all ones on
+    the commensurate trap.
     """
-    terms = _branch_terms(schedule, flip_mode)
     if flip_mode == "idealized":
-        gram = np.ones((len(terms), len(terms)), dtype=complex)
-        if not _refocuses(basis, schedule):
-            damp = exp(_residual_displacement(basis, schedule, n_bar_c)[0])
-            gram[0, 1] = gram[1, 0] = damp
-    else:
-        gram = _phase_space_gram(basis, schedule, n_bar_c, terms)
-    return GateChannel(gram=gram, terms=terms)
+        gram = np.ones((2, 2), dtype=complex)
+        if not basis.commensurate:
+            gram[0, 1] = gram[1, 0] = exp(_residual_displacement(basis, n_bar_c)[0])
+        return GateChannel(gram=gram, terms=_IDEALIZED_TERMS)
+    if flip_mode != "gaussian":
+        raise ValueError(f"unknown flip_mode {flip_mode!r}")
+    if pulse.duration > basis.gate_time / 20.0:
+        warnings.warn("addressed pulse lasts more than t_g/20; the "
+                      "instantaneous-pulse approximation degrades", stacklevel=2)
+    gram = _phase_space_gram(basis, pulse, n_bar_c, _GAUSSIAN_TERMS)
+    return GateChannel(gram=gram, terms=_GAUSSIAN_TERMS)
 
 
 def motional_output(
     basis: ModeBasis,
-    schedule: GateSchedule,
+    pulse: AddressedPulse | None,
     internal: np.ndarray,
     n_bar_c: float = 0.0,
     flip_mode: str = "idealized",
@@ -514,19 +492,20 @@ def motional_output(
     internal (x) thermal(n_bar_c), where it has a closed form.
 
     rho_mot' = sum_{r,c} Tr[Q_r rho_int Q_c^dag] * M_r rho_mot M_c^dag.  The
-    idealized flip on a schedule that refocuses (see gate_channel) makes
-    every M_j equal to -1, so there the output is the full-truncation
-    thermal state times sum_{r,c} Tr[Q_r rho_int Q_c^dag], with nothing
-    propagated.  Any other flip or schedule raises ValueError; the tests
-    propagate the thermal Fock columns for those (tests/oracles.py).
+    idealized flip on the commensurate trap (see gate_channel) makes every
+    M_j equal to -1, so there the output is the full-truncation thermal
+    state times Tr[U rho_int U^dag], U = sum_j Q_j = ideal_gate(), with
+    nothing propagated and the pulse not read.  Any other flip or trap
+    raises ValueError; the tests propagate the thermal Fock columns for
+    those (tests/oracles.py).
     """
     internal = np.asarray(internal, dtype=complex)
     if internal.shape != (4, 4):
         raise ValueError("internal must be a 4x4 density matrix")
-    if flip_mode != "idealized" or not _refocuses(basis, schedule):
+    if flip_mode != "idealized" or not basis.commensurate:
         raise ValueError("the motional output has a closed form only for the "
-                         "idealized flip on a schedule that refocuses")
-    q = sum(q_j for _, _, q_j in _branch_terms(schedule, flip_mode))
+                         "idealized flip on the commensurate trap")
+    q = ideal_gate()
     rho = thermal_motional(basis, n_bar_c)
     rho.matrix *= np.trace(q @ internal @ q.conj().T).real
     return rho

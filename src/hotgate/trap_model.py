@@ -20,6 +20,7 @@ x0 = 1/sqrt(2*m*nu_c).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import exp, expm1, inf, log, log1p, sqrt
 from sys import float_info
 
@@ -193,10 +194,9 @@ class ModeBasis:
     Fock truncations (n_c, n_r).  The methods below are the one definition
     of the thermal and kick geometry on any trap, which the condition
     solver, the gate channel, the separation curve and the dephasing
-    weights all read.  thermal_spread and, at a float time,
-    half_separation_per_k are computed once per basis and argument: one
-    operating point reads each from both the condition solver and the gate
-    channel.
+    weights all read.  thermal_spread (per n_bar_c) and
+    flip_half_separation_per_k are computed once per basis: one operating
+    point reads each from both the condition solver and the gate channel.
     """
 
     nu_c: float
@@ -257,11 +257,10 @@ class ModeBasis:
 
     def thermal_spread(self, n_bar_c: float) -> float:
         """Thermal spread Delta of x1(t), sqrt(Var x_c + Var x_r / 4) at any t."""
-        key = ("thermal_spread", n_bar_c)
-        if key not in self._memo:
+        if n_bar_c not in self._memo:
             var = self.thermal_variances(n_bar_c)
-            self._memo[key] = sqrt(var[0] + var[2] / 4.0)
-        return self._memo[key]
+            self._memo[n_bar_c] = sqrt(var[0] + var[2] / 4.0)
+        return self._memo[n_bar_c]
 
     def half_separation(self, t):
         """Half the distance between the kicked branches of x1 at time t: the
@@ -271,21 +270,19 @@ class ModeBasis:
 
     def half_separation_per_k(self, t):
         """half_separation(t) per unit wavenumber k; defined at eta = 0 too."""
-        key = ("half_separation_per_k", t)
-        if isinstance(t, float) and key in self._memo:
-            return self._memo[key]
         form = self.position_form(t, 0.5)
-        lever = form[1] - form[3] / 2.0
-        if isinstance(t, float):
-            self._memo[key] = lever
-        return lever
+        return form[1] - form[3] / 2.0
+
+    @cached_property
+    def flip_half_separation_per_k(self) -> float:
+        """half_separation_per_k at flip_time, computed once per basis."""
+        return float(self.half_separation_per_k(self.flip_time))
 
     def eta_bound(self, n_bar_c: float) -> float:
         """The eta at which the branch separation at flip_time equals the
         thermal spread on this trap; gate_protocol.eta_lower_bound, the
         paper's closed form, on the commensurate one.  Reads no self.eta."""
-        lever = float(self.half_separation_per_k(self.flip_time))
-        return self.thermal_spread(n_bar_c) * self.x0 / (2.0 * lever)
+        return self.thermal_spread(n_bar_c) * self.x0 / (2.0 * self.flip_half_separation_per_k)
 
     def kick_displacements(self) -> tuple[np.ndarray, np.ndarray]:
         """Fock displacements (D_c(+i eta_c), D_r(-i eta_r)) of the +k kick."""

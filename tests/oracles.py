@@ -31,10 +31,11 @@ from hotgate.gate_protocol import (
     PROJ_0,
     PROJ_1,
     SIGMA_X,
+    _FRAME_FACTOR,
+    _GAUSSIAN_TERMS,
+    _IDEALIZED_TERMS,
     AddressedPulse,
     GateChannel,
-    GateSchedule,
-    _branch_terms,
     _free_phases,
     gaussian_rabi,
     thermal_motional,
@@ -109,9 +110,9 @@ def idealized_flip_unitary(basis: ModeBasis) -> np.ndarray:
             + np.kron(np.kron(ID2, PROJ_0), eye_m))
 
 
-def frame_rotation(phase: float) -> np.ndarray:
-    """Internal-only correction: phase e^{i*phase} on qubit 2's |0> component."""
-    r2 = np.diag([np.exp(1j * phase), 1.0]).astype(complex)
+def frame_rotation(factor: complex) -> np.ndarray:
+    """Internal-only correction: the phase factor on qubit 2's |0> component."""
+    r2 = np.diag([factor, 1.0]).astype(complex)
     return np.kron(ID2, r2)
 
 
@@ -181,33 +182,35 @@ def _free_segment(state: np.ndarray, basis: ModeBasis, t: float) -> np.ndarray:
 
 
 def run_gate(
-    schedule: GateSchedule,
+    pulse: AddressedPulse | None,
     initial: SystemState,
     basis: ModeBasis,
     flip_mode: str = "gaussian",
 ) -> SystemState:
-    """Execute the schedule on a composite state (reference path).
+    """Execute the gate on a composite state (reference path): the flip at
+    basis.flip_time, the closing kick at basis.gate_time and, after the
+    Gaussian flip, the frame rotation by gate_protocol._FRAME_FACTOR.
 
     Builds the composite pulse unitaries explicitly, so it is meant for
-    moderate truncations.
+    moderate truncations.  The idealized flip does not read the pulse.
     """
     if flip_mode not in ("gaussian", "idealized"):
         raise ValueError(f"unknown flip_mode {flip_mode!r}")
-    if flip_mode == "gaussian" and schedule.flip is None:
-        raise ValueError("schedule has no addressed pulse but flip_mode='gaussian'")
+    if flip_mode == "gaussian" and pulse is None:
+        raise ValueError("no addressed pulse but flip_mode='gaussian'")
     if tuple(initial.dims[2:]) != tuple(basis.dims):
         raise ValueError("state dims do not match basis dims")
     u_kick = kick_unitary(basis)
     state = evolve(initial.data, u_kick)
-    state = _free_segment(state, basis, schedule.t0)
+    state = _free_segment(state, basis, basis.flip_time)
     if flip_mode == "gaussian":
-        state = evolve(state, addressed_flip_unitary(basis, schedule.flip))
+        state = evolve(state, addressed_flip_unitary(basis, pulse))
     else:
         state = evolve(state, idealized_flip_unitary(basis))
-    state = _free_segment(state, basis, schedule.t_g - schedule.t0)
+    state = _free_segment(state, basis, basis.gate_time - basis.flip_time)
     state = evolve(state, u_kick)
-    if flip_mode == "gaussian" and schedule.frame_phase:
-        u_frame = np.kron(frame_rotation(schedule.frame_phase),
+    if flip_mode == "gaussian":
+        u_frame = np.kron(frame_rotation(_FRAME_FACTOR),
                           np.eye(int(np.prod(basis.dims)), dtype=complex))
         state = evolve(state, u_frame)
     return SystemState(initial.dims, state)
@@ -226,19 +229,17 @@ class _BranchOps:
     than n_mode^2 is ever formed.
     """
 
-    def __init__(self, basis: ModeBasis, schedule: GateSchedule, flip_mode: str):
+    def __init__(self, basis: ModeBasis, pulse: AddressedPulse | None, flip_mode: str):
         self.basis = basis
-        self.schedule = schedule
         self.flip_mode = flip_mode
         d_c, d_r, phase = _kick_factors(basis)
         self._open = {0: (d_c, d_r, phase), 1: (d_c.conj().T, d_r.conj().T, np.conj(phase))}
         self._close = {0: self._open[1], 1: self._open[0]}
         if flip_mode == "gaussian":
-            if schedule.flip is None:
-                raise ValueError("gaussian flip requested but schedule.flip is None")
+            if pulse is None:
+                raise ValueError("gaussian flip requested but no addressed pulse given")
             self._vec_c, self._vec_r, xgrid = _flip_eigensystem(basis)
-            self._theta = 0.5 * schedule.flip.duration * gaussian_rabi(
-                schedule.flip, xgrid - schedule.flip.center)
+            self._theta = 0.5 * pulse.duration * gaussian_rabi(pulse, xgrid - pulse.center)
 
     @staticmethod
     def _mode_apply(mat_c, mat_r, batch):
@@ -267,10 +268,10 @@ class _BranchOps:
     def branch(self, b: int, s: float | None, batch):
         """Full motional operator of branch (b, s) applied to a batch."""
         out = self.kick("open", b, batch)
-        out = self.free(self.schedule.t0, out)
+        out = self.free(self.basis.flip_time, out)
         if self.flip_mode == "gaussian":
             out = self.flip_component(s, out)
-        out = self.free(self.schedule.t_g - self.schedule.t0, out)
+        out = self.free(self.basis.gate_time - self.basis.flip_time, out)
         return self.kick("close", b, out)
 
 
@@ -284,7 +285,7 @@ def _retained_levels(probs: np.ndarray, tail: float) -> int:
 _MASS_CUTOFF = 1e-10  # default thermal weight the branch route may drop
 
 
-def _thermal_columns(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
+def _thermal_columns(basis: ModeBasis, pulse: AddressedPulse | None, n_bar_c: float,
                      flip_mode: str, mass_cutoff: float):
     """Propagate the retained thermal levels through every branch operator.
 
@@ -306,8 +307,8 @@ def _thermal_columns(basis: ModeBasis, schedule: GateSchedule, n_bar_c: float,
     rows_c, rows_r = cols // k_r, cols % k_r
     batch = np.zeros((n_c, n_r, k), dtype=complex)
     batch[rows_c, rows_r, cols] = 1.0
-    ops = _BranchOps(basis, schedule, flip_mode)
-    terms = _branch_terms(schedule, flip_mode)
+    ops = _BranchOps(basis, pulse, flip_mode)
+    terms = _GAUSSIAN_TERMS if flip_mode == "gaussian" else _IDEALIZED_TERMS
     outs = [ops.branch(b, s, batch).reshape(n_c * n_r, k) for b, s, _ in terms]
     flat = rows_c * n_r + rows_r
     return ops, terms, outs, probs, flat, (k_c, k_r), dropped
@@ -324,7 +325,7 @@ class FockChannel(GateChannel):
 
 def fock_gate_channel(
     basis: ModeBasis,
-    schedule: GateSchedule,
+    pulse: AddressedPulse | None,
     n_bar_c: float = 0.0,
     flip_mode: str = "gaussian",
     mass_cutoff: float = _MASS_CUTOFF,
@@ -337,7 +338,7 @@ def fock_gate_channel(
     way.
     """
     _, terms, outs, probs, _, kept, dropped = _thermal_columns(
-        basis, schedule, n_bar_c, flip_mode, mass_cutoff)
+        basis, pulse, n_bar_c, flip_mode, mass_cutoff)
     n_t = len(terms)
     # gram[r, c] = Tr[M_r rho M_c^dag], hermitian by construction
     gram = np.empty((n_t, n_t), dtype=complex)
@@ -354,13 +355,13 @@ def fock_gate_channel(
 
 def fock_motional_output(
     basis: ModeBasis,
-    schedule: GateSchedule,
+    pulse: AddressedPulse | None,
     internal: np.ndarray,
     n_bar_c: float = 0.0,
     flip_mode: str = "idealized",
 ) -> fock_core.DensityOp:
     """Reduced motional state after the gate, for a product input
-    internal (x) thermal(n_bar_c), on any trap, flip and schedule.
+    internal (x) thermal(n_bar_c), on any trap and flip.
 
     rho_mot' = sum_{r,c} Tr[Q_r rho_int Q_c^dag] * M_r rho_mot M_c^dag,
     with rho_mot the retained thermal levels of fock_gate_channel (so the
@@ -375,7 +376,7 @@ def fock_motional_output(
     n_c, n_r = basis.dims
     m = n_c * n_r
     ops, terms, outs, probs, flat, _, _ = _thermal_columns(
-        basis, schedule, n_bar_c, flip_mode, _MASS_CUTOFF)
+        basis, pulse, n_bar_c, flip_mode, _MASS_CUTOFF)
     n_t = len(terms)
     weights = np.empty((n_t, n_t), dtype=complex)
     for r, (_, _, q_r) in enumerate(terms):

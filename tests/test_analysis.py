@@ -65,8 +65,8 @@ def _purity_by_frame_loop(channel):
 
 def test_average_purity_matches_frame_state_loop(spec):
     basis = tm.build_mode_basis(spec, eta=4.0, n_bar_c=0.5)
-    schedule, _ = gp.build_schedule(basis, n_bar_c=0.5)
-    gate = an.QuantumChannel(gp.gate_channel(basis, schedule, n_bar_c=0.5).choi)
+    pulse, _ = gp.build_schedule(basis, n_bar_c=0.5)
+    gate = an.QuantumChannel(gp.gate_channel(basis, pulse, n_bar_c=0.5).choi)
     rng = np.random.default_rng(5)
     mats = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
     # Kraus operators K_j = M_j S^{-1/2} with S = sum_j M_j^dag M_j
@@ -84,15 +84,11 @@ def test_average_purity_rejects_other_dimensions():
         an.average_purity(oracles.depolarizing_channel(0.5, dim=3))
 
 
-def _choi_route(spec, eta, n_bar_c, frame_phase=None):
-    """(channel, terms, gram) of the solved schedule, the channel as the
-    QuantumChannel of its Choi matrix; frame_phase replaces the schedule's."""
+def _choi_route(spec, eta, n_bar_c):
+    """The QuantumChannel of the solved pulse's Choi matrix."""
     basis = tm.build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c)
-    schedule, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
-    if frame_phase is not None:
-        schedule = replace(schedule, frame_phase=frame_phase)
-    gc = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c)
-    return an.QuantumChannel(gc.choi), gc.terms, gc.gram
+    pulse, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
+    return an.QuantumChannel(gp.gate_channel(basis, pulse, n_bar_c=n_bar_c).choi)
 
 
 @pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0])
@@ -104,22 +100,10 @@ def test_gate_report_figures_match_the_choi_route(exponent):
     for eta in (0.5, 2.0, 7.0):
         for n_bar_c in (0.0, 1.0, 10.0):
             rep = an.gate_report(spec, eta, n_bar_c, anharmonic_order=None)
-            channel, _, _ = _choi_route(spec, eta, n_bar_c)
+            channel = _choi_route(spec, eta, n_bar_c)
             assert abs(rep.fidelity - an.average_fidelity(channel, gp.ideal_gate())) <= 1e-14
             assert abs(rep.purity - an.average_purity(channel)) <= 1e-14
             assert abs(rep.tp_defect - channel.trace_preservation_defect()) <= 1e-14
-
-
-@pytest.mark.parametrize("frame_phase", [0.0, 1.1, -2.5])
-def test_branch_figures_hold_at_any_frame_phase(spec, frame_phase):
-    """The frame phase enters the fidelity through a_r = Tr[U^dag Q_r] and
-    cancels from the purity and TP constants."""
-    channel, terms, gram = _choi_route(spec, 4.0, 0.5, frame_phase)
-    target = gp.ideal_gate()
-    fidelity, purity, defect = an._branch_figures(gram, terms, target)
-    assert abs(fidelity - an.average_fidelity(channel, target)) <= 1e-14
-    assert abs(purity - an.average_purity(channel)) <= 1e-14
-    assert abs(defect - channel.trace_preservation_defect()) <= 1e-14
 
 
 def test_gate_report_and_scan_build_no_choi_matrix(spec, monkeypatch):
@@ -709,16 +693,24 @@ def test_gate_report_linearity_flag_trips_when_hot(spec):
     assert not rep.condition.well_conditioned
 
 
+def test_gate_report_refuses_a_profile_width_that_squares_to_zero(spec):
+    """Below eta ~ 6.5e-156 on this trap W^2 is not a normal double and the
+    flip angle offset^2/(2 W^2) would be 0/0: ConfigError names the bound."""
+    with pytest.raises(ConfigError, match="at least about 6.5e-156"):
+        an.gate_report(spec, 1e-200, 0.0, anharmonic_order=None)
+
+
 def test_gate_report_disabled_pulse_identity_target(spec):
-    """No flip and no frame tag: refocusing cancels the branch phases and the
-    channel is the identity, cold or hot.  gate_report scores only against
-    the conditional flip, so the schedule is run through gate_channel."""
+    """No flip: refocusing cancels the branch phases and the channel is the
+    frame rotation alone, cold or hot.  gate_report scores only against
+    the conditional flip, so the dark pulse is run through gate_channel."""
+    frame = oracles.frame_rotation(gp._FRAME_FACTOR)
     for n_bar_c in (0.0, 1.0):
         basis = tm.build_mode_basis(spec, eta=2.0, n_bar_c=n_bar_c)
-        schedule, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
-        bare = replace(schedule, flip=replace(schedule.flip, omega0=0.0), frame_phase=0.0)
-        channel = an.QuantumChannel(gp.gate_channel(basis, bare, n_bar_c=n_bar_c).choi)
-        assert an.average_fidelity(channel, np.eye(4)) == pytest.approx(1.0, abs=1e-9)
+        pulse, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
+        dark = replace(pulse, omega0=0.0)
+        channel = an.QuantumChannel(gp.gate_channel(basis, dark, n_bar_c=n_bar_c).choi)
+        assert an.average_fidelity(channel, frame) == pytest.approx(1.0, abs=1e-9)
         assert an.average_purity(channel) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -126,11 +126,11 @@ def test_hot_off_ratio_gate_reports_its_figure(capsys, n_bar_c, fidelity):
     n_bar = float(n_bar_c)
     basis = trap_model.build_mode_basis(trap_model.TrapSpec.normalized(exponent=2.0),
                                         eta=7.0, n_bar_c=n_bar)
-    schedule, _ = gate_protocol.build_schedule(basis, n_bar_c=n_bar)
-    gram = gate_protocol.gate_channel(basis, schedule, n_bar_c=n_bar).gram
+    pulse, _ = gate_protocol.build_schedule(basis, n_bar_c=n_bar)
+    gram = gate_protocol.gate_channel(basis, pulse, n_bar_c=n_bar).gram
     var = basis.thermal_variances(n_bar)
-    x = basis.position_form(schedule.t0, 0.5)
-    y = basis.position_form(0.0, -0.5) - basis.position_form(schedule.t_g, -0.5)
+    x = basis.position_form(basis.flip_time, 0.5)
+    y = basis.position_form(0.0, -0.5) - basis.position_form(basis.gate_time, -0.5)
     s_xx, s_xy, s_yy = x @ (var * x), x @ (var * y), y @ (var * y)
     bound = math.exp(-0.5 * (2.0 * basis.wavenumber) ** 2 * (s_yy - s_xy**2 / s_xx))
     assert np.all(np.abs(gram[:2, 2:]) <= bound) and np.all(np.abs(gram[2:, :2]) <= bound)
@@ -411,6 +411,32 @@ def test_gate_disabled_pulse_against_identity(capsys):
     doc = json.loads(out)
     assert "target" not in doc
     assert "conditional-flip target" in doc["note"]
+
+
+def test_gate_refuses_a_kick_whose_profile_width_squares_to_zero(capsys):
+    """At eta 1e-200 W^2 underflows and every flip angle would be 0/0: gate
+    exits 1 with one line naming the least eta, scan records the error in
+    its row, and conditions still reports the geometry."""
+    rc, out, err = run(capsys, "gate", "--eta", "1e-200", "--order", "0")
+    assert (rc, out) == (1, "")
+    assert err.startswith("hotgate: config error:") and err.count("\n") == 1
+    assert "at least about 6.5e-156" in err
+    rc, out, err = run(capsys, "scan", "--etas", "1e-200,7", "--n-bars", "0", "--order", "0")
+    rows = [line for line in out.splitlines() if line and not line.startswith("#")]
+    assert rc == 0 and len(rows) == 3 and "ConfigError" in err
+    assert rows[1].startswith("1e-200,0,nan,nan") and not rows[2].endswith("nan")
+    rc, out, _ = run(capsys, "conditions", "--eta", "1e-200")
+    assert rc == 0 and json.loads(out)["eta"] == 1e-200
+
+
+def test_rabi_cycles_stop_below_2_to_the_50(capsys):
+    """From N = 2**50 on, 2N + 1/4 rounds to 2N and the branches lose their
+    half-cycle offset: the setting's range stops one below."""
+    rc, out, err = run(capsys, "gate", "--rabi-cycles", str(2**50), "--order", "0")
+    assert (rc, out) == (1, "")
+    assert err.count("\n") == 1 and "rabi_cycles must be a positive integer below 2**50" in err
+    rc, out, _ = run(capsys, "conditions", "--rabi-cycles", str(2**50 - 1))
+    assert rc == 0 and json.loads(out)["rabi_cycles"] == 2**50 - 1
 
 
 def test_gate_anharmonic_column(capsys):

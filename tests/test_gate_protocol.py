@@ -89,6 +89,17 @@ def test_condition_solver_rejects_bad_inputs(spec):
         gp.condition_solver(basis, n_bar_c=-0.1)
 
 
+def test_condition_solver_refuses_rabi_cycles_from_2_to_the_50(spec):
+    """2N + 1/4 is exact below N = 2**50 and rounds to 2N from there."""
+    basis = make_basis(spec, eta=7.0, dims=(8, 8))
+    assert 2.0 * (2**50 - 1) + 0.25 != 2.0 * (2**50 - 1)
+    assert 2.0 * 2**50 + 0.25 == 2.0 * 2**50
+    with pytest.raises(ValueError, match="below 2\\*\\*50"):
+        gp.condition_solver(basis, rabi_cycles=2**50)
+    _, rep = gp.condition_solver(basis, rabi_cycles=2**50 - 1)
+    assert rep.pulse_area == (2.0 * (2**50 - 1) + 0.25) * math.pi
+
+
 def test_condition_solver_rejects_unkicked_basis(spec):
     # eta 0 leaves D = 0, and W = (4N + 1/2) D with it
     basis = make_basis(spec, eta=0.0, dims=(10, 8))
@@ -161,11 +172,11 @@ def test_pulse_train():
 
 
 def test_schedule_validation(spec):
-    with pytest.raises(ValueError):
-        gp.GateSchedule(t0=2.0, t_g=1.0)
+    """gate_channel warns on a pulse longer than t_g/20 (2 pi/20 here)."""
+    basis = make_basis(spec, eta=2.0, dims=(8, 8))
     slow = gp.AddressedPulse(omega0=1.0, center=0.0, width=1.0, duration=1.0)
-    with pytest.warns(UserWarning):
-        gp.GateSchedule(t0=1.0, t_g=6.0, flip=slow)
+    with pytest.warns(UserWarning, match="t_g/20"):
+        gp.gate_channel(basis, slow)
 
 
 # --- elementary unitaries ---------------------------------------------------
@@ -175,13 +186,13 @@ def test_kick_unitary_is_unitary(spec):
     """Every composite unitary run_gate applies: the kick, both flips and
     the frame rotation (x) 1.  run_gate itself does not check them."""
     basis = make_basis(spec, eta=1.0, dims=(10, 8))
-    schedule, _ = gp.build_schedule(basis)
+    pulse, _ = gp.build_schedule(basis)
     eye_m = np.eye(int(np.prod(basis.dims)))
     unitaries = {
         "kick": oracles.kick_unitary(basis),
-        "addressed flip": oracles.addressed_flip_unitary(basis, schedule.flip),
+        "addressed flip": oracles.addressed_flip_unitary(basis, pulse),
         "idealized flip": oracles.idealized_flip_unitary(basis),
-        "frame rotation": np.kron(oracles.frame_rotation(schedule.frame_phase), eye_m),
+        "frame rotation": np.kron(oracles.frame_rotation(gp._FRAME_FACTOR), eye_m),
     }
     for name, u in unitaries.items():
         np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-12,
@@ -259,7 +270,7 @@ def test_ideal_gate_truth_table():
 
 
 def test_frame_rotation_acts_on_qubit2_zero():
-    r = oracles.frame_rotation(math.pi / 2.0)
+    r = oracles.frame_rotation(gp._FRAME_FACTOR)
     expect = np.diag([1j, 1.0, 1j, 1.0])
     np.testing.assert_allclose(r, expect, atol=1e-15)
 
@@ -269,10 +280,10 @@ def test_frame_rotation_acts_on_qubit2_zero():
 
 def test_idealized_run_restores_motion_and_flips(spec):
     basis = make_basis(spec, eta=1.2, dims=(14, 10))
-    schedule, _ = gp.build_schedule(basis)
+    pulse, _ = gp.build_schedule(basis)
     internal = np.ones(4) / 2.0
     init = oracles.initial_state(basis, internal)
-    out = oracles.run_gate(schedule, init, basis, flip_mode="idealized")
+    out = oracles.run_gate(pulse, init, basis, flip_mode="idealized")
     u = gp.ideal_gate()
     target = u @ np.outer(internal, internal) @ u.conj().T
     assert fc.trace_distance(out.internal_density(), target) < 1e-12
@@ -283,21 +294,20 @@ def test_idealized_run_restores_motion_and_flips(spec):
 
 def test_run_gate_rejects_bad_modes(spec):
     basis = make_basis(spec, eta=1.0, dims=(6, 5))
-    schedule, _ = gp.build_schedule(basis)
+    pulse, _ = gp.build_schedule(basis)
     init = oracles.initial_state(basis, np.eye(4) / 4.0)
     with pytest.raises(ValueError):
-        oracles.run_gate(schedule, init, basis, flip_mode="sinc")
-    bare = gp.GateSchedule(t0=schedule.t0, t_g=schedule.t_g)
+        oracles.run_gate(pulse, init, basis, flip_mode="sinc")
     with pytest.raises(ValueError):
-        oracles.run_gate(bare, init, basis, flip_mode="gaussian")
+        oracles.run_gate(None, init, basis, flip_mode="gaussian")
 
 
-def _channel_choi_by_state_runs(basis, schedule, n_bar_c):
+def _channel_choi_by_state_runs(basis, pulse, n_bar_c):
     """Choi matrix of the run_gate path, via pure-state polarization."""
 
     def lam(ket):
         init = oracles.initial_state(basis, np.asarray(ket, dtype=complex), n_bar_c)
-        out = oracles.run_gate(schedule, init, basis, flip_mode="gaussian")
+        out = oracles.run_gate(pulse, init, basis, flip_mode="gaussian")
         return out.internal_density()
 
     eye = np.eye(4)
@@ -321,26 +331,26 @@ def _channel_choi_by_state_runs(basis, schedule, n_bar_c):
 def test_gate_channel_matches_composite_evolution(spec):
     """Dual route: factorized branch channel vs literal density evolution."""
     basis = make_basis(spec, eta=1.2, dims=(16, 10))
-    schedule, _ = gp.build_schedule(basis, n_bar_c=0.4)
-    ch = oracles.fock_gate_channel(basis, schedule, n_bar_c=0.4, mass_cutoff=0.0)
+    pulse, _ = gp.build_schedule(basis, n_bar_c=0.4)
+    ch = oracles.fock_gate_channel(basis, pulse, n_bar_c=0.4, mass_cutoff=0.0)
     assert ch.kept == basis.dims  # cutoff 0 keeps the whole rectangle
-    choi_ref = _channel_choi_by_state_runs(basis, schedule, 0.4)
+    choi_ref = _channel_choi_by_state_runs(basis, pulse, 0.4)
     np.testing.assert_allclose(ch.choi, choi_ref, atol=1e-10)
     # off the commensurate ratio (nu_r/nu_c = sqrt(3)) the branch operators
     # do not refocus; the Fock oracle still follows the literal evolution
     odd = tm.TrapSpec.normalized(exponent=2.0)
     basis = make_basis(odd, eta=1.2, dims=(8, 6))
     assert not basis.commensurate
-    schedule, _ = gp.build_schedule(basis, n_bar_c=0.4)
-    ch = oracles.fock_gate_channel(basis, schedule, n_bar_c=0.4, mass_cutoff=0.0)
+    pulse, _ = gp.build_schedule(basis, n_bar_c=0.4)
+    ch = oracles.fock_gate_channel(basis, pulse, n_bar_c=0.4, mass_cutoff=0.0)
     assert ch.kept == basis.dims
-    choi_ref = _channel_choi_by_state_runs(basis, schedule, 0.4)
+    choi_ref = _channel_choi_by_state_runs(basis, pulse, 0.4)
     np.testing.assert_allclose(ch.choi, choi_ref, atol=1e-10)
 
 
-def _cross_route(basis, schedule, n_bar_c, flip_mode="gaussian"):
-    ps = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode=flip_mode)
-    fock = oracles.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode=flip_mode)
+def _cross_route(basis, pulse, n_bar_c, flip_mode="gaussian"):
+    ps = gp.gate_channel(basis, pulse, n_bar_c=n_bar_c, flip_mode=flip_mode)
+    fock = oracles.fock_gate_channel(basis, pulse, n_bar_c=n_bar_c, flip_mode=flip_mode)
     return ps, fock
 
 
@@ -351,79 +361,70 @@ def test_phase_space_channel_matches_fock_route(spec):
 
     for n_bar_c in (0.0, 0.5, 1.0):
         basis = make_basis(spec, eta=3.0, n_bar_c=n_bar_c)
-        schedule, rep = gp.build_schedule(basis, n_bar_c=n_bar_c)
+        pulse, rep = gp.build_schedule(basis, n_bar_c=n_bar_c)
         assert rep.well_conditioned
-        ps, fock = _cross_route(basis, schedule, n_bar_c)
+        ps, fock = _cross_route(basis, pulse, n_bar_c)
         np.testing.assert_allclose(ps.gram, fock.gram, rtol=0, atol=1e-9)
         np.testing.assert_allclose(ps.choi, fock.choi, rtol=0, atol=1e-9)
     basis = make_basis(spec, eta=3.0, n_bar_c=0.5)
-    schedule, _ = gp.build_schedule(basis, n_bar_c=0.5)
-    dark = replace(schedule, flip=replace(schedule.flip, omega0=0.0))
-    retuned = replace(schedule, frame_phase=0.3)
-    for sched, flip_mode in ((dark, "gaussian"), (retuned, "gaussian"),
-                             (schedule, "idealized")):
-        ps, fock = _cross_route(basis, sched, 0.5, flip_mode)
+    pulse, _ = gp.build_schedule(basis, n_bar_c=0.5)
+    dark = replace(pulse, omega0=0.0)
+    for flip, flip_mode in ((dark, "gaussian"), (pulse, "idealized")):
+        ps, fock = _cross_route(basis, flip, 0.5, flip_mode)
         np.testing.assert_allclose(ps.gram, fock.gram, rtol=0, atol=1e-9)
         np.testing.assert_allclose(ps.choi, fock.choi, rtol=0, atol=1e-9)
     np.testing.assert_array_equal(ps.gram, np.ones((2, 2)))
-    # a schedule that does not close after one COM period does not refocus,
-    # and its cross-branch blocks still follow the Fock route
-    late = replace(schedule, t_g=1.5 * schedule.t_g)
-    assert not gp._refocuses(basis, late)
-    ps, fock = _cross_route(basis, late, 0.5)
-    np.testing.assert_allclose(ps.gram, fock.gram, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(ps.choi, fock.choi, rtol=0, atol=1e-9)
 
 
-# (exponent, eta, n_bar_c, t_g in COM periods): three traps off the
-# commensurate ratio, and the commensurate trap closed after 1.5 periods
-_UNFOCUSED = [(2.0, 1.5, 0.5, 1.0), (1.7, 2.0, 0.5, 1.0), (2.0, 3.0, 0.5, 1.0),
-              (5.0 / 3.0, 3.0, 0.5, 1.5)]
+# (exponent, eta, n_bar_c): three traps off the commensurate ratio
+_UNFOCUSED = [(2.0, 1.5, 0.5), (1.7, 2.0, 0.5), (2.0, 3.0, 0.5)]
 
 
-def _unfocused_point(exponent, eta, n_bar_c, periods):
-    """Solved schedule at default dims + 8, where the Fock oracle with
+def _unfocused_id(point):
+    """The point and t_g in COM periods, always 1, as the test ids name it."""
+    return str(point + (1.0,))
+
+
+def _unfocused_point(exponent, eta, n_bar_c):
+    """Solved pulse at default dims + 8, where the Fock oracle with
     mass_cutoff 1e-15 is converged to about 1e-13."""
-    from dataclasses import replace
-
     basis = make_basis(tm.TrapSpec.normalized(exponent=exponent), eta=eta,
                        n_bar_c=n_bar_c)
     basis = basis.with_dims(tuple(d + 8 for d in basis.dims))
-    schedule, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
-    schedule = replace(schedule, t_g=periods * schedule.t_g)
-    assert not gp._refocuses(basis, schedule)
-    return basis, schedule
+    pulse, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
+    assert not basis.commensurate
+    return basis, pulse
 
 
-@pytest.mark.parametrize("point", _UNFOCUSED, ids=str)
+@pytest.mark.parametrize("point", _UNFOCUSED, ids=_unfocused_id)
 def test_gate_channel_matches_fock_oracle_without_refocusing(point):
     """The residual displacement left by imperfect refocusing enters the
     cross-branch blocks as a complex Gaussian weight; the Fock oracle has
     none of that algebra."""
-    basis, schedule = _unfocused_point(*point)
+    basis, pulse = _unfocused_point(*point)
     n_bar_c = point[2]
-    ch = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c)
-    fock = oracles.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, mass_cutoff=1e-15)
+    ch = gp.gate_channel(basis, pulse, n_bar_c=n_bar_c)
+    fock = oracles.fock_gate_channel(basis, pulse, n_bar_c=n_bar_c, mass_cutoff=1e-15)
     np.testing.assert_allclose(ch.gram, fock.gram, rtol=0, atol=1e-12)
     np.testing.assert_allclose(ch.choi, fock.choi, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("point", _UNFOCUSED[:3], ids=str)
+@pytest.mark.parametrize("point", _UNFOCUSED, ids=_unfocused_id)
 def test_idealized_flip_off_ratio_closed_form(point):
     """Gram [[1, d], [d, 1]], d = exp(-kappa^2 Var(Y)/2), with
     Var(x_m - x_m(t)) = 2 w_m^2 (2 n_m + 1)(1 - cos nu_m t) per mode."""
-    basis, schedule = _unfocused_point(*point)
+    basis, pulse = _unfocused_point(*point)
     n_bar_c = point[2]
     n_bar_r = tm.relative_occupation(n_bar_c, basis.nu_r / basis.nu_c)
-    t_g = schedule.t_g
+    t_g = basis.gate_time
     var_y = (2.0 * basis.width_c**2 * (2.0 * n_bar_c + 1.0) * (1.0 - math.cos(basis.nu_c * t_g))
              + 0.5 * basis.width_r**2 * (2.0 * n_bar_r + 1.0)
              * (1.0 - math.cos(basis.nu_r * t_g)))
     d = math.exp(-0.5 * (2.0 * basis.wavenumber) ** 2 * var_y)
     assert d < 0.99  # far from the all-ones Gram matrix of a refocusing gate
-    ch = gp.gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode="idealized")
+    ch = gp.gate_channel(basis, pulse, n_bar_c=n_bar_c, flip_mode="idealized")
     np.testing.assert_allclose(ch.gram, [[1.0, d], [d, 1.0]], rtol=0, atol=1e-15)
-    fock = oracles.fock_gate_channel(basis, schedule, n_bar_c=n_bar_c, flip_mode="idealized",
+    fock = oracles.fock_gate_channel(basis, pulse, n_bar_c=n_bar_c, flip_mode="idealized",
                                 mass_cutoff=1e-15)
     np.testing.assert_allclose(ch.gram, fock.gram, rtol=0, atol=1e-13)
 
@@ -435,21 +436,20 @@ def test_phase_space_golden_point(spec):
     assert rep.fidelity == pytest.approx(0.995563065904545, abs=1e-12)
 
 
-def _trapezoid_setup(basis, schedule, n_bar_c, terms, intervals):
+def _trapezoid_setup(basis, pulse, n_bar_c, terms, intervals):
     """Nodes t, trapezoid weights w, X - x_e/2 at the nodes, and
     f(u, sign) = f_{b,s}(x_e/2 + u) for every term (fbar for sign +1), with
     the profile read at the node's offset from its centre l."""
     t = np.linspace(-gp._SPAN, gp._SPAN, intervals + 1)
     step = 2.0 * gp._SPAN / intervals / math.sqrt(2.0 * math.pi)
     w = np.exp(-0.5 * t * t) * step
-    half_d = basis.half_separation(schedule.t0)
-    edge = basis.x_e / 2.0 - schedule.flip.center
+    half_d = basis.half_separation(basis.flip_time)
+    edge = basis.x_e / 2.0 - pulse.center
     offsets = np.array([edge + (half_d if b == 0 else -half_d) for b, _, _ in terms])
     signs = np.array([s for _, s, _ in terms])
 
     def f(u, sign):
-        theta = 0.5 * schedule.flip.duration * gp.gaussian_rabi(
-            schedule.flip, offsets[:, None] + u[None, :])
+        theta = 0.5 * pulse.duration * gp.gaussian_rabi(pulse, offsets[:, None] + u[None, :])
         return np.exp(sign * 1j * signs[:, None] * theta)
 
     return t, step, w, basis.thermal_spread(n_bar_c) * t, f
@@ -461,49 +461,49 @@ def _with_cross_block(gram, rows, block):
     return gram
 
 
-def _plain_trapezoid_gram(basis, schedule, n_bar_c, terms, intervals):
+def _plain_trapezoid_gram(basis, pulse, n_bar_c, terms, intervals):
     """The Gram matrix of _phase_space_gram's docstring on one plain
     trapezoid grid of `intervals` intervals over +-_SPAN thermal widths:
     the cross-branch blocks on the real axis, f_r(x + a) conj(f_c(x))
     against the complex weight e^{log_damp} N(x; z, Delta^2)."""
-    t, step, w, u, f = _trapezoid_setup(basis, schedule, n_bar_c, terms, intervals)
+    t, step, w, u, f = _trapezoid_setup(basis, pulse, n_bar_c, terms, intervals)
     f0 = f(u, -1)
     gram = (f0 * w) @ f0.conj().T
-    if gp._refocuses(basis, schedule):
+    if basis.commensurate:
         return gram
-    log_damp, shift, a = gp._residual_displacement(basis, schedule, n_bar_c)
+    log_damp, shift, a = gp._residual_displacement(basis, n_bar_c)
     w_cross = np.exp(log_damp - 0.5 * (t - shift / basis.thermal_spread(n_bar_c)) ** 2) * step
     rows = np.array([b == 0 for b, _, _ in terms])
     block = (f(u + a, -1)[rows] * w_cross) @ f0[~rows].conj().T
     return _with_cross_block(gram, rows, block)
 
 
-def _complex_offset_gram(basis, schedule, n_bar_c, terms, intervals):
+def _complex_offset_gram(basis, pulse, n_bar_c, terms, intervals):
     """The same Gram matrix with the cross-branch blocks at the complex
     shift itself, damp E_X[f_r(X + z + a) fbar_c(X + z)], the analytic
     continuation of the profile, on the real Gaussian weights: an oracle
     with its own arithmetic, usable where the shifted factors stay well
     inside double range."""
-    t, step, w, u, f = _trapezoid_setup(basis, schedule, n_bar_c, terms, intervals)
+    t, step, w, u, f = _trapezoid_setup(basis, pulse, n_bar_c, terms, intervals)
     f0 = f(u, -1)
     gram = (f0 * w) @ f0.conj().T
-    if gp._refocuses(basis, schedule):
+    if basis.commensurate:
         return gram
-    log_damp, shift, a = gp._residual_displacement(basis, schedule, n_bar_c)
+    log_damp, shift, a = gp._residual_displacement(basis, n_bar_c)
     rows = np.array([b == 0 for b, _, _ in terms])
     block = math.exp(log_damp) * ((f(u + shift + a, -1)[rows] * w) @ f(u + shift, 1)[~rows].T)
     return _with_cross_block(gram, rows, block)
 
 
-@pytest.mark.parametrize("point", _UNFOCUSED, ids=str)
+@pytest.mark.parametrize("point", _UNFOCUSED, ids=_unfocused_id)
 def test_real_axis_gram_matches_the_complex_shift_form(point):
     """Moving the cross-branch contour back to the real axis changes the
-    arithmetic, not the integral: wherever the schedule does not refocus
+    arithmetic, not the integral: wherever the gate does not refocus
     the Gram matrix matches the complex-shift form on 1024 intervals."""
-    basis, schedule = _unfocused_point(*point)
-    terms = gp._branch_terms(schedule, "gaussian")
-    gram = gp._phase_space_gram(basis, schedule, point[2], terms)
-    reference = _complex_offset_gram(basis, schedule, point[2], terms, 1024)
+    basis, pulse = _unfocused_point(*point)
+    terms = gp._GAUSSIAN_TERMS
+    gram = gp._phase_space_gram(basis, pulse, point[2], terms)
+    reference = _complex_offset_gram(basis, pulse, point[2], terms, 1024)
     np.testing.assert_allclose(gram, reference, rtol=0, atol=1e-14)
 
 
@@ -514,14 +514,14 @@ def test_phase_space_gram_is_the_128_interval_trapezoid(exponent):
     the real-axis cross blocks agree with the complex-shift form."""
     spec = tm.TrapSpec.normalized(exponent=exponent)
     basis = make_basis(spec, eta=7.0)
-    schedule, _ = gp.build_schedule(basis)
-    terms = gp._branch_terms(schedule, "gaussian")
-    gram = gp._phase_space_gram(basis, schedule, 0.0, terms)
-    coarse, fine = (_plain_trapezoid_gram(basis, schedule, 0.0, terms, n) for n in (64, 128))
+    pulse, _ = gp.build_schedule(basis)
+    terms = gp._GAUSSIAN_TERMS
+    gram = gp._phase_space_gram(basis, pulse, 0.0, terms)
+    coarse, fine = (_plain_trapezoid_gram(basis, pulse, 0.0, terms, n) for n in (64, 128))
     assert np.array_equal(gram, fine)
     assert np.max(np.abs(fine - coarse)) <= gp._GRAM_TOL
     np.testing.assert_allclose(
-        gram, _complex_offset_gram(basis, schedule, 0.0, terms, 128), rtol=0, atol=1e-14)
+        gram, _complex_offset_gram(basis, pulse, 0.0, terms, 128), rtol=0, atol=1e-14)
 
 
 def test_phase_space_gram_settles_at_its_tolerance_off_ratio(monkeypatch):
@@ -535,12 +535,12 @@ def test_phase_space_gram_settles_at_its_tolerance_off_ratio(monkeypatch):
     that form's rounding allowance, 16 * eps * 2.6e4 = 9.2e-11."""
     monkeypatch.setattr(gp, "_MAX_INTERVALS", 256)
     basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=0.5, n_bar_c=10.0)
-    schedule, _ = gp.build_schedule(basis, n_bar_c=10.0)
-    terms = gp._branch_terms(schedule, "gaussian")
-    gram = gp._phase_space_gram(basis, schedule, 10.0, terms)
-    np.testing.assert_allclose(gram, _plain_trapezoid_gram(basis, schedule, 10.0, terms, 2**12),
+    pulse, _ = gp.build_schedule(basis, n_bar_c=10.0)
+    terms = gp._GAUSSIAN_TERMS
+    gram = gp._phase_space_gram(basis, pulse, 10.0, terms)
+    np.testing.assert_allclose(gram, _plain_trapezoid_gram(basis, pulse, 10.0, terms, 2**12),
                                rtol=0, atol=gp._GRAM_TOL)
-    np.testing.assert_allclose(gram, _complex_offset_gram(basis, schedule, 10.0, terms, 2**14),
+    np.testing.assert_allclose(gram, _complex_offset_gram(basis, pulse, 10.0, terms, 2**14),
                                rtol=0, atol=9.2e-11)
 
 
@@ -551,10 +551,10 @@ def test_phase_space_gram_nodes_are_centre_relative(monkeypatch):
     ~ulp(410 x0), and the doubling ran on that noise to 1,024 intervals."""
     monkeypatch.setattr(gp, "_MAX_INTERVALS", 256)
     basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=0.5)
-    schedule, _ = gp.build_schedule(basis)
-    terms = gp._branch_terms(schedule, "gaussian")
-    gram = gp._phase_space_gram(basis, schedule, 0.0, terms)
-    reference = _plain_trapezoid_gram(basis, schedule, 0.0, terms, 2**12)
+    pulse, _ = gp.build_schedule(basis)
+    terms = gp._GAUSSIAN_TERMS
+    gram = gp._phase_space_gram(basis, pulse, 0.0, terms)
+    reference = _plain_trapezoid_gram(basis, pulse, 0.0, terms, 2**12)
     np.testing.assert_allclose(gram, reference, rtol=0, atol=1e-13)
 
 
@@ -572,14 +572,14 @@ def test_phase_space_gram_evaluates_each_node_once(monkeypatch, eta, n_bar_c, in
         return rabi(pulse, offset)
 
     basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=eta, n_bar_c=n_bar_c)
-    schedule, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
-    terms = gp._branch_terms(schedule, "gaussian")
+    pulse, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
+    terms = gp._GAUSSIAN_TERMS
     monkeypatch.setattr(gp, "gaussian_rabi", counting_rabi)
-    gram = gp._phase_space_gram(basis, schedule, n_bar_c, terms)
+    gram = gp._phase_space_gram(basis, pulse, n_bar_c, terms)
     assert sum(nodes) == intervals + 1
     monkeypatch.undo()
     np.testing.assert_allclose(
-        gram, _plain_trapezoid_gram(basis, schedule, n_bar_c, terms, intervals),
+        gram, _plain_trapezoid_gram(basis, pulse, n_bar_c, terms, intervals),
         rtol=0, atol=gp._GRAM_TOL)
 
 
@@ -587,23 +587,23 @@ def test_gate_channel_choi_is_assembled_from_the_gram(spec):
     """GateChannel.choi, built on first read, is
     sum_rc T_rc vec(Q_r) vec(Q_c)^dag with vec(Q) = sum_i |i> (x) Q|i>."""
     basis = make_basis(spec, eta=7.0, n_bar_c=1.0)
-    schedule, _ = gp.build_schedule(basis, n_bar_c=1.0)
-    ch = gp.gate_channel(basis, schedule, n_bar_c=1.0)
+    pulse, _ = gp.build_schedule(basis, n_bar_c=1.0)
+    ch = gp.gate_channel(basis, pulse, n_bar_c=1.0)
     assert "choi" not in vars(ch)
     vq = np.stack([q.T.reshape(16) for _, _, q in ch.terms], axis=1)
     assert np.array_equal(ch.choi, vq @ ch.gram @ vq.conj().T)
 
 
 @pytest.mark.parametrize("flip_mode", ["gaussian", "idealized"])
-def test_branch_terms_are_fresh_arrays(spec, flip_mode):
-    schedule, _ = gp.build_schedule(make_basis(spec, eta=2.0))
-    first = gp._branch_terms(schedule, flip_mode)
-    expected = [q.copy() for _, _, q in first]
-    for _, _, q in first:
-        q[...] = 7.0
-    again = gp._branch_terms(schedule, flip_mode)
-    for (_, _, q), want in zip(again, expected):
-        assert np.array_equal(q, want)
+def test_gate_channel_terms_are_read_only(spec, flip_mode):
+    """Every channel shares the module's branch terms, which refuse writes."""
+    basis = make_basis(spec, eta=2.0)
+    pulse, _ = gp.build_schedule(basis)
+    ch = gp.gate_channel(basis, pulse, flip_mode=flip_mode)
+    assert ch.terms is gp.gate_channel(basis, pulse, flip_mode=flip_mode).terms
+    for _, _, q in ch.terms:
+        with pytest.raises(ValueError, match="read-only"):
+            q[...] = 7.0
 
 
 def test_fock_route_gap_closes_as_dims_grow(spec):
@@ -612,9 +612,9 @@ def test_fock_route_gap_closes_as_dims_grow(spec):
     gaps = []
     for dims in ((16, 12), (24, 16), (32, 20)):
         basis = make_basis(spec, eta=0.5, n_bar_c=1.0, dims=dims)
-        schedule, rep = gp.build_schedule(basis, n_bar_c=1.0)
+        pulse, rep = gp.build_schedule(basis, n_bar_c=1.0)
         assert not rep.well_conditioned
-        ps, fock = _cross_route(basis, schedule, 1.0)
+        ps, fock = _cross_route(basis, pulse, 1.0)
         gaps.append(np.max(np.abs(ps.gram - fock.gram)))
     assert gaps[0] > 1e-4
     assert gaps[0] > 10 * gaps[1] > 100 * gaps[2]
@@ -627,16 +627,16 @@ def test_phase_space_quadrature_raises_at_its_cap(spec):
     from hotgate.errors import NonConvergenceError
 
     basis = make_basis(spec, eta=3.0, dims=(8, 8))
-    schedule, _ = gp.build_schedule(basis)
-    wild = replace(schedule, flip=replace(schedule.flip, omega0=schedule.flip.omega0 * 1e6))
+    pulse, _ = gp.build_schedule(basis)
+    wild = replace(pulse, omega0=pulse.omega0 * 1e6)
     with pytest.raises(NonConvergenceError):
         gp.gate_channel(basis, wild)
 
 
 def test_gate_channel_gram_diagonal_is_unit(spec):
     basis = make_basis(spec, eta=2.0, dims=(24, 14))
-    schedule, _ = gp.build_schedule(basis, n_bar_c=0.5)
-    ch = gp.gate_channel(basis, schedule, n_bar_c=0.5)
+    pulse, _ = gp.build_schedule(basis, n_bar_c=0.5)
+    ch = gp.gate_channel(basis, pulse, n_bar_c=0.5)
     # every branch operator is exactly unitary, so Tr[M rho M^dag] = 1
     np.testing.assert_allclose(ch.gram.diagonal().real, 1.0, atol=1e-12)
     assert ch.choi.shape == (16, 16)
@@ -649,8 +649,8 @@ def test_channel_apply_matches_choi_contraction(spec):
     from hotgate.analysis import QuantumChannel
 
     basis = make_basis(spec, eta=1.5, dims=(18, 11))
-    schedule, _ = gp.build_schedule(basis)
-    ch = gp.gate_channel(basis, schedule)
+    pulse, _ = gp.build_schedule(basis)
+    ch = gp.gate_channel(basis, pulse)
     rho = np.full((4, 4), 0.25, dtype=complex)
     branch_sum = sum(ch.gram[r, c] * (q_r @ rho @ q_c.conj().T)
                      for r, (_, _, q_r) in enumerate(ch.terms)
@@ -671,8 +671,8 @@ def test_thermal_motional_shares_one_temperature_off_ratio():
 
 def test_motional_output_idealized_returns_thermal(spec):
     basis = make_basis(spec, eta=1.5, dims=(14, 9))
-    schedule, _ = gp.build_schedule(basis, n_bar_c=0.7)
-    rho = gp.motional_output(basis, schedule, np.eye(4) / 4.0, n_bar_c=0.7,
+    pulse, _ = gp.build_schedule(basis, n_bar_c=0.7)
+    rho = gp.motional_output(basis, pulse, np.eye(4) / 4.0, n_bar_c=0.7,
                              flip_mode="idealized")
     ref = gp.thermal_motional(basis, 0.7)
     assert fc.trace_distance(rho, ref) < 1e-12
@@ -680,16 +680,16 @@ def test_motional_output_idealized_returns_thermal(spec):
 
 def test_motional_output_rejects_inputs_without_closed_form(spec):
     """The package gives the motional output only where it is the thermal
-    state; the Gaussian flip and a schedule that does not refocus raise."""
+    state; the Gaussian flip and a trap off the commensurate ratio raise."""
     basis = make_basis(spec, eta=1.5, dims=(14, 9))
-    schedule, _ = gp.build_schedule(basis, n_bar_c=0.3)
+    pulse, _ = gp.build_schedule(basis, n_bar_c=0.3)
     internal = np.full((4, 4), 0.25, dtype=complex)
     with pytest.raises(ValueError, match="closed form"):
-        gp.motional_output(basis, schedule, internal, n_bar_c=0.3, flip_mode="gaussian")
+        gp.motional_output(basis, pulse, internal, n_bar_c=0.3, flip_mode="gaussian")
     odd = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=1.2, dims=(8, 6))
-    schedule, _ = gp.build_schedule(odd, n_bar_c=0.2)
+    pulse, _ = gp.build_schedule(odd, n_bar_c=0.2)
     with pytest.raises(ValueError, match="closed form"):
-        gp.motional_output(odd, schedule, internal, n_bar_c=0.2, flip_mode="idealized")
+        gp.motional_output(odd, pulse, internal, n_bar_c=0.2, flip_mode="idealized")
 
 
 def test_motional_output_idealized_off_ratio_matches_composite_route():
@@ -697,51 +697,50 @@ def test_motional_output_idealized_off_ratio_matches_composite_route():
     # output comes from the propagated Fock columns
     odd = tm.TrapSpec.normalized(exponent=2.0)
     basis = make_basis(odd, eta=1.2, dims=(8, 6))
-    schedule, _ = gp.build_schedule(basis, n_bar_c=0.2)
-    assert not gp._refocuses(basis, schedule)
+    pulse, _ = gp.build_schedule(basis, n_bar_c=0.2)
+    assert not basis.commensurate
     internal = np.full((4, 4), 0.25, dtype=complex)
-    got = oracles.fock_motional_output(basis, schedule, internal, n_bar_c=0.2,
+    got = oracles.fock_motional_output(basis, pulse, internal, n_bar_c=0.2,
                                        flip_mode="idealized")
     init = oracles.initial_state(basis, internal, n_bar_c=0.2)
-    ref = oracles.run_gate(schedule, init, basis, flip_mode="idealized")
+    ref = oracles.run_gate(pulse, init, basis, flip_mode="idealized")
     assert fc.trace_distance(got, gp.thermal_motional(basis, 0.2)) > 1e-3
     assert fc.trace_distance(got, ref.motional_density()) <= 1e-10
 
 
 def test_motional_output_matches_composite_route(spec):
     basis = make_basis(spec, eta=1.5, dims=(14, 9))
-    schedule, _ = gp.build_schedule(basis, n_bar_c=0.3)
+    pulse, _ = gp.build_schedule(basis, n_bar_c=0.3)
     internal = np.full((4, 4), 0.25, dtype=complex)
-    got = oracles.fock_motional_output(basis, schedule, internal, n_bar_c=0.3,
+    got = oracles.fock_motional_output(basis, pulse, internal, n_bar_c=0.3,
                                        flip_mode="gaussian")
     init = oracles.initial_state(basis, internal, n_bar_c=0.3)
-    ref = oracles.run_gate(schedule, init, basis, flip_mode="gaussian")
+    ref = oracles.run_gate(pulse, init, basis, flip_mode="gaussian")
     assert fc.trace_distance(got, ref.motional_density()) < 1e-10
     # a truncation that drops thermal levels: the deviation from the full
     # literal route stays within the dropped thermal mass
     basis = make_basis(spec, eta=1.5, dims=(20, 12))
-    schedule, _ = gp.build_schedule(basis, n_bar_c=0.3)
-    ch = oracles.fock_gate_channel(basis, schedule, n_bar_c=0.3)
+    pulse, _ = gp.build_schedule(basis, n_bar_c=0.3)
+    ch = oracles.fock_gate_channel(basis, pulse, n_bar_c=0.3)
     assert ch.kept[0] < basis.dims[0] and ch.kept[1] < basis.dims[1]
-    got = oracles.fock_motional_output(basis, schedule, internal, n_bar_c=0.3,
+    got = oracles.fock_motional_output(basis, pulse, internal, n_bar_c=0.3,
                                        flip_mode="gaussian")
     init = oracles.initial_state(basis, internal, n_bar_c=0.3)
-    ref = oracles.run_gate(schedule, init, basis, flip_mode="gaussian")
+    ref = oracles.run_gate(pulse, init, basis, flip_mode="gaussian")
     assert fc.trace_distance(got, ref.motional_density()) <= ch.dropped_mass + 1e-12
 
 
 def test_frame_phase_tag_is_load_bearing(spec):
-    """Without the pi/2 frame correction the realized gate dephases hard."""
-    from dataclasses import replace
-
+    """Without the pi/2 frame correction the realized gate dephases hard:
+    the same Gram matrix with phase-free terms scores far lower."""
     from hotgate.analysis import QuantumChannel, average_fidelity
 
     basis = make_basis(spec, eta=4.0)
-    schedule, _ = gp.build_schedule(basis)
-    f_tagged = average_fidelity(
-        QuantumChannel(gp.gate_channel(basis, schedule).choi), gp.ideal_gate())
-    bare = replace(schedule, frame_phase=0.0)
-    f_bare = average_fidelity(
-        QuantumChannel(gp.gate_channel(basis, bare).choi), gp.ideal_gate())
+    pulse, _ = gp.build_schedule(basis)
+    ch = gp.gate_channel(basis, pulse)
+    f_tagged = average_fidelity(QuantumChannel(ch.choi), gp.ideal_gate())
+    bare = [(b, s, q / gp._FRAME_FACTOR if b == 0 else q) for b, s, q in ch.terms]
+    assert np.allclose(sum(q for _, _, q in bare), np.eye(4), rtol=0, atol=1e-15)
+    f_bare = average_fidelity(QuantumChannel(gp._choi(bare, ch.gram)), gp.ideal_gate())
     assert f_tagged > 0.98
     assert f_bare < f_tagged - 0.2

@@ -292,15 +292,21 @@ def test_normalized_refuses_a_subnormal_coulomb_coefficient():
 
 
 def test_mode_basis_memo_matches_the_array_route(spec):
-    """thermal_spread and, at a float time, half_separation are computed
-    once per basis; the array route returns the same numbers, and a basis
-    copied by with_dims starts with an empty memo."""
+    """thermal_spread per n_bar_c and the flip-time lever D/(2k) are
+    computed once per basis; the float and array routes of
+    half_separation_per_k return the same number, and a basis copied by
+    with_dims starts with neither cached."""
     basis = tm.build_mode_basis(spec, eta=7.0, n_bar_c=1.0)
     t = basis.flip_time
-    first = basis.half_separation(t)
-    assert basis.half_separation(t) == first == basis.half_separation(np.array([t]))[0]
+    lever = basis.flip_half_separation_per_k
+    assert "flip_half_separation_per_k" in vars(basis)
+    assert basis.flip_half_separation_per_k is lever
+    assert lever == basis.half_separation_per_k(t) == basis.half_separation_per_k(np.array([t]))[0]
     assert basis.thermal_spread(1.0) == basis.thermal_spread(1.0) > basis.thermal_spread(0.0)
-    assert basis.with_dims((4, 4))._memo == {}
+    assert set(basis._memo) == {0.0, 1.0}
+    copy = basis.with_dims(basis.dims)
+    assert copy._memo == {} and "flip_half_separation_per_k" not in vars(copy)
+    assert copy == basis  # the caches do not enter eq
 
 
 def test_expansion_structure(spec):
