@@ -49,13 +49,13 @@ class SeparationCurve:
 
 
 def separation_analytic(basis: ModeBasis, times) -> np.ndarray:
-    """Branch separation d(t) = 2*ModeBasis.half_separation(t) on any trap.
+    """Branch separation d(t) = 2*k*ModeBasis.half_separation_per_k(t) on any trap.
 
     On the commensurate trap d(t) = 2*x0*eta*[sin(nu_c t) - sin(2 nu_c t)/2],
     whose maximum D = (3*sqrt(3)/2)*x0*eta sits at t0 = 2*pi/(3*nu_c); off
     the ratio the peak moves and d(t_g) is no longer zero.
     """
-    return 2.0 * basis.half_separation(np.asarray(times, dtype=float))
+    return 2.0 * (basis.wavenumber * basis.half_separation_per_k(np.asarray(times, dtype=float)))
 
 
 def _mean_x(displacement: np.ndarray, width: float, nu: float, times):
@@ -555,24 +555,6 @@ def gate_report(
     )
 
 
-def _scan_row(spec: TrapSpec, eta: float, n_bar_c: float, order: int | None,
-              report_kw: dict, f_cors: dict) -> dict:
-    row = {"eta": eta, "n_bar_c": n_bar_c, "fidelity": math.nan,
-           "purity": math.nan, "f_cor": math.nan, "error": None}
-    try:
-        rep = gate_report(spec, eta, n_bar_c, anharmonic_order=None, **report_kw)
-        row.update(fidelity=rep.fidelity, purity=rep.purity)  # kept if F_cor fails
-        if n_bar_c not in f_cors:
-            f_cors[n_bar_c] = (math.nan if order is None
-                               else _anharmonic_point(spec, n_bar_c, order).f_cor)
-        row["f_cor"] = f_cors[n_bar_c]
-    except OverflowError as exc:  # a point beyond double range is a bad grid, not a row
-        raise OverflowError(f"scan point eta={eta:g}, n_bar_c={n_bar_c:g}: {exc}") from exc
-    except Exception as exc:  # scans keep going; the row records the failure
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
-
-
 def scan_rows(spec: TrapSpec, points, anharmonic_order: int | None = 3, **report_kw):
     """Yield the rows of scan one at a time, in input order.
 
@@ -584,8 +566,21 @@ def scan_rows(spec: TrapSpec, points, anharmonic_order: int | None = 3, **report
     """
     f_cors = {}
     for eta, n_bar_c in points:
-        yield _scan_row(spec, float(eta), float(n_bar_c), anharmonic_order, report_kw,
-                        f_cors)
+        eta, n_bar_c = float(eta), float(n_bar_c)
+        row = {"eta": eta, "n_bar_c": n_bar_c, "fidelity": math.nan,
+               "purity": math.nan, "f_cor": math.nan, "error": None}
+        try:
+            rep = gate_report(spec, eta, n_bar_c, anharmonic_order=None, **report_kw)
+            row.update(fidelity=rep.fidelity, purity=rep.purity)  # kept if F_cor fails
+            if n_bar_c not in f_cors:
+                f_cors[n_bar_c] = (math.nan if anharmonic_order is None
+                                   else _anharmonic_point(spec, n_bar_c, anharmonic_order).f_cor)
+            row["f_cor"] = f_cors[n_bar_c]
+        except OverflowError as exc:  # a point beyond double range is a bad grid, not a row
+            raise OverflowError(f"scan point eta={eta:g}, n_bar_c={n_bar_c:g}: {exc}") from exc
+        except Exception as exc:  # scans keep going; the row records the failure
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        yield row
 
 
 def scan(spec: TrapSpec, points, **report_kw) -> list[dict]:

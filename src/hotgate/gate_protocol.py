@@ -355,9 +355,8 @@ def _residual_displacement(basis: ModeBasis, n_bar_c: float):
     return -0.5 * kappa**2 * s_yy, kappa * (1j * s_xy - 0.5 * c_xy), kappa * c_xy
 
 
-def _phase_space_gram(basis: ModeBasis, pulse: AddressedPulse, n_bar_c: float,
-                      terms) -> np.ndarray:
-    """Gram matrix of the Gaussian flip as 1-D Gaussian integrals over X.
+def _phase_space_gram(basis: ModeBasis, pulse: AddressedPulse, n_bar_c: float) -> np.ndarray:
+    """Gram matrix of _GAUSSIAN_TERMS as 1-D Gaussian integrals over X.
 
     Each branch operator is M_{b,s} = U(t_g) G_b f_{b,s}(X): X = x1(t0) is
     ion 1's Heisenberg position at the flip, t0 = ModeBasis.flip_time, the
@@ -392,48 +391,49 @@ def _phase_space_gram(basis: ModeBasis, pulse: AddressedPulse, n_bar_c: float,
     with a only in f_r, so none carries the rounding of x_e/2 (~410 x0) for
     the doubling to chase.
 
-    A profile width whose square is below the smallest normal double, at a
-    kick too weak for this trap, would make each flip angle 0/0 and raises
-    ConfigError naming the least eta.
+    A kick too weak for this trap raises ConfigError naming the least eta:
+    the flip angle's exponent offset^2/(2 W^2) would overflow where
+    W sqrt(max double) is below the nodes' reach |x_e/2 - l| + D/2 +
+    _SPAN Delta (+ |a| off the ratio), and lose W^2 where that is not a
+    normal double (which the first test implies unless x0 is tiny, nu_c 1e20).
     """
-    if pulse.width**2 < float_info.min:
-        raise ConfigError(
-            f"the profile width W = {pulse.width:.3g} x0 squares below the smallest normal "
-            f"double, so the flip angle is 0/0; the kick eta must be at least about "
-            f"{basis.eta / pulse.width * sqrt(float_info.min):.2g} on this trap")
     delta = basis.thermal_spread(n_bar_c)
     half_d = basis.wavenumber * basis.flip_half_separation_per_k
     edge = basis.x_e / 2.0 - pulse.center
     cross = None if basis.commensurate else _residual_displacement(basis, n_bar_c)
-    # the profile is read on branch 0 and branch 1 at X and, for the cross
-    # blocks, on branch 0 at X + a, all at s = +1; row k + n_rows of the
-    # factors is the conjugate of row k
+    reach = abs(edge) + half_d + _SPAN * delta + (0.0 if cross is None else abs(cross[2]))
+    room = pulse.width * sqrt(float_info.max)
+    if room < reach or pulse.width**2 < float_info.min:
+        least = basis.eta * max(reach / room, sqrt(float_info.min) / pulse.width)
+        raise ConfigError(
+            f"the profile width W = {pulse.width / basis.x0:.3g} x0 puts the flip angle out of "
+            f"double range; the kick eta must be at least about {least:.2g} on this trap")
+    # the profile is read at s = +1 on branch 0 and branch 1 at X and, for
+    # the cross block, on branch 0 at X + a; f_{b,-1} is its conjugate
     offsets = np.array([edge + half_d, edge - half_d] + ([] if cross is None else [edge + half_d]))
-    n_rows = offsets.size
-    same = [b + (0 if s > 0 else n_rows) for b, s, _ in terms]
-    shifted = [2 + (0 if s > 0 else n_rows) for b, s, _ in terms if b == 0]
-    rows = np.array([b == 0 for b, _, _ in terms])
 
     def integrand(t, w, step):
-        """Weights [w] and factors [f] (and the cross-block weight and
-        f_r(X + a) off the commensurate trap) at the nodes t."""
+        """Weights [w] and factors [f] in _GAUSSIAN_TERMS order (and the
+        cross-block weight and the branch-0 f_r(X + a) off the commensurate
+        trap) at the nodes t."""
         u = delta * t
         x = offsets[:, None] + (u if cross is None else np.stack([u, u, u + cross[2]]))
-        f_plus = np.exp(-1j * (0.5 * pulse.duration * gaussian_rabi(pulse, x)))
-        f = np.concatenate([f_plus, f_plus.conj()])
+        p = np.exp(-1j * (0.5 * pulse.duration * gaussian_rabi(pulse, x)))
+        f = np.empty((2 * len(p), t.size), dtype=complex)  # each row, then its conjugate
+        f[0::2], f[1::2] = p, p.conj()
         if cross is None:
-            return [w], [f[same]]
+            return [w], [f]
         log_damp, shift, _ = cross
         w_cross = np.exp(log_damp - 0.5 * (t - shift / delta) ** 2) * step
-        return [w, w_cross], [f[same], f[shifted]]
+        return [w, w_cross], [f[:4], f[4:]]
 
     def gram_of(weights, factors):
         f = factors[0]
         gram = (f * weights[0]) @ f.conj().T
         if cross is not None:
-            block = (factors[1] * weights[1]) @ f[~rows].conj().T
-            gram[np.ix_(rows, ~rows)] = block
-            gram[np.ix_(~rows, rows)] = block.conj().T
+            block = (factors[1] * weights[1]) @ f[2:].conj().T
+            gram[:2, 2:] = block
+            gram[2:, :2] = block.conj().T
         return gram
 
     intervals = _FIRST_LEVEL
@@ -477,7 +477,7 @@ def gate_channel(
     if pulse.duration > basis.gate_time / 20.0:
         warnings.warn("addressed pulse lasts more than t_g/20; the "
                       "instantaneous-pulse approximation degrades", stacklevel=2)
-    gram = _phase_space_gram(basis, pulse, n_bar_c, _GAUSSIAN_TERMS)
+    gram = _phase_space_gram(basis, pulse, n_bar_c)
     return GateChannel(gram=gram, terms=_GAUSSIAN_TERMS)
 
 

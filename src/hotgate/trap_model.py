@@ -19,7 +19,7 @@ x0 = 1/sqrt(2*m*nu_c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import exp, expm1, inf, log, log1p, sqrt
 from sys import float_info
@@ -212,7 +212,6 @@ class ModeBasis:
     eta_r: float
     dims: tuple[int, int]
     commensurate: bool
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def gate_time(self) -> float:
@@ -256,20 +255,16 @@ class ModeBasis:
                          r * np.sin(self.nu_r * t) / (self.m_r * self.nu_r)])
 
     def thermal_spread(self, n_bar_c: float) -> float:
-        """Thermal spread Delta of x1(t), sqrt(Var x_c + Var x_r / 4) at any t."""
-        if n_bar_c not in self._memo:
-            var = self.thermal_variances(n_bar_c)
-            self._memo[n_bar_c] = sqrt(var[0] + var[2] / 4.0)
-        return self._memo[n_bar_c]
-
-    def half_separation(self, t):
-        """Half the distance between the kicked branches of x1 at time t: the
-        kick moves p_c by +k and p_r by -k/2, which shifts the +k branch of
-        x1(t) by k (sin(nu_c t)/(m_c nu_c) - sin(nu_r t)/(4 m_r nu_r))."""
-        return self.wavenumber * self.half_separation_per_k(t)
+        """Thermal spread Delta of x1(t), sqrt(Var x_c + Var x_r / 4) at any t,
+        with the variances of thermal_variances."""
+        c, r = 2.0 * n_bar_c + 1.0, 2.0 * self.stretch_occupation(n_bar_c) + 1.0
+        return sqrt(self.width_c**2 * c + self.width_r**2 * r / 4.0)
 
     def half_separation_per_k(self, t):
-        """half_separation(t) per unit wavenumber k; defined at eta = 0 too."""
+        """Half the distance between the kicked branches of x1 at time t, per
+        unit wavenumber k (so defined at eta = 0 too): the kick moves p_c by
+        +k and p_r by -k/2, which shifts the +k branch of x1(t) by
+        k (sin(nu_c t)/(m_c nu_c) - sin(nu_r t)/(4 m_r nu_r))."""
         form = self.position_form(t, 0.5)
         return form[1] - form[3] / 2.0
 

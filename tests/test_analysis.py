@@ -1,5 +1,6 @@
 """Channel metrics, branch-separation curves, and the dephasing estimates."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -685,6 +686,32 @@ def test_gate_report_cold_moderate_kick(spec):
     assert d["conditions"]["well_conditioned"] is True
 
 
+@pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0])
+def test_gate_report_matches_the_two_dephasing_factor_model(exponent):
+    """The harmonic gate in closed form (README): near the profile's
+    inflection point the flip angle is linear in ion 1's thermal offset,
+    with slope pi/(2D), so qubit 1 dephases in the sigma_x basis with
+    lambda_1 = exp(-pi^2 Delta^2/(2 D^2)); off the ratio the residual
+    displacement dephases qubit 2 with lambda_2 = exp(log_damp).  Then
+    F = ((1 + lambda_1)(1 + lambda_2) + 1)/5 and, on the commensurate trap,
+    1 - P = (1 - lambda_1^2)/3.  The model drops the slope's variation
+    across the branch separation: on the commensurate trap the relative
+    error in 1 - F and in 1 - P stays within 0.6/(4N + 1/2)^2 (measured up
+    to 0.516 and 0.501 over that), off it within 2.5e-3 (measured 1.8e-3)."""
+    spec = tm.TrapSpec.normalized(exponent=exponent)
+    for n, eta, n_bar in itertools.product((3, 5, 10), (2.0, 7.0, 28.0), (0.0, 1.0, 10.0)):
+        rep = an.gate_report(spec, eta, n_bar, rabi_cycles=n, anharmonic_order=None)
+        basis = tm.build_mode_basis(spec, eta=eta, n_bar_c=n_bar)
+        assert basis.commensurate == (exponent != 2.0)
+        lam_1 = math.exp(-((math.pi * rep.condition.delta / rep.condition.big_d) ** 2) / 2.0)
+        lam_2 = 1.0 if basis.commensurate else math.exp(gp._residual_displacement(basis, n_bar)[0])
+        loss = 1.0 - ((1.0 + lam_1) * (1.0 + lam_2) + 1.0) / 5.0
+        tol = 0.6 / (4 * n + 0.5) ** 2 if basis.commensurate else 2.5e-3
+        assert abs(loss / (1.0 - rep.fidelity) - 1.0) <= tol
+        if basis.commensurate:
+            assert abs((1.0 - lam_1**2) / 3.0 / (1.0 - rep.purity) - 1.0) <= tol
+
+
 def test_gate_report_linearity_flag_trips_when_hot(spec):
     # at eta=2, n_bar_c=0.5 the profile-linearity margin is just violated
     rep = an.gate_report(spec, eta=2.0, n_bar_c=0.5, anharmonic_order=None,
@@ -694,10 +721,18 @@ def test_gate_report_linearity_flag_trips_when_hot(spec):
 
 
 def test_gate_report_refuses_a_profile_width_that_squares_to_zero(spec):
-    """Below eta ~ 6.5e-156 on this trap W^2 is not a normal double and the
-    flip angle offset^2/(2 W^2) would be 0/0: ConfigError names the bound."""
-    with pytest.raises(ConfigError, match="at least about 6.5e-156"):
-        an.gate_report(spec, 1e-200, 0.0, anharmonic_order=None)
+    """Below eta ~ 2.8e-155 on this trap the flip angle's exponent
+    offset^2/(2 W^2) overflows at the outer nodes of the span, and at 1e-200
+    W^2 is not even a normal double: ConfigError names the bound, also at
+    7e-156, where the divide used to overflow with a RuntimeWarning.  On a
+    trap of tiny x0 (nu_c 1e20) the reach test alone would pass eta 1e-154,
+    whose W^2 is 0; the W^2 test refuses it and names its own bound."""
+    for eta in (1e-200, 7e-156):
+        with pytest.raises(ConfigError, match="at least about 2.8e-155"):
+            an.gate_report(spec, eta, 0.0, anharmonic_order=None)
+    tiny_x0 = tm.TrapSpec.normalized(nu_c=1e20)
+    with pytest.raises(ConfigError, match="at least about 6.5e-146"):
+        an.gate_report(tiny_x0, 1e-154, 0.0, anharmonic_order=None)
 
 
 def test_gate_report_disabled_pulse_identity_target(spec):

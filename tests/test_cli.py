@@ -414,13 +414,16 @@ def test_gate_disabled_pulse_against_identity(capsys):
 
 
 def test_gate_refuses_a_kick_whose_profile_width_squares_to_zero(capsys):
-    """At eta 1e-200 W^2 underflows and every flip angle would be 0/0: gate
-    exits 1 with one line naming the least eta, scan records the error in
-    its row, and conditions still reports the geometry."""
-    rc, out, err = run(capsys, "gate", "--eta", "1e-200", "--order", "0")
-    assert (rc, out) == (1, "")
-    assert err.startswith("hotgate: config error:") and err.count("\n") == 1
-    assert "at least about 6.5e-156" in err
+    """At eta 1e-200 W^2 underflows and every flip angle would be 0/0, and
+    up to eta ~ 2.8e-155 the flip angle's exponent overflows at the span's
+    outer nodes: gate exits 1 with one line naming the least eta, scan
+    records the error in its row, and conditions still reports the
+    geometry."""
+    for eta in ("1e-200", "7e-156"):
+        rc, out, err = run(capsys, "gate", "--eta", eta, "--order", "0")
+        assert (rc, out) == (1, "")
+        assert err.startswith("hotgate: config error:") and err.count("\n") == 1
+        assert "at least about 2.8e-155" in err
     rc, out, err = run(capsys, "scan", "--etas", "1e-200,7", "--n-bars", "0", "--order", "0")
     rows = [line for line in out.splitlines() if line and not line.startswith("#")]
     assert rc == 0 and len(rows) == 3 and "ConfigError" in err

@@ -443,7 +443,7 @@ def _trapezoid_setup(basis, pulse, n_bar_c, terms, intervals):
     t = np.linspace(-gp._SPAN, gp._SPAN, intervals + 1)
     step = 2.0 * gp._SPAN / intervals / math.sqrt(2.0 * math.pi)
     w = np.exp(-0.5 * t * t) * step
-    half_d = basis.half_separation(basis.flip_time)
+    half_d = basis.wavenumber * basis.half_separation_per_k(basis.flip_time)
     edge = basis.x_e / 2.0 - pulse.center
     offsets = np.array([edge + (half_d if b == 0 else -half_d) for b, _, _ in terms])
     signs = np.array([s for _, s, _ in terms])
@@ -502,7 +502,7 @@ def test_real_axis_gram_matches_the_complex_shift_form(point):
     the Gram matrix matches the complex-shift form on 1024 intervals."""
     basis, pulse = _unfocused_point(*point)
     terms = gp._GAUSSIAN_TERMS
-    gram = gp._phase_space_gram(basis, pulse, point[2], terms)
+    gram = gp._phase_space_gram(basis, pulse, point[2])
     reference = _complex_offset_gram(basis, pulse, point[2], terms, 1024)
     np.testing.assert_allclose(gram, reference, rtol=0, atol=1e-14)
 
@@ -516,7 +516,7 @@ def test_phase_space_gram_is_the_128_interval_trapezoid(exponent):
     basis = make_basis(spec, eta=7.0)
     pulse, _ = gp.build_schedule(basis)
     terms = gp._GAUSSIAN_TERMS
-    gram = gp._phase_space_gram(basis, pulse, 0.0, terms)
+    gram = gp._phase_space_gram(basis, pulse, 0.0)
     coarse, fine = (_plain_trapezoid_gram(basis, pulse, 0.0, terms, n) for n in (64, 128))
     assert np.array_equal(gram, fine)
     assert np.max(np.abs(fine - coarse)) <= gp._GRAM_TOL
@@ -537,7 +537,7 @@ def test_phase_space_gram_settles_at_its_tolerance_off_ratio(monkeypatch):
     basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=0.5, n_bar_c=10.0)
     pulse, _ = gp.build_schedule(basis, n_bar_c=10.0)
     terms = gp._GAUSSIAN_TERMS
-    gram = gp._phase_space_gram(basis, pulse, 10.0, terms)
+    gram = gp._phase_space_gram(basis, pulse, 10.0)
     np.testing.assert_allclose(gram, _plain_trapezoid_gram(basis, pulse, 10.0, terms, 2**12),
                                rtol=0, atol=gp._GRAM_TOL)
     np.testing.assert_allclose(gram, _complex_offset_gram(basis, pulse, 10.0, terms, 2**14),
@@ -553,7 +553,7 @@ def test_phase_space_gram_nodes_are_centre_relative(monkeypatch):
     basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=0.5)
     pulse, _ = gp.build_schedule(basis)
     terms = gp._GAUSSIAN_TERMS
-    gram = gp._phase_space_gram(basis, pulse, 0.0, terms)
+    gram = gp._phase_space_gram(basis, pulse, 0.0)
     reference = _plain_trapezoid_gram(basis, pulse, 0.0, terms, 2**12)
     np.testing.assert_allclose(gram, reference, rtol=0, atol=1e-13)
 
@@ -575,7 +575,7 @@ def test_phase_space_gram_evaluates_each_node_once(monkeypatch, eta, n_bar_c, in
     pulse, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
     terms = gp._GAUSSIAN_TERMS
     monkeypatch.setattr(gp, "gaussian_rabi", counting_rabi)
-    gram = gp._phase_space_gram(basis, pulse, n_bar_c, terms)
+    gram = gp._phase_space_gram(basis, pulse, n_bar_c)
     assert sum(nodes) == intervals + 1
     monkeypatch.undo()
     np.testing.assert_allclose(

@@ -292,21 +292,25 @@ def test_normalized_refuses_a_subnormal_coulomb_coefficient():
 
 
 def test_mode_basis_memo_matches_the_array_route(spec):
-    """thermal_spread per n_bar_c and the flip-time lever D/(2k) are
-    computed once per basis; the float and array routes of
-    half_separation_per_k return the same number, and a basis copied by
-    with_dims starts with neither cached."""
-    basis = tm.build_mode_basis(spec, eta=7.0, n_bar_c=1.0)
-    t = basis.flip_time
-    lever = basis.flip_half_separation_per_k
-    assert "flip_half_separation_per_k" in vars(basis)
-    assert basis.flip_half_separation_per_k is lever
-    assert lever == basis.half_separation_per_k(t) == basis.half_separation_per_k(np.array([t]))[0]
-    assert basis.thermal_spread(1.0) == basis.thermal_spread(1.0) > basis.thermal_spread(0.0)
-    assert set(basis._memo) == {0.0, 1.0}
-    copy = basis.with_dims(basis.dims)
-    assert copy._memo == {} and "flip_half_separation_per_k" not in vars(copy)
-    assert copy == basis  # the caches do not enter eq
+    """thermal_spread is sqrt(Var x_c + Var x_r / 4) off thermal_variances
+    bit for bit, on and off the ratio, with nothing stored per n_bar_c; the
+    flip-time lever D/(2k) is computed once per basis, its float and array
+    routes agree, and a basis copied by with_dims starts without it, which
+    does not enter eq."""
+    for trap in (spec, tm.TrapSpec.normalized(exponent=2.0)):
+        basis = tm.build_mode_basis(trap, eta=7.0, n_bar_c=1.0)
+        for n_bar in (0.0, 0.5, 1.0, 10.0, 1e4):
+            var = basis.thermal_variances(n_bar)
+            assert basis.thermal_spread(n_bar) == math.sqrt(var[0] + var[2] / 4.0)
+        assert not hasattr(basis, "_memo")
+        t = basis.flip_time
+        lever = basis.flip_half_separation_per_k
+        assert "flip_half_separation_per_k" in vars(basis)
+        assert basis.flip_half_separation_per_k is lever
+        assert lever == basis.half_separation_per_k(t) == basis.half_separation_per_k(np.array([t]))[0]
+        copy = basis.with_dims(basis.dims)
+        assert "flip_half_separation_per_k" not in vars(copy)
+        assert copy == basis  # the cached lever does not enter eq
 
 
 def test_expansion_structure(spec):
