@@ -355,10 +355,13 @@ def exact_anharmonic_fidelity(
     Propagates each thermal ensemble member through one gate period of the
     full motional hamiltonian and averages the survival overlaps
     F = sum_j p_j |amp_j|^2, amp_j = <psi_j| e^{+i H0 t_g} e^{-i (H0 + V) t_g}
-    |psi_j>.  The harmonic reference factor is a global phase per member
-    (every mode completes whole periods at t_g), so this is the plain return
-    overlap of the perturbed evolution; it agrees with the perturbative
-    estimate through second order in the correction.
+    |psi_j>, which agrees with the perturbative estimate through second
+    order in the correction.  The harmonic reference factor
+    Phi = e^{+i H0 t_g} = diag(e^{i E t_g}) is one phase per Fock level, so
+    pre_kick drops it as a phase per member on any trap.  Only on the
+    commensurate trap does every mode complete whole periods at t_g,
+    E t_g = pi (2 n_c + 1) + 2 pi (2 n_r + 1), so that Phi = -1; off the
+    ratio nu_r t_g = 2 pi nu_r/nu_c, and Phi stays in post_kick's overlap.
 
     Neither the gate unitary nor any M x M array (M = n_c n_r) is formed.
     H = diag(E) + V_cor is real symmetric, and V_cor = sum_a X_c^a (x) Q_a
@@ -366,16 +369,18 @@ def exact_anharmonic_fidelity(
     no two x_c levels of opposite parity.  H is therefore assembled from the
     factors and diagonalized in two blocks (_hamiltonian_blocks: the even
     and the odd x_c levels), each H_b = v diag(w) v^T with v real.
-    Then, with Phi = diag(e^{i E t_g}) and D = d_c (x) d_r the opening-kick
-    displacement:
+    Then, with D = d_c (x) d_r the opening-kick displacement:
 
-    * pre_kick, psi_j = |j>: amp_j = sum_k v_jk^2 e^{-i w_k t_g}, the
-      modulus-one factor e^{i E_j t_g} dropped;
+    * pre_kick, psi_j = |j>: amp_j = sum_k v_jk^2 e^{-i w_k t_g};
     * post_kick, psi_j = D|j>: amp_j = sum_k (D^dag Phi v)_jk e^{-i w_k t_g}
-      (D^T v)_jk, where D^dag Phi = (d_c^dag Phi_c) (x) (d_r^dag Phi_r) and
-      both factored operators act on the real v (_kron_apply_real), over
-      _OVERLAP_CHUNK eigenvector columns at a time, so the complex overlaps
-      are M x chunk and not M x s, for the members j of nonzero p_j alone.
+      R_jk with R = D^T v.  The factored operators act on the real v
+      (_kron_apply_real) over _OVERLAP_CHUNK eigenvector columns at a time,
+      so the complex overlaps are M x chunk and not M x s, for the members
+      j of nonzero p_j alone.  On the commensurate trap Phi = -1 and, v
+      being real, D^dag Phi v = -conj(R), so
+      amp_j = -sum_k |R_jk|^2 e^{-i w_k t_g} takes R alone; off the ratio
+      the left overlap D^dag Phi v = ((d_c^dag Phi_c) (x) (d_r^dag Phi_r)) v
+      is applied as well.
 
     Each block's H is dropped once it is diagonalized, and its v before the
     next block is assembled, so the peak is the largest block's eigensolve.
@@ -403,24 +408,32 @@ def exact_anharmonic_fidelity(
         # rows are taken in F order, so the matmuls round as with all of them
         keep_c, keep_r = np.flatnonzero(p_c), np.flatnonzero(p_r)
         p_c, p_r = p_c[keep_c], p_r[keep_r]
-        e_c, e_r = mode_energies(basis)
         d_c, d_r = basis.kick_displacements()
-        left_c = np.take(d_c.conj() * np.exp(1j * e_c * t_g)[:, None], keep_c, axis=1).T
-        left_r = np.take(d_r.conj() * np.exp(1j * e_r * t_g)[:, None], keep_r, axis=1).T
         right_c, right_r = np.take(d_c, keep_c, axis=1).T, np.take(d_r, keep_r, axis=1).T
+        if not basis.commensurate:
+            e_c, e_r = mode_energies(basis)
+            left_c = np.take(d_c.conj() * np.exp(1j * e_c * t_g)[:, None], keep_c, axis=1).T
+            left_r = np.take(d_r.conj() * np.exp(1j * e_r * t_g)[:, None], keep_r, axis=1).T
     amp = np.zeros((p_c.size, p_r.size), dtype=complex)
     for lv, h in _hamiltonian_blocks(basis, expansion):
         w, v = np.linalg.eigh(h)
         del h
         decay = np.exp(-1j * w * t_g)
+        decay_re_im = decay.view(float).reshape(-1, 2)
         if state_mode == "pre_kick":
-            amp[lv] = ((v * v) @ decay).reshape(lv.size, -1)
+            v *= v
+            amp[lv] = (v @ decay).reshape(lv.size, -1)
         else:
             for k in range(0, v.shape[1], _OVERLAP_CHUNK):
                 cols = slice(k, k + _OVERLAP_CHUNK)
-                left = _kron_apply_real(left_c[:, lv], left_r, v[:, cols])
                 right = _kron_apply_real(right_c[:, lv], right_r, v[:, cols])
-                amp += ((left * right) @ decay[cols]).reshape(amp.shape)
+                if basis.commensurate:  # the left overlap is -conj(right)
+                    # |right|^2 is real: one real product with decay's (Re, Im) columns
+                    sq = right.real ** 2 + right.imag ** 2
+                    amp -= (sq @ decay_re_im[cols]).view(complex).reshape(amp.shape)
+                else:
+                    left = _kron_apply_real(left_c[:, lv], left_r, v[:, cols])
+                    amp += ((left * right) @ decay[cols]).reshape(amp.shape)
         del v
     return float(p_c @ (np.abs(amp) ** 2) @ p_r)
 
@@ -440,8 +453,10 @@ def _exact_peak_bytes(basis: ModeBasis, state_mode: str) -> int:
     alone.  The even x_c levels' eigensolve sets it: for s = ceil(n_c/2) n_r
     rows, eigh holds the real H, numpy's working copy, dsyevd's workspace
     (2 s^2 + 6 s doubles and 5 s ints) and the eigenvectors, 5 s^2 doubles,
-    where assembling H takes at most 3 s^2.  post_kick adds its overlaps,
-    at most four complex M x chunk arrays (M = n_c n_r)."""
+    where assembling H takes at most 3 s^2.  post_kick adds its overlaps:
+    four complex M x chunk arrays (M = n_c n_r) bound the two-sided overlap
+    off the ratio, and the one-sided overlap of the commensurate trap holds
+    fewer, so the same sum is an upper bound there."""
     n_c, n_r = basis.dims
     size = (n_c + 1) // 2 * n_r
     peak = 8 * (5 * size + 16) * size
@@ -466,13 +481,17 @@ def _hamiltonian_blocks(basis: ModeBasis, expansion: AnharmonicExpansion):
 def _hamiltonian_block(lv: np.ndarray, e_c: np.ndarray, e_r: np.ndarray,
                        factors: list[tuple[int, np.ndarray, np.ndarray]]) -> np.ndarray:
     """diag(E_lv) + sum_a X_c^a[lv, lv] (x) Q_a, checked and symmetrized by
-    fock_core.hermitian_part.  The Kronecker terms are summed in place into
-    one array, and E is added on its diagonal last, which is the sum
-    diag(E) + V_cor term for term."""
+    fock_core.hermitian_part.  The first Kronecker term is written into the
+    block and the others are added in place, one x_c row at a time, and E is
+    added on its diagonal last, which is the sum diag(E) + V_cor term for
+    term."""
     n_r = e_r.size
-    h = np.zeros((lv.size, n_r, lv.size, n_r))
-    for _, x_pow, q in factors:
-        h += x_pow[np.ix_(lv, lv)][:, None, :, None] * q[None, :, None, :]
+    (_, x_pow, q), *rest = factors
+    h = np.empty((lv.size, n_r, lv.size, n_r))
+    np.multiply(x_pow[np.ix_(lv, lv)][:, None, :, None], q[None, :, None, :], out=h)
+    for _, x_pow, q in rest:
+        for row, x_row in zip(h, x_pow[np.ix_(lv, lv)]):
+            row += x_row[None, :, None] * q[:, None, :]
     h = h.reshape(lv.size * n_r, -1)
     h.flat[::h.shape[0] + 1] += (e_c[lv, None] + e_r).ravel()
     return fock_core.hermitian_part(h)

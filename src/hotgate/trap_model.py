@@ -194,9 +194,10 @@ class ModeBasis:
     Fock truncations (n_c, n_r).  The methods below are the one definition
     of the thermal and kick geometry on any trap, which the condition
     solver, the gate channel, the separation curve and the dephasing
-    weights all read.  thermal_spread (per n_bar_c) and
-    flip_half_separation_per_k are computed once per basis: one operating
-    point reads each from both the condition solver and the gate channel.
+    weights all read.  flip_half_separation_per_k and the kick
+    displacements are computed once per basis: one operating point reads the
+    lever from both the condition solver and the gate channel, and the kick
+    from both dephasing routes.
     """
 
     nu_c: float
@@ -280,9 +281,17 @@ class ModeBasis:
         return self.thermal_spread(n_bar_c) * self.x0 / (2.0 * self.flip_half_separation_per_k)
 
     def kick_displacements(self) -> tuple[np.ndarray, np.ndarray]:
-        """Fock displacements (D_c(+i eta_c), D_r(-i eta_r)) of the +k kick."""
-        return (fock_core.displacement(1j * self.eta_c, self.dims[0]),
+        """Fock displacements (D_c(+i eta_c), D_r(-i eta_r)) of the +k kick,
+        read-only and built once per basis."""
+        return self._kick_displacements
+
+    @cached_property
+    def _kick_displacements(self) -> tuple[np.ndarray, np.ndarray]:
+        kick = (fock_core.displacement(1j * self.eta_c, self.dims[0]),
                 fock_core.displacement(-1j * self.eta_r, self.dims[1]))
+        for d in kick:
+            d.flags.writeable = False
+        return kick
 
 
 def build_mode_basis(

@@ -471,14 +471,22 @@ def _whole_block_exact(basis, expansion, n_bar_c, state_mode):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 10**6])
-@pytest.mark.parametrize("eta, dims, scale", [(3.0, (16, 12), 32.0), (7.0, (24, 19), 1.0)])
+@pytest.mark.parametrize("exponent, eta, dims, scale", [
+    pytest.param(5.0 / 3.0, 3.0, (16, 12), 32.0, id="3.0-dims0-32.0"),
+    pytest.param(5.0 / 3.0, 7.0, (24, 19), 1.0, id="7.0-dims1-1.0"),
+    pytest.param(2.0, 3.0, (16, 12), 32.0, id="exponent2-3.0-dims0-32.0"),
+])
 def test_exact_post_kick_chunks_move_only_summation_order(
-        spec, monkeypatch, eta, dims, scale, chunk):
+        monkeypatch, exponent, eta, dims, scale, chunk):
     """Contracting the post_kick overlaps over chunks of 1, 7 (which divides
     no block's 96 or 228 rows) or all eigenvector columns gives the
-    whole-block figure to summation order.  Both points have 1 - F above
-    1e-3, where one ulp of F is well inside 1e-12 of 1 - F."""
+    two-sided whole-block figure to summation order: on the commensurate
+    trap (exponent 5/3) from the one-sided overlap, off the ratio (exponent
+    2) from the two-sided one.  Every point has 1 - F above 1e-3, where one
+    ulp of F is well inside 1e-12 of 1 - F."""
+    spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
     basis = tm.build_mode_basis(spec, eta=eta, n_bar_c=1.0, dims=dims)
+    assert basis.commensurate == (exponent != 2.0)
     expansion = tm.anharmonic_expansion(spec, order=3).scaled(scale)
     monkeypatch.setattr(an, "_OVERLAP_CHUNK", chunk)
     ref = 1.0 - _whole_block_exact(basis, expansion, 1.0, "post_kick")
@@ -490,7 +498,9 @@ def test_exact_post_kick_chunks_move_only_summation_order(
 def test_exact_post_kick_overlaps_only_members_of_nonzero_weight(spec, monkeypatch):
     """At n_bar_c 0 one member, |0, 0>, has weight: the overlaps are taken
     for that row alone, and F is the whole-block figure, which overlaps
-    every member, to summation order."""
+    every member, to summation order.  On this commensurate trap each
+    eigenvector chunk of the two 96-row blocks takes one overlap, the right
+    one: the left one is read off it."""
     basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=0.0, dims=(16, 12))
     expansion = tm.anharmonic_expansion(spec, order=3).scaled(32.0)
     ref = 1.0 - _whole_block_exact(basis, expansion, 0.0, "post_kick")
@@ -502,7 +512,7 @@ def test_exact_post_kick_overlaps_only_members_of_nonzero_weight(spec, monkeypat
 
     monkeypatch.setattr(an, "_kron_apply_real", counting)
     got = 1.0 - an.exact_anharmonic_fidelity(basis, expansion, 0.0, "post_kick")
-    assert rows and set(rows) == {1}
+    assert rows == [1] * (2 * -(-96 // an._OVERLAP_CHUNK))
     assert ref > 1e-4
     assert abs(got - ref) <= 1e-12 * ref
 

@@ -1061,6 +1061,26 @@ def test_anharmonic_prints_the_library_figures(capsys):
     assert (doc["dims"], doc["n_bar_c"]) == ([24, 19], 1.0)
 
 
+def test_anharmonic_post_kick_builds_the_kick_once(capsys, monkeypatch):
+    """Both routes of a post_kick run read the kick of one basis, which
+    builds it once: one Fock displacement per mode, not one per mode and
+    route."""
+    from hotgate import fock_core
+
+    real, dims = fock_core.displacement, []
+
+    def counting(alpha, dim):
+        dims.append(dim)
+        return real(alpha, dim)
+
+    monkeypatch.setattr(fock_core, "displacement", counting)
+    rc, out, _ = run(capsys, "anharmonic", "--state-mode", "post_kick", "--n-bar-c", "1",
+                     "--dims", "12,10")
+    assert rc == 0
+    assert json.loads(out)["f_cor_exact"] < 1.0
+    assert dims == [12, 10]
+
+
 def test_anharmonic_exact_check_over_budget_exits_1_at_once(capsys, monkeypatch):
     """The exact check's largest block would need 1.9 TB here: one config-error
     line, and neither route allocates (the exact check runs first)."""

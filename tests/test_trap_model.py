@@ -313,6 +313,32 @@ def test_mode_basis_memo_matches_the_array_route(spec):
         assert copy == basis  # the cached lever does not enter eq
 
 
+def test_kick_displacements_are_built_once_per_basis(spec):
+    """kick_displacements returns the same two read-only arrays on every
+    call, D_c(+i eta_c) and D_r(-i eta_r) at the basis dims; a with_dims
+    copy builds its own at its own dims, and the cached kick does not enter
+    eq."""
+    basis = tm.build_mode_basis(spec, eta=7.0, n_bar_c=1.0, dims=(14, 11))
+    d_c, d_r = basis.kick_displacements()
+    again = basis.kick_displacements()
+    assert again[0] is d_c and again[1] is d_r
+    np.testing.assert_array_equal(d_c, fock_core.displacement(1j * basis.eta_c, 14))
+    np.testing.assert_array_equal(d_r, fock_core.displacement(-1j * basis.eta_r, 11))
+    for d in (d_c, d_r):
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[0, 0] = 0.0
+    same = basis.with_dims(basis.dims)
+    assert "_kick_displacements" not in vars(same)
+    assert same == basis  # the cached kick does not enter eq
+    resized = basis.with_dims((9, 6))
+    r_c, r_r = resized.kick_displacements()
+    assert (r_c.shape, r_r.shape) == ((9, 9), (6, 6))
+    np.testing.assert_array_equal(r_c, fock_core.displacement(1j * basis.eta_c, 9))
+    np.testing.assert_array_equal(r_r, fock_core.displacement(-1j * basis.eta_r, 6))
+    assert basis.kick_displacements()[0] is d_c
+
+
 def test_expansion_structure(spec):
     # mirror symmetry of the two wells kills x_c^3 and x_c x_r^2
     assert set(tm.anharmonic_expansion(spec, order=3).coefficients) == {(0, 3), (2, 1)}
