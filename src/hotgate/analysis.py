@@ -373,14 +373,23 @@ def exact_anharmonic_fidelity(
 
     * pre_kick, psi_j = |j>: amp_j = sum_k v_jk^2 e^{-i w_k t_g};
     * post_kick, psi_j = D|j>: amp_j = sum_k (D^dag Phi v)_jk e^{-i w_k t_g}
-      R_jk with R = D^T v.  The factored operators act on the real v
-      (_kron_apply_real) over _OVERLAP_CHUNK eigenvector columns at a time,
-      so the complex overlaps are M x chunk and not M x s, for the members
-      j of nonzero p_j alone.  On the commensurate trap Phi = -1 and, v
-      being real, D^dag Phi v = -conj(R), so
-      amp_j = -sum_k |R_jk|^2 e^{-i w_k t_g} takes R alone; off the ratio
-      the left overlap D^dag Phi v = ((d_c^dag Phi_c) (x) (d_r^dag Phi_r)) v
-      is applied as well.
+      (D^T v)_jk, taken in the real gauge of the kick, for the members j
+      of nonzero p_j alone and over _OVERLAP_CHUNK eigenvector columns at
+      a time (_overlap_sum).  The kick is a rotated real displacement: with
+      R = e^{i (pi/2) n} = diag(i^n), D(+-i eta) = R D(+-eta) R^dag
+      (Cahill and Glauber, Phys. Rev. 177, 1857 (1969)), so
+      M = R^dag D R = M_c (x) M_r is real, M[m, n] = Re(i^{n-m} D[m, n])
+      (_real_gauge).  In one x_c-parity block R v is i^p (v+ + i v-),
+      with v+ and v- the rows of even and of odd n_r, each signed by
+      sigma_m = (-1)^floor(m/2) per mode, so D^T v = R^dag M^T R v gives
+      |(D^T v)_j| = |(M^T v+)_j + i (M^T v-)_j| from two real Kronecker
+      products (_kron_apply).  On the commensurate trap Phi = -1 and, v
+      being real, D^dag Phi v = -conj(D^T v), so
+      amp_j = -sum_k ((M^T v+)_jk^2 + (M^T v-)_jk^2) e^{-i w_k t_g} and no
+      complex overlap is formed.  Off the ratio the left overlap
+      D^dag Phi v = R M^T (R^dag Phi v) takes two more real products, of
+      the real and the imaginary part of (R^dag Phi v), and the R phases
+      cancel in the product of the two overlaps.
 
     Each block's H is dropped once it is diagonalized, and its v before the
     next block is assembled, so the peak is the largest block's eigensolve.
@@ -408,32 +417,28 @@ def exact_anharmonic_fidelity(
         # rows are taken in F order, so the matmuls round as with all of them
         keep_c, keep_r = np.flatnonzero(p_c), np.flatnonzero(p_r)
         p_c, p_r = p_c[keep_c], p_r[keep_r]
-        d_c, d_r = basis.kick_displacements()
-        right_c, right_r = np.take(d_c, keep_c, axis=1).T, np.take(d_r, keep_r, axis=1).T
+        g_c, g_r = (np.take(_real_gauge(d), keep, axis=1).T
+                    for d, keep in zip(basis.kick_displacements(), (keep_c, keep_r)))
         if not basis.commensurate:
+            # R^dag Phi per level, less the signs sigma that g_c and g_r carry and
+            # the block's i^-p, which cancels the i^p of R v
             e_c, e_r = mode_energies(basis)
-            left_c = np.take(d_c.conj() * np.exp(1j * e_c * t_g)[:, None], keep_c, axis=1).T
-            left_r = np.take(d_r.conj() * np.exp(1j * e_r * t_g)[:, None], keep_r, axis=1).T
+            phi_c = np.exp(1j * e_c * t_g)
+            phi_r = np.exp(1j * e_r * t_g) * np.where(np.arange(e_r.size) % 2, -1j, 1)
     amp = np.zeros((p_c.size, p_r.size), dtype=complex)
     for lv, h in _hamiltonian_blocks(basis, expansion):
         w, v = np.linalg.eigh(h)
         del h
         decay = np.exp(-1j * w * t_g)
-        decay_re_im = decay.view(float).reshape(-1, 2)
         if state_mode == "pre_kick":
             v *= v
             amp[lv] = (v @ decay).reshape(lv.size, -1)
         else:
+            g_lv = g_c[:, lv]
+            phi = None if basis.commensurate else (phi_c[lv, None] * phi_r).ravel()
             for k in range(0, v.shape[1], _OVERLAP_CHUNK):
                 cols = slice(k, k + _OVERLAP_CHUNK)
-                right = _kron_apply_real(right_c[:, lv], right_r, v[:, cols])
-                if basis.commensurate:  # the left overlap is -conj(right)
-                    # |right|^2 is real: one real product with decay's (Re, Im) columns
-                    sq = right.real ** 2 + right.imag ** 2
-                    amp -= (sq @ decay_re_im[cols]).view(complex).reshape(amp.shape)
-                else:
-                    left = _kron_apply_real(left_c[:, lv], left_r, v[:, cols])
-                    amp += ((left * right) @ decay[cols]).reshape(amp.shape)
+                amp += _overlap_sum(g_lv, g_r, v[:, cols], decay[cols], phi).reshape(amp.shape)
         del v
     return float(p_c @ (np.abs(amp) ** 2) @ p_r)
 
@@ -453,10 +458,12 @@ def _exact_peak_bytes(basis: ModeBasis, state_mode: str) -> int:
     alone.  The even x_c levels' eigensolve sets it: for s = ceil(n_c/2) n_r
     rows, eigh holds the real H, numpy's working copy, dsyevd's workspace
     (2 s^2 + 6 s doubles and 5 s ints) and the eigenvectors, 5 s^2 doubles,
-    where assembling H takes at most 3 s^2.  post_kick adds its overlaps:
-    four complex M x chunk arrays (M = n_c n_r) bound the two-sided overlap
-    off the ratio, and the one-sided overlap of the commensurate trap holds
-    fewer, so the same sum is an upper bound there."""
+    where assembling H takes at most 3 s^2.  post_kick adds its overlaps
+    (_overlap_sum), bounded by four complex M x chunk arrays (M = n_c n_r):
+    on the commensurate trap they are real, the halves M^T v+ and M^T v-
+    (M x chunk each) and their r-stage products, which hold less; off the
+    ratio the two-sided overlap adds the real and imaginary parts of the
+    left one and the complex left and right overlaps."""
     n_c, n_r = basis.dims
     size = (n_c + 1) // 2 * n_r
     peak = 8 * (5 * size + 16) * size
@@ -497,12 +504,49 @@ def _hamiltonian_block(lv: np.ndarray, e_c: np.ndarray, e_r: np.ndarray,
     return fock_core.hermitian_part(h)
 
 
-def _kron_apply_real(a_c: np.ndarray, a_r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(a_c (x) a_r) x for complex a_c, a_r and real x of shape
-    (a_c.shape[1] * n_r, K), without the kron: the r-stage runs on the real
-    data as two real matmuls, then one complex matmul does the c-stage."""
-    x = x.reshape(a_c.shape[1], a_r.shape[1], -1)
-    t = (a_r.real @ x) + 1j * (a_r.imag @ x)
+def _overlap_sum(g_c: np.ndarray, g_r: np.ndarray, v: np.ndarray, decay: np.ndarray,
+                 phi: np.ndarray | None) -> np.ndarray:
+    """sum_k (D^dag Phi v)_jk (D^T v)_jk decay_k over one chunk of a block's
+    eigenvector columns v, per member j, in the real gauge of the kick
+    (exact_anharmonic_fidelity): g_c and g_r are the signed real factors of
+    the kick on the block's x_c levels and on all r levels, and phi is
+    R^dag Phi on the block's rows without the signs they carry, or None on
+    the commensurate trap, where Phi = -1."""
+    x = v.reshape(g_c.shape[1], g_r.shape[1], -1)
+    # M^T v+ and M^T v-, over the even and the odd n_r rows
+    even, odd = (_kron_apply(g_c, g_r[:, half], x[:, half])
+                 for half in (slice(0, None, 2), slice(1, None, 2)))
+    if phi is None:  # the left overlap is -conj(right)
+        # |right|^2 is real: one real product with decay's (Re, Im) columns
+        even *= even
+        odd *= odd
+        even += odd
+        return -(even @ decay.view(float).reshape(-1, 2)).view(complex)
+    right = even + 1j * odd
+    del even, odd  # freed before the left overlap's products are formed
+    left = 1j * _kron_apply(g_c, g_r, v * phi.imag[:, None])
+    left += _kron_apply(g_c, g_r, v * phi.real[:, None])
+    left *= right
+    return left @ decay
+
+
+def _real_gauge(d: np.ndarray) -> np.ndarray:
+    """sigma_m M[m, n] for a kick d = D(+-i eta): M = R^dag d R, R = diag(i^n),
+    is the real D(+-eta), read off d as M[m, n] = Re(i^{n-m} d[m, n]) with
+    exact phase multiplications, and sigma_m = (-1)^floor(m/2) signs it so
+    that i^m = i^(m mod 2) sigma_m."""
+    n = np.arange(len(d))
+    i_pow = np.array([1, 1j, -1, -1j])  # i^k for k mod 4, exactly
+    m = (d * i_pow[(n - n[:, None]) % 4]).real
+    return m * np.where(n % 4 < 2, 1.0, -1.0)[:, None]
+
+
+def _kron_apply(a_c: np.ndarray, a_r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(a_c (x) a_r) x for real a_c, a_r and real x of shape
+    (a_c.shape[1] * a_r.shape[1], K), or with its rows split as
+    (a_c.shape[1], a_r.shape[1], K), without the kron: the r-stage, then
+    the c-stage, as two real matmuls."""
+    t = a_r @ x.reshape(a_c.shape[1], a_r.shape[1], -1)
     t = a_c @ t.reshape(a_c.shape[1], -1)
     return t.reshape(a_c.shape[0] * a_r.shape[0], -1)
 

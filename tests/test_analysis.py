@@ -445,7 +445,9 @@ def test_exact_traced_peak_is_within_the_estimate(spec, eta, dims, state_mode):
 def _whole_block_exact(basis, expansion, n_bar_c, state_mode):
     """The exact overlap with each block summed as the dense
     diag(E) + sum_a kron(X_c^a[lv, lv], Q_a) and each overlap contracted
-    over all of a block's eigenvector columns at once."""
+    over all of a block's eigenvector columns at once: both post_kick
+    overlaps, (D^dag Phi)^T and D^T on the block's levels, as dense complex
+    np.kron products, shared with no production helper."""
     n_c, n_r = basis.dims
     t_g = basis.gate_time
     e_c, e_r = tm.mode_energies(basis)
@@ -464,8 +466,8 @@ def _whole_block_exact(basis, expansion, n_bar_c, state_mode):
         if state_mode == "pre_kick":
             amp[lv] = ((v * v) @ decay).reshape(lv.size, -1)
         else:
-            left = an._kron_apply_real(left_c[:, lv], left_r, v)
-            right = an._kron_apply_real(d_c.T[:, lv], d_r.T, v)
+            left = np.kron(left_c[:, lv], left_r) @ v
+            right = np.kron(d_c.T[:, lv], d_r.T) @ v
             amp += ((left * right) @ decay).reshape(amp.shape)
     return float(p_c @ (np.abs(amp) ** 2) @ p_r)
 
@@ -481,9 +483,9 @@ def test_exact_post_kick_chunks_move_only_summation_order(
     """Contracting the post_kick overlaps over chunks of 1, 7 (which divides
     no block's 96 or 228 rows) or all eigenvector columns gives the
     two-sided whole-block figure to summation order: on the commensurate
-    trap (exponent 5/3) from the one-sided overlap, off the ratio (exponent
-    2) from the two-sided one.  Every point has 1 - F above 1e-3, where one
-    ulp of F is well inside 1e-12 of 1 - F."""
+    trap (exponent 5/3) from the one-sided real-gauge overlap, off the
+    ratio (exponent 2) from the two-sided one.  Every point has 1 - F above
+    1e-3, where one ulp of F is well inside 1e-12 of 1 - F."""
     spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
     basis = tm.build_mode_basis(spec, eta=eta, n_bar_c=1.0, dims=dims)
     assert basis.commensurate == (exponent != 2.0)
@@ -500,19 +502,20 @@ def test_exact_post_kick_overlaps_only_members_of_nonzero_weight(spec, monkeypat
     for that row alone, and F is the whole-block figure, which overlaps
     every member, to summation order.  On this commensurate trap each
     eigenvector chunk of the two 96-row blocks takes one overlap, the right
-    one: the left one is read off it."""
+    one (the left one is read off it), as two real products: one over the
+    even and one over the odd n_r levels."""
     basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=0.0, dims=(16, 12))
     expansion = tm.anharmonic_expansion(spec, order=3).scaled(32.0)
     ref = 1.0 - _whole_block_exact(basis, expansion, 0.0, "post_kick")
-    real, rows = an._kron_apply_real, []
+    real, rows = an._kron_apply, []
 
     def counting(a_c, a_r, x):
         rows.append(a_c.shape[0] * a_r.shape[0])
         return real(a_c, a_r, x)
 
-    monkeypatch.setattr(an, "_kron_apply_real", counting)
+    monkeypatch.setattr(an, "_kron_apply", counting)
     got = 1.0 - an.exact_anharmonic_fidelity(basis, expansion, 0.0, "post_kick")
-    assert rows == [1] * (2 * -(-96 // an._OVERLAP_CHUNK))
+    assert rows == [1] * (2 * 2 * -(-96 // an._OVERLAP_CHUNK))
     assert ref > 1e-4
     assert abs(got - ref) <= 1e-12 * ref
 

@@ -82,6 +82,21 @@ def test_hermitian_part_keeps_real_dtype_and_checks_symmetry():
         fc.hermitian_part(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_hermitian_part_is_the_symmetrized_input_bit_for_bit(dtype):
+    """The one-buffer check and symmetrization return (h + h^dag)/2 to the
+    last bit, in h's dtype, for near-hermitian h of either kind."""
+    rng = np.random.default_rng(7)
+    for size in (1, 2, 9, 40):
+        h = rng.normal(size=(size, size)).astype(dtype)
+        if dtype is np.complex128:
+            h += 1j * rng.normal(size=(size, size))
+        h = h + h.conj().T + 1e-12 * rng.normal(size=(size, size))
+        part = fc.hermitian_part(h)
+        assert part.dtype == dtype
+        np.testing.assert_array_equal(part, (h + h.conj().T) / 2.0)
+
+
 def test_hermitian_expm_rejects_nonhermitian():
     with pytest.raises(InvalidOperatorError):
         fc.hermitian_expm(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)

@@ -339,6 +339,20 @@ def test_kick_displacements_are_built_once_per_basis(spec):
     assert basis.kick_displacements()[0] is d_c
 
 
+@pytest.mark.parametrize("eta, dims", [(0.5, (12, 10)), (3.0, (24, 16)), (7.0, (60, 40))])
+def test_kick_is_a_rotated_real_displacement(spec, eta, dims):
+    """With R = diag(i^n), R^dag D(+-i eta) R = D(+-eta) (Cahill and
+    Glauber 1969): on both kicked modes, +i eta_c and -i eta_r, the rotated
+    kick is real to 1e-14 and equals the real displacement to 1e-13."""
+    basis = tm.build_mode_basis(spec, eta=eta, n_bar_c=1.0, dims=dims)
+    for d, alpha in zip(basis.kick_displacements(), (basis.eta_c, -basis.eta_r)):
+        r = np.array([1, 1j, -1, -1j])[np.arange(len(d)) % 4]
+        m = r.conj()[:, None] * d * r
+        assert np.abs(m.imag).max() <= 1e-14
+        np.testing.assert_allclose(m.real, fock_core.displacement(alpha, len(d)),
+                                   rtol=0, atol=1e-13)
+
+
 def test_expansion_structure(spec):
     # mirror symmetry of the two wells kills x_c^3 and x_c x_r^2
     assert set(tm.anharmonic_expansion(spec, order=3).coefficients) == {(0, 3), (2, 1)}
