@@ -358,10 +358,10 @@ def exact_anharmonic_fidelity(
     |psi_j>, which agrees with the perturbative estimate through second
     order in the correction.  The harmonic reference factor
     Phi = e^{+i H0 t_g} = diag(e^{i E t_g}) is one phase per Fock level, so
-    pre_kick drops it as a phase per member on any trap.  Only on the
-    commensurate trap does every mode complete whole periods at t_g,
-    E t_g = pi (2 n_c + 1) + 2 pi (2 n_r + 1), so that Phi = -1; off the
-    ratio nu_r t_g = 2 pi nu_r/nu_c, and Phi stays in post_kick's overlap.
+    pre_kick drops it as a phase per member on any trap.  At t_g = 2 pi/nu_c
+    the COM mode completes whole periods on every trap, so Phi_c = -1; only
+    on the commensurate trap does the stretch mode too, so that Phi = -1; off
+    the ratio nu_r t_g = 2 pi nu_r/nu_c, and Phi_r stays in post_kick's overlap.
 
     Neither the gate unitary nor any M x M array (M = n_c n_r) is formed.
     H = diag(E) + V_cor is real symmetric, and V_cor = sum_a X_c^a (x) Q_a
@@ -420,11 +420,10 @@ def exact_anharmonic_fidelity(
         g_c, g_r = (np.take(_real_gauge(d), keep, axis=1).T
                     for d, keep in zip(basis.kick_displacements(), (keep_c, keep_r)))
         if not basis.commensurate:
-            # R^dag Phi per level, less the signs sigma that g_c and g_r carry and
-            # the block's i^-p, which cancels the i^p of R v
-            e_c, e_r = mode_energies(basis)
-            phi_c = np.exp(1j * e_c * t_g)
-            phi_r = np.exp(1j * e_r * t_g) * np.where(np.arange(e_r.size) % 2, -1j, 1)
+            # R^dag Phi per r level, less the signs sigma that g_c and g_r carry
+            # and the block's i^-p, which cancels the i^p of R v; Phi_c = -1
+            e_r = mode_energies(basis)[1]
+            phi_r = -np.exp(1j * e_r * t_g) * np.where(np.arange(e_r.size) % 2, -1j, 1)
     amp = np.zeros((p_c.size, p_r.size), dtype=complex)
     for lv, h in _hamiltonian_blocks(basis, expansion):
         w, v = np.linalg.eigh(h)
@@ -435,7 +434,7 @@ def exact_anharmonic_fidelity(
             amp[lv] = (v @ decay).reshape(lv.size, -1)
         else:
             g_lv = g_c[:, lv]
-            phi = None if basis.commensurate else (phi_c[lv, None] * phi_r).ravel()
+            phi = None if basis.commensurate else np.tile(phi_r, lv.size)
             for k in range(0, v.shape[1], _OVERLAP_CHUNK):
                 cols = slice(k, k + _OVERLAP_CHUNK)
                 amp += _overlap_sum(g_lv, g_r, v[:, cols], decay[cols], phi).reshape(amp.shape)
@@ -455,20 +454,26 @@ _MAX_EXACT_BYTES = 4 * 10**9
 
 def _exact_peak_bytes(basis: ModeBasis, state_mode: str) -> int:
     """Estimated peak memory of exact_anharmonic_fidelity, from the dims
-    alone.  The even x_c levels' eigensolve sets it: for s = ceil(n_c/2) n_r
-    rows, eigh holds the real H, numpy's working copy, dsyevd's workspace
-    (2 s^2 + 6 s doubles and 5 s ints) and the eigenvectors, 5 s^2 doubles,
-    where assembling H takes at most 3 s^2.  post_kick adds its overlaps
-    (_overlap_sum), bounded by four complex M x chunk arrays (M = n_c n_r):
-    on the commensurate trap they are real, the halves M^T v+ and M^T v-
-    (M x chunk each) and their r-stage products, which hold less; off the
-    ratio the two-sided overlap adds the real and imaginary parts of the
-    left one and the complex left and right overlaps."""
+    alone.  The even x_c levels' eigensolve sets it at large dims: for
+    s = ceil(n_c/2) n_r rows, eigh holds the real H, numpy's working copy,
+    dsyevd's workspace (2 s^2 + 6 s doubles and 5 s ints) and the
+    eigenvectors, 5 s^2 doubles, where assembling H takes at most 3 s^2.
+    post_kick adds its overlaps (_overlap_sum), bounded by four complex
+    M x chunk arrays (M = n_c n_r): on the commensurate trap they are real,
+    the halves M^T v+ and M^T v- (M x chunk each) and their r-stage
+    products, which hold less; off the ratio the two-sided overlap adds the
+    real and imaginary parts of the left one and the complex left and right
+    overlaps.  The fixed allocations are added as if all were live at once:
+    amp (16 M bytes), 8 n x n doubles per mode for building V_cor's factors,
+    16 more for post_kick's kick and its real gauge, 16 doubles per level,
+    and 2**14 bytes of Python objects (tracemalloc counts 8-12 KB at dims
+    (2, 2) and (3, 2))."""
     n_c, n_r = basis.dims
     size = (n_c + 1) // 2 * n_r
-    peak = 8 * (5 * size + 16) * size
+    peak = (8 * (5 * size + 16) * size + 16 * n_c * n_r + 64 * (n_c**2 + n_r**2)
+            + 128 * (n_c + n_r) + 2**14)
     if state_mode == "post_kick":
-        peak += 4 * 16 * n_c * n_r * min(_OVERLAP_CHUNK, size)
+        peak += 4 * 16 * n_c * n_r * min(_OVERLAP_CHUNK, size) + 128 * (n_c**2 + n_r**2)
     return peak
 
 

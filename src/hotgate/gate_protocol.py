@@ -6,9 +6,9 @@ Protocol on the composite space qubit1 (x) qubit2 (x) mode_c (x) mode_r:
    which splits the motion into two coherent branches correlated with qubit 2;
 2. free evolution to t0 = 2*pi/(3*nu_c), where the branch separation of ion 1
    peaks on the commensurate trap;
-3. a spatially addressed Rabi pulse on ion 1 whose Gaussian profile is tuned
-   so one branch sees a half-integer number of Rabi cycles (flip) and the
-   other an integer number (no net effect);
+3. an instantaneous addressed flip of ion 1 whose Gaussian flip-angle profile
+   is tuned so one branch sees a half-integer number of Rabi cycles (flip)
+   and the other an integer number (no net effect);
 4. free evolution to t_g = 2*pi/nu_c, where both motional modes complete an
    integer number of periods (nu_r = 2*nu_c), refocusing the branches;
 5. the closing kick, which undoes step 1, and a pi/2 frame rotation on
@@ -49,7 +49,6 @@ oracles and live in tests/oracles.py.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from math import exp, pi, sqrt
@@ -91,24 +90,24 @@ _IDEALIZED_TERMS = ((0, None, _read_only(np.kron(SIGMA_X, PROJ_0))),
 
 @dataclass(frozen=True)
 class AddressedPulse:
-    """Gaussian-profile Rabi pulse on ion 1: Omega(x) = omega0 * exp(-(x-center)^2/(2 width^2))."""
+    """Flip-angle profile of the instantaneous flip on ion 1, in its frame:
+    theta(xi) = theta0 * exp(-(xi - offset)^2 / (2 width^2)) at ion 1's
+    offset xi = x1 - x_e/2 from its equilibrium."""
 
-    omega0: float
-    center: float
+    theta0: float
+    offset: float
     width: float
-    duration: float
 
     def __post_init__(self):
-        if self.omega0 < 0:
-            raise ValueError("omega0 must be non-negative")
-        if self.width <= 0 or self.duration <= 0:
-            raise ValueError("width and duration must be positive")
+        if self.theta0 < 0:
+            raise ValueError("theta0 must be non-negative")
+        if self.width <= 0:
+            raise ValueError("width must be positive")
 
 
-def gaussian_rabi(pulse: AddressedPulse, offset) -> np.ndarray:
-    """Omega = omega0 exp(-offset^2 / (2 width^2)) at offset = x - center from
-    the profile centre."""
-    return pulse.omega0 * np.exp(-(offset**2) / (2.0 * pulse.width**2))
+def flip_angle(pulse: AddressedPulse, xi) -> np.ndarray:
+    """theta(xi), the flip angle at ion 1's offset xi from its equilibrium."""
+    return pulse.theta0 * np.exp(-((xi - pulse.offset) ** 2) / (2.0 * pulse.width**2))
 
 
 # ConditionReport fields whose JSON key names the paper's symbol
@@ -155,7 +154,7 @@ class ConditionReport:
         return out
 
 
-_T1_OVER_TG = 0.01  # pulse length over t_g; gate_channel warns above 1/20
+_T1_OVER_TG = 0.01  # pulse length over t_g, reported only: the channel's flip is instantaneous
 _MARGIN = 3.0  # factor by which the separation, linearity and kick flags must hold
 _RABI_CYCLES_LIMIT = 2**50  # the least N whose 2N + 1/4 a double rounds to 2N
 
@@ -191,10 +190,11 @@ def condition_solver(
     D is ion 1's branch separation at the flip time and Delta its thermal
     spread, both from basis, on any trap; on the commensurate trap D is the
     maximum (3*sqrt(3)/2)*x0*eta.  With N = rabi_cycles, the construction
-    pins the Gaussian width to W = (4N + 1/2)*D, centers the profile at
-    l = x_e/2 + W (its steepest point sits on ion 1), and fixes the pulse
-    area Omega(x_e/2)*t1/2 = (2N + 1/4)*pi so the two branches see
-    (2N + 1/2)*pi and 2N*pi respectively, over t1 = _T1_OVER_TG * t_g.
+    pins the Gaussian width to W = (4N + 1/2)*D, centres the profile W from
+    ion 1's equilibrium (its steepest point sits on ion 1), and fixes the
+    pulse area theta(0) = (2N + 1/4)*pi so the branches see (2N + 1/2)*pi
+    and 2N*pi.  The report gives theta0 as Omega0*t1/2 over
+    t1 = _T1_OVER_TG * t_g, and the absolute centre l = x_e/2 + W.
     eta_bound_ratio = eta/ModeBasis.eta_bound = D/Delta on any trap.  The
     flags ask D > 3 Delta, a phase spread below 1/3 and eta/eta_bound >= 3
     (_MARGIN).
@@ -223,19 +223,18 @@ def condition_solver(
     big_w = (4.0 * n + 0.5) * big_d
     center = basis.x_e / 2.0 + big_w
     t1 = _T1_OVER_TG * basis.gate_time
-    area = (2.0 * n + 0.25) * pi  # Omega(x_e/2) * t1 / 2
-    omega_edge = 2.0 * area / t1
-    omega0 = omega_edge * exp(0.5)
+    area = (2.0 * n + 0.25) * pi  # theta(0) = Omega(x_e/2) * t1 / 2
+    omega0 = 2.0 * area / t1 * exp(0.5)
     bound = basis.eta_bound(n_bar_c)
     ratio = basis.eta / bound
-    phase_spread = area * delta / big_w  # d(theta)/dx at x_e/2 times Delta
+    phase_spread = area * delta / big_w  # d(theta)/d(xi) at xi = 0 times Delta
     satisfied = {
         "separation_hierarchy": big_w > big_d > delta * _MARGIN,
         "profile_linearity": phase_spread < 1.0 / _MARGIN,
         "rabi_cycles_large": n >= 3,
         "eta_above_bound": ratio >= _MARGIN,
     }
-    pulse = AddressedPulse(omega0=omega0, center=center, width=big_w, duration=t1)
+    pulse = AddressedPulse(theta0=0.5 * omega0 * t1, offset=big_w, width=big_w)
     report = ConditionReport(
         eta=basis.eta, n_bar_c=n_bar_c, n_bar_r=basis.stretch_occupation(n_bar_c),
         rabi_cycles=n,
@@ -358,15 +357,15 @@ def _residual_displacement(basis: ModeBasis, n_bar_c: float):
 def _phase_space_gram(basis: ModeBasis, pulse: AddressedPulse, n_bar_c: float) -> np.ndarray:
     """Gram matrix of _GAUSSIAN_TERMS as 1-D Gaussian integrals over X.
 
-    Each branch operator is M_{b,s} = U(t_g) G_b f_{b,s}(X): X = x1(t0) is
-    ion 1's Heisenberg position at the flip, t0 = ModeBasis.flip_time, the
-    opening kick shifts it by sigma_b D/2 (sigma_0 = +1 for the +k branch,
-    D/2 from ModeBasis.flip_half_separation_per_k), so
-    f_{b,s}(x) = exp(-i s theta(x + sigma_b D/2)), and
+    Each branch operator is M_{b,s} = U(t_g) G_b f_{b,s}(X): X is ion 1's
+    Heisenberg offset xi from equilibrium at the flip, t0 =
+    ModeBasis.flip_time, the opening kick shifts it by sigma_b D/2
+    (sigma_0 = +1 for the +k branch, D/2 from ModeBasis.flip_half_separation_per_k),
+    so f_{b,s}(x) = exp(-i s flip_angle(x + sigma_b D/2)), and
     G_b = exp(-i k_b x2(t_g)) exp(i k_b x2), k_0 = k, k_1 = -k, is the
     displacement that refocusing leaves behind.  U(t_g) cancels in
     T[r, c] = Tr[M_r rho M_c^dag].  Under the thermal state X is Gaussian
-    with mean x_e/2 and spread Delta = ModeBasis.thermal_spread.
+    with mean 0 and spread Delta = ModeBasis.thermal_spread.
 
     * Same branch: T[r, c] = E_X[f_r(X) conj(f_c(X))].
     * r in branch 0, c in branch 1: with (log_damp, z, a) from
@@ -374,7 +373,7 @@ def _phase_space_gram(basis: ModeBasis, pulse: AddressedPulse, n_bar_c: float) -
       is entire, so the contour moves back to the real axis:
       T[r, c] = int f_r(x + a) conj(f_c(x)) e^{log_damp} N(x; z, Delta^2) dx.
       As S_XX S_YY - S_XY^2 >= c_XY^2/4 (Robertson-Schroedinger), the weight
-      at x = x_e/2 + Delta t is at most exp(-(Re z/Delta)^2/2 - (t - Re z/Delta)^2/2)
+      at x = Delta t is at most exp(-(Re z/Delta)^2/2 - (t - Re z/Delta)^2/2)
       in modulus: below e^-49 at the span's ends, summing to at most 1.  The
       (1, 0) block is its conjugate transpose.
 
@@ -386,22 +385,19 @@ def _phase_space_gram(basis: ModeBasis, pulse: AddressedPulse, n_bar_c: float) -
     successive Gram matrices agree to _GRAM_TOL.  The first evaluation is
     on _FIRST_LEVEL intervals, whose even nodes at twice the weight give the
     64-interval sum; each later level evaluates only its new nodes and adds
-    their sum to half the previous Gram matrix.  Nodes are read as offsets
-    from the profile centre l, (x_e/2 - l + sigma_b D/2) + (Delta t + a)
-    with a only in f_r, so none carries the rounding of x_e/2 (~410 x0) for
-    the doubling to chase.
+    their sum to half the previous Gram matrix.  The nodes are offsets
+    sigma_b D/2 + Delta t (+ a in f_r): no absolute coordinate enters.
 
     A kick too weak for this trap raises ConfigError naming the least eta:
-    the flip angle's exponent offset^2/(2 W^2) would overflow where
-    W sqrt(max double) is below the nodes' reach |x_e/2 - l| + D/2 +
+    the flip angle's exponent would overflow where W sqrt(max double) is
+    below the nodes' reach from the profile centre, offset + D/2 +
     _SPAN Delta (+ |a| off the ratio), and lose W^2 where that is not a
     normal double (which the first test implies unless x0 is tiny, nu_c 1e20).
     """
     delta = basis.thermal_spread(n_bar_c)
     half_d = basis.wavenumber * basis.flip_half_separation_per_k
-    edge = basis.x_e / 2.0 - pulse.center
     cross = None if basis.commensurate else _residual_displacement(basis, n_bar_c)
-    reach = abs(edge) + half_d + _SPAN * delta + (0.0 if cross is None else abs(cross[2]))
+    reach = abs(pulse.offset) + half_d + _SPAN * delta + (0.0 if cross is None else abs(cross[2]))
     room = pulse.width * sqrt(float_info.max)
     if room < reach or pulse.width**2 < float_info.min:
         least = basis.eta * max(reach / room, sqrt(float_info.min) / pulse.width)
@@ -410,15 +406,15 @@ def _phase_space_gram(basis: ModeBasis, pulse: AddressedPulse, n_bar_c: float) -
             f"double range; the kick eta must be at least about {least:.2g} on this trap")
     # the profile is read at s = +1 on branch 0 and branch 1 at X and, for
     # the cross block, on branch 0 at X + a; f_{b,-1} is its conjugate
-    offsets = np.array([edge + half_d, edge - half_d] + ([] if cross is None else [edge + half_d]))
+    shifts = np.array([half_d, -half_d] + ([] if cross is None else [half_d]))
 
     def integrand(t, w, step):
         """Weights [w] and factors [f] in _GAUSSIAN_TERMS order (and the
         cross-block weight and the branch-0 f_r(X + a) off the commensurate
         trap) at the nodes t."""
         u = delta * t
-        x = offsets[:, None] + (u if cross is None else np.stack([u, u, u + cross[2]]))
-        p = np.exp(-1j * (0.5 * pulse.duration * gaussian_rabi(pulse, x)))
+        x = shifts[:, None] + (u if cross is None else np.stack([u, u, u + cross[2]]))
+        p = np.exp(-1j * flip_angle(pulse, x))
         f = np.empty((2 * len(p), t.size), dtype=complex)  # each row, then its conjugate
         f[0::2], f[1::2] = p, p.conj()
         if cross is None:
@@ -461,11 +457,10 @@ def gate_channel(
     ModeBasis.flip_time, closed at ModeBasis.gate_time.
 
     The Gram matrix comes from _phase_space_gram, with no Fock truncation,
-    so basis.dims does not enter.  A pulse longer than t_g/20 warns: the
-    flip is taken as instantaneous.  The idealized flip does not read the
-    pulse: every f is 1 and the Gram matrix is [[1, damp], [damp, 1]] with
-    damp = exp(-kappa^2 S_YY / 2) from _residual_displacement, all ones on
-    the commensurate trap.
+    so basis.dims does not enter, and the flip is instantaneous.  The
+    idealized flip does not read the pulse: every f is 1 and the Gram
+    matrix is [[1, damp], [damp, 1]] with damp = exp(-kappa^2 S_YY / 2) from
+    _residual_displacement, all ones on the commensurate trap.
     """
     if flip_mode == "idealized":
         gram = np.ones((2, 2), dtype=complex)
@@ -474,9 +469,6 @@ def gate_channel(
         return GateChannel(gram=gram, terms=_IDEALIZED_TERMS)
     if flip_mode != "gaussian":
         raise ValueError(f"unknown flip_mode {flip_mode!r}")
-    if pulse.duration > basis.gate_time / 20.0:
-        warnings.warn("addressed pulse lasts more than t_g/20; the "
-                      "instantaneous-pulse approximation degrades", stacklevel=2)
     gram = _phase_space_gram(basis, pulse, n_bar_c)
     return GateChannel(gram=gram, terms=_GAUSSIAN_TERMS)
 

@@ -37,7 +37,7 @@ from hotgate.gate_protocol import (
     AddressedPulse,
     GateChannel,
     _free_phases,
-    gaussian_rabi,
+    flip_angle,
     thermal_motional,
 )
 from hotgate.trap_model import (
@@ -77,23 +77,22 @@ def kick_unitary(basis: ModeBasis) -> np.ndarray:
 
 
 def _flip_eigensystem(basis: ModeBasis):
-    """Spectral data of ion 1's position x1 = x_c + (x_r + x_e)/2.
+    """Spectral data of ion 1's offset from its equilibrium, xi = x_c + x_r/2.
 
-    The two mode contributions commute, so x1 diagonalizes in the product of
+    The two mode contributions commute, so xi diagonalizes in the product of
     the single-mode position eigenbases; returns per-mode eigenvectors and
-    the (n_c, n_r) grid of x1 eigenvalues.
+    the (n_c, n_r) grid of xi eigenvalues.
     """
     n_c, n_r = basis.dims
     xv_c, vec_c = np.linalg.eigh(fock_core.position_operator(n_c, basis.width_c))
     xv_r, vec_r = np.linalg.eigh(fock_core.position_operator(n_r, basis.width_r))
-    xgrid = xv_c[:, None] + (xv_r[None, :] + basis.x_e) / 2.0
-    return vec_c, vec_r, xgrid
+    return vec_c, vec_r, xv_c[:, None] + xv_r[None, :] / 2.0
 
 
 def addressed_flip_unitary(basis: ModeBasis, pulse: AddressedPulse) -> np.ndarray:
-    """exp[-i (t1/2) Omega(x1) sigma^x_1] on the full composite space."""
-    vec_c, vec_r, xgrid = _flip_eigensystem(basis)
-    theta = 0.5 * pulse.duration * gaussian_rabi(pulse, xgrid - pulse.center)
+    """exp[-i theta(xi) sigma^x_1] on the full composite space."""
+    vec_c, vec_r, xigrid = _flip_eigensystem(basis)
+    theta = flip_angle(pulse, xigrid)
     vec = np.kron(vec_c, vec_r)
     out = np.zeros((4 * theta.size,) * 2, dtype=complex)
     for s, proj in ((1.0, (ID2 + SIGMA_X) / 2), (-1.0, (ID2 - SIGMA_X) / 2)):
@@ -238,8 +237,8 @@ class _BranchOps:
         if flip_mode == "gaussian":
             if pulse is None:
                 raise ValueError("gaussian flip requested but no addressed pulse given")
-            self._vec_c, self._vec_r, xgrid = _flip_eigensystem(basis)
-            self._theta = 0.5 * pulse.duration * gaussian_rabi(pulse, xgrid - pulse.center)
+            self._vec_c, self._vec_r, xigrid = _flip_eigensystem(basis)
+            self._theta = flip_angle(pulse, xigrid)
 
     @staticmethod
     def _mode_apply(mat_c, mat_r, batch):

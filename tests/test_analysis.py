@@ -108,22 +108,33 @@ def test_gate_report_figures_match_the_choi_route(exponent):
 
 
 def test_gate_report_and_scan_build_no_choi_matrix(spec, monkeypatch):
-    """With the Choi assembly and the Choi-matrix tools patched to raise,
-    gate_report and scan_rows still run and report the same figures."""
-    want = an.gate_report(spec, 7.0, 1.0, anharmonic_order=None)
+    """With the Choi assembly, the Choi-matrix tools and fock_core's Fock
+    constructors patched to raise, gate_report, scan_rows and
+    condition_solver still run and give the same figures, on the paper's
+    trap and off the ratio: the gate path reads no Fock truncation."""
+    traps = (spec, tm.TrapSpec.normalized(exponent=2.0))
+    want = [an.gate_report(trap, 7.0, 1.0, anharmonic_order=None) for trap in traps]
+    solved = [gp.condition_solver(tm.build_mode_basis(trap, eta=7.0, n_bar_c=1.0), 1.0)
+              for trap in traps]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the Choi route ran")
+        raise AssertionError("the Choi route or a Fock constructor ran")
 
     for name in ("QuantumChannel", "average_fidelity", "average_purity"):
         monkeypatch.setattr(an, name, refuse)
     monkeypatch.setattr(gp, "_choi", refuse)
-    rep = an.gate_report(spec, 7.0, 1.0, anharmonic_order=None)
-    assert (rep.fidelity, rep.purity, rep.tp_defect) == (want.fidelity, want.purity,
-                                                         want.tp_defect)
-    rows = list(an.scan_rows(spec, [(7.0, 1.0), (2.0, 0.0)], anharmonic_order=None))
-    assert [row["error"] for row in rows] == [None, None]
-    assert (rows[0]["fidelity"], rows[0]["purity"]) == (want.fidelity, want.purity)
+    for name in ("displacement", "position_operator", "annihilation", "thermal_probabilities",
+                 "hermitian_part", "hermitian_expm"):
+        monkeypatch.setattr(fc, name, refuse)
+    for trap, want_rep, want_solved in zip(traps, want, solved):
+        rep = an.gate_report(trap, 7.0, 1.0, anharmonic_order=None)
+        assert (rep.fidelity, rep.purity, rep.tp_defect) == (want_rep.fidelity, want_rep.purity,
+                                                             want_rep.tp_defect)
+        rows = list(an.scan_rows(trap, [(7.0, 1.0), (2.0, 0.0)], anharmonic_order=None))
+        assert [row["error"] for row in rows] == [None, None]
+        assert (rows[0]["fidelity"], rows[0]["purity"]) == (want_rep.fidelity, want_rep.purity)
+        basis = tm.build_mode_basis(trap, eta=7.0, n_bar_c=1.0)
+        assert gp.condition_solver(basis, 1.0) == want_solved
 
 
 def test_depolarizing_apply_formula():
@@ -381,7 +392,9 @@ def _refuse_blocks(*args, **kwargs):
 @pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
 def test_exact_memory_budget_counts_the_largest_block(spec, monkeypatch, state_mode):
     """The estimate is the largest block's eigensolve, five real s x s arrays
-    plus O(s), and post_kick's four complex M x chunk overlaps; a budget
+    plus O(s), post_kick's four complex M x chunk overlaps, and the fixed
+    allocations: amp, 8 (pre_kick) or 24 (post_kick) n x n doubles per
+    mode, 16 doubles per level and 2**14 bytes of small objects; a budget
     equal to it passes, and one less raises before any block is assembled."""
     basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(17, 12))
     expansion = tm.anharmonic_expansion(spec, order=3)
@@ -389,8 +402,10 @@ def test_exact_memory_budget_counts_the_largest_block(spec, monkeypatch, state_m
     assert largest.shape == (9 * 12, 9 * 12)  # the even levels 0, 2, ..., 16
     chunk = min(an._OVERLAP_CHUNK, len(largest))
     overlaps = 4 * 16 * (17 * 12) * chunk if state_mode == "post_kick" else 0
+    squares = 24 if state_mode == "post_kick" else 8
+    fixed = 16 * (17 * 12) + 8 * squares * (17**2 + 12**2) + 16 * 8 * (17 + 12) + 2**14
     peak = an._exact_peak_bytes(basis, state_mode)
-    assert peak == 5 * largest.nbytes + 16 * 8 * len(largest) + overlaps
+    assert peak == 5 * largest.nbytes + 16 * 8 * len(largest) + overlaps + fixed
     monkeypatch.setattr(an, "_MAX_EXACT_BYTES", peak)
     assert an.exact_anharmonic_fidelity(basis, expansion, 1.0, state_mode) < 1.0
     monkeypatch.setattr(an, "_MAX_EXACT_BYTES", peak - 1)
@@ -424,13 +439,23 @@ def test_exact_memory_budget_admits_the_post_kick_default(spec, kicked_basis, mo
 
 
 @pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
-@pytest.mark.parametrize("eta, dims", [(3.0, (17, 12)), (7.0, (24, 19))])
-def test_exact_traced_peak_is_within_the_estimate(spec, eta, dims, state_mode):
-    """All that one call allocates through numpy, at its peak, fits the
-    estimate.  eigh's working copy and dsyevd's workspace, which the
-    estimate also counts, are malloc'ed out of tracemalloc's sight."""
+@pytest.mark.parametrize("exponent, eta, dims", [
+    pytest.param(5.0 / 3.0, 3.0, (17, 12), id="3.0-dims0"),
+    pytest.param(5.0 / 3.0, 7.0, (24, 19), id="7.0-dims1"),
+    pytest.param(5.0 / 3.0, 3.0, (3, 2), id="3.0-dims2"),
+    pytest.param(5.0 / 3.0, 3.0, (6, 4), id="3.0-dims3"),
+    pytest.param(2.0, 3.0, (3, 2), id="exponent2-3.0-dims2"),
+    pytest.param(2.0, 3.0, (6, 4), id="exponent2-3.0-dims3"),
+])
+def test_exact_traced_peak_is_within_the_estimate(exponent, eta, dims, state_mode):
+    """All that one call allocates through numpy and Python, at its peak,
+    fits the estimate, on both trap kinds.  eigh's working copy and
+    dsyevd's workspace, which the estimate also counts, are malloc'ed out
+    of tracemalloc's sight; at small dims the fixed allocations and the
+    small-object allowance carry the bound."""
     import tracemalloc
 
+    spec = tm.TrapSpec.normalized(exponent=exponent)
     basis = tm.build_mode_basis(spec, eta=eta, n_bar_c=1.0, dims=dims)
     expansion = tm.anharmonic_expansion(spec, order=3)
     tracemalloc.start()
@@ -756,7 +781,7 @@ def test_gate_report_disabled_pulse_identity_target(spec):
     for n_bar_c in (0.0, 1.0):
         basis = tm.build_mode_basis(spec, eta=2.0, n_bar_c=n_bar_c)
         pulse, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
-        dark = replace(pulse, omega0=0.0)
+        dark = replace(pulse, theta0=0.0)
         channel = an.QuantumChannel(gp.gate_channel(basis, dark, n_bar_c=n_bar_c).choi)
         assert an.average_fidelity(channel, frame) == pytest.approx(1.0, abs=1e-9)
         assert an.average_purity(channel) == pytest.approx(1.0, abs=1e-9)
@@ -764,10 +789,11 @@ def test_gate_report_disabled_pulse_identity_target(spec):
 
 @pytest.mark.parametrize("ratio", [3.0, 21.0])
 def test_harmonic_gate_depends_only_on_d_over_delta(spec, ratio):
-    """On the commensurate trap W = (4N + 1/2) D, l = x_e/2 + W and the
-    pulse area is fixed, so the flip angle at X = x_e/2 + Delta z reads only
-    z and D/Delta = eta/eta_bound(n_bar_c): fidelity and purity are one
-    curve of that ratio, however hot the motion (21 is the golden point)."""
+    """On the commensurate trap W = (4N + 1/2) D, the profile centre sits W
+    from ion 1's equilibrium and the pulse area is fixed, so the flip angle
+    at ion 1's offset Delta z reads only z and D/Delta = eta/eta_bound(n_bar_c):
+    fidelity and purity are one curve of that ratio, however hot the motion
+    (21 is the golden point)."""
     basis = tm.build_mode_basis(spec, eta=1.0, dims=(2, 2))  # eta_bound reads no eta
     figures = []
     for n_bar_c in (0.0, 0.5, 1.0, 3.0, 10.0, 30.0):
@@ -778,6 +804,26 @@ def test_harmonic_gate_depends_only_on_d_over_delta(spec, ratio):
     for fidelity, purity in figures[1:]:
         assert abs(fidelity - figures[0][0]) <= 1e-13
         assert abs(purity - figures[0][1]) <= 1e-13
+
+
+@pytest.mark.parametrize("exponent, eta, n_bar_c", [(5.0 / 3.0, 7.0, 0.0), (2.0, 4.0, 1.0),
+                                                    (1.7, 4.0, 1.0)])
+def test_harmonic_gate_does_not_depend_on_the_separation(exponent, eta, n_bar_c):
+    """The flip reads ion 1's offset from its equilibrium, never where the
+    trap puts the ion, and at a fixed exponent the mode geometry in units of
+    x0 does not change with the separation.  So fidelity and purity hold to
+    1e-12 from 820 x0 to 1e14 x0, where ulp(x_e/2) is about 0.008 x0 (a
+    profile centre stored as x_e/2 + W moved them by up to 1.8e-7 there)."""
+    def figures(separation_in_x0):
+        spec = tm.TrapSpec.normalized(exponent=exponent, separation_in_x0=separation_in_x0)
+        rep = an.gate_report(spec, eta, n_bar_c, anharmonic_order=None)
+        return rep.fidelity, rep.purity
+
+    fidelity, purity = figures(820.0)
+    for separation_in_x0 in (1e6, 1e9, 1e12, 1e14):
+        moved = figures(separation_in_x0)
+        assert abs(moved[0] - fidelity) <= 1e-12, separation_in_x0
+        assert abs(moved[1] - purity) <= 1e-12, separation_in_x0
 
 
 def test_scan_keeps_order_and_records_failures(spec):

@@ -46,8 +46,12 @@ def test_condition_solver_algebra(spec):
     # omega0 backs off by exp(1/2) so the commanded area lands at x_e/2
     assert rep.omega0 * math.exp(-0.5) * rep.t1 / 2.0 == pytest.approx(
         rep.pulse_area, rel=1e-12)
-    assert pulse.omega0 == rep.omega0
-    assert pulse.width == rep.big_w
+    # the pulse holds only the flip-angle profile in ion 1's frame: its
+    # centre sits exactly W out, and the report's Omega0 t1 and l derive from it
+    assert pulse == gp.AddressedPulse(theta0=rep.omega0_t1 / 2.0, offset=rep.big_w,
+                                      width=rep.big_w)
+    assert rep.center == basis.x_e / 2.0 + pulse.offset
+    assert float(gp.flip_angle(pulse, 0.0)) == pytest.approx(rep.pulse_area, rel=1e-14)
     # D/Delta and eta/eta_bound are the same number by construction, on any
     # trap; on the commensurate one eta_bound is the paper's closed form
     off_ratio = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=7.0, dims=(8, 8))
@@ -125,11 +129,10 @@ def test_exact_gaussian_branch_areas_close_to_linearized(exponent):
     basis = make_basis(tm.TrapSpec.normalized(exponent=exponent), eta=7.0)
     pulse, rep = gp.condition_solver(basis, rabi_cycles=3)
     half_d = float(an.separation_numeric(basis, [basis.flip_time])[0]) / 2.0
-    edge = basis.x_e / 2.0
-    theta = lambda x: 0.5 * pulse.duration * float(gp.gaussian_rabi(pulse, x - pulse.center))
-    assert theta(edge) == pytest.approx(rep.pulse_area, rel=1e-12)
-    assert theta(edge + half_d) == pytest.approx(6.5 * math.pi, rel=1e-4)
-    assert theta(edge - half_d) == pytest.approx(6.0 * math.pi, rel=1e-4)
+    theta = lambda xi: float(gp.flip_angle(pulse, xi))
+    assert theta(0.0) == pytest.approx(rep.pulse_area, rel=1e-12)
+    assert theta(half_d) == pytest.approx(6.5 * math.pi, rel=1e-4)
+    assert theta(-half_d) == pytest.approx(6.0 * math.pi, rel=1e-4)
 
 
 @pytest.mark.parametrize("exponent", [2.0, 1.7])
@@ -169,14 +172,6 @@ def test_pulse_train():
         gp.pulse_train(0.45, 1.5)
     with pytest.raises(ValueError):
         gp.pulse_train(0.0, 3)
-
-
-def test_schedule_validation(spec):
-    """gate_channel warns on a pulse longer than t_g/20 (2 pi/20 here)."""
-    basis = make_basis(spec, eta=2.0, dims=(8, 8))
-    slow = gp.AddressedPulse(omega0=1.0, center=0.0, width=1.0, duration=1.0)
-    with pytest.warns(UserWarning, match="t_g/20"):
-        gp.gate_channel(basis, slow)
 
 
 # --- elementary unitaries ---------------------------------------------------
@@ -232,17 +227,13 @@ def test_free_propagator_closes_at_gate_time(spec):
 
 def test_addressed_flip_against_dense_expm(spec):
     basis = make_basis(spec, eta=0.5, dims=(8, 6))
-    pulse = gp.AddressedPulse(
-        omega0=2.0, center=basis.x_e / 2.0 + basis.x0,
-        width=3.0 * basis.x0, duration=0.25)
+    pulse = gp.AddressedPulse(theta0=0.25, offset=basis.x0, width=3.0 * basis.x0)
     n_c, n_r = basis.dims
-    x1 = np.kron(fc.position_operator(n_c, basis.width_c), np.eye(n_r)) \
-        + (np.kron(np.eye(n_c), fc.position_operator(n_r, basis.width_r))
-           + basis.x_e * np.eye(n_c * n_r)) / 2.0
-    vals, vecs = np.linalg.eigh(x1)
-    omega = (vecs * gp.gaussian_rabi(pulse, vals - pulse.center)) @ vecs.conj().T
-    h = np.kron(np.kron(gp.SIGMA_X, gp.ID2), omega)
-    oracle = scipy.linalg.expm(-0.5j * pulse.duration * h)
+    xi = (np.kron(fc.position_operator(n_c, basis.width_c), np.eye(n_r))
+          + np.kron(np.eye(n_c), fc.position_operator(n_r, basis.width_r)) / 2.0)
+    vals, vecs = np.linalg.eigh(xi)
+    theta = (vecs * gp.flip_angle(pulse, vals)) @ vecs.conj().T
+    oracle = scipy.linalg.expm(-1j * np.kron(np.kron(gp.SIGMA_X, gp.ID2), theta))
     got = oracles.addressed_flip_unitary(basis, pulse)
     np.testing.assert_allclose(got, oracle, atol=1e-10)
 
@@ -251,8 +242,7 @@ def test_flat_profile_limit_is_global_rotation(spec):
     # width >> wavepacket: every motional component sees the same angle
     basis = make_basis(spec, eta=0.5, dims=(6, 5))
     theta = 0.4
-    pulse = gp.AddressedPulse(
-        omega0=2.0 * theta / 0.25, center=basis.x_e / 2.0, width=1e8, duration=0.25)
+    pulse = gp.AddressedPulse(theta0=theta, offset=0.0, width=1e8)
     got = oracles.addressed_flip_unitary(basis, pulse)
     rot = scipy.linalg.expm(-1j * theta * gp.SIGMA_X)
     oracle = np.kron(np.kron(rot, gp.ID2), np.eye(int(np.prod(basis.dims))))
@@ -368,7 +358,7 @@ def test_phase_space_channel_matches_fock_route(spec):
         np.testing.assert_allclose(ps.choi, fock.choi, rtol=0, atol=1e-9)
     basis = make_basis(spec, eta=3.0, n_bar_c=0.5)
     pulse, _ = gp.build_schedule(basis, n_bar_c=0.5)
-    dark = replace(pulse, omega0=0.0)
+    dark = replace(pulse, theta0=0.0)
     for flip, flip_mode in ((dark, "gaussian"), (pulse, "idealized")):
         ps, fock = _cross_route(basis, flip, 0.5, flip_mode)
         np.testing.assert_allclose(ps.gram, fock.gram, rtol=0, atol=1e-9)
@@ -437,19 +427,18 @@ def test_phase_space_golden_point(spec):
 
 
 def _trapezoid_setup(basis, pulse, n_bar_c, terms, intervals):
-    """Nodes t, trapezoid weights w, X - x_e/2 at the nodes, and
-    f(u, sign) = f_{b,s}(x_e/2 + u) for every term (fbar for sign +1), with
-    the profile read at the node's offset from its centre l."""
+    """Nodes t, trapezoid weights w, ion 1's offset X at the nodes, and
+    f(u, sign) = f_{b,s}(u) for every term (fbar for sign +1), with the
+    profile read at the branch's offset from ion 1's equilibrium."""
     t = np.linspace(-gp._SPAN, gp._SPAN, intervals + 1)
     step = 2.0 * gp._SPAN / intervals / math.sqrt(2.0 * math.pi)
     w = np.exp(-0.5 * t * t) * step
     half_d = basis.wavenumber * basis.half_separation_per_k(basis.flip_time)
-    edge = basis.x_e / 2.0 - pulse.center
-    offsets = np.array([edge + (half_d if b == 0 else -half_d) for b, _, _ in terms])
+    shifts = np.array([half_d if b == 0 else -half_d for b, _, _ in terms])
     signs = np.array([s for _, s, _ in terms])
 
     def f(u, sign):
-        theta = 0.5 * pulse.duration * gp.gaussian_rabi(pulse, offsets[:, None] + u[None, :])
+        theta = gp.flip_angle(pulse, shifts[:, None] + u[None, :])
         return np.exp(sign * 1j * signs[:, None] * theta)
 
     return t, step, w, basis.thermal_spread(n_bar_c) * t, f
@@ -548,7 +537,8 @@ def test_phase_space_gram_nodes_are_centre_relative(monkeypatch):
     """Off the ratio at low kick and n_bar_c 0 the Gram matrix settles within
     256 intervals.  Nodes formed as x_e/2 + Delta z (~410 x0) and then
     differenced against the centre l each carried their own rounding,
-    ~ulp(410 x0), and the doubling ran on that noise to 1,024 intervals."""
+    ~ulp(410 x0), and the doubling ran on that noise to 1,024 intervals;
+    ion 1's offsets from its equilibrium carry no such rounding."""
     monkeypatch.setattr(gp, "_MAX_INTERVALS", 256)
     basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=0.5)
     pulse, _ = gp.build_schedule(basis)
@@ -567,14 +557,14 @@ def test_phase_space_gram_evaluates_each_node_once(monkeypatch, eta, n_bar_c, in
     the plain trapezoid on the last grid to _GRAM_TOL."""
     nodes = []
 
-    def counting_rabi(pulse, offset, rabi=gp.gaussian_rabi):
-        nodes.append(np.shape(offset)[-1])
-        return rabi(pulse, offset)
+    def counting_angle(pulse, xi, angle=gp.flip_angle):
+        nodes.append(np.shape(xi)[-1])
+        return angle(pulse, xi)
 
     basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=eta, n_bar_c=n_bar_c)
     pulse, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
     terms = gp._GAUSSIAN_TERMS
-    monkeypatch.setattr(gp, "gaussian_rabi", counting_rabi)
+    monkeypatch.setattr(gp, "flip_angle", counting_angle)
     gram = gp._phase_space_gram(basis, pulse, n_bar_c)
     assert sum(nodes) == intervals + 1
     monkeypatch.undo()
@@ -628,7 +618,7 @@ def test_phase_space_quadrature_raises_at_its_cap(spec):
 
     basis = make_basis(spec, eta=3.0, dims=(8, 8))
     pulse, _ = gp.build_schedule(basis)
-    wild = replace(pulse, omega0=pulse.omega0 * 1e6)
+    wild = replace(pulse, theta0=pulse.theta0 * 1e6)
     with pytest.raises(NonConvergenceError):
         gp.gate_channel(basis, wild)
 
