@@ -52,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from math import exp, pi, sqrt
-from sys import float_info
 
 import numpy as np
 
@@ -91,7 +90,7 @@ _IDEALIZED_TERMS = ((0, None, _read_only(np.kron(SIGMA_X, PROJ_0))),
 @dataclass(frozen=True)
 class AddressedPulse:
     """Flip-angle profile of the instantaneous flip on ion 1, in its frame:
-    theta(xi) = theta0 * exp(-(xi - offset)^2 / (2 width^2)) at ion 1's
+    theta(xi) = theta0 * exp(-z^2/2), z = (xi - offset)/width, at ion 1's
     offset xi = x1 - x_e/2 from its equilibrium."""
 
     theta0: float
@@ -106,8 +105,12 @@ class AddressedPulse:
 
 
 def flip_angle(pulse: AddressedPulse, xi) -> np.ndarray:
-    """theta(xi), the flip angle at ion 1's offset xi from its equilibrium."""
-    return pulse.theta0 * np.exp(-((xi - pulse.offset) ** 2) / (2.0 * pulse.width**2))
+    """theta(xi), the flip angle at ion 1's offset xi from its equilibrium,
+    read in widths z = (xi - offset)/W so that no W^2 under- or overflows:
+    far out z^2 is inf and theta exactly 0, its limit, so nothing is guarded."""
+    with np.errstate(over="ignore"):
+        z = (xi - pulse.offset) / pulse.width
+        return pulse.theta0 * np.exp(-0.5 * z * z)
 
 
 # ConditionReport fields whose JSON key names the paper's symbol
@@ -198,10 +201,10 @@ def condition_solver(
     eta_bound_ratio = eta/ModeBasis.eta_bound = D/Delta on any trap.  The
     flags ask D > 3 Delta, a phase spread below 1/3 and eta/eta_bound >= 3
     (_MARGIN).
-    D = 0 (an unkicked basis) leaves no profile to solve and raises
-    ValueError.  From N = 2**50 on, 2N + 1/4 rounds to 2N in a double, which
-    drops the quarter cycle that sets the branches half a Rabi cycle apart,
-    so such N raise ValueError.
+    D = 0 leaves no profile to solve: it raises ValueError, ConfigError for
+    a positive kick whose D underflows.  From N = 2**50 on, 2N + 1/4 rounds
+    to 2N in a double, which drops the quarter cycle that sets the branches
+    half a Rabi cycle apart, so such N raise ValueError.
 
     build_schedule is the same function: the flip and gate times are
     ModeBasis.flip_time and gate_time and the frame rotation is fixed
@@ -217,6 +220,9 @@ def condition_solver(
     n = int(rabi_cycles)
     big_d = 2.0 * (basis.wavenumber * basis.flip_half_separation_per_k)
     if big_d == 0.0:
+        if basis.eta > 0.0:
+            raise ConfigError(f"the kick eta = {basis.eta:.3g} is too weak for this trap: its "
+                              f"wavenumber eta/x0 leaves a separation D that underflows to 0")
         raise ValueError("the branches are not separated at the flip time (D = 0); "
                          "the kick eta must be positive")
     delta = basis.thermal_spread(n_bar_c)
@@ -388,22 +394,14 @@ def _phase_space_gram(basis: ModeBasis, pulse: AddressedPulse, n_bar_c: float) -
     their sum to half the previous Gram matrix.  The nodes are offsets
     sigma_b D/2 + Delta t (+ a in f_r): no absolute coordinate enters.
 
-    A kick too weak for this trap raises ConfigError naming the least eta:
-    the flip angle's exponent would overflow where W sqrt(max double) is
-    below the nodes' reach from the profile centre, offset + D/2 +
-    _SPAN Delta (+ |a| off the ratio), and lose W^2 where that is not a
-    normal double (which the first test implies unless x0 is tiny, nu_c 1e20).
+    No node needs a guard: flip_angle reads it in profile widths, and one
+    many widths out has a flip angle of exactly 0.  Where W << Delta, a
+    weak kick or a hot point, the rule samples the profile too coarsely to
+    settle and raises NonConvergenceError at its cap.
     """
     delta = basis.thermal_spread(n_bar_c)
     half_d = basis.wavenumber * basis.flip_half_separation_per_k
     cross = None if basis.commensurate else _residual_displacement(basis, n_bar_c)
-    reach = abs(pulse.offset) + half_d + _SPAN * delta + (0.0 if cross is None else abs(cross[2]))
-    room = pulse.width * sqrt(float_info.max)
-    if room < reach or pulse.width**2 < float_info.min:
-        least = basis.eta * max(reach / room, sqrt(float_info.min) / pulse.width)
-        raise ConfigError(
-            f"the profile width W = {pulse.width / basis.x0:.3g} x0 puts the flip angle out of "
-            f"double range; the kick eta must be at least about {least:.2g} on this trap")
     # the profile is read at s = +1 on branch 0 and branch 1 at X and, for
     # the cross block, on branch 0 at X + a; f_{b,-1} is its conjugate
     shifts = np.array([half_d, -half_d] + ([] if cross is None else [half_d]))

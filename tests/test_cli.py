@@ -413,23 +413,45 @@ def test_gate_disabled_pulse_against_identity(capsys):
     assert "conditional-flip target" in doc["note"]
 
 
-def test_gate_refuses_a_kick_whose_profile_width_squares_to_zero(capsys):
-    """At eta 1e-200 W^2 underflows and every flip angle would be 0/0, and
-    up to eta ~ 2.8e-155 the flip angle's exponent overflows at the span's
-    outer nodes: gate exits 1 with one line naming the least eta, scan
-    records the error in its row, and conditions still reports the
-    geometry."""
-    for eta in ("1e-200", "7e-156"):
+def test_gate_weak_kick_does_not_converge(capsys):
+    """A kick too weak for the profile to be resolved, down to the least
+    double: the Gram quadrature never settles, so gate exits 3 with one
+    line, scan records the error in its row, and conditions still reports
+    the geometry."""
+    for eta in ("7e-156", "5e-324"):
         rc, out, err = run(capsys, "gate", "--eta", eta, "--order", "0")
-        assert (rc, out) == (1, "")
-        assert err.startswith("hotgate: config error:") and err.count("\n") == 1
-        assert "at least about 2.8e-155" in err
+        assert (rc, out) == (3, "")
+        assert err.startswith("hotgate: did not converge:") and err.count("\n") == 1
     rc, out, err = run(capsys, "scan", "--etas", "1e-200,7", "--n-bars", "0", "--order", "0")
     rows = [line for line in out.splitlines() if line and not line.startswith("#")]
-    assert rc == 0 and len(rows) == 3 and "ConfigError" in err
+    assert rc == 0 and len(rows) == 3 and "NonConvergenceError" in err
     assert rows[1].startswith("1e-200,0,nan,nan") and not rows[2].endswith("nan")
     rc, out, _ = run(capsys, "conditions", "--eta", "1e-200")
     assert rc == 0 and json.loads(out)["eta"] == 1e-200
+
+
+def _argv(command):
+    """command, with the expansion off where it would run one."""
+    return (command, "--order", "0") if command in ("gate", "scan") else (command,)
+
+
+def _command_id(value):
+    return value[0] if isinstance(value, tuple) else None
+
+
+# a positive kick whose branch separation D underflows to 0 on the trap
+_D_UNDERFLOWS = [(_argv(command) + ("--eta", "5e-324"), flag, value)
+                 for command in ("gate", "conditions")
+                 for flag, value in (("--nu-c", "1e20"), ("--nu-c", "1e-20"),
+                                     ("--mass", "1e20"), ("--mass", "1e-20"))]
+
+
+@pytest.mark.parametrize("argv,flag,value", _D_UNDERFLOWS, ids=_command_id)
+def test_kick_whose_separation_underflows_is_a_config_error(capsys, argv, flag, value):
+    rc, out, err = run(capsys, *argv, flag, value)
+    assert (rc, out) == (1, "")
+    assert err.startswith("hotgate: config error:") and err.count("\n") == 1
+    assert "D that underflows to 0" in err
 
 
 def test_rabi_cycles_stop_below_2_to_the_50(capsys):
@@ -1227,6 +1249,30 @@ def test_main_builds_only_the_parser_it_runs(capsys, monkeypatch):
         built.clear()
         assert run(capsys, *argv)[0] == 0
         assert built == [f"hotgate {argv[0]}"]
+
+
+def _float_flags(command):
+    """The flags of command that take a number, or a list of numbers."""
+    flags = [flag for _, key, _, kind, flag, commands, _, _ in cli._SETTINGS
+             if command in commands and (kind is float or key in ("etas", "n_bars"))]
+    extra = cli._COMMANDS[command][2]
+    return flags + ([extra[0]] if extra and extra[1].get("type") is float else [])
+
+
+_EXTREMES = [(_argv(command), flag, value) for command in cli._COMMANDS
+             for flag in _float_flags(command) for value in ("5e-324", "1e-300", "1e300")]
+
+
+@pytest.mark.parametrize("argv,flag,value", _EXTREMES + _D_UNDERFLOWS, ids=_command_id)
+def test_every_float_flag_at_an_extreme_exits_with_a_code(capsys, argv, flag, value):
+    """Each float flag of each subcommand at the least double, 1e-300 and
+    1e300, and the kicks whose D underflows: main returns an exit code, 0
+    to 3, with no exception and no warning (the suite turns any into a
+    failure), and a refusal is one stderr line."""
+    rc, _, err = run(capsys, *argv, flag, value)
+    assert rc in (0, 1, 2, 3)
+    if rc in (1, 2):
+        assert err.startswith("hotgate: ") and err.count("\n") == 1
 
 
 def test_precision_flag_shapes_output(capsys):

@@ -111,6 +111,23 @@ def test_condition_solver_rejects_unkicked_basis(spec):
         gp.condition_solver(basis)
 
 
+@pytest.mark.parametrize("width", [5e-324, 1e-200, 1.0, 1e200])
+def test_flip_angle_stays_in_range_at_any_width(width):
+    """The profile is read in widths, z = (xi - offset)/W, so no W^2 is
+    formed: at a subnormal or huge W every angle is finite, in [0, theta0],
+    theta0 exactly at the centre, and 0 where z^2 overflows, with no
+    warning (the suite turns any into a failure)."""
+    pulse = gp.AddressedPulse(theta0=6.5 * math.pi, offset=width, width=width)
+    xi = np.array([0.0, width, 10.0 * width, 1.0])
+    theta = gp.flip_angle(pulse, xi)
+    assert np.all(np.isfinite(theta))
+    assert np.all((theta >= 0.0) & (theta <= pulse.theta0))
+    assert theta[1] == pulse.theta0
+    assert float(gp.flip_angle(pulse, width)) == pulse.theta0
+    if width <= 1e-200:  # xi = 1 lies 1e200 widths out or more: z^2 overflows
+        assert theta[3] == 0.0
+
+
 def test_linearized_branch_areas_are_half_cycle_apart(spec):
     """theta0*(1 +- D/(2W)) must land on (2N+1/2)pi and 2N*pi exactly."""
     basis = make_basis(spec, eta=7.0, dims=(8, 8))
