@@ -62,9 +62,6 @@ _NON_NEGATIVE = (lambda v: v >= 0.0, "non-negative")
 _SETTINGS = (
     ("trap", "exponent", 5.0 / 3.0, float, "--exponent", _ALL,
      "power of the confining wall", (lambda v: v > 1.0, "above 1")),
-    # nu_c and m set units that the figures of scan and anharmonic do not carry
-    ("trap", "nu_c", 1.0, float, "--nu-c", _ALL[:4], "target COM frequency", _POSITIVE),
-    ("trap", "mass", 1.0, float, "--mass", _ALL[:4], None, _POSITIVE),
     ("trap", "separation_in_x0", 820.0, float, "--separation-in-x0", _ALL,
      "equilibrium separation in ground-state widths", _POSITIVE),
     ("gate", "eta", 7.0, float, "--eta", _ETA, "effective kick strength", _POSITIVE),
@@ -182,8 +179,7 @@ def build_trap(cfg: dict) -> trap_model.TrapSpec:
     t = cfg["trap"]
     try:
         return trap_model.TrapSpec.normalized(
-            exponent=t["exponent"], nu_c=t["nu_c"], mass=t["mass"],
-            separation_in_x0=t["separation_in_x0"])
+            exponent=t["exponent"], separation_in_x0=t["separation_in_x0"])
     except ValueError as exc:  # in range, but a derived constant left double range
         raise ConfigError(f"the trap settings leave double range: {exc}") from None
 

@@ -14,7 +14,7 @@ The residual cubic Taylor terms of the full potential around equilibrium
 ("V_cor") are what the anharmonic error analysis consumes.
 
 Units: hbar = 1; the reference length is the single-ion ground-state width
-x0 = 1/sqrt(2*m*nu_c).
+x0 = 1/sqrt(2*m*nu_c).  TrapSpec.normalized states its trap in m = nu_c = 1.
 """
 
 from __future__ import annotations
@@ -62,12 +62,11 @@ class TrapSpec:
         cls,
         exponent: float = 5.0 / 3.0,
         lamb_dicke: float = 0.0,
-        nu_c: float = 1.0,
-        mass: float = 1.0,
         separation_in_x0: float = 820.0,
     ) -> "TrapSpec":
-        """Solve (K, C) so the center-of-mass frequency equals nu_c and the
-        equilibrium separation equals separation_in_x0 ground-state widths.
+        """Solve (K, C) in natural units, hbar = m = nu_c = 1 (x0 = 1/sqrt(2)),
+        so the equilibrium separation is separation_in_x0 ground-state widths;
+        other units are an explicit TrapSpec(exponent, stiffness, coulomb, mass).
 
         The default separation matches a light ion in a weak trap (tens of
         kHz): roughly 8e2 widths, which keeps the anharmonic corrections in
@@ -76,28 +75,27 @@ class TrapSpec:
 
         A separation at which C, or the cube u^3 of the half separation that
         C is built from, falls below the smallest normal double (under about
-        8e-103 x0 at the other defaults) raises ValueError: in the subnormal
-        range C loses the digits the force balance needs to return the
-        targets.
+        8e-103 x0 at the default exponent) raises ValueError: in the
+        subnormal range C loses the digits the force balance needs to
+        return the targets.
         """
         if exponent <= 1.0:
             raise ValueError("exponent must exceed 1")
-        if nu_c <= 0 or mass <= 0 or separation_in_x0 <= 0:
-            raise ValueError("nu_c, mass and separation_in_x0 must be positive")
-        x0 = 1.0 / sqrt(2.0 * mass * nu_c)
+        if separation_in_x0 <= 0:
+            raise ValueError("separation_in_x0 must be positive")
+        x0 = 1.0 / sqrt(2.0)
         u = separation_in_x0 * x0 / 2.0  # half separation
         p = exponent
-        stiffness = mass * nu_c**2 * u ** (2.0 - p) / (p * (p - 1.0))
+        stiffness = u ** (2.0 - p) / (p * (p - 1.0))
         u_cubed = u**3
-        coulomb = 4.0 * mass * nu_c**2 * u_cubed / (p - 1.0)
+        coulomb = 4.0 * u_cubed / (p - 1.0)
         if min(u_cubed, coulomb) < float_info.min:
-            least = float_info.min * max(1.0, (p - 1.0) / (4.0 * mass * nu_c**2))
+            least = float_info.min * max(1.0, (p - 1.0) / 4.0)
             raise ValueError(
                 f"separation_in_x0 {separation_in_x0:g} makes the Coulomb coefficient "
-                f"subnormal, so the trap would miss its targets; at this exponent, nu_c "
-                f"and mass it must be at least about {2.0 * least ** (1.0 / 3.0) / x0:.2g}")
-        return cls(exponent=p, stiffness=stiffness, coulomb=coulomb, mass=mass,
-                   lamb_dicke=lamb_dicke)
+                f"subnormal, so the trap would miss its targets; at this exponent it "
+                f"must be at least about {2.0 * least ** (1.0 / 3.0) / x0:.2g}")
+        return cls(exponent=p, stiffness=stiffness, coulomb=coulomb, lamb_dicke=lamb_dicke)
 
 
 def potential_derivative(spec: TrapSpec, x: float, order: int = 0) -> float:

@@ -16,11 +16,13 @@ Fock space at basis.dims, where the package's own routes do not:
 * reference channels and states for the metric tests: unitary, Kraus and
   depolarizing channels as QuantumChannel, the channel applied to a state,
   its complete positivity, the momentum operator and coherent kets, and the
-  full two-ion potential that the Taylor coefficients are differenced from.
+  full two-ion potential that the Taylor coefficients are differenced from;
+* the same trap in other units (rescaled_trap), by dimensional analysis
+  alone, for the unit-invariance tests.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -493,3 +495,14 @@ def total_potential(spec: TrapSpec, x_c: float, x_r: float, x_e: float) -> float
     x2 = x_c - (x_r + x_e) / 2.0
     k, p = spec.stiffness, spec.exponent
     return k * abs(x1) ** p + k * abs(x2) ** p + spec.coulomb / (x_e + x_r)
+
+
+def rescaled_trap(spec: TrapSpec, nu_c: float = 1.0, mass: float = 1.0) -> TrapSpec:
+    """A trap of natural units (hbar = m = nu_c = 1) restated at COM
+    frequency nu_c and ion mass m, hbar = 1.  The unit of length becomes
+    1/sqrt(m nu_c) and that of energy nu_c, so K [energy/length^p] and C
+    [energy length] scale as below; TrapSpec.normalized's algebra is not
+    reused."""
+    p, scale = spec.exponent, mass * nu_c
+    return replace(spec, stiffness=spec.stiffness * nu_c * scale ** (p / 2.0),
+                   coulomb=spec.coulomb * nu_c * scale**-0.5, mass=mass)

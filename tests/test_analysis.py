@@ -759,21 +759,45 @@ def test_gate_report_linearity_flag_trips_when_hot(spec):
 
 
 @pytest.mark.parametrize("eta", [1e-5, 1e-12, 7e-156, 1e-200, 1e-300, 5e-324])
-@pytest.mark.parametrize("trap", [{}, {"exponent": 2.0}, {"nu_c": 1e20}],
+@pytest.mark.parametrize("exponent, nu_c", [(5.0 / 3.0, 1.0), (2.0, 1.0), (5.0 / 3.0, 1e20)],
                          ids=["paper", "exponent_2", "nu_c_1e20"])
-def test_gate_report_weak_kick_does_not_converge(eta, trap):
+def test_gate_report_weak_kick_does_not_converge(eta, exponent, nu_c):
     """A kick too weak for the profile to be resolved: W is far below Delta,
     the flip angle is exactly 0 at most nodes, and the Gram quadrature
     raises NonConvergenceError at its cap, with no warning (the suite turns
     any into a failure), down to the least double.  Where D itself
     underflows (5e-324 at nu_c 1e20) the solver refuses the kick."""
-    spec = tm.TrapSpec.normalized(**trap)
-    if (eta, trap) == (5e-324, {"nu_c": 1e20}):
+    spec = oracles.rescaled_trap(tm.TrapSpec.normalized(exponent=exponent), nu_c=nu_c)
+    if (eta, nu_c) == (5e-324, 1e20):
         with pytest.raises(ConfigError, match="D that underflows to 0"):
             an.gate_report(spec, eta, 0.0, anharmonic_order=None)
     else:
         with pytest.raises(NonConvergenceError, match="did not settle"):
             an.gate_report(spec, eta, 0.0, anharmonic_order=None)
+
+
+@pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0])
+def test_figures_do_not_depend_on_the_units(exponent):
+    """nu_c and m only choose units: the same trap restated at other nu_c and
+    m, by dimensional analysis alone, keeps its ratio x_e/x0 and moves no
+    figure.  Measured: nu_c 4.4e-16 and x_e/x0 2.7e-15 relative, the gate's
+    figures 3.3e-16, the exact F_cor 6.7e-16."""
+    natural = tm.TrapSpec.normalized(exponent=exponent)
+    expansion = tm.anharmonic_expansion(natural, order=3)
+    ref = an.gate_report(natural, 7.0, 1.0, anharmonic_order=3)
+    ref_exact = an.exact_anharmonic_fidelity(
+        tm.build_mode_basis(natural, eta=7.0, n_bar_c=1.0, dims=(16, 12)), expansion, 1.0)
+    for nu_c, mass in itertools.product((1e-6, 1e6, 1e20), (1e-6, 1.0, 1e6)):
+        spec = oracles.rescaled_trap(natural, nu_c=nu_c, mass=mass)
+        basis = tm.build_mode_basis(spec, eta=7.0, n_bar_c=1.0, dims=(16, 12))
+        assert basis.nu_c == pytest.approx(nu_c, rel=2e-15)
+        assert basis.x_e / basis.x0 == pytest.approx(820.0, rel=1e-14)
+        rep = an.gate_report(spec, 7.0, 1.0, anharmonic_order=3)
+        for got, want in ((rep.fidelity, ref.fidelity), (rep.purity, ref.purity),
+                          (rep.f_cor, ref.f_cor)):
+            assert abs(got - want) <= 4.4e-16, (nu_c, mass)
+        exact = an.exact_anharmonic_fidelity(basis, tm.anharmonic_expansion(spec, order=3), 1.0)
+        assert abs(exact - ref_exact) <= 2e-15, (nu_c, mass)
 
 
 def test_gate_report_disabled_pulse_identity_target(spec):

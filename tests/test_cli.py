@@ -203,8 +203,6 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("scan", "--rabi-cycles", "0"),
     ("scan", "--order", "2"),
     ("modes", "--exponent", "1"),
-    ("modes", "--mass", "0"),
-    ("modes", "--nu-c", "0"),
     ("modes", "--separation-in-x0", "0"),
     ("modes", "--precision", "-1"),
     # non-finite values
@@ -221,7 +219,6 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     ("modes", "--eta", "1e300"),
     ("conditions", "--eta", "1e200"),
     # in range, but a trap constant derived from them leaves double range
-    ("modes", "--mass", "1e300"),
     ("modes", "--exponent", "1e300"),
     ("modes", "--separation-in-x0", "1e-300"),
 ], ids=" ".join)
@@ -309,7 +306,7 @@ def test_separation_tiny_truncation_exits_3(capsys):
     assert out.startswith("# hotgate separation\n")  # the partial result is still emitted
 
 
-_X0 = 1.0 / math.sqrt(2.0)  # x0 = 1/sqrt(2 m nu_c) of the default normalized trap
+_X0 = 1.0 / math.sqrt(2.0)  # x0 of the normalized trap, in hbar = m = nu_c = 1 units
 
 
 @pytest.mark.parametrize("exponent", ["2", "1.7"])
@@ -439,11 +436,11 @@ def _command_id(value):
     return value[0] if isinstance(value, tuple) else None
 
 
-# a positive kick whose branch separation D underflows to 0 on the trap
-_D_UNDERFLOWS = [(_argv(command) + ("--eta", "5e-324"), flag, value)
-                 for command in ("gate", "conditions")
-                 for flag, value in (("--nu-c", "1e20"), ("--nu-c", "1e-20"),
-                                     ("--mass", "1e20"), ("--mass", "1e-20"))]
+# a positive kick whose branch separation D underflows to 0 on the trap: on
+# steep walls h/x0^2 is small (0.039 at exponent 50, against 1.30 on the
+# paper's trap), so D/x0 = 2 eta h/x0^2 underflows as well
+_D_UNDERFLOWS = [(_argv(command) + ("--eta", "5e-324"), "--exponent", value)
+                 for command in ("gate", "conditions") for value in ("50", "100")]
 
 
 @pytest.mark.parametrize("argv,flag,value", _D_UNDERFLOWS, ids=_command_id)
@@ -733,10 +730,10 @@ def test_config_hash_covers_only_settings_the_command_reads():
 # config-hash of the built-in defaults, per subcommand; a change here changes
 # the header of every output file
 _DEFAULT_HASHES = {
-    "modes": "3060250cf98f2018737ca2f14646e532d157b416d5499b8431b74997090b4b8c",
-    "separation": "185a81b4c5d0d1a4ca1b277d9012c60f250b28baa9cfc734547d7b96ac59ad90",
-    "conditions": "c0234f4703010792f3997c4b4a19e3fd00f063241aa959259633b5d59d906e8d",
-    "gate": "87b022e3be1ad9067db7251bcf0f20ebef485e93e03261ad474caf8ee2b83fe4",
+    "modes": "6bbd9fef5b850199705468dc8053c659cbddd7b5803cf6260685fff1182349c6",
+    "separation": "2b671ca7a087e26f37a3c57dcfd3c8ce55ba9e9ad05a9dd8a3cff2f56aafbae4",
+    "conditions": "496ac3cc823f683537ff0a4dda3b01e18a52073d942c93930c7a773fc1c272bc",
+    "gate": "1fb084320ab0e737e9e142ef2db51ebfe0165b0af2efd4a4ef67af5203f21285",
     "scan": "bfb1efab3a7f9b9ce588f75eb40f6931f720dec9a607b1ff60d71a9a57538fe7",
     "anharmonic": "7db7203fa7a5bf4a7e9a812ad17007622ed551f5d8bb9ee154fb2d49a4d33b3f",
 }
@@ -775,15 +772,16 @@ def test_subcommands_reject_flags_they_do_not_read(capsys):
 
 
 def test_removed_settings_are_refused(capsys, tmp_path):
-    """The CLI trap is the normalized trap, anharmonic reads [gate] n_bar_c
-    and dims, and the gate is the paper's: the explicit-trap pair, the
-    anharmonic copies, the idealized flip, the validity-flag factor and the
-    coupling scale are no flags and no INI keys on any subcommand."""
-    removed = (("trap", "stiffness"), ("trap", "coulomb"), ("anharmonic", "n_bar_c"),
-               ("anharmonic", "dims"), ("gate", "flip"), ("gate", "margin"),
-               ("anharmonic", "scale"))
-    flags = ("--stiffness", "--coulomb", "--anh-n-bar-c", "--anh-dims", "--flip", "--margin",
-             "--scale")
+    """The CLI trap is the normalized trap in hbar = m = nu_c = 1 units,
+    anharmonic reads [gate] n_bar_c and dims, and the gate is the paper's:
+    the explicit-trap pair, the units, the anharmonic copies, the idealized
+    flip, the validity-flag factor and the coupling scale are no flags and
+    no INI keys on any subcommand."""
+    removed = (("trap", "stiffness"), ("trap", "coulomb"), ("trap", "nu_c"), ("trap", "mass"),
+               ("anharmonic", "n_bar_c"), ("anharmonic", "dims"), ("gate", "flip"),
+               ("gate", "margin"), ("anharmonic", "scale"))
+    flags = ("--stiffness", "--coulomb", "--nu-c", "--mass", "--anh-n-bar-c", "--anh-dims",
+             "--flip", "--margin", "--scale")
     ini = tmp_path / "old.ini"
     for command in cli._COMMANDS:
         for flag, value in [(flag, "2") for flag in flags] + [("--flip", "idealized"),
@@ -815,8 +813,6 @@ _HOT_SCAN = ("--etas", "2", "--n-bars", "0.5")
 # setting but [output] path is listed
 _DATA_CASES = {
     ("trap", "exponent"): [("modes", (), ("--exponent", "2"))],
-    ("trap", "nu_c"): [("modes", (), ("--nu-c", "2"))],
-    ("trap", "mass"): [("modes", (), ("--mass", "2"))],
     ("trap", "separation_in_x0"): [("modes", (), ("--separation-in-x0", "400"))],
     ("gate", "eta"): [("modes", (), ("--eta", "3"))],
     ("gate", "n_bar_c"): [("modes", (), ("--n-bar-c", "1")),
@@ -856,24 +852,6 @@ def test_setting_changes_the_data_of_a_reader(capsys, setting, case):
     command, base, changed = case
     assert command in cli._READERS[setting]
     assert _data_lines(capsys, command, base) != _data_lines(capsys, command, changed)
-
-
-def test_scan_and_anharmonic_ignore_the_trap_units(capsys, tmp_path):
-    """nu_c and m set units that the figures of scan and anharmonic do not
-    carry: those subcommands take no such flag, and an INI value reaches
-    neither their data nor their config hash, while gate still hashes it."""
-    ini = tmp_path / "units.ini"
-    ini.write_text("[trap]\nnu_c = 2.7\nmass = 0.3\n")
-    for command, argv in (("scan", _SCAN), ("anharmonic", _ANH)):
-        argv = (*argv, "--precision", "17")
-        assert run(capsys, command, *argv, "--config", str(ini)) == run(capsys, command, *argv)
-        for flag in ("--nu-c", "--mass"):
-            rc, out, err = run(capsys, command, *argv, flag, "2")
-            assert (rc, out) == (1, "") and "unrecognized arguments" in err, (command, flag)
-    cfg = cli.load_config(str(ini))
-    assert cli.config_hash(cfg, "scan") == _DEFAULT_HASHES["scan"]
-    assert cli.config_hash(cfg, "anharmonic") == _DEFAULT_HASHES["anharmonic"]
-    assert cli.config_hash(cfg, "gate") != _DEFAULT_HASHES["gate"]
 
 
 # --- scan -------------------------------------------------------------------
