@@ -301,7 +301,8 @@ def anharmonic_fidelity(
     integrated phase operator W.  state_mode 'pre_kick' (default) evaluates
     over the undisplaced thermal state; 'post_kick' conjugates W with the
     opening-kick displacement first, which probes the branch geometry but
-    needs kick-sized truncations.
+    needs kick-sized truncations.  pre_kick is gate_report's F_cor, the CLI's
+    only one; post_kick stays for the benchmark's dephasing workload and tests.
 
     W is never formed: it is the sum of K Kronecker products A_k (x) B_k of
     _integral_factors (4 at order 3), the kick conjugates
@@ -350,7 +351,7 @@ def exact_anharmonic_fidelity(
     n_bar_c: float = 0.0,
     state_mode: str = "pre_kick",
 ) -> float:
-    """Non-perturbative cross-check of anharmonic_fidelity.
+    """Non-perturbative cross-check of anharmonic_fidelity (see there for post_kick).
 
     Propagates each thermal ensemble member through one gate period of the
     full motional hamiltonian and averages the survival overlaps

@@ -45,8 +45,6 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 _ALL = ("modes", "separation", "conditions", "gate", "scan", "anharmonic")
-_ETA = ("modes", "separation", "conditions", "gate", "anharmonic")
-_SCHEDULE = ("conditions", "gate", "scan")
 
 # The range of a numeric setting, as (test, rule): main checks every setting
 # the subcommand reads before the subcommand runs, so a value the library
@@ -55,19 +53,21 @@ _SCHEDULE = ("conditions", "gate", "scan")
 _POSITIVE = (lambda v: v > 0.0, "positive")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "non-negative")
 
-# Every setting, declared once: (section, key, default, type or tuple of
-# allowed values, flag, subcommands that read it, help, range or None).  An
-# INI file may set any of them; a flag exists, and the config hash covers
-# the setting, only where it is read.
+# Every setting, declared once: (section, key, default, type, flag,
+# subcommands that read it, help, range or None).  An INI file may set any
+# of them; a flag exists, and the config hash covers the setting, only where
+# it is read, and a subcommand reads only the settings that move its data.
 _SETTINGS = (
     ("trap", "exponent", 5.0 / 3.0, float, "--exponent", _ALL,
      "power of the confining wall", (lambda v: v > 1.0, "above 1")),
-    ("trap", "separation_in_x0", 820.0, float, "--separation-in-x0", _ALL,
+    ("trap", "separation_in_x0", 820.0, float, "--separation-in-x0",
+     ("modes", "conditions", "gate", "scan", "anharmonic"),
      "equilibrium separation in ground-state widths", _POSITIVE),
-    ("gate", "eta", 7.0, float, "--eta", _ETA, "effective kick strength", _POSITIVE),
+    ("gate", "eta", 7.0, float, "--eta", ("modes", "separation", "conditions", "gate"),
+     "effective kick strength", _POSITIVE),
     ("gate", "n_bar_c", 0.0, float, "--n-bar-c", ("modes", "conditions", "gate", "anharmonic"),
      "thermal COM occupation", _NON_NEGATIVE),
-    ("gate", "rabi_cycles", 3, int, "--rabi-cycles", _SCHEDULE, None,
+    ("gate", "rabi_cycles", 3, int, "--rabi-cycles", ("conditions", "gate", "scan"), None,
      (lambda v: 1 <= v < gate_protocol._RABI_CYCLES_LIMIT, "a positive integer below 2**50")),
     ("gate", "dims", None, str, "--dims", ("separation", "anharmonic"),
      "Fock truncation 'n_c,n_r'", None),
@@ -79,8 +79,6 @@ _SETTINGS = (
       "a list of non-negative numbers")),
     ("anharmonic", "order", 3, int, "--order", ("gate", "scan", "anharmonic"),
      "3 for the cubic correction, 0 for none", (lambda v: v in (0, 3), "0 or 3")),
-    ("anharmonic", "state_mode", "pre_kick", ("pre_kick", "post_kick"), "--state-mode",
-     ("anharmonic",), None, None),
     ("separation", "points", 64, int, "--points", ("separation",),
      "sample count over [0, t_g]", (lambda v: v >= 2, "at least 2")),
     ("output", "path", None, str, "--output", _ALL, "write here instead of stdout", None),
@@ -107,26 +105,13 @@ def _check_ranges(cfg: dict, command: str) -> None:
             raise ConfigError(f"[{section}] {key} must be {bounds[1]}, got {value!r}")
 
 
-def _coerce(section: str, key: str, raw: str):
-    kind = _KINDS[(section, key)]
-    if isinstance(kind, tuple):
-        if raw not in kind:
-            raise ConfigError(f"[{section}] {key} must be one of {sorted(kind)}, got {raw!r}")
-        return raw
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
-
-
 def load_config(path: str | None) -> dict:
     """Defaults overlaid with the INI file at path (if any); unknown keys fail."""
     cfg = {s: dict(v) for s, v in _DEFAULTS.items()}
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():
         if section not in cfg:
@@ -134,7 +119,10 @@ def load_config(path: str | None) -> dict:
         for key, raw in parser.items(section):
             if key not in cfg[section]:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            cfg[section][key] = _coerce(section, key, raw)
+            try:
+                cfg[section][key] = _KINDS[(section, key)](raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
     return cfg
 
 
@@ -475,17 +463,13 @@ def cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
 
 def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
     spec = build_trap(cfg)
-    state_mode = cfg["anharmonic"]["state_mode"]
     n_bar_c = cfg["gate"]["n_bar_c"]
-    basis = trap_model.build_mode_basis(  # pre_kick reads no kick: the zero-kick basis
-        spec, eta=cfg["gate"]["eta"] if state_mode == "post_kick" else 0.0, n_bar_c=n_bar_c,
-        dims=_parse_dims(cfg["gate"]["dims"]))
+    basis = trap_model.build_mode_basis(  # the zero-kick basis of gate's and scan's F_cor
+        spec, eta=0.0, n_bar_c=n_bar_c, dims=_parse_dims(cfg["gate"]["dims"]))
     expansion = trap_model.anharmonic_expansion(spec, order=cfg["anharmonic"]["order"])
     # the exact check first: its memory budget refuses before either route allocates
-    f_exact = analysis.exact_anharmonic_fidelity(
-        basis, expansion, n_bar_c=n_bar_c, state_mode=state_mode)
-    rep = analysis.anharmonic_fidelity(
-        basis, expansion, n_bar_c=n_bar_c, state_mode=state_mode)
+    f_exact = analysis.exact_anharmonic_fidelity(basis, expansion, n_bar_c=n_bar_c)
+    rep = analysis.anharmonic_fidelity(basis, expansion, n_bar_c=n_bar_c)
     payload = {
         "f_cor_perturbative": rep.f_cor,
         "f_cor_exact": f_exact,
@@ -495,7 +479,6 @@ def cmd_anharmonic(cfg: dict, args: argparse.Namespace) -> int:
         "mean_phase": round(rep.mean_phase, 15),
         "phase_variance": rep.variance,
         "dims": list(basis.dims),
-        "state_mode": state_mode,
         "order": expansion.order,
         "n_bar_c": n_bar_c,
     }
@@ -564,8 +547,7 @@ def _command_parser(command: str) -> _Parser:
             continue
         if section not in groups:
             groups[section] = parser.add_argument_group(section)
-        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-        groups[section].add_argument(flag, dest=_dest(flag), help=help_, **typed)
+        groups[section].add_argument(flag, dest=_dest(flag), type=kind, help=help_)
     if extra is not None:
         parser.add_argument(extra[0], **extra[1])
     return parser

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import exp, expm1, inf, log, log1p, sqrt
+from math import exp, expm1, inf, isfinite, log, log1p, sqrt
 from sys import float_info
 
 import numpy as np
@@ -77,7 +77,8 @@ class TrapSpec:
         C is built from, falls below the smallest normal double (under about
         8e-103 x0 at the default exponent) raises ValueError: in the
         subnormal range C loses the digits the force balance needs to
-        return the targets.
+        return the targets.  So does an exponent at which K underflows or,
+        C being finite, C/(p*K) = 4u^(p+1) overflows (past 123.947 by default).
         """
         if exponent <= 1.0:
             raise ValueError("exponent must exceed 1")
@@ -95,7 +96,23 @@ class TrapSpec:
                 f"separation_in_x0 {separation_in_x0:g} makes the Coulomb coefficient "
                 f"subnormal, so the trap would miss its targets; at this exponent it "
                 f"must be at least about {2.0 * least ** (1.0 / 3.0) / x0:.2g}")
+        if stiffness < float_info.min or coulomb < inf == coulomb / (p * stiffness):
+            raise ValueError(f"exponent {p:g} takes C/(p*K) = 4u^(p+1) or K out of double "
+                             f"range; at separation_in_x0 {separation_in_x0:g} it must be at "
+                             f"most about {_largest_exponent(u):.6g}")
         return cls(exponent=p, stiffness=stiffness, coulomb=coulomb, lamb_dicke=lamb_dicke)
+
+
+def _largest_exponent(u: float) -> float:
+    """The largest exponent at which C/(p*K) = 4u^(p+1) stays finite and K =
+    u^(2-p)/(p(p-1)) normal: the ratio's bound, or K's root of ln(min p(p-1)) =
+    (2-p) ln u, which each fixed-point step from 2 nears about 350-fold."""
+    if u <= 1.0:  # only p(p-1) can take K below min
+        return float_info.min**-0.5
+    p = 2.0
+    for _ in range(4):
+        p = 2.0 - log(float_info.min * p * (p - 1.0)) / log(u)
+    return min(p, log(float_info.max / 4.0) / log(u) - 1.0)
 
 
 def potential_derivative(spec: TrapSpec, x: float, order: int = 0) -> float:
@@ -318,11 +335,10 @@ def build_mode_basis(
     width_c = 1.0 / sqrt(2.0 * m_c * nu_c)
     width_r = 1.0 / sqrt(2.0 * m_r * nu_r)
     k = eta / x0
+    if not isfinite(k):
+        raise OverflowError(f"kick wavenumber eta/x0 = {eta:g}/{x0:g}")
     eta_c = k * width_c
     eta_r = (k / 2.0) * width_r
-    assert abs(eta_c - eta / sqrt(2.0)) <= 1e-12 * max(eta, 1.0)
-    if commensurate:
-        assert abs(eta_r - eta / 2.0) <= 1e-12 * max(eta, 1.0)
     if dims is None:
         n_bar_r = relative_occupation(n_bar_c, nu_r / nu_c)
         dims = (fock_core.default_fock_dim(n_bar_c, eta_c),

@@ -583,6 +583,44 @@ def test_perturbative_agrees_with_exact_overlap(anharmonic_setup):
     assert abs(rep.f_cor - exact) <= 5.0 * loss**1.5
 
 
+@pytest.mark.parametrize("n_bar_c", [0.5, 1.0, 3.0])
+def test_pre_kick_variance_is_the_resonant_closed_form(n_bar_c):
+    """On the paper's trap t_g = T is a whole period of every level gap, so
+    W = T V_res, the part of V_cor that commutes with H0:
+    V_res = g (a^dag^2 b + a^2 b^dag), g = c_21 w_c^2 w_r, and pre kick
+    1 - F_cor = Var W = 4 g^2 T^2 n^2 (n + 1)^2/(2n + 1) at n = n_bar_c.
+    The Fock route at 3x the zero-kick default dims holds it to 1e-9."""
+    spec = tm.TrapSpec.normalized()
+    expansion = tm.anharmonic_expansion(spec)
+    basis = tm.build_mode_basis(spec, eta=0.0, n_bar_c=n_bar_c)
+    basis = basis.with_dims((3 * basis.dims[0], 3 * basis.dims[1]))
+    gt_sq = (expansion.coefficients[(2, 1)] * basis.width_c**2 * basis.width_r
+             * basis.gate_time)**2
+    assert 4.0 * gt_sq == pytest.approx(1.63091e-6, rel=1e-5)
+    closed = 4.0 * gt_sq * n_bar_c**2 * (n_bar_c + 1.0)**2 / (2.0 * n_bar_c + 1.0)
+    rep = an.anharmonic_fidelity(basis, expansion, n_bar_c=n_bar_c)
+    assert rep.variance == pytest.approx(closed, rel=1e-9)
+    assert rep.f_cor == 1.0 - rep.variance
+
+
+def test_both_routes_build_the_kick_once(spec, monkeypatch):
+    """Both routes of a post_kick evaluation read the kick of one basis,
+    which builds it once: one Fock displacement per mode, not one per mode
+    and route, as in the dephasing benchmark, which runs both on one basis."""
+    real, dims = fc.displacement, []
+
+    def counting(alpha, dim):
+        dims.append(dim)
+        return real(alpha, dim)
+
+    monkeypatch.setattr(fc, "displacement", counting)
+    basis = tm.build_mode_basis(spec, eta=7.0, n_bar_c=1.0, dims=(12, 10))
+    expansion = tm.anharmonic_expansion(spec)
+    assert an.exact_anharmonic_fidelity(basis, expansion, 1.0, "post_kick") < 1.0
+    assert an.anharmonic_fidelity(basis, expansion, 1.0, "post_kick").f_cor < 1.0
+    assert dims == [12, 10]
+
+
 def test_pre_and_post_kick_pictures_agree_when_small(spec):
     expansion = tm.anharmonic_expansion(spec, order=3)
     basis = tm.build_mode_basis(spec, eta=0.45, n_bar_c=1.0, dims=(28, 22))

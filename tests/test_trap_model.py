@@ -7,6 +7,7 @@ coordinates.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -289,6 +290,34 @@ def test_normalized_refuses_a_subnormal_coulomb_coefficient():
         tm.TrapSpec.normalized(separation_in_x0=1e-107)
     assert tm.build_mode_basis(tm.TrapSpec.normalized(separation_in_x0=1e-100),
                                eta=7.0).commensurate
+
+
+@pytest.mark.parametrize("separation, largest", [(820.0, "123.947"), (20.0, "358.152")])
+def test_normalized_refuses_an_exponent_past_double_range(separation, largest):
+    """Past the overflow of C/(p*K) = 4u^(p+1), the bound at the default
+    separation, or the underflow of K, the bound at 20 widths, no
+    equilibrium can be solved: the refusal names the largest exponent that
+    fits, to 1e-9 relative, and just below it the trap hits its targets."""
+    u = separation / math.sqrt(2.0) / 2.0
+    bound = tm._largest_exponent(u)
+    assert f"{bound:.6g}" == largest
+    for p in (bound * (1.0 + 1e-9), 2.0 * bound, 1e300):
+        with pytest.raises(ValueError, match=f"exponent .* at most about {largest}$"):
+            tm.TrapSpec.normalized(exponent=p, separation_in_x0=separation)
+    trap = tm.TrapSpec.normalized(exponent=bound * (1.0 - 1e-9), separation_in_x0=separation)
+    assert trap.stiffness >= sys.float_info.min
+    assert tm.equilibrium_separation(trap) * math.sqrt(2.0) == pytest.approx(separation,
+                                                                              rel=1e-12)
+
+
+def test_mode_basis_refuses_a_kick_whose_wavenumber_overflows(spec):
+    """k = eta/x0 overflows past eta = x0 * max, about 1.27e308: OverflowError,
+    which the CLI reports as a config error; just below it the basis is
+    built."""
+    with pytest.raises(OverflowError, match="kick wavenumber"):
+        tm.build_mode_basis(spec, eta=sys.float_info.max, dims=(4, 4))
+    basis = tm.build_mode_basis(spec, eta=1.2e308, dims=(4, 4))
+    assert math.isfinite(basis.wavenumber) and math.isfinite(basis.eta_r)
 
 
 def test_mode_basis_memo_matches_the_array_route(spec):
