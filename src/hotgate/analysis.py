@@ -360,9 +360,10 @@ def exact_anharmonic_fidelity(
     order in the correction.  The harmonic reference factor
     Phi = e^{+i H0 t_g} = diag(e^{i E t_g}) is one phase per Fock level, so
     pre_kick drops it as a phase per member on any trap.  At t_g = 2 pi/nu_c
-    the COM mode completes whole periods on every trap, so Phi_c = -1; only
-    on the commensurate trap does the stretch mode too, so that Phi = -1; off
-    the ratio nu_r t_g = 2 pi nu_r/nu_c, and Phi_r stays in post_kick's overlap.
+    the COM mode completes whole periods on every trap, and on the
+    commensurate trap the stretch mode too, so that Phi = -1 there.
+    post_kick runs on that trap alone, the one point the benchmark's
+    dephasing workload runs it at; off the ratio it raises ValueError.
 
     Neither the gate unitary nor any M x M array (M = n_c n_r) is formed.
     H = diag(E) + V_cor is real symmetric, and V_cor = sum_a X_c^a (x) Q_a
@@ -374,23 +375,20 @@ def exact_anharmonic_fidelity(
 
     * pre_kick, psi_j = |j>: amp_j = sum_k v_jk^2 e^{-i w_k t_g};
     * post_kick, psi_j = D|j>: amp_j = sum_k (D^dag Phi v)_jk e^{-i w_k t_g}
-      (D^T v)_jk, taken in the real gauge of the kick, for the members j
-      of nonzero p_j alone and over _OVERLAP_CHUNK eigenvector columns at
-      a time (_overlap_sum).  The kick is a rotated real displacement: with
-      R = e^{i (pi/2) n} = diag(i^n), D(+-i eta) = R D(+-eta) R^dag
+      (D^T v)_jk, taken in the real gauge of the kick over _OVERLAP_CHUNK
+      eigenvector columns at a time (_overlap_sum).  The kick is a rotated
+      real displacement: with R = e^{i (pi/2) n} = diag(i^n),
+      D(+-i eta) = R D(+-eta) R^dag
       (Cahill and Glauber, Phys. Rev. 177, 1857 (1969)), so
       M = R^dag D R = M_c (x) M_r is real, M[m, n] = Re(i^{n-m} D[m, n])
       (_real_gauge).  In one x_c-parity block R v is i^p (v+ + i v-),
       with v+ and v- the rows of even and of odd n_r, each signed by
       sigma_m = (-1)^floor(m/2) per mode, so D^T v = R^dag M^T R v gives
       |(D^T v)_j| = |(M^T v+)_j + i (M^T v-)_j| from two real Kronecker
-      products (_kron_apply).  On the commensurate trap Phi = -1 and, v
-      being real, D^dag Phi v = -conj(D^T v), so
+      products (_kron_apply).  With Phi = -1 and v real,
+      D^dag Phi v = -conj(D^T v), so
       amp_j = -sum_k ((M^T v+)_jk^2 + (M^T v-)_jk^2) e^{-i w_k t_g} and no
-      complex overlap is formed.  Off the ratio the left overlap
-      D^dag Phi v = R M^T (R^dag Phi v) takes two more real products, of
-      the real and the imaginary part of (R^dag Phi v), and the R phases
-      cancel in the product of the two overlaps.
+      complex overlap is formed.
 
     Each block's H is dropped once it is diagonalized, and its v before the
     next block is assembled, so the peak is the largest block's eigensolve.
@@ -401,6 +399,8 @@ def exact_anharmonic_fidelity(
     """
     if state_mode not in ("pre_kick", "post_kick"):
         raise ValueError(f"unknown state_mode {state_mode!r}")
+    if state_mode == "post_kick" and not basis.commensurate:
+        raise ValueError("the exact post_kick check runs on the commensurate trap only")
     if not expansion.coefficients:
         return 1.0
     peak = _exact_peak_bytes(basis, state_mode)
@@ -414,17 +414,7 @@ def exact_anharmonic_fidelity(
     t_g = basis.gate_time
     p_c, p_r = basis.thermal_weights(n_bar_c)
     if state_mode == "post_kick":
-        # only members of nonzero weight are overlapped (one at n_bar_c 0); their
-        # rows are taken in F order, so the matmuls round as with all of them
-        keep_c, keep_r = np.flatnonzero(p_c), np.flatnonzero(p_r)
-        p_c, p_r = p_c[keep_c], p_r[keep_r]
-        g_c, g_r = (np.take(_real_gauge(d), keep, axis=1).T
-                    for d, keep in zip(basis.kick_displacements(), (keep_c, keep_r)))
-        if not basis.commensurate:
-            # R^dag Phi per r level, less the signs sigma that g_c and g_r carry
-            # and the block's i^-p, which cancels the i^p of R v; Phi_c = -1
-            e_r = mode_energies(basis)[1]
-            phi_r = -np.exp(1j * e_r * t_g) * np.where(np.arange(e_r.size) % 2, -1j, 1)
+        g_c, g_r = (_real_gauge(d).T for d in basis.kick_displacements())
     amp = np.zeros((p_c.size, p_r.size), dtype=complex)
     for lv, h in _hamiltonian_blocks(basis, expansion):
         w, v = np.linalg.eigh(h)
@@ -435,10 +425,9 @@ def exact_anharmonic_fidelity(
             amp[lv] = (v @ decay).reshape(lv.size, -1)
         else:
             g_lv = g_c[:, lv]
-            phi = None if basis.commensurate else np.tile(phi_r, lv.size)
             for k in range(0, v.shape[1], _OVERLAP_CHUNK):
                 cols = slice(k, k + _OVERLAP_CHUNK)
-                amp += _overlap_sum(g_lv, g_r, v[:, cols], decay[cols], phi).reshape(amp.shape)
+                amp += _overlap_sum(g_lv, g_r, v[:, cols], decay[cols]).reshape(amp.shape)
         del v
     return float(p_c @ (np.abs(amp) ** 2) @ p_r)
 
@@ -460,11 +449,9 @@ def _exact_peak_bytes(basis: ModeBasis, state_mode: str) -> int:
     dsyevd's workspace (2 s^2 + 6 s doubles and 5 s ints) and the
     eigenvectors, 5 s^2 doubles, where assembling H takes at most 3 s^2.
     post_kick adds its overlaps (_overlap_sum), bounded by four complex
-    M x chunk arrays (M = n_c n_r): on the commensurate trap they are real,
-    the halves M^T v+ and M^T v- (M x chunk each) and their r-stage
-    products, which hold less; off the ratio the two-sided overlap adds the
-    real and imaginary parts of the left one and the complex left and right
-    overlaps.  The fixed allocations are added as if all were live at once:
+    M x chunk arrays (M = n_c n_r): they are real, the halves M^T v+ and
+    M^T v- (M x chunk each) and their r-stage products, which hold less.
+    The fixed allocations are added as if all were live at once:
     amp (16 M bytes), 8 n x n doubles per mode for building V_cor's factors,
     16 more for post_kick's kick and its real gauge, 16 doubles per level,
     and 2**14 bytes of Python objects (tracemalloc counts 8-12 KB at dims
@@ -510,30 +497,22 @@ def _hamiltonian_block(lv: np.ndarray, e_c: np.ndarray, e_r: np.ndarray,
     return fock_core.hermitian_part(h)
 
 
-def _overlap_sum(g_c: np.ndarray, g_r: np.ndarray, v: np.ndarray, decay: np.ndarray,
-                 phi: np.ndarray | None) -> np.ndarray:
+def _overlap_sum(g_c: np.ndarray, g_r: np.ndarray, v: np.ndarray,
+                 decay: np.ndarray) -> np.ndarray:
     """sum_k (D^dag Phi v)_jk (D^T v)_jk decay_k over one chunk of a block's
     eigenvector columns v, per member j, in the real gauge of the kick
     (exact_anharmonic_fidelity): g_c and g_r are the signed real factors of
-    the kick on the block's x_c levels and on all r levels, and phi is
-    R^dag Phi on the block's rows without the signs they carry, or None on
-    the commensurate trap, where Phi = -1."""
+    the kick on the block's x_c levels and on all r levels, and Phi = -1,
+    so the left overlap is -conj(right)."""
     x = v.reshape(g_c.shape[1], g_r.shape[1], -1)
     # M^T v+ and M^T v-, over the even and the odd n_r rows
     even, odd = (_kron_apply(g_c, g_r[:, half], x[:, half])
                  for half in (slice(0, None, 2), slice(1, None, 2)))
-    if phi is None:  # the left overlap is -conj(right)
-        # |right|^2 is real: one real product with decay's (Re, Im) columns
-        even *= even
-        odd *= odd
-        even += odd
-        return -(even @ decay.view(float).reshape(-1, 2)).view(complex)
-    right = even + 1j * odd
-    del even, odd  # freed before the left overlap's products are formed
-    left = 1j * _kron_apply(g_c, g_r, v * phi.imag[:, None])
-    left += _kron_apply(g_c, g_r, v * phi.real[:, None])
-    left *= right
-    return left @ decay
+    # |right|^2 is real: one real product with decay's (Re, Im) columns
+    even *= even
+    odd *= odd
+    even += odd
+    return -(even @ decay.view(float).reshape(-1, 2)).view(complex)
 
 
 def _real_gauge(d: np.ndarray) -> np.ndarray:
@@ -548,11 +527,10 @@ def _real_gauge(d: np.ndarray) -> np.ndarray:
 
 
 def _kron_apply(a_c: np.ndarray, a_r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(a_c (x) a_r) x for real a_c, a_r and real x of shape
-    (a_c.shape[1] * a_r.shape[1], K), or with its rows split as
+    """(a_c (x) a_r) x for real a_c, a_r and real x with its rows split as
     (a_c.shape[1], a_r.shape[1], K), without the kron: the r-stage, then
     the c-stage, as two real matmuls."""
-    t = a_r @ x.reshape(a_c.shape[1], a_r.shape[1], -1)
+    t = a_r @ x
     t = a_c @ t.reshape(a_c.shape[1], -1)
     return t.reshape(a_c.shape[0] * a_r.shape[0], -1)
 

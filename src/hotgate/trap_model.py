@@ -77,8 +77,9 @@ class TrapSpec:
         C is built from, falls below the smallest normal double (under about
         8e-103 x0 at the default exponent) raises ValueError: in the
         subnormal range C loses the digits the force balance needs to
-        return the targets.  So does an exponent at which K underflows or,
-        C being finite, C/(p*K) = 4u^(p+1) overflows (past 123.947 by default).
+        return the targets.  So does one at which 4C or x_e^3 overflows (past
+        about 5.5e102 x0), and an exponent at which K underflows or
+        C/(p*K) = 4u^(p+1) overflows (past 123.947 by default).
         """
         if exponent <= 1.0:
             raise ValueError("exponent must exceed 1")
@@ -87,6 +88,13 @@ class TrapSpec:
         x0 = 1.0 / sqrt(2.0)
         u = separation_in_x0 * x0 / 2.0  # half separation
         p = exponent
+        # the largest u at which x_e^3 = 8u^3 and 4C = 16u^3/(p-1), which the mode
+        # frequencies take, are finite, less a rounding margin
+        most = (1.0 - 1e-12) * (min(1.0, (p - 1.0) / 2.0) * float_info.max / 8.0) ** (1.0 / 3.0)
+        if u > most:
+            raise ValueError(
+                f"separation_in_x0 {separation_in_x0:g} takes 4C or x_e^3 out of double "
+                f"range; at this exponent it must be at most about {2.0 * most / x0:.2g}")
         stiffness = u ** (2.0 - p) / (p * (p - 1.0))
         u_cubed = u**3
         coulomb = 4.0 * u_cubed / (p - 1.0)
@@ -96,7 +104,7 @@ class TrapSpec:
                 f"separation_in_x0 {separation_in_x0:g} makes the Coulomb coefficient "
                 f"subnormal, so the trap would miss its targets; at this exponent it "
                 f"must be at least about {2.0 * least ** (1.0 / 3.0) / x0:.2g}")
-        if stiffness < float_info.min or coulomb < inf == coulomb / (p * stiffness):
+        if stiffness < float_info.min or coulomb / (p * stiffness) == inf:
             raise ValueError(f"exponent {p:g} takes C/(p*K) = 4u^(p+1) or K out of double "
                              f"range; at separation_in_x0 {separation_in_x0:g} it must be at "
                              f"most about {_largest_exponent(u):.6g}")

@@ -386,7 +386,7 @@ def test_hot_dims_refuse_or_skip_without_allocating(spec):
 
 
 def _refuse_blocks(*args, **kwargs):
-    raise AssertionError("a Hamiltonian block was assembled above the memory budget")
+    raise AssertionError("called where the exact check must have refused")
 
 
 @pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
@@ -438,18 +438,21 @@ def test_exact_memory_budget_admits_the_post_kick_default(spec, kicked_basis, mo
     assert peak < 1e6
 
 
-@pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
-@pytest.mark.parametrize("exponent, eta, dims", [
-    pytest.param(5.0 / 3.0, 3.0, (17, 12), id="3.0-dims0"),
-    pytest.param(5.0 / 3.0, 7.0, (24, 19), id="7.0-dims1"),
-    pytest.param(5.0 / 3.0, 3.0, (3, 2), id="3.0-dims2"),
-    pytest.param(5.0 / 3.0, 3.0, (6, 4), id="3.0-dims3"),
-    pytest.param(2.0, 3.0, (3, 2), id="exponent2-3.0-dims2"),
-    pytest.param(2.0, 3.0, (6, 4), id="exponent2-3.0-dims3"),
-])
+@pytest.mark.parametrize("exponent, eta, dims, state_mode", [
+    pytest.param(exponent, eta, dims, mode, id=f"{name}-{mode}")
+    for name, exponent, eta, dims in [
+        ("3.0-dims0", 5.0 / 3.0, 3.0, (17, 12)),
+        ("7.0-dims1", 5.0 / 3.0, 7.0, (24, 19)),
+        ("3.0-dims2", 5.0 / 3.0, 3.0, (3, 2)),
+        ("3.0-dims3", 5.0 / 3.0, 3.0, (6, 4)),
+        ("exponent2-3.0-dims2", 2.0, 3.0, (3, 2)),
+        ("exponent2-3.0-dims3", 2.0, 3.0, (6, 4)),
+    ]
+    for mode in ("pre_kick", "post_kick") if exponent != 2.0 or mode == "pre_kick"])
 def test_exact_traced_peak_is_within_the_estimate(exponent, eta, dims, state_mode):
     """All that one call allocates through numpy and Python, at its peak,
-    fits the estimate, on both trap kinds.  eigh's working copy and
+    fits the estimate, on both trap kinds (post_kick on the commensurate
+    one, the only trap it runs on).  eigh's working copy and
     dsyevd's workspace, which the estimate also counts, are malloc'ed out
     of tracemalloc's sight; at small dims the fixed allocations and the
     small-object allowance carry the bound."""
@@ -498,51 +501,42 @@ def _whole_block_exact(basis, expansion, n_bar_c, state_mode):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 10**6])
-@pytest.mark.parametrize("exponent, eta, dims, scale", [
-    pytest.param(5.0 / 3.0, 3.0, (16, 12), 32.0, id="3.0-dims0-32.0"),
-    pytest.param(5.0 / 3.0, 7.0, (24, 19), 1.0, id="7.0-dims1-1.0"),
-    pytest.param(2.0, 3.0, (16, 12), 32.0, id="exponent2-3.0-dims0-32.0"),
+@pytest.mark.parametrize("eta, n_bar_c, dims, scale", [
+    pytest.param(3.0, 1.0, (16, 12), 32.0, id="3.0-dims0-32.0"),
+    pytest.param(7.0, 1.0, (24, 19), 1.0, id="7.0-dims1-1.0"),
+    pytest.param(3.0, 0.0, (16, 12), 32.0, id="nbar0-3.0-dims0-32.0"),
 ])
 def test_exact_post_kick_chunks_move_only_summation_order(
-        monkeypatch, exponent, eta, dims, scale, chunk):
-    """Contracting the post_kick overlaps over chunks of 1, 7 (which divides
-    no block's 96 or 228 rows) or all eigenvector columns gives the
-    two-sided whole-block figure to summation order: on the commensurate
-    trap (exponent 5/3) from the one-sided real-gauge overlap, off the
-    ratio (exponent 2) from the two-sided one.  Every point has 1 - F above
-    1e-3, where one ulp of F is well inside 1e-12 of 1 - F."""
-    spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
-    basis = tm.build_mode_basis(spec, eta=eta, n_bar_c=1.0, dims=dims)
-    assert basis.commensurate == (exponent != 2.0)
+        spec, monkeypatch, eta, n_bar_c, dims, scale, chunk):
+    """Contracting the one-sided real-gauge post_kick overlaps over chunks
+    of 1, 7 (which divides no block's 96 or 228 rows) or all eigenvector
+    columns gives the two-sided whole-block figure to summation order, at
+    n_bar_c 1 and at n_bar_c 0, where one member has weight and every
+    member is still overlapped.  Every point has 1 - F above 1e-3, where one
+    ulp of F is well inside 1e-12 of 1 - F."""
+    basis = tm.build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c, dims=dims)
+    assert basis.commensurate
     expansion = tm.anharmonic_expansion(spec, order=3).scaled(scale)
     monkeypatch.setattr(an, "_OVERLAP_CHUNK", chunk)
-    ref = 1.0 - _whole_block_exact(basis, expansion, 1.0, "post_kick")
-    got = 1.0 - an.exact_anharmonic_fidelity(basis, expansion, 1.0, "post_kick")
+    ref = 1.0 - _whole_block_exact(basis, expansion, n_bar_c, "post_kick")
+    got = 1.0 - an.exact_anharmonic_fidelity(basis, expansion, n_bar_c, "post_kick")
     assert ref > 1e-3
     assert abs(got - ref) <= 1e-12 * ref
 
 
-def test_exact_post_kick_overlaps_only_members_of_nonzero_weight(spec, monkeypatch):
-    """At n_bar_c 0 one member, |0, 0>, has weight: the overlaps are taken
-    for that row alone, and F is the whole-block figure, which overlaps
-    every member, to summation order.  On this commensurate trap each
-    eigenvector chunk of the two 96-row blocks takes one overlap, the right
-    one (the left one is read off it), as two real products: one over the
-    even and one over the odd n_r levels."""
-    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=0.0, dims=(16, 12))
-    expansion = tm.anharmonic_expansion(spec, order=3).scaled(32.0)
-    ref = 1.0 - _whole_block_exact(basis, expansion, 0.0, "post_kick")
-    real, rows = an._kron_apply, []
-
-    def counting(a_c, a_r, x):
-        rows.append(a_c.shape[0] * a_r.shape[0])
-        return real(a_c, a_r, x)
-
-    monkeypatch.setattr(an, "_kron_apply", counting)
-    got = 1.0 - an.exact_anharmonic_fidelity(basis, expansion, 0.0, "post_kick")
-    assert rows == [1] * (2 * 2 * -(-96 // an._OVERLAP_CHUNK))
-    assert ref > 1e-4
-    assert abs(got - ref) <= 1e-12 * ref
+@pytest.mark.parametrize("order", [3, 0])
+def test_exact_post_kick_off_the_ratio_raises_before_any_block(monkeypatch, order):
+    """post_kick runs on the commensurate trap alone: off the ratio it
+    raises ValueError before the budget is estimated or any block is
+    assembled, at order 0 too."""
+    spec = tm.TrapSpec.normalized(exponent=2.0, lamb_dicke=0.45)
+    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
+    assert not basis.commensurate
+    monkeypatch.setattr(an, "_exact_peak_bytes", _refuse_blocks)
+    monkeypatch.setattr(an, "_hamiltonian_blocks", _refuse_blocks)
+    with pytest.raises(ValueError, match="commensurate trap only"):
+        an.exact_anharmonic_fidelity(basis, tm.anharmonic_expansion(spec, order=order),
+                                     1.0, "post_kick")
 
 
 @pytest.mark.parametrize("order", [3])
@@ -601,6 +595,34 @@ def test_pre_kick_variance_is_the_resonant_closed_form(n_bar_c):
     rep = an.anharmonic_fidelity(basis, expansion, n_bar_c=n_bar_c)
     assert rep.variance == pytest.approx(closed, rel=1e-9)
     assert rep.f_cor == 1.0 - rep.variance
+
+
+@pytest.mark.parametrize("n_bar_c", [0.0, 1.0])
+@pytest.mark.parametrize("eta", [2.0, 7.0])
+def test_post_kick_variance_is_the_resonant_closed_form(eta, n_bar_c):
+    """post_kick conjugates W = T V_res with the kick of the +k branch,
+    alpha = i eta_c and beta = -i eta_r per mode:
+    Var W+ = Var W + g^2 T^2 [4 |alpha|^2 A + 2 |beta|^2 B]
+             + g^2 T^2 [|alpha|^4 (2 n_r + 1) + 4 |alpha|^2 |beta|^2 (2n + 1)],
+    A = (n + 1) n_r + n (n_r + 1), B = (n + 1)^2 + n^2, n = n_bar_c and
+    n_r = n^2/(2n + 1).  The Fock route at 1.5x the kick default dims
+    holds it to 1e-9 (2.008362e-3 at eta 7, n_bar_c 1)."""
+    spec = tm.TrapSpec.normalized()
+    expansion = tm.anharmonic_expansion(spec)
+    basis = tm.build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c)
+    basis = basis.with_dims((3 * basis.dims[0] // 2, 3 * basis.dims[1] // 2))
+    gt_sq = (expansion.coefficients[(2, 1)] * basis.width_c**2 * basis.width_r
+             * basis.gate_time)**2
+    n, n_r = n_bar_c, tm.relative_occupation(n_bar_c)
+    a_sq, b_sq = basis.eta_c**2, basis.eta_r**2
+    closed = gt_sq * (4.0 * n**2 * (n + 1.0)**2 / (2.0 * n + 1.0)
+                      + 4.0 * a_sq * ((n + 1.0) * n_r + n * (n_r + 1.0))
+                      + 2.0 * b_sq * ((n + 1.0)**2 + n**2)
+                      + a_sq**2 * (2.0 * n_r + 1.0) + 4.0 * a_sq * b_sq * (2.0 * n + 1.0))
+    if (eta, n_bar_c) == (7.0, 1.0):
+        assert closed == pytest.approx(2.008362e-3, rel=1e-6)
+    rep = an.anharmonic_fidelity(basis, expansion, n_bar_c, "post_kick")
+    assert rep.variance == pytest.approx(closed, rel=1e-9)
 
 
 def test_both_routes_build_the_kick_once(spec, monkeypatch):
@@ -688,14 +710,15 @@ def _dense_exact_fidelity(basis, expansion, n_bar_c, state_mode):
     return float(p @ np.abs(np.diag(echo)) ** 2)
 
 
-@pytest.mark.parametrize("state_mode", ["pre_kick", "post_kick"])
-@pytest.mark.parametrize("scale", [1.0, 32.0])
-@pytest.mark.parametrize("order", [3])
-@pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0])
-def test_exact_fidelity_matches_dense_echo(exponent, order, scale, state_mode):
+@pytest.mark.parametrize("exponent, scale, state_mode", [
+    pytest.param(exponent, scale, mode, id=f"{exponent}-3-{scale}-{mode}")
+    for exponent in (5.0 / 3.0, 2.0) for scale in (1.0, 32.0)
+    for mode in ("pre_kick", "post_kick") if exponent != 2.0 or mode == "pre_kick"])
+def test_exact_fidelity_matches_dense_echo(exponent, scale, state_mode):
+    """Order 3 on both trap kinds, post_kick on the commensurate one."""
     spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
     basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
-    expansion = tm.anharmonic_expansion(spec, order=order).scaled(scale)
+    expansion = tm.anharmonic_expansion(spec, order=3).scaled(scale)
     assert len(list(an._hamiltonian_blocks(basis, expansion))) == 2
     got = an.exact_anharmonic_fidelity(basis, expansion, 1.0, state_mode)
     assert got < 1.0 - 1e-7

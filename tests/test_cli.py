@@ -221,6 +221,9 @@ def test_non_positive_eta_exits_1_with_one_line(capsys, argv):
     # in range, but a trap constant derived from them leaves double range
     ("modes", "--exponent", "1e300"),
     ("modes", "--separation-in-x0", "1e-300"),
+    ("gate", "--separation-in-x0", "6e102"),
+    ("modes", "--separation-in-x0", "1e103"),
+    ("modes", "--separation-in-x0", "1e104"),
 ], ids=" ".join)
 def test_out_of_range_setting_exits_1_with_one_line(capsys, argv):
     """Rejected as a config error: no traceback, and no scan rows."""

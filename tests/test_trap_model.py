@@ -292,6 +292,24 @@ def test_normalized_refuses_a_subnormal_coulomb_coefficient():
                                eta=7.0).commensurate
 
 
+def test_normalized_refuses_a_separation_past_double_range():
+    """Past about 5.5e102 widths at the default exponent 4C = 16u^3/(p-1),
+    which the mode frequencies take, overflows (x_e^3 = 8u^3 binds from
+    exponent 3): ValueError names the largest separation that fits, and
+    3e102 and just below the bound still give the commensurate basis and
+    hit the separation, with no warning."""
+    largest = 2.0 * math.sqrt(2.0) * (sys.float_info.max / 24.0) ** (1.0 / 3.0)
+    for separation in (largest * (1.0 + 1e-9), 1e103, 1e104, 1e300):
+        with pytest.raises(ValueError, match=r"separation_in_x0 .* at most about 5.5e\+102$"):
+            tm.TrapSpec.normalized(separation_in_x0=separation)
+    for separation in (3e102, largest * (1.0 - 1e-9)):
+        trap = tm.TrapSpec.normalized(separation_in_x0=separation)
+        basis = tm.build_mode_basis(trap, eta=7.0)
+        assert basis.commensurate and math.isfinite(basis.x_e)
+        assert tm.equilibrium_separation(trap) * math.sqrt(2.0) == pytest.approx(
+            separation, rel=1e-12)
+
+
 @pytest.mark.parametrize("separation, largest", [(820.0, "123.947"), (20.0, "358.152")])
 def test_normalized_refuses_an_exponent_past_double_range(separation, largest):
     """Past the overflow of C/(p*K) = 4u^(p+1), the bound at the default
