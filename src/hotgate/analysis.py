@@ -366,14 +366,16 @@ def exact_anharmonic_fidelity(
     dephasing workload runs it at; off the ratio it raises ValueError.
 
     Neither the gate unitary nor any M x M array (M = n_c n_r) is formed.
-    H = diag(E) + V_cor is real symmetric, and V_cor = sum_a X_c^a (x) Q_a
-    (trap_model.v_cor_factors) has only even powers a of x_c, so it couples
-    no two x_c levels of opposite parity.  H is therefore assembled from the
-    factors and diagonalized in two blocks (_hamiltonian_blocks: the even
-    and the odd x_c levels), each H_b = v diag(w) v^T with v real.
+    V_cor = sum_a X_c^a (x) Q_a (trap_model.v_cor_factors, whose factors are
+    checked there and exactly symmetric) has only even powers a of x_c, so
+    it couples no two x_c levels of opposite parity.  H = diag(E) + V_cor
+    is therefore summed from the factors in two exactly symmetric real
+    blocks (_hamiltonian_blocks: the even and the odd x_c levels), each
+    diagonalized as H_b = v diag(w) v^T with v real.
     Then, with D = d_c (x) d_r the opening-kick displacement:
 
-    * pre_kick, psi_j = |j>: amp_j = sum_k v_jk^2 e^{-i w_k t_g};
+    * pre_kick, psi_j = |j>: amp_j = sum_k v_jk^2 e^{-i w_k t_g}, one real
+      product of v^2 with the (Re, Im) columns of the decay vector;
     * post_kick, psi_j = D|j>: amp_j = sum_k (D^dag Phi v)_jk e^{-i w_k t_g}
       (D^T v)_jk, taken in the real gauge of the kick over _OVERLAP_CHUNK
       eigenvector columns at a time (_overlap_sum).  The kick is a rotated
@@ -390,8 +392,8 @@ def exact_anharmonic_fidelity(
       amp_j = -sum_k ((M^T v+)_jk^2 + (M^T v-)_jk^2) e^{-i w_k t_g} and no
       complex overlap is formed.
 
-    Each block's H is dropped once it is diagonalized, and its v before the
-    next block is assembled, so the peak is the largest block's eigensolve.
+    Each block's H and v are dropped before the next block is assembled,
+    so the peak is the largest block's eigensolve.
     The empty expansion (order 0) leaves H = H0: every member returns with
     unit modulus, so F = 1 with nothing diagonalized.  Above
     _MAX_EXACT_BYTES of estimated peak (_exact_peak_bytes) it raises
@@ -422,7 +424,7 @@ def exact_anharmonic_fidelity(
         decay = np.exp(-1j * w * t_g)
         if state_mode == "pre_kick":
             v *= v
-            amp[lv] = (v @ decay).reshape(lv.size, -1)
+            amp[lv] = (v @ decay.view(float).reshape(-1, 2)).view(complex).reshape(lv.size, -1)
         else:
             g_lv = g_c[:, lv]
             for k in range(0, v.shape[1], _OVERLAP_CHUNK):
@@ -447,7 +449,8 @@ def _exact_peak_bytes(basis: ModeBasis, state_mode: str) -> int:
     alone.  The even x_c levels' eigensolve sets it at large dims: for
     s = ceil(n_c/2) n_r rows, eigh holds the real H, numpy's working copy,
     dsyevd's workspace (2 s^2 + 6 s doubles and 5 s ints) and the
-    eigenvectors, 5 s^2 doubles, where assembling H takes at most 3 s^2.
+    eigenvectors, 5 s^2 doubles, where assembling H takes s^2 and one x_c
+    row (n_r s doubles).
     post_kick adds its overlaps (_overlap_sum), bounded by four complex
     M x chunk arrays (M = n_c n_r): they are real, the halves M^T v+ and
     M^T v- (M x chunk each) and their r-stage products, which hold less.
@@ -467,34 +470,26 @@ def _exact_peak_bytes(basis: ModeBasis, state_mode: str) -> int:
 
 def _hamiltonian_blocks(basis: ModeBasis, expansion: AnharmonicExpansion):
     """(x_c levels lv, H[lv (x) all, lv (x) all]) for the even, then the
-    odd x_c levels lv, the two blocks of H = diag(E) + V_cor, assembled from
-    v_cor_factors by _hamiltonian_block, whose frame, unlike this one, ends
-    before the caller diagonalizes, and with it the unsymmetrized sum.
+    odd x_c levels lv, the two blocks of H = diag(E) + V_cor, each
+    diag(E_lv) + sum_a X_c^a[lv, lv] (x) Q_a from v_cor_factors: the first
+    Kronecker term is written into the block, the others are added in place
+    one x_c row at a time, then E on the diagonal, so from exactly symmetric
+    factors the block is exactly symmetric.  A block is released before the
+    next is assembled, once the caller has dropped it.
     """
-    n_c, _ = basis.dims
+    n_c, n_r = basis.dims
     e_c, e_r = mode_energies(basis)
-    factors = v_cor_factors(expansion, basis)
+    (_, x_first, q_first), *rest = v_cor_factors(expansion, basis)
     for lv in (np.arange(0, n_c, 2), np.arange(1, n_c, 2)):
-        yield lv, _hamiltonian_block(lv, e_c, e_r, factors)
-
-
-def _hamiltonian_block(lv: np.ndarray, e_c: np.ndarray, e_r: np.ndarray,
-                       factors: list[tuple[int, np.ndarray, np.ndarray]]) -> np.ndarray:
-    """diag(E_lv) + sum_a X_c^a[lv, lv] (x) Q_a, checked and symmetrized by
-    fock_core.hermitian_part.  The first Kronecker term is written into the
-    block and the others are added in place, one x_c row at a time, and E is
-    added on its diagonal last, which is the sum diag(E) + V_cor term for
-    term."""
-    n_r = e_r.size
-    (_, x_pow, q), *rest = factors
-    h = np.empty((lv.size, n_r, lv.size, n_r))
-    np.multiply(x_pow[np.ix_(lv, lv)][:, None, :, None], q[None, :, None, :], out=h)
-    for _, x_pow, q in rest:
-        for row, x_row in zip(h, x_pow[np.ix_(lv, lv)]):
-            row += x_row[None, :, None] * q[:, None, :]
-    h = h.reshape(lv.size * n_r, -1)
-    h.flat[::h.shape[0] + 1] += (e_c[lv, None] + e_r).ravel()
-    return fock_core.hermitian_part(h)
+        h = np.empty((lv.size, n_r, lv.size, n_r))
+        np.multiply(x_first[np.ix_(lv, lv)][:, None, :, None], q_first[None, :, None, :], out=h)
+        for _, x_pow, q in rest:
+            for row, x_row in zip(h, x_pow[np.ix_(lv, lv)]):
+                row += x_row[None, :, None] * q[:, None, :]
+        h = h.reshape(lv.size * n_r, -1)
+        h.flat[::h.shape[0] + 1] += (e_c[lv, None] + e_r).ravel()
+        yield lv, h
+        del h
 
 
 def _overlap_sum(g_c: np.ndarray, g_r: np.ndarray, v: np.ndarray,

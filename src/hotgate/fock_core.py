@@ -50,20 +50,13 @@ def position_operator(dim: int, ground_width: float) -> np.ndarray:
 def hermitian_part(h: np.ndarray) -> np.ndarray:
     """(h + h^dag)/2, after checking that h is hermitian to 10*TOL_HERM
     relative to max(|h|, 1); keeps the dtype, so a real symmetric h stays
-    real.  One buffer holds the defect h - h^dag, then the result; for real
-    h the defect's max is its largest modulus, h - h^T being antisymmetric.
-    """
+    real."""
     h = np.asarray(h)
-    out = np.subtract(h, h.conj().T, dtype=np.result_type(h, 1.0))
-    if np.iscomplexobj(h):
-        defect, scale = np.abs(out).max(), max(np.abs(h).max(), 1.0)
-    else:
-        defect, scale = out.max(), max(h.max(), -h.min(), 1.0)
+    defect = np.abs(h - h.conj().T).max()
+    scale = max(np.abs(h).max(), 1.0)
     if defect > 10 * TOL_HERM * scale:
         raise InvalidOperatorError(f"operator is not hermitian (defect {defect:.3e})")
-    np.add(h, h.conj().T, out=out)
-    out /= 2.0
-    return out
+    return (h + h.conj().T) / 2.0
 
 
 def hermitian_expm(h: np.ndarray, t: float = 1.0) -> np.ndarray:

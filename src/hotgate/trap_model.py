@@ -427,7 +427,9 @@ def v_cor_factors(expansion: AnharmonicExpansion,
     """V_cor = sum_a X_c^a (x) Q_a as (a, X_c^a, Q_a), one term per power of x_c.
 
     X_c^a is the a-th power of the truncated x_c matrix and
-    Q_a = sum_b c_ab X_r^b; both are real and symmetric up to roundoff.
+    Q_a = sum_b c_ab X_r^b, both real and returned by fock_core.hermitian_part,
+    which checks them and makes them exactly symmetric, so every sum of their
+    Kronecker products, each block of H included, is exactly symmetric too.
     X_c^a is nonzero only on the diagonals n - n' in {-a, -a+2, ..., a}, so
     with every a even (AnharmonicExpansion admits no other) every x_c block
     between levels of opposite parity is exactly zero.  This is the one
@@ -444,4 +446,5 @@ def v_cor_factors(expansion: AnharmonicExpansion,
     q: dict[int, np.ndarray] = {}
     for (a, b), c in coeffs:
         q[a] = q.get(a, 0.0) + c * pow_r[b]
-    return [(a, pow_c[a], q_a) for a, q_a in sorted(q.items())]
+    return [(a, fock_core.hermitian_part(pow_c[a]), fock_core.hermitian_part(q_a))
+            for a, q_a in sorted(q.items())]

@@ -11,7 +11,7 @@ import scipy.linalg
 
 import oracles
 from hotgate import analysis as an, fock_core as fc, gate_protocol as gp, trap_model as tm
-from hotgate.errors import ConfigError, NonConvergenceError
+from hotgate.errors import ConfigError, InvalidOperatorError, NonConvergenceError
 
 
 @pytest.fixture(scope="module")
@@ -760,6 +760,67 @@ def test_hamiltonian_blocks_match_dense_hamiltonian(spec, order):
     for (_, block), idx in zip(blocks, flat):
         ref = h[np.ix_(idx, idx)]
         assert np.abs(block - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0])
+def test_exact_check_symmetrizes_the_factors_not_the_blocks(monkeypatch, exponent):
+    """V_cor's symmetry is settled once, in v_cor_factors: while the exact
+    check runs, in both modes where the trap admits them, hermitian_part
+    sees no array with more rows than one mode has, and every factor and
+    every block of H is exactly symmetric, on the paper's trap and at
+    exponent 2, which has no x_c^2 x_r term."""
+    spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
+    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
+    expansion = tm.anharmonic_expansion(spec, order=3)
+    hermitian_part, rows = fc.hermitian_part, []
+
+    def spy(h):
+        rows.append(len(h))
+        return hermitian_part(h)
+
+    monkeypatch.setattr(fc, "hermitian_part", spy)
+    for mode in ("pre_kick", "post_kick") if basis.commensurate else ("pre_kick",):
+        assert an.exact_anharmonic_fidelity(basis, expansion, 1.0, mode) < 1.0
+    assert rows and max(rows) <= max(basis.dims)
+    for _, x_pow, q in tm.v_cor_factors(expansion, basis):
+        assert np.array_equal(x_pow, x_pow.T) and np.array_equal(q, q.T)
+    for _, h in an._hamiltonian_blocks(basis, expansion):
+        assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("width", ["width_c", "width_r"])
+def test_asymmetric_v_cor_factor_raises_before_any_block(spec, monkeypatch, width):
+    """Skewing the top x_c or x_r power by 1e-3 leaves its factor asymmetric
+    far beyond 10*TOL_HERM (Q_0 = c X_r^3 by about 1e-6): v_cor_factors
+    raises InvalidOperatorError, and both routes with it, before a Gram
+    matrix or a block of H is formed."""
+    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
+    expansion = tm.anharmonic_expansion(spec, order=3)
+    position_powers, hamiltonian_blocks = tm._position_powers, an._hamiltonian_blocks
+    blocks = []
+
+    def skewed(dim, w, max_power):
+        powers = position_powers(dim, w, max_power)
+        if w == getattr(basis, width):
+            powers[-1][0, -1] += 1e-3
+        return powers
+
+    def recorded_blocks(*args):
+        for block in hamiltonian_blocks(*args):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(tm, "_position_powers", skewed)
+    monkeypatch.setattr(an, "_weighted_gram", _refuse_blocks)
+    monkeypatch.setattr(an, "_hamiltonian_blocks", recorded_blocks)
+    with pytest.raises(InvalidOperatorError, match="not hermitian"):
+        tm.v_cor_factors(expansion, basis)
+    with pytest.raises(InvalidOperatorError, match="not hermitian"):
+        an.anharmonic_fidelity(basis, expansion, 1.0)
+    for mode in ("pre_kick", "post_kick"):
+        with pytest.raises(InvalidOperatorError, match="not hermitian"):
+            an.exact_anharmonic_fidelity(basis, expansion, 1.0, mode)
+    assert blocks == []
 
 
 def test_anharmonic_state_mode_validation(anharmonic_setup):

@@ -84,8 +84,8 @@ def test_hermitian_part_keeps_real_dtype_and_checks_symmetry():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_hermitian_part_is_the_symmetrized_input_bit_for_bit(dtype):
-    """The one-buffer check and symmetrization return (h + h^dag)/2 to the
-    last bit, in h's dtype, for near-hermitian h of either kind."""
+    """The check and symmetrization return (h + h^dag)/2 to the last bit,
+    in h's dtype, for near-hermitian h of either kind."""
     rng = np.random.default_rng(7)
     for size in (1, 2, 9, 40):
         h = rng.normal(size=(size, size)).astype(dtype)
