@@ -287,6 +287,36 @@ def _weighted_gram(factors: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return (factors * probs[:, None]).reshape(k, n * n) @ flat.conj().T
 
 
+def _resonant_variance(basis: ModeBasis, expansion: AnharmonicExpansion,
+                       p_c: np.ndarray, p_r: np.ndarray) -> float:
+    """Var W over the undisplaced thermal state on the commensurate trap, in
+    closed form over the Fock box, with its level weights p_c and p_r.
+
+    With nu_r = 2 nu_c every level gap is a whole multiple of nu_c, so
+    t_g = 2 pi/nu_c is a whole period of each and _phase_integral is t_g on
+    the pairs of equal energy and 0 on all others: W = t_g V_res, the part of
+    V_cor that commutes with H0.  x_r^3 always changes the energy; of
+    c_21 x_c^2 x_r only V_res = g (a^dag^2 b + a^2 b^dag) is left, with
+    g = c_21 w_c^2 w_r.  W has no diagonal, so <W> = 0, and a^dag^2 b takes
+    |n, m> to |n + 2, m - 1> with weight (n + 1)(n + 2) m inside the box
+    (n + 2 < n_c, 1 <= m < n_r), so with n < n_c - 2 and 1 <= m < n_r
+
+        Var W = (t_g g)^2 [sum_n (n + 1)(n + 2) p_c(n) sum_m m p_r(m)
+                           + sum_n (n + 1)(n + 2) p_c(n + 2) sum_m m p_r(m - 1)].
+
+    The factored route gives the same box sums plus the sinc leakage of the
+    non-resonant terms, about 4e-17 t_g each (np.sinc(2.0) and its kin).
+    """
+    n_c, n_r = basis.dims
+    n = np.arange(max(n_c - 2, 0), dtype=float)
+    pairs = (n + 1.0) * (n + 2.0)
+    m = np.arange(1.0, n_r)
+    t_g_g = (basis.gate_time * expansion.coefficients.get((2, 1), 0.0)
+             * basis.width_c**2 * basis.width_r)
+    return float(np.square(t_g_g) * ((pairs @ p_c[:n.size]) * (m @ p_r[1:])
+                                     + (pairs @ p_c[2:]) * (m @ p_r[:-1])))
+
+
 def anharmonic_fidelity(
     basis: ModeBasis,
     expansion: AnharmonicExpansion,
@@ -304,16 +334,21 @@ def anharmonic_fidelity(
     needs kick-sized truncations.  pre_kick is gate_report's F_cor, the CLI's
     only one; post_kick stays for the benchmark's dephasing workload and tests.
 
-    W is never formed: it is the sum of K Kronecker products A_k (x) B_k of
-    _integral_factors (4 at order 3), the kick conjugates
+    W is never formed.  Pre kick on the commensurate trap (basis.commensurate)
+    W = t_g V_res, and its variance is a closed form of two sums over the
+    Fock box (_resonant_variance), with mean exactly 0.  Elsewhere, off the
+    ratio and post kick, W is the sum of K Kronecker products A_k (x) B_k
+    of _integral_factors (4 at order 3), the kick conjugates
     each factor, D^dag (A (x) B) D = (d_c^dag A d_c) (x) (d_r^dag B d_r),
     and with the thermal weights p = p_c (x) p_r
     <W> = sum_k (p_c . diag A_k)(p_r . diag B_k) and
     sum_j p_j sum_l |W_jl|^2 = sum_kl G^c_kl G^r_kl, with G^c and G^r the
     weighted Gram matrices of the A_k and the B_k.  The cost is
     K (n_c^3 + n_r^3) + K^2 (n_c^2 + n_r^2) against M^2 (n_c + n_r) for the
-    dense M x M integral (M = n_c n_r); above _MAX_FACTOR_ENTRIES it raises
-    ConfigError before allocating.  The empty expansion (order 0) has K = 0,
+    dense M x M integral (M = n_c n_r).  Both routes share the same
+    truncation-renormalized weights, and above _MAX_FACTOR_ENTRIES both
+    raise ConfigError before allocating, so no weights are sized at absurd
+    dims.  The empty expansion (order 0) has K = 0,
     so F_cor is exactly 1, returned with nothing sized by the dims.  A mean
     or variance that leaves double range raises OverflowError.
     """
@@ -328,18 +363,22 @@ def anharmonic_fidelity(
             f"F_cor at dims ({n_c}, {n_r}) and order {expansion.order} needs {entries:,} "
             f"factor entries, above the budget of {_MAX_FACTOR_ENTRIES:,} (about 0.75 GB); "
             f"lower n_bar_c or the dims, or set [anharmonic] order 0 to skip F_cor")
-    a_fac, b_fac = _integral_factors(basis, expansion)
     p_c, p_r = basis.thermal_weights(n_bar_c)
     with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
-        if state_mode == "post_kick":
-            d_c, d_r = basis.kick_displacements()
-            a_fac = d_c.conj().T @ a_fac @ d_c
-            b_fac = d_r.conj().T @ b_fac @ d_r
-        diag_c = np.diagonal(a_fac, axis1=1, axis2=2) @ p_c
-        diag_r = np.diagonal(b_fac, axis1=1, axis2=2) @ p_r
-        mean = float(np.real(diag_c @ diag_r))
-        second = float(np.real(np.sum(_weighted_gram(a_fac, p_c) * _weighted_gram(b_fac, p_r))))
-        var = second - mean * mean
+        if state_mode == "pre_kick" and basis.commensurate:
+            mean, var = 0.0, _resonant_variance(basis, expansion, p_c, p_r)
+        else:
+            a_fac, b_fac = _integral_factors(basis, expansion)
+            if state_mode == "post_kick":
+                d_c, d_r = basis.kick_displacements()
+                a_fac = d_c.conj().T @ a_fac @ d_c
+                b_fac = d_r.conj().T @ b_fac @ d_r
+            diag_c = np.diagonal(a_fac, axis1=1, axis2=2) @ p_c
+            diag_r = np.diagonal(b_fac, axis1=1, axis2=2) @ p_r
+            mean = float(np.real(diag_c @ diag_r))
+            second = float(np.real(np.sum(_weighted_gram(a_fac, p_c)
+                                          * _weighted_gram(b_fac, p_r))))
+            var = second - mean * mean
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise OverflowError(f"F_cor's phase mean {mean} or variance {var} is not finite")
     return AnharmonicReport(f_cor=1.0 - var, variance=var, mean_phase=mean)
@@ -556,7 +595,9 @@ class GateReport:
 
 def _anharmonic_point(spec, n_bar_c, order, dims_factor=1):
     """Pre-kick F_cor on the trap's zero-kick basis, whose dims the thermal
-    occupations alone size, times dims_factor (2 checks gate's F_cor)."""
+    occupations alone size, times dims_factor (2 checks gate's F_cor): the
+    closed form over the box on the commensurate trap, the factored
+    integral off it (anharmonic_fidelity)."""
     basis = build_mode_basis(spec, eta=0.0, n_bar_c=n_bar_c)
     basis = basis.with_dims((dims_factor * basis.dims[0], dims_factor * basis.dims[1]))
     expansion = anharmonic_expansion(spec, order=order)

@@ -365,6 +365,9 @@ def mode_energies(basis: ModeBasis) -> tuple[np.ndarray, np.ndarray]:
     return e_c, e_r
 
 
+_CUBIC_MONOMIALS = ((0, 3), (2, 1))  # x_r^3 and x_c^2 x_r, as (a, b) of x_c^a x_r^b
+
+
 @dataclass(frozen=True)
 class AnharmonicExpansion:
     """Taylor remainder of the two-ion potential beyond quadratic order.
@@ -373,6 +376,9 @@ class AnharmonicExpansion:
     symmetry of the trap (x_c -> -x_c at fixed x_r) removes every odd power
     of x_c, and an expansion with one raises ValueError: the exact route
     diagonalizes the even and the odd x_c levels apart on that symmetry.
+    The keys are the cubic's two monomials, x_r^3 and x_c^2 x_r, and any
+    other raises ValueError: the pre-kick F_cor of the commensurate trap
+    reads c_21 alone (analysis._resonant_variance).
     """
 
     order: int
@@ -381,6 +387,9 @@ class AnharmonicExpansion:
     def __post_init__(self):
         if any(a % 2 for a, _ in self.coefficients):
             raise ValueError(f"odd powers of x_c break the mirror symmetry: {self.coefficients}")
+        for key in self.coefficients:
+            if key not in _CUBIC_MONOMIALS:
+                raise ValueError(f"monomial {key} is not one of the cubic's {_CUBIC_MONOMIALS}")
 
     def scaled(self, factor: float) -> "AnharmonicExpansion":
         return AnharmonicExpansion(
@@ -433,9 +442,13 @@ def v_cor_factors(expansion: AnharmonicExpansion,
     X_c^a is nonzero only on the diagonals n - n' in {-a, -a+2, ..., a}, so
     with every a even (AnharmonicExpansion admits no other) every x_c block
     between levels of opposite parity is exactly zero.  This is the one
-    definition of V_cor: analysis.anharmonic_fidelity integrates the factors
-    and analysis.exact_anharmonic_fidelity assembles H block by block from
-    them, neither forming the dense operator.
+    definition of V_cor's Fock matrices: analysis.anharmonic_fidelity
+    integrates the factors off the commensurate ratio and post kick, and
+    analysis.exact_anharmonic_fidelity assembles H block by block from them,
+    neither forming the dense operator.  Pre kick on the commensurate trap
+    anharmonic_fidelity reads only V_cor's resonant part, c_21 w_c^2 w_r
+    from the same expansion and widths, in closed form; the tests hold it to
+    the factored integral of these factors.
     """
     coeffs = sorted(expansion.coefficients.items())
     if not coeffs:

@@ -473,9 +473,11 @@ def test_exact_traced_peak_is_within_the_estimate(exponent, eta, dims, state_mod
 def _whole_block_exact(basis, expansion, n_bar_c, state_mode):
     """The exact overlap with each block summed as the dense
     diag(E) + sum_a kron(X_c^a[lv, lv], Q_a) and each overlap contracted
-    over all of a block's eigenvector columns at once: both post_kick
-    overlaps, (D^dag Phi)^T and D^T on the block's levels, as dense complex
-    np.kron products, shared with no production helper."""
+    over all of a block's eigenvector columns at once: pre_kick as one real
+    product of v^2 with the (Re, Im) columns of the decay vector, the
+    contraction the route makes, and both post_kick overlaps,
+    (D^dag Phi)^T and D^T on the block's levels, as dense complex np.kron
+    products, shared with no production helper."""
     n_c, n_r = basis.dims
     t_g = basis.gate_time
     e_c, e_r = tm.mode_energies(basis)
@@ -492,7 +494,8 @@ def _whole_block_exact(basis, expansion, n_bar_c, state_mode):
         w, v = np.linalg.eigh(h)
         decay = np.exp(-1j * w * t_g)
         if state_mode == "pre_kick":
-            amp[lv] = ((v * v) @ decay).reshape(lv.size, -1)
+            squares = (v * v) @ decay.view(float).reshape(-1, 2)
+            amp[lv] = squares.view(complex).reshape(lv.size, -1)
         else:
             left = np.kron(left_c[:, lv], left_r) @ v
             right = np.kron(d_c.T[:, lv], d_r.T) @ v
@@ -539,12 +542,20 @@ def test_exact_post_kick_off_the_ratio_raises_before_any_block(monkeypatch, orde
                                      1.0, "post_kick")
 
 
-@pytest.mark.parametrize("order", [3])
-def test_exact_pre_kick_equals_the_whole_block_route_bit_for_bit(spec, order):
-    """pre_kick takes no chunks, and its blocks, summed in place, are the
-    dense sums bit for bit, so its figure is unchanged to the last bit."""
-    expansion = tm.anharmonic_expansion(spec, order=order)
-    basis = tm.build_mode_basis(spec, eta=7.0, n_bar_c=1.0, dims=(24, 19))
+@pytest.mark.parametrize("exponent, dims, scale", [
+    pytest.param(exponent, dims, scale, id=f"{name}-{dims[0]},{dims[1]}-{scale:g}")
+    for name, exponent in (("paper", 5.0 / 3.0), ("exponent2", 2.0))
+    for dims, scale in (((3, 2), 1.0), ((6, 4), 1.0), ((16, 12), 1.0), ((16, 12), 32.0),
+                        ((17, 12), 1.0), ((24, 19), 1.0), ((24, 19), 8.0), ((24, 19), 32.0))
+    if exponent != 2.0 or dims[0] <= 16])
+def test_exact_pre_kick_equals_the_whole_block_route_bit_for_bit(exponent, dims, scale):
+    """pre_kick takes no chunks, its blocks, summed in place, are the dense
+    sums bit for bit, and the oracle contracts v^2 with decay as the route
+    does, so the two figures agree to the last bit at every pre_kick point
+    of the exact tests (n_bar_c 1; the kick does not enter pre kick)."""
+    spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
+    expansion = tm.anharmonic_expansion(spec, order=3).scaled(scale)
+    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=dims)
     got = an.exact_anharmonic_fidelity(basis, expansion, 1.0, "pre_kick")
     assert got < 1.0
     assert got == _whole_block_exact(basis, expansion, 1.0, "pre_kick")
@@ -577,13 +588,26 @@ def test_perturbative_agrees_with_exact_overlap(anharmonic_setup):
     assert abs(rep.f_cor - exact) <= 5.0 * loss**1.5
 
 
+def _factored_pre_kick_variance(basis, expansion, n_bar_c):
+    """Var W over the undisplaced thermal state from the Kronecker factors
+    of the interaction integral, on any trap: the factored route, run
+    directly through _integral_factors and _weighted_gram."""
+    a_fac, b_fac = an._integral_factors(basis, expansion)
+    p_c, p_r = basis.thermal_weights(n_bar_c)
+    mean = np.real((np.diagonal(a_fac, axis1=1, axis2=2) @ p_c)
+                   @ (np.diagonal(b_fac, axis1=1, axis2=2) @ p_r))
+    second = np.real(np.sum(an._weighted_gram(a_fac, p_c) * an._weighted_gram(b_fac, p_r)))
+    return float(second - mean * mean)
+
+
 @pytest.mark.parametrize("n_bar_c", [0.5, 1.0, 3.0])
 def test_pre_kick_variance_is_the_resonant_closed_form(n_bar_c):
     """On the paper's trap t_g = T is a whole period of every level gap, so
     W = T V_res, the part of V_cor that commutes with H0:
     V_res = g (a^dag^2 b + a^2 b^dag), g = c_21 w_c^2 w_r, and pre kick
     1 - F_cor = Var W = 4 g^2 T^2 n^2 (n + 1)^2/(2n + 1) at n = n_bar_c.
-    The Fock route at 3x the zero-kick default dims holds it to 1e-9."""
+    The Fock route (the factored integral) at 3x the zero-kick default dims
+    holds it to 1e-9, and so does the box sum F_cor reports."""
     spec = tm.TrapSpec.normalized()
     expansion = tm.anharmonic_expansion(spec)
     basis = tm.build_mode_basis(spec, eta=0.0, n_bar_c=n_bar_c)
@@ -592,9 +616,64 @@ def test_pre_kick_variance_is_the_resonant_closed_form(n_bar_c):
              * basis.gate_time)**2
     assert 4.0 * gt_sq == pytest.approx(1.63091e-6, rel=1e-5)
     closed = 4.0 * gt_sq * n_bar_c**2 * (n_bar_c + 1.0)**2 / (2.0 * n_bar_c + 1.0)
+    assert _factored_pre_kick_variance(basis, expansion, n_bar_c) == pytest.approx(
+        closed, rel=1e-9)
     rep = an.anharmonic_fidelity(basis, expansion, n_bar_c=n_bar_c)
     assert rep.variance == pytest.approx(closed, rel=1e-9)
     assert rep.f_cor == 1.0 - rep.variance
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0, 32.0])
+def test_box_closed_form_is_the_factored_pre_kick_sum(scale):
+    """On the paper's trap the pre-kick F_cor is the closed form over the
+    truncated box, and the factored integral of V_cor's Fock factors is the
+    same sum plus sinc leakage: within 1e-14 relative wherever the factored
+    variance has resonant weight, and exactly 0.0 where it reads leakage
+    alone (n_bar_c 0, where only |0, 0> is occupied, or n_c <= 2, where no
+    a^dag^2 fits in the box), with mean_phase exactly 0.0 everywhere."""
+    spec = tm.TrapSpec.normalized(lamb_dicke=0.45)
+    expansion = tm.anharmonic_expansion(spec).scaled(scale)
+    for n_bar_c, dims in itertools.product(
+            (0.0, 0.1, 0.5, 1.0, 3.0, 30.0),
+            ((2, 2), (2, 7), (3, 2), (5, 4), (16, 12), (24, 19), (40, 7), (7, 40))):
+        basis = tm.build_mode_basis(spec, eta=0.0, n_bar_c=n_bar_c, dims=dims)
+        assert basis.commensurate
+        factored = _factored_pre_kick_variance(basis, expansion, n_bar_c)
+        rep = an.anharmonic_fidelity(basis, expansion, n_bar_c)
+        assert rep.mean_phase == 0.0
+        if n_bar_c == 0.0 or dims[0] <= 2:
+            assert rep.variance == 0.0 and rep.f_cor == 1.0
+            assert abs(factored) <= 1e-30, (n_bar_c, dims)
+        else:
+            assert factored > 1e-30, (n_bar_c, dims)
+            assert abs(rep.variance - factored) <= 1e-14 * factored, (n_bar_c, dims)
+
+
+@pytest.mark.parametrize("exponent, state_mode, factored", [
+    (5.0 / 3.0, "pre_kick", False), (5.0 / 3.0, "post_kick", True), (2.0, "pre_kick", True)])
+def test_only_the_paper_trap_pre_kick_skips_the_factors(monkeypatch, exponent, state_mode,
+                                                         factored):
+    """basis.commensurate picks the route: pre kick on the paper's trap
+    neither builds V_cor's factors nor integrates them, and post kick or at
+    exponent 2 both happen, once each."""
+    spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
+    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
+    expansion = tm.anharmonic_expansion(spec)
+    calls = []
+
+    def spying(name, real):
+        def spy(*args):
+            calls.append(name)
+            return real(*args)
+        return spy
+
+    v_cor = spying("v_cor_factors", tm.v_cor_factors)
+    monkeypatch.setattr(tm, "v_cor_factors", v_cor)
+    monkeypatch.setattr(an, "v_cor_factors", v_cor)
+    monkeypatch.setattr(an, "_integral_factors",
+                        spying("_integral_factors", an._integral_factors))
+    assert an.anharmonic_fidelity(basis, expansion, 1.0, state_mode).variance > 0.0
+    assert calls == (["_integral_factors", "v_cor_factors"] if factored else [])
 
 
 @pytest.mark.parametrize("n_bar_c", [0.0, 1.0])
@@ -789,19 +868,24 @@ def test_exact_check_symmetrizes_the_factors_not_the_blocks(monkeypatch, exponen
 
 
 @pytest.mark.parametrize("width", ["width_c", "width_r"])
-def test_asymmetric_v_cor_factor_raises_before_any_block(spec, monkeypatch, width):
+def test_asymmetric_v_cor_factor_raises_before_any_block(monkeypatch, width):
     """Skewing the top x_c or x_r power by 1e-3 leaves its factor asymmetric
     far beyond 10*TOL_HERM (Q_0 = c X_r^3 by about 1e-6): v_cor_factors
-    raises InvalidOperatorError, and both routes with it, before a Gram
-    matrix or a block of H is formed."""
-    basis = tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12))
-    expansion = tm.anharmonic_expansion(spec, order=3)
+    raises InvalidOperatorError, and every route that forms the factors
+    with it, before a Gram matrix or a block of H is formed: the exact
+    check in both modes and post_kick on the paper's trap, both routes at
+    exponent 2.  The paper's pre-kick closed form forms no factor."""
+    specs = [tm.TrapSpec.normalized(exponent=p, lamb_dicke=0.45) for p in (5.0 / 3.0, 2.0)]
+    (paper, paper_cubic), (off_ratio, off_cubic) = [
+        (tm.build_mode_basis(spec, eta=3.0, n_bar_c=1.0, dims=(16, 12)),
+         tm.anharmonic_expansion(spec, order=3)) for spec in specs]
+    skew = {getattr(paper, width), getattr(off_ratio, width)}
     position_powers, hamiltonian_blocks = tm._position_powers, an._hamiltonian_blocks
     blocks = []
 
     def skewed(dim, w, max_power):
         powers = position_powers(dim, w, max_power)
-        if w == getattr(basis, width):
+        if w in skew:
             powers[-1][0, -1] += 1e-3
         return powers
 
@@ -813,14 +897,19 @@ def test_asymmetric_v_cor_factor_raises_before_any_block(spec, monkeypatch, widt
     monkeypatch.setattr(tm, "_position_powers", skewed)
     monkeypatch.setattr(an, "_weighted_gram", _refuse_blocks)
     monkeypatch.setattr(an, "_hamiltonian_blocks", recorded_blocks)
-    with pytest.raises(InvalidOperatorError, match="not hermitian"):
-        tm.v_cor_factors(expansion, basis)
-    with pytest.raises(InvalidOperatorError, match="not hermitian"):
-        an.anharmonic_fidelity(basis, expansion, 1.0)
-    for mode in ("pre_kick", "post_kick"):
+    for basis, expansion in ((paper, paper_cubic), (off_ratio, off_cubic)):
         with pytest.raises(InvalidOperatorError, match="not hermitian"):
-            an.exact_anharmonic_fidelity(basis, expansion, 1.0, mode)
+            tm.v_cor_factors(expansion, basis)
+    for route, basis, expansion, mode in (
+            (an.anharmonic_fidelity, paper, paper_cubic, "post_kick"),
+            (an.exact_anharmonic_fidelity, paper, paper_cubic, "pre_kick"),
+            (an.exact_anharmonic_fidelity, paper, paper_cubic, "post_kick"),
+            (an.anharmonic_fidelity, off_ratio, off_cubic, "pre_kick"),
+            (an.exact_anharmonic_fidelity, off_ratio, off_cubic, "pre_kick")):
+        with pytest.raises(InvalidOperatorError, match="not hermitian"):
+            route(basis, expansion, 1.0, mode)
     assert blocks == []
+    assert an.anharmonic_fidelity(paper, paper_cubic, 1.0).f_cor < 1.0
 
 
 def test_anharmonic_state_mode_validation(anharmonic_setup):

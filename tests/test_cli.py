@@ -251,16 +251,18 @@ def test_negative_looking_value_reaches_the_range_check(capsys, argv, message):
 def test_tiny_separation_keeps_its_finite_coulomb_term(capsys):
     """At --separation-in-x0 1e-100, x_e^4 underflows a double while the
     Coulomb coefficient C/x_e^4 (about -1e100) is finite: gate, scan and
-    anharmonic run to the end, and the phase variance, far above 1, leaves
-    gate's F_cor null and scan's nan."""
+    anharmonic run to the end at n_bar_c 1, and the phase variance, far
+    above 1 (about 1.5e200 at the thermal dims), leaves gate's F_cor null
+    and scan's nan.  At n_bar_c 0 the ground state has no resonant variance
+    on this trap."""
     tiny = ("--separation-in-x0", "1e-100")
-    rc, out, err = run(capsys, "gate", *tiny)
+    rc, out, err = run(capsys, "gate", *tiny, "--n-bar-c", "1")
     assert rc == 0 and "Traceback" not in err
     assert json.loads(out)["f_cor"] is None
-    rc, out, err = run(capsys, "scan", *tiny, "--etas", "2", "--n-bars", "0")
+    rc, out, err = run(capsys, "scan", *tiny, "--etas", "2", "--n-bars", "1")
     assert rc == 0 and "Traceback" not in err
     assert [ln for ln in out.splitlines() if not ln.startswith("#")][1].endswith(",nan")
-    rc, out, err = run(capsys, "anharmonic", *tiny, "--dims", "8,6")
+    rc, out, err = run(capsys, "anharmonic", *tiny, "--n-bar-c", "1", "--dims", "8,6")
     assert (rc, err) == (0, "")
     assert json.loads(out)["phase_variance"] > 1.0
 

@@ -423,6 +423,22 @@ def test_expansion_rejects_odd_xc_powers(spec):
                 tm.AnharmonicExpansion(order=3, coefficients={**cubic, odd: coeff})
 
 
+def test_expansion_accepts_only_the_cubics_monomials(spec):
+    """Any key but x_r^3 and x_c^2 x_r is refused, naming it, even at
+    coefficient 0: the paper's pre-kick F_cor reads c_21 alone, so an even
+    (2, 2) or (0, 4) term would otherwise drop out of it unseen.  An odd
+    x_c power keeps the mirror-symmetry message."""
+    cubic = tm.anharmonic_expansion(spec, order=3).coefficients
+    for extra in ((2, 2), (0, 4), (4, 0), (0, 2), (2, 0), (0, 0)):
+        for coeff in (0.1, 0.0):
+            with pytest.raises(ValueError, match=rf"monomial \({extra[0]}, {extra[1]}\)"):
+                tm.AnharmonicExpansion(order=3, coefficients={**cubic, extra: coeff})
+    with pytest.raises(ValueError, match="mirror symmetry"):
+        tm.AnharmonicExpansion(order=3, coefficients={(2, 2): 0.1, (1, 2): 0.1})
+    for keys in ({(0, 3)}, {(2, 1)}, set(cubic)):
+        tm.AnharmonicExpansion(order=3, coefficients={k: cubic[k] for k in keys})
+
+
 def test_expansion_scaling(spec):
     exp3 = tm.anharmonic_expansion(spec, order=3)
     doubled = exp3.scaled(2.0)
