@@ -27,7 +27,6 @@ from .analysis import (
     SeparationCurve,
     anharmonic_fidelity,
     average_fidelity,
-    average_purity,
     exact_anharmonic_fidelity,
     gate_report,
     scan,

@@ -6,10 +6,10 @@ Lambda(rho) = sum_rc T_rc Q_r rho Q_c^dag (gate_protocol.GateChannel): the
 entanglement fidelity, the mean output purity over the 36 frame states and
 the trace-preservation defect are each a closed-form contraction of the 4x4
 Gram matrix T with constants of the four branch operators Q_r
-(_branch_figures).  The Choi matrix J = sum_ij |i><j| (x) Lambda(|i><j|)
-and the generic tools on it (QuantumChannel, average_fidelity,
-average_purity) work for any channel; the tests hold the contractions to
-them.
+(_branch_figures).  QuantumChannel and average_fidelity work on the Choi
+matrix J = sum_ij |i><j| (x) Lambda(|i><j|) of any channel; the tests
+hold the contractions to them and to the reference purity and
+trace-preservation defect of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -72,7 +72,17 @@ def separation_numeric(basis: ModeBasis, times):
     """Branch separation from direct Fock-space evolution at basis.dims:
     the -k branch is the parity image of the +k one (the kets of
     ModeBasis.kick_displacements), with exactly opposite <x(t)>, so
-    x1 = x_c + (x_r + x_e)/2 gives d = 2(<x_c> + <x_r>/2) of the +k branch."""
+    x1 = x_c + (x_r + x_e)/2 gives d = 2(<x_c> + <x_r>/2) of the +k branch.
+
+    The two displacements' eigensolves peak near 144 (n_c^2 + n_r^2) bytes
+    (peak RSS grew 130-148 per n_c^2 at dims (400..1200, 2)); above
+    _MAX_EXACT_BYTES of that it raises ConfigError before building either."""
+    n_c, n_r = basis.dims
+    peak = 144 * (n_c**2 + n_r**2)
+    if peak > _MAX_EXACT_BYTES:
+        raise ConfigError(
+            f"the numeric separation at dims ({n_c}, {n_r}) needs about {peak / 1e9:.3g} GB, "
+            f"above the budget of {_MAX_EXACT_BYTES / 1e9:g} GB; lower eta or the dims")
     d_c, d_r = basis.kick_displacements()
     return 2.0 * (_mean_x(d_c, basis.width_c, basis.nu_c, times)
                   + _mean_x(d_r, basis.width_r, basis.nu_r, times) / 2.0)
@@ -122,11 +132,6 @@ class QuantumChannel:
             raise ValueError("choi matrix must be square with square dimension")
         self.dim = d
 
-    def trace_preservation_defect(self) -> float:
-        d = self.dim
-        tr_out = np.einsum("iaja->ij", self.choi.reshape(d, d, d, d))
-        return float(np.abs(tr_out - np.eye(d)).max())
-
 
 def average_fidelity(channel: QuantumChannel, target: np.ndarray) -> float:
     """Average gate fidelity of the channel against a target unitary.
@@ -153,30 +158,11 @@ _QUBIT_FRAME = [
 ]
 
 
-def frame_states():
-    """Product kets over the six single-qubit axis states, 36 in total."""
+def frame_states() -> np.ndarray:
+    """Product kets over the six single-qubit axis states, (36, 4)."""
     q = np.array(_QUBIT_FRAME)
     # ket 6a + b is kron(frame[a], frame[b])
-    return list((q[:, None, :, None] * q[None, :, None, :]).reshape(36, 4))
-
-
-# |s><s| of the 36 frame kets, flattened: row s holds s_i conj(s_j) at 4 i + j
-_FRAME_PROJECTORS = np.array([np.outer(s, s.conj()).reshape(16) for s in frame_states()])
-
-
-def average_purity(channel: QuantumChannel) -> float:
-    """Mean output purity Tr[Lambda(rho)^2] over the 36 axis product states.
-
-    One matmul of the 36 frame projectors |s><s| with the Choi tensor
-    reordered to J[(i, j), (a, b)] gives every output
-    Lambda(|s><s|)[a, b] = sum_ij J[i, a, j, b] s_i conj(s_j) at once.
-    """
-    d = channel.dim
-    if d != 4:
-        raise ValueError("frame states are defined for the two-qubit space")
-    choi = channel.choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    outs = (_FRAME_PROJECTORS @ choi).reshape(-1, d, d)
-    return float(np.einsum("sab,sba->", outs, outs).real / len(outs))
+    return (q[:, None, :, None] * q[None, :, None, :]).reshape(36, 4)
 
 
 @cache
@@ -194,7 +180,7 @@ def _branch_constants() -> np.ndarray:
     """
     ops = np.array([q for _, _, q in gate_protocol._GAUSSIAN_TERMS])
     products = np.einsum("cba,rbd->rcad", ops.conj(), ops)
-    kets = np.array(frame_states())
+    kets = frame_states()
     grams = np.einsum("sa,pcad,sd->scp", kets.conj(), products, kets)
     kernel = np.einsum("scp,sqr->rcpq", grams, grams) / len(kets)
     a = ops.reshape(len(ops), 16) @ gate_protocol.ideal_gate().conj().reshape(16)
@@ -209,9 +195,9 @@ def _branch_figures(gram: np.ndarray) -> tuple[float, float, float]:
 
     * F_ent = sum_rc T_rc A_rc = a T a^dag / 16, then F_avg = (4 F_ent + 1)/5,
       as average_fidelity on the Choi matrix;
-    * purity = sum T_rc T_pq K_rcpq, as average_purity;
+    * purity = sum T_rc T_pq K_rcpq, as tests/oracles.py's average_purity;
     * defect = max |sum_rc T_rc Q_c^dag Q_r - 1|, the channel's trace
-      Lambda^dag(1) against the identity, as trace_preservation_defect.
+      Lambda^dag(1) against the identity, as trace_preservation_defect there.
 
     A, K and the products Q_c^dag Q_r come from _branch_constants, so one
     matmul of the flattened T gives F_ent, the purity's inner sum and
@@ -478,8 +464,9 @@ def exact_anharmonic_fidelity(
 # than with 32 to 256 columns (within 1 ms of whole blocks at (28, 22)).
 _OVERLAP_CHUNK = 64
 
-# Cap on _exact_peak_bytes.  It admits the post_kick default up to n_bar_c 2,
-# dims (185, 97), estimated at 3.3 GB; n_bar_c 3, dims (204, 107), is 4.9 GB.
+# Cap on _exact_peak_bytes and separation_numeric's estimate.  It admits the
+# post_kick default up to n_bar_c 2, dims (185, 97), estimated at 3.3 GB;
+# n_bar_c 3, dims (204, 107), is 4.9 GB.
 _MAX_EXACT_BYTES = 4 * 10**9
 
 

@@ -22,10 +22,6 @@ from .errors import InvalidOperatorError
 TOL_HERM = 1e-9
 TOL_PSD = 1e-8
 
-# Above this dimension, constructors skip the O(d^3) positivity check; call
-# DensityOp.validate_psd() explicitly where it matters.
-PSD_AUTO_DIM = 512
-
 
 def _check_dim(dim: int) -> int:
     if int(dim) != dim or dim < 2:
@@ -112,7 +108,8 @@ def default_fock_dim(n_bar: float, eta_mode: float) -> int:
 
 
 class DensityOp:
-    """Density operator with hermiticity/trace repair and positivity checks."""
+    """Density operator; check=True repairs hermiticity and trace and
+    checks positivity, at every dimension."""
 
     def __init__(self, matrix, check: bool = True):
         m = np.asarray(matrix, dtype=complex)
@@ -128,25 +125,14 @@ class DensityOp:
                 raise InvalidOperatorError(f"trace {tr:.12f} too far from 1")
             if tr != 1.0:
                 m = m / tr
-            if m.shape[0] <= PSD_AUTO_DIM:
-                self._check_psd(m)
+            lo = float(np.linalg.eigvalsh(m).min())
+            if lo < -TOL_PSD:
+                raise InvalidOperatorError(f"density operator not positive (min eig {lo:.3e})")
         self.matrix = m
-
-    @staticmethod
-    def _check_psd(m: np.ndarray) -> None:
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -TOL_PSD:
-            raise InvalidOperatorError(f"density operator not positive (min eig {lo:.3e})")
-
-    def validate_psd(self) -> None:
-        self._check_psd(self.matrix)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 def thermal_state(n_bar: float, dim: int) -> DensityOp:

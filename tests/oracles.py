@@ -17,6 +17,10 @@ Fock space at basis.dims, where the package's own routes do not:
   depolarizing channels as QuantumChannel, the channel applied to a state,
   its complete positivity, the momentum operator and coherent kets, and the
   full two-ion potential that the Taylor coefficients are differenced from;
+* the Choi-matrix route of gate_report's purity and trace-preservation
+  defect (average_purity, trace_preservation_defect), which
+  analysis._branch_figures contracts from the Gram matrix instead, and the
+  purity of a DensityOp;
 * the same trap in other units (rescaled_trap), by dimensional analysis
   alone, for the unit-invariance tests.
 """
@@ -27,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from hotgate import fock_core
-from hotgate.analysis import QuantumChannel, _col_vec, _phase_integral
+from hotgate.analysis import QuantumChannel, _col_vec, _phase_integral, frame_states
 from hotgate.gate_protocol import (
     ID2,
     PROJ_0,
@@ -473,6 +477,36 @@ def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
 def is_completely_positive(channel: QuantumChannel, tol: float = 1e-9) -> bool:
     evals = np.linalg.eigvalsh((channel.choi + channel.choi.conj().T) / 2.0)
     return bool(evals.min() >= -tol)
+
+
+def trace_preservation_defect(channel: QuantumChannel) -> float:
+    """max |Tr_out J - 1|: how far the channel is from preserving the trace."""
+    d = channel.dim
+    tr_out = np.einsum("iaja->ij", channel.choi.reshape(d, d, d, d))
+    return float(np.abs(tr_out - np.eye(d)).max())
+
+
+def average_purity(channel: QuantumChannel) -> float:
+    """Mean output purity Tr[Lambda(rho)^2] over the 36 axis product states.
+
+    One matmul of the 36 frame projectors |s><s|, flattened so that row s
+    holds s_i conj(s_j) at 4 i + j, with the Choi tensor reordered to
+    J[(i, j), (a, b)] gives every output
+    Lambda(|s><s|)[a, b] = sum_ij J[i, a, j, b] s_i conj(s_j) at once.
+    """
+    d = channel.dim
+    if d != 4:
+        raise ValueError("frame states are defined for the two-qubit space")
+    kets = frame_states()
+    projectors = (kets[:, :, None] * kets[:, None, :].conj()).reshape(len(kets), d * d)
+    choi = channel.choi.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    outs = (projectors @ choi).reshape(-1, d, d)
+    return float(np.einsum("sab,sba->", outs, outs).real / len(outs))
+
+
+def purity(state: fock_core.DensityOp) -> float:
+    """Tr[rho^2] of a density operator."""
+    return float(np.vdot(state.matrix, state.matrix).real)
 
 
 def momentum_operator(dim: int, ground_width: float) -> np.ndarray:

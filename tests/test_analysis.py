@@ -44,7 +44,7 @@ def test_average_fidelity_orthogonal_error():
 def test_fully_depolarizing_figures():
     ch = oracles.depolarizing_channel(1.0)
     assert an.average_fidelity(ch, gp.ideal_gate()) == pytest.approx(0.25, abs=1e-12)
-    assert an.average_purity(ch) == pytest.approx(0.25, abs=1e-12)
+    assert oracles.average_purity(ch) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_unitary_channel_purity_is_one():
@@ -52,7 +52,7 @@ def test_unitary_channel_purity_is_one():
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     u = scipy.linalg.expm(-1j * (h + h.conj().T))
     ch = oracles.unitary_channel(u)
-    assert an.average_purity(ch) == pytest.approx(1.0, abs=1e-12)
+    assert oracles.average_purity(ch) == pytest.approx(1.0, abs=1e-12)
 
 
 def _purity_by_frame_loop(channel):
@@ -73,16 +73,16 @@ def test_average_purity_matches_frame_state_loop(spec):
     # Kraus operators K_j = M_j S^{-1/2} with S = sum_j M_j^dag M_j
     w, v = np.linalg.eigh(np.einsum("jba,jbc->ac", mats.conj(), mats))
     kraus = oracles.kraus_channel(mats @ (v / np.sqrt(w)) @ v.conj().T)
-    assert kraus.trace_preservation_defect() < 1e-12
+    assert oracles.trace_preservation_defect(kraus) < 1e-12
     for channel in (gate, kraus):
-        purity = an.average_purity(channel)
+        purity = oracles.average_purity(channel)
         assert purity < 1.0 - 1e-3
         assert abs(purity - _purity_by_frame_loop(channel)) <= 1e-14
 
 
 def test_average_purity_rejects_other_dimensions():
     with pytest.raises(ValueError):
-        an.average_purity(oracles.depolarizing_channel(0.5, dim=3))
+        oracles.average_purity(oracles.depolarizing_channel(0.5, dim=3))
 
 
 def _choi_route(spec, eta, n_bar_c):
@@ -95,7 +95,7 @@ def _choi_route(spec, eta, n_bar_c):
 @pytest.mark.parametrize("exponent", [5.0 / 3.0, 2.0])
 def test_gate_report_figures_match_the_choi_route(exponent):
     """gate_report's fidelity, purity and TP defect, contracted from the
-    Gram matrix, equal average_fidelity, average_purity and
+    Gram matrix, equal average_fidelity and the oracles' average_purity and
     trace_preservation_defect on the Choi matrix to 1e-14."""
     spec = tm.TrapSpec.normalized(exponent=exponent, lamb_dicke=0.45)
     for eta in (0.5, 2.0, 7.0):
@@ -103,8 +103,8 @@ def test_gate_report_figures_match_the_choi_route(exponent):
             rep = an.gate_report(spec, eta, n_bar_c, anharmonic_order=None)
             channel = _choi_route(spec, eta, n_bar_c)
             assert abs(rep.fidelity - an.average_fidelity(channel, gp.ideal_gate())) <= 1e-14
-            assert abs(rep.purity - an.average_purity(channel)) <= 1e-14
-            assert abs(rep.tp_defect - channel.trace_preservation_defect()) <= 1e-14
+            assert abs(rep.purity - oracles.average_purity(channel)) <= 1e-14
+            assert abs(rep.tp_defect - oracles.trace_preservation_defect(channel)) <= 1e-14
 
 
 def test_gate_report_and_scan_build_no_choi_matrix(spec, monkeypatch):
@@ -120,7 +120,7 @@ def test_gate_report_and_scan_build_no_choi_matrix(spec, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Choi route or a Fock constructor ran")
 
-    for name in ("QuantumChannel", "average_fidelity", "average_purity"):
+    for name in ("QuantumChannel", "average_fidelity"):
         monkeypatch.setattr(an, name, refuse)
     monkeypatch.setattr(gp, "_choi", refuse)
     for name in ("displacement", "position_operator", "annihilation", "thermal_probabilities",
@@ -152,7 +152,7 @@ def test_from_kraus_phase_damping():
     kraus = [math.sqrt(1 - p) * np.eye(4),
              math.sqrt(p) * np.kron(np.diag([1.0, -1.0]), np.eye(2))]
     ch = oracles.kraus_channel(kraus)
-    assert ch.trace_preservation_defect() < 1e-12
+    assert oracles.trace_preservation_defect(ch) < 1e-12
     assert oracles.is_completely_positive(ch, 1e-12)
     rho = np.full((4, 4), 0.25, dtype=complex)
     direct = sum(k @ rho @ k.conj().T for k in kraus)
@@ -161,12 +161,12 @@ def test_from_kraus_phase_damping():
 
 def test_lossy_kraus_has_tp_defect():
     ch = oracles.kraus_channel([0.5 * np.eye(4)])
-    assert ch.trace_preservation_defect() == pytest.approx(0.75, abs=1e-12)
+    assert oracles.trace_preservation_defect(ch) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_frame_states_are_36_unit_kets():
     states = an.frame_states()
-    assert len(states) == 36
+    assert states.shape == (36, 4)
     for ket in states:
         assert np.linalg.norm(ket) == pytest.approx(1.0, abs=1e-14)
 
@@ -385,6 +385,32 @@ def test_hot_dims_refuse_or_skip_without_allocating(spec):
     assert peak < 1e6
 
 
+def test_separation_numeric_refuses_past_the_memory_budget(spec, monkeypatch):
+    """The estimate is 144 (n_c^2 + n_r^2) bytes: a budget equal to it
+    passes, and one less raises with the dims and the GB named."""
+    basis = tm.build_mode_basis(spec, eta=1.0, dims=(30, 20))
+    peak = 144 * (30**2 + 20**2)
+    monkeypatch.setattr(an, "_MAX_EXACT_BYTES", peak)
+    assert an.separation_numeric(basis, [0.0])[0] == pytest.approx(0.0, abs=1e-12)
+    monkeypatch.setattr(an, "_MAX_EXACT_BYTES", peak - 1)
+    fresh = basis.with_dims((30, 20))
+    with pytest.raises(ConfigError, match=r"dims \(30, 20\) needs about 0.000187 GB"):
+        an.separation_numeric(fresh, [0.0])
+    assert "_kick_displacements" not in vars(fresh)
+
+
+def test_dephasing_and_scan_defaults(spec):
+    """Both dephasing routes default to n_bar_c 0 and scan_rows to order 3."""
+    basis = tm.build_mode_basis(spec, eta=2.0, dims=(8, 6))
+    expansion = tm.anharmonic_expansion(spec, order=3)
+    for route in (an.anharmonic_fidelity, an.exact_anharmonic_fidelity):
+        assert route(basis, expansion) == route(basis, expansion, 0.0)
+        assert route(basis, expansion) != route(basis, expansion, 1.0)
+    rows = [list(an.scan_rows(spec, [(2.0, 0.5)], **kw))
+            for kw in ({}, {"anharmonic_order": 3}, {"anharmonic_order": None})]
+    assert rows[0] == rows[1] != rows[2]
+
+
 def _refuse_blocks(*args, **kwargs):
     raise AssertionError("called where the exact check must have refused")
 
@@ -418,7 +444,7 @@ def test_exact_memory_budget_admits_the_post_kick_default(spec, kicked_basis, mo
     """Estimated here, never run: the n_bar_c 1 post_kick default (1.9 GB
     measured) and n_bar_c 2 are under the budget, n_bar_c 3 post_kick is
     above it; the check at dims (907, 474), 1.9 TB, raises with nothing
-    allocated."""
+    allocated and names its estimate in GB."""
     import tracemalloc
 
     assert an._exact_peak_bytes(kicked_basis, "post_kick") <= an._MAX_EXACT_BYTES
@@ -430,7 +456,7 @@ def test_exact_memory_budget_admits_the_post_kick_default(spec, kicked_basis, mo
     monkeypatch.setattr(an, "_hamiltonian_blocks", _refuse_blocks)
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=r"dims \(907, 474\).*budget"):
+        with pytest.raises(ConfigError, match=r"dims \(907, 474\).*about 1.85e\+03 GB.*budget"):
             an.exact_anharmonic_fidelity(huge, tm.anharmonic_expansion(spec, order=3), 164.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -1022,7 +1048,7 @@ def test_gate_report_disabled_pulse_identity_target(spec):
         dark = replace(pulse, theta0=0.0)
         channel = an.QuantumChannel(gp.gate_channel(basis, dark, n_bar_c=n_bar_c).choi)
         assert an.average_fidelity(channel, frame) == pytest.approx(1.0, abs=1e-9)
-        assert an.average_purity(channel) == pytest.approx(1.0, abs=1e-9)
+        assert oracles.average_purity(channel) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("ratio", [3.0, 21.0])

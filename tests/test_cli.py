@@ -325,6 +325,29 @@ def test_separation_tiny_truncation_exits_3(capsys):
     assert out.startswith("# hotgate separation\n")  # the partial result is still emitted
 
 
+def test_separation_past_the_memory_budget_exits_1_at_once(capsys):
+    """The numeric column needs about 144 (n_c^2 + n_r^2) bytes: 72 GB at
+    eta 100's default dims and 130 GB at --dims 30000,2.  Each run refuses
+    with one line naming the dims and the GB, with nothing sized by the
+    dims allocated."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        runs = [(run(capsys, "separation", *argv), dims, gb)
+                for argv, dims, gb in ((("--eta", "100"), "(20016, 10016)", "72.1"),
+                                       (("--dims", "30000,2"), "(30000, 2)", "130"))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for (rc, out, err), dims, gb in runs:
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"hotgate: config error: the numeric separation at dims {dims} "
+                              f"needs about {gb} GB, above the budget of 4 GB")
+        assert err.count("\n") == 1
+    assert peak < 1e6
+
+
 _X0 = 1.0 / math.sqrt(2.0)  # x0 of the normalized trap, in hbar = m = nu_c = 1 units
 
 

@@ -124,7 +124,7 @@ def test_thermal_state_purity():
     # Tr[rho^2] = 1/(2 n_bar + 1) for the untruncated state
     n_bar = 0.5
     rho = fc.thermal_state(n_bar, 80)
-    assert rho.purity() == pytest.approx(1.0 / (2 * n_bar + 1), abs=1e-12)
+    assert oracles.purity(rho) == pytest.approx(1.0 / (2 * n_bar + 1), abs=1e-12)
 
 
 def test_thermal_state_mean_occupation():
@@ -141,20 +141,33 @@ def test_coherent_state_poisson_mean():
 
 
 def test_density_validation():
+    """Hermiticity defects up to 10 TOL_HERM and trace drifts up to 1e-6 are
+    repaired, larger ones and negative eigenvalues refused."""
     ok = fc.DensityOp(np.diag([0.5, 0.5]).astype(complex))
-    assert ok.purity() == pytest.approx(0.5)
+    assert oracles.purity(ok) == pytest.approx(0.5)
     with pytest.raises(InvalidOperatorError):
         fc.DensityOp(np.diag([1.5, -0.5]).astype(complex))
+    skew = np.diag([0.5, 0.5]).astype(complex)
+    skew[0, 1] = 0.95e-8
+    assert fc.DensityOp(skew).matrix[1, 0] == 0.475e-8
+    skew[0, 1] = 1.05e-8
+    with pytest.raises(InvalidOperatorError, match="not hermitian"):
+        fc.DensityOp(skew)
+    drift = fc.DensityOp(np.diag([0.5, 0.5 + 1e-7]))
+    assert drift.matrix.trace().real == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(InvalidOperatorError, match="too far from 1"):
+        fc.DensityOp(np.diag([0.5, 0.5 + 2e-6]))
 
 
-def test_validate_psd_checks_what_the_constructor_skips():
-    # above PSD_AUTO_DIM levels the constructor leaves positivity unchecked
-    dim = fc.PSD_AUTO_DIM + 1
+def test_constructor_checks_positivity_at_every_dimension():
+    """A unit-trace hermitian matrix of 513 levels with one eigenvalue -1e-6
+    is refused, as at 2 levels; check=False takes it as it is."""
+    dim = 513
     probs = np.full(dim, (1.0 + 1e-6) / (dim - 1))
     probs[-1] = -1e-6
-    rho = fc.DensityOp(np.diag(probs))
     with pytest.raises(InvalidOperatorError, match="not positive"):
-        rho.validate_psd()
+        fc.DensityOp(np.diag(probs))
+    assert fc.DensityOp(np.diag(probs), check=False).matrix[-1, -1] == -1e-6
 
 
 # ---------------------------------------------------------------------------

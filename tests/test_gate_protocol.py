@@ -93,6 +93,22 @@ def test_condition_solver_rejects_bad_inputs(spec):
         gp.condition_solver(basis, n_bar_c=-0.1)
 
 
+def test_condition_solver_accepts_one_rabi_cycle(spec):
+    """N = 1, the fewest cycles, is solved: W/D = 4N + 1/2 = 4.5, with the
+    rabi_cycles_large flag (N >= 3) off."""
+    _, rep = gp.condition_solver(make_basis(spec, eta=7.0, dims=(8, 8)), rabi_cycles=1)
+    assert rep.rabi_cycles == 1
+    assert rep.w_over_d == pytest.approx(4.5, rel=1e-15)
+    assert rep.satisfied["rabi_cycles_large"] is False
+
+
+def test_condition_solver_defaults_to_the_cold_occupation(spec):
+    basis = make_basis(spec, eta=7.0, dims=(8, 8))
+    solved = gp.condition_solver(basis)
+    assert solved == gp.condition_solver(basis, 0.0)
+    assert solved != gp.condition_solver(basis, 1.0)
+
+
 def test_condition_solver_refuses_rabi_cycles_from_2_to_the_50(spec):
     """2N + 1/4 is exact below N = 2**50 and rounds to 2N from there."""
     basis = make_basis(spec, eta=7.0, dims=(8, 8))

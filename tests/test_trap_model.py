@@ -237,6 +237,7 @@ def test_mode_basis_noncommensurate_not_snapped():
 def test_mode_basis_default_dims_track_occupation(spec):
     cold = tm.build_mode_basis(spec, eta=2.0, n_bar_c=0.0)
     hot = tm.build_mode_basis(spec, eta=2.0, n_bar_c=3.0)
+    assert tm.build_mode_basis(spec, eta=2.0).dims == cold.dims  # n_bar_c defaults to 0
     assert hot.dims[0] > cold.dims[0]
     assert hot.dims[1] > cold.dims[1]
     resized = cold.with_dims((12, 7))
@@ -308,6 +309,27 @@ def test_normalized_refuses_a_separation_past_double_range():
         assert basis.commensurate and math.isfinite(basis.x_e)
         assert tm.equilibrium_separation(trap) * math.sqrt(2.0) == pytest.approx(
             separation, rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"separation_in_x0": 0.0}, "separation_in_x0 must be positive"),
+    ({"separation_in_x0": -1.0}, "separation_in_x0 must be positive"),
+    ({"exponent": 1.0}, "exponent must exceed 1"),
+])
+def test_normalized_refuses_outside_its_domain(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tm.TrapSpec.normalized(**kwargs)
+
+
+@pytest.mark.parametrize("exponent, edge", [(2.0, 6.334954781276947e+102),
+                                            (5.0 / 3.0, 5.534092741911354e+102)])
+def test_normalized_separation_edge_is_one_double_wide(exponent, edge):
+    """The largest separation that fits and the smallest refused are adjacent
+    doubles.  At exponent 2 the half separation u of the edge equals the
+    bound itself, so the bound is inclusive there."""
+    tm.TrapSpec.normalized(exponent=exponent, separation_in_x0=edge)
+    with pytest.raises(ValueError, match="out of double range"):
+        tm.TrapSpec.normalized(exponent=exponent, separation_in_x0=np.nextafter(edge, np.inf))
 
 
 @pytest.mark.parametrize("separation, largest", [(820.0, "123.947"), (20.0, "358.152")])
