@@ -14,6 +14,7 @@ trace-preservation defect of tests/oracles.py.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from functools import cache
@@ -591,6 +592,37 @@ def _anharmonic_point(spec, n_bar_c, order, dims_factor=1):
     return anharmonic_fidelity(basis, expansion, n_bar_c=n_bar_c)
 
 
+_SCAN_CHUNK = 64  # points per batched Gram quadrature: about 1 MB of first-level factors
+
+
+def _channel_figures(spec: TrapSpec, points, rabi_cycles: int = 3,
+                     dims: tuple[int, int] | None = None) -> list:
+    """(condition, fidelity, purity, tp_defect) of the Gaussian flip's
+    channel at each (eta, n_bar_c) of points on the trap spec, in input
+    order, or the exception that point raised.
+
+    Each point's basis and schedule are solved alone, so a refused point
+    fails only its own entry; the Gram matrices of the rest come from one
+    batched quadrature (gate_protocol._phase_space_grams), and the figures
+    are contractions of each (_branch_figures).
+    """
+    out, batch = [], []
+    for eta, n_bar_c in points:
+        try:
+            basis = build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c, dims=dims)
+            pulse, condition = gate_protocol.build_schedule(
+                basis, n_bar_c=n_bar_c, rabi_cycles=rabi_cycles)
+        except Exception as exc:  # the caller raises or records it
+            out.append(exc)
+            continue
+        batch.append((len(out), (basis, pulse, n_bar_c)))
+        out.append(condition)
+    grams = gate_protocol._phase_space_grams([point for _, point in batch]) if batch else []
+    for (i, _), gram in zip(batch, grams):
+        out[i] = gram if isinstance(gram, Exception) else (out[i], *_branch_figures(gram))
+    return out
+
+
 def gate_report(
     spec: TrapSpec,
     eta: float,
@@ -604,17 +636,17 @@ def gate_report(
     The flip is the solved addressed Gaussian pulse, and fidelity is taken
     against the conditional flip, gate_protocol.ideal_gate.
     Fidelity, purity and tp_defect are contractions of the channel's 4x4
-    Gram matrix (_branch_figures); no Choi matrix is built.
+    Gram matrix (_branch_figures), from _channel_figures on a batch of one
+    point, the route of every scan row; no Choi matrix is built.
     anharmonic_order None skips the dephasing estimate; at order 0, the
     empty expansion, F_cor is 1.
     dims sets the truncation of the gate's mode basis, which no figure
     reads: the channel is truncation-free and F_cor sizes its own basis.
     """
-    basis = build_mode_basis(spec, eta=eta, n_bar_c=n_bar_c, dims=dims)
-    pulse, condition = gate_protocol.build_schedule(
-        basis, n_bar_c=n_bar_c, rabi_cycles=rabi_cycles)
-    gram = gate_protocol.gate_channel(basis, pulse, n_bar_c=n_bar_c).gram
-    fidelity, purity, tp_defect = _branch_figures(gram)
+    (figures,) = _channel_figures(spec, [(eta, n_bar_c)], rabi_cycles, dims)
+    if isinstance(figures, Exception):
+        raise figures
+    condition, fidelity, purity, tp_defect = figures
     f_cor = (None if anharmonic_order is None
              else _anharmonic_point(spec, n_bar_c, anharmonic_order).f_cor)
     return GateReport(
@@ -628,29 +660,35 @@ def gate_report(
 def scan_rows(spec: TrapSpec, points, anharmonic_order: int | None = 3, **report_kw):
     """Yield the rows of scan one at a time, in input order.
 
-    F_cor reads n_bar_c but not eta (_anharmonic_point), so each distinct
-    n_bar_c computes it once per call: f_cors lives only as long as this
-    generator.  A failing F_cor is not stored, so every row it fails
-    raises, and records, its own error; such a row keeps the channel's
-    fidelity and purity, with F_cor nan.
+    The channel figures of each _SCAN_CHUNK points come from one
+    _channel_figures call, bit for bit gate_report's, so an interrupt loses
+    at most one chunk of rows.  F_cor reads n_bar_c but not eta
+    (_anharmonic_point), so each distinct n_bar_c computes it once per
+    call: f_cors lives only as long as this generator.  A failing F_cor is
+    not stored, so every row it fails raises, and records, its own error;
+    such a row keeps the channel's fidelity and purity, with F_cor nan.
     """
     f_cors = {}
-    for eta, n_bar_c in points:
-        eta, n_bar_c = float(eta), float(n_bar_c)
-        row = {"eta": eta, "n_bar_c": n_bar_c, "fidelity": math.nan,
-               "purity": math.nan, "f_cor": math.nan, "error": None}
-        try:
-            rep = gate_report(spec, eta, n_bar_c, anharmonic_order=None, **report_kw)
-            row.update(fidelity=rep.fidelity, purity=rep.purity)  # kept if F_cor fails
-            if n_bar_c not in f_cors:
-                f_cors[n_bar_c] = (math.nan if anharmonic_order is None
-                                   else _anharmonic_point(spec, n_bar_c, anharmonic_order).f_cor)
-            row["f_cor"] = f_cors[n_bar_c]
-        except OverflowError as exc:  # a point beyond double range is a bad grid, not a row
-            raise OverflowError(f"scan point eta={eta:g}, n_bar_c={n_bar_c:g}: {exc}") from exc
-        except Exception as exc:  # scans keep going; the row records the failure
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        yield row
+    points = iter(points)
+    while chunk := [(float(eta), float(n_bar_c))
+                    for eta, n_bar_c in itertools.islice(points, _SCAN_CHUNK)]:
+        for (eta, n_bar_c), figures in zip(chunk, _channel_figures(spec, chunk, **report_kw)):
+            row = {"eta": eta, "n_bar_c": n_bar_c, "fidelity": math.nan,
+                   "purity": math.nan, "f_cor": math.nan, "error": None}
+            try:
+                if isinstance(figures, Exception):
+                    raise figures
+                _, row["fidelity"], row["purity"], _ = figures  # kept if F_cor fails
+                if n_bar_c not in f_cors:
+                    f_cors[n_bar_c] = (math.nan if anharmonic_order is None
+                                       else _anharmonic_point(spec, n_bar_c,
+                                                              anharmonic_order).f_cor)
+                row["f_cor"] = f_cors[n_bar_c]
+            except OverflowError as exc:  # a point beyond double range is a bad grid, not a row
+                raise OverflowError(f"scan point eta={eta:g}, n_bar_c={n_bar_c:g}: {exc}") from exc
+            except Exception as exc:  # scans keep going; the row records the failure
+                row["error"] = f"{type(exc).__name__}: {exc}"
+            yield row
 
 
 def scan(spec: TrapSpec, points, **report_kw) -> list[dict]:

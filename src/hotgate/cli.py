@@ -23,6 +23,7 @@ import argparse
 import configparser
 import contextlib
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -531,9 +532,12 @@ def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 
 
+@functools.cache
 def _command_parser(command: str) -> _Parser:
     """The parser of one subcommand: --config, --stamp, the flag of every
-    setting the subcommand reads, grouped by INI section, and its extra flag."""
+    setting the subcommand reads, grouped by INI section, and its extra flag.
+    Built on first use and kept, so a process that calls main repeatedly
+    builds each subcommand's parser once."""
     # no abbreviations: a flag this subcommand lacks must not be read as
     # the prefix of one it has (scan --eta as --etas)
     _, summary, extra = _COMMANDS[command]

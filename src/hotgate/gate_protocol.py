@@ -39,7 +39,8 @@ over X (the cross-branch ones against a complex Gaussian weight, by the
 characteristic function of the Weyl operator G_1^dag G_0), free of any Fock
 truncation.
 In the commensurate trap G_b = 1 and the integral is the plain average
-over X.
+over X.  The quadrature takes many operating points of one trap at once
+(_phase_space_grams), which analysis uses for the rows of a scan.
 
 motional_output gives the reduced motional state where it has a closed
 form: the idealized flip on the commensurate trap leaves the thermal
@@ -52,6 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from math import exp, pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -329,12 +331,14 @@ def _trapezoid_nodes(intervals: int):
     weights below e^-49, so the rule is a plain sum.  Above _FIRST_LEVEL
     only the nodes that the level adds, its odd ones, are returned.  Every
     node is dyadic, so each level's nodes are exactly those of the grids
-    below it.  Built once per interval count, read-only."""
+    below it.  w is stored complex, so its products with the complex
+    factors need no cast (the same numbers).  Built once per interval
+    count, read-only."""
     t = np.linspace(-_SPAN, _SPAN, intervals + 1)
     if intervals > _FIRST_LEVEL:
         t = t[1::2].copy()
     step = 2.0 * _SPAN / intervals / sqrt(2.0 * pi)
-    w = np.exp(-0.5 * t * t) * step
+    w = (np.exp(-0.5 * t * t) * step).astype(complex)
     t.flags.writeable = w.flags.writeable = False
     return t, w, step
 
@@ -360,8 +364,74 @@ def _residual_displacement(basis: ModeBasis, n_bar_c: float):
     return -0.5 * kappa**2 * s_yy, kappa * (1j * s_xy - 0.5 * c_xy), kappa * c_xy
 
 
-def _phase_space_gram(basis: ModeBasis, pulse: AddressedPulse, n_bar_c: float) -> np.ndarray:
-    """Gram matrix of _GAUSSIAN_TERMS as 1-D Gaussian integrals over X.
+class _Profiles(NamedTuple):
+    """theta0, offset and width of several pulses as (points, 1, 1) arrays,
+    which flip_angle reads as it reads one AddressedPulse."""
+
+    theta0: np.ndarray
+    offset: np.ndarray
+    width: np.ndarray
+
+
+def _gram_integrals(points):
+    """(integrand, gram_of) of _phase_space_grams for points on one trap,
+    every array with a leading points axis.
+
+    integrand(t, w, step) gives the weights [w] and factors [f] in
+    _GAUSSIAN_TERMS order (and the cross-block weight and the branch-0
+    f_r(X + a) off the commensurate trap) at the nodes t; gram_of sums them
+    into (points, 4, 4) Gram matrices, or (sets, points, 4, 4) where w and
+    step carry a leading axis of weight sets (_first_level).  Each point's
+    scalars are formed as for that point alone, so no entry depends on the
+    other points.
+    """
+    commensurate = points[0][0].commensurate
+    scalars, cross = [], []
+    for basis, pulse, n_bar_c in points:
+        delta = basis.thermal_spread(n_bar_c)
+        half_d = basis.wavenumber * basis.flip_half_separation_per_k
+        # the profile is read at s = +1 on branch 0 and branch 1 at X and, for
+        # the cross block, on branch 0 at X + a; f_{b,-1} is its conjugate
+        scalars.append((delta, pulse.theta0, pulse.offset, pulse.width, half_d, -half_d, half_d))
+        if not commensurate:
+            log_damp, z, a = _residual_displacement(basis, n_bar_c)
+            cross.append((log_damp, z / delta, a))
+    scalars = np.array(scalars)
+    delta = scalars[:, :1]
+    shifts = scalars[:, 4:(6 if commensurate else 7), None]
+    profiles = _Profiles(scalars[:, 1, None, None], scalars[:, 2, None, None],
+                         scalars[:, 3, None, None])
+    if not commensurate:
+        log_damp, centre, a = np.array(cross).T[:, :, None]  # complex, as centre is
+        log_damp, a = log_damp.real, a.real
+
+    def integrand(t, w, step):
+        u = delta * t
+        x = shifts + (u[:, None] if commensurate else np.stack([u, u, u + a], axis=1))
+        p = np.exp(-1j * flip_angle(profiles, x))
+        f = np.empty((len(points), 2 * p.shape[1], t.size), dtype=complex)
+        f[:, 0::2], f[:, 1::2] = p, p.conj()  # each row, then its conjugate
+        if commensurate:
+            return [w], [f]
+        w_cross = np.exp(log_damp - 0.5 * (t - centre) ** 2)[:, None] * step
+        return [w, w_cross], [f[:, :4], f[:, 4:]]
+
+    def gram_of(weights, factors):
+        f = factors[0]
+        right = f.conj().transpose(0, 2, 1)
+        gram = (f * weights[0]) @ right
+        if not commensurate:
+            block = (factors[1] * weights[1]) @ right[..., 2:]
+            gram[..., :2, 2:] = block
+            gram[..., 2:, :2] = block.conj().swapaxes(-1, -2)
+        return gram
+
+    return integrand, gram_of
+
+
+def _phase_space_grams(points) -> list:
+    """Gram matrices of _GAUSSIAN_TERMS as 1-D Gaussian integrals over X, at
+    each (basis, pulse, n_bar_c) of points, all on one trap.
 
     Each branch operator is M_{b,s} = U(t_g) G_b f_{b,s}(X): X is ion 1's
     Heisenberg offset xi from equilibrium at the flip, t0 =
@@ -386,62 +456,83 @@ def _phase_space_gram(basis: ModeBasis, pulse: AddressedPulse, n_bar_c: float) -
     On the commensurate trap G_b = 1 (free flight over t_g is a global
     phase) and the same-branch product already gives the cross blocks, so
     they are not evaluated apart.  The profile is read for s = +1 only:
-    f_{b,-1} is the conjugate of f_{b,+1}, bit for bit.  The integrals are a trapezoid rule over +-_SPAN widths
-    (_trapezoid_nodes) whose interval count doubles from 64 until two
-    successive Gram matrices agree to _GRAM_TOL.  The first evaluation is
-    on _FIRST_LEVEL intervals, whose even nodes at twice the weight give the
-    64-interval sum; each later level evaluates only its new nodes and adds
-    their sum to half the previous Gram matrix.  The nodes are offsets
-    sigma_b D/2 + Delta t (+ a in f_r): no absolute coordinate enters.
+    f_{b,-1} is the conjugate of f_{b,+1}, bit for bit.  The integrals are
+    a trapezoid rule over +-_SPAN widths (_trapezoid_nodes) whose interval
+    count doubles from 64 until two successive Gram matrices agree to
+    _GRAM_TOL.  The first evaluation is on _FIRST_LEVEL intervals, whose
+    even nodes at twice the weight give the 64-interval sum; their
+    difference is one sum with signed weights (_first_level).  Each later
+    level evaluates only its new nodes and adds their sum to half the
+    previous Gram matrix.  The nodes are offsets sigma_b D/2 + Delta t
+    (+ a in f_r): no absolute coordinate enters.
+
+    The first level of every point is one set of array operations with a
+    leading points axis (_gram_integrals), per point the same arithmetic
+    as alone, so a point's Gram matrix does not depend on the batch.  A
+    point that has not settled there continues alone (_doubled), so its
+    deeper levels hold one point's nodes.  The result is a list in input
+    order of each point's (4, 4) Gram matrix, or the exception of a point
+    that failed: the NonConvergenceError of one that did not settle, or the
+    floating-point error (np.seterr) or warning (as an error) its first
+    level raised, found by evaluating the batch point by point.  So one
+    such point fails alone.
 
     No node needs a guard: flip_angle reads it in profile widths, and one
     many widths out has a flip angle of exactly 0.  Where W << Delta, a
     weak kick or a hot point, the rule samples the profile too coarsely to
-    settle and raises NonConvergenceError at its cap.
+    settle and gives NonConvergenceError at its cap.
     """
-    delta = basis.thermal_spread(n_bar_c)
-    half_d = basis.wavenumber * basis.flip_half_separation_per_k
-    cross = None if basis.commensurate else _residual_displacement(basis, n_bar_c)
-    # the profile is read at s = +1 on branch 0 and branch 1 at X and, for
-    # the cross block, on branch 0 at X + a; f_{b,-1} is its conjugate
-    shifts = np.array([half_d, -half_d] + ([] if cross is None else [half_d]))
+    try:
+        integrand, gram_of = _gram_integrals(points)
+        gram, change = gram_of(*integrand(*_first_level()))
+    except (ArithmeticError, Warning) as exc:  # a point's arithmetic, under np.seterr or -W error
+        if len(points) == 1:
+            return [exc]
+        return [gram for point in points for gram in _phase_space_grams([point])]
+    unsettled = np.abs(change).max(axis=(1, 2)) > _GRAM_TOL
+    out = []
+    for i, point in enumerate(points):
+        try:
+            out.append(_doubled(point, gram[i]) if unsettled[i] else gram[i])
+        except NonConvergenceError as exc:
+            out.append(exc)
+    return out
 
-    def integrand(t, w, step):
-        """Weights [w] and factors [f] in _GAUSSIAN_TERMS order (and the
-        cross-block weight and the branch-0 f_r(X + a) off the commensurate
-        trap) at the nodes t."""
-        u = delta * t
-        x = shifts[:, None] + (u if cross is None else np.stack([u, u, u + cross[2]]))
-        p = np.exp(-1j * flip_angle(pulse, x))
-        f = np.empty((2 * len(p), t.size), dtype=complex)  # each row, then its conjugate
-        f[0::2], f[1::2] = p, p.conj()
-        if cross is None:
-            return [w], [f]
-        log_damp, shift, _ = cross
-        w_cross = np.exp(log_damp - 0.5 * (t - shift / delta) ** 2) * step
-        return [w, w_cross], [f[:4], f[4:]]
 
-    def gram_of(weights, factors):
-        f = factors[0]
-        gram = (f * weights[0]) @ f.conj().T
-        if cross is not None:
-            block = (factors[1] * weights[1]) @ f[2:].conj().T
-            gram[:2, 2:] = block
-            gram[2:, :2] = block.conj().T
-        return gram
+@cache
+def _first_level():
+    """(t, w, step) of the first level, _trapezoid_nodes(_FIRST_LEVEL), with
+    w and step stacked over two sets of weights, each of shape (1, 1, nodes):
+    the trapezoid rule's, and the same times -1 at the even nodes and +1 at
+    the odd.  Summed with the second set the integrand gives the
+    _FIRST_LEVEL-interval rule less the one on half as many intervals,
+    whose nodes are the even ones at twice the weight: the change that
+    decides whether a point has settled.  Read-only."""
+    t, w, step = _trapezoid_nodes(_FIRST_LEVEL)
+    signs = np.ones(t.size)
+    signs[::2] = -1.0
+    w = np.stack([w, w * signs])[:, None, None]
+    step = np.stack([np.full(t.size, step), step * signs])[:, None, None]
+    w.flags.writeable = step.flags.writeable = False
+    return t, w, step
 
+
+def _doubled(point, gram: np.ndarray) -> np.ndarray:
+    """The Gram matrix of one point whose first level has not settled: the
+    interval count doubles, on its new nodes only, until two successive
+    levels agree to _GRAM_TOL, or raises NonConvergenceError past
+    _MAX_INTERVALS."""
+    integrand, gram_of = _gram_integrals([point])
     intervals = _FIRST_LEVEL
-    weights, factors = integrand(*_trapezoid_nodes(intervals))
-    gram = gram_of(weights, factors)
-    previous = gram_of([2.0 * w[::2] for w in weights], [f[:, ::2] for f in factors])
-    while np.max(np.abs(gram - previous)) > _GRAM_TOL:
+    while True:
         intervals *= 2
         if intervals > _MAX_INTERVALS:
             raise NonConvergenceError(
                 f"phase-space Gram matrix did not settle to {_GRAM_TOL:g} "
                 f"within {_MAX_INTERVALS} trapezoid intervals")
-        previous, gram = gram, 0.5 * gram + gram_of(*integrand(*_trapezoid_nodes(intervals)))
-    return gram
+        previous, gram = gram, 0.5 * gram + gram_of(*integrand(*_trapezoid_nodes(intervals)))[0]
+        if not np.max(np.abs(gram - previous)) > _GRAM_TOL:
+            return gram
 
 
 def gate_channel(
@@ -454,11 +545,12 @@ def gate_channel(
     trap, for the addressed pulse (condition_solver's) at
     ModeBasis.flip_time, closed at ModeBasis.gate_time.
 
-    The Gram matrix comes from _phase_space_gram, with no Fock truncation,
-    so basis.dims does not enter, and the flip is instantaneous.  The
-    idealized flip does not read the pulse: every f is 1 and the Gram
-    matrix is [[1, damp], [damp, 1]] with damp = exp(-kappa^2 S_YY / 2) from
-    _residual_displacement, all ones on the commensurate trap.
+    The Gram matrix comes from _phase_space_grams, as a batch of one
+    point, with no Fock truncation, so basis.dims does not enter, and the
+    flip is instantaneous.  The idealized flip does not read the pulse:
+    every f is 1 and the Gram matrix is [[1, damp], [damp, 1]] with
+    damp = exp(-kappa^2 S_YY / 2) from _residual_displacement, all ones on
+    the commensurate trap.
     """
     if flip_mode == "idealized":
         gram = np.ones((2, 2), dtype=complex)
@@ -467,7 +559,9 @@ def gate_channel(
         return GateChannel(gram=gram, terms=_IDEALIZED_TERMS)
     if flip_mode != "gaussian":
         raise ValueError(f"unknown flip_mode {flip_mode!r}")
-    gram = _phase_space_gram(basis, pulse, n_bar_c)
+    (gram,) = _phase_space_grams([(basis, pulse, n_bar_c)])
+    if isinstance(gram, Exception):
+        raise gram
     return GateChannel(gram=gram, terms=_GAUSSIAN_TERMS)
 
 

@@ -78,8 +78,9 @@ class TrapSpec:
         8e-103 x0 at the default exponent) raises ValueError: in the
         subnormal range C loses the digits the force balance needs to
         return the targets.  So does one at which 4C or x_e^3 overflows (past
-        about 5.5e102 x0), and an exponent at which K underflows or
-        C/(p*K) = 4u^(p+1) overflows (past 123.947 by default).
+        about 5.5e102 x0), and an exponent at which K leaves double range or
+        C/(p*K) = 4u^(p+1) does (past 123.947 by default, where it
+        overflows; below 2 sqrt(2) widths, u < 1, it underflows instead).
         """
         if exponent <= 1.0:
             raise ValueError("exponent must exceed 1")
@@ -95,7 +96,10 @@ class TrapSpec:
             raise ValueError(
                 f"separation_in_x0 {separation_in_x0:g} takes 4C or x_e^3 out of double "
                 f"range; at this exponent it must be at most about {2.0 * most / x0:.2g}")
-        stiffness = u ** (2.0 - p) / (p * (p - 1.0))
+        try:
+            stiffness = u ** (2.0 - p) / (p * (p - 1.0))
+        except OverflowError:  # u < 1 and a steep wall: K is past double range
+            stiffness = inf
         u_cubed = u**3
         coulomb = 4.0 * u_cubed / (p - 1.0)
         if min(u_cubed, coulomb) < float_info.min:
@@ -104,7 +108,8 @@ class TrapSpec:
                 f"separation_in_x0 {separation_in_x0:g} makes the Coulomb coefficient "
                 f"subnormal, so the trap would miss its targets; at this exponent it "
                 f"must be at least about {2.0 * least ** (1.0 / 3.0) / x0:.2g}")
-        if stiffness < float_info.min or coulomb / (p * stiffness) == inf:
+        if not (float_info.min <= stiffness < inf
+                and float_info.min <= coulomb / (p * stiffness) < inf):
             raise ValueError(f"exponent {p:g} takes C/(p*K) = 4u^(p+1) or K out of double "
                              f"range; at separation_in_x0 {separation_in_x0:g} it must be at "
                              f"most about {_largest_exponent(u):.6g}")
@@ -112,11 +117,16 @@ class TrapSpec:
 
 
 def _largest_exponent(u: float) -> float:
-    """The largest exponent at which C/(p*K) = 4u^(p+1) stays finite and K =
-    u^(2-p)/(p(p-1)) normal: the ratio's bound, or K's root of ln(min p(p-1)) =
-    (2-p) ln u, which each fixed-point step from 2 nears about 350-fold."""
-    if u <= 1.0:  # only p(p-1) can take K below min
+    """The largest exponent at which K = u^(2-p)/(p(p-1)) and C/(p*K) =
+    4u^(p+1) stay finite and normal.  Above u = 1 that is the ratio's
+    overflow bound, or K's underflow root of ln(min p(p-1)) = (2-p) ln u,
+    which each fixed-point step from 2 nears about 350-fold.  Below it, the
+    ratio's underflow bound ln(min/4)/ln u - 1: K overflows only past
+    2 + ln(max)/|ln u|, which is larger, as 4/min > max."""
+    if u == 1.0:  # only p(p-1) can take K below min
         return float_info.min**-0.5
+    if u < 1.0:
+        return log(float_info.min / 4.0) / log(u) - 1.0
     p = 2.0
     for _ in range(4):
         p = 2.0 - log(float_info.min * p * (p - 1.0)) / log(u)

@@ -1090,15 +1090,57 @@ def test_harmonic_gate_does_not_depend_on_the_separation(exponent, eta, n_bar_c)
         assert abs(moved[1] - purity) <= 1e-12, separation_in_x0
 
 
-def test_scan_keeps_order_and_records_failures(spec):
-    points = [(1.2, 0.0), (-1.0, 0.0), (1.0, 0.0)]
-    rows = an.scan(spec, points, anharmonic_order=None, dims=(10, 8))
-    assert [(r["eta"], r["n_bar_c"]) for r in rows] == [(1.2, 0.0), (-1.0, 0.0), (1.0, 0.0)]
-    assert rows[0]["error"] is None
-    assert rows[0]["fidelity"] == an.gate_report(spec, 1.2, 0.0, anharmonic_order=None).fidelity
-    assert rows[1]["error"] is not None and "ValueError" in rows[1]["error"]
-    assert math.isnan(rows[1]["fidelity"])
-    assert rows[2]["error"] is None
+def test_scan_keeps_order_and_records_failures(spec, monkeypatch):
+    """Two points to a chunk here, so the grid spans three chunks, on the
+    paper's trap and at exponent 2: rows come back in input order, each
+    with gate_report's fidelity and purity bit for bit.  The schedule
+    refuses eta -1; eta 0.5 at n_bar_c 10 settles only at 256 intervals,
+    and with the cap at 128 it never settles.  Each error stays on its own
+    row, as gate_report raises it, and its chunk's other point is kept."""
+    monkeypatch.setattr(an, "_SCAN_CHUNK", 2)
+    points = [(1.2, 0.0), (-1.0, 0.0), (1.0, 0.0), (0.5, 10.0), (7.0, 1.0)]
+    caps = ((gp._MAX_INTERVALS, None), (128, "NonConvergenceError"))
+    for trap in (spec, tm.TrapSpec.normalized(exponent=2.0)):
+        for cap, unsettled in caps:
+            monkeypatch.setattr(gp, "_MAX_INTERVALS", cap)
+            rows = an.scan(trap, points, anharmonic_order=None, dims=(10, 8))
+            assert [(r["eta"], r["n_bar_c"]) for r in rows] == points
+            errors = [row["error"] and row["error"].split(":")[0] for row in rows]
+            assert errors == [None, "ValueError", None, unsettled, None]
+            for (eta, n_bar_c), row in zip(points, rows):
+                try:
+                    rep = an.gate_report(trap, eta, n_bar_c, anharmonic_order=None)
+                except (ValueError, NonConvergenceError) as exc:
+                    assert row["error"] == f"{type(exc).__name__}: {exc}"
+                    assert math.isnan(row["fidelity"]) and math.isnan(row["purity"])
+                    continue
+                assert (row["fidelity"].hex(), row["purity"].hex()) == (
+                    rep.fidelity.hex(), rep.purity.hex())
+
+
+def test_scan_keeps_an_error_of_one_points_quadrature_on_its_row(spec, monkeypatch):
+    """An error that one point's arithmetic raises in the batched first
+    level (a FloatingPointError under np.seterr, say) sends the batch
+    through point by point: only that point's row records it, and the
+    others keep gate_report's fidelity and purity bit for bit."""
+    points = [(1.2, 0.0), (2.0, 0.5), (7.0, 1.0)]
+    want = [an.gate_report(spec, eta, n_bar_c, anharmonic_order=None) for eta, n_bar_c in points]
+    basis = tm.build_mode_basis(spec, eta=2.0, n_bar_c=0.5)
+    bad_width = gp.build_schedule(basis, n_bar_c=0.5)[0].width
+    angle = gp.flip_angle
+
+    def raising_angle(pulse, xi):
+        if np.any(pulse.width == bad_width):
+            raise FloatingPointError("overflow in the profile")
+        return angle(pulse, xi)
+
+    monkeypatch.setattr(gp, "flip_angle", raising_angle)
+    rows = an.scan(spec, points, anharmonic_order=None)
+    assert [row["error"] for row in rows] == [
+        None, "FloatingPointError: overflow in the profile", None]
+    for i in (0, 2):
+        assert (rows[i]["fidelity"].hex(), rows[i]["purity"].hex()) == (
+            want[i].fidelity.hex(), want[i].purity.hex())
 
 
 def test_scan_stops_on_a_point_beyond_double_range(spec):

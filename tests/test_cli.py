@@ -290,6 +290,21 @@ def test_steep_wall_exits_1_naming_the_largest_exponent(capsys, argv):
     assert err.count("\n") == 1 and err.endswith("at most about 123.947\n")
 
 
+def test_steep_wall_at_a_close_separation_exits_1_naming_the_largest_exponent(capsys):
+    """At 1 width the half separation u is below 1, so C/(p*K) = 4u^(p+1)
+    underflows past exponent 681.667, before K = u^(2-p)/(p(p-1))
+    overflows: exponent 1000 is one config-error line that names that
+    bound, not an overflowing power, and an exponent just inside it runs."""
+    rc, out, err = run(capsys, "modes", "--exponent", "1000", "--separation-in-x0", "1")
+    assert (rc, out) == (1, "")
+    assert err.startswith("hotgate: config error: the trap settings leave double range: "
+                          "exponent ")
+    assert err.count("\n") == 1 and err.endswith("at most about 681.667\n")
+    rc, out, err = run(capsys, "modes", "--exponent", "681.666", "--separation-in-x0", "1")
+    assert (rc, err) == (0, "")
+    assert "exponent=681.666\n" in out
+
+
 # --- separation -------------------------------------------------------------
 
 
@@ -650,6 +665,22 @@ def test_gate_check_convergence_skips_an_unreported_f_cor(capsys, monkeypatch):
     assert err.startswith("gate: F_cor not reported") and err.count("\n") == 1
 
 
+def test_gate_check_convergence_fails_above_a_gap_of_1e_6(capsys, monkeypatch):
+    """The check exits 3 when F_cor moves by more than 1e-6 at doubled
+    truncation: a gap of exactly 1e-6 passes, 1.5e-6 does not."""
+    from types import SimpleNamespace
+
+    from hotgate import analysis
+
+    for doubled, code in ((1e-6, 0), (1.5e-6, 3)):
+        monkeypatch.setattr(analysis, "_anharmonic_point",
+                            lambda *a, dims_factor=1, doubled=doubled: SimpleNamespace(
+                                f_cor=doubled if dims_factor == 2 else 0.0))
+        rc, out, err = run(capsys, "gate", "--check-convergence")
+        assert (rc, json.loads(out)["f_cor"]) == (code, 0.0), doubled
+        assert ("truncation gap above 1e-6" in err) == (code == 3), doubled
+
+
 def test_scan_f_cor_note_once_per_n_bar_c(capsys):
     """F_cor reads n_bar_c alone, so two rows at n_bar_c 120 share one note."""
     rc, out, err = run(capsys, "scan", "--etas", "7,4", "--n-bars", "120,1")
@@ -995,8 +1026,8 @@ def test_scan_skip_existing_ignores_settings_scan_does_not_read(capsys, tmp_path
     ini = tmp_path / "dims.ini"
     ini.write_text("[gate]\ndims = 12,10\n")  # read by separation and anharmonic only
     calls = []
-    monkeypatch.setattr(analysis, "gate_report",
-                        lambda *a, **kw: calls.append(a[1:3]))
+    monkeypatch.setattr(analysis, "_channel_figures",
+                        lambda spec, points, **kw: calls.extend(points))
     rc, _, _ = run(capsys, *args, "--config", str(ini), "--output", str(out),
                    "--skip-existing")
     assert rc == 0
@@ -1005,20 +1036,24 @@ def test_scan_skip_existing_ignores_settings_scan_does_not_read(capsys, tmp_path
 
 
 def test_scan_resumes_after_interrupt(capsys, tmp_path, monkeypatch):
+    """Rows are computed two to a chunk here: an interrupt inside the second
+    chunk keeps the first chunk's rows in the .part file, and
+    --skip-existing computes only the rest."""
     from hotgate import analysis
 
     args = ("scan", "--etas", "1.5,2", "--n-bars", "0,0.4")
     whole = tmp_path / "whole.csv"
     assert run(capsys, *args, "--output", str(whole))[0] == 0
-    real, calls = analysis.gate_report, []
+    real, calls = analysis._channel_figures, []
 
-    def third_call_interrupts(*a, **kw):
-        calls.append(a[1:3])
-        if len(calls) == 3:
+    def second_chunk_interrupts(spec, points, **kw):
+        calls.extend(points)
+        if len(calls) > 2:
             raise KeyboardInterrupt
-        return real(*a, **kw)
+        return real(spec, points, **kw)
 
-    monkeypatch.setattr(analysis, "gate_report", third_call_interrupts)
+    monkeypatch.setattr(analysis, "_SCAN_CHUNK", 2)
+    monkeypatch.setattr(analysis, "_channel_figures", second_chunk_interrupts)
     out = tmp_path / "grid.csv"
     with pytest.raises(KeyboardInterrupt):
         cli.main([*args, "--output", str(out)])
@@ -1261,8 +1296,10 @@ def test_subcommand_takes_exactly_its_flags(capsys, command):
 
 
 def test_main_builds_only_the_parser_it_runs(capsys, monkeypatch):
-    """One parser per call, the one of the subcommand in argv[0]: a count, so
-    that building every subcommand's parser again shows whatever the timing."""
+    """The parser of the subcommand in argv[0] is built on the first call
+    that names it, and no other subcommand's parser is; a later call builds
+    none: a count, so that building a parser again shows whatever the
+    timing."""
     built = []
     init = cli._Parser.__init__
 
@@ -1271,9 +1308,12 @@ def test_main_builds_only_the_parser_it_runs(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._command_parser.cache_clear()
     for argv in (("scan", "--etas", "2", "--n-bars", "0", "--order", "0"),
                  ("gate", "--eta", "1.5", "--order", "0")):
         built.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert built == [f"hotgate {argv[0]}"]
         assert run(capsys, *argv)[0] == 0
         assert built == [f"hotgate {argv[0]}"]
 

@@ -477,6 +477,12 @@ def _trapezoid_setup(basis, pulse, n_bar_c, terms, intervals):
     return t, step, w, basis.thermal_spread(n_bar_c) * t, f
 
 
+def _one_gram(basis, pulse, n_bar_c):
+    """The Gram matrix of _phase_space_grams on a batch of one point."""
+    (gram,) = gp._phase_space_grams([(basis, pulse, n_bar_c)])
+    return gram
+
+
 def _with_cross_block(gram, rows, block):
     gram[np.ix_(rows, ~rows)] = block
     gram[np.ix_(~rows, rows)] = block.conj().T
@@ -484,7 +490,7 @@ def _with_cross_block(gram, rows, block):
 
 
 def _plain_trapezoid_gram(basis, pulse, n_bar_c, terms, intervals):
-    """The Gram matrix of _phase_space_gram's docstring on one plain
+    """The Gram matrix of _phase_space_grams' docstring on one plain
     trapezoid grid of `intervals` intervals over +-_SPAN thermal widths:
     the cross-branch blocks on the real axis, f_r(x + a) conj(f_c(x))
     against the complex weight e^{log_damp} N(x; z, Delta^2)."""
@@ -524,7 +530,7 @@ def test_real_axis_gram_matches_the_complex_shift_form(point):
     the Gram matrix matches the complex-shift form on 1024 intervals."""
     basis, pulse = _unfocused_point(*point)
     terms = gp._GAUSSIAN_TERMS
-    gram = gp._phase_space_gram(basis, pulse, point[2])
+    gram = _one_gram(basis, pulse, point[2])
     reference = _complex_offset_gram(basis, pulse, point[2], terms, 1024)
     np.testing.assert_allclose(gram, reference, rtol=0, atol=1e-14)
 
@@ -538,7 +544,7 @@ def test_phase_space_gram_is_the_128_interval_trapezoid(exponent):
     basis = make_basis(spec, eta=7.0)
     pulse, _ = gp.build_schedule(basis)
     terms = gp._GAUSSIAN_TERMS
-    gram = gp._phase_space_gram(basis, pulse, 0.0)
+    gram = _one_gram(basis, pulse, 0.0)
     coarse, fine = (_plain_trapezoid_gram(basis, pulse, 0.0, terms, n) for n in (64, 128))
     assert np.array_equal(gram, fine)
     assert np.max(np.abs(fine - coarse)) <= gp._GRAM_TOL
@@ -559,7 +565,7 @@ def test_phase_space_gram_settles_at_its_tolerance_off_ratio(monkeypatch):
     basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=0.5, n_bar_c=10.0)
     pulse, _ = gp.build_schedule(basis, n_bar_c=10.0)
     terms = gp._GAUSSIAN_TERMS
-    gram = gp._phase_space_gram(basis, pulse, 10.0)
+    gram = _one_gram(basis, pulse, 10.0)
     np.testing.assert_allclose(gram, _plain_trapezoid_gram(basis, pulse, 10.0, terms, 2**12),
                                rtol=0, atol=gp._GRAM_TOL)
     np.testing.assert_allclose(gram, _complex_offset_gram(basis, pulse, 10.0, terms, 2**14),
@@ -576,7 +582,7 @@ def test_phase_space_gram_nodes_are_centre_relative(monkeypatch):
     basis = make_basis(tm.TrapSpec.normalized(exponent=2.0), eta=0.5)
     pulse, _ = gp.build_schedule(basis)
     terms = gp._GAUSSIAN_TERMS
-    gram = gp._phase_space_gram(basis, pulse, 0.0)
+    gram = _one_gram(basis, pulse, 0.0)
     reference = _plain_trapezoid_gram(basis, pulse, 0.0, terms, 2**12)
     np.testing.assert_allclose(gram, reference, rtol=0, atol=1e-13)
 
@@ -598,7 +604,7 @@ def test_phase_space_gram_evaluates_each_node_once(monkeypatch, eta, n_bar_c, in
     pulse, _ = gp.build_schedule(basis, n_bar_c=n_bar_c)
     terms = gp._GAUSSIAN_TERMS
     monkeypatch.setattr(gp, "flip_angle", counting_angle)
-    gram = gp._phase_space_gram(basis, pulse, n_bar_c)
+    gram = _one_gram(basis, pulse, n_bar_c)
     assert sum(nodes) == intervals + 1
     monkeypatch.undo()
     np.testing.assert_allclose(

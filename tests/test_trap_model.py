@@ -332,12 +332,15 @@ def test_normalized_separation_edge_is_one_double_wide(exponent, edge):
         tm.TrapSpec.normalized(exponent=exponent, separation_in_x0=np.nextafter(edge, np.inf))
 
 
-@pytest.mark.parametrize("separation, largest", [(820.0, "123.947"), (20.0, "358.152")])
+@pytest.mark.parametrize("separation, largest", [(820.0, "123.947"), (20.0, "358.152"),
+                                                 (1.0, "681.667")])
 def test_normalized_refuses_an_exponent_past_double_range(separation, largest):
     """Past the overflow of C/(p*K) = 4u^(p+1), the bound at the default
-    separation, or the underflow of K, the bound at 20 widths, no
-    equilibrium can be solved: the refusal names the largest exponent that
-    fits, to 1e-9 relative, and just below it the trap hits its targets."""
+    separation, the underflow of K, the bound at 20 widths, or, at 1 width
+    where u < 1, the underflow of C/(p*K) (K = u^(2-p)/(p(p-1)) overflows
+    only later, an OverflowError in u^(2-p) at 1e300), no equilibrium can
+    be solved: the refusal names the largest exponent that fits, to 1e-9
+    relative, and just below it the trap hits its targets."""
     u = separation / math.sqrt(2.0) / 2.0
     bound = tm._largest_exponent(u)
     assert f"{bound:.6g}" == largest
